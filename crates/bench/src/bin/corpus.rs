@@ -4,6 +4,7 @@
 //! ```text
 //! corpus record --app canneal [--scaled] [--runs N] [--seed N] [--dir DIR]
 //! corpus check  --app canneal [--scaled] [--runs N] [--seed N] [--dir DIR] [--require-hits]
+//! corpus dump   --dir DIR
 //! ```
 //!
 //! `record` runs one checking campaign, stores every completed run in
@@ -17,7 +18,10 @@
 //! that maps the divergence back to globals and allocation sites.
 //! `--require-hits` additionally fails the check if nothing was
 //! replayed from the corpus (the CI smoke leg uses this to prove the
-//! warm path actually engaged).
+//! warm path actually engaged). `dump` prints every live record of an
+//! existing corpus as one readable block — fingerprint and location,
+//! key tokens, counters, checkpoints, alloc-log and trace lengths — the
+//! human view of the binary on-disk records.
 //!
 //! Campaign shape comes from the shared spec flags (`bench::cli`), so
 //! `--runs`/`--seed`/`--jobs`/`--scheme`/`--spec FILE` — and the
@@ -27,10 +31,12 @@
 //! is this binary's historic alias for `--corpus-dir DIR`; without
 //! either, the store lives at `results/corpus`.
 
+use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use corpus::{CampaignBaseline, Corpus, CorpusOptions};
+use corpus::{kind_token, CampaignBaseline, Corpus, CorpusOptions, StoredRecord};
 use instantcheck::{CampaignSpec, CheckReport, Checker, CheckerConfig};
 use instantcheck_bench::cli;
 use instantcheck_workloads::AppSpec;
@@ -47,7 +53,8 @@ struct Cli {
 fn usage() -> ! {
     eprintln!(
         "usage: corpus <record|check> --app NAME [--scaled] [--runs N] \
-         [--seed N] [--jobs N] [--dir DIR] [--require-hits] [shared spec flags]"
+         [--seed N] [--jobs N] [--dir DIR] [--require-hits] [shared spec flags]\n       \
+         corpus dump --dir DIR"
     );
     std::process::exit(2);
 }
@@ -156,7 +163,97 @@ fn campaign(cli: &Cli, app: &AppSpec) -> (Vec<instantcheck::RunHashes>, CheckRep
     (runs, report)
 }
 
+/// `corpus dump --dir DIR`: prints every live record of the corpus at
+/// `DIR` as one readable block. Refuses a directory that holds no
+/// corpus rather than creating one.
+fn dump(args: &[String]) -> ExitCode {
+    let dir = match args {
+        [flag, dir] if flag == "--dir" => Path::new(dir),
+        _ => usage(),
+    };
+    if !dir.join("format").is_file() {
+        eprintln!("no corpus at {}", dir.display());
+        return ExitCode::from(2);
+    }
+    let records = match CorpusOptions::at(dir).open().and_then(|c| c.records()) {
+        Ok(records) => records,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    match records
+        .iter()
+        .try_for_each(|rec| write_record(&mut out, rec))
+        .and_then(|()| out.flush())
+    {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("dump failed: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// One record's block: address line, then key tokens, counters,
+/// checkpoints (kinds as [`kind_token`]), and alloc-log and trace
+/// lengths — or the corruption class of a record that fails its checks.
+fn write_record(out: &mut impl Write, rec: &StoredRecord) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "record {:032x} seg {} offset {} len {}",
+        rec.fp, rec.segment, rec.offset, rec.len
+    )?;
+    let (tokens, run) = match &rec.content {
+        Ok(content) => content,
+        Err(why) => return writeln!(out, "  corrupt {}: {why}", why.label()),
+    };
+    write!(out, "  key")?;
+    for (label, value) in tokens {
+        write!(out, " {label}={value}")?;
+    }
+    let h = &run.hashes;
+    writeln!(
+        out,
+        "\n  run steps={} native={} zerofill={}\n  hashes output={} extra={} stores={} hashup={}",
+        run.steps,
+        run.native_instr,
+        run.zero_fill_instr,
+        h.output_digest,
+        h.extra_instr,
+        h.stores,
+        h.hash_updates
+    )?;
+    if let Some(c) = h.cache {
+        writeln!(
+            out,
+            "  l1 hits={} misses={} mhm_reads={} mhm_read_misses={}",
+            c.hits, c.misses, c.mhm_reads, c.mhm_read_misses
+        )?;
+    }
+    for cp in &h.checkpoints {
+        writeln!(
+            out,
+            "  cp {} {:016x}",
+            kind_token(cp.kind),
+            cp.hash.as_raw()
+        )?;
+    }
+    if let Some(log) = &run.alloc_log {
+        writeln!(out, "  alloclog {}", log.len())?;
+    }
+    if let Some(events) = &run.sim_trace {
+        writeln!(out, "  trace {}", events.len())?;
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("dump") {
+        return dump(&args[1..]);
+    }
     let cli = parse_cli();
     let Some(app) = instantcheck_workloads::by_name(&cli.app, cli.scaled) else {
         eprintln!("unknown app {:?} at this scale", cli.app);

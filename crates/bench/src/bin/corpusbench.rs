@@ -8,9 +8,9 @@
 //! For each population size (default 10k and 100k entries) the bench
 //! builds the same synthetic run population twice: once through a
 //! faithful reimplementation of the PR-4 one-file-per-run backend
-//! (fingerprint-named file per record, tmp+rename atomicity, the same
-//! `icorpus-v1` entry codec), and once through
-//! [`Corpus::open`](corpus::Corpus) over the `icseg-v1` segment log.
+//! (fingerprint-named file per record, tmp+rename atomicity), writing
+//! the same `icseg-v2` record bytes the log does, and once through
+//! [`Corpus::open`](corpus::Corpus) over the `icseg-v2` segment log.
 //! It then measures the *warm* path both ways — a fresh instance over
 //! the populated store, every key looked up exactly once in a
 //! scattered order — plus cold write cost and (for the log engine) the
@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use adhash::HashSum;
-use corpus::{decode_entry, encode_entry, fingerprint_key, Corpus, CorpusOptions};
+use corpus::{decode_record, encode_record, fingerprint_key, Corpus, CorpusOptions};
 use detrand::splitmix64;
 use instantcheck::{CachedRun, CheckpointRecord, RunCache, RunHashes, RunKey, Scheme};
 use instantcheck_bench::json::{write_field, ToJson};
@@ -88,7 +88,7 @@ impl ToJson for CorpusBenchRow {
 
 /// The PR-4 backend, reimplemented minimally and faithfully: one
 /// fingerprint-named file per record under the root, written via
-/// tmp+rename, read back through the shared entry codec.
+/// tmp+rename, read back through the shared record codec.
 struct FlatStore {
     dir: PathBuf,
 }
@@ -108,13 +108,13 @@ impl FlatStore {
     fn store(&self, key: &RunKey, run: &CachedRun) {
         let path = self.path(key);
         let tmp = path.with_extension("tmp");
-        fs::write(&tmp, encode_entry(key, run)).expect("flat store write");
+        fs::write(&tmp, encode_record(key, run)).expect("flat store write");
         fs::rename(&tmp, &path).expect("flat store rename");
     }
 
     fn lookup(&self, key: &RunKey) -> Option<CachedRun> {
-        let text = fs::read_to_string(self.path(key)).ok()?;
-        let (tokens, run) = decode_entry(&text).ok()?;
+        let bytes = fs::read(self.path(key)).ok()?;
+        let (tokens, run) = decode_record(&bytes).ok()?;
         // Field-for-field key verification, exactly as the PR-4 store
         // did it — a fingerprint collision must never read as a hit.
         let expected: Vec<(String, String)> = key

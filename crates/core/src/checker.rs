@@ -15,7 +15,7 @@ use crate::ignore::IgnoreSpec;
 use crate::policy::{retry_seed, FailurePolicy, RunFailure, RunOutcome};
 use crate::report::CheckReport;
 use crate::scheme::{CheckMonitor, CheckpointRecord, Scheme};
-use crate::spec::CampaignSpec;
+use crate::spec::{CampaignSpec, RunKeyTemplate};
 
 /// A configuration the checker refuses to run.
 ///
@@ -701,16 +701,16 @@ impl Checker {
         rc
     }
 
-    /// The cache key for one attempt, when a cache is configured (both
-    /// [`CheckerConfig::cache`] and [`CheckerConfig::workload`] set).
-    /// Derived from the config's [`CampaignSpec`] rendering
-    /// ([`CheckerConfig::to_spec`] → [`CampaignSpec::run_key`]) so the
-    /// checker and a serialized spec provably address the same corpus
-    /// entries.
-    fn run_key(&self, slot: usize, seed: u64, alloc_seed: Option<u64>) -> Option<RunKey> {
+    /// The campaign's run-key template, when a cache is configured
+    /// (both [`CheckerConfig::cache`] and [`CheckerConfig::workload`]
+    /// set). Derived from the config's [`CampaignSpec`] rendering
+    /// ([`CheckerConfig::to_spec`], the same template
+    /// [`CampaignSpec::run_key`] fills) so the checker and a serialized
+    /// spec provably address the same corpus entries. Built once per
+    /// campaign; each attempt only fills in its seeds.
+    fn key_template(&self) -> Option<RunKeyTemplate> {
         self.config.cache.as_ref()?;
-        let spec = self.config.to_spec()?;
-        Some(spec.run_key(slot, seed, alloc_seed))
+        Some(self.config.to_spec()?.key_template())
     }
 
     /// Shared tail of a completed attempt, live or cache-satisfied:
@@ -791,9 +791,11 @@ impl Checker {
     /// instant against `reference`) and simulator events go to `sink` —
     /// the campaign's own sink on the serial path, a per-slot
     /// [`BufferSink`] on the parallel one.
+    #[allow(clippy::too_many_arguments)]
     fn run_slot<F: Fn() -> Program>(
         &self,
         source: &F,
+        keys: Option<&RunKeyTemplate>,
         slot: usize,
         alloc: Option<(&Arc<AllocLog>, u64)>,
         reference: Option<&RunHashes>,
@@ -818,7 +820,7 @@ impl Checker {
                 }
                 _ => cfg.base_seed + slot as u64,
             };
-            let key = self.run_key(slot, seed, alloc_seed);
+            let key = keys.map(|t| t.key(slot, seed, alloc_seed));
             // Claim-aware lookup: a hit replays; a claimed miss makes
             // this attempt the key's single computer (concurrent
             // attempts on the same key wait for the publication instead
@@ -1089,10 +1091,13 @@ impl Checker {
         // more, just up to the first completed run, which pins the
         // allocator log and the reference hashes the fanned-out slots
         // compare against. Events stream straight to the sink here.
+        let keys = self.key_template();
+        let keys = keys.as_ref();
         let mut next_slot = 0usize;
         while next_slot < runs && (jobs == 1 || state.first_hashes.is_none()) {
             let slot_run = self.run_slot(
                 source,
+                keys,
                 next_slot,
                 alloc.as_ref().map(|(log, seed)| (log, *seed)),
                 state.first_hashes.as_ref(),
@@ -1121,7 +1126,8 @@ impl Checker {
         // pool hands slot indices out in increasing order and every
         // worker finishes the slot it holds (abandoning retries only
         // above the decisive slot), so by join time every slot up to
-        // any decisive one has a result.
+        // any decisive one has a result. The calling thread is worker
+        // 0, so a pool of `n` costs `n - 1` spawns.
         let reference = state
             .first_hashes
             .clone()
@@ -1134,52 +1140,54 @@ impl Checker {
         let failed = AtomicUsize::new(state.failed_slots);
         let ctl = CancelCtl::new();
         let results: Vec<SlotCell> = (0..runs).map(|_| Mutex::new(None)).collect();
-        thread::scope(|scope| {
-            for w in 0..jobs.min(runs - next_slot) {
-                let (next, ctl, failed, results, reference) =
-                    (&next, &ctl, &failed, &results, &reference);
-                // Wall-clock side-channel only: spans and busy/idle
-                // histograms are recorded *after* each slot completes,
-                // so dispatch order and slot results cannot depend on
-                // whether telemetry is attached.
-                let telemetry = cfg.telemetry.as_deref();
-                scope.spawn(move || {
-                    let mut idle_from = telemetry.map(|t| t.now_ns());
-                    loop {
-                        if ctl.cancelled() {
-                            break;
-                        }
-                        let slot = next.fetch_add(1, Ordering::SeqCst);
-                        if slot >= runs {
-                            break;
-                        }
-                        let start = telemetry.map(|t| t.now_ns());
-                        let buffer = sink.map(|_| Arc::new(BufferSink::new()));
-                        let slot_sink = buffer.clone().map(|b| b as Arc<dyn EventSink>);
-                        let slot_run = self.run_slot(
-                            source,
-                            slot,
-                            Some((alloc_log, alloc_seed)),
-                            Some(reference),
-                            slot_sink.as_ref(),
-                            Some(ctl),
-                        );
-                        self.flag_decisive(ctl, failed, slot, &slot_run, stop_early);
-                        *results[slot].lock().unwrap() = Some((slot_run, buffer));
-                        if let (Some(t), Some(start)) = (telemetry, start) {
-                            let end = t.now_ns();
-                            t.histogram("checker.slot.busy")
-                                .record(end.saturating_sub(start));
-                            if let Some(since) = idle_from {
-                                t.histogram("checker.slot.idle")
-                                    .record(start.saturating_sub(since));
-                            }
-                            t.lane_span(format!("chk.w{w}"), "slot", start, end, slot as u64);
-                            idle_from = Some(end);
-                        }
+        // Wall-clock side-channel only: spans and busy/idle histograms
+        // are recorded *after* each slot completes, so dispatch order
+        // and slot results cannot depend on whether telemetry is
+        // attached.
+        let telemetry = cfg.telemetry.as_deref();
+        let work = |w: usize| {
+            let mut idle_from = telemetry.map(|t| t.now_ns());
+            loop {
+                if ctl.cancelled() {
+                    break;
+                }
+                let slot = next.fetch_add(1, Ordering::SeqCst);
+                if slot >= runs {
+                    break;
+                }
+                let start = telemetry.map(|t| t.now_ns());
+                let buffer = sink.map(|_| Arc::new(BufferSink::new()));
+                let slot_sink = buffer.clone().map(|b| b as Arc<dyn EventSink>);
+                let slot_run = self.run_slot(
+                    source,
+                    keys,
+                    slot,
+                    Some((alloc_log, alloc_seed)),
+                    Some(&reference),
+                    slot_sink.as_ref(),
+                    Some(&ctl),
+                );
+                self.flag_decisive(&ctl, &failed, slot, &slot_run, stop_early);
+                *results[slot].lock().unwrap() = Some((slot_run, buffer));
+                if let (Some(t), Some(start)) = (telemetry, start) {
+                    let end = t.now_ns();
+                    t.histogram("checker.slot.busy")
+                        .record(end.saturating_sub(start));
+                    if let Some(since) = idle_from {
+                        t.histogram("checker.slot.idle")
+                            .record(start.saturating_sub(since));
                     }
-                });
+                    t.lane_span(format!("chk.w{w}"), "slot", start, end, slot as u64);
+                    idle_from = Some(end);
+                }
             }
+        };
+        thread::scope(|scope| {
+            let work = &work;
+            for w in 1..jobs.min(runs - next_slot) {
+                scope.spawn(move || work(w));
+            }
+            work(0);
         });
 
         // Deterministic reduction: re-absorb the slot results in slot

@@ -271,6 +271,34 @@ fn parse_fault_kind(label: &str) -> Result<FaultKind, String> {
         .ok_or_else(|| format!("unknown fault kind {label:?}"))
 }
 
+/// A campaign's run keys with every campaign-wide field — workload,
+/// scheme, ignore token, per-slot fault tokens — rendered once, so a
+/// campaign derives each attempt's key by filling in only the
+/// per-attempt fields.
+#[derive(Debug, Clone)]
+pub(crate) struct RunKeyTemplate {
+    base: RunKey,
+    fault_tokens: Vec<(usize, u64)>,
+}
+
+impl RunKeyTemplate {
+    /// The key of slot `slot` under scheduler seed `seed` and
+    /// allocator provenance `alloc_seed`.
+    pub(crate) fn key(&self, slot: usize, seed: u64, alloc_seed: Option<u64>) -> RunKey {
+        let fault_token = self
+            .fault_tokens
+            .iter()
+            .find(|(s, _)| *s == slot)
+            .map_or(0, |(_, token)| *token);
+        RunKey {
+            seed,
+            alloc_seed,
+            fault_token,
+            ..self.base.clone()
+        }
+    }
+}
+
 impl CampaignSpec {
     /// A default campaign over `workload`: 30 runs, base seed 1,
     /// sync-only switching, bit-exact hashing, nothing ignored, abort
@@ -338,30 +366,37 @@ impl CampaignSpec {
     /// provenance `alloc_seed` (see [`RunKey::alloc_seed`]).
     ///
     /// This is the *only* place run keys are assembled — the checker
-    /// derives its keys from the spec, so a spec stored next to a
-    /// corpus provably addresses the same entries the campaign used.
-    /// `runs`, `policy`, `deadline_ms`, and `jobs` never enter the key:
-    /// they decide which attempts run and how fast, not what an attempt
-    /// computes.
+    /// derives its keys from the spec (through the same per-campaign
+    /// key template), so a spec stored next to a corpus provably
+    /// addresses the same entries the campaign used. `runs`, `policy`,
+    /// `deadline_ms`, and `jobs` never enter the key: they decide which
+    /// attempts run and how fast, not what an attempt computes.
     #[must_use]
     pub fn run_key(&self, slot: usize, seed: u64, alloc_seed: Option<u64>) -> RunKey {
-        let fault_token = self
-            .fault_plans
-            .iter()
-            .find(|(s, _)| *s == slot)
-            .map_or(0, |(_, plan)| fault_plan_token(plan));
-        RunKey {
-            workload: self.workload.clone(),
-            scheme: self.scheme,
-            seed,
-            lib_seed: self.lib_seed,
-            switch: self.switch,
-            max_steps: self.max_steps,
-            rounding: self.rounding,
-            ignore_token: self.ignore.cache_token(),
-            fault_token,
-            cache_model: self.cache_model,
-            alloc_seed,
+        self.key_template().key(slot, seed, alloc_seed)
+    }
+
+    /// Everything campaign-wide in this spec's run keys, rendered once.
+    pub(crate) fn key_template(&self) -> RunKeyTemplate {
+        RunKeyTemplate {
+            base: RunKey {
+                workload: self.workload.clone(),
+                scheme: self.scheme,
+                seed: 0,
+                lib_seed: self.lib_seed,
+                switch: self.switch,
+                max_steps: self.max_steps,
+                rounding: self.rounding,
+                ignore_token: self.ignore.cache_token(),
+                fault_token: 0,
+                cache_model: self.cache_model,
+                alloc_seed: None,
+            },
+            fault_tokens: self
+                .fault_plans
+                .iter()
+                .map(|(slot, plan)| (*slot, fault_plan_token(plan)))
+                .collect(),
         }
     }
 

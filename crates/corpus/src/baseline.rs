@@ -16,7 +16,7 @@ use std::path::Path;
 use instantcheck::{CheckReport, RunHashes, Scheme};
 use obs::json::{self, write_str, Value};
 
-use crate::entry::kind_token;
+use crate::record::kind_token;
 
 /// A recorded reference outcome for one `(workload, scheme, runs,
 /// base_seed)` campaign.

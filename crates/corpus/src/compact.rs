@@ -23,7 +23,6 @@ use std::io;
 use std::os::unix::fs::FileExt;
 
 use crate::index::{CrashPoints, LogInner};
-use crate::segment::encode_record;
 
 /// What one inline compaction did.
 #[derive(Debug, Clone, Copy)]
@@ -72,13 +71,16 @@ pub(crate) fn maybe_compact(
         .filter(|(_, loc)| loc.seg == id)
         .map(|(fp, loc)| (*fp, *loc))
         .collect();
-    live.sort_unstable_by_key(|(_, loc)| loc.payload_offset);
+    live.sort_unstable_by_key(|(_, loc)| loc.offset);
     let file = std::sync::Arc::clone(&inner.segments[&id].file);
     let rewritten = live.len() as u64;
+    // Records are self-contained (the frame carries the fingerprint),
+    // so a live record moves byte for byte.
+    let mut record = Vec::new();
     for (fp, loc) in live {
-        let mut payload = vec![0u8; loc.payload_len as usize];
-        file.read_exact_at(&mut payload, loc.payload_offset)?;
-        inner.append(fp, &encode_record(fp, &payload), segment_bytes, crash)?;
+        record.resize(loc.len as usize, 0);
+        file.read_exact_at(&mut record, loc.offset)?;
+        inner.append(fp, &record, segment_bytes, crash)?;
     }
     if crash.fires("compact") {
         std::process::abort();

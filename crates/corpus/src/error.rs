@@ -1,24 +1,17 @@
 //! The unified corpus error surface.
 //!
 //! Every fallible corpus operation reports a [`CorpusError`]. The enum
-//! is `#[non_exhaustive]` so later engine work (new corruption classes,
-//! new storage phases) can add variants without breaking callers, and
-//! each variant names the phase that failed — open, append, index,
-//! quarantine — so a caller can distinguish "the store is unusable"
-//! from "one record was bad".
+//! is `#[non_exhaustive]` so later engine work (new storage phases) can
+//! add variants without breaking callers, and each variant names the
+//! phase that failed — open, format check, index build — so a caller
+//! can tell "the store is unusable" apart from anything else. Damaged
+//! records are not errors: reads quarantine them and report a miss.
 
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
-use crate::entry::Corruption;
-
 /// Any error a corpus operation can report.
-///
-/// Replaces the previous per-module error types (`io::Error` with
-/// stringly kinds from `Store::open`, ad-hoc strings elsewhere) with
-/// one typed surface. [`From<io::Error>`] is kept so existing `?`
-/// call sites migrate mechanically.
 #[non_exhaustive]
 #[derive(Debug)]
 pub enum CorpusError {
@@ -31,9 +24,9 @@ pub enum CorpusError {
         source: io::Error,
     },
     /// The directory holds a corpus of a different on-disk format.
-    /// An incompatible store — including a PR-4 `icorpus` one-file-
-    /// per-run store — is refused outright, never silently misread or
-    /// migrated in place.
+    /// An incompatible store — an `icseg 1` text-entry log or a PR-4
+    /// `icorpus` one-file-per-run store — is refused outright, never
+    /// silently misread or migrated in place.
     FormatMismatch {
         /// The corpus root with the foreign marker.
         dir: PathBuf,
@@ -42,19 +35,8 @@ pub enum CorpusError {
         /// The marker this build reads and writes.
         expected: String,
     },
-    /// Appending a record to the active segment failed.
-    Append(io::Error),
     /// Scanning segments to (re)build the in-memory index failed.
     Index(io::Error),
-    /// A corrupt record could not be moved into quarantine.
-    Quarantine {
-        /// The corruption class of the record being quarantined.
-        class: Corruption,
-        /// The underlying I/O failure.
-        source: io::Error,
-    },
-    /// Any other I/O failure.
-    Io(io::Error),
 }
 
 impl fmt::Display for CorpusError {
@@ -72,12 +54,7 @@ impl fmt::Display for CorpusError {
                 "corpus at {} has format {found:?}, this build reads {expected:?}",
                 dir.display()
             ),
-            CorpusError::Append(e) => write!(f, "corpus append failed: {e}"),
             CorpusError::Index(e) => write!(f, "corpus index build failed: {e}"),
-            CorpusError::Quarantine { class, source } => {
-                write!(f, "cannot quarantine {} record: {source}", class.label())
-            }
-            CorpusError::Io(e) => write!(f, "corpus i/o error: {e}"),
         }
     }
 }
@@ -85,18 +62,9 @@ impl fmt::Display for CorpusError {
 impl std::error::Error for CorpusError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CorpusError::Open { source, .. } | CorpusError::Quarantine { source, .. } => {
-                Some(source)
-            }
-            CorpusError::Append(e) | CorpusError::Index(e) | CorpusError::Io(e) => Some(e),
+            CorpusError::Open { source, .. } | CorpusError::Index(source) => Some(source),
             CorpusError::FormatMismatch { .. } => None,
         }
-    }
-}
-
-impl From<io::Error> for CorpusError {
-    fn from(e: io::Error) -> CorpusError {
-        CorpusError::Io(e)
     }
 }
 
@@ -114,18 +82,11 @@ mod tests {
         let e = CorpusError::FormatMismatch {
             dir: PathBuf::from("/x"),
             found: "icorpus 1".into(),
-            expected: "icseg 1".into(),
+            expected: "icseg 2".into(),
         };
         assert!(e.to_string().contains("icorpus 1"));
-        assert!(e.to_string().contains("icseg 1"));
-    }
-
-    #[test]
-    fn io_errors_convert_mechanically() {
-        fn fallible() -> Result<(), CorpusError> {
-            Err(io::Error::other("boom"))?;
-            Ok(())
-        }
-        assert!(matches!(fallible(), Err(CorpusError::Io(_))));
+        assert!(e.to_string().contains("icseg 2"));
+        let e = CorpusError::Index(io::Error::other("boom"));
+        assert!(e.to_string().contains("index build failed: boom"));
     }
 }

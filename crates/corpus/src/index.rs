@@ -13,9 +13,9 @@
 //!   next rebuild resolves identically.
 //! * **Torn tails truncate.** A crash mid-append can only damage the
 //!   tail of the active segment; the structural scan finds the first
-//!   unparseable byte, the torn bytes are preserved for quarantine,
-//!   and the file is truncated back to its last whole record. Records
-//!   before the tear are untouched.
+//!   frame that is cut short, the torn bytes are preserved for
+//!   quarantine, and the file is truncated back to its last whole
+//!   record. Records before the tear are untouched.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
@@ -75,12 +75,10 @@ impl CrashPoints {
 pub(crate) struct RecordLoc {
     /// Segment id.
     pub seg: u64,
-    /// Payload byte offset within the segment.
-    pub payload_offset: u64,
-    /// Payload length in bytes.
-    pub payload_len: u32,
-    /// Whole-record length (frame + payload), for garbage accounting.
-    pub record_len: u64,
+    /// Byte offset of the record (its frame) within the segment.
+    pub offset: u64,
+    /// Whole-record length: frame plus body.
+    pub len: u32,
 }
 
 /// One segment's open handle and byte accounting.
@@ -111,16 +109,6 @@ pub(crate) struct TornTail {
     pub bytes: Vec<u8>,
 }
 
-/// What a rebuild found, beyond the index itself.
-#[derive(Debug, Default)]
-pub(crate) struct BuildReport {
-    /// Torn tails cut from segments (normally at most one, on the
-    /// active segment, after a crash).
-    pub torn: Vec<TornTail>,
-    /// Live records indexed.
-    pub records: u64,
-}
-
 /// The mutable log state: fingerprint index, segment table, and the
 /// active segment every append goes to. All mutation happens behind
 /// the store's mutex; reads clone the `Arc<File>` handle and leave.
@@ -133,15 +121,14 @@ pub(crate) struct LogInner {
     pub segments: BTreeMap<u64, SegmentInfo>,
     /// Id of the active segment.
     pub active: u64,
-    /// Segments sealed by this instance.
-    pub sealed_count: u64,
 }
 
 impl LogInner {
     /// Scans `segments_dir` and rebuilds the index. Creates the first
     /// active segment if the log is empty; truncates torn tails and
-    /// reports them for quarantine.
-    pub(crate) fn open(segments_dir: &Path) -> io::Result<(LogInner, BuildReport)> {
+    /// returns them for quarantine (normally at most one, on the active
+    /// segment, after a crash).
+    pub(crate) fn open(segments_dir: &Path) -> io::Result<(LogInner, Vec<TornTail>)> {
         let mut found: Vec<(u64, bool)> = Vec::new();
         for entry in fs::read_dir(segments_dir)? {
             let entry = entry?;
@@ -156,9 +143,8 @@ impl LogInner {
             map: HashMap::new(),
             segments: BTreeMap::new(),
             active: 0,
-            sealed_count: 0,
         };
-        let mut report = BuildReport::default();
+        let mut torn = Vec::new();
 
         for &(id, sealed) in &found {
             let name = if sealed {
@@ -170,7 +156,7 @@ impl LogInner {
             let bytes = fs::read(&path)?;
             let scan = scan_segment(&bytes);
             if scan.torn {
-                report.torn.push(TornTail {
+                torn.push(TornTail {
                     seg: id,
                     offset: scan.valid_len,
                     bytes: bytes[scan.valid_len as usize..].to_vec(),
@@ -210,13 +196,12 @@ impl LogInner {
                 inner.active = id;
             }
         }
-        report.records = inner.map.len() as u64;
 
         if inner.active == 0 {
             let id = inner.segments.keys().next_back().copied().unwrap_or(0) + 1;
             inner.create_active(id)?;
         }
-        Ok((inner, report))
+        Ok((inner, torn))
     }
 
     fn create_active(&mut self, id: u64) -> io::Result<()> {
@@ -257,14 +242,13 @@ impl LogInner {
             // Reopen read-only so the sealed handle can never write.
             info.file = Arc::new(File::open(&to)?);
         }
-        self.sealed_count += 1;
         if crash.fires("seal-post") {
             std::process::abort();
         }
         self.create_active(id + 1)
     }
 
-    /// Appends one framed record to the active segment, sealing first
+    /// Appends one whole record to the active segment, sealing first
     /// when the append would overflow `segment_bytes`. Updates the
     /// index; a superseded older record becomes garbage in its segment.
     /// `crash` arms the seeded `append` fault point (a torn
@@ -288,14 +272,11 @@ impl LogInner {
             std::process::abort();
         }
         info.file.write_all_at(record, info.len)?;
-        let scan = scan_segment(record);
-        let rec = scan.records.first().expect("caller frames the record");
         let rec = ScannedRecord {
-            record_offset: info.len + rec.record_offset,
-            payload_offset: info.len + rec.payload_offset,
-            ..*rec
+            fp,
+            offset: info.len,
+            len: record.len() as u32,
         };
-        debug_assert_eq!(rec.fp, fp);
         info.len += record.len() as u64;
         let id = self.active;
         let mut info = self.segments.remove(&id).expect("active exists");
@@ -312,14 +293,28 @@ impl LogInner {
         Some((Arc::clone(&info.file), *loc))
     }
 
+    /// Every live record with its segment handle, in log order.
+    pub(crate) fn live_in_log_order(&self) -> Vec<(u128, Arc<File>, RecordLoc)> {
+        let mut live: Vec<(u128, Arc<File>, RecordLoc)> = self
+            .map
+            .iter()
+            .filter_map(|(&fp, &loc)| {
+                let info = self.segments.get(&loc.seg)?;
+                Some((fp, Arc::clone(&info.file), loc))
+            })
+            .collect();
+        live.sort_unstable_by_key(|(_, _, loc)| (loc.seg, loc.offset));
+        live
+    }
+
     /// Drops a fingerprint from the index (quarantined or untrusted
     /// record); its bytes become garbage in their segment.
     pub(crate) fn mark_dead(&mut self, fp: u128) {
         if let Some(loc) = self.map.remove(&fp) {
             if let Some(info) = self.segments.get_mut(&loc.seg) {
-                info.live_bytes -= loc.record_len;
+                info.live_bytes -= u64::from(loc.len);
                 info.live_records -= 1;
-                info.garbage_bytes += loc.record_len;
+                info.garbage_bytes += u64::from(loc.len);
             }
         }
     }
@@ -363,9 +358,8 @@ fn index_record(
 ) {
     let loc = RecordLoc {
         seg: id,
-        payload_offset: rec.payload_offset,
-        payload_len: rec.payload_len,
-        record_len: rec.record_len,
+        offset: rec.offset,
+        len: rec.len,
     };
     if let Some(old) = map.insert(rec.fp, loc) {
         let old_info = if old.seg == id {
@@ -373,11 +367,11 @@ fn index_record(
         } else {
             segments.get_mut(&old.seg).expect("superseded segment")
         };
-        old_info.live_bytes -= old.record_len;
+        old_info.live_bytes -= u64::from(old.len);
         old_info.live_records -= 1;
-        old_info.garbage_bytes += old.record_len;
+        old_info.garbage_bytes += u64::from(old.len);
     }
-    info.live_bytes += rec.record_len;
+    info.live_bytes += u64::from(rec.len);
     info.live_records += 1;
 }
 

@@ -13,16 +13,18 @@
 //!   There is no other way to assemble corpus storage; `sched`, `icd`,
 //!   and every bench binary construct it the same way.
 //! * On disk, completed runs live in an **append-only segment log**
-//!   (`icseg-v1`): each record is framed by its 128-bit
-//!   [`RunKey`] fingerprint, length, and FNV
-//!   checksum, segments seal by atomic rename, the fingerprint index
-//!   is rebuilt by scanning on first use (torn tails from crashed
-//!   appends truncate away), inline compaction rewrites live records
-//!   out of the most-garbage segment, and an optional size bound
-//!   evicts whole segments oldest-first. Damaged records (bad magic,
-//!   wrong version, truncation, checksum mismatch, malformed fields)
-//!   are quarantined and recomputed, never trusted — and never poison
-//!   their neighbors.
+//!   (`icseg-v2`) of fixed-layout binary records: a frame of the
+//!   128-bit [`RunKey`] fingerprint, body length and one checksum,
+//!   then the key tokens, counters and checkpoint hashes (see
+//!   [`encode_record`]). Segments seal by atomic rename, the
+//!   fingerprint index is rebuilt by scanning on first use (torn tails
+//!   from crashed appends truncate away), inline compaction rewrites
+//!   live records out of the most-garbage segment, and an optional
+//!   size bound evicts whole segments oldest-first. Damaged records
+//!   (truncation, checksum mismatch, a record stored under another
+//!   key) are quarantined and recomputed, never trusted — and never
+//!   poison their neighbors. [`Corpus::records`] reads them back for
+//!   inspection (`corpus dump`).
 //! * [`CampaignBaseline`] freezes a known-good campaign's reference
 //!   hashes and summary verdicts as a JSON artifact; a later campaign
 //!   is compared against it and any change surfaces as a [`Drift`],
@@ -80,10 +82,10 @@
 
 mod baseline;
 mod compact;
-mod entry;
 mod error;
 mod fingerprint;
 mod index;
+mod record;
 mod segment;
 mod shared;
 mod store;
@@ -95,19 +97,20 @@ use instantcheck::{CacheLease, CachedRun, MemoryRunCache, RunCache, RunKey};
 use obs::{Registry, Snapshot, Telemetry};
 
 pub use baseline::{CampaignBaseline, Drift};
-pub use entry::{
-    decode_entry, encode_entry, kind_token, parse_kind, Corruption, FORMAT_VERSION, MAGIC,
-};
 pub use error::CorpusError;
 pub use fingerprint::{fingerprint_fields, fingerprint_key, fnv64};
 pub use index::CRASH_ENV;
+pub use record::{
+    decode_record, encode_record, frame_record, kind_token, record_sum, Corruption, FRAME_LEN,
+};
 pub use segment::{DEFAULT_SEGMENT_BYTES, SEGMENT_MAGIC, SEGMENT_VERSION};
 pub use shared::{
     SharedCache, SharedCacheStats, CACHE_ACQUIRE_HISTOGRAM, CACHE_WAIT_HISTOGRAM,
     DEFAULT_CACHE_CAPACITY,
 };
-pub use store::{LogStats, CORPUS_COMPACT_HISTOGRAM, CORPUS_OPEN_HISTOGRAM};
+pub use store::{LogStats, StoredRecord, CORPUS_COMPACT_HISTOGRAM, CORPUS_OPEN_HISTOGRAM};
 
+use shared::Inner;
 use store::LogStore;
 
 /// How to open a [`Corpus`]: where it lives and how it is shaped.
@@ -262,30 +265,33 @@ impl Corpus {
     /// `icorpus` one-file-per-run store, which is refused, never
     /// silently misread.
     pub fn open(options: CorpusOptions) -> Result<Corpus, CorpusError> {
-        let (backend, registry, inner): (Backend, Arc<Registry>, Arc<dyn RunCache>) =
-            match &options.dir {
-                Some(dir) => {
-                    let log = Arc::new(LogStore::open(
-                        dir,
-                        options.segment_bytes,
-                        options.max_bytes,
-                    )?);
-                    if let Some(t) = &options.telemetry {
-                        log.bind_telemetry(t);
-                    }
-                    let registry = Arc::clone(log.registry());
-                    (Backend::Log(Arc::clone(&log)), registry, log)
+        let (backend, registry, inner): (Backend, Arc<Registry>, Inner) = match &options.dir {
+            Some(dir) => {
+                let log = Arc::new(LogStore::open(
+                    dir,
+                    options.segment_bytes,
+                    options.max_bytes,
+                )?);
+                if let Some(t) = &options.telemetry {
+                    log.bind_telemetry(t);
                 }
-                None => {
-                    let registry = Arc::new(Registry::new());
-                    let mem = Arc::new(MemoryBackend {
-                        cache: MemoryRunCache::new(),
-                        registry: Arc::clone(&registry),
-                    });
-                    (Backend::Memory(Arc::clone(&mem)), registry, mem)
-                }
-            };
-        let cache = SharedCache::new(inner, options.cache_slots, options.registry);
+                let registry = Arc::clone(log.registry());
+                (Backend::Log(Arc::clone(&log)), registry, Inner::Log(log))
+            }
+            None => {
+                let registry = Arc::new(Registry::new());
+                let mem = Arc::new(MemoryBackend {
+                    cache: MemoryRunCache::new(),
+                    registry: Arc::clone(&registry),
+                });
+                (
+                    Backend::Memory(Arc::clone(&mem)),
+                    registry,
+                    Inner::Cache(mem),
+                )
+            }
+        };
+        let cache = SharedCache::over(inner, options.cache_slots, options.registry);
         if let Some(t) = &options.telemetry {
             cache.bind_telemetry(t);
         }
@@ -377,25 +383,26 @@ impl Corpus {
             Backend::Memory(_) => None,
         }
     }
+
+    /// Every live record, in log order, read back and checked — the
+    /// data behind `corpus dump`. A record that fails its checks carries
+    /// its [`Corruption`] instead of a run; reading never quarantines
+    /// or rewrites anything. Empty for an ephemeral corpus.
+    ///
+    /// # Errors
+    ///
+    /// [`CorpusError::Index`] when the segment scan fails.
+    pub fn records(&self) -> Result<Vec<StoredRecord>, CorpusError> {
+        match &self.backend {
+            Backend::Log(log) => log.records(),
+            Backend::Memory(_) => Ok(Vec::new()),
+        }
+    }
 }
 
 impl RunCache for Corpus {
     fn lookup(&self, key: &RunKey) -> Option<Arc<CachedRun>> {
-        // The facade owns the layering, so the key's canonical tokens
-        // are stack-rendered exactly once and serve the memo probe,
-        // the log index probe, and the stored-key comparison alike.
-        key.with_tokens(|tokens| {
-            let fp = fingerprint_fields(tokens);
-            if let Some(hit) = self.cache.memo_probe(fp) {
-                return Some(hit);
-            }
-            let fetched = match &self.backend {
-                Backend::Log(log) => log.lookup_prepared(fp, tokens)?,
-                Backend::Memory(mem) => mem.lookup(key)?,
-            };
-            self.cache.memo_warm(fp, &fetched);
-            Some(fetched)
-        })
+        self.cache.lookup(key)
     }
 
     fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {

@@ -1,85 +1,59 @@
-//! `icseg-v1` — the on-disk framing of log segments.
+//! `icseg-v2` segment files and their open-time scan.
 //!
-//! A corpus is a sequence of append-only *segment* files. Each segment
-//! holds framed records:
+//! A corpus is a sequence of append-only *segment* files, each a plain
+//! concatenation of records (see [`crate::record`] for the record
+//! layout). Exactly one segment per store is *active*
+//! (`seg-NNNNNNNN.open`) and appended in place; full segments are
+//! *sealed* by an atomic rename to `seg-NNNNNNNN.icseg` and never
+//! written again. A crash can therefore damage at most the tail of the
+//! active segment, and [`scan_segment`] finds exactly where the damage
+//! starts: it hops from frame to frame, stops at the first frame that
+//! is cut short or declares an impossible body, and reports the valid
+//! prefix length so the opener can truncate the torn tail away.
 //!
-//! ```text
-//! rec <fp:032x> <len> <sum:016x>\n
-//! <len bytes of payload>
-//! ```
-//!
-//! where `fp` is the record's 128-bit [`RunKey`](instantcheck::RunKey)
-//! fingerprint, `len` the exact payload byte count, and `sum` the
-//! FNV-1a checksum of the payload bytes. The payload is a complete
-//! `icorpus-v1` entry ([`encode_entry`](crate::encode_entry)), so every
-//! record carries its own magic, version, and content checksum in
-//! addition to the frame — the frame is what makes the log scannable
-//! and the tail truncatable; the payload is what makes a record
-//! trustworthy.
-//!
-//! Exactly one segment per store is *active* (`seg-NNNNNNNN.open`) and
-//! appended in place; full segments are *sealed* by an atomic rename to
-//! `seg-NNNNNNNN.icseg` and never written again. A crash can therefore
-//! damage at most the tail of the active segment, and
-//! [`scan_segment`] finds exactly where the damage starts: the scan
-//! validates frame structure and payload bounds, stops at the first
-//! byte that cannot be a record frame, and reports the valid prefix
-//! length so the opener can truncate the torn tail away. Frame payload
-//! checksums are deliberately *not* verified during the scan — content
-//! integrity is checked on every read through the payload's own
-//! `icorpus-v1` header (checksum, length, fingerprint, and a
-//! field-for-field key comparison), where a bad record quarantines
-//! individually instead of poisoning the records behind it. The frame
-//! `sum` exists for the scan's structural validation and offline
-//! tooling; the entry's own checksum is what reads trust.
+//! The scan is structural only — it never verifies a checksum. Content
+//! integrity is checked on every read, where a bad record quarantines
+//! individually instead of poisoning the records behind it, and the
+//! open of a large log costs one frame parse per record.
 
-use crate::fingerprint::fnv64;
+use crate::record::{parse_frame, FRAME_LEN, MIN_BODY_LEN};
 
 /// Magic token of the segment format (the `format` marker reads
-/// `icseg 1`).
+/// `icseg 2`).
 pub const SEGMENT_MAGIC: &str = "icseg";
 
-/// Version of the segment format. Bumped on any change to the frame
+/// Version of the segment format. Bumped on any change to the record
 /// encoding; a store of a different version is refused at open.
-pub const SEGMENT_VERSION: u32 = 1;
+pub const SEGMENT_VERSION: u32 = 2;
 
 /// Default size bound of the active segment: once an append would grow
 /// it past this many bytes it is sealed and a new one started. Sized so
-/// a realistic campaign's records (a few KiB each) pack thousands per
-/// segment while compaction still has usefully small units to rewrite.
+/// a realistic campaign's records (a few hundred bytes each) pack
+/// thousands per segment while compaction still has usefully small
+/// units to rewrite.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
-/// The longest frame line we accept: `rec ` + 32 hex + space + 20
-/// decimal digits + space + 16 hex + newline, with slack.
-const MAX_FRAME_LINE: usize = 96;
-
-/// One record frame as scanned from a segment.
+/// One record as located by a scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ScannedRecord {
-    /// The record's key fingerprint.
+    /// The fingerprint the record's frame declares.
     pub fp: u128,
-    /// Byte offset of the whole record (frame line) in the segment.
-    pub record_offset: u64,
-    /// Total record length: frame line plus payload.
-    pub record_len: u64,
-    /// Byte offset of the payload in the segment.
-    pub payload_offset: u64,
-    /// Payload length in bytes.
-    pub payload_len: u32,
-    /// Declared FNV-1a checksum of the payload.
-    pub sum: u64,
+    /// Byte offset of the record (its frame) in the segment.
+    pub offset: u64,
+    /// Whole record length: frame plus body.
+    pub len: u32,
 }
 
 /// The result of structurally scanning one segment's bytes.
 #[derive(Debug)]
 pub(crate) struct SegmentScan {
-    /// Every structurally valid record, in file order.
+    /// Every structurally whole record, in file order.
     pub records: Vec<ScannedRecord>,
     /// Length of the valid prefix. Equal to the input length when the
     /// segment is clean; shorter when a torn tail follows.
     pub valid_len: u64,
-    /// Bytes past `valid_len` that cannot be parsed as records — the
-    /// torn tail of a crashed append, preserved for quarantine.
+    /// Whether bytes past `valid_len` were cut — the torn tail of a
+    /// crashed append, preserved for quarantine.
     pub torn: bool,
 }
 
@@ -111,61 +85,23 @@ pub(crate) fn parse_segment_name(name: &str) -> Option<(u64, bool)> {
     None
 }
 
-/// Encodes one framed record: frame line plus payload, ready to append.
-pub(crate) fn encode_record(fp: u128, payload: &[u8]) -> Vec<u8> {
-    let frame = format!("rec {fp:032x} {} {:016x}\n", payload.len(), fnv64(payload));
-    let mut out = Vec::with_capacity(frame.len() + payload.len());
-    out.extend_from_slice(frame.as_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Parses one frame line (without the newline). Strict: exactly four
-/// space-separated tokens, fixed-width hex fields.
-fn parse_frame(line: &[u8]) -> Option<(u128, u32, u64)> {
-    let line = std::str::from_utf8(line).ok()?;
-    let mut parts = line.split(' ');
-    if parts.next()? != "rec" {
-        return None;
-    }
-    let fp_hex = parts.next()?;
-    let len_dec = parts.next()?;
-    let sum_hex = parts.next()?;
-    if parts.next().is_some() || fp_hex.len() != 32 || sum_hex.len() != 16 {
-        return None;
-    }
-    let fp = u128::from_str_radix(fp_hex, 16).ok()?;
-    let len = len_dec.parse::<u32>().ok()?;
-    let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-    Some((fp, len, sum))
-}
-
-/// Structurally scans `bytes` as a segment: parses frame lines, bounds-
-/// checks payloads, and stops at the first byte that cannot start a
-/// record. Does not verify payload checksums (see the module docs).
+/// Structurally scans `bytes` as a segment: parses each frame, bounds-
+/// checks its body, and stops at the first frame that is cut short or
+/// declares a body smaller than any record can have. Does not verify
+/// checksums (see the module docs).
 pub(crate) fn scan_segment(bytes: &[u8]) -> SegmentScan {
     let mut records = Vec::new();
     let mut offset = 0usize;
-    while offset < bytes.len() {
-        let window = &bytes[offset..bytes.len().min(offset + MAX_FRAME_LINE)];
-        let Some(nl) = window.iter().position(|&b| b == b'\n') else {
-            break; // no frame line terminator in range: torn tail
-        };
-        let Some((fp, len, sum)) = parse_frame(&window[..nl]) else {
-            break; // unparseable frame: torn tail
-        };
-        let payload_offset = offset + nl + 1;
-        let end = payload_offset + len as usize;
-        if end > bytes.len() {
-            break; // payload cut short: torn tail
+    while let Some(frame) = parse_frame(&bytes[offset..]) {
+        let body_len = frame.body_len as usize;
+        let end = offset + FRAME_LEN + body_len;
+        if body_len < MIN_BODY_LEN || end > bytes.len() {
+            break; // impossible or cut-short body: torn tail
         }
         records.push(ScannedRecord {
-            fp,
-            record_offset: offset as u64,
-            record_len: (end - offset) as u64,
-            payload_offset: payload_offset as u64,
-            payload_len: len,
-            sum,
+            fp: frame.fp,
+            offset: offset as u64,
+            len: (FRAME_LEN + body_len) as u32,
         });
         offset = end;
     }
@@ -179,10 +115,10 @@ pub(crate) fn scan_segment(bytes: &[u8]) -> SegmentScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::frame_record;
 
-    /// FNV-1a checksum of a payload, as a frame's `sum` declares it.
-    fn payload_sum(payload: &[u8]) -> u64 {
-        fnv64(payload)
+    fn body(tag: u8, len: usize) -> Vec<u8> {
+        vec![tag; len.max(MIN_BODY_LEN)]
     }
 
     #[test]
@@ -198,30 +134,45 @@ mod tests {
 
     #[test]
     fn scan_round_trips_multiple_records() {
+        let bodies = [body(1, 0), body(2, 100)];
         let mut bytes = Vec::new();
-        let payloads: Vec<Vec<u8>> = vec![b"alpha\n".to_vec(), b"beta longer\n".to_vec()];
-        for (i, p) in payloads.iter().enumerate() {
-            bytes.extend_from_slice(&encode_record(i as u128 + 1, p));
+        for (i, b) in bodies.iter().enumerate() {
+            bytes.extend_from_slice(&frame_record(i as u128 + 1, b));
         }
         let scan = scan_segment(&bytes);
         assert_eq!(scan.records.len(), 2);
         assert!(!scan.torn);
         assert_eq!(scan.valid_len, bytes.len() as u64);
-        for (i, (rec, p)) in scan.records.iter().zip(&payloads).enumerate() {
+        for (i, (rec, b)) in scan.records.iter().zip(&bodies).enumerate() {
             assert_eq!(rec.fp, i as u128 + 1);
-            assert_eq!(rec.payload_len as usize, p.len());
-            assert_eq!(rec.sum, payload_sum(p));
-            let got = &bytes[rec.payload_offset as usize..][..rec.payload_len as usize];
-            assert_eq!(got, &p[..]);
+            assert_eq!(rec.len as usize, FRAME_LEN + b.len());
+            let got = &bytes[rec.offset as usize + FRAME_LEN..][..b.len()];
+            assert_eq!(got, &b[..]);
         }
     }
 
     #[test]
     fn torn_tail_is_cut_at_the_last_whole_record() {
-        let mut bytes = encode_record(1, b"whole record\n");
+        let mut bytes = frame_record(1, &body(1, 0));
         let keep = bytes.len() as u64;
-        let second = encode_record(2, b"this one is torn\n");
-        bytes.extend_from_slice(&second[..second.len() - 5]);
+        let second = frame_record(2, &body(2, 80));
+        for cut in [1, FRAME_LEN - 1, FRAME_LEN, second.len() - 1] {
+            let mut torn = bytes.clone();
+            torn.extend_from_slice(&second[..cut]);
+            let scan = scan_segment(&torn);
+            assert_eq!(scan.records.len(), 1, "cut at {cut}");
+            assert_eq!(scan.valid_len, keep);
+            assert!(scan.torn);
+        }
+        bytes.extend_from_slice(&second);
+        assert_eq!(scan_segment(&bytes).records.len(), 2);
+    }
+
+    #[test]
+    fn a_zero_filled_tail_is_torn_not_a_run_of_empty_records() {
+        let mut bytes = frame_record(1, &body(1, 0));
+        let keep = bytes.len() as u64;
+        bytes.extend_from_slice(&[0; 4 * FRAME_LEN]);
         let scan = scan_segment(&bytes);
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.valid_len, keep);
@@ -229,24 +180,13 @@ mod tests {
     }
 
     #[test]
-    fn garbage_frame_stops_the_scan() {
-        let mut bytes = encode_record(1, b"ok\n");
-        let keep = bytes.len() as u64;
-        bytes.extend_from_slice(b"not a frame line at all\n plus junk");
-        let scan = scan_segment(&bytes);
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.valid_len, keep);
-        assert!(scan.torn);
-    }
-
-    #[test]
-    fn scan_does_not_verify_payload_sums() {
-        // A bit-flipped payload still scans (content checks happen at
-        // read time so one bad record cannot poison its successors).
-        let mut bytes = encode_record(1, b"payload a\n");
+    fn scan_does_not_verify_checksums() {
+        // A bit-flipped body still scans (content checks happen at read
+        // time so one bad record cannot poison its successors).
+        let mut bytes = frame_record(1, &body(1, 0));
         let flip = bytes.len() - 2;
         bytes[flip] ^= 1;
-        bytes.extend_from_slice(&encode_record(2, b"payload b\n"));
+        bytes.extend_from_slice(&frame_record(2, &body(2, 0)));
         let scan = scan_segment(&bytes);
         assert_eq!(scan.records.len(), 2);
         assert!(!scan.torn);

@@ -46,9 +46,10 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use instantcheck::{CacheLease, CachedRun, RunCache, RunKey};
-use obs::{Registry, Telemetry};
+use obs::{Counter, Registry, Telemetry};
 
-use crate::fingerprint::fingerprint_key;
+use crate::fingerprint::{fingerprint_fields, fingerprint_key};
+use crate::store::LogStore;
 
 /// Default arena capacity in slots. Sized so realistic campaign
 /// batches (tens of campaigns × tens of runs) stay far below the
@@ -202,7 +203,7 @@ pub struct SharedCacheStats {
 /// ```
 #[derive(Debug)]
 pub struct SharedCache {
-    inner: Arc<dyn RunCache>,
+    inner: Inner,
     slots: Box<[Slot]>,
     mask: usize,
     /// Slots ever moved off `EMPTY`; gates the insertion cap.
@@ -212,6 +213,11 @@ pub struct SharedCache {
     /// later (an orchestrator attaches its registry after the owning
     /// [`Corpus`](crate::Corpus) was opened).
     registry: OnceLock<Arc<Registry>>,
+    /// `corpus.cache.memo_hits`/`memo_misses`, resolved from the bound
+    /// registry on first use so every acquisition skips the by-name
+    /// lookup.
+    memo_hits: OnceLock<Arc<Counter>>,
+    memo_misses: OnceLock<Arc<Counter>>,
     /// Wall-clock telemetry plane; bindable once, like `registry`.
     telemetry: OnceLock<Arc<Telemetry>>,
     /// Park/wake pair for in-flight waits. Waiting is the rare path
@@ -219,6 +225,45 @@ pub struct SharedCache {
     /// touch this lock.
     park: Mutex<()>,
     wake: Condvar,
+}
+
+/// The store behind the arena. The log engine is reached directly, so
+/// a key's rendered tokens and fingerprint — computed once per call
+/// here — serve the arena probe, the index probe, the stored-key
+/// comparison and the append alike; any other [`RunCache`] is asked
+/// through its own API.
+#[derive(Debug)]
+pub(crate) enum Inner {
+    /// The corpus log engine.
+    Log(Arc<LogStore>),
+    /// Any other run cache.
+    Cache(Arc<dyn RunCache>),
+}
+
+impl Inner {
+    fn lookup(
+        &self,
+        key: &RunKey,
+        fp: u128,
+        tokens: &[(&'static str, &str)],
+    ) -> Option<Arc<CachedRun>> {
+        match self {
+            Inner::Log(log) => log.lookup_prepared(fp, tokens),
+            Inner::Cache(cache) => cache.lookup(key),
+        }
+    }
+
+    fn store(&self, key: &RunKey, fp: u128, tokens: &[(&'static str, &str)], run: &Arc<CachedRun>) {
+        match self {
+            Inner::Log(log) => log.store_prepared(fp, tokens, run),
+            Inner::Cache(cache) => cache.store(key, run),
+        }
+    }
+}
+
+/// Splits a fingerprint into the arena's two tag words.
+fn tags(fp: u128) -> (u64, u64) {
+    (fp as u64, (fp >> 64) as u64)
 }
 
 /// What one probe sequence found.
@@ -242,6 +287,11 @@ impl SharedCache {
     /// totals that do not depend on worker interleaving, because the
     /// claim protocol computes every distinct key at most once.
     pub fn new(inner: Arc<dyn RunCache>, capacity: usize, registry: Option<Arc<Registry>>) -> Self {
+        SharedCache::over(Inner::Cache(inner), capacity, registry)
+    }
+
+    /// [`new`](SharedCache::new) over any [`Inner`] store.
+    pub(crate) fn over(inner: Inner, capacity: usize, registry: Option<Arc<Registry>>) -> Self {
         let capacity = capacity.next_power_of_two().max(8);
         let cache = SharedCache {
             inner,
@@ -250,6 +300,8 @@ impl SharedCache {
             occupied: AtomicUsize::new(0),
             tallies: Tallies::default(),
             registry: OnceLock::new(),
+            memo_hits: OnceLock::new(),
+            memo_misses: OnceLock::new(),
             telemetry: OnceLock::new(),
             park: Mutex::new(()),
             wake: Condvar::new(),
@@ -332,6 +384,13 @@ impl SharedCache {
     fn count(&self, name: &str) {
         if let Some(reg) = self.registry.get() {
             reg.add(name, 1);
+        }
+    }
+
+    /// [`count`](Self::count) for a hot counter cached in `cell`.
+    fn count_hot(&self, cell: &OnceLock<Arc<Counter>>, name: &str) {
+        if let Some(reg) = self.registry.get() {
+            cell.get_or_init(|| reg.counter(name)).add(1);
         }
     }
 
@@ -502,38 +561,9 @@ impl SharedCache {
         }
     }
 
-    /// A non-claiming memo probe by precomputed fingerprint — the
-    /// [`Corpus`](crate::Corpus) facade's hot path, which computes the
-    /// key's tokens and fingerprint exactly once and hands them to
-    /// each layer. Counting matches [`RunCache::lookup`]: a published
-    /// slot is a memo hit, anything else a memo miss.
-    pub(crate) fn memo_probe(&self, fp: u128) -> Option<Arc<CachedRun>> {
-        let (lo, hi) = (fp as u64, (fp >> 64) as u64);
-        match self.probe(lo, hi, false, false) {
-            Found::Slot(slot, PUBLISHED) => {
-                self.count("corpus.cache.memo_hits");
-                slot.best()
-            }
-            _ => {
-                self.count("corpus.cache.memo_misses");
-                None
-            }
-        }
-    }
-
-    /// Warms the arena with a run the backend just served, so the next
-    /// lookup of `fp` stays in memory — the publish half of the
-    /// miss-fallthrough in [`RunCache::lookup`].
-    pub(crate) fn memo_warm(&self, fp: u128, run: &Arc<CachedRun>) {
-        let (lo, hi) = (fp as u64, (fp >> 64) as u64);
-        if let Found::Claimed(slot) = self.probe(lo, hi, true, false) {
-            self.publish(slot, run);
-        }
-    }
-
     /// Records the acquire duration of one `begin` into telemetry.
-    fn record_acquire(&self, start: Instant) {
-        if let Some(t) = self.telemetry.get() {
+    fn record_acquire(&self, start: Option<Instant>) {
+        if let (Some(t), Some(start)) = (self.telemetry.get(), start) {
             t.record_wait(CACHE_ACQUIRE_HISTOGRAM, start.elapsed());
         }
     }
@@ -541,82 +571,92 @@ impl SharedCache {
 
 impl RunCache for SharedCache {
     fn lookup(&self, key: &RunKey) -> Option<Arc<CachedRun>> {
-        // Non-claiming, non-waiting probe: a plain lookup has no claim
-        // discipline, so an in-flight key just reads as a miss.
-        let fp = fingerprint_key(key);
-        if let Some(hit) = self.memo_probe(fp) {
-            return Some(hit);
-        }
-        let fetched = self.inner.lookup(key)?;
-        // Warm the arena so the next lookup stays in memory.
-        self.memo_warm(fp, &fetched);
-        Some(fetched)
+        key.with_tokens(|tokens| {
+            let fp = fingerprint_fields(tokens);
+            let (lo, hi) = tags(fp);
+            // Non-claiming, non-waiting probe: a plain lookup has no
+            // claim discipline, so an in-flight key just reads as a miss.
+            if let Found::Slot(slot, PUBLISHED) = self.probe(lo, hi, false, false) {
+                self.count_hot(&self.memo_hits, "corpus.cache.memo_hits");
+                return slot.best();
+            }
+            self.count_hot(&self.memo_misses, "corpus.cache.memo_misses");
+            let fetched = self.inner.lookup(key, fp, tokens)?;
+            // Warm the arena so the next lookup stays in memory.
+            if let Found::Claimed(slot) = self.probe(lo, hi, true, false) {
+                self.publish(slot, &fetched);
+            }
+            Some(fetched)
+        })
     }
 
     fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
-        // Write-through first: the inner store stays the source of
-        // truth and is durable before the memo serves the entry back.
-        self.inner.store(key, run);
-        let fp = fingerprint_key(key);
-        let (lo, hi) = (fp as u64, (fp >> 64) as u64);
-        match self.probe(lo, hi, true, false) {
-            // The common case: this thread's claim from `begin`.
-            Found::Slot(slot, CLAIMED) | Found::Claimed(slot) => self.publish(slot, run),
-            // Re-store over a published entry: only meaningful as a
-            // traced upgrade of a traceless value (the checker
-            // recomputes such entries under a tracing sink).
-            Found::Slot(slot, PUBLISHED) => self.try_upgrade(slot, run),
-            // Abandoned-but-unclaimable or arena-full: the write-through
-            // above already preserved the outcome.
-            _ => {}
-        }
+        key.with_tokens(|tokens| {
+            let fp = fingerprint_fields(tokens);
+            // Write-through first: the inner store stays the source of
+            // truth and is durable before the memo serves the entry back.
+            self.inner.store(key, fp, tokens, run);
+            let (lo, hi) = tags(fp);
+            match self.probe(lo, hi, true, false) {
+                // The common case: this thread's claim from `begin`.
+                Found::Slot(slot, CLAIMED) | Found::Claimed(slot) => self.publish(slot, run),
+                // Re-store over a published entry: only meaningful as a
+                // traced upgrade of a traceless value (the checker
+                // recomputes such entries under a tracing sink).
+                Found::Slot(slot, PUBLISHED) => self.try_upgrade(slot, run),
+                // Abandoned-but-unclaimable or arena-full: the
+                // write-through above already preserved the outcome.
+                _ => {}
+            }
+        })
     }
 
     fn begin(&self, key: &RunKey) -> CacheLease {
-        let start = Instant::now();
-        let fp = fingerprint_key(key);
-        let (lo, hi) = (fp as u64, (fp >> 64) as u64);
-        // Claiming, waiting probe: the only outcomes are a published
-        // value or ownership of the key's computation.
-        let lease = match self.probe(lo, hi, true, true) {
-            Found::Slot(slot, PUBLISHED) => {
-                self.count("corpus.cache.memo_hits");
-                match slot.best() {
-                    Some(run) => CacheLease::Hit(run),
-                    // Unreachable by construction (value precedes
-                    // PUBLISHED); degrade to a computing miss.
-                    None => CacheLease::Compute { claimed: false },
-                }
-            }
-            Found::Claimed(slot) => {
-                self.count("corpus.cache.memo_misses");
-                // One disk read per key, under the claim, so waiters
-                // block on the I/O once instead of all issuing it.
-                match self.inner.lookup(key) {
-                    Some(fetched) => {
-                        self.publish(slot, &fetched);
-                        CacheLease::Hit(fetched)
+        let start = self.telemetry.get().map(|_| Instant::now());
+        let lease = key.with_tokens(|tokens| {
+            let fp = fingerprint_fields(tokens);
+            let (lo, hi) = tags(fp);
+            // Claiming, waiting probe: the only outcomes are a published
+            // value or ownership of the key's computation.
+            match self.probe(lo, hi, true, true) {
+                Found::Slot(slot, PUBLISHED) => {
+                    self.count_hot(&self.memo_hits, "corpus.cache.memo_hits");
+                    match slot.best() {
+                        Some(run) => CacheLease::Hit(run),
+                        // Unreachable by construction (value precedes
+                        // PUBLISHED); degrade to a computing miss.
+                        None => CacheLease::Compute { claimed: false },
                     }
-                    None => CacheLease::Compute { claimed: true },
+                }
+                Found::Claimed(slot) => {
+                    self.count_hot(&self.memo_misses, "corpus.cache.memo_misses");
+                    // One disk read per key, under the claim, so waiters
+                    // block on the I/O once instead of all issuing it.
+                    match self.inner.lookup(key, fp, tokens) {
+                        Some(fetched) => {
+                            self.publish(slot, &fetched);
+                            CacheLease::Hit(fetched)
+                        }
+                        None => CacheLease::Compute { claimed: true },
+                    }
+                }
+                _ => {
+                    // Arena full (or a stuck abandoned slot): uncached
+                    // compute, deduplicated only by the inner store.
+                    self.count_hot(&self.memo_misses, "corpus.cache.memo_misses");
+                    match self.inner.lookup(key, fp, tokens) {
+                        Some(fetched) => CacheLease::Hit(fetched),
+                        None => CacheLease::Compute { claimed: false },
+                    }
                 }
             }
-            _ => {
-                // Arena full (or a stuck abandoned slot): uncached
-                // compute, deduplicated only by the inner store.
-                self.count("corpus.cache.memo_misses");
-                match self.inner.lookup(key) {
-                    Some(fetched) => CacheLease::Hit(fetched),
-                    None => CacheLease::Compute { claimed: false },
-                }
-            }
-        };
+        });
         self.record_acquire(start);
         lease
     }
 
     fn abandon(&self, key: &RunKey) {
-        let fp = fingerprint_key(key);
-        let (lo, hi) = (fp as u64, (fp >> 64) as u64);
+        let (lo, hi) = tags(fingerprint_key(key));
         if let Found::Slot(slot, CLAIMED) = self.probe(lo, hi, false, false) {
             if slot
                 .state

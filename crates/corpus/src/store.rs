@@ -3,7 +3,7 @@
 //! Layout under the root directory:
 //!
 //! ```text
-//! <root>/format                  "icseg 1" — the store's format marker
+//! <root>/format                  "icseg 2" — the store's format marker
 //! <root>/segments/seg-NNNNNNNN.icseg   sealed, immutable segments
 //! <root>/segments/seg-NNNNNNNN.open    the one active segment
 //! <root>/quarantine/             corrupt records and torn tails,
@@ -11,16 +11,19 @@
 //! <root>/baselines/              named campaign baselines (JSON)
 //! ```
 //!
-//! Records are `icseg-v1` frames (see [`crate::segment`]) whose payload
-//! is a complete `icorpus-v1` entry, so the RunKey fingerprints, entry
-//! checksums, and corruption classes of the one-file-per-run store are
-//! preserved exactly — only the shape on disk changed. The engine
-//! never trusts a damaged record: any read that fails the frame
-//! checksum, entry magic/version/length/checksum, or key check
-//! quarantines the record (the bytes move to `quarantine/`, the
-//! fingerprint leaves the index) and reports a miss, which makes the
-//! checker recompute and re-append the run. Records behind or ahead of
-//! a bad one are untouched — corruption never poisons neighbors.
+//! Segments hold `icseg-v2` records ([`crate::record`]). The engine
+//! never trusts a damaged record: a read that comes up short, fails
+//! the checksum, or finds another key at the address quarantines the
+//! record (the bytes move to `quarantine/`, the fingerprint leaves the
+//! index) and reports a miss, which makes the checker recompute and
+//! re-append the run. Records behind or ahead of a bad one are
+//! untouched — corruption never poisons neighbors.
+//!
+//! A warm hit does each step once: the caller hands in the key's
+//! rendered tokens and fingerprint, the index yields the record's
+//! location, one `pread` fetches frame and body together, and one pass
+//! verifies the checksum, compares the stored key token for token and
+//! decodes the run.
 //!
 //! The in-memory index is built lazily: opening a store only checks the
 //! format marker, and the segment scan runs on the first lookup or
@@ -29,7 +32,7 @@
 //! recording campaign on a fresh directory therefore pays no scan at
 //! all.
 
-use std::fs;
+use std::fs::{self, File};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -38,14 +41,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use instantcheck::{CachedRun, RunCache, RunKey};
-use obs::{Registry, Telemetry};
+use obs::{Counter, Registry, Telemetry};
 
 use crate::compact::{enforce_size_bound, maybe_compact};
-use crate::entry::{decode_entry_for, encode_entry, Corruption};
 use crate::error::CorpusError;
-use crate::fingerprint::{fingerprint_fields, fingerprint_key};
-use crate::index::{format_marker, CrashPoints, LogInner};
-use crate::segment::encode_record;
+use crate::fingerprint::fingerprint_fields;
+use crate::index::{format_marker, CrashPoints, LogInner, RecordLoc};
+use crate::record::{decode_for, decode_record, encode_into, Corruption};
 
 /// Telemetry histogram fed with the wall-clock duration of each lazy
 /// index build (the segment scan). One sample per store instance per
@@ -83,6 +85,22 @@ pub struct LogStats {
     pub open_ns: u64,
 }
 
+/// One live record as read back by [`Corpus::records`](crate::Corpus::records).
+#[derive(Debug)]
+pub struct StoredRecord {
+    /// The fingerprint the record is indexed under.
+    pub fp: u128,
+    /// Id of the segment holding it.
+    pub segment: u64,
+    /// Byte offset of its frame in the segment.
+    pub offset: u64,
+    /// Whole record length, frame included.
+    pub len: u32,
+    /// The stored key tokens and run, or why the record fails its
+    /// checks.
+    pub content: Result<(Vec<(String, String)>, CachedRun), Corruption>,
+}
+
 /// The log-structured store: segment files, a lazily built in-memory
 /// fingerprint index, inline compaction, and size-bounded eviction.
 /// Private to the crate — every consumer goes through
@@ -93,6 +111,10 @@ pub(crate) struct LogStore {
     segment_bytes: u64,
     max_bytes: Option<u64>,
     registry: Arc<Registry>,
+    /// `registry`'s hot-path counters, resolved once.
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    stores: Arc<Counter>,
     telemetry: OnceLock<Arc<Telemetry>>,
     crash: CrashPoints,
     inner: Mutex<Option<LogInner>>,
@@ -134,11 +156,15 @@ impl LogStore {
             }
             Err(e) => return Err(mk(e)),
         }
+        let registry = Arc::new(Registry::new());
         Ok(LogStore {
             root: root.to_path_buf(),
             segment_bytes: segment_bytes.max(4096),
             max_bytes,
-            registry: Arc::new(Registry::new()),
+            hits: registry.counter("corpus.hits"),
+            misses: registry.counter("corpus.misses"),
+            stores: registry.counter("corpus.stores"),
+            registry,
             telemetry: OnceLock::new(),
             crash: CrashPoints::from_env(),
             inner: Mutex::new(None),
@@ -171,7 +197,7 @@ impl LogStore {
         let mut guard = self.inner.lock().unwrap();
         if guard.is_none() {
             let start = Instant::now();
-            let (inner, report) =
+            let (inner, torn) =
                 LogInner::open(&self.root.join("segments")).map_err(CorpusError::Index)?;
             let took = start.elapsed();
             self.open_ns
@@ -179,7 +205,7 @@ impl LogStore {
             if let Some(t) = self.telemetry.get() {
                 t.record_wait(CORPUS_OPEN_HISTOGRAM, took);
             }
-            for tail in &report.torn {
+            for tail in &torn {
                 // A torn tail is the truncation class: a crashed append
                 // left a half-written record behind.
                 self.registry.add("corpus.quarantined", 1);
@@ -256,16 +282,18 @@ impl LogStore {
     }
 }
 
+thread_local! {
+    /// Each thread reuses one record buffer across reads and appends,
+    /// so the hot paths allocate nothing before the decoded run.
+    static RECORD: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 impl LogStore {
     /// The lookup path proper, with the key's fingerprint and canonical
-    /// tokens already materialized — one `tokens()` call serves the
-    /// memo probe above this store, the index probe, and the stored-key
-    /// comparison. The record is verified in a single decode pass
-    /// ([`decode_entry_for`]): the entry's own header checksum covers
-    /// the body, the structural header checks cover the rest, and the
-    /// field-for-field key comparison subsumes the fingerprint
-    /// recomputation — a fingerprint collision (or a record compacted
-    /// to the wrong address) must never read as a hit.
+    /// tokens already rendered by the caller. The record is verified
+    /// and decoded in a single pass ([`decode_for`]): a fingerprint
+    /// collision (or a record compacted to the wrong address) must
+    /// never read as a hit.
     pub(crate) fn lookup_prepared(
         &self,
         fp: u128,
@@ -275,47 +303,99 @@ impl LogStore {
         // share nothing but the index probe and a positional read.
         let located = self.with_inner(|inner| inner.locate(fp)).ok().flatten();
         let Some((file, loc)) = located else {
-            self.registry.add("corpus.misses", 1);
+            self.misses.inc();
             return None;
         };
-        // Each thread reuses one payload buffer across lookups, so the
-        // hot path performs no heap allocation before the decoded run.
-        thread_local! {
-            static PAYLOAD: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-        }
-        PAYLOAD.with(|buf| {
-            let mut payload = buf.borrow_mut();
-            payload.resize(loc.payload_len as usize, 0);
-            if file
-                .read_exact_at(&mut payload, loc.payload_offset)
-                .is_err()
+        RECORD.with(|buf| {
+            let mut record = buf.borrow_mut();
+            let why = match read_record(&file, loc, &mut record)
+                .and_then(|()| decode_for(&record, fp, tokens))
             {
-                self.quarantine(
-                    fp,
-                    &payload,
-                    &Corruption::Truncated {
-                        expected: loc.payload_len as usize,
-                        found: 0,
-                    },
-                );
-                self.registry.add("corpus.misses", 1);
-                return None;
-            }
-            let why = match std::str::from_utf8(&payload) {
-                Err(_) => Corruption::Malformed("payload is not utf-8".into()),
-                Ok(text) => match decode_entry_for(text, fp, tokens) {
-                    Ok(run) => {
-                        self.registry.add("corpus.hits", 1);
-                        return Some(Arc::new(run));
-                    }
-                    Err(why) => why,
-                },
+                Ok(run) => {
+                    self.hits.inc();
+                    return Some(Arc::new(run));
+                }
+                Err(why) => why,
             };
-            self.quarantine(fp, &payload, &why);
-            self.registry.add("corpus.misses", 1);
+            self.quarantine(fp, &record, &why);
+            self.misses.inc();
             None
         })
     }
+
+    /// The store path proper, with the key's fingerprint and canonical
+    /// tokens already rendered by the caller. The API is infallible: a
+    /// failed append is just a future miss.
+    pub(crate) fn store_prepared(
+        &self,
+        fp: u128,
+        tokens: &[(&'static str, &str)],
+        run: &CachedRun,
+    ) {
+        RECORD.with(|buf| {
+            let mut record = buf.borrow_mut();
+            encode_into(&mut record, fp, tokens, run);
+            if matches!(
+                self.with_inner(|inner| self.append(inner, fp, &record)),
+                Ok(Ok(()))
+            ) {
+                self.stores.inc();
+            }
+        });
+    }
+
+    /// Appends one record, then runs inline compaction and the size
+    /// bound.
+    fn append(&self, inner: &mut LogInner, fp: u128, record: &[u8]) -> io::Result<()> {
+        inner.append(fp, record, self.segment_bytes, &self.crash)?;
+        let start = Instant::now();
+        if let Some(out) = maybe_compact(inner, self.segment_bytes, &self.crash)? {
+            self.compactions.fetch_add(1, Ordering::Relaxed);
+            self.compacted_records
+                .fetch_add(out.rewritten, Ordering::Relaxed);
+            self.registry.add("corpus.compactions", 1);
+            self.registry
+                .add("corpus.compacted.bytes", out.reclaimed_bytes);
+            if let Some(t) = self.telemetry.get() {
+                t.record_wait(CORPUS_COMPACT_HISTOGRAM, start.elapsed());
+            }
+        }
+        if let Some(max) = self.max_bytes {
+            let dropped = enforce_size_bound(inner, max)?;
+            if dropped > 0 {
+                self.evicted_records.fetch_add(dropped, Ordering::Relaxed);
+                self.registry.add("corpus.evicted", dropped);
+            }
+        }
+        Ok(())
+    }
+
+    /// Every live record, in log order, read back and checked.
+    pub(crate) fn records(&self) -> Result<Vec<StoredRecord>, CorpusError> {
+        let live = self.with_inner(|inner| inner.live_in_log_order())?;
+        let mut buf = Vec::new();
+        Ok(live
+            .into_iter()
+            .map(|(fp, file, loc)| StoredRecord {
+                fp,
+                segment: loc.seg,
+                offset: loc.offset,
+                len: loc.len,
+                content: read_record(&file, loc, &mut buf).and_then(|()| decode_record(&buf)),
+            })
+            .collect())
+    }
+}
+
+/// Reads the whole record at `loc` into `buf`; a short read is the
+/// truncation class.
+fn read_record(file: &File, loc: RecordLoc, buf: &mut Vec<u8>) -> Result<(), Corruption> {
+    buf.resize(loc.len as usize, 0);
+    file.read_exact_at(buf, loc.offset)
+        .map_err(|_| Corruption::Truncated {
+            expected: loc.len as usize,
+            found: 0,
+        })
 }
 
 impl RunCache for LogStore {
@@ -324,36 +404,7 @@ impl RunCache for LogStore {
     }
 
     fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
-        let text = encode_entry(key, run);
-        let fp = fingerprint_key(key);
-        let record = encode_record(fp, text.as_bytes());
-        // The API is infallible: a failed append is just a future miss.
-        let appended = self.with_inner(|inner| -> io::Result<()> {
-            inner.append(fp, &record, self.segment_bytes, &self.crash)?;
-            let start = Instant::now();
-            if let Some(out) = maybe_compact(inner, self.segment_bytes, &self.crash)? {
-                self.compactions.fetch_add(1, Ordering::Relaxed);
-                self.compacted_records
-                    .fetch_add(out.rewritten, Ordering::Relaxed);
-                self.registry.add("corpus.compactions", 1);
-                self.registry
-                    .add("corpus.compacted.bytes", out.reclaimed_bytes);
-                if let Some(t) = self.telemetry.get() {
-                    t.record_wait(CORPUS_COMPACT_HISTOGRAM, start.elapsed());
-                }
-            }
-            if let Some(max) = self.max_bytes {
-                let dropped = enforce_size_bound(inner, max)?;
-                if dropped > 0 {
-                    self.evicted_records.fetch_add(dropped, Ordering::Relaxed);
-                    self.registry.add("corpus.evicted", dropped);
-                }
-            }
-            Ok(())
-        });
-        if matches!(appended, Ok(Ok(()))) {
-            self.registry.add("corpus.stores", 1);
-        }
+        key.with_tokens(|tokens| self.store_prepared(fingerprint_fields(tokens), tokens, run))
     }
 }
 
@@ -513,7 +564,7 @@ mod tests {
                 found, expected, ..
             }) => {
                 assert_eq!(found, "icorpus 1");
-                assert_eq!(expected, "icseg 1");
+                assert_eq!(expected, "icseg 2");
             }
             other => panic!("expected FormatMismatch, got {other:?}"),
         }
@@ -527,11 +578,11 @@ mod tests {
         let a = sample_key(3);
         let b = sample_key(4);
         store.store(&a, &Arc::new(sample_run()));
-        // Graft a's (internally consistent) payload under b's
-        // fingerprint by appending a forged record to the active
-        // segment, then reopen so the forgery is indexed.
-        let text = encode_entry(&a, &Arc::new(sample_run()));
-        let forged = encode_record(fingerprint_key(&b), text.as_bytes());
+        // Graft a's body under b's fingerprint with a valid checksum by
+        // appending the forged record to the active segment, then
+        // reopen so the forgery is indexed.
+        let body = &crate::encode_record(&a, &sample_run())[crate::FRAME_LEN..];
+        let forged = crate::frame_record(crate::fingerprint_key(&b), body);
         let seg = fs::read_dir(dir.join("segments"))
             .unwrap()
             .flatten()

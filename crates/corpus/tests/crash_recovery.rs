@@ -9,7 +9,7 @@
 //!
 //! * every record fully appended before the crash is recovered
 //!   **byte-identically** (warm == cold: re-encoding the recovered run
-//!   reproduces the original entry bytes);
+//!   reproduces the original record bytes);
 //! * the in-flight record is lost cleanly — a miss, never a wrong hit
 //!   and never damage to its neighbors;
 //! * a torn tail is truncated away and preserved in `quarantine/`;
@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use adhash::HashSum;
-use corpus::{encode_entry, Corpus, CorpusError, CorpusOptions, CRASH_ENV};
+use corpus::{encode_record, Corpus, CorpusError, CorpusOptions, CRASH_ENV};
 use detrand::splitmix64;
 use instantcheck::{CachedRun, CheckpointRecord, RunCache, RunHashes, RunKey, Scheme};
 use tsim::{CheckpointKind, SwitchPolicy};
@@ -178,10 +178,10 @@ fn assert_prefix_recovery(dir: &Path) -> usize {
                     "record {i} survived beyond the recovered prefix"
                 );
                 // Warm == cold, byte for byte: re-encoding the
-                // recovered run reproduces the original entry exactly.
+                // recovered run reproduces the original record exactly.
                 assert_eq!(
-                    encode_entry(&key, &run),
-                    encode_entry(&key, &sample_run(i)),
+                    encode_record(&key, &run),
+                    encode_record(&key, &sample_run(i)),
                     "record {i} was not recovered byte-identically"
                 );
             }
@@ -267,8 +267,8 @@ fn a_crash_mid_compaction_resolves_duplicates_to_the_same_live_set() {
         let key = sample_key(i);
         let run = warm.lookup(&key).expect("churned key survives the crash");
         assert_eq!(
-            encode_entry(&key, &run),
-            encode_entry(&key, &sample_run(i)),
+            encode_record(&key, &run),
+            encode_record(&key, &sample_run(i)),
             "key {i} must read back byte-identically"
         );
     }
@@ -293,7 +293,7 @@ fn a_pr4_one_file_per_run_store_is_refused_with_a_typed_error() {
             found, expected, ..
         }) => {
             assert_eq!(found, "icorpus 1");
-            assert_eq!(expected, "icseg 1");
+            assert_eq!(expected, "icseg 2");
         }
         Ok(_) => panic!("a PR-4 store must not open as a log store"),
         Err(other) => panic!("expected FormatMismatch, got {other}"),

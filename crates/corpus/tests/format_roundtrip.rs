@@ -1,4 +1,4 @@
-//! Property tests of the corpus entry format: encode/decode identity,
+//! Property tests of the corpus record format: encode/decode identity,
 //! fingerprint stability under field reordering, a quarantine
 //! classification per corruption class — plus the campaign-spec codec
 //! the same fingerprints key off: `CampaignSpec` → JSON →
@@ -9,7 +9,10 @@
 use std::sync::Arc;
 
 use adhash::{FpRound, HashSum};
-use corpus::{decode_entry, encode_entry, fingerprint_fields, fingerprint_key, Corruption};
+use corpus::{
+    decode_record, encode_record, fingerprint_fields, fingerprint_key, frame_record, Corruption,
+    FRAME_LEN,
+};
 use instantcheck::{
     CachedRun, CampaignSpec, CheckpointRecord, FailurePolicy, IgnoreSpec, RunHashes, RunKey, Scheme,
 };
@@ -17,8 +20,8 @@ use minicheck::{check, Gen};
 use obs::Event;
 use tsim::{AllocLog, BarrierId, CheckpointKind, FaultPlan, SwitchPolicy, Trigger, FAULT_KINDS};
 
-/// A workload id exercising the escaper: spaces, percent signs, tabs,
-/// and plain alphanumerics.
+/// A workload id with spaces, percent signs, tabs, separators and
+/// plain alphanumerics — bytes a text format would have to escape.
 fn gen_workload(g: &mut Gen) -> String {
     let alphabet = [
         "app", " ", "%", "%25", "\t", "x1", ":scaled", "_", "=", ";", "b",
@@ -109,9 +112,9 @@ fn encode_decode_is_the_identity() {
     check("corpus_encode_decode_identity", 128, |g: &mut Gen| {
         let key = gen_key(g);
         let run = gen_run(g);
-        let text = encode_entry(&key, &run);
-        let (tokens, decoded) = decode_entry(&text).unwrap_or_else(|why| {
-            panic!("fresh entry failed to decode: {why}\n{text}");
+        let bytes = encode_record(&key, &run);
+        let (tokens, decoded) = decode_record(&bytes).unwrap_or_else(|why| {
+            panic!("fresh record failed to decode: {why}\n{bytes:?}");
         });
         let expected: Vec<(String, String)> = key
             .tokens()
@@ -122,8 +125,8 @@ fn encode_decode_is_the_identity() {
         // Encoding is a pure function of (key, run), so decode is the
         // identity exactly when re-encoding reproduces the bytes.
         assert_eq!(
-            encode_entry(&key, &decoded),
-            text,
+            encode_record(&key, &decoded),
+            bytes,
             "decoded run re-encodes identically"
         );
     });
@@ -163,36 +166,37 @@ fn every_corruption_class_is_detected_and_classified() {
     check("corpus_corruption_classes", 96, |g: &mut Gen| {
         let key = gen_key(g);
         let run = gen_run(g);
-        let text = encode_entry(&key, &run);
-        let header_end = {
-            let mut pos = 0;
-            for _ in 0..4 {
-                pos += text[pos..].find('\n').unwrap() + 1;
-            }
-            pos
-        };
+        let bytes = encode_record(&key, &run);
+        let body = &bytes[FRAME_LEN..];
         match g.usize_in(0, 5) {
             0 => {
-                // Bad magic.
-                let bad = text.replacen("icorpus", "zcorpus", 1);
-                assert!(matches!(decode_entry(&bad), Err(Corruption::BadMagic)));
+                // A flipped frame bit: a fingerprint or checksum bit
+                // fails the checksum, a length bit no longer matches
+                // the bytes present.
+                let mut bad = bytes.clone();
+                bad[g.usize_in(0, FRAME_LEN)] ^= 1 << g.usize_in(0, 8);
+                assert!(matches!(
+                    decode_record(&bad),
+                    Err(Corruption::BadChecksum | Corruption::Truncated { .. })
+                ));
             }
             1 => {
-                // A future format version.
-                let bad = text.replacen("icorpus 1", "icorpus 2", 1);
-                assert!(matches!(
-                    decode_entry(&bad),
-                    Err(Corruption::VersionMismatch { found: 2 })
-                ));
+                // A checksum-valid record framed under another key's
+                // fingerprint.
+                let other = fingerprint_key(&gen_key(g));
+                if other == fingerprint_key(&key) {
+                    return; // the generator drew the same key twice
+                }
+                let bad = frame_record(other, body);
+                assert!(matches!(decode_record(&bad), Err(Corruption::Malformed(_))));
             }
             2 => {
                 // Truncation: drop bytes off the end of the body.
-                let body_len = text.len() - header_end;
-                let keep = g.usize_in(0, body_len);
-                let bad = &text[..header_end + keep];
-                match decode_entry(bad) {
+                let keep = g.usize_in(0, body.len());
+                let bad = &bytes[..FRAME_LEN + keep];
+                match decode_record(bad) {
                     Err(Corruption::Truncated { expected, found }) => {
-                        assert_eq!(expected, body_len);
+                        assert_eq!(expected, body.len());
                         assert_eq!(found, keep);
                     }
                     other => panic!("expected Truncated, got {other:?}"),
@@ -201,30 +205,18 @@ fn every_corruption_class_is_detected_and_classified() {
             3 => {
                 // Flip one body byte (same length): the checksum rejects
                 // it before any field parse could misread it.
-                let body_len = text.len() - header_end;
-                if body_len == 0 {
-                    return; // no body byte to flip for this case
-                }
-                let at = header_end + g.usize_in(0, body_len);
-                let mut bytes = text.clone().into_bytes();
-                bytes[at] ^= 0x01;
-                let Ok(bad) = String::from_utf8(bytes) else {
-                    return; // flip broke UTF-8; fs::read_to_string would too
-                };
-                assert!(matches!(decode_entry(&bad), Err(Corruption::BadChecksum)));
+                let at = FRAME_LEN + g.usize_in(0, body.len());
+                let mut bad = bytes.clone();
+                bad[at] ^= 0x01;
+                assert!(matches!(decode_record(&bad), Err(Corruption::BadChecksum)));
             }
             _ => {
-                // Internally consistent header over a junk body: only
-                // the field parser can catch it.
-                let body = "key a=1\nnot a valid line\n";
-                let bad = format!(
-                    "icorpus 1\nfp {:032x}\nlen {}\nsum {:016x}\n{body}",
-                    0u128,
-                    body.len(),
-                    corpus_checksum(body),
-                );
+                // A valid frame over a junk body: only the field decoder
+                // can catch it.
+                let junk = vec![0xffu8; 64];
+                let bad = frame_record(0, &junk);
                 assert!(
-                    matches!(decode_entry(&bad), Err(Corruption::Malformed(_))),
+                    matches!(decode_record(&bad), Err(Corruption::Malformed(_))),
                     "junk body classified as malformed"
                 );
             }
@@ -419,15 +411,4 @@ fn each_run_content_field_moves_the_fingerprint_and_shape_fields_do_not() {
             );
         }
     });
-}
-
-/// FNV-1a, duplicated here so the test can forge a "valid" checksum
-/// without reaching into the crate's private helper.
-fn corpus_checksum(body: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in body.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }

@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use corpus::{CampaignBaseline, Corpus, CorpusOptions, Drift};
+use corpus::{CampaignBaseline, Corpus, CorpusOptions, Drift, FRAME_LEN};
 use instantcheck::{CheckReport, Checker, CheckerConfig, RunCache, Scheme};
 use obs::{MemorySink, Registry};
 use tsim::{Program, ProgramBuilder, ValKind};
@@ -82,14 +82,24 @@ fn observed_campaign(store: &Arc<Corpus>, jobs: usize) -> (CheckReport, String, 
     (report, sink.to_jsonl(), reg.snapshot())
 }
 
-/// One framed record of a segment file, split for in-place mutation.
+/// One record of a segment file, split for in-place mutation.
 struct RawRecord {
     fp: u128,
-    payload: Vec<u8>,
+    body: Vec<u8>,
+    /// The checksum the frame declares.
+    sum: u64,
+}
+
+impl RawRecord {
+    /// Re-frames the record with a checksum valid for its current
+    /// fingerprint and body, so only the body's contents can reject it.
+    fn reframe(&mut self) {
+        self.sum = corpus::record_sum(self.fp, &self.body);
+    }
 }
 
 /// Reads every record of every segment under `dir`, in log order. The
-/// frame grammar is `rec <fp:032x> <len> <sum:016x>\n<payload>`.
+/// frame is `fp u128 | body_len u32 | sum u64`, little-endian.
 fn read_records(dir: &Path) -> (PathBuf, Vec<RawRecord>) {
     let mut segs: Vec<PathBuf> = fs::read_dir(dir.join("segments"))
         .unwrap()
@@ -102,33 +112,30 @@ fn read_records(dir: &Path) -> (PathBuf, Vec<RawRecord>) {
     let mut records = Vec::new();
     let mut offset = 0usize;
     while offset < bytes.len() {
-        let nl = bytes[offset..].iter().position(|&b| b == b'\n').unwrap();
-        let frame = std::str::from_utf8(&bytes[offset..offset + nl]).unwrap();
-        let mut parts = frame.split(' ');
-        assert_eq!(parts.next(), Some("rec"));
-        let fp = u128::from_str_radix(parts.next().unwrap(), 16).unwrap();
-        let len: usize = parts.next().unwrap().parse().unwrap();
-        let payload_at = offset + nl + 1;
+        let frame = &bytes[offset..offset + FRAME_LEN];
+        let len = u32::from_le_bytes(frame[16..20].try_into().unwrap()) as usize;
+        let body_at = offset + FRAME_LEN;
         records.push(RawRecord {
-            fp,
-            payload: bytes[payload_at..payload_at + len].to_vec(),
+            fp: u128::from_le_bytes(frame[..16].try_into().unwrap()),
+            body: bytes[body_at..body_at + len].to_vec(),
+            sum: u64::from_le_bytes(frame[20..28].try_into().unwrap()),
         });
-        offset = payload_at + len;
+        offset = body_at + len;
     }
     (segs[0].clone(), records)
 }
 
-/// Rewrites a segment from (possibly mutated) records, re-framing each
-/// payload so the file stays structurally scannable — read-time content
-/// checks, not the scan, must be what rejects a damaged payload.
+/// Rewrites a segment from (possibly mutated) records, framing each
+/// body with its current length so the file stays structurally
+/// scannable — read-time checks, not the scan, must be what rejects a
+/// damaged record.
 fn write_records(path: &PathBuf, records: &[RawRecord]) {
     let mut bytes = Vec::new();
     for rec in records {
-        let sum = corpus::fnv64(&rec.payload);
-        bytes.extend_from_slice(
-            format!("rec {:032x} {} {:016x}\n", rec.fp, rec.payload.len(), sum).as_bytes(),
-        );
-        bytes.extend_from_slice(&rec.payload);
+        bytes.extend_from_slice(&rec.fp.to_le_bytes());
+        bytes.extend_from_slice(&(rec.body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&rec.sum.to_le_bytes());
+        bytes.extend_from_slice(&rec.body);
     }
     fs::write(path, bytes).unwrap();
 }
@@ -169,19 +176,22 @@ fn corrupt_records_are_quarantined_and_recomputed() {
     let cold = observed_campaign(&store, 1);
     drop(store);
 
-    // Corrupt one stored record per read-time class: truncate one
-    // payload against its own declared length, flip a body byte of
-    // another, and stamp a third with a future entry version. Each
-    // record is re-framed so the segment still scans — the entry's own
-    // header, not the frame, is what must reject it.
+    // Corrupt one stored record per read-time class: cut one body in
+    // half under a re-framed (checksum-valid) frame, so its layout runs
+    // out before its sections do; flip a body byte of another under its
+    // old checksum; and re-frame a third record's body at a second
+    // record's address, a checksum-valid record under the wrong key.
+    // Every frame matches its body length, so the segment still scans —
+    // the read-time checks are what must reject each one.
     let (seg, mut records) = read_records(&dir);
     assert_eq!(records.len(), 6);
-    let half = records[0].payload.len() / 2;
-    records[0].payload.truncate(half);
-    let last = records[1].payload.len() - 2;
-    records[1].payload[last] ^= 0x40;
-    let text = String::from_utf8(records[2].payload.clone()).unwrap();
-    records[2].payload = text.replacen("icorpus 1", "icorpus 7", 1).into_bytes();
+    let half = records[0].body.len() / 2;
+    records[0].body.truncate(half);
+    records[0].reframe();
+    let last = records[1].body.len() - 2;
+    records[1].body[last] ^= 0x40;
+    records[2].body = records[3].body.clone();
+    records[2].reframe();
     write_records(&seg, &records);
 
     let warm_store = open(&dir);
@@ -202,7 +212,7 @@ fn corrupt_records_are_quarantined_and_recomputed() {
         "quarantine keeps the evidence"
     );
     let m = warm_store.metrics();
-    for class in ["truncated", "bad-checksum", "version-mismatch"] {
+    for class in ["truncated", "bad-checksum", "malformed"] {
         assert_eq!(
             m.counters.get(&format!("corpus.quarantined.{class}")),
             Some(&1),
@@ -223,8 +233,8 @@ fn corrupt_records_are_quarantined_and_recomputed() {
 
 #[test]
 fn a_cached_lookup_never_trusts_a_tampered_hash() {
-    // Flip a checkpoint-hash *and* fix nothing else: the entry checksum
-    // rejects the record, so the campaign verdict cannot be poisoned.
+    // Flip a checkpoint-hash bit *and* fix nothing else: the record
+    // checksum rejects it, so the campaign verdict cannot be poisoned.
     let dir = tempdir("tamper");
     let store = open(&dir);
     let cold = Checker::new(config(&store, 1))
@@ -236,8 +246,14 @@ fn a_cached_lookup_never_trusts_a_tampered_hash() {
 
     let (seg, mut records) = read_records(&dir);
     for rec in &mut records {
-        let text = String::from_utf8(rec.payload.clone()).unwrap();
-        rec.payload = text.replacen("cp b:0 ", "cp b:0 f", 1).into_bytes();
+        let (_, run) = corpus::decode_record(&corpus::frame_record(rec.fp, &rec.body)).unwrap();
+        let hash = run.hashes.checkpoints[0].hash.as_raw().to_le_bytes();
+        let at = rec
+            .body
+            .windows(8)
+            .position(|w| w == hash)
+            .expect("the first checkpoint hash is stored verbatim");
+        rec.body[at + 7] ^= 0x10;
     }
     write_records(&seg, &records);
 
