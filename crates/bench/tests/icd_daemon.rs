@@ -80,7 +80,20 @@ fn solo_artifacts(id: &str, spec: &CampaignSpec) -> (String, String) {
     (baseline.to_json(), sink.to_jsonl())
 }
 
-fn spawn_daemon(sock: &Path, out: &Path, extra: &[&str]) -> Child {
+/// A spawned daemon, killed on drop if it is still running, so a failing
+/// test never leaves it behind.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Ok(None) = self.0.try_wait() {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+}
+
+fn spawn_daemon(sock: &Path, out: &Path, extra: &[&str]) -> Daemon {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_icd"));
     cmd.arg("--socket")
         .arg(sock)
@@ -89,7 +102,7 @@ fn spawn_daemon(sock: &Path, out: &Path, extra: &[&str]) -> Child {
         .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::null());
-    cmd.spawn().expect("daemon spawns")
+    Daemon(cmd.spawn().expect("daemon spawns"))
 }
 
 fn wait_for_socket(path: &Path) {
@@ -103,22 +116,21 @@ fn wait_for_socket(path: &Path) {
     panic!("daemon never started listening on {}", path.display());
 }
 
-fn wait_for_exit(child: &mut Child) -> std::process::ExitStatus {
+fn wait_for_exit(daemon: &mut Daemon) -> std::process::ExitStatus {
     let deadline = Instant::now() + Duration::from_secs(120);
     while Instant::now() < deadline {
-        if let Some(status) = child.try_wait().expect("try_wait") {
+        if let Some(status) = daemon.0.try_wait().expect("try_wait") {
             return status;
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    let _ = child.kill();
     panic!("daemon did not exit within the watchdog window");
 }
 
-fn sigterm(child: &Child) {
+fn sigterm(daemon: &Daemon) {
     let status = Command::new("kill")
         .arg("-TERM")
-        .arg(child.id().to_string())
+        .arg(daemon.0.id().to_string())
         .status()
         .expect("kill runs");
     assert!(status.success(), "kill -TERM failed");
@@ -250,12 +262,17 @@ fn daemon_survives_hostile_clients_and_sigterm_drains_completely() {
         c.join().unwrap();
     }
 
-    // Poll `status` until all eight accepted campaigns completed; the
-    // daemon answered every hostile client without dying.
+    // Poll `status` until all eight accepted campaigns completed and
+    // both hostile connections' closes were counted (a close is counted
+    // when its handler notices it, which may be after the campaigns
+    // finish); the daemon answered every hostile client without dying.
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let s = status(&sock);
-        if counter(&s, "icd.completed") == 8 {
+        if counter(&s, "icd.completed") == 8
+            && counter(&s, "icd.conn.closed.partial") > 0
+            && counter(&s, "icd.conn.closed.kicked") > 0
+        {
             assert_eq!(
                 s.get("draining"),
                 Some(&Value::Bool(false)),
@@ -275,8 +292,8 @@ fn daemon_survives_hostile_clients_and_sigterm_drains_completely() {
         }
         assert!(
             Instant::now() < deadline,
-            "campaigns never completed: {}",
-            s.get("counters").map(|_| "").unwrap_or("no counters")
+            "campaigns never completed or hostile closes never counted: {:?}",
+            s.get("counters")
         );
         std::thread::sleep(Duration::from_millis(50));
     }

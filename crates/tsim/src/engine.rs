@@ -1,11 +1,12 @@
 //! The execution engine: serialized cooperative scheduling of simulated
 //! threads over the shared machine state.
 //!
-//! Each simulated thread is an OS thread, but exactly one of them owns the
-//! *token* (`Central::active`) at any time, so execution is serialized and
-//! fully determined by the scheduler's decisions. Threads hand the token
-//! over at scheduling points (synchronization operations, and data
-//! accesses when the [`SwitchPolicy`](crate::SwitchPolicy) says so).
+//! Each simulated thread runs on its own OS thread, but exactly one of
+//! them owns the *token* (`Central::active`) at any time, so execution is
+//! serialized and fully determined by the scheduler's decisions. Threads
+//! hand the token over at scheduling points (synchronization operations,
+//! and data accesses when the [`SwitchPolicy`](crate::SwitchPolicy) says
+//! so).
 //!
 //! # Ownership transfer
 //!
@@ -17,15 +18,37 @@
 //! only at a scheduling point whose pick lands on a *different* thread —
 //! so a phase in which one thread holds the token (and in particular any
 //! single-threaded run) executes its entire access stream without touching
-//! the mutex or a condvar at all. This is what makes the store hot path
-//! allocation- and lock-free.
+//! the mutex at all. This is what makes the store hot path allocation- and
+//! lock-free.
+//!
+//! # Handoff
+//!
+//! Handing the token over is park-after-release: the giver puts the box
+//! back in the cell with `active` naming the pick, *releases the lock*,
+//! and then unparks the pick's OS thread. A waiting thread loops on
+//! "lock the cell, check `active == tid` (and the error and abort flag),
+//! unlock, `thread::park`". A wakeup cannot be lost: if the giver's update
+//! lands before the waiter's check, the check sees it; if after, the
+//! unpark follows the waiter's unlock, and an unpark that beats the park
+//! leaves the thread's token set so the park returns at once. Spurious and
+//! stale wakeups cost one more look at the cell. Because the lock is free
+//! by the time the pick wakes, a handoff costs one wake and one sleep.
+//!
+//! # Threads
+//!
+//! Runs borrow their OS threads from a process-wide pool (`pool.rs`) and
+//! wait on a completion latch rather than joining them; a worker counts
+//! the latch down from a drop guard, so even a panic outside the
+//! workload's own unwinding cannot hang [`run`]. Threads are reused across
+//! runs, so workload bodies and monitors must not depend on OS-thread
+//! identity or thread-locals.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{self, Thread};
 use std::time::Instant;
 
 use adhash::{hash_delta_run, DeltaBatch, FpRound, HashSum, Mix64Hasher};
@@ -38,6 +61,7 @@ use crate::mem::Memory;
 use crate::monitor::{
     CheckpointInfo, CheckpointKind, EngineHashes, FastPathSpec, Monitor, StateView,
 };
+use crate::pool::{self, Latch};
 use crate::program::{GlobalDecl, Program, RunConfig};
 use crate::sched::{Scheduler, SwitchPolicy};
 use crate::trace::{Trace, TraceOp};
@@ -354,14 +378,9 @@ struct Shared {
     /// turns, `None` while the running thread owns it (see the module
     /// docs on ownership transfer).
     mu: Mutex<Option<Box<Central>>>,
-    /// One condvar per simulated thread: a thread only ever waits on its
-    /// own, so handing the token over wakes exactly the picked thread
-    /// instead of stampeding every waiter (and the coordinator) through
-    /// a futex herd at every scheduling point.
-    cvs: Vec<Condvar>,
-    /// The run coordinator's condvar: signalled on completion and errors,
-    /// never on routine token handoffs.
-    coord: Condvar,
+    /// The OS thread running each simulated thread: handing the token
+    /// over unparks exactly the picked thread.
+    threads: Vec<Thread>,
     /// Set by the coordinator when the deadline fires while a thread owns
     /// the machine state: that thread cannot be reached through the cell,
     /// so it polls this flag (one relaxed load) on every instrumented
@@ -370,12 +389,11 @@ struct Shared {
 }
 
 impl Shared {
-    /// Wakes every waiter — error paths only.
+    /// Wakes every simulated thread — error paths only.
     fn wake_all(&self) {
-        for cv in &self.cvs {
-            cv.notify_all();
+        for t in &self.threads {
+            t.unpark();
         }
-        self.coord.notify_all();
     }
 }
 
@@ -456,6 +474,7 @@ fn wake_dropped(c: &mut Central, tid: ThreadId) -> bool {
 /// misuse; the run then returns the corresponding [`SimError`].
 pub struct ThreadCtx {
     tid: ThreadId,
+    nthreads: usize,
     shared: Arc<Shared>,
     /// The machine state, owned while this thread holds the token
     /// (`None` while parked in the cell or owned by another thread).
@@ -487,7 +506,7 @@ impl ThreadCtx {
 
     /// Number of threads in the program.
     pub fn nthreads(&self) -> usize {
-        self.shared.cvs.len()
+        self.nthreads
     }
 
     /// The owned machine state — the entire hot-path "guard": one relaxed
@@ -541,41 +560,43 @@ impl ThreadCtx {
     }
 
     /// Blocks until this thread is scheduled again (or the run aborts),
-    /// then takes ownership of the machine state. Waits on this thread's
-    /// own condvar: nobody else ever sleeps there.
-    fn wait_for_turn_locked(&mut self, mut cell: MutexGuard<'_, Option<Box<Central>>>) {
+    /// then takes ownership of the machine state. Re-checks the cell
+    /// after every wakeup: the unpark token makes a wake that lands
+    /// between the check and the park return at once, and a stale or
+    /// spurious one just costs another look.
+    fn wait_for_turn(&mut self) {
         loop {
-            match cell.as_deref() {
-                Some(c) => {
-                    if c.error.is_some() {
-                        drop(cell);
-                        panic::panic_any(SimAbort);
+            {
+                let mut cell = lock_cell(&self.shared);
+                let abort = match cell.as_deref() {
+                    Some(c) => {
+                        if c.active == Some(self.tid)
+                            && c.threads[self.tid].state == TState::Ready
+                            && c.error.is_none()
+                        {
+                            self.owned = cell.take();
+                            return;
+                        }
+                        c.error.is_some()
                     }
-                    if c.active == Some(self.tid) && c.threads[self.tid].state == TState::Ready {
-                        self.owned = cell.take();
-                        return;
-                    }
-                }
-                None => {
                     // Another thread owns the state. If the run is being
                     // torn down it may never come back to the cell (the
                     // owner could be stuck), so honor the abort flag.
-                    if self.shared.abort.load(Ordering::Relaxed) {
-                        drop(cell);
-                        panic::panic_any(SimAbort);
-                    }
+                    None => self.shared.abort.load(Ordering::Relaxed),
+                };
+                if abort {
+                    drop(cell);
+                    panic::panic_any(SimAbort);
                 }
             }
-            cell = self.shared.cvs[self.tid]
-                .wait(cell)
-                .unwrap_or_else(PoisonError::into_inner);
+            thread::park();
         }
     }
 
     /// A scheduling point: record our new state, give up the token, let
     /// the scheduler pick, and wait until it is our turn again. When the
     /// pick lands back on us the whole operation stays on the owned state
-    /// — no mutex, no condvar.
+    /// — no mutex, no wakeup.
     fn reschedule(&mut self, new_state: TState) {
         self.reschedule_avoiding(new_state, false)
     }
@@ -613,17 +634,17 @@ impl ThreadCtx {
             After::KeepRunning => {}
             After::Fail(err) => self.fail(err),
             After::Handoff(picked) => {
+                // Park the state and release the cell before waking the
+                // pick, so it never wakes only to block on the lock.
                 let boxed = self.owned.take().expect("token protocol violated");
-                let shared = Arc::clone(&self.shared);
-                let mut cell = lock_cell(&shared);
-                *cell = Some(boxed);
+                *lock_cell(&self.shared) = Some(boxed);
                 match picked {
-                    Some(next) => shared.cvs[next].notify_one(),
+                    Some(next) => self.shared.threads[next].unpark(),
                     // No runnable thread: the core recorded a deadlock
                     // (the caller is not finished), so wake everyone.
-                    None => shared.wake_all(),
+                    None => self.shared.wake_all(),
                 }
-                self.wait_for_turn_locked(cell);
+                self.wait_for_turn();
             }
         }
     }
@@ -1280,12 +1301,6 @@ impl ThreadCtx {
         }
         self.reschedule(TState::Ready);
     }
-
-    fn wait_first_turn(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let cell = lock_cell(&shared);
-        self.wait_for_turn_locked(cell);
-    }
 }
 
 /// Applies an injected [`FaultKind::LibPerturb`] fault to a library
@@ -1492,27 +1507,60 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
 fn thread_main(shared: Arc<Shared>, tid: ThreadId, body: Box<dyn FnOnce(&mut ThreadCtx) + Send>) {
     let mut ctx = ThreadCtx {
         tid,
-        shared: shared.clone(),
+        nthreads: shared.threads.len(),
+        shared: Arc::clone(&shared),
         owned: None,
     };
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        ctx.wait_first_turn();
+        ctx.wait_for_turn();
         body(&mut ctx);
     }));
-    // Park the machine state if we still own it (normal completion, or a
-    // panic out of the workload body — both happen while holding the
-    // token). If we unwound from a wait instead, the state is either in
-    // the cell already or owned by another thread.
     let owned = ctx.owned.take();
-    let mut cell = lock_cell(&shared);
-    if let Some(boxed) = owned {
-        *cell = Some(boxed);
+    let epilogue = panic::catch_unwind(AssertUnwindSafe(|| {
+        finish_thread(&shared, tid, owned, result.err())
+    }));
+    if let Err(payload) = epilogue {
+        // The epilogue itself panicked (in an event sink, say) before it
+        // handed the token on: fail the run so no waiter sleeps forever.
+        shared.abort.store(true, Ordering::SeqCst);
+        if let Some(c) = lock_cell(&shared).as_deref_mut() {
+            if c.error.is_none() {
+                c.error = Some(SimError::ThreadPanic {
+                    tid,
+                    message: payload_message(payload.as_ref()),
+                });
+            }
+        }
+        shared.wake_all();
     }
-    // When the cell is empty the machine state is owned by another
-    // (still running) thread; we can only be here unwinding from an
-    // abort, whose error that owner records. Nothing to update.
-    if let Some(c) = cell.as_deref_mut() {
-        if let Err(payload) = &result {
+}
+
+/// A simulated thread's epilogue: parks the machine state if the thread
+/// still owns it, marks the thread finished (recording a workload panic
+/// as the run's error), and wakes whoever must act next — after the
+/// cell lock is released.
+fn finish_thread(
+    shared: &Shared,
+    tid: ThreadId,
+    owned: Option<Box<Central>>,
+    panicked: Option<Box<dyn Any + Send>>,
+) {
+    let wake = {
+        let mut cell = lock_cell(shared);
+        // The state is still ours after normal completion or a panic out
+        // of the workload body (both happen while holding the token). If
+        // we unwound from a wait instead, it is either in the cell
+        // already or owned by another thread.
+        if let Some(boxed) = owned {
+            *cell = Some(boxed);
+        }
+        // An empty cell means another (still running) thread owns the
+        // state; we can only be here unwinding from an abort, whose
+        // error that owner records. Nothing to update.
+        let Some(c) = cell.as_deref_mut() else {
+            return;
+        };
+        if let Some(payload) = panicked {
             if !payload.is::<SimAbort>() && c.error.is_none() {
                 c.error = Some(SimError::ThreadPanic {
                     tid,
@@ -1529,20 +1577,19 @@ fn thread_main(shared: Arc<Shared>, tid: ThreadId, body: Box<dyn FnOnce(&mut Thr
         }
         if c.error.is_none() && c.active.is_none() {
             match schedule_next_core(c, None) {
-                Some(next) => shared.cvs[next].notify_one(),
-                None => {
-                    if c.error.is_some() {
-                        shared.wake_all();
-                    } else {
-                        // All threads finished: only the coordinator
-                        // cares.
-                        shared.coord.notify_all();
-                    }
-                }
+                Some(next) => Some(next),
+                // Every thread finished: only the run's latch cares.
+                None if c.error.is_none() => return,
+                // The core recorded a deadlock.
+                None => None,
             }
         } else {
-            shared.wake_all();
+            None
         }
+    };
+    match wake {
+        Some(next) => shared.threads[next].unpark(),
+        None => shared.wake_all(),
     }
 }
 
@@ -1620,92 +1667,56 @@ pub(crate) fn run<M: Monitor + 'static>(
         setup(&mut sctx);
     }
 
+    // The first pick needs no thread yet: every simulated thread checks
+    // the cell before it first parks, so the pick finds its turn there.
+    schedule_next_core(&mut central, None);
     let deadline_ms = central.deadline_ms;
     let deadline_at = central.deadline_at;
+    let workers = pool::checkout(nthreads);
     let shared = Arc::new(Shared {
         mu: Mutex::new(Some(Box::new(central))),
-        cvs: (0..nthreads).map(|_| Condvar::new()).collect(),
-        coord: Condvar::new(),
+        threads: workers.iter().map(|w| w.thread().clone()).collect(),
         abort: AtomicBool::new(false),
     });
-
-    let handles: Vec<_> = prog
-        .threads
-        .into_iter()
-        .enumerate()
-        .map(|(tid, body)| {
-            let sh = shared.clone();
-            thread::Builder::new()
-                .name(format!("tsim-{tid}"))
-                .spawn(move || thread_main(sh, tid, body))
-                .expect("spawning a simulated thread")
-        })
-        .collect();
-
-    {
-        let mut cell = lock_cell(&shared);
-        if let Some(next) = schedule_next_core(
-            cell.as_deref_mut().expect("machine state present at start"),
-            None,
-        ) {
-            shared.cvs[next].notify_one();
-        }
-        loop {
-            // While a thread owns the machine state the coordinator
-            // cannot inspect it; completion and errors always end with
-            // the state parked back in the cell plus a wakeup.
-            if let Some(c) = cell.as_deref() {
-                if c.finished >= nthreads || c.error.is_some() {
-                    break;
-                }
-            }
-            match deadline_at {
-                // With a watchdog configured, the coordinator wakes at
-                // the deadline even if no simulated thread reaches a
-                // scheduling point (e.g. one thread stuck in a pure
-                // `work` loop): it posts the error (or raises the abort
-                // flag when the state is owned by the stuck thread, which
-                // then unwinds at its next instrumented call).
-                Some(at) => {
-                    let now = Instant::now();
-                    if now >= at {
-                        shared.abort.store(true, Ordering::SeqCst);
-                        if let Some(c) = cell.as_deref_mut() {
-                            if c.error.is_none() {
-                                c.error = Some(SimError::Deadline {
-                                    limit_ms: deadline_ms,
-                                });
-                            }
-                        }
-                        shared.wake_all();
-                        break;
-                    }
-                    cell = shared
-                        .coord
-                        .wait_timeout(cell, at - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-                None => {
-                    cell = shared
-                        .coord
-                        .wait(cell)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-    }
-    for h in handles {
-        let _ = h.join();
+    let done = Arc::new(Latch::new(nthreads));
+    for ((tid, body), worker) in prog.threads.into_iter().enumerate().zip(workers) {
+        let sh = Arc::clone(&shared);
+        worker.start(
+            Box::new(move || thread_main(sh, tid, body)),
+            Arc::clone(&done),
+        );
     }
 
-    let shared =
-        Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!("all simulated threads joined"));
-    let mut central = *shared
-        .mu
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .expect("machine state parked after all threads joined");
+    // With a watchdog configured, the coordinator wakes at the deadline
+    // even if no simulated thread reaches a scheduling point (e.g. one
+    // thread stuck in a pure `work` loop): it posts the error (or raises
+    // the abort flag when the state is owned by the stuck thread, which
+    // then unwinds at its next instrumented call), and then waits for
+    // every thread to unwind.
+    if !done.wait(deadline_at) {
+        let settled = {
+            let mut cell = lock_cell(&shared);
+            match cell.as_deref_mut() {
+                Some(c) if c.finished >= nthreads || c.error.is_some() => true,
+                Some(c) => {
+                    c.error = Some(SimError::Deadline {
+                        limit_ms: deadline_ms,
+                    });
+                    false
+                }
+                None => false,
+            }
+        };
+        if !settled {
+            shared.abort.store(true, Ordering::SeqCst);
+            shared.wake_all();
+        }
+        done.wait(None);
+    }
+
+    let mut central = *lock_cell(&shared)
+        .take()
+        .expect("machine state parked after all threads finished");
 
     if let Some(err) = central.error.take() {
         return Err(err);

@@ -57,6 +57,7 @@ mod faults;
 mod libcalls;
 mod mem;
 mod monitor;
+mod pool;
 mod program;
 mod sched;
 mod trace;
