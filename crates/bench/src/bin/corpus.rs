@@ -94,25 +94,20 @@ fn parse_cli() -> Cli {
     spec.workload = format!("{app}:{}", if sa.scaled { "scaled" } else { "full" });
     // `--dir` (this binary's historic spelling) overrides the shared
     // `--corpus-dir`; absent both, the store defaults to
-    // `results/corpus`. All three routes land in the same
-    // `CorpusOptions`, so sizing flags apply regardless of spelling.
+    // `results/corpus`. All three routes open through
+    // `cli::open_corpus`, so sizing flags apply regardless of spelling.
     let corpus = match (&dir, &sa.corpus) {
         (None, Some(corpus)) => Arc::clone(corpus),
         _ => {
             let chosen = dir
                 .or_else(|| spec.corpus_dir.clone())
                 .unwrap_or_else(|| "results/corpus".to_owned());
-            let mut options = CorpusOptions::at(&chosen);
-            if let Some(n) = spec.corpus_segment_bytes {
-                options = options.segment_bytes(n);
-            }
-            if let Some(n) = spec.corpus_max_bytes {
-                options = options.max_bytes(n);
-            }
-            if let Some(n) = spec.corpus_cache_slots {
-                options = options.cache_slots(n as usize);
-            }
-            match options.open() {
+            match cli::open_corpus(
+                &chosen,
+                spec.corpus_segment_bytes,
+                spec.corpus_max_bytes,
+                spec.corpus_cache_slots,
+            ) {
                 Ok(c) => Arc::new(c),
                 Err(e) => {
                     eprintln!("{e}");

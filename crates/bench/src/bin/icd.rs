@@ -1,15 +1,10 @@
-//! `icd` — the InstantCheck campaign daemon.
+//! `icd` — the InstantCheck campaign daemon binary.
 //!
-//! A long-running front end for the `sched` orchestrator: it accepts
-//! batches of campaign submissions as JSON lines, runs them on a
-//! bounded worker pool over the registered workloads, multiplexes an
-//! optional shared run corpus behind a lock-free shared run cache, and
-//! writes one
-//! deterministic artifact per campaign. Under load it degrades
-//! gracefully — submissions past the queue bound (or past a tenant's
-//! quota) are *shed* with an explicit outcome instead of blocking or
-//! dying — and on shutdown it drains: every accepted campaign finishes
-//! before the process exits.
+//! A thin front end over `sched`: it parses the command line, opens the
+//! run corpus, feeds submissions to a `sched::Service`, and writes the
+//! drained batch's artifacts. The intake protocol, the socket and HTTP
+//! servers, and their per-connection limits live in `sched` (see
+//! DESIGN.md §12–13).
 //!
 //! ```text
 //! icd [--width N] [--queue-cap N] [--budget N] [--retries N]
@@ -22,55 +17,19 @@
 //! icd --connect PATH [--batch FILE|-]        # client mode
 //! ```
 //!
-//! Storage is one knob set: `--corpus-dir` opens (or creates) a
-//! log-structured run corpus through `corpus::Corpus::open`, with
-//! `--corpus-segment-bytes` / `--corpus-max-bytes` /
-//! `--corpus-cache-slots` sizing its segments, total footprint, and
-//! in-memory memo cache. The pre-namespacing spellings `--corpus DIR`
-//! and `--cache-slots N` keep working as hidden aliases of
-//! `--corpus-dir` and `--corpus-cache-slots`.
-//!
 //! Submissions are read, in order, from `--batch FILE` (`-` for
-//! stdin), then served from `--socket PATH`, then — when neither was
-//! given — from stdin. Each line is either a bare `CampaignSpec` (the
-//! exact JSON `--spec` files use; the id defaults to `c<seq>`) or a
-//! wrapper `{"id": "...", "priority": N, "tenant": "...",
-//! "spec": {...}}`. Blank lines and `#` comments are skipped.
-//!
-//! With `--socket`, `icd` is a **multi-client daemon**: a threaded
-//! accept loop gives every connection its own handler with
-//! per-connection fault isolation — one client's I/O error, mid-line
-//! disconnect, idle stall (`--idle-timeout-ms`), or malformed-line
-//! flood (`--max-bad-lines`) drops *that* client, counted in metrics,
-//! while the daemon keeps serving. Each submission line gets a
-//! one-line disposition reply; a literal `status` line returns a live
-//! JSON snapshot (queue depth, in-flight, per-tenant accepted/shed,
-//! registry counters); a literal `drain` line — or SIGTERM/SIGINT —
-//! stops intake, answers `{"draining":true}` to connected clients,
-//! drains the orchestrator, and removes the socket file on every exit
-//! path. Binding refuses to clobber a *live* daemon's socket (a probe
-//! connect must fail before a stale file is removed).
+//! stdin), then served from `--socket PATH` until a `drain` line or
+//! SIGTERM/SIGINT, then — when neither was given — from stdin.
+//! `--corpus-dir` opens (or creates) the shared run corpus, sized by
+//! the other `--corpus-*` flags. `--http ADDR` binds the read-only
+//! telemetry plane (`/status`, `/metrics`, `/profile`), and
+//! `--heartbeat-ms N` appends a telemetry snapshot line per interval to
+//! `<out>/heartbeat.jsonl`.
 //!
 //! With `--connect`, `icd` is the matching client: it forwards each
 //! input line to the daemon, prints one reply line per request, and —
 //! when the input ends in an unterminated fragment — sends the bytes
 //! and disconnects mid-line, which the daemon must shrug off.
-//!
-//! With `--http ADDR` (e.g. `127.0.0.1:9090`), the daemon additionally
-//! serves a read-only wall-clock **telemetry plane** over plain
-//! HTTP/1.1: `GET /status` (the status snapshot), `GET /metrics`
-//! (Prometheus text exposition v0.0.4, including the
-//! `icd_cache_acquire_seconds`, `icd_cache_wait_seconds`, and
-//! `icd_queue_dwell_seconds` wait histograms plus `icd_cache_*`
-//! contention counters and, with a corpus attached, `icd_corpus_*`
-//! log-structure gauges), and `GET /profile` (full telemetry snapshot
-//! with worker lanes plus the shared-cache contention table,
-//! consumable by `icprof --profile`). The listener reuses the socket path's
-//! per-connection fault-isolation discipline and keeps answering
-//! during drain. `--heartbeat-ms N` appends one telemetry snapshot
-//! line per interval to `<out>/heartbeat.jsonl` for post-mortems.
-//! Telemetry is strictly a side-channel: with all of it enabled, the
-//! deterministic artifacts below are byte-identical to a solo run.
 //!
 //! Artifacts land under `--out` (default `results/icd`), each written
 //! atomically (tmp + rename): per-campaign `<id>.report.json`
@@ -88,26 +47,20 @@
 //! not parse, 2 on usage or I/O errors (including refusing to clobber
 //! a live daemon's socket).
 
-use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use corpus::{Corpus, CorpusOptions};
-use instantcheck::CampaignSpec;
-use obs::json::{parse, Value};
+use corpus::Corpus;
+use instantcheck_bench::cli::open_corpus;
 use obs::Heartbeat;
 use sched::{
-    CampaignStatus, Disposition, HttpOptions, HttpServer, Orchestrator, OrchestratorConfig,
-    ProgramSource, Resolver, Service, Submission,
+    CampaignStatus, HttpOptions, HttpServer, Orchestrator, OrchestratorConfig, ProgramSource,
+    Resolver, Service, SocketOptions,
 };
-
-/// How often blocked connection reads wake up to check the drain flag
-/// and the idle clock.
-const TICK: Duration = Duration::from_millis(50);
 
 struct IcdCli {
     config: OrchestratorConfig,
@@ -119,28 +72,11 @@ struct IcdCli {
     batch: Option<String>,
     socket: Option<String>,
     connect: Option<String>,
-    daemon: DaemonOpts,
+    daemon: SocketOptions,
     /// Address of the read-only HTTP telemetry plane, when enabled.
     http: Option<String>,
     /// Heartbeat snapshot interval, when enabled.
     heartbeat: Option<Duration>,
-}
-
-#[derive(Clone)]
-struct DaemonOpts {
-    /// Disconnect a client that has sent nothing for this long.
-    idle_timeout: Duration,
-    /// Disconnect a client after this many malformed lines.
-    max_bad_lines: usize,
-}
-
-impl Default for DaemonOpts {
-    fn default() -> Self {
-        DaemonOpts {
-            idle_timeout: Duration::from_millis(30_000),
-            max_bad_lines: 100,
-        }
-    }
 }
 
 fn usage() -> ! {
@@ -168,7 +104,7 @@ fn parse_cli() -> IcdCli {
         batch: None,
         socket: None,
         connect: None,
-        daemon: DaemonOpts::default(),
+        daemon: SocketOptions::default(),
         http: None,
         heartbeat: None,
     };
@@ -192,14 +128,10 @@ fn parse_cli() -> IcdCli {
                 cli.daemon.idle_timeout = Duration::from_millis(num(&mut i).max(1));
             }
             "--max-bad-lines" => cli.daemon.max_bad_lines = num(&mut i) as usize,
-            // `--corpus` and `--cache-slots` predate the namespaced
-            // storage flags; both spellings feed the same options.
-            "--corpus-dir" | "--corpus" => cli.corpus_dir = Some(value(&mut i)),
+            "--corpus-dir" => cli.corpus_dir = Some(value(&mut i)),
             "--corpus-segment-bytes" => cli.corpus_segment_bytes = Some(num(&mut i)),
             "--corpus-max-bytes" => cli.corpus_max_bytes = Some(num(&mut i)),
-            "--corpus-cache-slots" | "--cache-slots" => {
-                cli.corpus_cache_slots = Some(num(&mut i));
-            }
+            "--corpus-cache-slots" => cli.corpus_cache_slots = Some(num(&mut i)),
             "--out" => cli.out = value(&mut i),
             "--batch" => cli.batch = Some(value(&mut i)),
             "--socket" => cli.socket = Some(value(&mut i)),
@@ -219,7 +151,7 @@ fn parse_cli() -> IcdCli {
 }
 
 /// Maps `app:scaled` / `app:full` workload ids onto the registered
-/// workload programs — the same ids the `--corpus` store keys runs by.
+/// workload programs — the same ids the corpus keys runs by.
 fn resolver() -> Resolver {
     Arc::new(|workload: &str| -> Option<ProgramSource> {
         let (app, scale) = workload.split_once(':')?;
@@ -232,89 +164,8 @@ fn resolver() -> Resolver {
     })
 }
 
-/// One submission line: a bare spec, or `{"id", "priority", "tenant",
-/// "spec"}`. An absent id is left empty — the service fills in
-/// `c<seq>` under its intake lock, so concurrent clients cannot race
-/// the default.
-fn parse_submission(line: &str) -> Result<Submission, String> {
-    let v = parse(line)?;
-    let (spec_value, id, priority, tenant) = match v.get("spec") {
-        Some(spec) => {
-            let id = v
-                .get("id")
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .unwrap_or_default();
-            let priority = match v.get("priority") {
-                None | Some(Value::Null) => 0,
-                Some(Value::Num(raw)) => {
-                    raw.parse().map_err(|_| format!("bad priority {raw:?}"))?
-                }
-                Some(_) => return Err("priority must be a number".to_owned()),
-            };
-            let tenant = match v.get("tenant") {
-                None | Some(Value::Null) => None,
-                Some(Value::Str(t)) => Some(t.clone()),
-                Some(_) => return Err("tenant must be a string".to_owned()),
-            };
-            (spec, id, priority, tenant)
-        }
-        None => (&v, String::new(), 0, None),
-    };
-    let spec = CampaignSpec::from_value(spec_value)?;
-    let mut sub = Submission::new(id, spec).with_priority(priority);
-    sub.tenant = tenant;
-    Ok(sub)
-}
-
-fn disposition_json(id: &str, d: Disposition) -> String {
-    let mut out = String::from("{\"id\":");
-    obs::json::write_str(&mut out, id);
-    match d {
-        Disposition::Enqueued => out.push_str(",\"disposition\":\"enqueued\"}"),
-        Disposition::Shed(reason) => {
-            out.push_str(",\"disposition\":\"shed\",\"reason\":");
-            obs::json::write_str(&mut out, reason.label());
-            out.push('}');
-        }
-    }
-    out
-}
-
-fn error_json(message: &str) -> String {
-    let mut out = String::from("{\"error\":");
-    obs::json::write_str(&mut out, message);
-    out.push('}');
-    out
-}
-
-/// Submits every submission line of one reader (the single-client
-/// batch/stdin path); counts parse failures in `icd.bad_lines`.
-fn intake(reader: impl BufRead, svc: &Service) -> std::io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        let text = line.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        match parse_submission(text) {
-            Ok(sub) => {
-                let (id, d) = svc.submit(sub);
-                if let Disposition::Shed(reason) = d {
-                    eprintln!("icd: shed {id:?} ({})", reason.label());
-                }
-            }
-            Err(e) => {
-                svc.registry().add("icd.bad_lines", 1);
-                eprintln!("icd: bad submission line: {e}");
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The flag-based signal hook: SIGTERM/SIGINT set an atomic the accept
-/// loop polls, turning an operator kill into a graceful drain. Uses
+/// The flag-based signal hook: SIGTERM/SIGINT set an atomic the socket
+/// server polls, turning an operator kill into a graceful drain. Uses
 /// the libc `signal` entry point the Rust runtime already links — no
 /// external crates.
 mod signals {
@@ -349,304 +200,51 @@ mod signals {
     }
 }
 
-/// Removes the socket path on drop, so the file disappears on every
-/// exit path — normal drain, signal, or panic unwind.
-struct SocketGuard {
-    path: Option<PathBuf>,
-}
-
-impl SocketGuard {
-    fn new(path: &str) -> Self {
-        SocketGuard {
-            path: Some(PathBuf::from(path)),
-        }
-    }
-
-    fn remove(&mut self) {
-        if let Some(path) = self.path.take() {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-impl Drop for SocketGuard {
-    fn drop(&mut self) {
-        self.remove();
-    }
-}
-
-/// Binds the daemon socket, refusing to clobber a *live* daemon: if
-/// the path exists and a probe connect succeeds, someone is serving it
-/// and we bail out; only a dead (connection-refused) leftover is
-/// removed and re-bound.
-fn bind_socket(path: &str) -> std::io::Result<UnixListener> {
-    if Path::new(path).exists() {
-        match UnixStream::connect(path) {
-            Ok(_) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::AddrInUse,
-                    format!("{path}: a live daemon is already listening"),
-                ));
-            }
-            Err(_) => {
-                // Stale socket from a dead process — safe to reclaim.
-                std::fs::remove_file(path)?;
-            }
-        }
-    }
-    UnixListener::bind(path)
-}
-
-/// Why one client connection ended; each variant maps to a metric so
-/// operators can see *how* clients leave.
-enum ConnClose {
-    /// Clean end of stream after a final newline.
-    Eof,
-    /// The client vanished mid-line; the partial line is dropped.
-    PartialEof,
-    /// No bytes for `--idle-timeout-ms`.
-    IdleTimeout,
-    /// The daemon is draining; the client was told.
-    Draining,
-    /// Too many malformed lines; the client was disconnected.
-    Kicked,
-    /// A transport error on this connection only.
-    Error(std::io::Error),
-}
-
-/// Serves one client connection until it ends. All failure modes stay
-/// on this connection: returning `ConnClose` never unwinds into the
-/// accept loop.
-fn serve_connection(stream: UnixStream, svc: &Service, opts: &DaemonOpts) -> ConnClose {
-    if let Err(e) = stream.set_read_timeout(Some(TICK)) {
-        return ConnClose::Error(e);
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => return ConnClose::Error(e),
-    };
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut bad_lines = 0usize;
-    let mut idle = Duration::ZERO;
-    loop {
-        buf.clear();
-        // Accumulate one full line, surviving read timeouts: each tick
-        // checks the drain flag and the idle clock, so a stalled client
-        // cannot pin this handler forever.
-        loop {
-            let before = buf.len();
-            match reader.read_until(b'\n', &mut buf) {
-                Ok(0) => {
-                    return if buf.is_empty() {
-                        ConnClose::Eof
-                    } else {
-                        ConnClose::PartialEof
-                    };
-                }
-                Ok(_) if buf.last() == Some(&b'\n') => break,
-                // `read_until` returns early only at the delimiter or
-                // EOF; data without a trailing newline means the
-                // stream ended mid-line.
-                Ok(_) => return ConnClose::PartialEof,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if svc.is_draining() {
-                        let _ = writeln!(writer, "{{\"draining\":true}}");
-                        return ConnClose::Draining;
-                    }
-                    if buf.len() == before {
-                        idle += TICK;
-                        if idle >= opts.idle_timeout {
-                            let _ = writeln!(writer, "{}", error_json("idle timeout"));
-                            return ConnClose::IdleTimeout;
-                        }
-                    } else {
-                        idle = Duration::ZERO;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return ConnClose::Error(e),
-            }
-        }
-        idle = Duration::ZERO;
-        let line = String::from_utf8_lossy(&buf);
-        let text = line.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        let reply = match text {
-            "status" => svc.status_json(),
-            "drain" => {
-                svc.begin_drain();
-                "{\"draining\":true}".to_owned()
-            }
-            _ => match parse_submission(text) {
-                Ok(sub) => {
-                    let (id, d) = svc.submit(sub);
-                    disposition_json(&id, d)
-                }
-                Err(e) => {
-                    bad_lines += 1;
-                    svc.registry().add("icd.bad_lines", 1);
-                    error_json(&e)
-                }
-            },
-        };
-        if let Err(e) = writeln!(writer, "{reply}") {
-            return ConnClose::Error(e);
-        }
-        if text == "drain" {
-            return ConnClose::Draining;
-        }
-        if bad_lines >= opts.max_bad_lines {
-            let _ = writeln!(writer, "{}", error_json("too many malformed lines"));
-            return ConnClose::Kicked;
-        }
-    }
-}
-
-/// One handler thread per connection: serve it, then fold its fate
-/// into the metrics. Nothing a client does propagates past here.
-fn handle_client(stream: UnixStream, svc: &Arc<Service>, opts: &DaemonOpts, conn: u64) {
-    let reg = Arc::clone(svc.registry());
-    let close = serve_connection(stream, svc, opts);
-    let label = match close {
-        ConnClose::Eof => "eof",
-        ConnClose::PartialEof => "partial",
-        ConnClose::IdleTimeout => "idle-timeout",
-        ConnClose::Draining => "draining",
-        ConnClose::Kicked => "kicked",
-        ConnClose::Error(e) => {
-            eprintln!("icd: connection {conn}: {e}");
-            "error"
-        }
-    };
-    reg.add("icd.conn.closed", 1);
-    reg.add(&format!("icd.conn.closed.{label}"), 1);
-}
-
-/// The daemon accept loop: non-blocking accept so SIGTERM/SIGINT and
-/// socket-initiated drains are noticed within one tick, one handler
-/// thread per connection, and per-connection fault isolation — accept
-/// errors are counted and served around, never fatal.
-fn serve_daemon(path: &str, svc: &Arc<Service>, opts: &DaemonOpts) -> std::io::Result<()> {
-    signals::install();
-    let listener = bind_socket(path)?;
-    let mut guard = SocketGuard::new(path);
-    listener.set_nonblocking(true)?;
-    eprintln!("icd: serving {path} (lines: submissions, `status`, `drain`; SIGTERM/SIGINT drain)");
-    let reg = Arc::clone(svc.registry());
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    let mut next_conn = 0u64;
-    while !signals::requested() && !svc.is_draining() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                reg.add("icd.conn.opened", 1);
-                let svc = Arc::clone(svc);
-                let opts = opts.clone();
-                let conn = next_conn;
-                next_conn += 1;
-                handlers.push(std::thread::spawn(move || {
-                    handle_client(stream, &svc, &opts, conn);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(TICK),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => {
-                reg.add("icd.conn.accept_errors", 1);
-                eprintln!("icd: accept failed: {e}");
-                std::thread::sleep(TICK);
-            }
-        }
-    }
-    if signals::requested() {
-        svc.begin_drain();
-        eprintln!("icd: shutdown signal received, draining");
-    }
-    // Unlink before joining the handlers so new connects fail fast
-    // instead of queueing in a backlog nobody will ever accept.
-    drop(listener);
-    guard.remove();
-    for h in handlers {
-        let _ = h.join();
-    }
-    Ok(())
-}
-
 /// Client mode: forward each input line to a daemon, print one reply
 /// line per request. A final unterminated fragment is sent as raw
 /// bytes followed by a disconnect — the deliberate mid-line-drop probe
-/// the daemon-mode tests and CI use.
-fn run_client(path: &str, batch: Option<&str>) -> ExitCode {
+/// the daemon-mode tests and CI use. `Ok(false)` when any reply was an
+/// error or a shed.
+fn run_client(path: &str, batch: Option<&str>) -> Result<bool, String> {
     let mut input = Vec::new();
-    let read = match batch {
+    match batch {
         Some("-") | None => std::io::stdin().lock().read_to_end(&mut input),
         Some(file) => std::fs::File::open(file).and_then(|mut f| f.read_to_end(&mut input)),
-    };
-    if let Err(e) = read {
-        eprintln!("icd: cannot read input: {e}");
-        return ExitCode::from(2);
     }
-    let stream = match UnixStream::connect(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("icd: cannot connect to {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("icd: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut reader = BufReader::new(stream);
-    let mut degraded = false;
-    let mut rest: &[u8] = &input;
-    while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-        let (line, tail) = rest.split_at(nl + 1);
-        rest = tail;
-        let text = String::from_utf8_lossy(&line[..nl]);
+    .map_err(|e| format!("cannot read input: {e}"))?;
+    let mut writer =
+        UnixStream::connect(path).map_err(|e| format!("cannot connect to {path}: {e}"))?;
+    let mut reader = BufReader::new(writer.try_clone().map_err(|e| e.to_string())?);
+    let mut ok = true;
+    for line in input.split_inclusive(|&b| b == b'\n') {
+        let Some(text) = line.strip_suffix(b"\n") else {
+            // Unterminated fragment: send it and hang up mid-line. A daemon
+            // that refuses an over-cap line closes before taking it all.
+            match writer.write_all(line).and_then(|()| writer.flush()) {
+                Ok(()) => eprintln!(
+                    "icd: sent {} unterminated byte(s) and disconnected",
+                    line.len()
+                ),
+                Err(e) => eprintln!("icd: daemon closed the connection mid-fragment: {e}"),
+            }
+            break;
+        };
+        let text = String::from_utf8_lossy(text);
         let text = text.trim();
         if text.is_empty() || text.starts_with('#') {
             continue;
         }
-        let io: std::io::Result<String> = (|| {
-            writer.write_all(text.as_bytes())?;
-            writer.write_all(b"\n")?;
-            let mut reply = String::new();
-            reader.read_line(&mut reply)?;
-            Ok(reply)
-        })();
-        match io {
-            Ok(reply) => {
-                let reply = reply.trim_end();
-                println!("{reply}");
-                if reply.contains("\"error\"") || reply.contains("\"shed\"") {
-                    degraded = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("icd: connection lost: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        let mut reply = String::new();
+        writeln!(writer, "{text}")
+            .and_then(|()| reader.read_line(&mut reply))
+            .map_err(|e| format!("connection lost: {e}"))?;
+        let reply = reply.trim_end();
+        println!("{reply}");
+        // Only error and shed replies degrade the exit status; a
+        // `status` snapshot mentions "shed" in its tenant table.
+        ok &= !(reply.starts_with("{\"error\":") || reply.contains("\"disposition\":\"shed\""));
     }
-    if !rest.is_empty() {
-        // Unterminated fragment: send it and hang up mid-line.
-        let _ = writer.write_all(rest);
-        let _ = writer.flush();
-        eprintln!(
-            "icd: sent {} unterminated byte(s) and disconnected",
-            rest.len()
-        );
-    }
-    if degraded {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(ok)
 }
 
 /// A campaign id as a safe artifact file stem.
@@ -664,35 +262,36 @@ fn file_stem(id: &str) -> String {
 
 fn main() -> ExitCode {
     let cli = parse_cli();
-    if let Some(path) = &cli.connect {
-        return run_client(path, cli.batch.as_deref());
-    }
-    let out_dir = std::path::PathBuf::from(&cli.out);
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        return ExitCode::from(2);
-    }
-
-    let corpus: Option<Arc<Corpus>> = match &cli.corpus_dir {
-        Some(dir) => {
-            let mut options = CorpusOptions::at(dir);
-            if let Some(n) = cli.corpus_segment_bytes {
-                options = options.segment_bytes(n);
-            }
-            if let Some(n) = cli.corpus_max_bytes {
-                options = options.max_bytes(n);
-            }
-            if let Some(n) = cli.corpus_cache_slots {
-                options = options.cache_slots(n as usize);
-            }
-            match options.open() {
-                Ok(corpus) => Some(Arc::new(corpus)),
-                Err(e) => {
-                    eprintln!("icd: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+    let outcome = match &cli.connect {
+        Some(path) => run_client(path, cli.batch.as_deref()),
+        None => run_daemon(&cli),
+    };
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("icd: {e}");
+            ExitCode::from(2)
         }
+    }
+}
+
+/// Daemon mode: intake, drain, artifacts. `Ok(false)` when any
+/// submission did not complete or a line was malformed.
+fn run_daemon(cli: &IcdCli) -> Result<bool, String> {
+    let out_dir = PathBuf::from(&cli.out);
+    std::fs::create_dir_all(&out_dir)
+        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
+    let corpus: Option<Arc<Corpus>> = match &cli.corpus_dir {
+        Some(dir) => Some(Arc::new(
+            open_corpus(
+                dir,
+                cli.corpus_segment_bytes,
+                cli.corpus_max_bytes,
+                cli.corpus_cache_slots,
+            )
+            .map_err(|e| e.to_string())?,
+        )),
         None => None,
     };
     let svc = Arc::new(Service::new(Orchestrator::new(
@@ -705,68 +304,32 @@ fn main() -> ExitCode {
     // intake and keeps serving through the drain.
     let mut http_server = match &cli.http {
         Some(addr) => {
-            match HttpServer::bind(addr.as_str(), Arc::clone(&svc), HttpOptions::default()) {
-                Ok(server) => {
-                    eprintln!(
-                        "icd: telemetry on http://{} (/status /metrics /profile)",
-                        server.local_addr()
-                    );
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("icd: cannot bind http {addr}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            let server = HttpServer::bind(addr.as_str(), Arc::clone(&svc), HttpOptions::default())
+                .map_err(|e| format!("cannot bind http {addr}: {e}"))?;
+            eprintln!(
+                "icd: telemetry on http://{} (/status /metrics /profile)",
+                server.local_addr()
+            );
+            Some(server)
         }
         None => None,
     };
     let mut heartbeat = match cli.heartbeat {
         Some(interval) => {
             let path = out_dir.join("heartbeat.jsonl");
-            match Heartbeat::start(Arc::clone(svc.telemetry()), path.clone(), interval) {
-                Ok(hb) => Some(hb),
-                Err(e) => {
-                    eprintln!("icd: cannot start heartbeat at {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
+            let hb = Heartbeat::start(Arc::clone(svc.telemetry()), path.clone(), interval)
+                .map_err(|e| format!("cannot start heartbeat at {}: {e}", path.display()))?;
+            Some(hb)
         }
         None => None,
     };
-
-    let io_result: std::io::Result<()> = (|| {
-        if let Some(batch) = &cli.batch {
-            if batch == "-" {
-                intake(std::io::stdin().lock(), &svc)?;
-            } else {
-                let file = std::fs::File::open(batch)?;
-                intake(BufReader::new(file), &svc)?;
-            }
-        }
-        if let Some(path) = &cli.socket {
-            serve_daemon(path, &svc, &cli.daemon)?;
-        } else if cli.batch.is_none() {
-            intake(std::io::stdin().lock(), &svc)?;
-        }
-        Ok(())
-    })();
-    if let Err(e) = io_result {
-        eprintln!("icd: intake failed: {e}");
-        return ExitCode::from(2);
-    }
+    intake(cli, &svc).map_err(|e| format!("intake failed: {e}"))?;
 
     eprintln!("icd: draining {} submission(s)…", svc.submitted());
-    let registry = Arc::clone(svc.registry());
     let results = svc.drain();
-
-    let bad_lines = registry.counter("icd.bad_lines").get();
-    let mut failed = bad_lines > 0;
+    let bad_lines = svc.registry().counter("icd.bad_lines").get();
     let mut summary = String::new();
     for r in &results {
-        if r.status != CampaignStatus::Completed {
-            failed = true;
-        }
         let line = r.summary_json();
         println!("{line}");
         summary.push_str(&line);
@@ -786,7 +349,7 @@ fn main() -> ExitCode {
     );
     write_artifact(
         &out_dir.join("metrics.json"),
-        &registry.snapshot().to_json(),
+        &svc.registry().snapshot().to_json(),
     );
     // The wall-clock story (queue dwell, cache waits, worker lanes);
     // same body `/profile` serves. Written before the HTTP listener
@@ -823,11 +386,29 @@ fn main() -> ExitCode {
             );
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    Ok(bad_lines == 0 && completed == results.len())
+}
+
+/// Reads submissions from `--batch`, then serves `--socket`, then —
+/// when neither was given — reads stdin.
+fn intake(cli: &IcdCli, svc: &Service) -> std::io::Result<()> {
+    if let Some(batch) = &cli.batch {
+        if batch == "-" {
+            sched::read_submissions(std::io::stdin().lock(), svc)?;
+        } else {
+            sched::read_submissions(std::fs::File::open(batch)?, svc)?;
+        }
     }
+    if let Some(path) = &cli.socket {
+        signals::install();
+        sched::serve_socket(path, svc, &cli.daemon, &signals::requested)?;
+        if signals::requested() {
+            eprintln!("icd: shutdown signal received, draining");
+        }
+    } else if cli.batch.is_none() {
+        sched::read_submissions(std::io::stdin().lock(), svc)?;
+    }
+    Ok(())
 }
 
 /// Writes one artifact atomically (tmp + rename in the target

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use corpus::{Corpus, CorpusOptions};
+use corpus::{Corpus, CorpusError, CorpusOptions};
 use instantcheck::{parse_rounding, parse_switch, CampaignSpec, FailurePolicy, Scheme};
 
 /// The parsed spec-level command line of a harness binary.
@@ -28,9 +28,8 @@ pub struct SpecArgs {
     pub scaled: bool,
     /// `--trace`: record per-campaign event traces.
     pub trace: bool,
-    /// The corpus named by `--corpus-dir` (or the historic `--corpus`
-    /// alias), already opened through [`Corpus::open`] with the sizing
-    /// flags applied.
+    /// The corpus named by `--corpus-dir`, already opened through
+    /// [`open_corpus`] with the sizing flags applied.
     pub corpus: Option<Arc<Corpus>>,
     /// Arguments this parser did not recognize, in order — binaries
     /// with extra flags (subcommands, `--dir`, …) consume these.
@@ -45,8 +44,8 @@ pub struct SpecArgs {
 /// (`abort`/`skip`/`retry`/`retry-same`), `--deadline-ms N`,
 /// `--max-steps N`, `--jobs N`, `--cache-model`, `--trace`,
 /// `--corpus-dir DIR`, `--corpus-segment-bytes N`,
-/// `--corpus-max-bytes N`, `--corpus-cache-slots N` (and the historic
-/// `--corpus DIR` alias). Anything else lands in [`SpecArgs::rest`].
+/// `--corpus-max-bytes N`, `--corpus-cache-slots N`. Anything else
+/// lands in [`SpecArgs::rest`].
 /// (`--workload` matters for spec authoring; the table/figure binaries
 /// overwrite it per app.)
 ///
@@ -108,9 +107,7 @@ pub fn parse_spec(args: &[String]) -> Result<SpecArgs, String> {
             "--deadline-ms" => deadline_ms = Some(parse_num(flag, &value()?)?),
             "--max-steps" => max_steps = Some(parse_num(flag, &value()?)?),
             "--jobs" => jobs = Some(parse_num(flag, &value()?)?),
-            // `--corpus` predates the namespaced storage flags; both
-            // spellings feed the same `CorpusOptions`.
-            "--corpus-dir" | "--corpus" => corpus_dir = Some(value()?),
+            "--corpus-dir" => corpus_dir = Some(value()?),
             "--corpus-segment-bytes" => corpus_segment_bytes = Some(parse_num(flag, &value()?)?),
             "--corpus-max-bytes" => corpus_max_bytes = Some(parse_num(flag, &value()?)?),
             "--corpus-cache-slots" => corpus_cache_slots = Some(parse_num(flag, &value()?)?),
@@ -183,19 +180,15 @@ pub fn parse_spec(args: &[String]) -> Result<SpecArgs, String> {
         spec.corpus_cache_slots = Some(n);
     }
     let corpus = match &spec.corpus_dir {
-        Some(dir) => {
-            let mut options = CorpusOptions::at(dir);
-            if let Some(n) = spec.corpus_segment_bytes {
-                options = options.segment_bytes(n);
-            }
-            if let Some(n) = spec.corpus_max_bytes {
-                options = options.max_bytes(n);
-            }
-            if let Some(n) = spec.corpus_cache_slots {
-                options = options.cache_slots(n as usize);
-            }
-            Some(Arc::new(options.open().map_err(|e| e.to_string())?))
-        }
+        Some(dir) => Some(Arc::new(
+            open_corpus(
+                dir,
+                spec.corpus_segment_bytes,
+                spec.corpus_max_bytes,
+                spec.corpus_cache_slots,
+            )
+            .map_err(|e| e.to_string())?,
+        )),
         None => None,
     };
 
@@ -206,6 +199,33 @@ pub fn parse_spec(args: &[String]) -> Result<SpecArgs, String> {
         corpus,
         rest,
     })
+}
+
+/// Opens (or creates) the corpus the storage flags describe: the
+/// `--corpus-dir` directory, sized by `--corpus-segment-bytes`,
+/// `--corpus-max-bytes` and `--corpus-cache-slots` where given. Every
+/// binary with storage flags opens its corpus here.
+///
+/// # Errors
+///
+/// The corpus could not be opened.
+pub fn open_corpus(
+    dir: &str,
+    segment_bytes: Option<u64>,
+    max_bytes: Option<u64>,
+    cache_slots: Option<u64>,
+) -> Result<Corpus, CorpusError> {
+    let mut options = CorpusOptions::at(dir);
+    if let Some(n) = segment_bytes {
+        options = options.segment_bytes(n);
+    }
+    if let Some(n) = max_bytes {
+        options = options.max_bytes(n);
+    }
+    if let Some(n) = cache_slots {
+        options = options.cache_slots(n as usize);
+    }
+    options.open()
 }
 
 /// Resolves a `--policy` name against the campaign's final run count
@@ -352,13 +372,8 @@ mod tests {
         assert_eq!(corpus.dir(), Some(dir.as_path()));
         assert_eq!(corpus.cache_capacity(), 128);
 
-        // The pre-namespacing spelling keeps working, via the same path.
-        let sa = parse(&["--corpus", &dir_s]);
-        assert_eq!(sa.spec.corpus_dir.as_deref(), Some(dir_s.as_str()));
-        assert!(sa.corpus.is_some());
-
         // The run key ignores storage placement entirely.
-        let keyed = parse(&["--corpus", &dir_s]).spec.run_key(0, 1, None);
+        let keyed = parse(&["--corpus-dir", &dir_s]).spec.run_key(0, 1, None);
         let bare = parse(&[]).spec.run_key(0, 1, None);
         assert_eq!(keyed.canonical(), bare.canonical());
         std::fs::remove_dir_all(&dir).ok();

@@ -4,9 +4,12 @@
 //! serialization framework is not needed to emit them. [`ToJson`]
 //! covers exactly the shapes the binaries write: scalars, strings,
 //! options, vectors, small tuples, and the row structs in the crate
-//! root.
+//! root. Strings are escaped by `obs::json::write_str`, the one JSON
+//! string escaper in the workspace.
 
 use std::fmt::Write as _;
+
+use obs::json::write_str;
 
 /// Types that can render themselves as a JSON value.
 pub trait ToJson {
@@ -19,25 +22,6 @@ pub trait ToJson {
         self.write_json(&mut s);
         s
     }
-}
-
-/// Appends a JSON string literal (quoted, escaped) to `out`.
-pub fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Appends one `"key": value` object field (with leading comma unless

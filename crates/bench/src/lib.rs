@@ -9,7 +9,7 @@
 //! deterministic event trace (`results/<app>.trace.jsonl`) that
 //! `icprof` can profile or convert for `chrome://tracing`; with
 //! `--cache-model`, L1/MHM hit rates are measured and included in the
-//! JSON artifacts; with `--corpus DIR`, completed runs are recorded
+//! JSON artifacts; with `--corpus-dir DIR`, completed runs are recorded
 //! to (and replayed from) a persistent content-addressed store — see
 //! the `corpus` crate and the `corpus` binary, which records and
 //! drift-checks campaign baselines against that store.
@@ -54,10 +54,9 @@ pub struct HarnessOpts {
     /// Worker threads per campaign (`None` = the machine's available
     /// parallelism; the report is identical either way).
     pub jobs: Option<usize>,
-    /// Persistent run corpus (`--corpus-dir DIR`, historically
-    /// `--corpus DIR`): completed runs are looked up in, and recorded
-    /// to, the log-structured store, so repeated harness invocations
-    /// replay instead of re-simulating. Warm campaigns produce
+    /// Persistent run corpus (`--corpus-dir DIR`): completed runs are
+    /// looked up in, and recorded to, the log-structured store, so
+    /// repeated harness invocations replay instead of re-simulating. Warm campaigns produce
     /// byte-identical reports (the determinism verdicts cannot drift
     /// with cache state), so tables and figures are unaffected.
     pub corpus: Option<std::sync::Arc<corpus::Corpus>>,
@@ -84,7 +83,7 @@ impl HarnessOpts {
     /// `std::env::args`: `--scaled`, `--runs N`, `--seed N`,
     /// `--scheme S`, `--jobs N`, `--policy P` (`abort`/`skip`/
     /// `retry`/`retry-same`), `--trace`, `--cache-model`,
-    /// `--corpus DIR`, `--spec FILE`, and the rest of the spec fields.
+    /// `--corpus-dir DIR`, `--spec FILE`, and the rest of the spec fields.
     /// Unknown arguments are reported and ignored; malformed values
     /// exit with status 2.
     pub fn from_args() -> Self {
@@ -633,7 +632,7 @@ pub struct CampaignBenchRow {
 /// The checker's deterministic reduction makes the report identical at
 /// every worker count, so only the wall clock varies; each row's last
 /// repetition is still compared against the serial report as a cheap
-/// end-to-end cross-check. The `--corpus` store is deliberately *not*
+/// end-to-end cross-check. The `--corpus-dir` store is deliberately *not*
 /// attached here: a timing sweep satisfied from cache would measure
 /// file reads, not the campaign executor.
 pub fn campaign_bench(

@@ -57,7 +57,7 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     );
     if std::env::var_os("BENCH_JSON").is_some() {
         let mut line = String::from("{\"name\": ");
-        crate::json::write_str(&mut line, name);
+        obs::json::write_str(&mut line, name);
         line.push_str(&format!(
             ", \"best_ns\": {best:?}, \"mean_ns\": {mean:?}, \"stddev_ns\": {stddev:?}, \
              \"iters\": {iters}}}"

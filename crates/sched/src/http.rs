@@ -10,25 +10,20 @@
 //!   quantiles, worker lanes) and the shared-cache contention table
 //!   (JSON), consumable by `icprof --profile`.
 //!
-//! Fault isolation mirrors the daemon's Unix-socket discipline: one
-//! thread per connection, short read timeouts polled at a tick, a hard
-//! cap on request bytes, and an idle deadline — a malformed request
-//! line, an oversized header block, a mid-request disconnect, or a
-//! slow-loris stall each cost exactly that one connection. The server
-//! is read-only by construction (`GET` only), so it can keep answering
-//! during drain without interacting with intake.
+//! It runs on the shared connection core (`crate::conn`): each hostile
+//! client costs only its own connection, counted as
+//! `icd.http.closed.<reason>` on the telemetry plane. It is read-only
+//! (`GET` only), so it keeps answering during drain.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::conn::{accept_loop, ConnClose, FrameReader, TICK};
 use crate::Service;
-
-/// Poll granularity of the accept loop and connection reads.
-const TICK: Duration = Duration::from_millis(20);
 
 /// HTTP server tuning.
 #[derive(Debug, Clone)]
@@ -47,31 +42,6 @@ impl Default for HttpOptions {
         HttpOptions {
             max_request_bytes: 8192,
             idle_timeout: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Why a connection ended; labels feed `icd.http.closed.*` telemetry
-/// counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnClose {
-    Served,
-    BadRequest,
-    TooLarge,
-    IdleTimeout,
-    Disconnect,
-    WriteError,
-}
-
-impl ConnClose {
-    fn label(self) -> &'static str {
-        match self {
-            ConnClose::Served => "served",
-            ConnClose::BadRequest => "bad-request",
-            ConnClose::TooLarge => "too-large",
-            ConnClose::IdleTimeout => "idle-timeout",
-            ConnClose::Disconnect => "disconnect",
-            ConnClose::WriteError => "write-error",
         }
     }
 }
@@ -104,33 +74,23 @@ impl HttpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let accept = std::thread::spawn(move || {
-            let conns: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-            while !flag.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let service = Arc::clone(&service);
-                        let options = options.clone();
-                        let mut conns = conns.lock().unwrap();
-                        // Opportunistically reap finished handlers so
-                        // the vec stays bounded by live connections.
-                        conns.retain(|h| !h.is_finished());
-                        conns.push(std::thread::spawn(move || {
-                            let close = serve_connection(stream, &service, &options);
-                            service
-                                .telemetry()
-                                .counter(&format!("icd.http.closed.{}", close.label()))
-                                .inc();
-                        }));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(TICK),
-                    // A failed accept (EMFILE, aborted handshake) must
-                    // not kill the listener.
-                    Err(_) => std::thread::sleep(TICK),
-                }
-            }
-            for h in conns.into_inner().unwrap() {
-                let _ = h.join();
-            }
+            let telemetry = service.telemetry();
+            accept_loop(
+                move || {
+                    let (stream, _) = listener.accept()?;
+                    stream.set_read_timeout(Some(TICK))?;
+                    let _ = stream.set_nodelay(true);
+                    Ok(stream)
+                },
+                &|| flag.load(Ordering::SeqCst),
+                &|_| telemetry.counter("icd.http.accept_errors").inc(),
+                &|stream| {
+                    let close = serve_connection(stream, &service, &options);
+                    telemetry
+                        .counter(&format!("icd.http.closed.{}", close.label()))
+                        .inc();
+                },
+            );
         });
         Ok(HttpServer {
             addr,
@@ -159,33 +119,11 @@ impl Drop for HttpServer {
     }
 }
 
-/// Reads the request head (through the blank line), bounded by the
-/// byte cap and the idle deadline.
-fn read_request_head(stream: &mut TcpStream, options: &HttpOptions) -> Result<Vec<u8>, ConnClose> {
-    let deadline = Instant::now() + options.idle_timeout;
-    let mut head = Vec::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(ConnClose::Disconnect),
-            Ok(n) => {
-                head.extend_from_slice(&chunk[..n]);
-                if head.len() > options.max_request_bytes {
-                    return Err(ConnClose::TooLarge);
-                }
-                if head.windows(4).any(|w| w == b"\r\n\r\n")
-                    || head.windows(2).any(|w| w == b"\n\n")
-                {
-                    return Ok(head);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => return Err(ConnClose::Disconnect),
-        }
-        if Instant::now() >= deadline {
-            return Err(ConnClose::IdleTimeout);
-        }
-    }
+/// Where a request head ends: its first blank line.
+fn head_end(buf: &[u8]) -> Option<usize> {
+    let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4);
+    let lf = buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2);
+    crlf.into_iter().chain(lf).min()
 }
 
 /// Parses `GET /path HTTP/1.x`, returning the path (query stripped).
@@ -228,77 +166,65 @@ fn write_response(
 /// The Prometheus exposition content type the scrapers expect.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
+const JSON: &str = "application/json";
+const TEXT: &str = "text/plain; charset=utf-8";
+
 /// Serves exactly one request on `stream` (`Connection: close`
 /// discipline), recording per-request latency telemetry. All errors
 /// are local to the connection.
-fn serve_connection(mut stream: TcpStream, service: &Service, options: &HttpOptions) -> ConnClose {
-    let telemetry = Arc::clone(service.telemetry());
+fn serve_connection(stream: TcpStream, service: &Service, options: &HttpOptions) -> ConnClose {
+    let telemetry = service.telemetry();
     telemetry.counter("icd.http.requests").inc();
     let started = Instant::now();
-    let _ = stream.set_read_timeout(Some(TICK));
-    let _ = stream.set_nodelay(true);
-
-    let outcome = read_request_head(&mut stream, options).and_then(|head| {
-        let (method, path) = parse_request_line(&head)?;
-        if method != "GET" {
-            write_response(
-                &mut stream,
-                "405 Method Not Allowed",
-                "text/plain; charset=utf-8",
-                "Allow: GET\r\n",
-                "only GET is supported\n",
-            )?;
-            return Ok(());
+    let mut frames = FrameReader::new(
+        stream,
+        options.max_request_bytes,
+        Some(options.idle_timeout),
+    );
+    // Shutdown lets a request in flight finish: it is read to its end or
+    // to the deadline.
+    let request = frames.next_frame(head_end, &|| false);
+    let close = match request.and_then(|head| parse_request_line(&head)) {
+        Ok((method, path)) => {
+            let (status, content_type, extra, body) = match (method.as_str(), path.as_str()) {
+                ("GET", "/status") => ("200 OK", JSON, "", service.status_json()),
+                ("GET", "/metrics") => ("200 OK", METRICS_CONTENT_TYPE, "", service.metrics_text()),
+                ("GET", "/profile") => ("200 OK", JSON, "", service.profile_json()),
+                ("GET", _) => (
+                    "404 Not Found",
+                    TEXT,
+                    "",
+                    "unknown path; try /status, /metrics, /profile\n".to_owned(),
+                ),
+                _ => (
+                    "405 Method Not Allowed",
+                    TEXT,
+                    "Allow: GET\r\n",
+                    "only GET is supported\n".to_owned(),
+                ),
+            };
+            write_response(frames.stream(), status, content_type, extra, &body)
+                .err()
+                .unwrap_or(ConnClose::Served)
         }
-        match path.as_str() {
-            "/status" => write_response(
-                &mut stream,
-                "200 OK",
-                "application/json",
-                "",
-                &service.status_json(),
-            ),
-            "/metrics" => write_response(
-                &mut stream,
-                "200 OK",
-                METRICS_CONTENT_TYPE,
-                "",
-                &service.metrics_text(),
-            ),
-            "/profile" => write_response(
-                &mut stream,
-                "200 OK",
-                "application/json",
-                "",
-                &service.profile_json(),
-            ),
-            _ => write_response(
-                &mut stream,
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "",
-                "unknown path; try /status, /metrics, /profile\n",
-            ),
-        }
-    });
-    let close = match outcome {
-        Ok(()) => ConnClose::Served,
+        // The transport ends of the shared reader are one close here.
+        Err(ConnClose::Eof | ConnClose::Partial | ConnClose::Error(_)) => ConnClose::Disconnect,
         Err(close) => {
             // Best-effort error reply; the connection is dropped either
             // way, and a peer that already vanished just ignores it.
-            let (status, body) = match close {
-                ConnClose::BadRequest => ("400 Bad Request", "malformed request line\n"),
-                ConnClose::TooLarge => (
+            let reply = match close {
+                ConnClose::BadRequest => Some(("400 Bad Request", "malformed request line\n")),
+                ConnClose::TooLarge => Some((
                     "431 Request Header Fields Too Large",
                     "request head too large\n",
-                ),
+                )),
                 ConnClose::IdleTimeout => {
-                    ("408 Request Timeout", "request not completed in time\n")
+                    Some(("408 Request Timeout", "request not completed in time\n"))
                 }
-                _ => ("400 Bad Request", "bad request\n"),
+                _ => None,
             };
-            if !matches!(close, ConnClose::Disconnect | ConnClose::WriteError) {
-                let _ = write_response(&mut stream, status, "text/plain; charset=utf-8", "", body);
+            if let Some((status, body)) = reply {
+                let _ = write_response(frames.stream(), status, TEXT, "", body);
             }
             close
         }
@@ -309,6 +235,7 @@ fn serve_connection(mut stream: TcpStream, service: &Service, options: &HttpOpti
 
 #[cfg(test)]
 mod tests {
+    use std::io::Read;
     use std::sync::Arc;
 
     use instantcheck::Scheme;

@@ -26,6 +26,12 @@
 //!   `FailurePolicy`/`SimError::Deadline` machinery, and transient
 //!   deadline failures retry with exponential backoff.
 //!
+//! A [`Service`] is served by two fault-isolating servers that share
+//! one connection core (accept loop, bounded frame reader, close
+//! reasons): the JSONL submission intake on a unix socket
+//! ([`serve_socket`], with [`read_submissions`] for batch files and
+//! stdin) and the read-only HTTP telemetry listener ([`HttpServer`]).
+//!
 //! # Example
 //!
 //! ```
@@ -65,13 +71,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod conn;
 mod http;
+mod intake;
 mod orchestrator;
 mod queue;
 mod service;
 
 pub use http::{HttpOptions, HttpServer, METRICS_CONTENT_TYPE};
 pub use instantcheck::CampaignSpec;
+pub use intake::{parse_submission, read_submissions, serve_socket, SocketOptions, MAX_LINE_BYTES};
 pub use orchestrator::{
     CampaignResult, CampaignStatus, Disposition, Orchestrator, OrchestratorConfig, ProgramSource,
     Resolver, ShedReason, Submission, TenantStats, DEFAULT_TENANT, QUEUE_DWELL_HISTOGRAM,
