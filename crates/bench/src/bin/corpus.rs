@@ -116,7 +116,7 @@ fn parse_cli() -> Cli {
             }
         }
     };
-    spec.corpus_dir = corpus.dir().map(|p| p.to_string_lossy().into_owned());
+    spec.corpus_dir = Some(corpus.dir().to_string_lossy().into_owned());
     Cli {
         command,
         app,
@@ -255,9 +255,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let store = &cli.corpus;
-    let baselines = store
-        .baselines_dir()
-        .expect("corpus opened with a directory");
+    let baselines = store.baselines_dir();
     let name = baseline_name(&cli);
     let (runs, report) = campaign(&cli, &app);
     eprintln!(

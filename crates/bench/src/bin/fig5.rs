@@ -1,21 +1,10 @@
 //! Regenerates Figure 5: distributions of nondeterminism points for
 //! representative applications (how many of the 30 runs produced each
 //! distinct state at each checking point).
-//!
-//! Also times the campaign executor on the same applications across
-//! worker counts (`--jobs` adds an extra point to the sweep) and writes
-//! `results/BENCH_campaign.json` — the scaling artifact for the
-//! parallel checking harness. On a single-core host the speedup column
-//! honestly reports ~1.0x; the sweep still exercises the fan-out path.
 
-use instantcheck_bench::{
-    campaign_bench, distributions, render_campaign_bench, render_distributions, HarnessOpts,
-    Reporter,
-};
+use instantcheck_bench::{distributions, render_distributions, HarnessOpts, Reporter};
 
 const APPS: [&str; 3] = ["canneal", "fluidanimate", "sphinx3"];
-/// Campaign repetitions per (app, jobs) point.
-const REPS: usize = 3;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -33,21 +22,4 @@ fn main() {
     }
     r.table(&render_distributions(&reports));
     r.artifact(&reports);
-
-    // Executor-scaling sweep: serial baseline plus fan-out points.
-    let mut jobs_axis = vec![1, 2, 4];
-    if let Some(jobs) = opts.jobs {
-        if !jobs_axis.contains(&jobs) {
-            jobs_axis.push(jobs);
-        }
-    }
-    let mut rows = Vec::new();
-    for name in APPS {
-        let app = instantcheck_workloads::by_name(name, opts.scaled).expect("registered");
-        if let Some(mut app_rows) = campaign_bench(&app, &opts, &jobs_axis, REPS, &r) {
-            rows.append(&mut app_rows);
-        }
-    }
-    r.table(&render_campaign_bench(&rows));
-    instantcheck_bench::write_json("BENCH_campaign", &rows);
 }

@@ -369,7 +369,7 @@ mod tests {
         assert_eq!(sa.spec.corpus_max_bytes, Some(1048576));
         assert_eq!(sa.spec.corpus_cache_slots, Some(128));
         let corpus = sa.corpus.expect("corpus opened");
-        assert_eq!(corpus.dir(), Some(dir.as_path()));
+        assert_eq!(corpus.dir(), dir.as_path());
         assert_eq!(corpus.cache_capacity(), 128);
 
         // The run key ignores storage placement entirely.

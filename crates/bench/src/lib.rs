@@ -18,6 +18,8 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use adhash::FpRound;
 use instantcheck::{
@@ -28,7 +30,6 @@ use instantcheck_workloads::AppSpec;
 
 pub mod cli;
 pub mod json;
-pub mod timing;
 
 use json::{write_field, ToJson};
 
@@ -604,119 +605,6 @@ pub fn render_distributions(reports: &[DistributionReport]) -> String {
     s
 }
 
-/// One wall-clock measurement of a full checking campaign at a fixed
-/// worker count — a row of `results/BENCH_campaign.json`.
-#[derive(Debug)]
-pub struct CampaignBenchRow {
-    /// Application name.
-    pub name: String,
-    /// Campaign length (runs compared).
-    pub runs: usize,
-    /// Worker threads (`--jobs`).
-    pub jobs: usize,
-    /// Repetitions measured.
-    pub reps: usize,
-    /// Mean campaign wall time in milliseconds.
-    pub mean_ms: f64,
-    /// Standard deviation across the repetitions, in milliseconds.
-    pub stddev_ms: f64,
-    /// Mean serial (jobs=1) wall time divided by this row's mean.
-    pub speedup: f64,
-}
-
-/// Times full checking campaigns for one app across worker counts and
-/// returns one row per `jobs` value, with speedups relative to the
-/// serial (jobs=1) row — or the first row when the axis omits 1.
-/// Returns `None` (after logging) if the campaign fails outright.
-///
-/// The checker's deterministic reduction makes the report identical at
-/// every worker count, so only the wall clock varies; each row's last
-/// repetition is still compared against the serial report as a cheap
-/// end-to-end cross-check. The `--corpus-dir` store is deliberately *not*
-/// attached here: a timing sweep satisfied from cache would measure
-/// file reads, not the campaign executor.
-pub fn campaign_bench(
-    app: &AppSpec,
-    opts: &HarnessOpts,
-    jobs_axis: &[usize],
-    reps: usize,
-    reporter: &Reporter,
-) -> Option<Vec<CampaignBenchRow>> {
-    // One untimed serial campaign validates the workload (a campaign
-    // that aborts is not worth timing) and pins the reference report.
-    let build = std::sync::Arc::clone(&app.build);
-    let reference = match instantcheck::Checker::new(opts.template().with_jobs(1))
-        .expect("valid config")
-        .check(move || build())
-    {
-        Ok(r) => r,
-        Err(e) => return log_and_skip(app, "campaign", &e),
-    };
-    let mut measured = Vec::new();
-    for &jobs in jobs_axis {
-        reporter.progress(&format!(
-            "  timing {} ({} runs, jobs={jobs}, {reps} reps)…",
-            app.name, opts.runs
-        ));
-        let cfg = opts.template().with_jobs(jobs);
-        let build = std::sync::Arc::clone(&app.build);
-        let mut last = None;
-        let samples = timing::time_reps(reps, || {
-            last = Some(
-                instantcheck::Checker::new(cfg.clone())
-                    .expect("valid config")
-                    .check(|| build())
-                    .expect("campaign validated above"),
-            );
-        });
-        assert_eq!(
-            last.as_ref(),
-            Some(&reference),
-            "{}: worker count changed the report (jobs={jobs})",
-            app.name
-        );
-        let (mean_ms, stddev_ms) = timing::mean_stddev(&samples);
-        measured.push((jobs, mean_ms, stddev_ms));
-    }
-    let serial_mean = measured
-        .iter()
-        .find(|(jobs, ..)| *jobs == 1)
-        .or_else(|| measured.first())
-        .map(|(_, mean, _)| *mean)?;
-    Some(
-        measured
-            .into_iter()
-            .map(|(jobs, mean_ms, stddev_ms)| CampaignBenchRow {
-                name: app.name.to_owned(),
-                runs: opts.runs,
-                jobs,
-                reps,
-                mean_ms,
-                stddev_ms,
-                speedup: serial_mean / mean_ms.max(f64::MIN_POSITIVE),
-            })
-            .collect(),
-    )
-}
-
-/// Renders campaign-bench rows as an aligned table.
-pub fn render_campaign_bench(rows: &[CampaignBenchRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<16} {:>5} {:>5} {:>12} {:>11} {:>8}",
-        "app", "runs", "jobs", "mean", "stddev", "speedup"
-    );
-    for r in rows {
-        let _ = writeln!(
-            s,
-            "{:<16} {:>5} {:>5} {:>9.2} ms {:>8.2} ms {:>7.2}x",
-            r.name, r.runs, r.jobs, r.mean_ms, r.stddev_ms, r.speedup
-        );
-    }
-    s
-}
-
 impl ToJson for Table1Row {
     fn write_json(&self, out: &mut String) {
         out.push('{');
@@ -773,21 +661,6 @@ impl ToJson for Table2Row {
     }
 }
 
-impl ToJson for CampaignBenchRow {
-    fn write_json(&self, out: &mut String) {
-        out.push('{');
-        let mut first = true;
-        write_field(out, &mut first, "name", &self.name);
-        write_field(out, &mut first, "runs", &self.runs);
-        write_field(out, &mut first, "jobs", &self.jobs);
-        write_field(out, &mut first, "reps", &self.reps);
-        write_field(out, &mut first, "mean_ms", &self.mean_ms);
-        write_field(out, &mut first, "stddev_ms", &self.stddev_ms);
-        write_field(out, &mut first, "speedup", &self.speedup);
-        out.push('}');
-    }
-}
-
 impl ToJson for DistributionReport {
     fn write_json(&self, out: &mut String) {
         out.push('{');
@@ -801,31 +674,43 @@ impl ToJson for DistributionReport {
     }
 }
 
-/// Writes a JSON artifact under `results/`.
-pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.json"));
-        if let Err(e) = std::fs::write(&path, value.to_json()) {
-            eprintln!("could not write {}: {e}", path.display());
-        } else {
-            eprintln!("wrote {}", path.display());
-        }
-    }
+/// Where the harness binaries write their artifacts, relative to the
+/// working directory.
+const RESULTS_DIR: &str = "results";
+
+/// Writes `contents` to `dir/file`, creating `dir` first, and returns
+/// the path written. The error names that path.
+fn write_artifact(dir: &Path, file: String, contents: &str) -> io::Result<PathBuf> {
+    let path = dir.join(file);
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, contents))
+        .map_err(|e| {
+            io::Error::new(e.kind(), format!("could not write {}: {e}", path.display()))
+        })?;
+    Ok(path)
 }
 
-/// Writes a campaign event trace under `results/`, next to the JSON
-/// artifacts, as deterministic JSONL that `icprof` consumes.
-pub fn write_trace(name: &str, events: &[obs::Event]) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.trace.jsonl"));
-        if let Err(e) = std::fs::write(&path, obs::events_to_jsonl(events)) {
-            eprintln!("could not write {}: {e}", path.display());
-        } else {
-            eprintln!("wrote {}", path.display());
-        }
-    }
+/// Writes a JSON artifact to `dir/{name}.json`.
+///
+/// # Errors
+///
+/// Creating `dir` or writing the file failed.
+pub fn write_json<T: ToJson + ?Sized>(dir: &Path, name: &str, value: &T) -> io::Result<PathBuf> {
+    write_artifact(dir, format!("{name}.json"), &value.to_json())
+}
+
+/// Writes a campaign event trace to `dir/{name}.trace.jsonl`, next to
+/// the JSON artifacts, as deterministic JSONL that `icprof` consumes.
+///
+/// # Errors
+///
+/// Creating `dir` or writing the file failed.
+pub fn write_trace(dir: &Path, name: &str, events: &[obs::Event]) -> io::Result<PathBuf> {
+    write_artifact(
+        dir,
+        format!("{name}.trace.jsonl"),
+        &obs::events_to_jsonl(events),
+    )
 }
 
 /// Uniform output channel for the harness binaries: progress notes on
@@ -861,14 +746,29 @@ impl Reporter {
     }
 
     /// Writes the binary's JSON artifact (`results/{tool}.json`).
+    /// Exits with status 2 when it cannot be written.
     pub fn artifact<T: ToJson + ?Sized>(&self, value: &T) {
-        write_json(&self.tool, value);
+        written(write_json(Path::new(RESULTS_DIR), &self.tool, value));
     }
 
     /// Writes a recorded campaign trace
-    /// (`results/{tool}-{label}.trace.jsonl`).
+    /// (`results/{tool}-{label}.trace.jsonl`). Exits with status 2 when
+    /// it cannot be written.
     pub fn trace(&self, label: &str, sink: &obs::MemorySink) {
-        write_trace(&format!("{}-{label}", self.tool), &sink.events());
+        let name = format!("{}-{label}", self.tool);
+        written(write_trace(Path::new(RESULTS_DIR), &name, &sink.events()));
+    }
+}
+
+/// Reports an artifact write; a binary whose artifact is missing must
+/// not exit 0, so a failed write ends the process.
+fn written(result: io::Result<PathBuf>) {
+    match result {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -975,6 +875,27 @@ mod tests {
         let s = render_fig6(&[f], &g, &d);
         assert!(s.contains("GEOM"));
         assert!(s.contains("438.00x"));
+    }
+
+    #[test]
+    fn artifact_writes_fail_loudly_when_a_file_blocks_the_directory() {
+        let base = std::env::temp_dir().join(format!("bench-blocked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let blocker = base.join("results");
+        std::fs::write(&blocker, "a plain file, not a directory").unwrap();
+        let json = write_json(&blocker, "table1", &vec![1u64, 2]).unwrap_err();
+        assert!(json.to_string().contains("table1.json"), "{json}");
+        let trace = write_trace(&blocker, "fig5-canneal", &[]).unwrap_err();
+        assert!(
+            trace.to_string().contains("fig5-canneal.trace.jsonl"),
+            "{trace}"
+        );
+
+        let dir = base.join("ok");
+        let path = write_json(&dir, "table1", &vec![1u64, 2]).unwrap();
+        assert_eq!(std::fs::read_to_string(path).unwrap(), "[1, 2]");
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`Corpus`] is the storage facade every consumer constructs —
 //!   [`Corpus::open`] with a [`CorpusOptions`] builder yields a
 //!   [`RunCache`] that layers the lock-free
-//!   in-memory [`SharedCache`] memo over the on-disk log engine.
+//!   in-memory `SharedCache` memo over the on-disk log engine.
 //!   There is no other way to assemble corpus storage; `sched`, `icd`,
 //!   and every bench binary construct it the same way.
 //! * On disk, completed runs live in an **append-only segment log**
@@ -93,7 +93,7 @@ mod store;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use instantcheck::{CacheLease, CachedRun, MemoryRunCache, RunCache, RunKey};
+use instantcheck::{CacheLease, CachedRun, RunCache, RunKey};
 use obs::{Registry, Snapshot, Telemetry};
 
 pub use baseline::{CampaignBaseline, Drift};
@@ -105,24 +105,21 @@ pub use record::{
 };
 pub use segment::{DEFAULT_SEGMENT_BYTES, SEGMENT_MAGIC, SEGMENT_VERSION};
 pub use shared::{
-    SharedCache, SharedCacheStats, CACHE_ACQUIRE_HISTOGRAM, CACHE_WAIT_HISTOGRAM,
-    DEFAULT_CACHE_CAPACITY,
+    SharedCacheStats, CACHE_ACQUIRE_HISTOGRAM, CACHE_WAIT_HISTOGRAM, DEFAULT_CACHE_CAPACITY,
 };
 pub use store::{LogStats, StoredRecord, CORPUS_COMPACT_HISTOGRAM, CORPUS_OPEN_HISTOGRAM};
 
-use shared::Inner;
+use shared::SharedCache;
 use store::LogStore;
 
 /// How to open a [`Corpus`]: where it lives and how it is shaped.
 ///
-/// A builder with two entry points — [`at`](CorpusOptions::at) for the
-/// normal durable, directory-backed store and
-/// [`ephemeral`](CorpusOptions::ephemeral) for a process-local
-/// in-memory corpus (benchmarks, tests, cache-only orchestration).
-/// Everything else has a sensible default.
+/// A builder with one entry point, [`at`](CorpusOptions::at), naming
+/// the directory the log lives in. Everything else has a sensible
+/// default.
 #[derive(Debug, Clone)]
 pub struct CorpusOptions {
-    dir: Option<PathBuf>,
+    dir: PathBuf,
     segment_bytes: u64,
     max_bytes: Option<u64>,
     cache_slots: usize,
@@ -135,21 +132,12 @@ impl CorpusOptions {
     /// missing).
     pub fn at(dir: impl Into<PathBuf>) -> CorpusOptions {
         CorpusOptions {
-            dir: Some(dir.into()),
+            dir: dir.into(),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             max_bytes: None,
             cache_slots: DEFAULT_CACHE_CAPACITY,
             registry: None,
             telemetry: None,
-        }
-    }
-
-    /// Options for an ephemeral, in-memory corpus: same facade, same
-    /// memo layer, nothing on disk and nothing to clean up.
-    pub fn ephemeral() -> CorpusOptions {
-        CorpusOptions {
-            dir: None,
-            ..CorpusOptions::at("")
         }
     }
 
@@ -201,46 +189,8 @@ impl CorpusOptions {
     }
 }
 
-/// The storage backend behind the facade.
-#[derive(Debug)]
-enum Backend {
-    /// The durable log-structured engine.
-    Log(Arc<LogStore>),
-    /// A process-local in-memory store with the same counter surface.
-    Memory(Arc<MemoryBackend>),
-}
-
-/// In-memory backend: a [`MemoryRunCache`] that counts the same
-/// `corpus.*` registry series the log engine does, so the facade's
-/// accessors mean the same thing either way.
-#[derive(Debug)]
-struct MemoryBackend {
-    cache: MemoryRunCache,
-    registry: Arc<Registry>,
-}
-
-impl RunCache for MemoryBackend {
-    fn lookup(&self, key: &RunKey) -> Option<Arc<CachedRun>> {
-        let hit = self.cache.lookup(key);
-        self.registry.add(
-            if hit.is_some() {
-                "corpus.hits"
-            } else {
-                "corpus.misses"
-            },
-            1,
-        );
-        hit
-    }
-
-    fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
-        self.cache.store(key, run);
-        self.registry.add("corpus.stores", 1);
-    }
-}
-
-/// The unified corpus: a lock-free [`SharedCache`] memo layered over a
-/// storage backend, constructed exclusively through
+/// The unified corpus: a lock-free `SharedCache` memo layered over
+/// the log engine, constructed exclusively through
 /// [`Corpus::open`]. Implements [`RunCache`], so it plugs straight
 /// into
 /// [`CheckerConfig::with_run_cache`](instantcheck::CheckerConfig::with_run_cache)
@@ -249,9 +199,8 @@ impl RunCache for MemoryBackend {
 /// See the [crate docs](crate) for a cold/warm round-trip example.
 #[derive(Debug)]
 pub struct Corpus {
-    backend: Backend,
+    log: Arc<LogStore>,
     cache: SharedCache,
-    registry: Arc<Registry>,
 }
 
 impl Corpus {
@@ -265,41 +214,17 @@ impl Corpus {
     /// `icorpus` one-file-per-run store, which is refused, never
     /// silently misread.
     pub fn open(options: CorpusOptions) -> Result<Corpus, CorpusError> {
-        let (backend, registry, inner): (Backend, Arc<Registry>, Inner) = match &options.dir {
-            Some(dir) => {
-                let log = Arc::new(LogStore::open(
-                    dir,
-                    options.segment_bytes,
-                    options.max_bytes,
-                )?);
-                if let Some(t) = &options.telemetry {
-                    log.bind_telemetry(t);
-                }
-                let registry = Arc::clone(log.registry());
-                (Backend::Log(Arc::clone(&log)), registry, Inner::Log(log))
-            }
-            None => {
-                let registry = Arc::new(Registry::new());
-                let mem = Arc::new(MemoryBackend {
-                    cache: MemoryRunCache::new(),
-                    registry: Arc::clone(&registry),
-                });
-                (
-                    Backend::Memory(Arc::clone(&mem)),
-                    registry,
-                    Inner::Cache(mem),
-                )
-            }
-        };
-        let cache = SharedCache::over(inner, options.cache_slots, options.registry);
+        let log = Arc::new(LogStore::open(
+            &options.dir,
+            options.segment_bytes,
+            options.max_bytes,
+        )?);
+        let cache = SharedCache::over(Arc::clone(&log), options.cache_slots, options.registry);
         if let Some(t) = &options.telemetry {
+            log.bind_telemetry(t);
             cache.bind_telemetry(t);
         }
-        Ok(Corpus {
-            backend,
-            cache,
-            registry,
-        })
+        Ok(Corpus { log, cache })
     }
 
     /// Late-binds the deterministic registry and wall-clock telemetry
@@ -308,23 +233,17 @@ impl Corpus {
     pub fn bind_observers(&self, registry: &Arc<Registry>, telemetry: &Arc<Telemetry>) {
         self.cache.bind_registry(registry);
         self.cache.bind_telemetry(telemetry);
-        if let Backend::Log(log) = &self.backend {
-            log.bind_telemetry(telemetry);
-        }
+        self.log.bind_telemetry(telemetry);
     }
 
-    /// The corpus root directory; `None` for an ephemeral corpus.
-    pub fn dir(&self) -> Option<&Path> {
-        match &self.backend {
-            Backend::Log(log) => Some(log.root()),
-            Backend::Memory(_) => None,
-        }
+    /// The corpus root directory.
+    pub fn dir(&self) -> &Path {
+        self.log.root()
     }
 
-    /// The baselines directory (see [`CampaignBaseline`]); `None` for
-    /// an ephemeral corpus.
-    pub fn baselines_dir(&self) -> Option<PathBuf> {
-        self.dir().map(|d| d.join("baselines"))
+    /// The baselines directory (see [`CampaignBaseline`]).
+    pub fn baselines_dir(&self) -> PathBuf {
+        self.dir().join("baselines")
     }
 
     /// The store's private metrics registry. Counters: `corpus.hits`,
@@ -334,35 +253,32 @@ impl Corpus {
     /// any campaign registry so warm and cold campaigns report
     /// identical campaign metrics.
     pub fn metrics(&self) -> Snapshot {
-        self.registry.snapshot()
+        self.log.registry().snapshot()
     }
 
-    /// Lookups satisfied from the backend so far (this instance).
+    /// Lookups satisfied from the log so far (this instance).
     pub fn hits(&self) -> u64 {
-        self.registry.counter("corpus.hits").get()
+        self.log.registry().counter("corpus.hits").get()
     }
 
     /// Lookups that found no trustworthy record.
     pub fn misses(&self) -> u64 {
-        self.registry.counter("corpus.misses").get()
+        self.log.registry().counter("corpus.misses").get()
     }
 
     /// Records written by this instance.
     pub fn stores(&self) -> u64 {
-        self.registry.counter("corpus.stores").get()
+        self.log.registry().counter("corpus.stores").get()
     }
 
     /// Records quarantined by this instance.
     pub fn quarantined(&self) -> u64 {
-        self.registry.counter("corpus.quarantined").get()
+        self.log.registry().counter("corpus.quarantined").get()
     }
 
     /// Live records in the store.
     pub fn run_count(&self) -> usize {
-        match &self.backend {
-            Backend::Log(log) => log.run_count(),
-            Backend::Memory(mem) => mem.cache.len(),
-        }
+        self.log.run_count()
     }
 
     /// Memo arena capacity in slots.
@@ -375,28 +291,23 @@ impl Corpus {
         self.cache.stats()
     }
 
-    /// A point-in-time snapshot of the log engine; `None` for an
-    /// ephemeral corpus.
+    /// A point-in-time snapshot of the log engine. Always `Some`: the
+    /// log is the only backend, and the `Option` keeps existing
+    /// `if let Some(..)` callers compiling.
     pub fn log_stats(&self) -> Option<LogStats> {
-        match &self.backend {
-            Backend::Log(log) => Some(log.log_stats()),
-            Backend::Memory(_) => None,
-        }
+        Some(self.log.log_stats())
     }
 
     /// Every live record, in log order, read back and checked — the
     /// data behind `corpus dump`. A record that fails its checks carries
     /// its [`Corruption`] instead of a run; reading never quarantines
-    /// or rewrites anything. Empty for an ephemeral corpus.
+    /// or rewrites anything.
     ///
     /// # Errors
     ///
     /// [`CorpusError::Index`] when the segment scan fails.
     pub fn records(&self) -> Result<Vec<StoredRecord>, CorpusError> {
-        match &self.backend {
-            Backend::Log(log) => log.records(),
-            Backend::Memory(_) => Ok(Vec::new()),
-        }
+        self.log.records()
     }
 }
 

@@ -3,7 +3,7 @@
 //! When many campaigns run at once against one [`RunCache`] — the
 //! `icd` orchestrator's whole point — the cache is the one structure
 //! every worker touches on every run slot, and any lock in it becomes
-//! the serialization point the scaling sweep pays for. [`SharedCache`]
+//! the serialization point every wide batch pays for. [`SharedCache`]
 //! removes the locks: it is an open-addressing hash table over a
 //! **fixed arena** of slots, in the style of the shared state tables
 //! used for multi-core reachability (Laarman et al., *Boosting
@@ -33,9 +33,9 @@
 //!   claim, waking the waiters, one of which re-claims and computes.
 //!
 //! Correctness note: as with the striped memo this replaces, the arena
-//! is a pure pass-through cache of the inner store's contents, and
+//! is a pure pass-through cache of the log's contents, and
 //! determinism never depends on hitting it — a miss just re-asks the
-//! inner cache, and a hit replays through the checker's normal
+//! log, and a hit replays through the checker's normal
 //! reduction path. Artifacts therefore stay byte-identical to solo
 //! runs regardless of which worker computed which entry, in what
 //! order, or whether the arena was full. The wait/retry/probe tallies
@@ -70,7 +70,7 @@ pub const CACHE_WAIT_HISTOGRAM: &str = "icd.cache.wait";
 /// Slots examined before a probe sequence gives up. With the insertion
 /// cap holding the arena at ≤ 3/4 load, linear-probe clusters longer
 /// than this are vanishingly rare; a sequence that exhausts the limit
-/// falls through to the inner cache uncached (correct, just unmemoized)
+/// falls through to the log uncached (correct, just unmemoized)
 /// and is counted in [`SharedCacheStats::arena_full`].
 const PROBE_LIMIT: usize = 64;
 
@@ -171,12 +171,13 @@ pub struct SharedCacheStats {
     /// Total wall-clock nanoseconds spent in those parks.
     pub wait_ns: u64,
     /// Probe sequences that gave up (probe limit or insertion cap) and
-    /// fell through to the inner cache unmemoized.
+    /// fell through to the log unmemoized.
     pub arena_full: u64,
 }
 
-/// A lock-free, fixed-arena, open-addressing memo in front of a shared
-/// [`RunCache`], with in-flight claim tracking.
+/// A lock-free, fixed-arena, open-addressing memo in front of the
+/// corpus log engine, with in-flight claim tracking. Built only by
+/// [`Corpus::open`](crate::Corpus::open).
 ///
 /// # Slot state machine
 ///
@@ -188,22 +189,13 @@ pub struct SharedCacheStats {
 ///                                               ▼    │
 ///                                             ABANDONED
 /// ```
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use corpus::SharedCache;
-/// use instantcheck::{CacheLease, MemoryRunCache, RunCache};
-///
-/// let inner = Arc::new(MemoryRunCache::new());
-/// let shared = SharedCache::new(inner, 1024, None);
-/// assert_eq!(shared.capacity(), 1024);
-/// assert_eq!(shared.stats().published, 0);
-/// ```
 #[derive(Debug)]
-pub struct SharedCache {
-    inner: Inner,
+pub(crate) struct SharedCache {
+    /// The store behind the arena, reached directly, so a key's
+    /// rendered tokens and fingerprint — computed once per call here —
+    /// serve the arena probe, the index probe, the stored-key
+    /// comparison and the append alike.
+    log: Arc<LogStore>,
     slots: Box<[Slot]>,
     mask: usize,
     /// Slots ever moved off `EMPTY`; gates the insertion cap.
@@ -227,40 +219,6 @@ pub struct SharedCache {
     wake: Condvar,
 }
 
-/// The store behind the arena. The log engine is reached directly, so
-/// a key's rendered tokens and fingerprint — computed once per call
-/// here — serve the arena probe, the index probe, the stored-key
-/// comparison and the append alike; any other [`RunCache`] is asked
-/// through its own API.
-#[derive(Debug)]
-pub(crate) enum Inner {
-    /// The corpus log engine.
-    Log(Arc<LogStore>),
-    /// Any other run cache.
-    Cache(Arc<dyn RunCache>),
-}
-
-impl Inner {
-    fn lookup(
-        &self,
-        key: &RunKey,
-        fp: u128,
-        tokens: &[(&'static str, &str)],
-    ) -> Option<Arc<CachedRun>> {
-        match self {
-            Inner::Log(log) => log.lookup_prepared(fp, tokens),
-            Inner::Cache(cache) => cache.lookup(key),
-        }
-    }
-
-    fn store(&self, key: &RunKey, fp: u128, tokens: &[(&'static str, &str)], run: &Arc<CachedRun>) {
-        match self {
-            Inner::Log(log) => log.store_prepared(fp, tokens, run),
-            Inner::Cache(cache) => cache.store(key, run),
-        }
-    }
-}
-
 /// Splits a fingerprint into the arena's two tag words.
 fn tags(fp: u128) -> (u64, u64) {
     (fp as u64, (fp >> 64) as u64)
@@ -281,20 +239,19 @@ enum Found<'a> {
 
 impl SharedCache {
     /// Builds an arena of `capacity` slots (rounded up to a power of
-    /// two, minimum 8) in front of `inner`. When `registry` is given,
+    /// two, minimum 8) in front of `log`. When `registry` is given,
     /// the memo counts `corpus.cache.memo_hits` and
     /// `corpus.cache.memo_misses` into the deterministic registry —
     /// totals that do not depend on worker interleaving, because the
     /// claim protocol computes every distinct key at most once.
-    pub fn new(inner: Arc<dyn RunCache>, capacity: usize, registry: Option<Arc<Registry>>) -> Self {
-        SharedCache::over(Inner::Cache(inner), capacity, registry)
-    }
-
-    /// [`new`](SharedCache::new) over any [`Inner`] store.
-    pub(crate) fn over(inner: Inner, capacity: usize, registry: Option<Arc<Registry>>) -> Self {
+    pub(crate) fn over(
+        log: Arc<LogStore>,
+        capacity: usize,
+        registry: Option<Arc<Registry>>,
+    ) -> Self {
         let capacity = capacity.next_power_of_two().max(8);
         let cache = SharedCache {
-            inner,
+            log,
             slots: (0..capacity).map(|_| Slot::new()).collect(),
             mask: capacity - 1,
             occupied: AtomicUsize::new(0),
@@ -312,51 +269,33 @@ impl SharedCache {
         cache
     }
 
-    /// The arena with the default capacity.
-    pub fn with_default_capacity(
-        inner: Arc<dyn RunCache>,
-        registry: Option<Arc<Registry>>,
-    ) -> Self {
-        SharedCache::new(inner, DEFAULT_CACHE_CAPACITY, registry)
-    }
-
-    /// Attaches the wall-clock telemetry plane: every acquisition
-    /// records its duration into [`CACHE_ACQUIRE_HISTOGRAM`], and
-    /// in-flight waits additionally land in [`CACHE_WAIT_HISTOGRAM`].
-    /// Both are pre-registered so `/metrics` exports them (at zero)
-    /// before the first acquisition.
-    #[must_use]
-    pub fn with_telemetry(self, telemetry: Arc<Telemetry>) -> Self {
-        self.bind_telemetry(&telemetry);
-        self
-    }
-
     /// Late-binds the deterministic memo-counter registry (see
-    /// [`new`](SharedCache::new)). The first binding wins; later calls
+    /// [`over`](SharedCache::over)). The first binding wins; later calls
     /// are no-ops, so an orchestrator can attach its registry to a
     /// cache that was constructed elsewhere.
-    pub fn bind_registry(&self, registry: &Arc<Registry>) {
+    pub(crate) fn bind_registry(&self, registry: &Arc<Registry>) {
         let _ = self.registry.set(Arc::clone(registry));
     }
 
-    /// Late-binds the wall-clock telemetry plane (see
-    /// [`with_telemetry`](SharedCache::with_telemetry)). First binding
-    /// wins. Both histograms are pre-registered so `/metrics` exports
-    /// them (at zero) before the first acquisition.
-    pub fn bind_telemetry(&self, telemetry: &Arc<Telemetry>) {
+    /// Late-binds the wall-clock telemetry plane: every acquisition
+    /// records its duration into [`CACHE_ACQUIRE_HISTOGRAM`], and
+    /// in-flight waits additionally land in [`CACHE_WAIT_HISTOGRAM`].
+    /// First binding wins. Both histograms are pre-registered so
+    /// `/metrics` exports them (at zero) before the first acquisition.
+    pub(crate) fn bind_telemetry(&self, telemetry: &Arc<Telemetry>) {
         telemetry.histogram(CACHE_ACQUIRE_HISTOGRAM);
         telemetry.histogram(CACHE_WAIT_HISTOGRAM);
         let _ = self.telemetry.set(Arc::clone(telemetry));
     }
 
     /// Fixed arena capacity in slots.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// A point-in-time stats snapshot (occupancy states are scanned
     /// live; tallies are monotonic).
-    pub fn stats(&self) -> SharedCacheStats {
+    pub(crate) fn stats(&self) -> SharedCacheStats {
         let (mut published, mut in_flight, mut abandoned) = (0u64, 0u64, 0u64);
         for slot in self.slots.iter() {
             match slot.state.load(Ordering::Relaxed) {
@@ -581,7 +520,7 @@ impl RunCache for SharedCache {
                 return slot.best();
             }
             self.count_hot(&self.memo_misses, "corpus.cache.memo_misses");
-            let fetched = self.inner.lookup(key, fp, tokens)?;
+            let fetched = self.log.lookup_prepared(fp, tokens)?;
             // Warm the arena so the next lookup stays in memory.
             if let Found::Claimed(slot) = self.probe(lo, hi, true, false) {
                 self.publish(slot, &fetched);
@@ -593,9 +532,9 @@ impl RunCache for SharedCache {
     fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
         key.with_tokens(|tokens| {
             let fp = fingerprint_fields(tokens);
-            // Write-through first: the inner store stays the source of
+            // Write-through first: the log stays the source of
             // truth and is durable before the memo serves the entry back.
-            self.inner.store(key, fp, tokens, run);
+            self.log.store_prepared(fp, tokens, run);
             let (lo, hi) = tags(fp);
             match self.probe(lo, hi, true, false) {
                 // The common case: this thread's claim from `begin`.
@@ -632,7 +571,7 @@ impl RunCache for SharedCache {
                     self.count_hot(&self.memo_misses, "corpus.cache.memo_misses");
                     // One disk read per key, under the claim, so waiters
                     // block on the I/O once instead of all issuing it.
-                    match self.inner.lookup(key, fp, tokens) {
+                    match self.log.lookup_prepared(fp, tokens) {
                         Some(fetched) => {
                             self.publish(slot, &fetched);
                             CacheLease::Hit(fetched)
@@ -642,9 +581,9 @@ impl RunCache for SharedCache {
                 }
                 _ => {
                     // Arena full (or a stuck abandoned slot): uncached
-                    // compute, deduplicated only by the inner store.
+                    // compute, deduplicated only by the log.
                     self.count_hot(&self.memo_misses, "corpus.cache.memo_misses");
-                    match self.inner.lookup(key, fp, tokens) {
+                    match self.log.lookup_prepared(fp, tokens) {
                         Some(fetched) => CacheLease::Hit(fetched),
                         None => CacheLease::Compute { claimed: false },
                     }
@@ -671,14 +610,48 @@ impl RunCache for SharedCache {
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Barrier};
 
     use adhash::HashSum;
-    use instantcheck::{CheckpointRecord, MemoryRunCache, RunHashes, Scheme};
+    use instantcheck::{CheckpointRecord, RunHashes, Scheme};
     use tsim::{CheckpointKind, SwitchPolicy};
 
     use super::*;
+    use crate::segment::DEFAULT_SEGMENT_BYTES;
+
+    static SERIAL: AtomicU64 = AtomicU64::new(0);
+
+    /// A fresh log in its own temp dir, removed on drop.
+    struct TempLog {
+        dir: PathBuf,
+        log: Arc<LogStore>,
+    }
+
+    impl TempLog {
+        fn new() -> TempLog {
+            let dir = std::env::temp_dir().join(format!(
+                "corpus-shared-{}-{}",
+                std::process::id(),
+                SERIAL.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let log = Arc::new(LogStore::open(&dir, DEFAULT_SEGMENT_BYTES, None).unwrap());
+            TempLog { dir, log }
+        }
+
+        /// An arena of `capacity` slots in front of this log.
+        fn arena(&self, capacity: usize) -> SharedCache {
+            SharedCache::over(Arc::clone(&self.log), capacity, None)
+        }
+    }
+
+    impl Drop for TempLog {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
 
     fn key(seed: u64) -> RunKey {
         RunKey {
@@ -730,7 +703,8 @@ mod tests {
 
     #[test]
     fn begin_store_round_trips_through_the_arena() {
-        let cache = SharedCache::new(Arc::new(MemoryRunCache::new()), 64, None);
+        let log = TempLog::new();
+        let cache = log.arena(64);
         let k = key(1);
         match cache.begin(&k) {
             CacheLease::Compute { claimed } => assert!(claimed, "empty arena grants the claim"),
@@ -747,21 +721,22 @@ mod tests {
 
     #[test]
     fn inner_hits_publish_into_the_arena_under_the_claim() {
-        let inner = Arc::new(MemoryRunCache::new());
-        inner.store(&key(5), &run(50));
-        let cache = SharedCache::new(inner.clone(), 64, None);
-        // First begin finds the entry in the inner store and publishes
+        let log = TempLog::new();
+        log.log.store(&key(5), &run(50));
+        let cache = log.arena(64);
+        // First begin finds the entry in the log and publishes
         // it, so it reads as a Hit without any checker round trip.
         match cache.begin(&key(5)) {
             CacheLease::Hit(hit) => assert_eq!(hit.hashes.output_digest, 50),
-            CacheLease::Compute { .. } => panic!("inner entry must surface as a hit"),
+            CacheLease::Compute { .. } => panic!("logged entry must surface as a hit"),
         }
-        assert_eq!(cache.stats().published, 1, "inner hit published to arena");
+        assert_eq!(cache.stats().published, 1, "log hit published to arena");
     }
 
     #[test]
     fn abandon_wakes_a_waiter_that_then_recomputes() {
-        let cache = Arc::new(SharedCache::new(Arc::new(MemoryRunCache::new()), 64, None));
+        let log = TempLog::new();
+        let cache = Arc::new(log.arena(64));
         let k = key(9);
         match cache.begin(&k) {
             CacheLease::Compute { claimed: true } => {}
@@ -793,7 +768,8 @@ mod tests {
         const WORKERS: usize = 8;
         const KEYS: u64 = 16;
         for trial in 0..4u64 {
-            let cache = Arc::new(SharedCache::new(Arc::new(MemoryRunCache::new()), 256, None));
+            let log = TempLog::new();
+            let cache = Arc::new(log.arena(256));
             let computed = Arc::new(AtomicU64::new(0));
             let barrier = Arc::new(Barrier::new(WORKERS));
             let mut handles = Vec::new();
@@ -862,7 +838,8 @@ mod tests {
         const WORKERS: usize = 6;
         const KEYS: u64 = 8;
         for trial in 0..6u64 {
-            let cache = Arc::new(SharedCache::new(Arc::new(MemoryRunCache::new()), 128, None));
+            let log = TempLog::new();
+            let cache = Arc::new(log.arena(128));
             let barrier = Arc::new(Barrier::new(WORKERS));
             let mut handles = Vec::new();
             for w in 0..WORKERS {
@@ -910,8 +887,8 @@ mod tests {
     #[test]
     fn arena_full_degrades_to_inner_lookups_not_errors() {
         // Capacity 8 with a 3/4 insertion cap: only 6 keys get slots.
-        let inner = Arc::new(MemoryRunCache::new());
-        let cache = SharedCache::new(inner.clone(), 8, None);
+        let log = TempLog::new();
+        let cache = log.arena(8);
         for seed in 0..32 {
             let k = key(seed);
             match cache.begin(&k) {
@@ -920,7 +897,7 @@ mod tests {
             }
         }
         // Every key still round-trips: memoized ones from the arena,
-        // the rest straight from the inner store.
+        // the rest straight from the log.
         for seed in 0..32 {
             match cache.begin(&key(seed)) {
                 CacheLease::Hit(hit) => assert_eq!(hit.hashes.output_digest, seed),
@@ -934,7 +911,8 @@ mod tests {
 
     #[test]
     fn traced_store_upgrades_a_traceless_entry() {
-        let cache = SharedCache::new(Arc::new(MemoryRunCache::new()), 64, None);
+        let log = TempLog::new();
+        let cache = log.arena(64);
         let k = key(3);
         assert!(matches!(
             cache.begin(&k),
@@ -956,9 +934,9 @@ mod tests {
 
     #[test]
     fn capacity_rounds_up_to_a_power_of_two() {
-        let cache = SharedCache::new(Arc::new(MemoryRunCache::new()), 100, None);
-        assert_eq!(cache.capacity(), 128);
-        let tiny = SharedCache::new(Arc::new(MemoryRunCache::new()), 0, None);
+        let log = TempLog::new();
+        assert_eq!(log.arena(100).capacity(), 128);
+        let tiny = log.arena(0);
         assert_eq!(tiny.capacity(), 8);
     }
 }

@@ -241,17 +241,20 @@ mod tests {
     use instantcheck::Scheme;
 
     use super::*;
+    use crate::tests::TempCorpus;
     use crate::{CampaignSpec, Orchestrator, OrchestratorConfig, Resolver, Service, Submission};
 
-    fn service() -> Arc<Service> {
+    /// A service over a fresh corpus; keep the returned guard alive
+    /// for as long as the service runs.
+    fn service() -> (Arc<Service>, TempCorpus) {
         let resolver: Resolver = Arc::new(|_| None);
-        Arc::new(Service::new(Orchestrator::new(
+        let corpus = TempCorpus::new();
+        let svc = Arc::new(Service::new(Orchestrator::new(
             OrchestratorConfig::default(),
             resolver,
-            Some(Arc::new(
-                corpus::Corpus::open(corpus::CorpusOptions::ephemeral()).unwrap(),
-            )),
-        )))
+            Some(Arc::clone(&corpus.corpus)),
+        )));
+        (svc, corpus)
     }
 
     fn request(addr: SocketAddr, raw: &str) -> String {
@@ -276,7 +279,7 @@ mod tests {
 
     #[test]
     fn serves_status_metrics_and_profile() {
-        let svc = service();
+        let (svc, _corpus) = service();
         svc.submit(Submission::new(
             "x",
             CampaignSpec::new("nope", Scheme::HwInc),
@@ -309,7 +312,7 @@ mod tests {
 
     #[test]
     fn hostile_clients_cost_only_their_connection() {
-        let svc = service();
+        let (svc, _corpus) = service();
         let options = HttpOptions {
             max_request_bytes: 512,
             idle_timeout: Duration::from_millis(200),
@@ -347,7 +350,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_and_frees_the_port() {
-        let svc = service();
+        let (svc, _corpus) = service();
         let mut server =
             HttpServer::bind("127.0.0.1:0", Arc::clone(&svc), HttpOptions::default()).unwrap();
         let addr = server.local_addr();

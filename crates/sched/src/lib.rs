@@ -92,6 +92,8 @@ pub type Priority = i64;
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     use corpus::{Corpus, CorpusOptions};
@@ -99,6 +101,32 @@ mod tests {
     use tsim::{ProgramBuilder, ValKind};
 
     use super::*;
+
+    /// A corpus opened in a fresh temp dir, removed on drop.
+    pub(crate) struct TempCorpus {
+        dir: PathBuf,
+        pub(crate) corpus: Arc<Corpus>,
+    }
+
+    impl TempCorpus {
+        pub(crate) fn new() -> TempCorpus {
+            static SERIAL: AtomicU64 = AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "sched-corpus-{}-{}",
+                std::process::id(),
+                SERIAL.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let corpus = Arc::new(Corpus::open(CorpusOptions::at(&dir)).unwrap());
+            TempCorpus { dir, corpus }
+        }
+    }
+
+    impl Drop for TempCorpus {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
 
     fn resolver() -> Resolver {
         Arc::new(|workload: &str| {
@@ -214,8 +242,8 @@ mod tests {
                 trace: true,
                 ..OrchestratorConfig::default()
             };
-            let corpus = Arc::new(Corpus::open(CorpusOptions::ephemeral()).unwrap());
-            let mut icd = Orchestrator::new(config, resolver(), Some(corpus));
+            let corpus = TempCorpus::new();
+            let mut icd = Orchestrator::new(config, resolver(), Some(Arc::clone(&corpus.corpus)));
             for i in 0..6 {
                 icd.submit(Submission::new(format!("c{i}"), spec()));
             }

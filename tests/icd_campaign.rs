@@ -3,7 +3,8 @@
 //! * **Determinism under orchestration** — a 10-campaign batch produces
 //!   byte-identical per-campaign report and trace artifacts whether
 //!   each spec runs alone through the checker or under `icd` at widths
-//!   1, 2, and 4, against both a cold and a warm shared corpus.
+//!   1, 2, and 4, against both a cold and a warm shared corpus — cold
+//!   with two workers racing one spec's run keys.
 //! * **Graceful degradation** — submitting more campaigns than the
 //!   queue bound yields explicit shed outcomes (never a hang or a
 //!   panic), the shed submissions still appear in the drain output in
@@ -81,20 +82,35 @@ fn solo_artifacts(sub: &Submission) -> (String, String) {
 
 #[test]
 fn batch_artifacts_are_byte_identical_at_widths_1_2_4_cold_and_warm() {
-    let subs = batch();
+    // The batch plus a twin of its first spec under a second id, queued
+    // right behind it: at widths 2 and 4 two workers run the same run
+    // keys at once, so on a cold corpus they race to claim them.
+    let mut subs = batch();
+    subs.insert(1, Submission::new("fft-s1-twin", subs[0].spec.clone()));
     let reference: Vec<(String, String)> = subs.iter().map(solo_artifacts).collect();
 
-    let dir = tempdir("det");
+    let warm = tempdir("det");
+    let cold2 = tempdir("det-cold-w2");
+    let cold4 = tempdir("det-cold-w4");
     // Width 1 runs against a cold corpus; widths 2 and 4 (and the
-    // final width-1 pass) replay warm from the same store.
-    for (pass, width) in [(0usize, 1usize), (1, 2), (2, 4), (3, 1)] {
-        let store = Arc::new(Corpus::open(CorpusOptions::at(&dir)).expect("corpus opens"));
+    // final width-1 pass) replay warm from the same store. Widths 2
+    // and 4 then each run once more against a fresh corpus.
+    let mut distinct_runs = None;
+    for (pass, width, dir, cold) in [
+        (0usize, 1usize, &warm, true),
+        (1, 2, &warm, false),
+        (2, 4, &warm, false),
+        (3, 1, &warm, false),
+        (4, 2, &cold2, true),
+        (5, 4, &cold4, true),
+    ] {
+        let store = Arc::new(Corpus::open(CorpusOptions::at(dir)).expect("corpus opens"));
         let config = OrchestratorConfig {
             width,
             trace: true,
             ..OrchestratorConfig::default()
         };
-        let mut icd = Orchestrator::new(config, resolver(), Some(store));
+        let mut icd = Orchestrator::new(config, resolver(), Some(Arc::clone(&store)));
         icd.start();
         for sub in subs.clone() {
             assert_eq!(icd.submit(sub), Disposition::Enqueued);
@@ -124,8 +140,16 @@ fn batch_artifacts_are_byte_identical_at_widths_1_2_4_cold_and_warm() {
                 r.id
             );
         }
+        // Every cold pass appends each distinct run exactly once, however
+        // many workers raced for it.
+        if cold {
+            let stores = *distinct_runs.get_or_insert(store.stores());
+            assert_eq!(store.stores(), stores, "pass {pass} width {width}: stores");
+        }
     }
-    let _ = fs::remove_dir_all(&dir);
+    for dir in [warm, cold2, cold4] {
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 /// The daemon-shaped contract at the library level: N concurrent
