@@ -13,11 +13,11 @@ fn commuting(n: usize) -> impl Fn() -> Program {
         let g = b.global("G", ValKind::U64, 1);
         let lock = b.mutex();
         for t in 0..n as u64 {
-            b.thread(move |ctx| {
-                ctx.lock(lock);
-                let v = ctx.load(g.at(0));
-                ctx.store(g.at(0), v + 10 * (t + 1));
-                ctx.unlock(lock);
+            b.thread(async move |ctx| {
+                ctx.lock(lock).await;
+                let v = ctx.load(g.at(0)).await;
+                ctx.store(g.at(0), v + 10 * (t + 1)).await;
+                ctx.unlock(lock).await;
             });
         }
         b.build()
@@ -30,10 +30,10 @@ fn last_writer(n: usize) -> impl Fn() -> Program {
         let g = b.global("G", ValKind::U64, 1);
         let lock = b.mutex();
         for t in 0..n as u64 {
-            b.thread(move |ctx| {
-                ctx.lock(lock);
-                ctx.store(g.at(0), t + 1);
-                ctx.unlock(lock);
+            b.thread(async move |ctx| {
+                ctx.lock(lock).await;
+                ctx.store(g.at(0), t + 1).await;
+                ctx.unlock(lock).await;
             });
         }
         b.build()
@@ -47,16 +47,16 @@ fn two_phase_commuting(n: usize) -> impl Fn() -> Program {
         let bar = b.barrier();
         let lock = b.mutex();
         for t in 0..n as u64 {
-            b.thread(move |ctx| {
-                ctx.lock(lock);
-                let v = ctx.load(g.at(0));
-                ctx.store(g.at(0), v + 10 * (t + 1));
-                ctx.unlock(lock);
-                ctx.barrier(bar);
-                ctx.lock(lock);
-                let v = ctx.load(g.at(1));
-                ctx.store(g.at(1), v + 100 * (t + 1));
-                ctx.unlock(lock);
+            b.thread(async move |ctx| {
+                ctx.lock(lock).await;
+                let v = ctx.load(g.at(0)).await;
+                ctx.store(g.at(0), v + 10 * (t + 1)).await;
+                ctx.unlock(lock).await;
+                ctx.barrier(bar).await;
+                ctx.lock(lock).await;
+                let v = ctx.load(g.at(1)).await;
+                ctx.store(g.at(1), v + 100 * (t + 1)).await;
+                ctx.unlock(lock).await;
             });
         }
         b.build()

@@ -17,9 +17,9 @@ fn benign_flag() -> Program {
     let mut b = ProgramBuilder::new(2);
     let flag = b.global("done_flag", ValKind::U64, 1);
     for _ in 0..2 {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             ctx.work(10);
-            ctx.store(flag.at(0), 1);
+            ctx.store(flag.at(0), 1).await;
         });
     }
     b.build()
@@ -31,9 +31,9 @@ fn benign_republish() -> Program {
     let cell = b.global("cell", ValKind::U64, 1);
     b.setup(move |s| s.store(cell.at(0), 5));
     for _ in 0..2 {
-        b.thread(move |ctx| {
-            let v = ctx.load(cell.at(0)); // racy read…
-            ctx.store(cell.at(0), v | 5); // …but the update is idempotent
+        b.thread(async move |ctx| {
+            let v = ctx.load(cell.at(0)).await; // racy read…
+            ctx.store(cell.at(0), v | 5).await; // …but the update is idempotent
         });
     }
     b.build()
@@ -44,9 +44,9 @@ fn harmful_last_writer() -> Program {
     let mut b = ProgramBuilder::new(2);
     let winner = b.global("winner", ValKind::U64, 1);
     for t in 0..2u64 {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             ctx.work(10);
-            ctx.store(winner.at(0), t + 1);
+            ctx.store(winner.at(0), t + 1).await;
         });
     }
     b.build()
@@ -57,10 +57,10 @@ fn harmful_lost_update() -> Program {
     let mut b = ProgramBuilder::new(2);
     let counter = b.global("counter", ValKind::U64, 1);
     for _ in 0..2 {
-        b.thread(move |ctx| {
-            let v = ctx.load(counter.at(0));
-            ctx.sched_yield(); // widen the window
-            ctx.store(counter.at(0), v + 1);
+        b.thread(async move |ctx| {
+            let v = ctx.load(counter.at(0)).await;
+            ctx.sched_yield().await; // widen the window
+            ctx.store(counter.at(0), v + 1).await;
         });
     }
     b.build()

@@ -243,11 +243,11 @@ mod tests {
             let g = b.global("G", ValKind::U64, 1);
             let lock = b.mutex();
             for t in 0..2u64 {
-                b.thread(move |ctx| {
-                    ctx.lock(lock);
-                    let v = ctx.load(g.at(0));
-                    ctx.store(g.at(0), v + t + 1);
-                    ctx.unlock(lock);
+                b.thread(async move |ctx| {
+                    ctx.lock(lock).await;
+                    let v = ctx.load(g.at(0)).await;
+                    ctx.store(g.at(0), v + t + 1).await;
+                    ctx.unlock(lock).await;
                 });
             }
             b.build()
@@ -270,11 +270,11 @@ mod tests {
             let lock = b.mutex();
             for t in 0..3 {
                 let term = [0.1f64, 0.2, 0.3][t];
-                b.thread(move |ctx| {
-                    ctx.lock(lock);
-                    let v = ctx.load_f64(g.at(0));
-                    ctx.store_f64(g.at(0), v + term);
-                    ctx.unlock(lock);
+                b.thread(async move |ctx| {
+                    ctx.lock(lock).await;
+                    let v = ctx.load_f64(g.at(0)).await;
+                    ctx.store_f64(g.at(0), v + term).await;
+                    ctx.unlock(lock).await;
                 });
             }
             b.build()
@@ -296,12 +296,12 @@ mod tests {
             let scratch = b.global("scratch", ValKind::U64, 1);
             let lock = b.mutex();
             for t in 0..2u64 {
-                b.thread(move |ctx| {
-                    ctx.lock(lock);
-                    let v = ctx.load(g.at(0));
-                    ctx.store(g.at(0), v + t + 1);
-                    ctx.store(scratch.at(0), t); // last writer wins
-                    ctx.unlock(lock);
+                b.thread(async move |ctx| {
+                    ctx.lock(lock).await;
+                    let v = ctx.load(g.at(0)).await;
+                    ctx.store(g.at(0), v + t + 1).await;
+                    ctx.store(scratch.at(0), t).await; // last writer wins
+                    ctx.unlock(lock).await;
                 });
             }
             b.build()
@@ -324,14 +324,14 @@ mod tests {
             let g = b.global("G", ValKind::U64, 1);
             let lock = b.mutex();
             for t in 0..2u64 {
-                b.thread(move |ctx| {
-                    let p = ctx.malloc("tmp", tsim::TypeTag::u64s(), 1);
-                    ctx.store(p, t);
-                    ctx.lock(lock);
-                    let v = ctx.load(g.at(0));
-                    ctx.store(g.at(0), v + t + 1);
-                    ctx.unlock(lock);
-                    ctx.free(p);
+                b.thread(async move |ctx| {
+                    let p = ctx.malloc("tmp", tsim::TypeTag::u64s(), 1).await;
+                    ctx.store(p, t).await;
+                    ctx.lock(lock).await;
+                    let v = ctx.load(g.at(0)).await;
+                    ctx.store(g.at(0), v + t + 1).await;
+                    ctx.unlock(lock).await;
+                    ctx.free(p).await;
                 });
             }
             b.build()
@@ -353,10 +353,10 @@ mod tests {
             let g = b.global("G", ValKind::U64, 1);
             let lock = b.mutex();
             for t in 0..2u64 {
-                b.thread(move |ctx| {
-                    ctx.lock(lock);
-                    ctx.store(g.at(0), t + 1);
-                    ctx.unlock(lock);
+                b.thread(async move |ctx| {
+                    ctx.lock(lock).await;
+                    ctx.store(g.at(0), t + 1).await;
+                    ctx.unlock(lock).await;
                 });
             }
             b.build()

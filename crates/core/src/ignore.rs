@@ -166,9 +166,11 @@ mod tests {
         let mut b = ProgramBuilder::new(1);
         let g = b.global("noise", ValKind::U64, 4);
         let _h = b.global("clean", ValKind::F64, 2);
-        b.thread(|ctx| {
-            let _keep = ctx.malloc("records", TypeTag::of(vec![ValKind::U64; 3]), 6);
-            let _other = ctx.malloc("data", TypeTag::f64s(), 2);
+        b.thread(async |ctx| {
+            let _keep = ctx
+                .malloc("records", TypeTag::of(vec![ValKind::U64; 3]), 6)
+                .await;
+            let _other = ctx.malloc("data", TypeTag::f64s(), 2).await;
         });
         let out = b.build().run(&RunConfig::random(0)).unwrap();
         let view = out.final_state();
@@ -200,7 +202,7 @@ mod tests {
     fn overlapping_specs_dedup() {
         let mut b = ProgramBuilder::new(1);
         let _g = b.global("x", ValKind::U64, 2);
-        b.thread(|_| {});
+        b.thread(async |_| {});
         let out = b.build().run(&RunConfig::random(0)).unwrap();
         let view = out.final_state();
         let spec = IgnoreSpec::new()
@@ -213,7 +215,7 @@ mod tests {
     fn range_clamps_to_region() {
         let mut b = ProgramBuilder::new(1);
         let _g = b.global("x", ValKind::U64, 2);
-        b.thread(|_| {});
+        b.thread(async |_| {});
         let out = b.build().run(&RunConfig::random(0)).unwrap();
         let view = out.final_state();
         let spec = IgnoreSpec::new().ignore_global_range("x", 1, 99);

@@ -45,11 +45,11 @@
 //!     let lock = b.mutex();
 //!     b.setup(move |s| s.store(g.at(0), 2));
 //!     for local in [7u64, 3u64] {
-//!         b.thread(move |ctx| {
-//!             ctx.lock(lock);
-//!             let v = ctx.load(g.at(0));
-//!             ctx.store(g.at(0), v + local);
-//!             ctx.unlock(lock);
+//!         b.thread(async move |ctx| {
+//!             ctx.lock(lock).await;
+//!             let v = ctx.load(g.at(0)).await;
+//!             ctx.store(g.at(0), v + local).await;
+//!             ctx.unlock(lock).await;
 //!         });
 //!     }
 //!     b.build()

@@ -272,14 +272,14 @@ mod tests {
             s.store(rec.at(0), p.raw());
         });
         for t in 0..2u64 {
-            b.thread(move |ctx| {
-                ctx.lock(lock);
-                ctx.store(winner.at(0), t + 1);
-                let v = ctx.load(sum.at(0));
-                ctx.store(sum.at(0), v + 10);
-                let p = Addr(ctx.load(rec.at(0)));
-                ctx.store(p.offset(1), t + 100);
-                ctx.unlock(lock);
+            b.thread(async move |ctx| {
+                ctx.lock(lock).await;
+                ctx.store(winner.at(0), t + 1).await;
+                let v = ctx.load(sum.at(0)).await;
+                ctx.store(sum.at(0), v + 10).await;
+                let p = Addr(ctx.load(rec.at(0)).await);
+                ctx.store(p.offset(1), t + 100).await;
+                ctx.unlock(lock).await;
             });
         }
         b.build()
@@ -334,11 +334,11 @@ mod tests {
             let g = b.global("acc", ValKind::F64, 1);
             let lock = b.mutex();
             for term in [0.1f64, 0.2] {
-                b.thread(move |ctx| {
-                    ctx.lock(lock);
-                    let v = ctx.load_f64(g.at(0));
-                    ctx.store_f64(g.at(0), (v + term) * 1.0000001);
-                    ctx.unlock(lock);
+                b.thread(async move |ctx| {
+                    ctx.lock(lock).await;
+                    let v = ctx.load_f64(g.at(0)).await;
+                    ctx.store_f64(g.at(0), (v + term) * 1.0000001).await;
+                    ctx.unlock(lock).await;
                 });
             }
             b.build()

@@ -116,11 +116,11 @@ mod tests {
         let g = b.global("buf", ValKind::U64, 8);
         let bar = b.barrier();
         for t in 0..2 {
-            b.thread(move |ctx| {
+            b.thread(async move |ctx| {
                 for i in 0..500u64 {
-                    ctx.store(g.at(((i + t as u64) % 8) as usize), i);
+                    ctx.store(g.at(((i + t as u64) % 8) as usize), i).await;
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             });
         }
         b.build()
@@ -133,10 +133,10 @@ mod tests {
         let g = b.global("state", ValKind::U64, 2000);
         let bar = b.barrier();
         for t in 0..2usize {
-            b.thread(move |ctx| {
+            b.thread(async move |ctx| {
                 for i in 0..50u64 {
-                    ctx.store(g.at(t), i);
-                    ctx.barrier(bar);
+                    ctx.store(g.at(t), i).await;
+                    ctx.barrier(bar).await;
                 }
             });
         }
@@ -169,11 +169,11 @@ mod tests {
     fn zero_fill_shows_up_in_hw_overhead() {
         let alloc_heavy = || {
             let mut b = ProgramBuilder::new(1);
-            b.thread(|ctx| {
+            b.thread(async |ctx| {
                 for _ in 0..20 {
-                    let p = ctx.malloc("buf", TypeTag::u64s(), 500);
-                    ctx.store(p, 1);
-                    ctx.free(p);
+                    let p = ctx.malloc("buf", TypeTag::u64s(), 500).await;
+                    ctx.store(p, 1).await;
+                    ctx.free(p).await;
                 }
             });
             b.build()
@@ -189,10 +189,10 @@ mod tests {
             let g = b.global("noise", ValKind::U64, 400);
             let bar = b.barrier();
             for t in 0..2usize {
-                b.thread(move |ctx| {
+                b.thread(async move |ctx| {
                     for i in 0..20u64 {
-                        ctx.store(g.at(t), i);
-                        ctx.barrier(bar);
+                        ctx.store(g.at(t), i).await;
+                        ctx.barrier(bar).await;
                     }
                 });
             }

@@ -43,14 +43,14 @@ use crate::checker::RunHashes;
 ///     let g = b.global("sum", ValKind::U64, 1);
 ///     let lock = b.mutex();
 ///     for t in 0..2u64 {
-///         b.thread(move |ctx| {
-///             let p = ctx.malloc("scratch", TypeTag::u64s(), 1);
-///             ctx.store(p, t);
-///             ctx.lock(lock);
-///             let v = ctx.load(g.at(0));
-///             ctx.store(g.at(0), v + t + 1);
-///             ctx.unlock(lock);
-///             ctx.free(p);
+///         b.thread(async move |ctx| {
+///             let p = ctx.malloc("scratch", TypeTag::u64s(), 1).await;
+///             ctx.store(p, t).await;
+///             ctx.lock(lock).await;
+///             let v = ctx.load(g.at(0)).await;
+///             ctx.store(g.at(0), v + t + 1).await;
+///             ctx.unlock(lock).await;
+///             ctx.free(p).await;
 ///         });
 ///     }
 ///     b.build()

@@ -48,35 +48,35 @@ fn build(bodies: &[Vec<CommutingOp>], poison: bool) -> Program {
     let lock = b.mutex();
     for (tid, body) in bodies.iter().enumerate() {
         let body = body.clone();
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             if poison && tid == 0 {
                 // The order-sensitive snapshot, first thing.
-                ctx.lock(lock);
-                let seen = ctx.load(shared.at(0));
-                ctx.store(last_writer.at(0), seen.wrapping_mul(3) + 1);
-                ctx.unlock(lock);
+                ctx.lock(lock).await;
+                let seen = ctx.load(shared.at(0)).await;
+                ctx.store(last_writer.at(0), seen.wrapping_mul(3) + 1).await;
+                ctx.unlock(lock).await;
             }
             if poison && tid == 1 {
                 // The conflicting add, first thing.
-                ctx.lock(lock);
-                let cur = ctx.load(shared.at(0));
-                ctx.store(shared.at(0), cur + 100);
-                ctx.unlock(lock);
+                ctx.lock(lock).await;
+                let cur = ctx.load(shared.at(0)).await;
+                ctx.store(shared.at(0), cur + 100).await;
+                ctx.unlock(lock).await;
             }
             for op in &body {
                 match *op {
                     CommutingOp::LockedAdd(v) => {
                         let cell = shared.at(v as usize % CELLS);
-                        ctx.lock(lock);
-                        let cur = ctx.load(cell);
-                        ctx.store(cell, cur + 1 + u64::from(v));
-                        ctx.unlock(lock);
+                        ctx.lock(lock).await;
+                        let cur = ctx.load(cell).await;
+                        ctx.store(cell, cur + 1 + u64::from(v)).await;
+                        ctx.unlock(lock).await;
                     }
                     CommutingOp::AtomicBump(v) => {
-                        let _ = ctx.fetch_add(shared.at(v as usize % CELLS), 2);
+                        let _ = ctx.fetch_add(shared.at(v as usize % CELLS), 2).await;
                     }
                     CommutingOp::PrivateStore(v) => {
-                        ctx.store(privates.at(tid), u64::from(v));
+                        ctx.store(privates.at(tid), u64::from(v)).await;
                     }
                 }
             }

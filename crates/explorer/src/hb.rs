@@ -403,11 +403,11 @@ mod tests {
             |b, g| {
                 let l = b.mutex();
                 for _ in 0..2 {
-                    b.thread(move |ctx| {
-                        ctx.lock(l);
-                        let v = ctx.load(g.at(0));
-                        ctx.store(g.at(0), v + 1);
-                        ctx.unlock(l);
+                    b.thread(async move |ctx| {
+                        ctx.lock(l).await;
+                        let v = ctx.load(g.at(0)).await;
+                        ctx.store(g.at(0), v + 1).await;
+                        ctx.unlock(l).await;
                     });
                 }
             },
@@ -423,8 +423,8 @@ mod tests {
         let (trace, n) = run_traced(
             |b, g| {
                 for t in 0..2u64 {
-                    b.thread(move |ctx| {
-                        ctx.store(g.at(0), t + 1);
+                    b.thread(async move |ctx| {
+                        ctx.store(g.at(0), t + 1).await;
                     });
                 }
             },
@@ -442,8 +442,8 @@ mod tests {
         let (trace, n) = run_traced(
             |b, g| {
                 for t in 0..2usize {
-                    b.thread(move |ctx| {
-                        ctx.store(g.at(t), 1);
+                    b.thread(async move |ctx| {
+                        ctx.store(g.at(t), 1).await;
                     });
                 }
             },
@@ -458,13 +458,13 @@ mod tests {
         let mut b = ProgramBuilder::new(2);
         let g = b.global("g", ValKind::U64, 1);
         let bar = b.barrier();
-        b.thread(move |ctx| {
-            ctx.store(g.at(0), 1);
-            ctx.barrier(bar);
+        b.thread(async move |ctx| {
+            ctx.store(g.at(0), 1).await;
+            ctx.barrier(bar).await;
         });
-        b.thread(move |ctx| {
-            ctx.barrier(bar);
-            let _ = ctx.load(g.at(0));
+        b.thread(async move |ctx| {
+            ctx.barrier(bar).await;
+            let _ = ctx.load(g.at(0)).await;
         });
         let out = b.build().run(&RunConfig::random(1).with_trace()).unwrap();
         let hb = analyze(&out.trace.unwrap(), 2);
@@ -476,8 +476,8 @@ mod tests {
         let (trace, n) = run_traced(
             |b, g| {
                 for _ in 0..2 {
-                    b.thread(move |ctx| {
-                        ctx.fetch_add(g.at(0), 1);
+                    b.thread(async move |ctx| {
+                        ctx.fetch_add(g.at(0), 1).await;
                     });
                 }
             },
@@ -491,11 +491,11 @@ mod tests {
     fn read_write_race_detected() {
         let (trace, n) = run_traced(
             |b, g| {
-                b.thread(move |ctx| {
-                    let _ = ctx.load(g.at(0));
+                b.thread(async move |ctx| {
+                    let _ = ctx.load(g.at(0)).await;
                 });
-                b.thread(move |ctx| {
-                    ctx.store(g.at(0), 9);
+                b.thread(async move |ctx| {
+                    ctx.store(g.at(0), 9).await;
                 });
             },
             2,
@@ -515,12 +515,12 @@ mod tests {
             let g = b.global("g", ValKind::U64, 1);
             let l = b.mutex();
             for t in 0..2u64 {
-                b.thread(move |ctx| {
+                b.thread(async move |ctx| {
                     ctx.work(5);
-                    ctx.lock(l);
-                    let v = ctx.load(g.at(0));
-                    ctx.store(g.at(0), v + t + 1);
-                    ctx.unlock(l);
+                    ctx.lock(l).await;
+                    let v = ctx.load(g.at(0)).await;
+                    ctx.store(g.at(0), v + t + 1).await;
+                    ctx.unlock(l).await;
                 });
             }
             let cfg = RunConfig::random(0)
@@ -543,15 +543,15 @@ mod tests {
         let mut b = ProgramBuilder::new(2);
         let g = b.global("g", ValKind::U64, 1);
         let rw = b.rwlock();
-        b.thread(move |ctx| {
-            ctx.write_lock(rw);
-            ctx.store(g.at(0), 1);
-            ctx.write_unlock(rw);
+        b.thread(async move |ctx| {
+            ctx.write_lock(rw).await;
+            ctx.store(g.at(0), 1).await;
+            ctx.write_unlock(rw).await;
         });
-        b.thread(move |ctx| {
-            ctx.read_lock(rw);
-            let _ = ctx.load(g.at(0));
-            ctx.read_unlock(rw);
+        b.thread(async move |ctx| {
+            ctx.read_lock(rw).await;
+            let _ = ctx.load(g.at(0)).await;
+            ctx.read_unlock(rw).await;
         });
         let out = b.build().run(&RunConfig::random(4).with_trace()).unwrap();
         let hb = analyze(&out.trace.unwrap(), 2);
@@ -563,13 +563,13 @@ mod tests {
         let mut b = ProgramBuilder::new(2);
         let g = b.global("g", ValKind::U64, 1);
         let sem = b.semaphore(0);
-        b.thread(move |ctx| {
-            ctx.store(g.at(0), 7);
-            ctx.sem_post(sem);
+        b.thread(async move |ctx| {
+            ctx.store(g.at(0), 7).await;
+            ctx.sem_post(sem).await;
         });
-        b.thread(move |ctx| {
-            ctx.sem_wait(sem);
-            let _ = ctx.load(g.at(0));
+        b.thread(async move |ctx| {
+            ctx.sem_wait(sem).await;
+            let _ = ctx.load(g.at(0)).await;
         });
         let out = b.build().run(&RunConfig::random(4).with_trace()).unwrap();
         let hb = analyze(&out.trace.unwrap(), 2);

@@ -181,8 +181,8 @@ mod tests {
         let mut b = ProgramBuilder::new(2);
         let flag = b.global("flag", ValKind::U64, 1);
         for _ in 0..2 {
-            b.thread(move |ctx| {
-                ctx.store(flag.at(0), 1);
+            b.thread(async move |ctx| {
+                ctx.store(flag.at(0), 1).await;
             });
         }
         b.build()
@@ -193,8 +193,8 @@ mod tests {
         let mut b = ProgramBuilder::new(2);
         let g = b.global("g", ValKind::U64, 1);
         for t in 0..2u64 {
-            b.thread(move |ctx| {
-                ctx.store(g.at(0), t + 1);
+            b.thread(async move |ctx| {
+                ctx.store(g.at(0), t + 1).await;
             });
         }
         b.build()
@@ -226,11 +226,11 @@ mod tests {
             let g = b.global("g", ValKind::U64, 1);
             let l = b.mutex();
             for t in 0..2u64 {
-                b.thread(move |ctx| {
-                    ctx.lock(l);
-                    let v = ctx.load(g.at(0));
-                    ctx.store(g.at(0), v + t);
-                    ctx.unlock(l);
+                b.thread(async move |ctx| {
+                    ctx.lock(l).await;
+                    let v = ctx.load(g.at(0)).await;
+                    ctx.store(g.at(0), v + t).await;
+                    ctx.unlock(l).await;
                 });
             }
             b.build()

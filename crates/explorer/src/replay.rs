@@ -131,16 +131,16 @@ mod tests {
         let bar = b.barrier();
         let lock = b.mutex();
         for t in 0..3u64 {
-            b.thread(move |ctx| {
-                ctx.lock(lock);
-                let v = ctx.load(g.at(0));
-                ctx.store(g.at(0), v * 3 + t);
-                ctx.unlock(lock);
-                ctx.barrier(bar);
-                ctx.lock(lock);
-                let v = ctx.load(g.at(1));
-                ctx.store(g.at(1), v * 5 + t);
-                ctx.unlock(lock);
+            b.thread(async move |ctx| {
+                ctx.lock(lock).await;
+                let v = ctx.load(g.at(0)).await;
+                ctx.store(g.at(0), v * 3 + t).await;
+                ctx.unlock(lock).await;
+                ctx.barrier(bar).await;
+                ctx.lock(lock).await;
+                let v = ctx.load(g.at(1)).await;
+                ctx.store(g.at(1), v * 5 + t).await;
+                ctx.unlock(lock).await;
             });
         }
         b.build()

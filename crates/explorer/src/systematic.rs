@@ -252,11 +252,11 @@ mod tests {
         let lock = b.mutex();
         b.setup(move |s| s.store(g.at(0), 2));
         for local in [7u64, 3u64] {
-            b.thread(move |ctx| {
-                ctx.lock(lock);
-                let v = ctx.load(g.at(0));
-                ctx.store(g.at(0), v + local);
-                ctx.unlock(lock);
+            b.thread(async move |ctx| {
+                ctx.lock(lock).await;
+                let v = ctx.load(g.at(0)).await;
+                ctx.store(g.at(0), v + local).await;
+                ctx.unlock(lock).await;
             });
         }
         b.build()
@@ -268,10 +268,10 @@ mod tests {
         let g = b.global("G", ValKind::U64, 1);
         let lock = b.mutex();
         for t in 0..2u64 {
-            b.thread(move |ctx| {
-                ctx.lock(lock);
-                ctx.store(g.at(0), t + 1);
-                ctx.unlock(lock);
+            b.thread(async move |ctx| {
+                ctx.lock(lock).await;
+                ctx.store(g.at(0), t + 1).await;
+                ctx.unlock(lock).await;
             });
         }
         b.build()
@@ -305,11 +305,11 @@ mod tests {
             let g = b.global("G", ValKind::U64, 1);
             let lock = b.mutex();
             for t in 0..3u64 {
-                b.thread(move |ctx| {
-                    ctx.lock(lock);
-                    let v = ctx.load(g.at(0));
-                    ctx.store(g.at(0), v + 10 * (t + 1));
-                    ctx.unlock(lock);
+                b.thread(async move |ctx| {
+                    ctx.lock(lock).await;
+                    let v = ctx.load(g.at(0)).await;
+                    ctx.store(g.at(0), v + 10 * (t + 1)).await;
+                    ctx.unlock(lock).await;
                 });
             }
             b.build()
@@ -337,16 +337,16 @@ mod tests {
         let bar = b.barrier();
         let lock = b.mutex();
         for t in 0..2u64 {
-            b.thread(move |ctx| {
-                ctx.lock(lock);
-                let v = ctx.load(g.at(0));
-                ctx.store(g.at(0), v + 10 * (t + 1));
-                ctx.unlock(lock);
-                ctx.barrier(bar);
-                ctx.lock(lock);
-                let v = ctx.load(g.at(1));
-                ctx.store(g.at(1), v + 100 * (t + 1));
-                ctx.unlock(lock);
+            b.thread(async move |ctx| {
+                ctx.lock(lock).await;
+                let v = ctx.load(g.at(0)).await;
+                ctx.store(g.at(0), v + 10 * (t + 1)).await;
+                ctx.unlock(lock).await;
+                ctx.barrier(bar).await;
+                ctx.lock(lock).await;
+                let v = ctx.load(g.at(1)).await;
+                ctx.store(g.at(1), v + 100 * (t + 1)).await;
+                ctx.unlock(lock).await;
             });
         }
         b.build()
@@ -380,14 +380,14 @@ mod tests {
             let bar = b.barrier();
             let lock = b.mutex();
             for t in 0..2u64 {
-                b.thread(move |ctx| {
-                    ctx.lock(lock);
-                    ctx.store(g.at(0), t + 1);
-                    ctx.unlock(lock);
-                    ctx.barrier(bar);
-                    ctx.lock(lock);
-                    ctx.store(g.at(1), (t + 1) * 10);
-                    ctx.unlock(lock);
+                b.thread(async move |ctx| {
+                    ctx.lock(lock).await;
+                    ctx.store(g.at(0), t + 1).await;
+                    ctx.unlock(lock).await;
+                    ctx.barrier(bar).await;
+                    ctx.lock(lock).await;
+                    ctx.store(g.at(1), (t + 1) * 10).await;
+                    ctx.unlock(lock).await;
                 });
             }
             b.build()

@@ -67,7 +67,7 @@ struct Inner {
 ///         Arc::new(|| {
 ///             let mut b = ProgramBuilder::new(1);
 ///             let g = b.global("G", ValKind::U64, 1);
-///             b.thread(move |ctx| ctx.store(g.at(0), 7));
+///             b.thread(async move |ctx| ctx.store(g.at(0), 7).await);
 ///             b.build()
 ///         })
 ///     })

@@ -1,54 +1,46 @@
 //! The execution engine: serialized cooperative scheduling of simulated
 //! threads over the shared machine state.
 //!
-//! Each simulated thread runs on its own OS thread, but exactly one of
-//! them owns the *token* (`Central::active`) at any time, so execution is
-//! serialized and fully determined by the scheduler's decisions. Threads
-//! hand the token over at scheduling points (synchronization operations,
-//! and data accesses when the [`SwitchPolicy`](crate::SwitchPolicy) says
-//! so).
+//! Every simulated thread is a future, and a run polls them all on the
+//! thread that called [`Program::run_with`](crate::Program::run_with).
+//! Exactly one of them is *active* (`Central::active`) at any time, so
+//! execution is serialized and fully determined by the scheduler's
+//! decisions. Threads hand the turn over at scheduling points
+//! (synchronization operations, and data accesses when the
+//! [`SwitchPolicy`](crate::SwitchPolicy) says so).
 //!
-//! # Ownership transfer
+//! # The executor loop
 //!
-//! The machine state ([`Central`]) lives in a `Mutex<Option<Box<Central>>>`
-//! only *between* turns. When a thread is granted the token it moves the
-//! box out of the mutex into its own [`ThreadCtx`]; every data access then
-//! runs directly on the owned state with no lock or atomic traffic beyond
-//! one relaxed load of the abort flag. The box goes back into the mutex
-//! only at a scheduling point whose pick lands on a *different* thread —
-//! so a phase in which one thread holds the token (and in particular any
-//! single-threaded run) executes its entire access stream without touching
-//! the mutex at all. This is what makes the store hot path allocation- and
-//! lock-free.
+//! The run owns the machine state ([`Central`]) in an `Rc<RefCell<_>>`,
+//! and each [`ThreadCtx`] holds a handle to it. The loop polls the active
+//! thread's future with a no-op waker until the future either hands off
+//! (`Pending`: a scheduling point picked another thread) or finishes
+//! (`Ready`: the epilogue marks the thread finished and picks the next).
+//! It then polls the pick. A scheduling point whose pick lands back on
+//! the caller completes without yielding. The loop ends when no thread
+//! is runnable or the run has an error. No OS thread, lock or wakeup is
+//! involved, so all simulated threads of a run share one OS thread: a
+//! thread-local is shared between them.
 //!
-//! # Handoff
+//! # Failures and the deadline
 //!
-//! Handing the token over is park-after-release: the giver puts the box
-//! back in the cell with `active` naming the pick, *releases the lock*,
-//! and then unparks the pick's OS thread. A waiting thread loops on
-//! "lock the cell, check `active == tid` (and the error and abort flag),
-//! unlock, `thread::park`". A wakeup cannot be lost: if the giver's update
-//! lands before the waiter's check, the check sees it; if after, the
-//! unpark follows the waiter's unlock, and an unpark that beats the park
-//! leaves the thread's token set so the park returns at once. Spurious and
-//! stale wakeups cost one more look at the cell. Because the lock is free
-//! by the time the pick wakes, a handoff costs one wake and one sleep.
-//!
-//! # Threads
-//!
-//! Runs borrow their OS threads from a process-wide pool (`pool.rs`) and
-//! wait on a completion latch rather than joining them; a worker counts
-//! the latch down from a drop guard, so even a panic outside the
-//! workload's own unwinding cannot hang [`run`]. Threads are reused across
-//! runs, so workload bodies and monitors must not depend on OS-thread
-//! identity or thread-locals.
+//! Machine misuse, the step limit and the deadline record the run's error
+//! and unwind the active thread with a silent [`SimAbort`] panic; the
+//! loop catches every poll's unwind and ends the run. The deadline is
+//! checked at every scheduling point, and also every
+//! [`FORCED_PREEMPT_EVERY`] calls that are not scheduling points
+//! (`work`, `rand_u64`, `gettimeofday`), so a body that never reaches a
+//! scheduling point (`loop { ctx.work(1) }`) still ends in
+//! [`SimError::Deadline`].
 
 use std::any::Any;
+use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
+use std::future::{poll_fn, Future};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::{self, Thread};
+use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
+use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
 use adhash::{hash_delta_run, DeltaBatch, FpRound, HashSum, Mix64Hasher};
@@ -61,8 +53,7 @@ use crate::mem::Memory;
 use crate::monitor::{
     CheckpointInfo, CheckpointKind, EngineHashes, FastPathSpec, Monitor, StateView,
 };
-use crate::pool::{self, Latch};
-use crate::program::{GlobalDecl, Program, RunConfig};
+use crate::program::{GlobalDecl, Program, RunConfig, ThreadBody};
 use crate::sched::{Scheduler, SwitchPolicy};
 use crate::trace::{Trace, TraceOp};
 use crate::types::{Addr, BarrierId, CondId, LockId, RwLockId, SemId, ThreadId, TypeTag, ValKind};
@@ -76,7 +67,8 @@ const COST_LIB: u64 = 5;
 
 /// Even under `SwitchPolicy::SyncOnly`, force a scheduling point every
 /// this many consecutive data accesses by one thread, so spin loops over
-/// plain loads cannot monopolize the token forever.
+/// plain loads cannot monopolize the turn forever; and check the deadline
+/// every this many calls that are not scheduling points.
 const FORCED_PREEMPT_EVERY: u64 = 4096;
 
 /// Panic payload used to silently unwind simulated threads when the run
@@ -233,7 +225,8 @@ impl HotState {
     }
 }
 
-/// All mutable machine state, protected by one mutex.
+/// All mutable machine state, owned by the run and shared with its
+/// threads' contexts.
 struct Central {
     mem: Memory,
     globals: Vec<GlobalDecl>,
@@ -373,42 +366,12 @@ impl Central {
     }
 }
 
-struct Shared {
-    /// The machine-state cell: `Some` while the state is parked between
-    /// turns, `None` while the running thread owns it (see the module
-    /// docs on ownership transfer).
-    mu: Mutex<Option<Box<Central>>>,
-    /// The OS thread running each simulated thread: handing the token
-    /// over unparks exactly the picked thread.
-    threads: Vec<Thread>,
-    /// Set by the coordinator when the deadline fires while a thread owns
-    /// the machine state: that thread cannot be reached through the cell,
-    /// so it polls this flag (one relaxed load) on every instrumented
-    /// call and aborts at the next one.
-    abort: AtomicBool,
-}
-
-impl Shared {
-    /// Wakes every simulated thread — error paths only.
-    fn wake_all(&self) {
-        for t in &self.threads {
-            t.unpark();
-        }
-    }
-}
-
-fn lock_cell(shared: &Shared) -> MutexGuard<'_, Option<Box<Central>>> {
-    shared.mu.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Picks the next thread to run (or detects completion/deadlock) and
-/// returns the pick. Expects `c.active == None`. The caller is
-/// responsible for waking the picked thread (after parking the machine
-/// state back in the cell, so the wakeup cannot be missed).
+/// returns the pick. Expects `c.active == None`.
 ///
 /// `avoid` excludes a thread from consideration when at least one other
 /// thread is runnable — used by the forced-preemption backstop so that a
-/// thread spinning on plain loads cannot be handed the token straight
+/// thread spinning on plain loads cannot be handed the turn straight
 /// back regardless of the scheduler policy.
 ///
 /// A `None` return means no thread is runnable: either every thread
@@ -462,40 +425,45 @@ fn wake_dropped(c: &mut Central, tid: ThreadId) -> bool {
     dropped
 }
 
+/// Suspends the calling thread's future once: the executor polls it
+/// again only when the scheduler picks it.
+fn handoff() -> impl Future<Output = ()> {
+    let mut yielded = false;
+    poll_fn(move |_| {
+        if std::mem::replace(&mut yielded, true) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    })
+}
+
 /// The per-thread instrumented API that workload bodies are written
 /// against — the simulator's equivalent of the instruction stream Pin
 /// instruments in the paper.
 ///
 /// All shared-memory traffic, synchronization, allocation, library calls
 /// and output of the program under test must go through this context; the
-/// run's [`Monitor`] observes it and the scheduler interleaves it.
+/// run's [`Monitor`] observes it and the scheduler interleaves it. Every
+/// operation that can be a scheduling point is an `async fn`: awaiting it
+/// hands the turn to the scheduler's pick, and completes at once when the
+/// pick is the caller. `tid`, `nthreads`, `work`, `rand_u64` and
+/// `gettimeofday` never reschedule and stay synchronous.
 ///
 /// Methods abort the whole run (by unwinding this thread) on machine
 /// misuse; the run then returns the corresponding [`SimError`].
 pub struct ThreadCtx {
     tid: ThreadId,
     nthreads: usize,
-    shared: Arc<Shared>,
-    /// The machine state, owned while this thread holds the token
-    /// (`None` while parked in the cell or owned by another thread).
-    owned: Option<Box<Central>>,
+    central: Rc<RefCell<Central>>,
+    /// Calls that were not scheduling points, for the deadline check.
+    quiet_calls: u64,
 }
 
 impl std::fmt::Debug for ThreadCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadCtx").field("tid", &self.tid).finish()
     }
-}
-
-/// What to do after the scheduler pick at a scheduling point.
-enum After {
-    /// The pick landed back on the caller: keep ownership and continue.
-    KeepRunning,
-    /// Hand the machine state to the picked thread (or, on `None`, park
-    /// it and wake everyone — the core recorded a deadlock error).
-    Handoff(Option<ThreadId>),
-    /// Abort the run with this error.
-    Fail(SimError),
 }
 
 impl ThreadCtx {
@@ -509,170 +477,106 @@ impl ThreadCtx {
         self.nthreads
     }
 
-    /// The owned machine state — the entire hot-path "guard": one relaxed
-    /// load of the abort flag and one `Option` branch, no lock.
+    /// The machine state. Only the active thread runs, and no borrow is
+    /// held across an `.await`, so this never finds the state borrowed.
     #[inline]
-    fn central(&mut self) -> &mut Central {
-        if self.shared.abort.load(Ordering::Relaxed) {
-            self.abort_slow();
-        }
-        self.owned.as_deref_mut().expect("token protocol violated")
+    fn central(&mut self) -> RefMut<'_, Central> {
+        self.central.borrow_mut()
     }
 
-    /// The deadline fired while we owned the machine state: record the
-    /// error, park the state, and unwind.
-    #[cold]
-    fn abort_slow(&mut self) -> ! {
-        if let Some(c) = self.owned.as_deref_mut() {
-            if c.error.is_none() {
-                c.error = Some(SimError::Deadline {
-                    limit_ms: c.deadline_ms,
-                });
-            }
-        }
-        if let Some(boxed) = self.owned.take() {
-            *lock_cell(&self.shared) = Some(boxed);
-        }
-        self.shared.wake_all();
-        panic::panic_any(SimAbort)
-    }
-
+    /// Records `err` as the run's error (unless one is already recorded)
+    /// and unwinds this thread.
     #[cold]
     fn fail(&mut self, err: SimError) -> ! {
-        match self.owned.take() {
-            Some(mut boxed) => {
-                if boxed.error.is_none() {
-                    boxed.error = Some(err);
-                }
-                *lock_cell(&self.shared) = Some(boxed);
-            }
-            None => {
-                let mut cell = lock_cell(&self.shared);
-                if let Some(c) = cell.as_deref_mut() {
-                    if c.error.is_none() {
-                        c.error = Some(err);
-                    }
-                }
+        {
+            let mut c = self.central();
+            if c.error.is_none() {
+                c.error = Some(err);
             }
         }
-        self.shared.wake_all();
         panic::panic_any(SimAbort)
     }
 
-    /// Blocks until this thread is scheduled again (or the run aborts),
-    /// then takes ownership of the machine state. Re-checks the cell
-    /// after every wakeup: the unpark token makes a wake that lands
-    /// between the check and the park return at once, and a stale or
-    /// spurious one just costs another look.
-    fn wait_for_turn(&mut self) {
-        loop {
-            {
-                let mut cell = lock_cell(&self.shared);
-                let abort = match cell.as_deref() {
-                    Some(c) => {
-                        if c.active == Some(self.tid)
-                            && c.threads[self.tid].state == TState::Ready
-                            && c.error.is_none()
-                        {
-                            self.owned = cell.take();
-                            return;
-                        }
-                        c.error.is_some()
-                    }
-                    // Another thread owns the state. If the run is being
-                    // torn down it may never come back to the cell (the
-                    // owner could be stuck), so honor the abort flag.
-                    None => self.shared.abort.load(Ordering::Relaxed),
-                };
-                if abort {
-                    drop(cell);
-                    panic::panic_any(SimAbort);
-                }
+    /// Counts a call that is not a scheduling point; every
+    /// [`FORCED_PREEMPT_EVERY`]th one checks the deadline.
+    #[inline]
+    fn quiet_call(&mut self) {
+        self.quiet_calls += 1;
+        if self.quiet_calls.is_multiple_of(FORCED_PREEMPT_EVERY) {
+            let expired = {
+                let c = self.central();
+                c.deadline_at
+                    .is_some_and(|at| Instant::now() >= at)
+                    .then_some(c.deadline_ms)
+            };
+            if let Some(limit_ms) = expired {
+                self.fail(SimError::Deadline { limit_ms });
             }
-            thread::park();
         }
     }
 
-    /// A scheduling point: record our new state, give up the token, let
-    /// the scheduler pick, and wait until it is our turn again. When the
-    /// pick lands back on us the whole operation stays on the owned state
-    /// — no mutex, no wakeup.
-    fn reschedule(&mut self, new_state: TState) {
-        self.reschedule_avoiding(new_state, false)
-    }
-
-    fn reschedule_avoiding(&mut self, new_state: TState, avoid_self: bool) {
+    /// A scheduling point: records the caller's new state and lets the
+    /// scheduler pick. Returns whether the pick is another thread (or
+    /// none), in which case the caller must yield to the executor.
+    fn point(&mut self, new_state: TState, avoid_self: bool) -> bool {
         let tid = self.tid;
-        let after = {
-            let c = self.owned.as_deref_mut().expect("token protocol violated");
+        let err = {
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.step += 1;
-            if c.step > c.max_steps && c.error.is_none() {
-                After::Fail(SimError::StepLimit { limit: c.max_steps })
+            if c.step > c.max_steps {
+                SimError::StepLimit { limit: c.max_steps }
             } else if c
                 .deadline_at
                 // The watchdog: every scheduling point checks the wall
                 // clock, so even a spin livelock over plain loads (which
                 // reaches here via the forced-preemption backstop) is
                 // caught without waiting for the much larger step limit.
-                .is_some_and(|at| Instant::now() >= at && c.error.is_none())
+                .is_some_and(|at| Instant::now() >= at)
             {
-                After::Fail(SimError::Deadline {
+                SimError::Deadline {
                     limit_ms: c.deadline_ms,
-                })
+                }
             } else {
                 c.threads[tid].state = new_state;
                 c.active = None;
-                let picked = schedule_next_core(c, avoid_self.then_some(tid));
-                if picked == Some(tid) {
-                    After::KeepRunning
-                } else {
-                    After::Handoff(picked)
-                }
+                return schedule_next_core(c, avoid_self.then_some(tid)) != Some(tid);
             }
         };
-        match after {
-            After::KeepRunning => {}
-            After::Fail(err) => self.fail(err),
-            After::Handoff(picked) => {
-                // Park the state and release the cell before waking the
-                // pick, so it never wakes only to block on the lock.
-                let boxed = self.owned.take().expect("token protocol violated");
-                *lock_cell(&self.shared) = Some(boxed);
-                match picked {
-                    Some(next) => self.shared.threads[next].unpark(),
-                    // No runnable thread: the core recorded a deadlock
-                    // (the caller is not finished), so wake everyone.
-                    None => self.shared.wake_all(),
-                }
-                self.wait_for_turn();
-            }
+        self.fail(err)
+    }
+
+    /// A scheduling point that waits for this thread's next turn.
+    async fn reschedule(&mut self, new_state: TState) {
+        if self.point(new_state, false) {
+            handoff().await;
         }
     }
 
-    #[inline]
-    fn access_preempt(&mut self) {
+    /// The scheduling point after a data access, if the switch policy or
+    /// the forced-preemption backstop asks for one.
+    async fn access_preempt(&mut self) {
         let tid = self.tid;
         let (forced, policy) = {
-            let c = self.owned.as_deref_mut().expect("token protocol violated");
+            let mut c = self.central();
             let slot = &mut c.threads[tid];
             slot.access_count += 1;
             let count = slot.access_count;
             let forced = count.is_multiple_of(FORCED_PREEMPT_EVERY);
             (forced, !forced && c.switch.preempt_on_access(count))
         };
-        if forced {
-            self.reschedule_avoiding(TState::Ready, true);
-        } else if policy {
-            self.reschedule(TState::Ready);
+        if (forced || policy) && self.point(TState::Ready, forced) {
+            handoff().await;
         }
     }
 
     // ---- data accesses -------------------------------------------------
 
-    fn load_kind(&mut self, addr: Addr, kind: ValKind) -> u64 {
+    async fn load_kind(&mut self, addr: Addr, kind: ValKind) -> u64 {
         let tid = self.tid;
         let value = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_ACCESS;
             match c.mem.read(addr) {
                 Some(value) => {
@@ -691,14 +595,15 @@ impl ThreadCtx {
         let Some(value) = value else {
             self.fail(SimError::BadAddress { tid, addr });
         };
-        self.access_preempt();
+        self.access_preempt().await;
         value
     }
 
-    fn store_kind(&mut self, addr: Addr, mut value: u64, kind: ValKind) {
+    async fn store_kind(&mut self, addr: Addr, mut value: u64, kind: ValKind) {
         let tid = self.tid;
         let ok = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_ACCESS;
             if let Some(f) = &mut c.faults {
                 // Data corruption: the value actually written (and seen by
@@ -734,36 +639,37 @@ impl ThreadCtx {
         if !ok {
             self.fail(SimError::BadAddress { tid, addr });
         }
-        self.access_preempt();
+        self.access_preempt().await;
     }
 
     /// Loads an integer/pointer word.
-    pub fn load(&mut self, addr: Addr) -> u64 {
-        self.load_kind(addr, ValKind::U64)
+    pub async fn load(&mut self, addr: Addr) -> u64 {
+        self.load_kind(addr, ValKind::U64).await
     }
 
     /// Stores an integer/pointer word.
-    pub fn store(&mut self, addr: Addr, value: u64) {
-        self.store_kind(addr, value, ValKind::U64)
+    pub async fn store(&mut self, addr: Addr, value: u64) {
+        self.store_kind(addr, value, ValKind::U64).await
     }
 
     /// Loads an `f64` (stored as its bit pattern).
-    pub fn load_f64(&mut self, addr: Addr) -> f64 {
-        f64::from_bits(self.load_kind(addr, ValKind::F64))
+    pub async fn load_f64(&mut self, addr: Addr) -> f64 {
+        f64::from_bits(self.load_kind(addr, ValKind::F64).await)
     }
 
     /// Stores an `f64` — an *FP store*, which the checker may round off
     /// before hashing.
-    pub fn store_f64(&mut self, addr: Addr, value: f64) {
-        self.store_kind(addr, value.to_bits(), ValKind::F64)
+    pub async fn store_f64(&mut self, addr: Addr, value: f64) {
+        self.store_kind(addr, value.to_bits(), ValKind::F64).await
     }
 
     /// Atomic fetch-add on an integer word; returns the previous value.
     /// A synchronization (scheduling) point.
-    pub fn fetch_add(&mut self, addr: Addr, delta: u64) -> u64 {
+    pub async fn fetch_add(&mut self, addr: Addr, delta: u64) -> u64 {
         let tid = self.tid;
         let old = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += 2 * COST_ACCESS;
             match c.mem.read(addr) {
                 Some(old) => {
@@ -785,16 +691,17 @@ impl ThreadCtx {
         let Some(old) = old else {
             self.fail(SimError::BadAddress { tid, addr });
         };
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
         old
     }
 
     /// Atomic compare-and-swap; returns the previous value (the swap
     /// happened iff it equals `expected`). A scheduling point.
-    pub fn compare_and_swap(&mut self, addr: Addr, expected: u64, new: u64) -> u64 {
+    pub async fn compare_and_swap(&mut self, addr: Addr, expected: u64, new: u64) -> u64 {
         let tid = self.tid;
         let old = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += 2 * COST_ACCESS;
             match c.mem.read(addr) {
                 Some(old) => {
@@ -818,7 +725,7 @@ impl ThreadCtx {
         let Some(old) = old else {
             self.fail(SimError::BadAddress { tid, addr });
         };
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
         old
     }
 
@@ -828,7 +735,7 @@ impl ThreadCtx {
     ///
     /// The simulated mutexes are non-reentrant; re-acquiring aborts the
     /// run with [`SimError::RelockHeld`].
-    pub fn lock(&mut self, l: LockId) {
+    pub async fn lock(&mut self, l: LockId) {
         enum LockOutcome {
             Acquired,
             Blocked,
@@ -837,7 +744,8 @@ impl ThreadCtx {
         loop {
             let tid = self.tid;
             let outcome = {
-                let c = self.central();
+                let mut guard = self.central();
+                let c = &mut *guard;
                 c.threads[tid].instr += COST_SYNC;
                 match c.locks[l.0].held_by {
                     None => {
@@ -851,20 +759,21 @@ impl ThreadCtx {
             };
             match outcome {
                 LockOutcome::Acquired => {
-                    self.reschedule(TState::Ready);
+                    self.reschedule(TState::Ready).await;
                     return;
                 }
-                LockOutcome::Blocked => self.reschedule(TState::BlockedLock(l)),
+                LockOutcome::Blocked => self.reschedule(TState::BlockedLock(l)).await,
                 LockOutcome::Relock => self.fail(SimError::RelockHeld { tid, lock: l }),
             }
         }
     }
 
     /// Releases a mutex this thread holds.
-    pub fn unlock(&mut self, l: LockId) {
+    pub async fn unlock(&mut self, l: LockId) {
         let tid = self.tid;
         let ok = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_SYNC;
             if c.locks[l.0].held_by == Some(tid) {
                 c.locks[l.0].held_by = None;
@@ -884,16 +793,17 @@ impl ThreadCtx {
         if !ok {
             self.fail(SimError::UnlockNotHeld { tid, lock: l });
         }
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
     }
 
     /// Arrives at a pthread-style barrier; blocks until all parties have
     /// arrived. The last arrival fires a determinism checkpoint — the
     /// paper checks at every dynamic `pthread_barrier_wait`.
-    pub fn barrier(&mut self, b: BarrierId) {
+    pub async fn barrier(&mut self, b: BarrierId) {
         let tid = self.tid;
         let state = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_SYNC;
             c.trace_push(tid, TraceOp::BarrierArrive(b));
             c.barriers[b.0].arrived.push(tid);
@@ -909,7 +819,7 @@ impl ThreadCtx {
                 TState::BlockedBarrier(b)
             }
         };
-        self.reschedule(state);
+        self.reschedule(state).await;
     }
 
     /// Waits on a condition variable, releasing `l` while waiting and
@@ -917,10 +827,11 @@ impl ThreadCtx {
     ///
     /// Spurious wakeups are possible (as with pthreads): always call in a
     /// predicate loop.
-    pub fn cond_wait(&mut self, cond: CondId, l: LockId) {
+    pub async fn cond_wait(&mut self, cond: CondId, l: LockId) {
         let tid = self.tid;
         let ok = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_SYNC;
             if c.locks[l.0].held_by == Some(tid) {
                 c.locks[l.0].held_by = None;
@@ -938,15 +849,16 @@ impl ThreadCtx {
         if !ok {
             self.fail(SimError::UnlockNotHeld { tid, lock: l });
         }
-        self.reschedule(TState::BlockedCond(cond));
-        self.lock(l);
+        self.reschedule(TState::BlockedCond(cond)).await;
+        self.lock(l).await;
     }
 
     /// Wakes one thread waiting on `cond` (the lowest-id waiter).
-    pub fn cond_signal(&mut self, cond: CondId) {
+    pub async fn cond_signal(&mut self, cond: CondId) {
         let tid = self.tid;
         {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_SYNC;
             if !wake_dropped(c, tid) {
                 if let Some(t) =
@@ -957,14 +869,15 @@ impl ThreadCtx {
             }
             c.trace_push(tid, TraceOp::CondSignal(cond));
         }
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
     }
 
     /// Wakes every thread waiting on `cond`.
-    pub fn cond_broadcast(&mut self, cond: CondId) {
+    pub async fn cond_broadcast(&mut self, cond: CondId) {
         let tid = self.tid;
         {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_SYNC;
             if !wake_dropped(c, tid) {
                 for t in 0..c.nthreads {
@@ -975,24 +888,24 @@ impl ThreadCtx {
             }
             c.trace_push(tid, TraceOp::CondBroadcast(cond));
         }
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
     }
 
-    /// Voluntarily yields the token (a scheduling point with no effect).
-    pub fn sched_yield(&mut self) {
-        let _ = self.central();
-        self.reschedule(TState::Ready);
+    /// Voluntarily yields the turn (a scheduling point with no effect).
+    pub async fn sched_yield(&mut self) {
+        self.reschedule(TState::Ready).await;
     }
 
     // ---- reader-writer locks and semaphores ------------------------------
 
     /// Acquires a reader-writer lock in shared (read) mode; blocks while
     /// a writer holds it.
-    pub fn read_lock(&mut self, l: RwLockId) {
+    pub async fn read_lock(&mut self, l: RwLockId) {
         loop {
             let tid = self.tid;
             let acquired = {
-                let c = self.central();
+                let mut guard = self.central();
+                let c = &mut *guard;
                 c.threads[tid].instr += COST_SYNC;
                 if c.rwlocks[l.0].writer.is_none() {
                     c.rwlocks[l.0].readers.push(tid);
@@ -1003,18 +916,19 @@ impl ThreadCtx {
                 }
             };
             if acquired {
-                self.reschedule(TState::Ready);
+                self.reschedule(TState::Ready).await;
                 return;
             }
-            self.reschedule(TState::BlockedRwRead(l));
+            self.reschedule(TState::BlockedRwRead(l)).await;
         }
     }
 
     /// Releases a shared (read) hold.
-    pub fn read_unlock(&mut self, l: RwLockId) {
+    pub async fn read_unlock(&mut self, l: RwLockId) {
         let tid = self.tid;
         let ok = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_SYNC;
             match c.rwlocks[l.0].readers.iter().position(|&t| t == tid) {
                 Some(pos) => {
@@ -1040,16 +954,17 @@ impl ThreadCtx {
                 write: false,
             });
         }
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
     }
 
     /// Acquires a reader-writer lock in exclusive (write) mode; blocks
     /// while any reader or another writer holds it.
-    pub fn write_lock(&mut self, l: RwLockId) {
+    pub async fn write_lock(&mut self, l: RwLockId) {
         loop {
             let tid = self.tid;
             let acquired = {
-                let c = self.central();
+                let mut guard = self.central();
+                let c = &mut *guard;
                 c.threads[tid].instr += COST_SYNC;
                 let st = &mut c.rwlocks[l.0];
                 if st.writer.is_none() && st.readers.is_empty() {
@@ -1061,18 +976,19 @@ impl ThreadCtx {
                 }
             };
             if acquired {
-                self.reschedule(TState::Ready);
+                self.reschedule(TState::Ready).await;
                 return;
             }
-            self.reschedule(TState::BlockedRwWrite(l));
+            self.reschedule(TState::BlockedRwWrite(l)).await;
         }
     }
 
     /// Releases an exclusive (write) hold.
-    pub fn write_unlock(&mut self, l: RwLockId) {
+    pub async fn write_unlock(&mut self, l: RwLockId) {
         let tid = self.tid;
         let ok = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_SYNC;
             if c.rwlocks[l.0].writer == Some(tid) {
                 c.rwlocks[l.0].writer = None;
@@ -1096,16 +1012,17 @@ impl ThreadCtx {
                 write: true,
             });
         }
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
     }
 
     /// Semaphore wait (P): blocks until the count is positive, then
     /// decrements it.
-    pub fn sem_wait(&mut self, sem: SemId) {
+    pub async fn sem_wait(&mut self, sem: SemId) {
         loop {
             let tid = self.tid;
             let acquired = {
-                let c = self.central();
+                let mut guard = self.central();
+                let c = &mut *guard;
                 c.threads[tid].instr += COST_SYNC;
                 if c.sems[sem.0].count > 0 {
                     c.sems[sem.0].count -= 1;
@@ -1116,18 +1033,19 @@ impl ThreadCtx {
                 }
             };
             if acquired {
-                self.reschedule(TState::Ready);
+                self.reschedule(TState::Ready).await;
                 return;
             }
-            self.reschedule(TState::BlockedSem(sem));
+            self.reschedule(TState::BlockedSem(sem)).await;
         }
     }
 
     /// Semaphore post (V): increments the count and wakes waiters.
-    pub fn sem_post(&mut self, sem: SemId) {
+    pub async fn sem_post(&mut self, sem: SemId) {
         let tid = self.tid;
         {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_SYNC;
             c.sems[sem.0].count += 1;
             if !wake_dropped(c, tid) {
@@ -1139,7 +1057,7 @@ impl ThreadCtx {
             }
             c.trace_push(tid, TraceOp::SemPost(sem));
         }
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
     }
 
     // ---- heap ------------------------------------------------------------
@@ -1147,10 +1065,11 @@ impl ThreadCtx {
     /// Allocates `len` zero-filled words at allocation site `site` with
     /// per-word type layout `tag`. A scheduling point (the allocator is
     /// shared state).
-    pub fn malloc(&mut self, site: &'static str, tag: TypeTag, len: usize) -> Addr {
+    pub async fn malloc(&mut self, site: &'static str, tag: TypeTag, len: usize) -> Addr {
         let tid = self.tid;
         let alloc_failed = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_MALLOC;
             let failed = match &mut c.faults {
                 Some(f) => f.fire(FaultKind::AllocFail, tid).is_some(),
@@ -1165,7 +1084,8 @@ impl ThreadCtx {
             self.fail(SimError::AllocFailed { tid, site });
         }
         let base = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             let base = c.alloc.alloc(tid, site, tag, len);
             let high = c.alloc.high_water();
             c.mem.grow_heap(high);
@@ -1186,62 +1106,66 @@ impl ThreadCtx {
             });
             base
         };
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
         base
     }
 
     /// Frees the block at `addr`. Aborts the run with
     /// [`SimError::BadFree`] if `addr` is not the base of a live block.
     /// A scheduling point.
-    pub fn free(&mut self, addr: Addr) {
+    pub async fn free(&mut self, addr: Addr) {
         let tid = self.tid;
         let block = {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_FREE;
             c.alloc.free(addr)
         };
         let Some(block) = block else {
             self.fail(SimError::BadFree { tid, addr });
         };
-        let central = self.central();
-        match &mut central.hot {
-            Some(hot) => {
-                hot.freed_words += block.len as u64;
-                if hot.hashing {
-                    // The freed block leaves the live state: cancel every
-                    // word's contribution (delta current → 0, rounded as
-                    // the dyn-path checker would) via one fused run over
-                    // the block's contiguous words.
-                    hot.flush_batch();
-                    if hot.sums.len() <= tid {
-                        hot.sums.resize(tid + 1, HashSum::ZERO);
+        {
+            let mut guard = self.central();
+            let central = &mut *guard;
+            match &mut central.hot {
+                Some(hot) => {
+                    hot.freed_words += block.len as u64;
+                    if hot.hashing {
+                        // The freed block leaves the live state: cancel every
+                        // word's contribution (delta current → 0, rounded as
+                        // the dyn-path checker would) via one fused run over
+                        // the block's contiguous words.
+                        hot.flush_batch();
+                        if hot.sums.len() <= tid {
+                            hot.sums.resize(tid + 1, HashSum::ZERO);
+                        }
+                        let mut pairs = std::mem::take(&mut hot.free_scratch);
+                        pairs.clear();
+                        for i in 0..block.len {
+                            let a = block.base.offset(i as u64);
+                            let cur = central.mem.read(a).unwrap_or(0);
+                            let kind = block.kind_at(i);
+                            pairs.push((hot.round(cur, kind), hot.round(0, kind)));
+                        }
+                        let delta = hash_delta_run(&hot.hasher, block.base.raw(), &pairs);
+                        hot.sums[tid] = hot.sums[tid].combine(delta);
+                        hot.free_scratch = pairs;
                     }
-                    let mut pairs = std::mem::take(&mut hot.free_scratch);
-                    pairs.clear();
-                    for i in 0..block.len {
-                        let a = block.base.offset(i as u64);
-                        let cur = central.mem.read(a).unwrap_or(0);
-                        let kind = block.kind_at(i);
-                        pairs.push((hot.round(cur, kind), hot.round(0, kind)));
-                    }
-                    let delta = hash_delta_run(&hot.hasher, block.base.raw(), &pairs);
-                    hot.sums[tid] = hot.sums[tid].combine(delta);
-                    hot.free_scratch = pairs;
+                }
+                None => {
+                    let contents: Vec<u64> = block
+                        .iter()
+                        .map(|a| central.mem.read(a).unwrap_or(0))
+                        .collect();
+                    central.monitor.as_monitor().on_free(tid, &block, &contents);
                 }
             }
-            None => {
-                let contents: Vec<u64> = block
-                    .iter()
-                    .map(|a| central.mem.read(a).unwrap_or(0))
-                    .collect();
-                central.monitor.as_monitor().on_free(tid, &block, &contents);
-            }
+            central.trace_push(tid, TraceOp::Free { base: addr });
+            central.obs_emit(|step| {
+                obs::Event::instant(step, tid as u32, "free").with_arg("base", addr.0)
+            });
         }
-        central.trace_push(tid, TraceOp::Free { base: addr });
-        central.obs_emit(|step| {
-            obs::Event::instant(step, tid as u32, "free").with_arg("base", addr.0)
-        });
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
     }
 
     // ---- library calls, output, accounting -------------------------------
@@ -1250,7 +1174,9 @@ impl ThreadCtx {
     /// library seed / replay log).
     pub fn rand_u64(&mut self) -> u64 {
         let tid = self.tid;
-        let c = self.central();
+        self.quiet_call();
+        let mut guard = self.central();
+        let c = &mut *guard;
         c.threads[tid].instr += COST_LIB;
         let v = c.lib.rand_u64(tid);
         lib_perturb(c, tid, v)
@@ -1261,7 +1187,9 @@ impl ThreadCtx {
     /// [`rand_u64`]: ThreadCtx::rand_u64
     pub fn gettimeofday(&mut self) -> u64 {
         let tid = self.tid;
-        let c = self.central();
+        self.quiet_call();
+        let mut guard = self.central();
+        let c = &mut *guard;
         c.threads[tid].instr += COST_LIB;
         let v = c.lib.gettimeofday(tid);
         lib_perturb(c, tid, v)
@@ -1269,16 +1197,17 @@ impl ThreadCtx {
 
     /// Appends bytes to the program's output stream (the simulated
     /// `write()`); a scheduling point.
-    pub fn write_output(&mut self, bytes: &[u8]) {
+    pub async fn write_output(&mut self, bytes: &[u8]) {
         let tid = self.tid;
         {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_SYNC + bytes.len() as u64 / 8;
             c.output.extend_from_slice(bytes);
             c.monitor.as_monitor().on_output(tid, bytes);
             c.trace_push(tid, TraceOp::Output { len: bytes.len() });
         }
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
     }
 
     /// Accounts `n` instructions of thread-local computation (work that
@@ -1286,20 +1215,21 @@ impl ThreadCtx {
     #[inline]
     pub fn work(&mut self, n: u64) {
         let tid = self.tid;
-        let c = self.central();
-        c.threads[tid].instr += n;
+        self.quiet_call();
+        self.central().threads[tid].instr += n;
     }
 
     /// Fires a manual determinism checkpoint (the paper's
     /// programmer-specified checking points). A scheduling point.
-    pub fn checkpoint(&mut self, label: &'static str) {
+    pub async fn checkpoint(&mut self, label: &'static str) {
         let tid = self.tid;
         {
-            let c = self.central();
+            let mut guard = self.central();
+            let c = &mut *guard;
             c.threads[tid].instr += COST_SYNC;
             c.fire_checkpoint(tid, CheckpointKind::Manual(label));
         }
-        self.reschedule(TState::Ready);
+        self.reschedule(TState::Ready).await;
     }
 }
 
@@ -1504,26 +1434,65 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-fn thread_main(shared: Arc<Shared>, tid: ThreadId, body: Box<dyn FnOnce(&mut ThreadCtx) + Send>) {
-    let mut ctx = ThreadCtx {
-        tid,
-        nthreads: shared.threads.len(),
-        shared: Arc::clone(&shared),
-        owned: None,
-    };
-    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        ctx.wait_for_turn();
-        body(&mut ctx);
-    }));
-    let owned = ctx.owned.take();
-    let epilogue = panic::catch_unwind(AssertUnwindSafe(|| {
-        finish_thread(&shared, tid, owned, result.err())
-    }));
-    if let Err(payload) = epilogue {
-        // The epilogue itself panicked (in an event sink, say) before it
-        // handed the token on: fail the run so no waiter sleeps forever.
-        shared.abort.store(true, Ordering::SeqCst);
-        if let Some(c) = lock_cell(&shared).as_deref_mut() {
+/// A simulated thread's epilogue: records a workload panic as the run's
+/// error, marks the thread finished and, unless the run has failed,
+/// picks the next thread.
+fn finish_thread(c: &mut Central, tid: ThreadId, panicked: Option<Box<dyn Any + Send>>) {
+    if let Some(payload) = panicked {
+        if !payload.is::<SimAbort>() && c.error.is_none() {
+            c.error = Some(SimError::ThreadPanic {
+                tid,
+                message: payload_message(payload.as_ref()),
+            });
+        }
+    }
+    c.threads[tid].state = TState::Finished;
+    c.finished += 1;
+    c.active = None;
+    if c.error.is_none() {
+        schedule_next_core(c, None);
+    }
+}
+
+/// The executor loop: polls the active thread's future until it hands
+/// off or finishes, then polls the scheduler's pick, until no thread is
+/// runnable or the run has an error.
+fn drive(central: &Rc<RefCell<Central>>, bodies: Vec<ThreadBody>) {
+    let nthreads = bodies.len();
+    let mut ctxs: Vec<ThreadCtx> = (0..nthreads)
+        .map(|tid| ThreadCtx {
+            tid,
+            nthreads,
+            central: Rc::clone(central),
+            quiet_calls: 0,
+        })
+        .collect();
+    let mut threads: Vec<_> = bodies
+        .into_iter()
+        .zip(&mut ctxs)
+        .map(|(body, ctx)| body(ctx))
+        .collect();
+    let mut cx = Context::from_waker(Waker::noop());
+    loop {
+        let tid = {
+            let c = central.borrow();
+            match (c.active, &c.error) {
+                (Some(tid), None) => tid,
+                _ => return,
+            }
+        };
+        let panicked =
+            match panic::catch_unwind(AssertUnwindSafe(|| threads[tid].as_mut().poll(&mut cx))) {
+                Ok(Poll::Pending) => continue,
+                Ok(Poll::Ready(())) => None,
+                Err(payload) => Some(payload),
+            };
+        let epilogue = panic::catch_unwind(AssertUnwindSafe(|| {
+            finish_thread(&mut central.borrow_mut(), tid, panicked)
+        }));
+        if let Err(payload) = epilogue {
+            // The epilogue panicked (in an event sink, say): fail the run.
+            let mut c = central.borrow_mut();
             if c.error.is_none() {
                 c.error = Some(SimError::ThreadPanic {
                     tid,
@@ -1531,65 +1500,6 @@ fn thread_main(shared: Arc<Shared>, tid: ThreadId, body: Box<dyn FnOnce(&mut Thr
                 });
             }
         }
-        shared.wake_all();
-    }
-}
-
-/// A simulated thread's epilogue: parks the machine state if the thread
-/// still owns it, marks the thread finished (recording a workload panic
-/// as the run's error), and wakes whoever must act next — after the
-/// cell lock is released.
-fn finish_thread(
-    shared: &Shared,
-    tid: ThreadId,
-    owned: Option<Box<Central>>,
-    panicked: Option<Box<dyn Any + Send>>,
-) {
-    let wake = {
-        let mut cell = lock_cell(shared);
-        // The state is still ours after normal completion or a panic out
-        // of the workload body (both happen while holding the token). If
-        // we unwound from a wait instead, it is either in the cell
-        // already or owned by another thread.
-        if let Some(boxed) = owned {
-            *cell = Some(boxed);
-        }
-        // An empty cell means another (still running) thread owns the
-        // state; we can only be here unwinding from an abort, whose
-        // error that owner records. Nothing to update.
-        let Some(c) = cell.as_deref_mut() else {
-            return;
-        };
-        if let Some(payload) = panicked {
-            if !payload.is::<SimAbort>() && c.error.is_none() {
-                c.error = Some(SimError::ThreadPanic {
-                    tid,
-                    message: payload_message(payload.as_ref()),
-                });
-            }
-        }
-        if c.threads[tid].state != TState::Finished {
-            c.threads[tid].state = TState::Finished;
-            c.finished += 1;
-        }
-        if c.active == Some(tid) {
-            c.active = None;
-        }
-        if c.error.is_none() && c.active.is_none() {
-            match schedule_next_core(c, None) {
-                Some(next) => Some(next),
-                // Every thread finished: only the run's latch cares.
-                None if c.error.is_none() => return,
-                // The core recorded a deadlock.
-                None => None,
-            }
-        } else {
-            None
-        }
-    };
-    match wake {
-        Some(next) => shared.threads[next].unpark(),
-        None => shared.wake_all(),
     }
 }
 
@@ -1667,56 +1577,12 @@ pub(crate) fn run<M: Monitor + 'static>(
         setup(&mut sctx);
     }
 
-    // The first pick needs no thread yet: every simulated thread checks
-    // the cell before it first parks, so the pick finds its turn there.
     schedule_next_core(&mut central, None);
-    let deadline_ms = central.deadline_ms;
-    let deadline_at = central.deadline_at;
-    let workers = pool::checkout(nthreads);
-    let shared = Arc::new(Shared {
-        mu: Mutex::new(Some(Box::new(central))),
-        threads: workers.iter().map(|w| w.thread().clone()).collect(),
-        abort: AtomicBool::new(false),
-    });
-    let done = Arc::new(Latch::new(nthreads));
-    for ((tid, body), worker) in prog.threads.into_iter().enumerate().zip(workers) {
-        let sh = Arc::clone(&shared);
-        worker.start(
-            Box::new(move || thread_main(sh, tid, body)),
-            Arc::clone(&done),
-        );
-    }
-
-    // With a watchdog configured, the coordinator wakes at the deadline
-    // even if no simulated thread reaches a scheduling point (e.g. one
-    // thread stuck in a pure `work` loop): it posts the error (or raises
-    // the abort flag when the state is owned by the stuck thread, which
-    // then unwinds at its next instrumented call), and then waits for
-    // every thread to unwind.
-    if !done.wait(deadline_at) {
-        let settled = {
-            let mut cell = lock_cell(&shared);
-            match cell.as_deref_mut() {
-                Some(c) if c.finished >= nthreads || c.error.is_some() => true,
-                Some(c) => {
-                    c.error = Some(SimError::Deadline {
-                        limit_ms: deadline_ms,
-                    });
-                    false
-                }
-                None => false,
-            }
-        };
-        if !settled {
-            shared.abort.store(true, Ordering::SeqCst);
-            shared.wake_all();
-        }
-        done.wait(None);
-    }
-
-    let mut central = *lock_cell(&shared)
-        .take()
-        .expect("machine state parked after all threads finished");
+    let central = Rc::new(RefCell::new(central));
+    drive(&central, prog.threads);
+    let mut central = Rc::into_inner(central)
+        .expect("every thread handle dropped after the run")
+        .into_inner();
 
     if let Some(err) = central.error.take() {
         return Err(err);

@@ -20,6 +20,12 @@
 //!   (locks, barriers, condition variables, atomic RMWs); the
 //!   [`SwitchPolicy`] optionally adds every (or every k-th) data access,
 //!   which is needed to expose plain data races.
+//! * Each thread body is an async closure, and every [`ThreadCtx`]
+//!   operation that can be a scheduling point is awaited. A run polls
+//!   its threads' futures in turn on the thread that called
+//!   [`Program::run_with`], so it costs no OS thread, lock or context
+//!   switch. All simulated threads of a run therefore share one OS
+//!   thread: a thread-local is shared between them.
 //! * Given a program, a scheduler policy, a seed, and the replay logs, a
 //!   run is **bit-reproducible**.
 //!
@@ -36,11 +42,11 @@
 //! let g = b.global("counter", ValKind::U64, 1);
 //! let lock = b.mutex();
 //! for _ in 0..2 {
-//!     b.thread(move |ctx| {
-//!         ctx.lock(lock);
-//!         let v = ctx.load(g.at(0));
-//!         ctx.store(g.at(0), v + 1);
-//!         ctx.unlock(lock);
+//!     b.thread(async move |ctx| {
+//!         ctx.lock(lock).await;
+//!         let v = ctx.load(g.at(0)).await;
+//!         ctx.store(g.at(0), v + 1).await;
+//!         ctx.unlock(lock).await;
 //!     });
 //! }
 //! let outcome = b.build().run(&RunConfig::random(42)).unwrap();
@@ -57,7 +63,6 @@ mod faults;
 mod libcalls;
 mod mem;
 mod monitor;
-mod pool;
 mod program;
 mod sched;
 mod trace;

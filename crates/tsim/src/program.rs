@@ -1,7 +1,8 @@
 //! Program construction and run configuration.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
-
 use std::time::Duration;
 
 use crate::alloc::AllocLog;
@@ -23,14 +24,17 @@ pub struct GlobalDecl {
     pub region: Region,
 }
 
-pub(crate) type ThreadBody = Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>;
+/// A thread body: called once with the thread's context, it returns the
+/// future the executor polls. The future itself need not be `Send`.
+pub(crate) type ThreadBody =
+    Box<dyn for<'a> FnOnce(&'a mut ThreadCtx) -> Pin<Box<dyn Future<Output = ()> + 'a>> + Send>;
 pub(crate) type SetupBody = Box<dyn FnOnce(&mut SetupCtx<'_>) + Send + 'static>;
 
 /// Builder for a simulated parallel [`Program`].
 ///
 /// Workloads declare their globals, synchronization objects, an optional
-/// single-threaded setup phase (the fixed *input state*), and one body
-/// closure per thread.
+/// single-threaded setup phase (the fixed *input state*), and one async
+/// body closure per thread.
 ///
 /// # Example
 ///
@@ -43,11 +47,11 @@ pub(crate) type SetupBody = Box<dyn FnOnce(&mut SetupCtx<'_>) + Send + 'static>;
 /// b.setup(move |s| s.store(g.at(0), 2)); // initial G == 2
 /// for tid in 0..2 {
 ///     let l = [7u64, 3u64][tid];
-///     b.thread(move |ctx| {
-///         ctx.lock(lock);
-///         let v = ctx.load(g.at(0));
-///         ctx.store(g.at(0), v + l);
-///         ctx.unlock(lock);
+///     b.thread(async move |ctx| {
+///         ctx.lock(lock).await;
+///         let v = ctx.load(g.at(0)).await;
+///         ctx.store(g.at(0), v + l).await;
+///         ctx.unlock(lock).await;
 ///     });
 /// }
 /// let out = b.build().run(&RunConfig::random(1)).unwrap();
@@ -169,18 +173,19 @@ impl ProgramBuilder {
     }
 
     /// Adds the body of the next thread (thread ids are assigned in call
-    /// order, starting at 0).
+    /// order, starting at 0). The body is an async closure that awaits
+    /// the [`ThreadCtx`] operations that can be scheduling points.
     ///
     /// # Panics
     ///
     /// Panics if more bodies are added than the declared thread count.
-    pub fn thread(&mut self, f: impl FnOnce(&mut ThreadCtx) + Send + 'static) -> &mut Self {
+    pub fn thread(&mut self, f: impl AsyncFnOnce(&mut ThreadCtx) + Send + 'static) -> &mut Self {
         assert!(
             self.threads.len() < self.nthreads,
             "more thread bodies than the declared {} threads",
             self.nthreads
         );
-        self.threads.push(Box::new(f));
+        self.threads.push(Box::new(move |ctx| Box::pin(f(ctx))));
         self
     }
 
@@ -430,7 +435,7 @@ mod tests {
         assert_eq!(x.base, Addr(GLOBALS_BASE));
         assert_eq!(y.base, Addr(GLOBALS_BASE + 4));
         assert_eq!(y.kind, ValKind::F64);
-        b.thread(|_| {});
+        b.thread(async |_| {});
         let p = b.build();
         assert_eq!(p.global_words, 6);
         assert_eq!(p.globals.len(), 2);
@@ -457,7 +462,7 @@ mod tests {
     #[should_panic(expected = "expected 2 thread bodies")]
     fn missing_bodies_rejected() {
         let mut b = ProgramBuilder::new(2);
-        b.thread(|_| {});
+        b.thread(async |_| {});
         let _ = b.build();
     }
 
@@ -465,8 +470,8 @@ mod tests {
     #[should_panic(expected = "more thread bodies")]
     fn extra_bodies_rejected() {
         let mut b = ProgramBuilder::new(1);
-        b.thread(|_| {});
-        b.thread(|_| {});
+        b.thread(async |_| {});
+        b.thread(async |_| {});
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn build(bodies: &[Vec<Op>]) -> Program {
     for (tid, body) in bodies.iter().enumerate() {
         let body = body.clone();
         let locks = locks.clone();
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for op in &body {
                 match *op {
                     Op::LockedAdd(v) => {
@@ -62,20 +62,20 @@ fn build(bodies: &[Vec<Op>]) -> Program {
                         // The lock is a function of the cell, so every
                         // cell has exactly one guardian lock.
                         let lock = locks[cell_idx % LOCKS];
-                        ctx.lock(lock);
-                        let cur = ctx.load(cell);
-                        ctx.store(cell, cur + 1 + u64::from(v % 7));
-                        ctx.unlock(lock);
+                        ctx.lock(lock).await;
+                        let cur = ctx.load(cell).await;
+                        ctx.store(cell, cur + 1 + u64::from(v % 7)).await;
+                        ctx.unlock(lock).await;
                     }
-                    Op::PrivateStore(v) => ctx.store(private.at(tid), u64::from(v)),
+                    Op::PrivateStore(v) => ctx.store(private.at(tid), u64::from(v)).await,
                     Op::SharedLoad(v) => {
-                        let _ = ctx.load(shared.at(v as usize % CELLS));
+                        let _ = ctx.load(shared.at(v as usize % CELLS)).await;
                     }
                     Op::AtomicBump => {
-                        let _ = ctx.fetch_add(tally.at(0), 1);
+                        let _ = ctx.fetch_add(tally.at(0), 1).await;
                     }
                     Op::Work(v) => ctx.work(u64::from(v)),
-                    Op::Yield => ctx.sched_yield(),
+                    Op::Yield => ctx.sched_yield().await,
                 }
             }
         });

@@ -49,11 +49,11 @@ fn figure1_program() -> (tsim::Program, tsim::Region) {
     let lock = b.mutex();
     b.setup(move |s| s.store(g.at(0), 2));
     for local in [7u64, 3u64] {
-        b.thread(move |ctx| {
-            ctx.lock(lock);
-            let v = ctx.load(g.at(0));
-            ctx.store(g.at(0), v + local);
-            ctx.unlock(lock);
+        b.thread(async move |ctx| {
+            ctx.lock(lock).await;
+            let v = ctx.load(g.at(0)).await;
+            ctx.store(g.at(0), v + local).await;
+            ctx.unlock(lock).await;
         });
     }
     (b.build(), g)
@@ -134,9 +134,9 @@ fn barriers_fire_checkpoints_in_order() {
     let mut b = ProgramBuilder::new(4);
     let bar = b.barrier();
     for _ in 0..4 {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for _ in 0..3 {
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
     }
@@ -159,14 +159,14 @@ fn barrier_actually_synchronizes_phases() {
     let sums = b.global("sums", ValKind::U64, n);
     let bar = b.barrier();
     for tid in 0..n {
-        b.thread(move |ctx| {
-            ctx.store(slots.at(tid), (tid as u64) + 1);
-            ctx.barrier(bar);
+        b.thread(async move |ctx| {
+            ctx.store(slots.at(tid), (tid as u64) + 1).await;
+            ctx.barrier(bar).await;
             let mut sum = 0;
             for i in 0..n {
-                sum += ctx.load(slots.at(i));
+                sum += ctx.load(slots.at(i)).await;
             }
-            ctx.store(sums.at(tid), sum);
+            ctx.store(sums.at(tid), sum).await;
         });
     }
     let out = b.build().run(&RunConfig::random(11)).unwrap();
@@ -186,12 +186,12 @@ fn lock_provides_mutual_exclusion_for_rmw_sequences() {
     let g = b.global("counter", ValKind::U64, 1);
     let lock = b.mutex();
     for _ in 0..n {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for _ in 0..iters {
-                ctx.lock(lock);
-                let v = ctx.load(g.at(0));
-                ctx.store(g.at(0), v + 1);
-                ctx.unlock(lock);
+                ctx.lock(lock).await;
+                let v = ctx.load(g.at(0)).await;
+                ctx.store(g.at(0), v + 1).await;
+                ctx.unlock(lock).await;
             }
         });
     }
@@ -214,10 +214,10 @@ fn racy_increments_lose_updates_under_access_preemption() {
         let mut b = ProgramBuilder::new(n);
         let g = b.global("counter", ValKind::U64, 1);
         for _ in 0..n {
-            b.thread(move |ctx| {
+            b.thread(async move |ctx| {
                 for _ in 0..iters {
-                    let v = ctx.load(g.at(0));
-                    ctx.store(g.at(0), v + 1);
+                    let v = ctx.load(g.at(0)).await;
+                    ctx.store(g.at(0), v + 1).await;
                 }
             });
         }
@@ -243,9 +243,9 @@ fn fetch_add_is_atomic_even_with_access_preemption() {
     let mut b = ProgramBuilder::new(n);
     let g = b.global("counter", ValKind::U64, 1);
     for _ in 0..n {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for _ in 0..iters {
-                ctx.fetch_add(g.at(0), 1);
+                ctx.fetch_add(g.at(0), 1).await;
             }
         });
     }
@@ -262,10 +262,10 @@ fn compare_and_swap_takes_effect_once() {
     let g = b.global("flag", ValKind::U64, 1);
     let wins = b.global("wins", ValKind::U64, 2);
     for tid in 0..2 {
-        b.thread(move |ctx| {
-            let old = ctx.compare_and_swap(g.at(0), 0, tid as u64 + 1);
+        b.thread(async move |ctx| {
+            let old = ctx.compare_and_swap(g.at(0), 0, tid as u64 + 1).await;
             if old == 0 {
-                ctx.store(wins.at(tid), 1);
+                ctx.store(wins.at(tid), 1).await;
             }
         });
     }
@@ -284,42 +284,42 @@ fn condvar_producer_consumer() {
     let lock = b.mutex();
     let cv = b.condvar();
     // Producer.
-    b.thread(move |ctx| {
+    b.thread(async move |ctx| {
         for item in 1..=10u64 {
-            ctx.lock(lock);
-            while ctx.load(q.at(0)) != 0 {
-                ctx.cond_wait(cv, lock);
+            ctx.lock(lock).await;
+            while ctx.load(q.at(0)).await != 0 {
+                ctx.cond_wait(cv, lock).await;
             }
-            ctx.store(q.at(0), item);
-            ctx.cond_broadcast(cv);
-            ctx.unlock(lock);
+            ctx.store(q.at(0), item).await;
+            ctx.cond_broadcast(cv).await;
+            ctx.unlock(lock).await;
         }
-        ctx.lock(lock);
-        ctx.store(done.at(0), 1);
-        ctx.cond_broadcast(cv);
-        ctx.unlock(lock);
+        ctx.lock(lock).await;
+        ctx.store(done.at(0), 1).await;
+        ctx.cond_broadcast(cv).await;
+        ctx.unlock(lock).await;
     });
     // Two consumers.
     for i in 0..2 {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let mut count = 0u64;
             loop {
-                ctx.lock(lock);
-                while ctx.load(q.at(0)) == 0 && ctx.load(done.at(0)) == 0 {
-                    ctx.cond_wait(cv, lock);
+                ctx.lock(lock).await;
+                while ctx.load(q.at(0)).await == 0 && ctx.load(done.at(0)).await == 0 {
+                    ctx.cond_wait(cv, lock).await;
                 }
-                let item = ctx.load(q.at(0));
+                let item = ctx.load(q.at(0)).await;
                 if item != 0 {
-                    ctx.store(q.at(0), 0);
+                    ctx.store(q.at(0), 0).await;
                     count += 1;
-                    ctx.cond_broadcast(cv);
-                    ctx.unlock(lock);
+                    ctx.cond_broadcast(cv).await;
+                    ctx.unlock(lock).await;
                 } else {
-                    ctx.unlock(lock);
+                    ctx.unlock(lock).await;
                     break;
                 }
             }
-            ctx.store(consumed.at(i), count);
+            ctx.store(consumed.at(i), count).await;
         });
     }
     let out = b.build().run(&RunConfig::random(42)).unwrap();
@@ -333,23 +333,23 @@ fn deadlock_is_detected() {
     let mut b = ProgramBuilder::new(2);
     let l1 = b.mutex();
     let l2 = b.mutex();
-    b.thread(move |ctx| {
-        ctx.lock(l1);
+    b.thread(async move |ctx| {
+        ctx.lock(l1).await;
         for _ in 0..3 {
-            ctx.sched_yield();
+            ctx.sched_yield().await;
         }
-        ctx.lock(l2);
-        ctx.unlock(l2);
-        ctx.unlock(l1);
+        ctx.lock(l2).await;
+        ctx.unlock(l2).await;
+        ctx.unlock(l1).await;
     });
-    b.thread(move |ctx| {
-        ctx.lock(l2);
+    b.thread(async move |ctx| {
+        ctx.lock(l2).await;
         for _ in 0..3 {
-            ctx.sched_yield();
+            ctx.sched_yield().await;
         }
-        ctx.lock(l1);
-        ctx.unlock(l1);
-        ctx.unlock(l2);
+        ctx.lock(l1).await;
+        ctx.unlock(l1).await;
+        ctx.unlock(l2).await;
     });
     let err = b.build().run(&RunConfig::random(0)).unwrap_err();
     assert!(matches!(err, SimError::Deadlock { .. }), "{err}");
@@ -360,7 +360,7 @@ fn deadlock_is_detected() {
 fn unlock_not_held_is_an_error() {
     let mut b = ProgramBuilder::new(1);
     let l = b.mutex();
-    b.thread(move |ctx| ctx.unlock(l));
+    b.thread(async move |ctx| ctx.unlock(l).await);
     let err = b.build().run(&RunConfig::random(0)).unwrap_err();
     assert!(
         matches!(err, SimError::UnlockNotHeld { tid: 0, .. }),
@@ -372,9 +372,9 @@ fn unlock_not_held_is_an_error() {
 fn relock_is_an_error() {
     let mut b = ProgramBuilder::new(1);
     let l = b.mutex();
-    b.thread(move |ctx| {
-        ctx.lock(l);
-        ctx.lock(l);
+    b.thread(async move |ctx| {
+        ctx.lock(l).await;
+        ctx.lock(l).await;
     });
     let err = b.build().run(&RunConfig::random(0)).unwrap_err();
     assert!(matches!(err, SimError::RelockHeld { .. }), "{err}");
@@ -383,8 +383,8 @@ fn relock_is_an_error() {
 #[test]
 fn bad_address_is_an_error() {
     let mut b = ProgramBuilder::new(1);
-    b.thread(|ctx| {
-        ctx.store(Addr(3), 1);
+    b.thread(async |ctx| {
+        ctx.store(Addr(3), 1).await;
     });
     let err = b.build().run(&RunConfig::random(0)).unwrap_err();
     assert!(
@@ -402,8 +402,8 @@ fn bad_address_is_an_error() {
 #[test]
 fn bad_free_is_an_error() {
     let mut b = ProgramBuilder::new(1);
-    b.thread(|ctx| {
-        ctx.free(Addr(tsim::HEAP_BASE));
+    b.thread(async |ctx| {
+        ctx.free(Addr(tsim::HEAP_BASE)).await;
     });
     let err = b.build().run(&RunConfig::random(0)).unwrap_err();
     assert!(matches!(err, SimError::BadFree { .. }), "{err}");
@@ -413,8 +413,8 @@ fn bad_free_is_an_error() {
 fn workload_panic_is_reported() {
     let mut b = ProgramBuilder::new(2);
     let bar = b.barrier();
-    b.thread(move |_ctx| panic!("assertion blew up"));
-    b.thread(move |ctx| ctx.barrier(bar));
+    b.thread(async move |_ctx| panic!("assertion blew up"));
+    b.thread(async move |ctx| ctx.barrier(bar).await);
     let err = b.build().run(&RunConfig::random(0)).unwrap_err();
     match err {
         SimError::ThreadPanic { tid: 0, message } => {
@@ -427,8 +427,8 @@ fn workload_panic_is_reported() {
 #[test]
 fn step_limit_stops_livelock() {
     let mut b = ProgramBuilder::new(1);
-    b.thread(|ctx| loop {
-        ctx.sched_yield();
+    b.thread(async |ctx| loop {
+        ctx.sched_yield().await;
     });
     let err = b
         .build()
@@ -443,13 +443,13 @@ fn spin_loop_on_plain_loads_cannot_hang_the_engine() {
     // even under SyncOnly switching.
     let mut b = ProgramBuilder::new(2);
     let flag = b.global("flag", ValKind::U64, 1);
-    b.thread(move |ctx| {
-        while ctx.load(flag.at(0)) == 0 {
+    b.thread(async move |ctx| {
+        while ctx.load(flag.at(0)).await == 0 {
             ctx.work(1);
         }
     });
-    b.thread(move |ctx| {
-        ctx.store(flag.at(0), 1);
+    b.thread(async move |ctx| {
+        ctx.store(flag.at(0), 1).await;
     });
     // Force the spinner to start first via a script preferring thread 0.
     let script = Arc::new(vec![0u32; 3]);
@@ -463,15 +463,15 @@ fn spin_loop_on_plain_loads_cannot_hang_the_engine() {
 #[test]
 fn malloc_free_lifecycle_is_observed() {
     let mut b = ProgramBuilder::new(1);
-    b.thread(|ctx| {
-        let p = ctx.malloc("nodes", TypeTag::u64s(), 3);
-        ctx.store(p, 10);
-        ctx.store(p.offset(2), 30);
-        ctx.free(p);
-        let q = ctx.malloc("nodes", TypeTag::u64s(), 3);
+    b.thread(async |ctx| {
+        let p = ctx.malloc("nodes", TypeTag::u64s(), 3).await;
+        ctx.store(p, 10).await;
+        ctx.store(p.offset(2), 30).await;
+        ctx.free(p).await;
+        let q = ctx.malloc("nodes", TypeTag::u64s(), 3).await;
         // Reused memory is zero-filled.
-        assert_eq!(ctx.load(q), 0);
-        assert_eq!(ctx.load(q.offset(2)), 0);
+        assert_eq!(ctx.load(q).await, 0);
+        assert_eq!(ctx.load(q.offset(2)).await, 0);
     });
     let rec = Recorder::default();
     let out = b.build().run_with(&RunConfig::random(0), rec).unwrap();
@@ -493,10 +493,10 @@ fn alloc_replay_fixes_addresses_across_schedules() {
         let mut b = ProgramBuilder::new(2);
         let ptrs = b.global("ptrs", ValKind::U64, 2);
         for tid in 0..2usize {
-            b.thread(move |ctx| {
+            b.thread(async move |ctx| {
                 // Interleaving-dependent allocation order.
-                let p = ctx.malloc("buf", TypeTag::u64s(), 4 + tid);
-                ctx.store(ptrs.at(tid), p.raw());
+                let p = ctx.malloc("buf", TypeTag::u64s(), 4 + tid).await;
+                ctx.store(ptrs.at(tid), p.raw()).await;
             });
         }
         (b.build(), ptrs)
@@ -533,11 +533,11 @@ fn lib_replay_fixes_rand_and_time() {
     let build = || {
         let mut b = ProgramBuilder::new(1);
         let g = b.global("vals", ValKind::U64, 2);
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let r = ctx.rand_u64();
             let t = ctx.gettimeofday();
-            ctx.store(g.at(0), r);
-            ctx.store(g.at(1), t);
+            ctx.store(g.at(0), r).await;
+            ctx.store(g.at(1), t).await;
         });
         (b.build(), g)
     };
@@ -564,10 +564,10 @@ fn output_stream_is_collected_and_observed() {
     let mut b = ProgramBuilder::new(2);
     let lock = b.mutex();
     for tid in 0..2u8 {
-        b.thread(move |ctx| {
-            ctx.lock(lock);
-            ctx.write_output(&[tid; 4]);
-            ctx.unlock(lock);
+        b.thread(async move |ctx| {
+            ctx.lock(lock).await;
+            ctx.write_output(&[tid; 4]).await;
+            ctx.unlock(lock).await;
         });
     }
     let rec = Recorder::default();
@@ -579,9 +579,9 @@ fn output_stream_is_collected_and_observed() {
 #[test]
 fn manual_checkpoints_fire() {
     let mut b = ProgramBuilder::new(1);
-    b.thread(|ctx| {
+    b.thread(async |ctx| {
         for _ in 0..5 {
-            ctx.checkpoint("iteration");
+            ctx.checkpoint("iteration").await;
         }
     });
     let rec = Recorder::default();
@@ -610,10 +610,10 @@ fn trace_records_the_serialized_execution() {
 fn f64_roundtrip_through_memory() {
     let mut b = ProgramBuilder::new(1);
     let g = b.global("x", ValKind::F64, 1);
-    b.thread(move |ctx| {
-        ctx.store_f64(g.at(0), 3.5);
-        let v = ctx.load_f64(g.at(0));
-        ctx.store_f64(g.at(0), v * 2.0);
+    b.thread(async move |ctx| {
+        ctx.store_f64(g.at(0), 3.5).await;
+        let v = ctx.load_f64(g.at(0)).await;
+        ctx.store_f64(g.at(0), v * 2.0).await;
     });
     let out = b.build().run(&RunConfig::random(0)).unwrap();
     assert_eq!(out.final_f64(g.at(0)), Some(7.0));
@@ -623,12 +623,12 @@ fn f64_roundtrip_through_memory() {
 fn instruction_counts_are_per_thread_and_work_is_charged() {
     let mut b = ProgramBuilder::new(2);
     let g = b.global("g", ValKind::U64, 2);
-    b.thread(move |ctx| {
+    b.thread(async move |ctx| {
         ctx.work(100);
-        ctx.store(g.at(0), 1);
+        ctx.store(g.at(0), 1).await;
     });
-    b.thread(move |ctx| {
-        ctx.store(g.at(1), 1);
+    b.thread(async move |ctx| {
+        ctx.store(g.at(1), 1).await;
     });
     let out = b.build().run(&RunConfig::random(0)).unwrap();
     assert_eq!(out.instr[0], 101);
@@ -640,8 +640,8 @@ fn instruction_counts_are_per_thread_and_work_is_charged() {
 fn zero_fill_charging_is_conditional() {
     let build = || {
         let mut b = ProgramBuilder::new(1);
-        b.thread(|ctx| {
-            let _ = ctx.malloc("big", TypeTag::u64s(), 1000);
+        b.thread(async |ctx| {
+            let _ = ctx.malloc("big", TypeTag::u64s(), 1000).await;
         });
         b.build()
     };
@@ -659,13 +659,13 @@ fn zero_fill_charging_is_conditional() {
 fn final_state_view_exposes_live_blocks_only() {
     let mut b = ProgramBuilder::new(1);
     let keep = b.global("keep", ValKind::U64, 1);
-    b.thread(move |ctx| {
-        let dead = ctx.malloc("dead", TypeTag::u64s(), 2);
-        let live = ctx.malloc("live", TypeTag::f64s(), 2);
-        ctx.store(dead, 1);
-        ctx.store_f64(live, 2.0);
-        ctx.store(keep.at(0), live.raw());
-        ctx.free(dead);
+    b.thread(async move |ctx| {
+        let dead = ctx.malloc("dead", TypeTag::u64s(), 2).await;
+        let live = ctx.malloc("live", TypeTag::f64s(), 2).await;
+        ctx.store(dead, 1).await;
+        ctx.store_f64(live, 2.0).await;
+        ctx.store(keep.at(0), live.raw()).await;
+        ctx.free(dead).await;
     });
     let out = b.build().run(&RunConfig::random(0)).unwrap();
     let view = out.final_state();

@@ -1,10 +1,10 @@
-//! The simulated-thread pool outlives failing runs. Runs that panic,
-//! deadlock, hit the step limit, miss their deadline or panic in an
-//! event sink are interleaved with healthy runs on the same pooled OS
-//! threads: every failure must surface as its typed [`SimError`], every
-//! healthy run must match the same-seed run made before any failure, and
-//! hundreds of sequential runs must not grow the process's thread count
-//! beyond one run's worth of workers.
+//! The executor survives failing runs. Runs that panic, deadlock, hit
+//! the step limit, miss their deadline or panic in an event sink are
+//! interleaved with healthy runs: every failure must surface as its
+//! typed [`SimError`], every healthy run must match the same-seed run
+//! made before any failure, and a run's simulated threads are futures on
+//! the calling thread, so hundreds of runs leave the process's OS thread
+//! count unchanged.
 //!
 //! This file holds a single test so that it owns its process: the thread
 //! count it reads is not disturbed by concurrently running tests.
@@ -27,13 +27,13 @@ fn healthy() -> Program {
     let shared = b.global("shared", ValKind::U64, 4);
     let lock = b.mutex();
     for tid in 0..THREADS as u64 {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for i in 0..25u64 {
                 let cell = shared.at(((tid + i) % 4) as usize);
-                ctx.lock(lock);
-                let v = ctx.load(cell);
-                ctx.store(cell, v * 3 + tid + 1);
-                ctx.unlock(lock);
+                ctx.lock(lock).await;
+                let v = ctx.load(cell).await;
+                ctx.store(cell, v * 3 + tid + 1).await;
+                ctx.unlock(lock).await;
             }
         });
     }
@@ -45,9 +45,9 @@ fn panicking() -> Program {
     let mut b = ProgramBuilder::new(THREADS);
     let shared = b.global("shared", ValKind::U64, 1);
     for tid in 0..THREADS as u64 {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for i in 0..10u64 {
-                ctx.fetch_add(shared.at(0), 1);
+                ctx.fetch_add(shared.at(0), 1).await;
                 assert!(tid != 2 || i < 5, "thread 2 gives up");
             }
         });
@@ -60,19 +60,20 @@ fn deadlocking() -> Program {
     let mut b = ProgramBuilder::new(THREADS);
     let lock = b.mutex();
     for _ in 0..THREADS {
-        b.thread(move |ctx| ctx.lock(lock));
+        b.thread(async move |ctx| ctx.lock(lock).await);
     }
     b.build()
 }
 
 /// One thread spins on pure local work, so it never reaches a
-/// scheduling point: only the coordinator's deadline can end the run.
+/// scheduling point: only the deadline check among its `work` calls can
+/// end the run.
 fn spinning() -> Program {
     let mut b = ProgramBuilder::new(THREADS);
     let g = b.global("g", ValKind::U64, 1);
     for tid in 0..THREADS {
-        b.thread(move |ctx| {
-            ctx.store(g.at(0), tid as u64);
+        b.thread(async move |ctx| {
+            ctx.store(g.at(0), tid as u64).await;
             if tid == 1 {
                 loop {
                     ctx.work(1);
@@ -88,7 +89,7 @@ fn spinning() -> Program {
 fn empty() -> Program {
     let mut b = ProgramBuilder::new(THREADS);
     for _ in 0..THREADS {
-        b.thread(|_| {});
+        b.thread(async |_| {});
     }
     b.build()
 }
@@ -168,7 +169,7 @@ fn failing_run(kind: usize) -> (SimErrorKind, Result<(), SimError>) {
 }
 
 #[test]
-fn pool_survives_failed_runs_without_leaking_threads() {
+fn executor_survives_failed_runs_without_starting_threads() {
     let start = os_threads();
     let seeds = [1u64, 2, 3];
     let reference: Vec<_> = seeds.iter().map(|&s| run_healthy(s)).collect();
@@ -201,8 +202,8 @@ fn pool_survives_failed_runs_without_leaking_threads() {
         assert_same_run(&out, &reference[(i % 3) as usize]);
     }
     let end = os_threads();
-    assert!(
-        end <= start + THREADS,
-        "pool leaked workers: {start} threads before, {end} after"
+    assert_eq!(
+        end, start,
+        "runs started OS threads: {start} before, {end} after"
     );
 }

@@ -15,13 +15,13 @@ fn locked_adders() -> Program {
     let shared = b.global("shared", ValKind::U64, 4);
     let lock = b.mutex();
     for tid in 0..2u64 {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for i in 0..40u64 {
                 let cell = shared.at(((tid + i) % 4) as usize);
-                ctx.lock(lock);
-                let v = ctx.load(cell);
-                ctx.store(cell, v + 1 + tid);
-                ctx.unlock(lock);
+                ctx.lock(lock).await;
+                let v = ctx.load(cell).await;
+                ctx.store(cell, v + 1 + tid).await;
+                ctx.unlock(lock).await;
             }
         });
     }
@@ -63,10 +63,10 @@ fn bit_flip_lands_in_memory() {
 fn alloc_fail_aborts_with_alloc_failed() {
     let plan = FaultPlan::new(1).with(FaultKind::AllocFail, Trigger::Nth(1));
     let mut b = ProgramBuilder::new(1);
-    b.thread(|ctx| {
+    b.thread(async |ctx| {
         for _ in 0..4 {
-            let p = ctx.malloc("buf", tsim::TypeTag::u64s(), 8);
-            ctx.store(p, 7);
+            let p = ctx.malloc("buf", tsim::TypeTag::u64s(), 8).await;
+            ctx.store(p, 7).await;
         }
     });
     let err = b
@@ -94,11 +94,11 @@ fn wake_drop_deadlocks_a_lock_handoff() {
         let g = b.global("g", ValKind::U64, 1);
         let lock = b.mutex();
         for tid in 0..2u64 {
-            b.thread(move |ctx| {
-                ctx.lock(lock);
-                let v = ctx.load(g.at(0));
-                ctx.store(g.at(0), v + tid + 1);
-                ctx.unlock(lock);
+            b.thread(async move |ctx| {
+                ctx.lock(lock).await;
+                let v = ctx.load(g.at(0)).await;
+                ctx.store(g.at(0), v + tid + 1).await;
+                ctx.unlock(lock).await;
             });
         }
         b.build()
@@ -116,10 +116,10 @@ fn lib_perturb_changes_the_observed_stream() {
     let build = || {
         let mut b = ProgramBuilder::new(1);
         let g = b.global("g", ValKind::U64, 4);
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for i in 0..4 {
                 let r = ctx.rand_u64();
-                ctx.store(g.at(i), r);
+                ctx.store(g.at(i), r).await;
             }
         });
         b.build()
@@ -150,11 +150,11 @@ fn watchdog_fires_deadline_on_spin_livelock() {
     // scheduling points where the deadline check fires.
     let mut b = ProgramBuilder::new(2);
     let flag = b.global("flag", ValKind::U64, 1);
-    b.thread(move |ctx| {
+    b.thread(async move |ctx| {
         ctx.work(10);
     });
-    b.thread(move |ctx| {
-        while ctx.load(flag.at(0)) == 0 {
+    b.thread(async move |ctx| {
+        while ctx.load(flag.at(0)).await == 0 {
             // spin-wait on a flag that is never written
         }
     });

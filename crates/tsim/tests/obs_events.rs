@@ -13,13 +13,13 @@ fn traced_run(seed: u64) -> Vec<Event> {
     let g = b.global("G", ValKind::U64, 1);
     let bar = b.barrier();
     for _ in 0..2 {
-        b.thread(move |ctx| {
-            let buf = ctx.malloc("buf", TypeTag::u64s(), 4);
-            ctx.store(buf, ctx.tid() as u64 + 1);
-            ctx.barrier(bar);
-            let v = ctx.load(buf);
-            ctx.fetch_add(g.at(0), v);
-            ctx.free(buf);
+        b.thread(async move |ctx| {
+            let buf = ctx.malloc("buf", TypeTag::u64s(), 4).await;
+            ctx.store(buf, ctx.tid() as u64 + 1).await;
+            ctx.barrier(bar).await;
+            let v = ctx.load(buf).await;
+            ctx.fetch_add(g.at(0), v).await;
+            ctx.free(buf).await;
         });
     }
     let cfg = RunConfig::random(seed).with_sink(sink.clone());
@@ -60,9 +60,9 @@ fn fault_injection_shows_up_in_trace() {
     let sink = Arc::new(MemorySink::new());
     let mut b = ProgramBuilder::new(1);
     let g = b.global("G", ValKind::U64, 1);
-    b.thread(move |ctx| {
-        ctx.store(g.at(0), 1);
-        ctx.store(g.at(0), 2);
+    b.thread(async move |ctx| {
+        ctx.store(g.at(0), 1).await;
+        ctx.store(g.at(0), 2).await;
     });
     let plan = FaultPlan::new(11).with(FaultKind::BitFlip, Trigger::Nth(1));
     let cfg = RunConfig::random(0)
@@ -95,7 +95,7 @@ fn disabled_sink_is_dropped_at_run_start() {
     }
     let mut b = ProgramBuilder::new(1);
     let g = b.global("G", ValKind::U64, 1);
-    b.thread(move |ctx| ctx.store(g.at(0), 1));
+    b.thread(async move |ctx| ctx.store(g.at(0), 1).await);
     let cfg = RunConfig::random(0).with_sink(Arc::new(PanicSink));
     b.build().run(&cfg).unwrap();
 }

@@ -14,25 +14,25 @@ fn rwlock_allows_concurrent_readers_and_excludes_writers() {
         for t in 0..n {
             if t < 2 {
                 // Writers.
-                b.thread(move |ctx| {
+                b.thread(async move |ctx| {
                     for i in 0..10u64 {
-                        ctx.write_lock(rw);
-                        let v = ctx.load(pair.at(0));
-                        ctx.store(pair.at(0), v + 1);
-                        ctx.store(pair.at(1), v + 1);
-                        ctx.write_unlock(rw);
+                        ctx.write_lock(rw).await;
+                        let v = ctx.load(pair.at(0)).await;
+                        ctx.store(pair.at(0), v + 1).await;
+                        ctx.store(pair.at(1), v + 1).await;
+                        ctx.write_unlock(rw).await;
                         let _ = i;
                     }
                 });
             } else {
                 // Readers.
-                b.thread(move |ctx| {
+                b.thread(async move |ctx| {
                     for _ in 0..10 {
-                        ctx.read_lock(rw);
-                        let a = ctx.load(pair.at(0));
-                        let bv = ctx.load(pair.at(1));
+                        ctx.read_lock(rw).await;
+                        let a = ctx.load(pair.at(0)).await;
+                        let bv = ctx.load(pair.at(1)).await;
                         assert_eq!(a, bv, "torn read under the read lock");
-                        ctx.read_unlock(rw);
+                        ctx.read_unlock(rw).await;
                     }
                 });
             }
@@ -50,7 +50,7 @@ fn rwlock_allows_concurrent_readers_and_excludes_writers() {
 fn write_unlock_without_hold_is_an_error() {
     let mut b = ProgramBuilder::new(1);
     let rw = b.rwlock();
-    b.thread(move |ctx| ctx.write_unlock(rw));
+    b.thread(async move |ctx| ctx.write_unlock(rw).await);
     let err = b.build().run(&RunConfig::random(0)).unwrap_err();
     assert!(
         matches!(err, SimError::RwUnlockNotHeld { write: true, .. }),
@@ -62,7 +62,7 @@ fn write_unlock_without_hold_is_an_error() {
 fn read_unlock_without_hold_is_an_error() {
     let mut b = ProgramBuilder::new(1);
     let rw = b.rwlock();
-    b.thread(move |ctx| ctx.read_unlock(rw));
+    b.thread(async move |ctx| ctx.read_unlock(rw).await);
     let err = b.build().run(&RunConfig::random(0)).unwrap_err();
     assert!(
         matches!(err, SimError::RwUnlockNotHeld { write: false, .. }),
@@ -79,20 +79,24 @@ fn writer_blocks_until_readers_leave() {
     let g = b.global("g", ValKind::U64, 1);
     let rw = b.rwlock();
     let sem = b.semaphore(0);
-    b.thread(move |ctx| {
-        ctx.read_lock(rw);
-        ctx.sem_post(sem); // writer may start trying
+    b.thread(async move |ctx| {
+        ctx.read_lock(rw).await;
+        ctx.sem_post(sem).await; // writer may start trying
         for _ in 0..5 {
-            ctx.sched_yield();
-            assert_eq!(ctx.load(g.at(0)), 0, "writer broke in past the read lock");
+            ctx.sched_yield().await;
+            assert_eq!(
+                ctx.load(g.at(0)).await,
+                0,
+                "writer broke in past the read lock"
+            );
         }
-        ctx.read_unlock(rw);
+        ctx.read_unlock(rw).await;
     });
-    b.thread(move |ctx| {
-        ctx.sem_wait(sem);
-        ctx.write_lock(rw);
-        ctx.store(g.at(0), 1);
-        ctx.write_unlock(rw);
+    b.thread(async move |ctx| {
+        ctx.sem_wait(sem).await;
+        ctx.write_lock(rw).await;
+        ctx.store(g.at(0), 1).await;
+        ctx.write_unlock(rw).await;
     });
     let out = b.build().run(&RunConfig::random(3)).unwrap();
     assert_eq!(out.final_word(g.at(0)), Some(1));
@@ -108,17 +112,17 @@ fn semaphore_bounds_a_resource_pool() {
         let max_seen = b.global("max_seen", ValKind::U64, 1);
         let sem = b.semaphore(2);
         for _ in 0..n {
-            b.thread(move |ctx| {
+            b.thread(async move |ctx| {
                 for _ in 0..4 {
-                    ctx.sem_wait(sem);
-                    let occ = ctx.fetch_add(occupancy.at(0), 1) + 1;
-                    let seen = ctx.load(max_seen.at(0));
+                    ctx.sem_wait(sem).await;
+                    let occ = ctx.fetch_add(occupancy.at(0), 1).await + 1;
+                    let seen = ctx.load(max_seen.at(0)).await;
                     if occ > seen {
-                        ctx.store(max_seen.at(0), occ);
+                        ctx.store(max_seen.at(0), occ).await;
                     }
                     ctx.work(10);
-                    ctx.fetch_add(occupancy.at(0), u64::MAX); // -1
-                    ctx.sem_post(sem);
+                    ctx.fetch_add(occupancy.at(0), u64::MAX).await; // -1
+                    ctx.sem_post(sem).await;
                 }
             });
         }
@@ -135,14 +139,14 @@ fn semaphore_as_signal_orders_work() {
     let mut b = ProgramBuilder::new(2);
     let g = b.global("g", ValKind::U64, 1);
     let sem = b.semaphore(0);
-    b.thread(move |ctx| {
-        ctx.store(g.at(0), 7);
-        ctx.sem_post(sem);
+    b.thread(async move |ctx| {
+        ctx.store(g.at(0), 7).await;
+        ctx.sem_post(sem).await;
     });
-    b.thread(move |ctx| {
-        ctx.sem_wait(sem);
-        assert_eq!(ctx.load(g.at(0)), 7);
-        ctx.store(g.at(0), 8);
+    b.thread(async move |ctx| {
+        ctx.sem_wait(sem).await;
+        assert_eq!(ctx.load(g.at(0)).await, 7);
+        ctx.store(g.at(0), 8).await;
     });
     let out = b.build().run(&RunConfig::random(1)).unwrap();
     assert_eq!(out.final_word(g.at(0)), Some(8));
@@ -153,17 +157,17 @@ fn rwlock_deadlock_is_detected() {
     // A thread that write-locks and never unlocks starves the reader.
     let mut b = ProgramBuilder::new(2);
     let rw = b.rwlock();
-    b.thread(move |ctx| {
-        ctx.write_lock(rw);
+    b.thread(async move |ctx| {
+        ctx.write_lock(rw).await;
         // never unlocks; finishes while holding (a bug in the workload)…
     });
-    b.thread(move |ctx| {
+    b.thread(async move |ctx| {
         // …ensure the writer grabs it first.
         for _ in 0..3 {
-            ctx.sched_yield();
+            ctx.sched_yield().await;
         }
-        ctx.read_lock(rw);
-        ctx.read_unlock(rw);
+        ctx.read_lock(rw).await;
+        ctx.read_unlock(rw).await;
     });
     let script = std::sync::Arc::new(vec![0u32; 2]);
     let result = b

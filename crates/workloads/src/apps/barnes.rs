@@ -68,56 +68,57 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let lo = tid * chunk;
             let hi = lo + chunk;
 
             // Two deterministic init phases (disjoint writes).
             for i in lo..hi {
-                ctx.store_f64(acc.at(i), 0.0);
+                ctx.store_f64(acc.at(i), 0.0).await;
                 ctx.work(14);
             }
-            ctx.barrier(bar); // det point 1
+            ctx.barrier(bar).await; // det point 1
             for i in lo..hi {
-                let m = ctx.load_f64(mass.at(i));
-                ctx.store_f64(mass.at(i), m * 1.0); // normalization pass
+                let m = ctx.load_f64(mass.at(i)).await;
+                ctx.store_f64(mass.at(i), m * 1.0).await; // normalization pass
                 ctx.work(14);
             }
-            ctx.barrier(bar); // det point 2
+            ctx.barrier(bar).await; // det point 2
 
             // Tree construction: schedule-dependent node assignment.
             for i in lo..hi {
-                let node = ctx.fetch_add(pool_next.at(0), 1) as usize;
-                ctx.store(nodes.at(node), i as u64);
-                ctx.store(body_node.at(i), node as u64);
+                let node = ctx.fetch_add(pool_next.at(0), 1).await as usize;
+                ctx.store(nodes.at(node), i as u64).await;
+                ctx.store(body_node.at(i), node as u64).await;
                 ctx.work(84);
             }
-            ctx.barrier(bar); // first ndet point
+            ctx.barrier(bar).await; // first ndet point
 
             // Force/update rounds: forces read the (nondeterministic)
             // tree, so every subsequent state is nondeterministic.
             for round in 0..rounds {
                 for i in lo..hi {
-                    let my_node = ctx.load(body_node.at(i)) as usize;
+                    let my_node = ctx.load(body_node.at(i)).await as usize;
                     // "Traverse" the tree: interact with the bodies in
                     // the neighbouring pool slots.
-                    let left = ctx.load(nodes.at(my_node.saturating_sub(1))) as usize;
-                    let right = ctx.load(nodes.at((my_node + 1).min(n - 1))) as usize;
-                    let xi = ctx.load_f64(pos.at(i));
-                    let f = ctx.load_f64(pos.at(left)) - 2.0 * xi + ctx.load_f64(pos.at(right));
-                    ctx.store_f64(acc.at(i), f * 0.01);
-                    ctx.store_f64(potential.at(i), f * f);
+                    let left = ctx.load(nodes.at(my_node.saturating_sub(1))).await as usize;
+                    let right = ctx.load(nodes.at((my_node + 1).min(n - 1))).await as usize;
+                    let xi = ctx.load_f64(pos.at(i)).await;
+                    let f = ctx.load_f64(pos.at(left)).await - 2.0 * xi
+                        + ctx.load_f64(pos.at(right)).await;
+                    ctx.store_f64(acc.at(i), f * 0.01).await;
+                    ctx.store_f64(potential.at(i), f * f).await;
                     ctx.work(105);
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
                 for i in lo..hi {
-                    let a = ctx.load_f64(acc.at(i));
-                    let x = ctx.load_f64(pos.at(i));
-                    ctx.store_f64(pos.at(i), x + a);
+                    let a = ctx.load_f64(acc.at(i)).await;
+                    let x = ctx.load_f64(pos.at(i)).await;
+                    ctx.store_f64(pos.at(i), x + a).await;
                     ctx.work(35);
                 }
                 let _ = round;
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
     }

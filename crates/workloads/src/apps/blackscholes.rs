@@ -69,21 +69,21 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..p.threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let lo = tid * chunk;
             for iter in 0..iterations {
                 let t = 1.0 + iter as f64 * 0.01; // time-to-expiry drift
-                let _sigma = ctx.load_f64(vol_surface.at((iter * 3 + tid) % 384));
+                let _sigma = ctx.load_f64(vol_surface.at((iter * 3 + tid) % 384)).await;
                 for i in lo..lo + chunk {
-                    let s = ctx.load_f64(spot.at(i));
-                    let k = ctx.load_f64(strike.at(i));
+                    let s = ctx.load_f64(spot.at(i)).await;
+                    let k = ctx.load_f64(strike.at(i)).await;
                     let d1 = (s / k).ln() / (0.3 * t.sqrt()) + 0.15 * t.sqrt();
                     let d2 = d1 - 0.3 * t.sqrt();
                     let v = s * phi(d1) - k * (-0.05 * t).exp() * phi(d2);
-                    ctx.store_f64(price.at(i), v);
+                    ctx.store_f64(price.at(i), v).await;
                     ctx.work(280); // formula evaluation
                 }
-                hb.wait_checkpoint(ctx, "pass_iteration");
+                hb.wait_checkpoint(ctx, "pass_iteration").await;
             }
         });
     }

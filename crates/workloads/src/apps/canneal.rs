@@ -68,32 +68,32 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let mut probe = tid as u64;
             let _ = &mut probe;
             for _step in 0..steps {
                 for _ in 0..swaps {
                     // Draw two positions from the shared RNG; the draw
                     // order across threads is schedule-dependent.
-                    ctx.lock(lock);
-                    let r1 = mix64(ctx.load(rng.at(0)));
+                    ctx.lock(lock).await;
+                    let r1 = mix64(ctx.load(rng.at(0)).await);
                     let r2 = mix64(r1);
-                    ctx.store(rng.at(0), r2);
+                    ctx.store(rng.at(0), r2).await;
                     // The swap positions mix in the drawing thread's id
                     // (each thread perturbs its own movable elements), so
                     // *which* thread drew matters, not just the order.
                     let i = (mix64(r1 ^ tid as u64) % n as u64) as usize;
                     let j = (mix64(r2 ^ tid as u64) % n as u64) as usize;
-                    let a = ctx.load(netlist.at(i));
-                    let c = ctx.load(netlist.at(j));
-                    ctx.store(netlist.at(i), c);
-                    ctx.store(netlist.at(j), a);
-                    ctx.unlock(lock);
+                    let a = ctx.load(netlist.at(i)).await;
+                    let c = ctx.load(netlist.at(j)).await;
+                    ctx.store(netlist.at(i), c).await;
+                    ctx.store(netlist.at(j), a).await;
+                    ctx.unlock(lock).await;
                     probe = probe.wrapping_add(1);
-                    let _cost = ctx.load(wire_costs.at((probe % 384) as usize));
+                    let _cost = ctx.load(wire_costs.at((probe % 384) as usize)).await;
                     ctx.work(210); // routing-cost evaluation
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
     }

@@ -90,63 +90,63 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             // Phase 1: per-thread warmup of disjoint matrix stripes.
             let stripe = n / ctx.nthreads();
             for i in tid * stripe..(tid + 1) * stripe {
-                let v = ctx.load_f64(matrix.at(i));
-                ctx.store_f64(matrix.at(i), v * 1.01);
+                let v = ctx.load_f64(matrix.at(i)).await;
+                ctx.store_f64(matrix.at(i), v * 1.01).await;
                 ctx.work(28);
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
 
             // Phase 2: task processing. Pop from the shared queue;
             // every task updates its own disjoint block.
             loop {
-                ctx.lock(qlock);
-                let head = ctx.load(qhead.at(0));
+                ctx.lock(qlock).await;
+                let head = ctx.load(qhead.at(0)).await;
                 if head == 0 {
-                    ctx.unlock(qlock);
+                    ctx.unlock(qlock).await;
                     break;
                 }
                 let node = tsim::Addr(head);
-                let next = ctx.load(node);
-                ctx.store(qhead.at(0), next);
-                ctx.unlock(qlock);
+                let next = ctx.load(node).await;
+                ctx.store(qhead.at(0), next).await;
+                ctx.unlock(qlock).await;
 
-                let _nz = ctx.load(structure.at((ctx.tid() * 37) % 384));
-                let t = ctx.load(node.offset(1)) as usize;
+                let _nz = ctx.load(structure.at((ctx.tid() * 37) % 384)).await;
+                let t = ctx.load(node.offset(1)).await as usize;
                 let mut local_flops = 0.0;
                 for j in 0..block {
                     let i = t * block + j;
-                    let v = ctx.load_f64(matrix.at(i));
+                    let v = ctx.load_f64(matrix.at(i)).await;
                     let f = (v + 0.5).sqrt();
-                    ctx.store_f64(matrix.at(i), f);
+                    ctx.store_f64(matrix.at(i), f).await;
                     local_flops += f;
                     ctx.work(84);
                 }
                 // Order-dependent FP accumulation (source 1).
-                ctx.lock(flock);
-                let s = ctx.load_f64(flops.at(0));
-                ctx.store_f64(flops.at(0), s + local_flops);
-                ctx.unlock(flock);
+                ctx.lock(flock).await;
+                let s = ctx.load_f64(flops.at(0)).await;
+                ctx.store_f64(flops.at(0), s + local_flops).await;
+                ctx.unlock(flock).await;
 
                 // Recycle the node onto this thread's free list
                 // (source 3): membership and link order are
                 // schedule-dependent.
-                let old = ctx.load(free_heads.at(tid));
-                ctx.store(node, old);
-                ctx.store(free_heads.at(tid), node.raw());
+                let old = ctx.load(free_heads.at(tid)).await;
+                ctx.store(node, old).await;
+                ctx.store(free_heads.at(tid), node.raw()).await;
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
 
             // Phase 3: normalize own stripes (deterministic).
             for i in tid * stripe..(tid + 1) * stripe {
-                let v = ctx.load_f64(matrix.at(i));
-                ctx.store_f64(matrix.at(i), v * 0.5);
+                let v = ctx.load_f64(matrix.at(i)).await;
+                ctx.store_f64(matrix.at(i), v * 0.5).await;
                 ctx.work(21);
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         });
     }
     b.build()

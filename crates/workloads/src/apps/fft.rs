@@ -60,7 +60,7 @@ pub fn build(p: &Params) -> Program {
 
     let log2_n = p.log2_n;
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let chunk = n / ctx.nthreads();
             let lo = tid * chunk;
             let hi = if tid == ctx.nthreads() - 1 {
@@ -73,13 +73,13 @@ pub fn build(p: &Params) -> Program {
             // slices).
             for i in lo..hi {
                 let j = (i as u64).reverse_bits() >> (64 - log2_n);
-                let r = ctx.load_f64(src_re.at(j as usize));
-                let x = ctx.load_f64(src_im.at(j as usize));
-                ctx.store_f64(re.at(i), r);
-                ctx.store_f64(im.at(i), x);
+                let r = ctx.load_f64(src_re.at(j as usize)).await;
+                let x = ctx.load_f64(src_im.at(j as usize)).await;
+                ctx.store_f64(re.at(i), r).await;
+                ctx.store_f64(im.at(i), x).await;
                 ctx.work(56);
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
 
             // Phase 2: one barrier per butterfly stage. Each stage's
             // butterflies are partitioned by the index of the *first*
@@ -105,17 +105,17 @@ pub fn build(p: &Params) -> Program {
                     let (w_re, w_im) = (angle.cos(), angle.sin());
                     let a = block + j;
                     let c = a + half;
-                    let (ar, ai) = (ctx.load_f64(re.at(a)), ctx.load_f64(im.at(a)));
-                    let (cr, ci) = (ctx.load_f64(re.at(c)), ctx.load_f64(im.at(c)));
+                    let (ar, ai) = (ctx.load_f64(re.at(a)).await, ctx.load_f64(im.at(a)).await);
+                    let (cr, ci) = (ctx.load_f64(re.at(c)).await, ctx.load_f64(im.at(c)).await);
                     let tr = w_re * cr - w_im * ci;
                     let ti = w_re * ci + w_im * cr;
-                    ctx.store_f64(re.at(a), ar + tr);
-                    ctx.store_f64(im.at(a), ai + ti);
-                    ctx.store_f64(re.at(c), ar - tr);
-                    ctx.store_f64(im.at(c), ai - ti);
+                    ctx.store_f64(re.at(a), ar + tr).await;
+                    ctx.store_f64(im.at(a), ai + ti).await;
+                    ctx.store_f64(re.at(c), ar - tr).await;
+                    ctx.store_f64(im.at(c), ai - ti).await;
                     ctx.work(140);
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
     }

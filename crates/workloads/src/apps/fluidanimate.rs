@@ -68,7 +68,7 @@ pub fn build(p: &Params) -> Program {
 
     for tid in 0..threads {
         let locks = border_locks.clone();
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let lo = tid * chunk;
             let hi = lo + chunk;
             let left_border = lo; // shared with thread tid-1 (wraps)
@@ -78,21 +78,22 @@ pub fn build(p: &Params) -> Program {
                 // border cells see three-term FP sums, whose rounding
                 // depends on the association order).
                 for i in lo..hi {
-                    let x = ctx.load_f64(position.at(i));
-                    ctx.store_f64(density.at(i), 1.0 + 0.01 * x.fract());
-                    ctx.store_f64(force_g.at(i), 0.1 * x.fract());
+                    let x = ctx.load_f64(position.at(i)).await;
+                    ctx.store_f64(density.at(i), 1.0 + 0.01 * x.fract()).await;
+                    ctx.store_f64(force_g.at(i), 0.1 * x.fract()).await;
                     ctx.work(14);
                 }
-                let _w = ctx.load_f64(kernel_table.at((ts * 11 + tid) % 384));
-                ctx.barrier(bar);
+                let _w = ctx.load_f64(kernel_table.at((ts * 11 + tid) % 384)).await;
+                ctx.barrier(bar).await;
 
                 // Phase 2: densities. Interior cells are private; the
                 // border cell is contributed to by both neighbors under
                 // the border lock.
                 for i in lo + 1..hi {
-                    let x = ctx.load_f64(position.at(i));
-                    let d = ctx.load_f64(density.at(i));
-                    ctx.store_f64(density.at(i), d + 1.0 + 0.01 * x.fract());
+                    let x = ctx.load_f64(position.at(i)).await;
+                    let d = ctx.load_f64(density.at(i)).await;
+                    ctx.store_f64(density.at(i), d + 1.0 + 0.01 * x.fract())
+                        .await;
                     ctx.work(56);
                 }
                 // Each border contribution is derived from this thread's
@@ -102,54 +103,57 @@ pub fn build(p: &Params) -> Program {
                     (left_border, lo + 1, tid),
                     (hi % n, hi - 1, (tid + 1) % threads),
                 ] {
-                    let x = ctx.load_f64(position.at(own));
-                    ctx.lock(locks[lock_idx]);
-                    let d = ctx.load_f64(density.at(cell));
-                    ctx.store_f64(density.at(cell), d + 0.5 + 0.005 * x.fract());
-                    ctx.unlock(locks[lock_idx]);
+                    let x = ctx.load_f64(position.at(own)).await;
+                    ctx.lock(locks[lock_idx]).await;
+                    let d = ctx.load_f64(density.at(cell)).await;
+                    ctx.store_f64(density.at(cell), d + 0.5 + 0.005 * x.fract())
+                        .await;
+                    ctx.unlock(locks[lock_idx]).await;
                     ctx.work(56);
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
 
                 // Phase 3: forces (same sharing pattern as densities).
                 for i in lo + 1..hi {
-                    let d = ctx.load_f64(density.at(i));
-                    let f = ctx.load_f64(force_g.at(i));
-                    ctx.store_f64(force_g.at(i), f + 0.1 * (1.0 - d * 0.2));
+                    let d = ctx.load_f64(density.at(i)).await;
+                    let f = ctx.load_f64(force_g.at(i)).await;
+                    ctx.store_f64(force_g.at(i), f + 0.1 * (1.0 - d * 0.2))
+                        .await;
                     ctx.work(56);
                 }
                 for &(cell, own, lock_idx) in &[
                     (left_border, lo + 1, tid),
                     (hi % n, hi - 1, (tid + 1) % threads),
                 ] {
-                    let d = ctx.load_f64(density.at(own));
-                    ctx.lock(locks[lock_idx]);
-                    let f = ctx.load_f64(force_g.at(cell));
-                    ctx.store_f64(force_g.at(cell), f + 0.05 * (1.0 - d * 0.2));
-                    ctx.unlock(locks[lock_idx]);
+                    let d = ctx.load_f64(density.at(own)).await;
+                    ctx.lock(locks[lock_idx]).await;
+                    let f = ctx.load_f64(force_g.at(cell)).await;
+                    ctx.store_f64(force_g.at(cell), f + 0.05 * (1.0 - d * 0.2))
+                        .await;
+                    ctx.unlock(locks[lock_idx]).await;
                     ctx.work(56);
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
 
                 // Phase 4: collision handling (private).
                 for i in lo..hi {
-                    let f = ctx.load_f64(force_g.at(i));
-                    ctx.store_f64(force_g.at(i), f.clamp(-1.0, 1.0));
+                    let f = ctx.load_f64(force_g.at(i)).await;
+                    ctx.store_f64(force_g.at(i), f.clamp(-1.0, 1.0)).await;
                     ctx.work(21);
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
 
                 // Phase 5: advance particles (private).
                 for i in lo..hi {
-                    let f = ctx.load_f64(force_g.at(i));
-                    let v = ctx.load_f64(velocity.at(i)) * 0.99 + 0.01 * f;
-                    ctx.store_f64(velocity.at(i), v);
-                    let x = ctx.load_f64(position.at(i)) + 0.01 * v;
-                    ctx.store_f64(position.at(i), x);
+                    let f = ctx.load_f64(force_g.at(i)).await;
+                    let v = ctx.load_f64(velocity.at(i)).await * 0.99 + 0.01 * f;
+                    ctx.store_f64(velocity.at(i), v).await;
+                    let x = ctx.load_f64(position.at(i)).await + 0.01 * v;
+                    ctx.store_f64(position.at(i), x).await;
                     ctx.work(35);
                 }
                 let _ = ts;
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
     }

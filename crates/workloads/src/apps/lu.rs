@@ -36,14 +36,14 @@ fn at(m: Region, n: usize, r: usize, c: usize) -> tsim::Addr {
     m.at(r * n + c)
 }
 
-fn eliminate(ctx: &mut ThreadCtx, m: Region, n: usize, k: usize, r: usize) {
-    let pivot = ctx.load_f64(at(m, n, k, k));
-    let factor = ctx.load_f64(at(m, n, r, k)) / pivot;
-    ctx.store_f64(at(m, n, r, k), factor); // store L entry in place
+async fn eliminate(ctx: &mut ThreadCtx, m: Region, n: usize, k: usize, r: usize) {
+    let pivot = ctx.load_f64(at(m, n, k, k)).await;
+    let factor = ctx.load_f64(at(m, n, r, k)).await / pivot;
+    ctx.store_f64(at(m, n, r, k), factor).await; // store L entry in place
     for c in k + 1..n {
-        let v = ctx.load_f64(at(m, n, r, c));
-        let p = ctx.load_f64(at(m, n, k, c));
-        ctx.store_f64(at(m, n, r, c), v - factor * p);
+        let v = ctx.load_f64(at(m, n, r, c)).await;
+        let p = ctx.load_f64(at(m, n, k, c)).await;
+        ctx.store_f64(at(m, n, r, c), v - factor * p).await;
         ctx.work(42);
     }
 }
@@ -71,14 +71,14 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for k in 0..n - 1 {
                 for r in k + 1..n {
                     if r % ctx.nthreads() == tid {
-                        eliminate(ctx, m, n, k, r);
+                        eliminate(ctx, m, n, k, r).await;
                     }
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
     }

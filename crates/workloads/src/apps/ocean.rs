@@ -69,7 +69,7 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let r0 = tid * band;
             for iter in 0..iterations {
                 // Red sweep: update alternating cells of the band from
@@ -83,40 +83,40 @@ pub fn build(p: &Params) -> Program {
                         }
                         let i = r * cols + c;
                         let up = if r > 0 {
-                            ctx.load_f64(grid.at(i - cols))
+                            ctx.load_f64(grid.at(i - cols)).await
                         } else {
                             0.0
                         };
                         let down = if r + 1 < rows {
-                            ctx.load_f64(grid.at(i + cols))
+                            ctx.load_f64(grid.at(i + cols)).await
                         } else {
                             0.0
                         };
                         let left = if c > 0 {
-                            ctx.load_f64(grid.at(i - 1))
+                            ctx.load_f64(grid.at(i - 1)).await
                         } else {
                             0.0
                         };
                         let right = if c + 1 < cols {
-                            ctx.load_f64(grid.at(i + 1))
+                            ctx.load_f64(grid.at(i + 1)).await
                         } else {
                             0.0
                         };
-                        let old = ctx.load_f64(grid.at(i));
+                        let old = ctx.load_f64(grid.at(i)).await;
                         let new = 0.2 * (old + up + down + left + right);
-                        ctx.store_f64(grid.at(i), new);
+                        ctx.store_f64(grid.at(i), new).await;
                         local_res += (new - old).abs();
                         ctx.work(63);
                     }
                 }
-                let _depth = ctx.load_f64(bathymetry.at(iter % 512));
-                ctx.barrier(bar);
+                let _depth = ctx.load_f64(bathymetry.at(iter % 512)).await;
+                ctx.barrier(bar).await;
                 // Residual reduction: locked, order-dependent ulps.
-                ctx.lock(lock);
-                let r = ctx.load_f64(residual.at(0));
-                ctx.store_f64(residual.at(0), r + local_res);
-                ctx.unlock(lock);
-                ctx.barrier(bar);
+                ctx.lock(lock).await;
+                let r = ctx.load_f64(residual.at(0)).await;
+                ctx.store_f64(residual.at(0), r + local_res).await;
+                ctx.unlock(lock).await;
+                ctx.barrier(bar).await;
             }
         });
     }

@@ -86,77 +86,77 @@ pub fn build(p: &Params) -> Program {
 
     // Producer (thread 0): publishes jobs, then writes the output stream
     // in job order once all jobs completed.
-    b.thread(move |ctx| {
+    b.thread(async move |ctx| {
         for _ in 0..jobs {
-            ctx.lock(qlock);
-            let np = ctx.load(produced.at(0));
-            ctx.store(produced.at(0), np + 1);
-            ctx.cond_broadcast(qcond);
-            ctx.unlock(qlock);
+            ctx.lock(qlock).await;
+            let np = ctx.load(produced.at(0)).await;
+            ctx.store(produced.at(0), np + 1).await;
+            ctx.cond_broadcast(qcond).await;
+            ctx.unlock(qlock).await;
             ctx.work(140); // reading the next file chunk
         }
         // Wait for the consumers.
-        ctx.lock(dlock);
-        while ctx.load(completed.at(0)) < jobs as u64 {
-            ctx.cond_wait(dcond, dlock);
+        ctx.lock(dlock).await;
+        while ctx.load(completed.at(0)).await < jobs as u64 {
+            ctx.cond_wait(dcond, dlock).await;
         }
-        ctx.unlock(dlock);
+        ctx.unlock(dlock).await;
         // Ordered output: deterministic stream regardless of which
         // consumer compressed which job.
         for j in 0..jobs {
-            let rec = tsim::Addr(ctx.load(recs.at(j)));
-            let digest = ctx.load(rec);
-            ctx.write_output(&digest.to_le_bytes());
+            let rec = tsim::Addr(ctx.load(recs.at(j)).await);
+            let digest = ctx.load(rec).await;
+            ctx.write_output(&digest.to_le_bytes()).await;
         }
     });
 
     // Consumers.
     for _tid in 1..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             loop {
-                ctx.lock(qlock);
+                ctx.lock(qlock).await;
                 loop {
-                    let c = ctx.load(claimed.at(0));
+                    let c = ctx.load(claimed.at(0)).await;
                     if c >= jobs as u64 {
-                        ctx.unlock(qlock);
+                        ctx.unlock(qlock).await;
                         return;
                     }
-                    if c < ctx.load(produced.at(0)) {
-                        ctx.store(claimed.at(0), c + 1);
+                    if c < ctx.load(produced.at(0)).await {
+                        ctx.store(claimed.at(0), c + 1).await;
                         if c + 1 == jobs as u64 {
                             // Wake consumers still waiting for work so
                             // they can observe that the queue is done.
-                            ctx.cond_broadcast(qcond);
+                            ctx.cond_broadcast(qcond).await;
                         }
-                        ctx.unlock(qlock);
+                        ctx.unlock(qlock).await;
                         // Compress job `c`.
                         let j = c as usize;
-                        let scratch = ctx.malloc("scratch_buf", TypeTag::u64s(), chunk);
+                        let scratch = ctx.malloc("scratch_buf", TypeTag::u64s(), chunk).await;
                         let mut digest = 0u64;
                         for i in 0..chunk {
-                            let w = ctx.load(input.at(j * chunk + i));
+                            let w = ctx.load(input.at(j * chunk + i)).await;
                             let z = mix64(w ^ (i as u64)); // "compression"
-                            ctx.store(scratch.offset(i as u64), z);
+                            ctx.store(scratch.offset(i as u64), z).await;
                             digest = mix64(digest ^ z);
                             ctx.work(175);
                         }
-                        let rec = tsim::Addr(ctx.load(recs.at(j)));
-                        ctx.store(rec, digest);
+                        let rec = tsim::Addr(ctx.load(recs.at(j)).await);
+                        ctx.store(rec, digest).await;
                         // The dangling pointer of the paper: recorded,
                         // then the buffer is freed.
-                        ctx.store(rec.offset(1), scratch.raw());
-                        ctx.free(scratch);
+                        ctx.store(rec.offset(1), scratch.raw()).await;
+                        ctx.free(scratch).await;
                         // Signal completion.
-                        ctx.lock(dlock);
-                        let done = ctx.load(completed.at(0)) + 1;
-                        ctx.store(completed.at(0), done);
+                        ctx.lock(dlock).await;
+                        let done = ctx.load(completed.at(0)).await + 1;
+                        ctx.store(completed.at(0), done).await;
                         if done == jobs as u64 {
-                            ctx.cond_broadcast(dcond);
+                            ctx.cond_broadcast(dcond).await;
                         }
-                        ctx.unlock(dlock);
+                        ctx.unlock(dlock).await;
                         break;
                     }
-                    ctx.cond_wait(qcond, qlock);
+                    ctx.cond_wait(qcond, qlock).await;
                 }
             }
         });

@@ -63,28 +63,28 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for round in 0..rounds {
                 // Work stealing: claim patches until the round's budget
                 // is exhausted; which thread gets which patch depends
                 // on the schedule.
                 loop {
-                    let k = ctx.fetch_add(counter.at(round), 1);
+                    let k = ctx.fetch_add(counter.at(round), 1).await;
                     if k >= patches as u64 {
                         break;
                     }
                     let i = k as usize;
-                    let _ff = ctx.load(form_factors.at((i * 13) % 384));
-                    let e = ctx.load(energy.at(i));
-                    ctx.store(energy.at(i), (e * 3).div_ceil(2));
+                    let _ff = ctx.load(form_factors.at((i * 13) % 384)).await;
+                    let e = ctx.load(energy.at(i)).await;
+                    ctx.store(energy.at(i), (e * 3).div_ceil(2)).await;
                     // Schedule-dependent bookkeeping: who did it, and
                     // each thread's running tally.
-                    ctx.store(owner.at(i), tid as u64);
-                    let t = ctx.load(done_by.at(tid));
-                    ctx.store(done_by.at(tid), t + 1);
+                    ctx.store(owner.at(i), tid as u64).await;
+                    let t = ctx.load(done_by.at(tid)).await;
+                    ctx.store(done_by.at(tid), t + 1).await;
                     ctx.work(175);
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
     }

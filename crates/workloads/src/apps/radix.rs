@@ -56,7 +56,7 @@ fn digit(key: u64, pass: usize) -> usize {
     ((key >> (pass as u32 * DIGIT_BITS)) & (RADIX as u64 - 1)) as usize
 }
 
-fn scatter_chunk(
+async fn scatter_chunk(
     ctx: &mut ThreadCtx,
     a: &Arrays,
     pass: usize,
@@ -71,14 +71,14 @@ fn scatter_chunk(
     // Local cursors per digit, starting at this thread's offsets.
     let mut cursor = [0u64; RADIX];
     for (d, c) in cursor.iter_mut().enumerate() {
-        *c = ctx.load(a.offsets.at(d * threads + tid));
+        *c = ctx.load(a.offsets.at(d * threads + tid)).await;
     }
     for i in lo..hi {
-        let key = ctx.load(src.at(i));
+        let key = ctx.load(src.at(i)).await;
         let d = digit(key, pass);
         let pos = (cursor[d] as usize) % n; // clamp: the seeded bug may
                                             // read garbage offsets
-        ctx.store(dst.at(pos), key);
+        ctx.store(dst.at(pos), key).await;
         cursor[d] += 1;
         ctx.work(56);
     }
@@ -105,7 +105,7 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let a = Arrays {
                 bufs: [buf0, buf1],
                 hist,
@@ -118,24 +118,24 @@ pub fn build(p: &Params) -> Program {
                 let src = a.bufs[pass % 2];
                 // Phase 1: local histogram (disjoint rows).
                 for d in 0..RADIX {
-                    ctx.store(a.hist.at(tid * RADIX + d), 0);
+                    ctx.store(a.hist.at(tid * RADIX + d), 0).await;
                 }
                 for i in lo..hi {
-                    let key = ctx.load(src.at(i));
+                    let key = ctx.load(src.at(i)).await;
                     let d = digit(key, pass);
                     let h = a.hist.at(tid * RADIX + d);
-                    let v = ctx.load(h);
-                    ctx.store(h, v + 1);
+                    let v = ctx.load(h).await;
+                    ctx.store(h, v + 1).await;
                     ctx.work(42);
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
 
                 // Seeded order violation (Figure 7(c)): thread 3, pass 3,
                 // exactly once — scatter *before* the scan barrier,
                 // racing with thread 0's offset writes below.
                 if seed_bug && tid == 3 && pass == 2 && !did_buggy_scatter {
                     did_buggy_scatter = true;
-                    scatter_chunk(ctx, &a, pass, tid, lo, hi, n);
+                    scatter_chunk(ctx, &a, pass, tid, lo, hi, n).await;
                 }
 
                 // Phase 2: thread 0 computes exclusive prefix offsets in
@@ -144,20 +144,21 @@ pub fn build(p: &Params) -> Program {
                     let mut running = 0u64;
                     for d in 0..RADIX {
                         for t in 0..ctx.nthreads() {
-                            ctx.store(a.offsets.at(d * ctx.nthreads() + t), running);
-                            running += ctx.load(a.hist.at(t * RADIX + d));
+                            ctx.store(a.offsets.at(d * ctx.nthreads() + t), running)
+                                .await;
+                            running += ctx.load(a.hist.at(t * RADIX + d)).await;
                             ctx.work(28);
                         }
                     }
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
 
                 // Phase 3: scatter into disjoint destination slots.
                 if !(seed_bug && tid == 3 && pass == 2) {
-                    scatter_chunk(ctx, &a, pass, tid, lo, hi, n);
+                    scatter_chunk(ctx, &a, pass, tid, lo, hi, n).await;
                 }
                 if pass != PASSES - 1 {
-                    ctx.barrier(bar);
+                    ctx.barrier(bar).await;
                 }
             }
         });

@@ -101,7 +101,7 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let nthreads = ctx.nthreads();
             for frame in 0..frames {
                 for phase in 0..8usize {
@@ -112,13 +112,14 @@ pub fn build(p: &Params) -> Program {
                             let mut site = tid;
                             while site < TOTAL_SITES - NDET_SITES {
                                 if site % 29 == (frame + phase) % 29 {
-                                    let base = tsim::Addr(ctx.load(blocks.at(site)));
+                                    let base = tsim::Addr(ctx.load(blocks.at(site)).await);
                                     let w = (frame + site) % model_block;
-                                    let v = ctx.load_f64(base.offset(w as u64));
+                                    let v = ctx.load_f64(base.offset(w as u64)).await;
                                     ctx.store_f64(
                                         base.offset(w as u64),
                                         (v * 1.0001 + 0.001).fract(),
-                                    );
+                                    )
+                                    .await;
                                     ctx.work(126);
                                 }
                                 site += nthreads;
@@ -130,27 +131,29 @@ pub fn build(p: &Params) -> Program {
                             // last claimer wins, so the recorded value
                             // is schedule-dependent.
                             let site = TOTAL_SITES - NDET_SITES + frame % NDET_SITES;
-                            let base = tsim::Addr(ctx.load(blocks.at(site)));
+                            let base = tsim::Addr(ctx.load(blocks.at(site)).await);
                             let w = frame % lattice_block;
-                            ctx.lock(llock);
-                            ctx.store(base.offset(w as u64), ((tid as u64) << 32) | frame as u64);
-                            ctx.unlock(llock);
+                            ctx.lock(llock).await;
+                            ctx.store(base.offset(w as u64), ((tid as u64) << 32) | frame as u64)
+                                .await;
+                            ctx.unlock(llock).await;
                             ctx.work(70);
                         }
                         _ => {
                             // Score reduction: locked FP accumulation
                             // (order-dependent ulps).
-                            ctx.lock(slock);
-                            let s = ctx.load_f64(score.at(0));
+                            ctx.lock(slock).await;
+                            let s = ctx.load_f64(score.at(0)).await;
                             ctx.store_f64(
                                 score.at(0),
                                 s + 0.001 * unit_f64((frame * 7 + tid) as u64),
-                            );
-                            ctx.unlock(slock);
+                            )
+                            .await;
+                            ctx.unlock(slock).await;
                             ctx.work(42);
                         }
                     }
-                    ctx.barrier(bar);
+                    ctx.barrier(bar).await;
                 }
             }
         });

@@ -79,17 +79,17 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for i in 0..iterations {
                 // Every worker evaluates the current center against its
                 // slice of the points and records a per-thread cost.
-                let c = ctx.load_f64(center.at(i % 2));
-                let pt = ctx.load_f64(points.at((i * 7 + tid * 13) % npoints));
+                let c = ctx.load_f64(center.at(i % 2)).await;
+                let pt = ctx.load_f64(points.at((i * 7 + tid * 13) % npoints)).await;
                 let local = (c * 0.9 + pt + unit_f64((i * 31 + tid) as u64)).fract();
-                ctx.store_f64(scratch.at(tid), local);
+                ctx.store_f64(scratch.at(tid), local).await;
                 // Overwritten every iteration: corruption in the bug
                 // window does not persist past it.
-                ctx.store_f64(cost.at(tid), local * 1.5);
+                ctx.store_f64(cost.at(tid), local * 1.5).await;
                 ctx.work(175);
 
                 let in_bug_window = bug.is_some_and(|(lo, hi)| i >= lo && i < hi);
@@ -97,14 +97,16 @@ pub fn build(p: &Params) -> Program {
                 // code publishes *before* the barrier so workers' reads
                 // in iteration i+1 are ordered after the write.
                 if tid == 0 && !in_bug_window {
-                    ctx.store_f64(center.at((i + 1) % 2), unit_f64(i as u64) + 0.25);
+                    ctx.store_f64(center.at((i + 1) % 2), unit_f64(i as u64) + 0.25)
+                        .await;
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
                 if tid == 0 && in_bug_window {
                     // ORDER VIOLATION: the publish slid past the
                     // barrier; workers already started iteration i+1 and
                     // race with this store.
-                    ctx.store_f64(center.at((i + 1) % 2), unit_f64(i as u64) + 0.25);
+                    ctx.store_f64(center.at((i + 1) % 2), unit_f64(i as u64) + 0.25)
+                        .await;
                 }
             }
         });

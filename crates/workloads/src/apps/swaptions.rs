@@ -55,10 +55,10 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let mut rng = LocalRng::new(tid as u64 + 1);
             for _iter in 0..iterations {
-                let _y = ctx.load_f64(yield_curve.at((ctx.tid() * 31) % 384));
+                let _y = ctx.load_f64(yield_curve.at((ctx.tid() * 31) % 384)).await;
                 // One Monte Carlo trial: simulate a short-rate path.
                 let mut rate = 0.03;
                 for _ in 0..4 {
@@ -66,12 +66,12 @@ pub fn build(p: &Params) -> Program {
                     ctx.work(84);
                 }
                 let payoff = (rate - 0.03).max(0.0) * 1000.0;
-                let s = ctx.load_f64(sums.at(tid)) + payoff;
-                ctx.store_f64(sums.at(tid), s);
-                let n = ctx.load(trials.at(tid)) + 1;
-                ctx.store(trials.at(tid), n);
-                ctx.store_f64(price.at(tid), s / n as f64);
-                hb.wait_checkpoint(ctx, "mc_iteration");
+                let s = ctx.load_f64(sums.at(tid)).await + payoff;
+                ctx.store_f64(sums.at(tid), s).await;
+                let n = ctx.load(trials.at(tid)).await + 1;
+                ctx.store(trials.at(tid), n).await;
+                ctx.store_f64(price.at(tid), s / n as f64).await;
+                hb.wait_checkpoint(ctx, "mc_iteration").await;
             }
         });
     }

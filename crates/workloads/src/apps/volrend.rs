@@ -61,30 +61,32 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let lo = tid * chunk;
             let mut sense = 0u64;
             for frame in 0..frames {
-                let _voxel = ctx.load(volume.at((frame * 31 + tid) % 768));
+                let _voxel = ctx.load(volume.at((frame * 31 + tid) % 768)).await;
                 // Pass 1: ray casting into the opacity buffer (disjoint
                 // tiles).
                 for i in lo..lo + chunk {
-                    ctx.store(opacity.at(i), mix64((frame * width + i) as u64) >> 32);
+                    ctx.store(opacity.at(i), mix64((frame * width + i) as u64) >> 32)
+                        .await;
                     ctx.work(105);
                 }
                 // Mid-frame sync through the racy hand-coded barrier:
                 // compositing below reads *other* threads' opacity.
-                rb.wait(ctx, &mut sense);
+                rb.wait(ctx, &mut sense).await;
                 // Pass 2: compositing (reads neighbors, writes own
                 // tile).
                 for i in lo..lo + chunk {
-                    let left = ctx.load(opacity.at(i.saturating_sub(1)));
-                    let own = ctx.load(opacity.at(i));
-                    let right = ctx.load(opacity.at((i + 1).min(width - 1)));
-                    ctx.store(image.at(i), own ^ (left >> 1) ^ (right >> 2));
+                    let left = ctx.load(opacity.at(i.saturating_sub(1))).await;
+                    let own = ctx.load(opacity.at(i)).await;
+                    let right = ctx.load(opacity.at((i + 1).min(width - 1))).await;
+                    ctx.store(image.at(i), own ^ (left >> 1) ^ (right >> 2))
+                        .await;
                     ctx.work(56);
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
     }

@@ -120,7 +120,7 @@ pub fn build(p: &Params) -> Program {
     });
 
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let lo = tid * chunk;
             let hi = lo + chunk;
             for ts in 0..timesteps {
@@ -129,21 +129,21 @@ pub fn build(p: &Params) -> Program {
                 // reading neighbors across slice boundaries is safe).
                 let mut local_epot = 0.0;
                 for i in lo..hi {
-                    let x = ctx.load_f64(pos.at(i));
-                    let left = ctx.load_f64(pos.at((i + n - 1) % n));
-                    let right = ctx.load_f64(pos.at((i + 1) % n));
+                    let x = ctx.load_f64(pos.at(i)).await;
+                    let left = ctx.load_f64(pos.at((i + n - 1) % n)).await;
+                    let right = ctx.load_f64(pos.at((i + 1) % n)).await;
                     let f = match variant {
                         Variant::Nsquared => (left - x) + (right - x),
                         Variant::Spatial => 0.9 * (left - x) + 1.1 * (right - x),
                     };
-                    ctx.store_f64(force.at(i), f);
+                    ctx.store_f64(force.at(i), f).await;
                     local_epot += 0.5 * ((x - left).abs() + (right - x).abs());
                     ctx.work(98);
                 }
-                let _lj = ctx.load_f64(potential_table.at((ts * 7 + tid) % 384));
+                let _lj = ctx.load_f64(potential_table.at((ts * 7 + tid) % 384)).await;
                 // All base forces must be written before anyone
                 // accumulates boundary corrections into them.
-                mid.wait(ctx);
+                mid.wait(ctx).await;
 
                 // ---- force phase B: boundary corrections -------------
                 // Each boundary molecule (the first of every slice, with
@@ -151,50 +151,51 @@ pub fn build(p: &Params) -> Program {
                 // from *two* threads, so its last ulps depend on the
                 // accumulation order.
                 let target = hi % n; // the next slice's first molecule
-                let x = ctx.load_f64(pos.at(hi - 1));
-                let y = ctx.load_f64(pos.at(target));
+                let x = ctx.load_f64(pos.at(hi - 1)).await;
+                let y = ctx.load_f64(pos.at(target)).await;
                 let contrib = 0.25 * (x - y);
-                ctx.lock(boundary_lock);
-                let cur = ctx.load_f64(force.at(target));
+                ctx.lock(boundary_lock).await;
+                let cur = ctx.load_f64(force.at(target)).await;
                 if bug == SeededBug::Semantic && tid == 3 && ts == bug_ts {
                     // SEMANTIC BUG (Fig 7(a)): `=` instead of `+=`:
                     // whether the other thread's contribution survives
                     // depends on the accumulation order — a large,
                     // schedule-dependent error.
-                    ctx.store_f64(force.at(target), contrib);
+                    ctx.store_f64(force.at(target), contrib).await;
                 } else {
-                    ctx.store_f64(force.at(target), cur + contrib);
+                    ctx.store_f64(force.at(target), cur + contrib).await;
                 }
-                ctx.unlock(boundary_lock);
+                ctx.unlock(boundary_lock).await;
                 // Own-edge correction on this slice's first molecule
                 // (the same cell another thread targets above).
-                let self_edge = ctx.load_f64(pos.at(lo));
-                let prev = ctx.load_f64(pos.at((lo + n - 1) % n));
-                ctx.lock(boundary_lock);
-                let cur = ctx.load_f64(force.at(lo));
+                let self_edge = ctx.load_f64(pos.at(lo)).await;
+                let prev = ctx.load_f64(pos.at((lo + n - 1) % n)).await;
+                ctx.lock(boundary_lock).await;
+                let cur = ctx.load_f64(force.at(lo)).await;
                 // A substantial term: when the seeded semantic bug
                 // discards it, the error in the integrated velocities
                 // stays far above the FP round-off grid, so the
                 // corruption persists to the end of the run.
-                ctx.store_f64(force.at(lo), cur + 1.5 * (self_edge - prev));
-                ctx.unlock(boundary_lock);
+                ctx.store_f64(force.at(lo), cur + 1.5 * (self_edge - prev))
+                    .await;
+                ctx.unlock(boundary_lock).await;
 
                 // Global potential energy: locked, but the accumulation
                 // order across threads varies → last-ulp noise.
-                ctx.lock(energy_lock);
-                let e = ctx.load_f64(epot.at(0));
-                ctx.store_f64(epot.at(0), e + local_epot);
-                ctx.unlock(energy_lock);
-                ctx.barrier(bar);
+                ctx.lock(energy_lock).await;
+                let e = ctx.load_f64(epot.at(0)).await;
+                ctx.store_f64(epot.at(0), e + local_epot).await;
+                ctx.unlock(energy_lock).await;
+                ctx.barrier(bar).await;
 
                 // ---- update phase ------------------------------------
                 let mut local_ekin = 0.0;
                 for i in lo..hi {
-                    let f = ctx.load_f64(force.at(i));
-                    let v = ctx.load_f64(vel.at(i)) + 0.01 * f;
-                    ctx.store_f64(vel.at(i), v);
-                    let x = ctx.load_f64(pos.at(i)) + 0.01 * v;
-                    ctx.store_f64(pos.at(i), x);
+                    let f = ctx.load_f64(force.at(i)).await;
+                    let v = ctx.load_f64(vel.at(i)).await + 0.01 * f;
+                    ctx.store_f64(vel.at(i), v).await;
+                    let x = ctx.load_f64(pos.at(i)).await + 0.01 * v;
+                    ctx.store_f64(pos.at(i), x).await;
                     local_ekin += 0.5 * v * v;
                     ctx.work(70);
                 }
@@ -203,18 +204,18 @@ pub fn build(p: &Params) -> Program {
                     // write of the cumulative kinetic energy span other
                     // synchronized work, so locked updates by other
                     // threads in between are lost.
-                    let stale = ctx.load_f64(ekin.at(0));
-                    ctx.lock(boundary_lock); // unrelated critical section
+                    let stale = ctx.load_f64(ekin.at(0)).await;
+                    ctx.lock(boundary_lock).await; // unrelated critical section
                     ctx.work(140);
-                    ctx.unlock(boundary_lock);
-                    ctx.store_f64(ekin.at(0), stale + local_ekin);
+                    ctx.unlock(boundary_lock).await;
+                    ctx.store_f64(ekin.at(0), stale + local_ekin).await;
                 } else {
-                    ctx.lock(energy_lock);
-                    let e = ctx.load_f64(ekin.at(0));
-                    ctx.store_f64(ekin.at(0), e + local_ekin);
-                    ctx.unlock(energy_lock);
+                    ctx.lock(energy_lock).await;
+                    let e = ctx.load_f64(ekin.at(0)).await;
+                    ctx.store_f64(ekin.at(0), e + local_ekin).await;
+                    ctx.unlock(energy_lock).await;
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
     }

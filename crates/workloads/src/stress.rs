@@ -36,20 +36,20 @@ pub fn lock_order_hazard(preamble: u64) -> Program {
     let back = b.mutex();
     let private = [b.mutex(), b.mutex()];
     for (w, &my) in private.iter().enumerate() {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             for _ in 0..preamble {
-                ctx.lock(my);
-                let v = ctx.load(totals.at(w));
-                ctx.store(totals.at(w), v + 1);
-                ctx.unlock(my);
+                ctx.lock(my).await;
+                let v = ctx.load(totals.at(w)).await;
+                ctx.store(totals.at(w), v + 1).await;
+                ctx.unlock(my).await;
             }
             let (first, second) = if w == 0 { (front, back) } else { (back, front) };
-            ctx.lock(first);
-            ctx.lock(second);
-            let v = ctx.load(totals.at(w));
-            ctx.store(totals.at(w), v + 1);
-            ctx.unlock(second);
-            ctx.unlock(first);
+            ctx.lock(first).await;
+            ctx.lock(second).await;
+            let v = ctx.load(totals.at(w)).await;
+            ctx.store(totals.at(w), v + 1).await;
+            ctx.unlock(second).await;
+            ctx.unlock(first).await;
         });
     }
     b.build()

@@ -31,8 +31,8 @@ impl HandBarrier {
     }
 
     /// Waits until all parties arrive.
-    pub fn wait(&self, ctx: &mut ThreadCtx) {
-        self.wait_inner(ctx, None);
+    pub async fn wait(&self, ctx: &mut ThreadCtx) {
+        self.wait_inner(ctx, None).await;
     }
 
     /// Waits until all parties arrive; the *last* arriver fires a manual
@@ -40,32 +40,32 @@ impl HandBarrier {
     /// so the checkpoint observes a quiescent state (this is how the
     /// blackscholes/swaptions per-iteration checking points of Table 1
     /// are modeled).
-    pub fn wait_checkpoint(&self, ctx: &mut ThreadCtx, label: &'static str) {
-        self.wait_inner(ctx, Some(label));
+    pub async fn wait_checkpoint(&self, ctx: &mut ThreadCtx, label: &'static str) {
+        self.wait_inner(ctx, Some(label)).await;
     }
 
-    fn wait_inner(&self, ctx: &mut ThreadCtx, label: Option<&'static str>) {
+    async fn wait_inner(&self, ctx: &mut ThreadCtx, label: Option<&'static str>) {
         let count = self.state.at(0);
         let gen = self.state.at(1);
-        ctx.lock(self.lock);
-        let my_gen = ctx.load(gen);
-        let arrived = ctx.load(count) + 1;
-        ctx.store(count, arrived);
+        ctx.lock(self.lock).await;
+        let my_gen = ctx.load(gen).await;
+        let arrived = ctx.load(count).await + 1;
+        ctx.store(count, arrived).await;
         if arrived == self.parties {
-            ctx.store(count, 0);
-            ctx.store(gen, my_gen + 1);
+            ctx.store(count, 0).await;
+            ctx.store(gen, my_gen + 1).await;
             if let Some(label) = label {
                 // All other parties are blocked on the condvar: the
                 // state is quiescent.
-                ctx.checkpoint(label);
+                ctx.checkpoint(label).await;
             }
-            ctx.cond_broadcast(self.cond);
-            ctx.unlock(self.lock);
+            ctx.cond_broadcast(self.cond).await;
+            ctx.unlock(self.lock).await;
         } else {
-            while ctx.load(gen) == my_gen {
-                ctx.cond_wait(self.cond, self.lock);
+            while ctx.load(gen).await == my_gen {
+                ctx.cond_wait(self.cond, self.lock).await;
             }
-            ctx.unlock(self.lock);
+            ctx.unlock(self.lock).await;
         }
     }
 }
@@ -96,18 +96,18 @@ impl RacySenseBarrier {
     ///
     /// `my_sense` is the caller's thread-local sense word; initialize it
     /// to 0 and pass the same variable to every wait.
-    pub fn wait(&self, ctx: &mut ThreadCtx, my_sense: &mut u64) {
+    pub async fn wait(&self, ctx: &mut ThreadCtx, my_sense: &mut u64) {
         let count = self.state.at(0);
         let sense = self.state.at(1);
         let next = 1 - *my_sense;
-        let arrived = ctx.fetch_add(count, 1) + 1;
+        let arrived = ctx.fetch_add(count, 1).await + 1;
         if arrived == self.parties {
-            ctx.store(count, 0);
-            ctx.store(sense, next); // racy release store…
+            ctx.store(count, 0).await;
+            ctx.store(sense, next).await; // racy release store…
         } else {
-            while ctx.load(sense) != next {
+            while ctx.load(sense).await != next {
                 // …racing with these plain spin loads (benign).
-                ctx.sched_yield();
+                ctx.sched_yield().await;
             }
         }
         *my_sense = next;
@@ -171,14 +171,14 @@ mod tests {
         let sums = b.global("sums", ValKind::U64, n);
         let hb = HandBarrier::new(&mut b, "hb", n);
         for tid in 0..n {
-            b.thread(move |ctx| {
-                ctx.store(slots.at(tid), tid as u64 + 1);
-                hb.wait(ctx);
+            b.thread(async move |ctx| {
+                ctx.store(slots.at(tid), tid as u64 + 1).await;
+                hb.wait(ctx).await;
                 let mut s = 0;
                 for i in 0..n {
-                    s += ctx.load(slots.at(i));
+                    s += ctx.load(slots.at(i)).await;
                 }
-                ctx.store(sums.at(tid), s);
+                ctx.store(sums.at(tid), s).await;
             });
         }
         let out = b.build().run(&RunConfig::random(3)).unwrap();
@@ -195,13 +195,13 @@ mod tests {
         let hb = HandBarrier::new(&mut b, "hb", n);
         let lock = b.mutex();
         for _ in 0..n {
-            b.thread(move |ctx| {
+            b.thread(async move |ctx| {
                 for _ in 0..5 {
-                    ctx.lock(lock);
-                    let v = ctx.load(acc.at(0));
-                    ctx.store(acc.at(0), v + 1);
-                    ctx.unlock(lock);
-                    hb.wait(ctx);
+                    ctx.lock(lock).await;
+                    let v = ctx.load(acc.at(0)).await;
+                    ctx.store(acc.at(0), v + 1).await;
+                    ctx.unlock(lock).await;
+                    hb.wait(ctx).await;
                 }
             });
         }
@@ -218,19 +218,19 @@ mod tests {
             let ok = b.global("ok", ValKind::U64, n);
             let rb = RacySenseBarrier::new(&mut b, "rb", n);
             for tid in 0..n {
-                b.thread(move |ctx| {
+                b.thread(async move |ctx| {
                     let mut sense = 0u64;
                     for round in 0..3u64 {
-                        ctx.store(slots.at(tid), round * 10 + tid as u64);
-                        rb.wait(ctx, &mut sense);
+                        ctx.store(slots.at(tid), round * 10 + tid as u64).await;
+                        rb.wait(ctx, &mut sense).await;
                         let mut sum = 0;
                         for i in 0..n {
-                            sum += ctx.load(slots.at(i));
+                            sum += ctx.load(slots.at(i)).await;
                         }
                         assert_eq!(sum, round * 10 * n as u64 + 6);
-                        rb.wait(ctx, &mut sense);
+                        rb.wait(ctx, &mut sense).await;
                     }
-                    ctx.store(ok.at(tid), 1);
+                    ctx.store(ok.at(tid), 1).await;
                 });
             }
             let out = b.build().run(&RunConfig::random(seed)).unwrap();

@@ -12,17 +12,21 @@ use tsim::{Program, ProgramBuilder, ValKind};
 /// a lock. The interleaving (and the intermediate values of G) differ
 /// between runs, but the final state is always G == 12: *internally*
 /// nondeterministic, *externally* deterministic.
+///
+/// Each thread body is an async closure: every `ThreadCtx` operation
+/// that can switch threads is awaited, and the simulator polls the
+/// bodies in turn on the thread that runs the program.
 fn figure1() -> Program {
     let mut b = ProgramBuilder::new(2);
     let g = b.global("G", ValKind::U64, 1);
     let lock = b.mutex();
     b.setup(move |s| s.store(g.at(0), 2)); // fixed input: G == 2
     for local in [7u64, 3u64] {
-        b.thread(move |ctx| {
-            ctx.lock(lock);
-            let v = ctx.load(g.at(0));
-            ctx.store(g.at(0), v + local);
-            ctx.unlock(lock);
+        b.thread(async move |ctx| {
+            ctx.lock(lock).await;
+            let v = ctx.load(g.at(0)).await;
+            ctx.store(g.at(0), v + local).await;
+            ctx.unlock(lock).await;
         });
     }
     b.build()
@@ -34,8 +38,8 @@ fn last_writer_wins() -> Program {
     let mut b = ProgramBuilder::new(2);
     let g = b.global("G", ValKind::U64, 1);
     for local in [7u64, 3u64] {
-        b.thread(move |ctx| {
-            ctx.store(g.at(0), local);
+        b.thread(async move |ctx| {
+            ctx.store(g.at(0), local).await;
         });
     }
     b.build()

@@ -65,17 +65,17 @@ fn phased() -> Program {
     let bar = b.barrier();
     let lock = b.mutex();
     for t in 0..3u64 {
-        b.thread(move |ctx| {
-            let p = ctx.malloc("scratch", tsim::TypeTag::u64s(), 2);
-            ctx.store(p, t);
-            ctx.checkpoint("phase 1%");
-            ctx.barrier(bar);
-            ctx.lock(lock);
-            let v = ctx.load(g.at(0));
-            ctx.store(g.at(0), v + t + 1);
-            ctx.unlock(lock);
-            ctx.checkpoint("phase-2");
-            ctx.free(p);
+        b.thread(async move |ctx| {
+            let p = ctx.malloc("scratch", tsim::TypeTag::u64s(), 2).await;
+            ctx.store(p, t).await;
+            ctx.checkpoint("phase 1%").await;
+            ctx.barrier(bar).await;
+            ctx.lock(lock).await;
+            let v = ctx.load(g.at(0)).await;
+            ctx.store(g.at(0), v + t + 1).await;
+            ctx.unlock(lock).await;
+            ctx.checkpoint("phase-2").await;
+            ctx.free(p).await;
         });
     }
     b.build()

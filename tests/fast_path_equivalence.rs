@@ -7,7 +7,8 @@
 //! wrapping it in a shim whose `fast_path()` stays `None`, and assert
 //! that every observable of the run — checkpoint hash sequence, output
 //! digest, store/hash-update/extra-instruction accounting, and the
-//! scheduler decision log — is bit-identical between the two paths.
+//! scheduler decision log — is bit-identical between the two paths, on a
+//! synthetic workload and on every deterministic Table-1 kernel.
 
 use adhash::FpRound;
 use instantcheck::{CheckMonitor, IgnoreSpec, Scheme};
@@ -66,55 +67,84 @@ fn program() -> Program {
         }
     });
     for t in 0..NTHREADS {
-        b.thread(move |ctx| {
+        b.thread(async move |ctx| {
             let tid = t as u64;
             // Integer store sweep over a striped range, with a shared
             // atomic bump and a barrier per step.
             for step in 0..4u64 {
                 for i in 0..32 {
                     if i % NTHREADS == t {
-                        let v = ctx.load(grid.at(i));
+                        let v = ctx.load(grid.at(i)).await;
                         let v = v.wrapping_mul(6364136223846793005).wrapping_add(tid + step);
-                        ctx.store(grid.at(i), v);
+                        ctx.store(grid.at(i), v).await;
                     }
                 }
-                ctx.fetch_add(counter.at(0), 1);
-                ctx.barrier(bar);
+                ctx.fetch_add(counter.at(0), 1).await;
+                ctx.barrier(bar).await;
             }
             // FP stores with sub-rounding noise: both paths must agree
             // whether or not rounding is configured.
             for i in 0..8 {
                 if i % NTHREADS == t {
-                    let v = ctx.load_f64(field.at(i));
-                    ctx.store_f64(field.at(i), v + 0.1 + tid as f64 * 1e-12);
+                    let v = ctx.load_f64(field.at(i)).await;
+                    ctx.store_f64(field.at(i), v + 0.1 + tid as f64 * 1e-12)
+                        .await;
                 }
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             // Heap churn: the freed block's contribution must cancel
             // out of the running hash identically on both paths.
-            let buf = ctx.malloc("scratch", TypeTag::u64s(), 6 + t);
+            let buf = ctx.malloc("scratch", TypeTag::u64s(), 6 + t).await;
             for i in 0..(6 + t) as u64 {
-                ctx.store(buf.offset(i), tid * 100 + i);
+                ctx.store(buf.offset(i), tid * 100 + i).await;
             }
             ctx.work(5);
-            ctx.free(buf);
+            ctx.free(buf).await;
             // Locked update plus output bytes.
-            ctx.lock(lock);
-            let v = ctx.load(counter.at(0));
-            ctx.store(counter.at(0), v + 1);
-            ctx.unlock(lock);
-            ctx.write_output(&[b'0' + t as u8]);
-            ctx.barrier(bar);
-            ctx.checkpoint("done");
+            ctx.lock(lock).await;
+            let v = ctx.load(counter.at(0)).await;
+            ctx.store(counter.at(0), v + 1).await;
+            ctx.unlock(lock).await;
+            ctx.write_output(&[b'0' + t as u8]).await;
+            ctx.barrier(bar).await;
+            ctx.checkpoint("done").await;
         });
     }
     b.build()
 }
 
-/// Runs the workload twice with the same seed — once with the monitor's
+/// The 13 deterministic kernels the campaign benchmark draws from.
+const KERNELS: [&str; 13] = [
+    "blackscholes",
+    "fft",
+    "lu",
+    "radix",
+    "swaptions",
+    "volrend",
+    "fluidanimate",
+    "ocean",
+    "waterNS",
+    "waterSP",
+    "cholesky",
+    "pbzip2",
+    "sphinx3",
+];
+
+/// Runs the synthetic workload through [`assert_program_paths_agree`].
+fn assert_paths_agree(scheme: Scheme, rounding: Option<FpRound>, ignore: IgnoreSpec, seed: u64) {
+    assert_program_paths_agree(program, scheme, rounding, ignore, seed);
+}
+
+/// Runs a program twice with the same seed — once with the monitor's
 /// fast-path claim honored, once through the `DynShim` — and asserts
 /// every observable matches.
-fn assert_paths_agree(scheme: Scheme, rounding: Option<FpRound>, ignore: IgnoreSpec, seed: u64) {
+fn assert_program_paths_agree(
+    program: impl Fn() -> Program,
+    scheme: Scheme,
+    rounding: Option<FpRound>,
+    ignore: IgnoreSpec,
+    seed: u64,
+) {
     let config = RunConfig::random(seed);
 
     let fast = program()
@@ -187,4 +217,12 @@ fn ignore_set_resolves_identically_on_both_paths() {
     let ignore = IgnoreSpec::new().ignore_global("counter");
     assert_paths_agree(Scheme::SwInc, None, ignore.clone(), 31);
     assert_paths_agree(Scheme::SwTr, None, ignore, 31);
+}
+
+#[test]
+fn every_deterministic_kernel_agrees_on_both_paths() {
+    for kernel in KERNELS {
+        let app = instantcheck_workloads::by_name(kernel, true).expect("kernel is registered");
+        assert_program_paths_agree(|| app.build(), Scheme::HwInc, None, IgnoreSpec::new(), 3);
+    }
 }

@@ -28,11 +28,11 @@ fn resolver() -> Resolver {
                 let g = b.global("G", ValKind::U64, 1);
                 let lock = b.mutex();
                 for t in 0..2u64 {
-                    b.thread(move |ctx| {
-                        ctx.lock(lock);
-                        let v = ctx.load(g.at(0));
-                        ctx.store(g.at(0), v + t + 1);
-                        ctx.unlock(lock);
+                    b.thread(async move |ctx| {
+                        ctx.lock(lock).await;
+                        let v = ctx.load(g.at(0)).await;
+                        ctx.store(g.at(0), v + t + 1).await;
+                        ctx.unlock(lock).await;
                     });
                 }
                 b.build()

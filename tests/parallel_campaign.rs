@@ -19,14 +19,14 @@ fn det_sum() -> Program {
     let g = b.global("G", ValKind::U64, 1);
     let lock = b.mutex();
     for t in 0..4u64 {
-        b.thread(move |ctx| {
-            let p = ctx.malloc("scratch", tsim::TypeTag::u64s(), 2);
-            ctx.store(p, t);
-            ctx.lock(lock);
-            let v = ctx.load(g.at(0));
-            ctx.store(g.at(0), v + (t + 1) * 10);
-            ctx.unlock(lock);
-            ctx.free(p);
+        b.thread(async move |ctx| {
+            let p = ctx.malloc("scratch", tsim::TypeTag::u64s(), 2).await;
+            ctx.store(p, t).await;
+            ctx.lock(lock).await;
+            let v = ctx.load(g.at(0)).await;
+            ctx.store(g.at(0), v + (t + 1) * 10).await;
+            ctx.unlock(lock).await;
+            ctx.free(p).await;
         });
     }
     b.build()
@@ -38,10 +38,10 @@ fn last_writer() -> Program {
     let g = b.global("G", ValKind::U64, 1);
     let lock = b.mutex();
     for t in 0..3u64 {
-        b.thread(move |ctx| {
-            ctx.lock(lock);
-            ctx.store(g.at(0), t + 1);
-            ctx.unlock(lock);
+        b.thread(async move |ctx| {
+            ctx.lock(lock).await;
+            ctx.store(g.at(0), t + 1).await;
+            ctx.unlock(lock).await;
         });
     }
     b.build()
@@ -155,15 +155,15 @@ fn alloc_kernel() -> Program {
     let g = b.global("G", ValKind::U64, 1);
     let lock = b.mutex();
     for t in 0..2u64 {
-        b.thread(move |ctx| {
-            let p = ctx.malloc("scratch", tsim::TypeTag::u64s(), 2);
-            ctx.store(p, (t + 1) * 3);
-            let v = ctx.load(p);
-            ctx.lock(lock);
-            let acc = ctx.load(g.at(0));
-            ctx.store(g.at(0), acc + v);
-            ctx.unlock(lock);
-            ctx.free(p);
+        b.thread(async move |ctx| {
+            let p = ctx.malloc("scratch", tsim::TypeTag::u64s(), 2).await;
+            ctx.store(p, (t + 1) * 3).await;
+            let v = ctx.load(p).await;
+            ctx.lock(lock).await;
+            let acc = ctx.load(g.at(0)).await;
+            ctx.store(g.at(0), acc + v).await;
+            ctx.unlock(lock).await;
+            ctx.free(p).await;
         });
     }
     b.build()

@@ -16,10 +16,10 @@ fn last_writer() -> Program {
     let g = b.global("G", ValKind::U64, 1);
     let lock = b.mutex();
     for t in 0..3u64 {
-        b.thread(move |ctx| {
-            ctx.lock(lock);
-            ctx.store(g.at(0), t + 1);
-            ctx.unlock(lock);
+        b.thread(async move |ctx| {
+            ctx.lock(lock).await;
+            ctx.store(g.at(0), t + 1).await;
+            ctx.unlock(lock).await;
         });
     }
     b.build()
@@ -31,15 +31,15 @@ fn commuting_sum() -> Program {
     let bar = b.barrier();
     let lock = b.mutex();
     for t in 0..4u64 {
-        b.thread(move |ctx| {
-            let p = ctx.malloc("scratch", tsim::TypeTag::u64s(), 2);
-            ctx.store(p, t);
-            ctx.barrier(bar);
-            ctx.lock(lock);
-            let v = ctx.load(g.at(0));
-            ctx.store(g.at(0), v + (t + 1) * 10);
-            ctx.unlock(lock);
-            ctx.free(p);
+        b.thread(async move |ctx| {
+            let p = ctx.malloc("scratch", tsim::TypeTag::u64s(), 2).await;
+            ctx.store(p, t).await;
+            ctx.barrier(bar).await;
+            ctx.lock(lock).await;
+            let v = ctx.load(g.at(0)).await;
+            ctx.store(g.at(0), v + (t + 1) * 10).await;
+            ctx.unlock(lock).await;
+            ctx.free(p).await;
         });
     }
     b.build()

@@ -1,10 +1,11 @@
-//! Golden interleavings: the simulator's token handoff is an OS-level
-//! mechanism, so it must never change what the scheduler picks. For
-//! every deterministic Table-1 kernel at miniature scale and three fixed
-//! seeds, one monitored, traced run is folded into an FNV-1a digest of
-//! its scheduler decisions, step count, per-thread instruction counts,
-//! recorded trace and per-checkpoint state hashes. The digests were
-//! recorded before the handoff was reworked; any drift means a run
+//! Golden interleavings: how the simulator hands the turn from one
+//! simulated thread to the next (OS threads in earlier engines, futures
+//! polled by one executor loop now) must never change what the
+//! scheduler picks. For every deterministic Table-1 kernel at miniature
+//! scale and three fixed seeds, one monitored, traced run is folded into
+//! an FNV-1a digest of its scheduler decisions, step count, per-thread
+//! instruction counts, recorded trace and per-checkpoint state hashes. The digests were
+//! recorded before the handoff was first reworked; any drift means a run
 //! interleaves differently than it used to.
 
 use instantcheck::{CheckMonitor, IgnoreSpec, Scheme};
