@@ -16,6 +16,16 @@
 /// Number of explicit mantissa bits in an IEEE-754 `f64`.
 const MANTISSA_BITS: u32 = 52;
 
+/// `10^d` for every decimal digit count `d` in `0..=18` (larger counts
+/// clamp to 18); each power is exact in an `f64`.
+const POW10: [f64; 19] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18,
+];
+
+/// `2^53`: from here on every `f64` is an integer.
+const TWO_POW_53: f64 = 9_007_199_254_740_992.0;
+
 /// A floating-point round-off policy applied to FP values before hashing.
 ///
 /// # Example
@@ -91,27 +101,34 @@ impl FpRound {
                 let mask = !((1u64 << bits) - 1);
                 f64::from_bits(x.to_bits() & mask)
             }
-            FpRound::FloorDecimal { digits } => Self::decimal(x, digits, f64::floor),
-            FpRound::NearestDecimal { digits } => Self::decimal(x, digits, f64::round),
+            FpRound::FloorDecimal { digits } => Self::decimal(x, digits, true),
+            FpRound::NearestDecimal { digits } => Self::decimal(x, digits, false),
         }
     }
 
-    fn decimal(x: f64, digits: u32, op: fn(f64) -> f64) -> f64 {
-        let scale = 10f64.powi(digits.min(18) as i32);
+    fn decimal(x: f64, digits: u32, floor: bool) -> f64 {
+        let scale = POW10[digits.min(18) as usize];
         let scaled = x * scale;
         // Values this large have integral ulps already; rounding is a no-op
         // and the scaled arithmetic would lose precision, so skip it.
-        if scaled.abs() >= 2f64.powi(53) {
+        if scaled.abs() >= TWO_POW_53 {
             return x;
         }
-        // If `x` is already exactly on the decimal grid (it is some `q /
-        // scale`), leave it alone. Without this, re-applying floor-rounding
+        // Rounding to nearest is this value. When it equals `x`, `x` is
+        // already on the decimal grid (some `q / scale`) and returning
+        // either is the same bits (equal `f64`s differ in bits only as
+        // ±0, and `round` keeps the sign of a zero).
+        let nearest = scaled.round() / scale;
+        if !floor {
+            return nearest;
+        }
+        // Leave on-grid values alone: otherwise re-applying floor-rounding
         // to its own output could step down one more grid cell whenever
         // `(q / scale) * scale` lands just below `q`.
-        if scaled.round() / scale == x {
+        if nearest == x {
             return x;
         }
-        op(scaled) / scale
+        scaled.floor() / scale
     }
 
     /// Applies the round-off to a value stored as raw `f64` bits, returning
@@ -234,5 +251,140 @@ mod tests {
                 assert_eq!(once.to_bits(), twice.to_bits(), "{round:?} on {v}");
             }
         }
+    }
+
+    /// The decimal rounding as first written — `powi` for the scale, and
+    /// the on-grid check before the rounding op for both modes — kept as
+    /// the reference the table-driven version must match bit for bit.
+    fn reference_decimal(x: f64, digits: u32, op: fn(f64) -> f64) -> f64 {
+        let scale = 10f64.powi(digits.min(18) as i32);
+        let scaled = x * scale;
+        if scaled.abs() >= 2f64.powi(53) {
+            return x;
+        }
+        if scaled.round() / scale == x {
+            return x;
+        }
+        op(scaled) / scale
+    }
+
+    /// Both decimal modes at `digits` through `apply` and `apply_bits`,
+    /// against the reference (non-finite values pass through, and a
+    /// zero result canonicalizes to `+0.0` on the bits path).
+    fn assert_decimal_matches_reference(bits: u64, digits: u32) {
+        let x = f64::from_bits(bits);
+        for (round, op) in [
+            (
+                FpRound::FloorDecimal { digits },
+                f64::floor as fn(f64) -> f64,
+            ),
+            (FpRound::NearestDecimal { digits }, f64::round),
+        ] {
+            let want = if x.is_finite() {
+                reference_decimal(x, digits, op)
+            } else {
+                x
+            };
+            let want_bits = if want == 0.0 { 0 } else { want.to_bits() };
+            assert_eq!(
+                round.apply(x).to_bits(),
+                want.to_bits(),
+                "{round:?} on {x:e} ({bits:#018x})"
+            );
+            assert_eq!(
+                round.apply_bits(bits),
+                want_bits,
+                "{round:?} bits of {x:e} ({bits:#018x})"
+            );
+        }
+    }
+
+    #[test]
+    fn power_table_is_powi_and_wide_digit_counts_clamp() {
+        for (d, &p) in POW10.iter().enumerate() {
+            assert_eq!(p.to_bits(), 10f64.powi(d as i32).to_bits(), "10^{d}");
+        }
+        assert_eq!(TWO_POW_53, 2f64.powi(53));
+        for x in [0.123_456_789_012_345_6, -7.5e-12, 3.0e-300] {
+            for wide in [19, 25, u32::MAX] {
+                for (narrow, wider) in [
+                    (
+                        FpRound::FloorDecimal { digits: 18 },
+                        FpRound::FloorDecimal { digits: wide },
+                    ),
+                    (
+                        FpRound::NearestDecimal { digits: 18 },
+                        FpRound::NearestDecimal { digits: wide },
+                    ),
+                ] {
+                    assert_eq!(narrow.apply(x).to_bits(), wider.apply(x).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decimal_rounding_matches_the_reference_on_edge_cases() {
+        for digits in 0..=20u32 {
+            let scale = 10f64.powi(digits.min(18) as i32);
+            let cutoff = 2f64.powi(53) / scale;
+            let mut inputs = vec![
+                0.0,
+                -0.0,
+                f64::MIN_POSITIVE,
+                f64::MIN_POSITIVE / 2.0, // subnormal
+                -f64::MIN_POSITIVE / 4.0,
+                f64::from_bits(1), // smallest subnormal
+                -f64::from_bits(1),
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN,
+                f64::EPSILON,
+                0.1 + 0.2 + 0.3,
+                -(0.1 + 0.2 + 0.3),
+                1.0 / 3.0,
+                -2.0 / 3.0,
+                cutoff,
+                -cutoff,
+                f64::from_bits(cutoff.to_bits() - 1),
+                f64::from_bits(cutoff.to_bits() + 1),
+                -f64::from_bits(cutoff.to_bits() - 1),
+            ];
+            for q in [-12_345i64, -3, -1, 0, 1, 2, 7, 999, 123_456_789] {
+                let grid = q as f64 / scale;
+                let half = (q as f64 + 0.5) / scale; // exact halfway case
+                for v in [grid, half, -half] {
+                    inputs.extend([v, f64::from_bits(v.to_bits().wrapping_add(1))]);
+                    if v != 0.0 {
+                        inputs.push(f64::from_bits(v.to_bits() - 1));
+                    }
+                }
+            }
+            for x in inputs {
+                assert_decimal_matches_reference(x.to_bits(), digits);
+            }
+        }
+    }
+
+    #[test]
+    fn decimal_rounding_matches_the_reference_on_random_bits() {
+        minicheck::check("decimal_rounding_matches_the_reference", 2048, |g| {
+            let digits = g.u32() % 21;
+            // Raw bit patterns reach every exponent, NaN payloads and
+            // subnormals. Decimal fractions `q / 10^k`, nudged by up to
+            // one ulp, land on and beside the grid, where floor and
+            // nearest part ways.
+            let bits = if g.bool() {
+                g.u64()
+            } else {
+                let q = g.u64_in(0, 1 << 41) as f64 - (1u64 << 40) as f64;
+                let x = q / 10f64.powi(g.usize_in(0, 19) as i32);
+                x.to_bits().wrapping_add(g.u64_in(0, 3)).wrapping_sub(1)
+            };
+            assert_decimal_matches_reference(bits, digits);
+        });
     }
 }

@@ -117,7 +117,12 @@ impl IgnoreSpec {
     }
 
     /// Resolves the spec against a live state: every excluded word, with
-    /// its declared kind.
+    /// its declared kind, sorted by address and without duplicates.
+    ///
+    /// The result depends only on the global regions and the live block
+    /// table, never on memory contents, so it stays valid while the
+    /// view's [`alloc_epoch`](StateView::alloc_epoch) holds. Site entries
+    /// are matched in one pass over the blocks.
     pub fn resolve(&self, view: &StateView<'_>) -> Vec<(Addr, ValKind)> {
         let mut out = Vec::new();
         for (name, range) in &self.globals {
@@ -131,20 +136,16 @@ impl IgnoreSpec {
                 }
             }
         }
-        for (site, offsets) in &self.sites {
-            for block in view.blocks_at_site(site) {
-                match offsets {
-                    None => {
-                        for i in 0..block.len {
+        if !self.sites.is_empty() {
+            for block in view.blocks() {
+                for (_, offsets) in self.sites.iter().filter(|(s, _)| s == block.site) {
+                    let stride = block.tag.stride();
+                    for i in 0..block.len {
+                        if offsets
+                            .as_ref()
+                            .is_none_or(|offs| offs.contains(&(i % stride)))
+                        {
                             out.push((block.base.offset(i as u64), block.kind_at(i)));
-                        }
-                    }
-                    Some(offs) => {
-                        let stride = block.tag.stride();
-                        for i in 0..block.len {
-                            if offs.contains(&(i % stride)) {
-                                out.push((block.base.offset(i as u64), block.kind_at(i)));
-                            }
                         }
                     }
                 }

@@ -1,6 +1,6 @@
 //! The three checking schemes and the monitor that implements them.
 
-use std::collections::HashSet;
+use std::ops::Range;
 
 use adhash::{hash_full_state, FpRound, HashSum, LocationHasher, Mix64Hasher};
 use mhm::{CacheStats, L1Cache, MhmCore};
@@ -121,6 +121,38 @@ pub struct CheckpointRecord {
     pub hash: HashSum,
 }
 
+/// The ignore set resolved against the live state, kept across
+/// checkpoints while the allocator epoch it was resolved at holds.
+#[derive(Debug, Default)]
+struct ResolvedIgnore {
+    /// The [`StateView::alloc_epoch`] `words` was resolved at; `None`
+    /// before the first checkpoint.
+    epoch: Option<u64>,
+    /// [`IgnoreSpec::resolve`]'s output: sorted, deduplicated.
+    words: Vec<(Addr, ValKind)>,
+    /// `Σ h(a, 0)` over `words`: the ignored words' zero-baseline
+    /// contribution the incremental schemes add back.
+    zero_sum: HashSum,
+}
+
+impl ResolvedIgnore {
+    /// Re-resolves `spec` if the view's block table may have changed
+    /// since the last call.
+    fn refresh(&mut self, spec: &IgnoreSpec, view: &StateView<'_>, hasher: &Mix64Hasher) {
+        let epoch = view.alloc_epoch();
+        if self.epoch == Some(epoch) {
+            return;
+        }
+        self.epoch = Some(epoch);
+        self.words = spec.resolve(view);
+        self.zero_sum = self
+            .words
+            .iter()
+            .map(|&(a, _)| hasher.hash_location(a.raw(), 0))
+            .sum();
+    }
+}
+
 /// The [`Monitor`] that implements the checking schemes.
 ///
 /// One instance observes one run; [`CheckMonitor::into_hashes`] then
@@ -132,6 +164,8 @@ pub struct CheckMonitor {
     scheme: Scheme,
     rounding: Option<FpRound>,
     ignore: IgnoreSpec,
+    /// `ignore` resolved at the latest checkpoint's allocation epoch.
+    ignored: ResolvedIgnore,
     /// Per-thread MHM units (HwInc), or the software emulation of the
     /// same per-thread incremental hashes (SwInc).
     cores: Vec<MhmCore>,
@@ -162,6 +196,7 @@ impl CheckMonitor {
             scheme,
             rounding,
             ignore,
+            ignored: ResolvedIgnore::default(),
             cores: Vec::new(),
             hasher: Mix64Hasher::default(),
             output: OutputHasher::new(),
@@ -290,20 +325,20 @@ impl CheckMonitor {
         }
         self.extra_instr += units;
         if !self.ignore.is_empty() {
-            let ignored = self.ignore.resolve(view);
+            self.ignored.refresh(&self.ignore, view, &self.hasher);
+            let n = self.ignored.words.len() as u64;
             let per_word = match self.scheme {
                 Scheme::HwInc => HW_INSTR_PER_EXCLUDED_WORD,
                 _ => SW_INSTR_PER_EXCLUDED_WORD,
             };
-            self.extra_instr += per_word * ignored.len() as u64;
-            self.hash_updates += 2 * ignored.len() as u64;
-            for (addr, kind) in ignored {
+            self.extra_instr += per_word * n;
+            self.hash_updates += 2 * n;
+            // SH ⊕ Σ h(a, initial) ⊖ Σ h(a, current); allocations are
+            // zero-filled, so the initial value is always 0.
+            sum = sum.combine(self.ignored.zero_sum);
+            for &(addr, kind) in &self.ignored.words {
                 let cur = self.round(view.read(addr).unwrap_or(0), kind);
-                // SH ⊕ h(a, initial) ⊖ h(a, current); allocations are
-                // zero-filled, so the initial value is always 0.
-                sum = sum
-                    .combine(self.hasher.hash_location(addr.raw(), 0))
-                    .cancel(self.hasher.hash_location(addr.raw(), cur));
+                sum = sum.cancel(self.hasher.hash_location(addr.raw(), cur));
             }
         }
         sum
@@ -312,28 +347,36 @@ impl CheckMonitor {
     /// The traversal scheme's checkpoint hash: hash every live word
     /// (globals + allocation table), rounding FP-typed words, skipping
     /// the ignore set.
+    ///
+    /// The live state streams region by region. A cursor into the sorted
+    /// ignore list cuts each region into runs of kept words, and each
+    /// run folds straight from the region's slice (the group is
+    /// commutative, so summing per-run folds is the whole-state fold).
     fn traversal_hash(&mut self, view: &StateView<'_>) -> HashSum {
-        let ignored: HashSet<Addr> = self
-            .ignore
-            .resolve(view)
-            .into_iter()
-            .map(|(a, _)| a)
-            .collect();
+        self.ignored.refresh(&self.ignore, view, &self.hasher);
+        let ignored = self.ignored.words.as_slice();
+        let rounding = self.rounding.filter(|r| !r.is_bit_exact());
+        let mut hash = HashSum::ZERO;
         let mut words = 0u64;
-        let rounding = self.rounding;
-        let hash = hash_full_state(
-            &self.hasher,
-            view.live_words()
-                .filter(|(a, _, _)| !ignored.contains(a))
-                .map(|(a, v, kind)| {
-                    words += 1;
-                    let v = match (kind, rounding) {
-                        (ValKind::F64, Some(r)) => r.apply_bits(v),
-                        _ => v,
-                    };
-                    (a.raw(), v)
-                }),
-        );
+        for (base, values, kinds) in view.live_regions() {
+            let end = base.raw() + values.len() as u64;
+            let mut cursor = ignored.partition_point(|&(a, _)| a < base);
+            let mut start = 0;
+            loop {
+                let stop = match ignored.get(cursor) {
+                    Some(&(a, _)) if a.raw() < end => (a.raw() - base.raw()) as usize,
+                    _ => values.len(),
+                };
+                let run = hash_run(&self.hasher, base, values, kinds, start..stop, rounding);
+                hash = hash.combine(run);
+                words += (stop - start) as u64;
+                if stop == values.len() {
+                    break;
+                }
+                cursor += 1;
+                start = stop + 1;
+            }
+        }
         self.extra_instr += words * SW_TR_INSTR_PER_WORD;
         self.hash_updates += words;
         hash
@@ -350,6 +393,36 @@ impl CheckMonitor {
             hash_updates: self.hash_updates,
             cache,
         }
+    }
+}
+
+/// `Σ h(a, v)` over words `range` of the region at `base`, rounding the
+/// words whose kind (`kinds` cycled from the region's start) is FP.
+fn hash_run(
+    hasher: &Mix64Hasher,
+    base: Addr,
+    values: &[u64],
+    kinds: &[ValKind],
+    range: Range<usize>,
+    rounding: Option<FpRound>,
+) -> HashSum {
+    let addrs = base.raw() + range.start as u64..;
+    let skip = range.start % kinds.len();
+    let values = &values[range];
+    match (rounding, kinds) {
+        (Some(r), [ValKind::F64]) => {
+            hash_full_state(hasher, addrs.zip(values.iter().map(|&v| r.apply_bits(v))))
+        }
+        (Some(r), [_, _, ..]) => {
+            let kinds = kinds.iter().cycle().skip(skip);
+            let rounded = values.iter().zip(kinds).map(|(&v, &kind)| match kind {
+                ValKind::F64 => r.apply_bits(v),
+                ValKind::U64 => v,
+            });
+            hash_full_state(hasher, addrs.zip(rounded))
+        }
+        // No rounding, or a region of integer words.
+        _ => hash_full_state(hasher, addrs.zip(values.iter().copied())),
     }
 }
 
@@ -523,5 +596,196 @@ mod tests {
         let m = CheckMonitor::new(Scheme::SwTr, None, IgnoreSpec::new());
         assert!(m.records().is_empty());
         assert_eq!(m.scheme(), Scheme::SwTr);
+    }
+
+    /// Delegates to a [`CheckMonitor`] on the per-access dispatch path
+    /// and, at every checkpoint, compares the monitor's hash and the
+    /// checkpoint's own counter increments with a from-scratch
+    /// reference computed on the same view.
+    struct Referee {
+        inner: CheckMonitor,
+        checked: usize,
+    }
+
+    /// Whether word `i` of the global named `global`, or of a block
+    /// allocated at `site` with type stride `stride`, is excluded —
+    /// decided word by word straight from the spec.
+    fn excluded(
+        spec: &IgnoreSpec,
+        global: Option<&str>,
+        site: Option<&str>,
+        i: usize,
+        stride: usize,
+    ) -> bool {
+        let in_global = spec.globals.iter().any(|(n, range)| {
+            Some(n.as_str()) == global && range.is_none_or(|(s, e)| s <= i && i < e)
+        });
+        let in_site = spec.sites.iter().any(|(n, offs)| {
+            Some(n.as_str()) == site
+                && offs
+                    .as_ref()
+                    .is_none_or(|offs| offs.contains(&(i % stride)))
+        });
+        in_global || in_site
+    }
+
+    impl Monitor for Referee {
+        fn on_store(&mut self, tid: ThreadId, addr: Addr, old: u64, new: u64, kind: ValKind) {
+            self.inner.on_store(tid, addr, old, new, kind);
+        }
+        fn on_free(&mut self, tid: ThreadId, block: &BlockInfo, contents: &[u64]) {
+            self.inner.on_free(tid, block, contents);
+        }
+        fn on_checkpoint(&mut self, info: &CheckpointInfo, view: &StateView<'_>) {
+            let m = &self.inner;
+            let (updates, instr) = (m.hash_updates, m.extra_instr);
+            self.inner.on_checkpoint(info, view);
+            let m = &self.inner;
+
+            // Every live word, its declared kind, and whether excluded.
+            let mut live = Vec::new();
+            for g in view.globals() {
+                for (i, a) in g.region.iter().enumerate() {
+                    live.push((
+                        a,
+                        g.region.kind,
+                        excluded(&m.ignore, Some(g.name), None, i, 1),
+                    ));
+                }
+            }
+            for b in view.blocks() {
+                for (i, a) in b.iter().enumerate() {
+                    let x = excluded(&m.ignore, None, Some(b.site), i, b.tag.stride());
+                    live.push((a, b.kind_at(i), x));
+                }
+            }
+            let h = Mix64Hasher::default();
+            let rounded = |a: Addr, kind| {
+                let v = view.read(a).unwrap();
+                match (kind, m.rounding) {
+                    (ValKind::F64, Some(r)) => r.apply_bits(v),
+                    _ => v,
+                }
+            };
+            let kept = live.iter().filter(|w| !w.2);
+            let n_ignored = live.iter().filter(|w| w.2).count() as u64;
+            let (want, d_updates, d_instr) = match m.scheme {
+                Scheme::SwTr => {
+                    let hash = kept
+                        .clone()
+                        .map(|&(a, k, _)| h.hash_location(a.raw(), rounded(a, k)))
+                        .sum();
+                    let words = kept.count() as u64;
+                    (hash, words, words * SW_TR_INSTR_PER_WORD)
+                }
+                _ => {
+                    // Every store's kind matches its word's declared
+                    // kind, so the per-thread sums telescope to
+                    // Σ h(a, current) − h(a, 0) over the live words.
+                    let hash: HashSum = kept
+                        .map(|&(a, k, _)| {
+                            h.hash_location(a.raw(), rounded(a, k))
+                                .cancel(h.hash_location(a.raw(), 0))
+                        })
+                        .sum();
+                    let per_word = match m.scheme {
+                        Scheme::HwInc => HW_INSTR_PER_EXCLUDED_WORD,
+                        _ => SW_INSTR_PER_EXCLUDED_WORD,
+                    };
+                    let units = m.cores.len() as u64;
+                    (hash, 2 * n_ignored, units + per_word * n_ignored)
+                }
+            };
+            let what = format!("{:?} {:?} checkpoint {}", m.scheme, m.rounding, info.seq);
+            assert_eq!(m.records().last().unwrap().hash, want, "{what}: hash");
+            assert_eq!(m.hash_updates - updates, d_updates, "{what}: hash updates");
+            assert_eq!(m.extra_instr - instr, d_instr, "{what}: extra instructions");
+            self.checked += 1;
+        }
+    }
+
+    /// A block freed at an ignored site and an exact-size block then
+    /// allocated at a non-ignored site share a base address; only the
+    /// allocation epoch tells the two block tables apart, so a stale
+    /// resolved ignore set would keep excluding the new block.
+    #[test]
+    fn ignore_set_follows_the_allocation_epoch() {
+        use tsim::{ProgramBuilder, RunConfig, TypeTag};
+
+        let spec = IgnoreSpec::new()
+            .ignore_global_range("noise", 1, 4)
+            .ignore_site("junk")
+            .ignore_site_offsets("rec", [0, 2]);
+        let build = || {
+            let mut b = ProgramBuilder::new(2);
+            let noise = b.global("noise", ValKind::U64, 6);
+            let data = b.global("data", ValKind::F64, 4);
+            let bases = b.global("bases", ValKind::U64, 2);
+            let bar = b.barrier();
+            b.thread(async move |ctx| {
+                let junk = ctx.malloc("junk", TypeTag::u64s(), 4).await;
+                let rec_tag = TypeTag::of(vec![ValKind::U64, ValKind::F64, ValKind::U64]);
+                let rec = ctx.malloc("rec", rec_tag, 6).await;
+                for i in 0..6u64 {
+                    ctx.store(noise.at(i as usize), 100 + i).await;
+                    match i % 3 {
+                        1 => ctx.store_f64(rec.offset(i), 0.1 * i as f64 + 1e-9).await,
+                        _ => ctx.store(rec.offset(i), 7 * i + 1).await,
+                    }
+                }
+                for i in 0..4 {
+                    ctx.store(junk.offset(i), 0xdead + i).await;
+                }
+                ctx.barrier(bar).await;
+                ctx.checkpoint("before").await;
+                // Same epoch, new values: the cached list must still
+                // read the ignored words' current contents.
+                ctx.store(noise.at(2), 999).await;
+                ctx.store(junk.offset(1), 5).await;
+                ctx.checkpoint("values moved").await;
+                ctx.free(junk).await;
+                let keep = ctx.malloc("keep", TypeTag::u64s(), 4).await;
+                ctx.store(bases.at(0), junk.raw()).await;
+                ctx.store(bases.at(1), keep.raw()).await;
+                for i in 0..4 {
+                    ctx.store(keep.offset(i), 0xbeef + i).await;
+                }
+                ctx.checkpoint("reused").await;
+                ctx.barrier(bar).await;
+            });
+            b.thread(async move |ctx| {
+                for i in 0..4 {
+                    ctx.store_f64(data.at(i), 1.0 / (i + 3) as f64).await;
+                }
+                ctx.barrier(bar).await;
+                ctx.store_f64(data.at(0), 2.0 / 3.0).await;
+                ctx.barrier(bar).await;
+            });
+            (b.build(), bases)
+        };
+        let roundings = [
+            None,
+            Some(FpRound::default()),
+            Some(FpRound::FloorDecimal { digits: 2 }),
+        ];
+        for scheme in [Scheme::HwInc, Scheme::SwInc, Scheme::SwTr] {
+            for rounding in roundings {
+                for seed in [1, 2, 3] {
+                    let (program, bases) = build();
+                    let referee = Referee {
+                        inner: CheckMonitor::new(scheme, rounding, spec.clone()),
+                        checked: 0,
+                    };
+                    let out = program.run_with(&RunConfig::random(seed), referee).unwrap();
+                    assert_eq!(
+                        out.final_word(bases.at(0)),
+                        out.final_word(bases.at(1)),
+                        "the free list must hand the freed block back"
+                    );
+                    // Two barriers, three manual checkpoints, the end.
+                    assert_eq!(out.monitor.checked, 6);
+                }
+            }
+        }
     }
 }

@@ -118,6 +118,9 @@ pub(crate) struct Allocator {
     /// How many replayed allocations had to fall back to fresh memory
     /// (missing key or overlap with a live block).
     replay_misses: u64,
+    /// Bumped on every alloc and free: equal epochs mean an unchanged
+    /// block table.
+    epoch: u64,
 }
 
 impl Allocator {
@@ -130,6 +133,7 @@ impl Allocator {
             log: AllocLog::default(),
             replay,
             replay_misses: 0,
+            epoch: 0,
         }
     }
 
@@ -137,8 +141,16 @@ impl Allocator {
         &self.table
     }
 
-    pub(crate) fn into_parts(self) -> (AllocLog, BTreeMap<u64, BlockInfo>, u64) {
-        (self.log, self.table, self.replay_misses)
+    /// The number of allocs and frees so far (see
+    /// [`StateView::alloc_epoch`](crate::StateView::alloc_epoch)).
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The run's allocation log, final block table, replay misses and
+    /// epoch.
+    pub(crate) fn into_parts(self) -> (AllocLog, BTreeMap<u64, BlockInfo>, u64, u64) {
+        (self.log, self.table, self.replay_misses, self.epoch)
     }
 
     /// Returns `true` if `[base, base+len)` overlaps any live block.
@@ -163,6 +175,7 @@ impl Allocator {
         len: usize,
     ) -> Addr {
         let len = len.max(1);
+        self.epoch += 1;
         let seq = self.counters[tid];
         self.counters[tid] += 1;
 
@@ -221,6 +234,7 @@ impl Allocator {
     /// `addr` is not the base of a live block.
     pub(crate) fn free(&mut self, addr: Addr) -> Option<BlockInfo> {
         let block = self.table.remove(&addr.0)?;
+        self.epoch += 1;
         if self.replay.is_none() {
             self.free_lists.entry(block.len).or_default().push(addr.0);
         }
@@ -294,7 +308,7 @@ mod tests {
         let mut run1 = Allocator::new(2, None);
         let x1 = run1.alloc(0, "s", TypeTag::u64s(), 3);
         let y1 = run1.alloc(1, "s", TypeTag::u64s(), 5);
-        let (log, _, _) = run1.into_parts();
+        let (log, ..) = run1.into_parts();
 
         // Replay with the *opposite* interleaving: addresses still match.
         let mut run2 = Allocator::new(2, Some(Arc::new(log)));
@@ -302,7 +316,7 @@ mod tests {
         let x2 = run2.alloc(0, "s", TypeTag::u64s(), 3);
         assert_eq!(x1, x2);
         assert_eq!(y1, y2);
-        let (_, _, misses) = run2.into_parts();
+        let (_, _, misses, _) = run2.into_parts();
         assert_eq!(misses, 0);
     }
 
@@ -314,7 +328,7 @@ mod tests {
         run1.free(a1).unwrap();
         let b1 = run1.alloc(1, "s", TypeTag::u64s(), 4);
         assert_eq!(a1, b1); // reuse happened
-        let (log, _, _) = run1.into_parts();
+        let (log, ..) = run1.into_parts();
 
         // Run 2 (different schedule): t1 allocates B *before* t0 frees A;
         // the replayed address would overlap the still-live A, so the
@@ -324,7 +338,7 @@ mod tests {
         let b2 = run2.alloc(1, "s", TypeTag::u64s(), 4);
         assert_eq!(a2, a1);
         assert_ne!(b2, a2, "live blocks must never overlap");
-        let (_, table, misses) = run2.into_parts();
+        let (_, table, misses, _) = run2.into_parts();
         assert_eq!(misses, 1);
         assert_eq!(table.len(), 2);
     }
@@ -332,11 +346,11 @@ mod tests {
     #[test]
     fn replay_missing_key_falls_back() {
         let run1 = Allocator::new(1, None);
-        let (log, _, _) = run1.into_parts(); // empty log
+        let (log, ..) = run1.into_parts(); // empty log
         let mut run2 = Allocator::new(1, Some(Arc::new(log)));
         let x = a(&mut run2, 0, 2);
         assert_eq!(x, Addr(HEAP_BASE));
-        let (_, _, misses) = run2.into_parts();
+        let (_, _, misses, _) = run2.into_parts();
         assert_eq!(misses, 1);
     }
 
@@ -374,6 +388,21 @@ mod tests {
         assert!(al.log().lookup(0, 1).is_some());
         assert!(al.log().lookup(1, 1).is_none());
         assert!(!al.log().is_empty());
+    }
+
+    #[test]
+    fn epoch_moves_on_every_alloc_and_free() {
+        let mut al = Allocator::new(1, None);
+        assert_eq!(al.epoch(), 0);
+        let x = a(&mut al, 0, 2);
+        assert_eq!(al.epoch(), 1);
+        assert!(al.free(x.offset(1)).is_none());
+        assert_eq!(al.epoch(), 1, "a rejected free changes nothing");
+        al.free(x).unwrap();
+        // The reuse lands at the same base: only the epoch tells the
+        // two tables apart.
+        assert_eq!(a(&mut al, 0, 2), x);
+        assert_eq!(al.epoch(), 3);
     }
 
     #[test]

@@ -315,7 +315,7 @@ impl Central {
             hot,
             ..
         } = self;
-        let mut view = StateView::new(mem, globals, alloc.table());
+        let mut view = StateView::new(mem, globals, alloc.table(), alloc.epoch());
         if let Some(h) = hot.as_mut() {
             // Checkpoints are flush boundaries: drain the delta batch so
             // the per-thread sums are exact, then expose them.
@@ -1389,6 +1389,7 @@ pub struct RunOutcome<M> {
     mem: Memory,
     globals: Vec<GlobalDecl>,
     blocks: BTreeMap<u64, BlockInfo>,
+    alloc_epoch: u64,
 }
 
 impl<M> std::fmt::Debug for RunOutcome<M> {
@@ -1414,7 +1415,7 @@ impl<M> RunOutcome<M> {
 
     /// A view of the final live state (globals + live heap blocks).
     pub fn final_state(&self) -> StateView<'_> {
-        StateView::new(&self.mem, &self.globals, &self.blocks)
+        StateView::new(&self.mem, &self.globals, &self.blocks, self.alloc_epoch)
     }
 
     /// Total native instructions across all threads (excluding monitor
@@ -1592,7 +1593,7 @@ pub(crate) fn run<M: Monitor + 'static>(
     // end of the program).
     central.fire_checkpoint(0, CheckpointKind::End);
 
-    let (alloc_log, blocks, replay_misses) = central.alloc.into_parts();
+    let (alloc_log, blocks, replay_misses, alloc_epoch) = central.alloc.into_parts();
     let monitor = central
         .monitor
         .into_any()
@@ -1617,5 +1618,6 @@ pub(crate) fn run<M: Monitor + 'static>(
         mem: central.mem,
         globals: central.globals,
         blocks,
+        alloc_epoch,
     })
 }

@@ -80,6 +80,22 @@ impl Memory {
         self.slot(addr).copied()
     }
 
+    /// The `len` words starting at `base`, or `None` unless all of them
+    /// are mapped in one segment.
+    #[inline]
+    pub(crate) fn words(&self, base: Addr, len: usize) -> Option<&[u64]> {
+        let a = base.0;
+        let (segment, start) = if a >= HEAP_BASE {
+            (&self.heap, a - HEAP_BASE)
+        } else if a >= GLOBALS_BASE {
+            (&self.globals, a - GLOBALS_BASE)
+        } else {
+            return None;
+        };
+        let start = usize::try_from(start).ok()?;
+        segment.get(start..start.checked_add(len)?)
+    }
+
     /// Writes `value` at `addr`, returning the previous value, or `None`
     /// if unmapped (in which case nothing is written).
     #[inline]
@@ -124,6 +140,21 @@ mod tests {
         m.grow_heap(2);
         assert_eq!(m.heap_words(), 8);
         assert_eq!(m.read(a), Some(42));
+    }
+
+    #[test]
+    fn word_slices_stay_inside_one_segment() {
+        let mut m = Memory::new(3);
+        m.grow_heap(2);
+        m.write(Addr(GLOBALS_BASE + 1), 5);
+        m.write(Addr(HEAP_BASE + 1), 6);
+        assert_eq!(m.words(Addr(GLOBALS_BASE), 3), Some(&[0, 5, 0][..]));
+        assert_eq!(m.words(Addr(HEAP_BASE + 1), 1), Some(&[6][..]));
+        assert_eq!(m.words(Addr(HEAP_BASE), 0), Some(&[][..]));
+        assert_eq!(m.words(Addr(GLOBALS_BASE + 1), 3), None); // past globals
+        assert_eq!(m.words(Addr(HEAP_BASE), 3), None); // past the heap
+        assert_eq!(m.words(Addr(0), 1), None); // below globals
+        assert_eq!(m.words(Addr(HEAP_BASE + 1), usize::MAX), None);
     }
 
     #[test]

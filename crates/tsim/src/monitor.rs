@@ -83,6 +83,7 @@ pub struct StateView<'a> {
     mem: &'a Memory,
     globals: &'a [GlobalDecl],
     blocks: &'a BTreeMap<u64, BlockInfo>,
+    alloc_epoch: u64,
     engine: Option<EngineHashes<'a>>,
 }
 
@@ -91,11 +92,13 @@ impl<'a> StateView<'a> {
         mem: &'a Memory,
         globals: &'a [GlobalDecl],
         blocks: &'a BTreeMap<u64, BlockInfo>,
+        alloc_epoch: u64,
     ) -> Self {
         StateView {
             mem,
             globals,
             blocks,
+            alloc_epoch,
             engine: None,
         }
     }
@@ -136,20 +139,43 @@ impl<'a> StateView<'a> {
         self.blocks.values().filter(move |b| b.site == site)
     }
 
-    /// Iterates over every live word as `(addr, value, kind)` — the
+    /// The run's allocation epoch: the number of heap allocs and frees
+    /// performed so far.
+    ///
+    /// Within one run, two views with equal epochs have the same live
+    /// block table (same bases, lengths, sites and tags), so anything
+    /// derived from the table alone — such as an ignore set resolved to
+    /// addresses — stays valid until the epoch moves. The epoch says
+    /// nothing about memory contents, and epochs of different runs are
+    /// not comparable.
+    pub fn alloc_epoch(&self) -> u64 {
+        self.alloc_epoch
+    }
+
+    /// Iterates over the live state as contiguous regions — the
     /// traversal of the paper's `SW-InstantCheck_Tr`.
-    pub fn live_words(&self) -> impl Iterator<Item = (Addr, u64, ValKind)> + '_ {
-        let globals = self.globals.iter().flat_map(move |g| {
-            g.region
-                .iter()
-                .map(move |a| (a, self.mem.read(a).unwrap_or(0), g.region.kind))
+    ///
+    /// Each item is `(base, words, kinds)`: the region's first address,
+    /// its current contents (word `i` lives at `base + i`) and its type
+    /// pattern, which repeats (word `i` has kind `kinds[i %
+    /// kinds.len()]`; `kinds` is never empty). Every global region comes
+    /// first, in declaration order, then every live heap block in
+    /// address order; both are ascending and disjoint, so the regions
+    /// cover the live state exactly once, in address order.
+    pub fn live_regions(&self) -> impl Iterator<Item = (Addr, &'a [u64], &'a [ValKind])> + '_ {
+        let mem = self.mem;
+        let words = move |base: Addr, len: usize| {
+            mem.words(base, len)
+                .expect("the live state is mapped memory")
+        };
+        let globals = self.globals.iter().map(move |g| {
+            let r = &g.region;
+            (r.base, words(r.base, r.len), std::slice::from_ref(&r.kind))
         });
-        let heap = self.blocks.values().flat_map(move |b| {
-            (0..b.len).map(move |i| {
-                let a = b.base.offset(i as u64);
-                (a, self.mem.read(a).unwrap_or(0), b.kind_at(i))
-            })
-        });
+        let heap = self
+            .blocks
+            .values()
+            .map(move |b| (b.base, words(b.base, b.len), b.tag.pattern()));
         globals.chain(heap)
     }
 
@@ -271,20 +297,30 @@ mod tests {
     }
 
     #[test]
-    fn live_words_covers_globals_and_heap() {
+    fn live_regions_cover_globals_and_heap() {
         let (mem, globals, blocks) = fixture();
-        let view = StateView::new(&mem, &globals, &blocks);
-        let words: Vec<_> = view.live_words().collect();
-        assert_eq!(words.len(), 5);
-        assert_eq!(view.live_word_count(), 5);
-        assert_eq!(words[0], (Addr(GLOBALS_BASE), 10, ValKind::U64));
-        assert_eq!(words[4], (Addr(crate::mem::HEAP_BASE + 1), 7, ValKind::F64));
+        let view = StateView::new(&mem, &globals, &blocks, 4);
+        let regions: Vec<_> = view.live_regions().collect();
+        assert_eq!(
+            regions,
+            [
+                (Addr(GLOBALS_BASE), &[10, 0, 30][..], &[ValKind::U64][..]),
+                (
+                    Addr(crate::mem::HEAP_BASE),
+                    &[0, 7][..],
+                    &[ValKind::F64][..]
+                ),
+            ]
+        );
+        let words: usize = regions.iter().map(|(_, w, _)| w.len()).sum();
+        assert_eq!(view.live_word_count(), words);
+        assert_eq!(view.alloc_epoch(), 4);
     }
 
     #[test]
     fn lookup_helpers() {
         let (mem, globals, blocks) = fixture();
-        let view = StateView::new(&mem, &globals, &blocks);
+        let view = StateView::new(&mem, &globals, &blocks, 0);
         assert!(view.global("g").is_some());
         assert!(view.global("nope").is_none());
         assert_eq!(view.blocks().count(), 1);
@@ -297,7 +333,7 @@ mod tests {
     #[test]
     fn null_monitor_is_free() {
         let (mem, globals, blocks) = fixture();
-        let view = StateView::new(&mem, &globals, &blocks);
+        let view = StateView::new(&mem, &globals, &blocks, 0);
         let mut m = NullMonitor;
         m.on_store(0, Addr(GLOBALS_BASE), 0, 1, ValKind::U64);
         m.on_checkpoint(

@@ -213,6 +213,11 @@ impl TypeTag {
     pub fn stride(&self) -> usize {
         self.pattern.len()
     }
+
+    /// The repeating pattern: word `i` has kind `pattern()[i % stride()]`.
+    pub fn pattern(&self) -> &[ValKind] {
+        &self.pattern
+    }
 }
 
 impl Default for TypeTag {
@@ -267,6 +272,7 @@ mod tests {
         assert_eq!(mixed.stride(), 3);
         assert_eq!(mixed.kind_at(3), ValKind::U64);
         assert_eq!(mixed.kind_at(5), ValKind::F64);
+        assert_eq!(mixed.pattern(), [ValKind::U64, ValKind::F64, ValKind::F64]);
         assert_eq!(TypeTag::default(), TypeTag::u64s());
     }
 
