@@ -26,6 +26,41 @@ const POW10: [f64; 19] = [
 /// `2^53`: from here on every `f64` is an integer.
 const TWO_POW_53: f64 = 9_007_199_254_740_992.0;
 
+/// `x.trunc()` for `|x| < 2^53`, through the exact `i64` conversion: the
+/// baseline x86-64 target has no rounding instruction, so `trunc`,
+/// `round` and `floor` are software routines there. Keeps the sign of a
+/// zero, as `trunc` does.
+#[inline]
+fn trunc_scaled(x: f64) -> f64 {
+    ((x as i64) as f64).copysign(x)
+}
+
+/// `x.round()` (half away from zero) for `|x| < 2^53`. `x - trunc(x)` is
+/// exact, so comparing it with `±0.5` decides the rounding exactly.
+#[inline]
+fn round_scaled(x: f64) -> f64 {
+    let t = trunc_scaled(x);
+    let frac = x - t;
+    if frac >= 0.5 {
+        t + 1.0
+    } else if frac <= -0.5 {
+        t - 1.0
+    } else {
+        t
+    }
+}
+
+/// `x.floor()` for `|x| < 2^53`.
+#[inline]
+fn floor_scaled(x: f64) -> f64 {
+    let t = trunc_scaled(x);
+    if x < t {
+        t - 1.0
+    } else {
+        t
+    }
+}
+
 /// A floating-point round-off policy applied to FP values before hashing.
 ///
 /// # Example
@@ -118,7 +153,7 @@ impl FpRound {
         // already on the decimal grid (some `q / scale`) and returning
         // either is the same bits (equal `f64`s differ in bits only as
         // ±0, and `round` keeps the sign of a zero).
-        let nearest = scaled.round() / scale;
+        let nearest = round_scaled(scaled) / scale;
         if !floor {
             return nearest;
         }
@@ -128,7 +163,7 @@ impl FpRound {
         if nearest == x {
             return x;
         }
-        scaled.floor() / scale
+        floor_scaled(scaled) / scale
     }
 
     /// Applies the round-off to a value stored as raw `f64` bits, returning
@@ -137,7 +172,8 @@ impl FpRound {
     /// Canonicalizes `-0.0` to `+0.0` after rounding so that sums that
     /// differ only in the sign of a zero compare equal.
     pub fn apply_bits(self, bits: u64) -> u64 {
-        if self.is_bit_exact() {
+        // `+0.0` rounds to itself in every mode: every zero-filled word.
+        if bits == 0 || self.is_bit_exact() {
             return bits;
         }
         let rounded = self.apply(f64::from_bits(bits));
@@ -236,6 +272,63 @@ mod tests {
         );
         // Small negatives that round to zero also canonicalize.
         assert_eq!(round.apply_bits((-1.0e-9f64).to_bits()), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn integer_rounding_matches_the_library_below_two_pow_53() {
+        let check = |x: f64| {
+            let (round, floor) = (round_scaled(x), floor_scaled(x));
+            assert_eq!(round.to_bits(), x.round().to_bits(), "round {x:e}");
+            assert_eq!(floor.to_bits(), x.floor().to_bits(), "floor {x:e}");
+        };
+        for x in [
+            0.0,
+            0.5,
+            1.0,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            1e15 + 0.5,
+        ]
+        .into_iter()
+        .chain([TWO_POW_53 / 2.0, TWO_POW_53 - 1.0])
+        {
+            for x in [x, f64::from_bits(x.to_bits() + 1)] {
+                check(x);
+                check(-x);
+            }
+            if x != 0.0 {
+                check(f64::from_bits(x.to_bits() - 1));
+            }
+        }
+        minicheck::check("integer_rounding_matches_the_library", 4096, |g| {
+            let x = f64::from_bits(g.u64());
+            let x = if x.abs() < TWO_POW_53 {
+                x
+            } else {
+                g.finite_f64() % TWO_POW_53
+            };
+            check(x);
+            // Halfway and near-halfway values at the default scale.
+            check((x * 1e3).trunc() / 1e3 + 0.0005);
+        });
+    }
+
+    #[test]
+    fn zero_bits_take_the_shortcut_to_what_rounding_gives() {
+        for round in [
+            FpRound::BitExact,
+            FpRound::MaskMantissa { bits: 0 },
+            FpRound::MaskMantissa { bits: 20 },
+            FpRound::MaskMantissa { bits: 99 },
+            FpRound::FloorDecimal { digits: 0 },
+            FpRound::FloorDecimal { digits: 2 },
+            FpRound::NearestDecimal { digits: 3 },
+            FpRound::NearestDecimal { digits: 40 },
+        ] {
+            assert_eq!(round.apply(0.0).to_bits(), 0, "{round:?}");
+            assert_eq!(round.apply_bits(0), 0, "{round:?}");
+        }
     }
 
     #[test]

@@ -309,10 +309,10 @@ impl CheckMonitor {
     /// cancelled (computed fresh per checkpoint, without mutating the
     /// thread hashes).
     ///
-    /// Under the engine fast path the per-thread sums are split between
-    /// `cores` (setup-phase stores, delivered via `on_store`) and the
-    /// engine's own accumulators; commutativity makes their union the
-    /// same state hash regardless of the split.
+    /// Under the engine fast path every store, the setup phase's
+    /// included, lands in the engine's per-thread sums and `cores` stays
+    /// empty; without it, `cores` holds them all. Commutativity makes
+    /// the sum the same state hash either way.
     fn incremental_hash(&mut self, view: &StateView<'_>) -> HashSum {
         let mut sum: HashSum = self.cores.iter().map(MhmCore::th).sum();
         // Combining the THs is a rare software loop; one "unit" per

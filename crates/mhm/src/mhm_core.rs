@@ -71,11 +71,6 @@ impl MhmCore {
         self.hashing_enabled = false;
     }
 
-    /// Returns `true` if the datapath is enabled.
-    pub fn hashing_enabled(&self) -> bool {
-        self.hashing_enabled
-    }
-
     /// `start_FP_rounding`: round FP store values before hashing.
     pub fn start_fp_rounding(&mut self) {
         self.fp_rounding_enabled = true;
@@ -211,7 +206,6 @@ mod tests {
         m.on_store(1, 0, 1, false);
         let before = m.th();
         m.stop_hashing();
-        assert!(!m.hashing_enabled());
         m.on_store(1, 1, 2, false);
         assert_eq!(m.th(), before);
         m.start_hashing();

@@ -7,7 +7,8 @@
 //! nondeterminism source the paper controls by logging the addresses
 //! returned in one run and replaying them in subsequent runs (Section 5).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::mem::HEAP_BASE;
@@ -51,6 +52,12 @@ impl BlockInfo {
     }
 }
 
+/// Thread ids below this keep a dense per-thread log; larger ones (a
+/// run with that many threads, or a decoded record) go to the sparse
+/// map, so a decoded key cannot make the log allocate in proportion to
+/// its value.
+const DENSE_THREADS: usize = 256;
+
 /// A log of the addresses returned by the allocator, keyed by
 /// `(thread, per-thread allocation index)`.
 ///
@@ -58,34 +65,65 @@ impl BlockInfo {
 /// [`RunConfig::alloc_replay`](crate::RunConfig) to make later runs
 /// allocate at the same addresses (the paper treats allocator results as
 /// program *input* that must be fixed across the compared runs).
+///
+/// A run numbers each thread's allocations `0, 1, 2, …`, so the log keeps
+/// them as one dense `Vec` per thread, indexed by sequence number. A key
+/// that does not extend its thread's dense prefix (a gap, which only a
+/// decoded record can have, or a thread id of 256 or more) goes to a
+/// sparse map, and moves into the dense part once the gap before it is
+/// filled. The layout is therefore a function of the key set alone (so
+/// equal logs compare equal field by field), and memory stays
+/// proportional to the number of keys.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AllocLog {
-    entries: HashMap<(ThreadId, u64), u64>,
+    /// `dense[tid][seq]`: every thread's contiguous prefix `0..len`. It
+    /// grows only to hold a thread's key `0`, so its last run is never
+    /// empty.
+    dense: Vec<Vec<u64>>,
+    /// Every other key; never `(tid, dense[tid].len())`.
+    sparse: BTreeMap<(ThreadId, u64), u64>,
 }
 
 impl AllocLog {
     /// Number of logged allocations.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.dense.iter().map(Vec::len).sum::<usize>() + self.sparse.len()
     }
 
     /// Returns `true` if nothing was logged.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Looks up the logged base address for `(tid, seq)`.
     pub fn lookup(&self, tid: ThreadId, seq: u64) -> Option<Addr> {
-        self.entries.get(&(tid, seq)).map(|&b| Addr(b))
+        let dense = self
+            .dense
+            .get(tid)
+            .and_then(|run| run.get(usize::try_from(seq).ok()?));
+        match dense {
+            Some(&base) => Some(Addr(base)),
+            None if self.sparse.is_empty() => None,
+            None => self.sparse.get(&(tid, seq)).map(|&b| Addr(b)),
+        }
     }
 
     /// The logged allocations as `((tid, seq), base)` triples, sorted by
     /// key — a canonical order, so two equal logs always enumerate
     /// identically (the corpus serializer relies on this).
     pub fn entries(&self) -> Vec<((ThreadId, u64), u64)> {
-        let mut v: Vec<((ThreadId, u64), u64)> =
-            self.entries.iter().map(|(&k, &base)| (k, base)).collect();
-        v.sort_unstable();
+        let mut v = Vec::with_capacity(self.len());
+        for (tid, run) in self.dense.iter().enumerate() {
+            v.extend(
+                run.iter()
+                    .enumerate()
+                    .map(|(seq, &base)| ((tid, seq as u64), base)),
+            );
+        }
+        if !self.sparse.is_empty() {
+            v.extend(self.sparse.iter().map(|(&k, &base)| (k, base)));
+            v.sort_unstable();
+        }
         v
     }
 
@@ -96,7 +134,30 @@ impl AllocLog {
     }
 
     fn record(&mut self, tid: ThreadId, seq: u64, base: u64) {
-        self.entries.insert((tid, seq), base);
+        if tid < DENSE_THREADS {
+            let next = self.dense.get(tid).map_or(0, |run| run.len() as u64);
+            if seq < next {
+                self.dense[tid][seq as usize] = base;
+                return;
+            }
+            if seq == next {
+                if tid >= self.dense.len() {
+                    self.dense.resize_with(tid + 1, Vec::new);
+                }
+                let run = &mut self.dense[tid];
+                run.push(base);
+                // Keys that arrived ahead of a gap now extend the prefix.
+                if !self.sparse.is_empty() {
+                    let mut seq = seq + 1;
+                    while let Some(base) = self.sparse.remove(&(tid, seq)) {
+                        run.push(base);
+                        seq += 1;
+                    }
+                }
+                return;
+            }
+        }
+        self.sparse.insert((tid, seq), base);
     }
 }
 
@@ -155,25 +216,23 @@ impl Allocator {
 
     /// Returns `true` if `[base, base+len)` overlaps any live block.
     fn overlaps_live(&self, base: u64, len: usize) -> bool {
-        // The previous block (by base) could extend into us; any block
-        // starting inside us also overlaps.
-        if let Some((_, prev)) = self.table.range(..=base).next_back() {
-            if prev.base.0 + prev.len as u64 > base {
-                return true;
-            }
-        }
-        self.table.range(base..base + len as u64).next().is_some()
+        // Live blocks are disjoint, so if any block overlaps us, so does
+        // the last one starting before our end.
+        self.table
+            .range(..base + len as u64)
+            .next_back()
+            .is_some_and(|(_, last)| last.base.0 + last.len as u64 > base)
     }
 
-    /// Allocates `len` words for `tid` at `site`, returning the block's
-    /// base address. Never fails (the heap grows on demand).
+    /// Allocates `len` words for `tid` at `site`, returning the new
+    /// block. Never fails (the heap grows on demand).
     pub(crate) fn alloc(
         &mut self,
         tid: ThreadId,
         site: &'static str,
         tag: TypeTag,
         len: usize,
-    ) -> Addr {
+    ) -> &BlockInfo {
         let len = len.max(1);
         self.epoch += 1;
         let seq = self.counters[tid];
@@ -184,18 +243,21 @@ impl Allocator {
             .unwrap_or_else(|| self.natural_base(len));
 
         self.log.record(tid, seq, base);
-        self.table.insert(
-            base,
-            BlockInfo {
-                base: Addr(base),
-                len,
-                site,
-                tag,
-                tid,
-                seq,
-            },
-        );
-        Addr(base)
+        let block = BlockInfo {
+            base: Addr(base),
+            len,
+            site,
+            tag,
+            tid,
+            seq,
+        };
+        match self.table.entry(base) {
+            Entry::Vacant(slot) => slot.insert(block),
+            Entry::Occupied(mut slot) => {
+                slot.insert(block);
+                slot.into_mut()
+            }
+        }
     }
 
     fn replayed_base(&mut self, tid: ThreadId, seq: u64, len: usize) -> Option<u64> {
@@ -241,11 +303,6 @@ impl Allocator {
         Some(block)
     }
 
-    /// Total words the heap must be grown to.
-    pub(crate) fn high_water(&self) -> usize {
-        self.next as usize
-    }
-
     /// The log of this run's allocations so far.
     #[cfg(test)]
     pub(crate) fn log(&self) -> &AllocLog {
@@ -258,7 +315,7 @@ mod tests {
     use super::*;
 
     fn a(alloc: &mut Allocator, tid: ThreadId, len: usize) -> Addr {
-        alloc.alloc(tid, "test", TypeTag::u64s(), len)
+        alloc.alloc(tid, "test", TypeTag::u64s(), len).base
     }
 
     #[test]
@@ -268,7 +325,6 @@ mod tests {
         let y = a(&mut al, 1, 2);
         assert_eq!(x, Addr(HEAP_BASE));
         assert_eq!(y, Addr(HEAP_BASE + 4));
-        assert_eq!(al.high_water(), 6);
         assert_eq!(al.table().len(), 2);
     }
 
@@ -293,12 +349,12 @@ mod tests {
         // allocation sequence gets different addresses if the interleaving
         // differs.
         let mut run1 = Allocator::new(2, None);
-        let t0_first = run1.alloc(0, "s", TypeTag::u64s(), 3);
-        let _ = run1.alloc(1, "s", TypeTag::u64s(), 3);
+        let t0_first = run1.alloc(0, "s", TypeTag::u64s(), 3).base;
+        let _ = run1.alloc(1, "s", TypeTag::u64s(), 3).base;
 
         let mut run2 = Allocator::new(2, None);
-        let _ = run2.alloc(1, "s", TypeTag::u64s(), 3);
-        let t0_second = run2.alloc(0, "s", TypeTag::u64s(), 3);
+        let _ = run2.alloc(1, "s", TypeTag::u64s(), 3).base;
+        let t0_second = run2.alloc(0, "s", TypeTag::u64s(), 3).base;
 
         assert_ne!(t0_first, t0_second);
     }
@@ -306,14 +362,14 @@ mod tests {
     #[test]
     fn replay_restores_addresses() {
         let mut run1 = Allocator::new(2, None);
-        let x1 = run1.alloc(0, "s", TypeTag::u64s(), 3);
-        let y1 = run1.alloc(1, "s", TypeTag::u64s(), 5);
+        let x1 = run1.alloc(0, "s", TypeTag::u64s(), 3).base;
+        let y1 = run1.alloc(1, "s", TypeTag::u64s(), 5).base;
         let (log, ..) = run1.into_parts();
 
         // Replay with the *opposite* interleaving: addresses still match.
         let mut run2 = Allocator::new(2, Some(Arc::new(log)));
-        let y2 = run2.alloc(1, "s", TypeTag::u64s(), 5);
-        let x2 = run2.alloc(0, "s", TypeTag::u64s(), 3);
+        let y2 = run2.alloc(1, "s", TypeTag::u64s(), 5).base;
+        let x2 = run2.alloc(0, "s", TypeTag::u64s(), 3).base;
         assert_eq!(x1, x2);
         assert_eq!(y1, y2);
         let (_, _, misses, _) = run2.into_parts();
@@ -324,9 +380,9 @@ mod tests {
     fn replay_overlap_falls_back() {
         // Run 1: t0 allocates A, frees it, t1 reuses the space for B.
         let mut run1 = Allocator::new(2, None);
-        let a1 = run1.alloc(0, "s", TypeTag::u64s(), 4);
+        let a1 = run1.alloc(0, "s", TypeTag::u64s(), 4).base;
         run1.free(a1).unwrap();
-        let b1 = run1.alloc(1, "s", TypeTag::u64s(), 4);
+        let b1 = run1.alloc(1, "s", TypeTag::u64s(), 4).base;
         assert_eq!(a1, b1); // reuse happened
         let (log, ..) = run1.into_parts();
 
@@ -334,13 +390,37 @@ mod tests {
         // the replayed address would overlap the still-live A, so the
         // allocator must fall back rather than corrupt memory.
         let mut run2 = Allocator::new(2, Some(Arc::new(log)));
-        let a2 = run2.alloc(0, "s", TypeTag::u64s(), 4);
-        let b2 = run2.alloc(1, "s", TypeTag::u64s(), 4);
+        let a2 = run2.alloc(0, "s", TypeTag::u64s(), 4).base;
+        let b2 = run2.alloc(1, "s", TypeTag::u64s(), 4).base;
         assert_eq!(a2, a1);
         assert_ne!(b2, a2, "live blocks must never overlap");
         let (_, table, misses, _) = run2.into_parts();
         assert_eq!(misses, 1);
         assert_eq!(table.len(), 2);
+    }
+
+    #[test]
+    fn overlap_check_sees_every_live_neighbour() {
+        let mut al = Allocator::new(1, None);
+        let x = a(&mut al, 0, 4);
+        let y = a(&mut al, 0, 2);
+        a(&mut al, 0, 3);
+        al.free(y).unwrap();
+        let brute = |al: &Allocator, base: u64, len: usize| {
+            al.table()
+                .values()
+                .any(|b| b.base.0 < base + len as u64 && base < b.base.0 + b.len as u64)
+        };
+        for start in x.0 - 2..x.0 + 12 {
+            for len in 1..12 {
+                assert_eq!(
+                    al.overlaps_live(start, len),
+                    brute(&al, start, len),
+                    "[{start:#x}, +{len})"
+                );
+            }
+        }
+        assert!(!al.overlaps_live(y.0, 2), "the freed gap is free");
     }
 
     #[test]
@@ -368,8 +448,9 @@ mod tests {
     #[test]
     fn block_info_helpers() {
         let mut al = Allocator::new(1, None);
-        let x = al.alloc(0, "site", TypeTag::f64s(), 3);
-        let block = al.table()[&x.0].clone();
+        let block = al.alloc(0, "site", TypeTag::f64s(), 3).clone();
+        let x = block.base;
+        assert_eq!(&al.table()[&x.0], &block);
         assert_eq!(block.kind_at(2), ValKind::F64);
         assert_eq!(block.iter().count(), 3);
         assert!(block.contains(x.offset(2)));
@@ -403,6 +484,82 @@ mod tests {
         // two tables apart.
         assert_eq!(a(&mut al, 0, 2), x);
         assert_eq!(al.epoch(), 3);
+    }
+
+    #[test]
+    fn alloc_log_matches_a_map_model_and_stays_bounded() {
+        minicheck::check("alloc_log_matches_a_map_model", 512, |g| {
+            // A few threads' sequences with gaps, plus keys no run makes:
+            // a huge sequence number, thread ids at and past the dense
+            // limit, and a huge thread id.
+            let mut keys: Vec<(ThreadId, u64)> = Vec::new();
+            for tid in 0..g.usize_in(1, 6) {
+                for seq in 0..g.u64_in(0, 40) {
+                    if !g.chance(1, 8) {
+                        keys.push((tid, seq));
+                    }
+                }
+            }
+            keys.push((7, 1 << 40));
+            if g.bool() {
+                keys.extend([
+                    (DENSE_THREADS - 1, 0),
+                    (DENSE_THREADS, 0),
+                    (usize::MAX, g.u64()),
+                ]);
+            }
+            // Insert in random order, some keys twice.
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, g.usize_in(0, i + 1));
+            }
+            for _ in 0..g.usize_in(0, 4) {
+                let again = *g.pick(&keys);
+                keys.push(again);
+            }
+            let mut log = AllocLog::default();
+            let mut model = BTreeMap::new();
+            for &(tid, seq) in &keys {
+                let base = g.u64();
+                log.insert(tid, seq, base);
+                model.insert((tid, seq), base);
+            }
+
+            assert_eq!(log.len(), model.len());
+            assert_eq!(log.is_empty(), model.is_empty());
+            let want: Vec<_> = model.iter().map(|(&k, &b)| (k, b)).collect();
+            assert_eq!(log.entries(), want);
+            for (&(tid, seq), &base) in &model {
+                assert_eq!(log.lookup(tid, seq), Some(Addr(base)));
+                for (t, s) in [(tid, seq + 1), (tid + 1, seq), (tid, u64::MAX)] {
+                    assert_eq!(log.lookup(t, s), model.get(&(t, s)).map(|&b| Addr(b)));
+                }
+            }
+            // Built in key order, as a decoder does, the log is equal.
+            let mut decoded = AllocLog::default();
+            for (&(tid, seq), &base) in &model {
+                decoded.insert(tid, seq, base);
+            }
+            assert_eq!(decoded, log);
+            // Memory follows the key count, never a key's value.
+            assert!(log.dense.len() <= DENSE_THREADS);
+            let words: usize = log.dense.iter().map(Vec::capacity).sum();
+            assert!(
+                words <= 2 * log.len() + 8 * log.dense.len(),
+                "{words} words"
+            );
+        });
+    }
+
+    #[test]
+    fn alloc_log_fills_a_gap_from_the_sparse_part() {
+        let mut log = AllocLog::default();
+        log.insert(1, 2, 30);
+        log.insert(1, 1, 20);
+        assert_eq!(log.sparse.len(), 2);
+        log.insert(1, 0, 10);
+        assert_eq!(log.dense[1], [10, 20, 30]);
+        assert!(log.sparse.is_empty());
+        assert_eq!(log.entries(), [((1, 0), 10), ((1, 1), 20), ((1, 2), 30)]);
     }
 
     #[test]

@@ -259,12 +259,99 @@ struct Central {
     finished: usize,
     nthreads: usize,
     sink: Option<Arc<dyn obs::EventSink>>,
-    /// Reusable runnable-set buffer for scheduling points (no per-point
-    /// allocation).
+    /// The runnable set of a scheduling point, in its first entries
+    /// (`nthreads` long, so a point allocates nothing).
     sched_scratch: Vec<ThreadId>,
 }
 
 impl Central {
+    /// Records `err` as the run's error (unless one is already recorded);
+    /// the calling thread must then unwind.
+    #[cold]
+    fn abort(&mut self, err: SimError) -> Turn {
+        if self.error.is_none() {
+            self.error = Some(err);
+        }
+        Turn::Abort
+    }
+
+    /// A scheduling point for `tid`: counts the step, checks the step
+    /// limit and the deadline, records the caller's new state and lets
+    /// the scheduler pick.
+    fn point(&mut self, tid: ThreadId, new_state: TState, avoid_self: bool) -> Turn {
+        self.step += 1;
+        if self.step > self.max_steps {
+            return self.abort(SimError::StepLimit {
+                limit: self.max_steps,
+            });
+        }
+        // The watchdog: every scheduling point checks the wall clock, so
+        // even a spin livelock over plain loads (which reaches here via
+        // the forced-preemption backstop) is caught without waiting for
+        // the much larger step limit.
+        if self.deadline_at.is_some_and(|at| Instant::now() >= at) {
+            return self.abort(SimError::Deadline {
+                limit_ms: self.deadline_ms,
+            });
+        }
+        self.threads[tid].state = new_state;
+        self.active = None;
+        if schedule_next_core(self, avoid_self.then_some(tid)) == Some(tid) {
+            Turn::Keep
+        } else {
+            Turn::Yield
+        }
+    }
+
+    /// Counts a data access by `tid` and, if the switch policy or the
+    /// forced-preemption backstop asks for one, takes the scheduling
+    /// point after it (see [`Central::point`]).
+    #[inline]
+    fn after_access(&mut self, tid: ThreadId) -> Turn {
+        let slot = &mut self.threads[tid];
+        slot.access_count += 1;
+        let count = slot.access_count;
+        let forced = count.is_multiple_of(FORCED_PREEMPT_EVERY);
+        if forced || self.switch.preempt_on_access(count) {
+            self.point(tid, TState::Ready, forced)
+        } else {
+            Turn::Keep
+        }
+    }
+
+    /// Hands a store to the engine datapath when the monitor claims it,
+    /// and to the monitor's `on_store` otherwise.
+    #[inline]
+    fn observe_store(&mut self, tid: ThreadId, addr: Addr, old: u64, new: u64, kind: ValKind) {
+        match &mut self.hot {
+            Some(hot) => hot.on_store(tid, addr, old, new, kind),
+            None => self
+                .monitor
+                .as_monitor()
+                .on_store(tid, addr, old, new, kind),
+        }
+    }
+
+    /// The allocation shared by [`ThreadCtx::malloc`] and
+    /// [`SetupCtx::malloc`]: places the block, maps and zero-fills its
+    /// words, charges the zero fill and tells the monitor. Returns the
+    /// block's base and length.
+    fn alloc_block(
+        &mut self,
+        tid: ThreadId,
+        site: &'static str,
+        tag: TypeTag,
+        len: usize,
+    ) -> (Addr, usize) {
+        let block = self.alloc.alloc(tid, site, tag, len);
+        self.mem.zero_heap(block.base, block.len);
+        if self.charge_zero_fill {
+            self.zero_fill_instr += block.len as u64;
+        }
+        self.monitor.as_monitor().on_alloc(tid, block);
+        (block.base, block.len)
+    }
+
     fn trace_push(&mut self, tid: ThreadId, op: TraceOp) {
         if let Some(t) = &mut self.trace {
             t.push(tid, op);
@@ -366,6 +453,31 @@ impl Central {
     }
 }
 
+/// How a thread goes on once an operation has released the machine
+/// state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Turn {
+    /// The thread still holds the turn.
+    Keep,
+    /// The scheduler picked another thread (or none): yield.
+    Yield,
+    /// The run's error is recorded: unwind.
+    Abort,
+}
+
+impl Turn {
+    /// Whether the caller must yield; unwinds the thread on
+    /// [`Turn::Abort`].
+    #[inline]
+    fn must_yield(self) -> bool {
+        match self {
+            Turn::Keep => false,
+            Turn::Yield => true,
+            Turn::Abort => panic::panic_any(SimAbort),
+        }
+    }
+}
+
 /// Picks the next thread to run (or detects completion/deadlock) and
 /// returns the pick. Expects `c.active == None`.
 ///
@@ -377,38 +489,43 @@ impl Central {
 /// A `None` return means no thread is runnable: either every thread
 /// finished, or the run deadlocked (recorded in `c.error`).
 fn schedule_next_core(c: &mut Central, avoid: Option<ThreadId>) -> Option<ThreadId> {
-    let mut runnable = std::mem::take(&mut c.sched_scratch);
-    runnable.clear();
-    runnable.extend((0..c.nthreads).filter(|&t| c.threads[t].state == TState::Ready));
+    // Compact the ready thread ids to the front of the scratch buffer
+    // (`nthreads` long) without a branch per thread.
+    let mut n = 0;
+    for (t, slot) in c.threads.iter().enumerate() {
+        c.sched_scratch[n] = t;
+        n += usize::from(matches!(slot.state, TState::Ready));
+    }
     if let Some(avoid) = avoid {
-        if runnable.len() > 1 {
-            runnable.retain(|&t| t != avoid);
+        if n > 1 {
+            if let Some(i) = c.sched_scratch[..n].iter().position(|&t| t == avoid) {
+                c.sched_scratch.copy_within(i + 1..n, i);
+                n -= 1;
+            }
         }
     }
-    if runnable.is_empty() {
+    if n == 0 {
         if c.finished < c.nthreads && c.error.is_none() {
             c.error = Some(SimError::Deadlock {
                 detail: c.deadlock_detail(),
             });
         }
-        c.sched_scratch = runnable;
-        None
-    } else {
-        let idx = c.scheduler.pick(&runnable, c.step).min(runnable.len() - 1);
-        let next = runnable[idx];
-        c.decisions.push(next as u32);
-        if let Some(opts) = &mut c.decision_options {
-            opts.push(runnable.iter().map(|&t| t as u32).collect());
-        }
-        c.active = Some(next);
-        c.obs_emit(|step| {
-            obs::Event::instant(step, next as u32, "sched")
-                .with_arg("tid", next as u32)
-                .with_arg("runnable", runnable.len())
-        });
-        c.sched_scratch = runnable;
-        Some(next)
+        return None;
     }
+    let runnable = &c.sched_scratch[..n];
+    let idx = c.scheduler.pick(runnable, c.step).min(n - 1);
+    let next = runnable[idx];
+    c.decisions.push(next as u32);
+    if let Some(opts) = &mut c.decision_options {
+        opts.push(runnable.iter().map(|&t| t as u32).collect());
+    }
+    c.active = Some(next);
+    c.obs_emit(|step| {
+        obs::Event::instant(step, next as u32, "sched")
+            .with_arg("tid", next as u32)
+            .with_arg("runnable", n)
+    });
+    Some(next)
 }
 
 /// Registers a wake operation with the fault plan; `true` means an
@@ -468,11 +585,13 @@ impl std::fmt::Debug for ThreadCtx {
 
 impl ThreadCtx {
     /// This thread's id (0-based, dense).
+    #[inline]
     pub fn tid(&self) -> ThreadId {
         self.tid
     }
 
     /// Number of threads in the program.
+    #[inline]
     pub fn nthreads(&self) -> usize {
         self.nthreads
     }
@@ -488,12 +607,7 @@ impl ThreadCtx {
     /// and unwinds this thread.
     #[cold]
     fn fail(&mut self, err: SimError) -> ! {
-        {
-            let mut c = self.central();
-            if c.error.is_none() {
-                c.error = Some(err);
-            }
-        }
+        self.central().abort(err);
         panic::panic_any(SimAbort)
     }
 
@@ -515,35 +629,13 @@ impl ThreadCtx {
         }
     }
 
-    /// A scheduling point: records the caller's new state and lets the
-    /// scheduler pick. Returns whether the pick is another thread (or
-    /// none), in which case the caller must yield to the executor.
+    /// A scheduling point (see [`Central::point`]); unwinds this thread
+    /// if the run has hit its step limit or deadline. Returns whether the
+    /// caller must yield.
     fn point(&mut self, new_state: TState, avoid_self: bool) -> bool {
         let tid = self.tid;
-        let err = {
-            let mut guard = self.central();
-            let c = &mut *guard;
-            c.step += 1;
-            if c.step > c.max_steps {
-                SimError::StepLimit { limit: c.max_steps }
-            } else if c
-                .deadline_at
-                // The watchdog: every scheduling point checks the wall
-                // clock, so even a spin livelock over plain loads (which
-                // reaches here via the forced-preemption backstop) is
-                // caught without waiting for the much larger step limit.
-                .is_some_and(|at| Instant::now() >= at)
-            {
-                SimError::Deadline {
-                    limit_ms: c.deadline_ms,
-                }
-            } else {
-                c.threads[tid].state = new_state;
-                c.active = None;
-                return schedule_next_core(c, avoid_self.then_some(tid)) != Some(tid);
-            }
-        };
-        self.fail(err)
+        let turn = self.central().point(tid, new_state, avoid_self);
+        turn.must_yield()
     }
 
     /// A scheduling point that waits for this thread's next turn.
@@ -553,28 +645,14 @@ impl ThreadCtx {
         }
     }
 
-    /// The scheduling point after a data access, if the switch policy or
-    /// the forced-preemption backstop asks for one.
-    async fn access_preempt(&mut self) {
-        let tid = self.tid;
-        let (forced, policy) = {
-            let mut c = self.central();
-            let slot = &mut c.threads[tid];
-            slot.access_count += 1;
-            let count = slot.access_count;
-            let forced = count.is_multiple_of(FORCED_PREEMPT_EVERY);
-            (forced, !forced && c.switch.preempt_on_access(count))
-        };
-        if (forced || policy) && self.point(TState::Ready, forced) {
-            handoff().await;
-        }
-    }
-
     // ---- data accesses -------------------------------------------------
 
+    /// One borrow of the machine state covers the whole access: the
+    /// read, the monitor, the trace, the access count and the scheduling
+    /// point after it.
     async fn load_kind(&mut self, addr: Addr, kind: ValKind) -> u64 {
         let tid = self.tid;
-        let value = {
+        let (value, turn) = {
             let mut guard = self.central();
             let c = &mut *guard;
             c.threads[tid].instr += COST_ACCESS;
@@ -587,21 +665,21 @@ impl ThreadCtx {
                         c.monitor.as_monitor().on_load(tid, addr, value, kind);
                     }
                     c.trace_push(tid, TraceOp::Load(addr));
-                    Some(value)
+                    (value, c.after_access(tid))
                 }
-                None => None,
+                None => (0, c.abort(SimError::BadAddress { tid, addr })),
             }
         };
-        let Some(value) = value else {
-            self.fail(SimError::BadAddress { tid, addr });
-        };
-        self.access_preempt().await;
+        if turn.must_yield() {
+            handoff().await;
+        }
         value
     }
 
+    /// Like [`load_kind`](ThreadCtx::load_kind), one borrow per store.
     async fn store_kind(&mut self, addr: Addr, mut value: u64, kind: ValKind) {
         let tid = self.tid;
-        let ok = {
+        let turn = {
             let mut guard = self.central();
             let c = &mut *guard;
             c.threads[tid].instr += COST_ACCESS;
@@ -626,39 +704,39 @@ impl ThreadCtx {
                             c.obs_fault(tid, FaultKind::StaleRead);
                         }
                     }
-                    match &mut c.hot {
-                        Some(hot) => hot.on_store(tid, addr, old, value, kind),
-                        None => c.monitor.as_monitor().on_store(tid, addr, old, value, kind),
-                    }
+                    c.observe_store(tid, addr, old, value, kind);
                     c.trace_push(tid, TraceOp::Store(addr));
-                    true
+                    c.after_access(tid)
                 }
-                None => false,
+                None => c.abort(SimError::BadAddress { tid, addr }),
             }
         };
-        if !ok {
-            self.fail(SimError::BadAddress { tid, addr });
+        if turn.must_yield() {
+            handoff().await;
         }
-        self.access_preempt().await;
     }
 
     /// Loads an integer/pointer word.
+    #[inline]
     pub async fn load(&mut self, addr: Addr) -> u64 {
         self.load_kind(addr, ValKind::U64).await
     }
 
     /// Stores an integer/pointer word.
+    #[inline]
     pub async fn store(&mut self, addr: Addr, value: u64) {
         self.store_kind(addr, value, ValKind::U64).await
     }
 
     /// Loads an `f64` (stored as its bit pattern).
+    #[inline]
     pub async fn load_f64(&mut self, addr: Addr) -> f64 {
         f64::from_bits(self.load_kind(addr, ValKind::F64).await)
     }
 
     /// Stores an `f64` — an *FP store*, which the checker may round off
     /// before hashing.
+    #[inline]
     pub async fn store_f64(&mut self, addr: Addr, value: f64) {
         self.store_kind(addr, value.to_bits(), ValKind::F64).await
     }
@@ -675,13 +753,7 @@ impl ThreadCtx {
                 Some(old) => {
                     let new = old.wrapping_add(delta);
                     c.mem.write(addr, new);
-                    match &mut c.hot {
-                        Some(hot) => hot.on_store(tid, addr, old, new, ValKind::U64),
-                        None => c
-                            .monitor
-                            .as_monitor()
-                            .on_store(tid, addr, old, new, ValKind::U64),
-                    }
+                    c.observe_store(tid, addr, old, new, ValKind::U64);
                     c.trace_push(tid, TraceOp::Rmw(addr));
                     Some(old)
                 }
@@ -707,14 +779,7 @@ impl ThreadCtx {
                 Some(old) => {
                     if old == expected {
                         c.mem.write(addr, new);
-                        match &mut c.hot {
-                            Some(hot) => hot.on_store(tid, addr, old, new, ValKind::U64),
-                            None => {
-                                c.monitor
-                                    .as_monitor()
-                                    .on_store(tid, addr, old, new, ValKind::U64)
-                            }
-                        }
+                        c.observe_store(tid, addr, old, new, ValKind::U64);
                     }
                     c.trace_push(tid, TraceOp::Rmw(addr));
                     Some(old)
@@ -1067,7 +1132,7 @@ impl ThreadCtx {
     /// shared state).
     pub async fn malloc(&mut self, site: &'static str, tag: TypeTag, len: usize) -> Addr {
         let tid = self.tid;
-        let alloc_failed = {
+        let base = {
             let mut guard = self.central();
             let c = &mut *guard;
             c.threads[tid].instr += COST_MALLOC;
@@ -1077,34 +1142,20 @@ impl ThreadCtx {
             };
             if failed {
                 c.obs_fault(tid, FaultKind::AllocFail);
+                None
+            } else {
+                let (base, len) = c.alloc_block(tid, site, tag, len);
+                c.trace_push(tid, TraceOp::Alloc { base, len });
+                c.obs_emit(|step| {
+                    obs::Event::instant(step, tid as u32, "alloc")
+                        .with_arg("base", base.0)
+                        .with_arg("words", len)
+                });
+                Some(base)
             }
-            failed
         };
-        if alloc_failed {
+        let Some(base) = base else {
             self.fail(SimError::AllocFailed { tid, site });
-        }
-        let base = {
-            let mut guard = self.central();
-            let c = &mut *guard;
-            let base = c.alloc.alloc(tid, site, tag, len);
-            let high = c.alloc.high_water();
-            c.mem.grow_heap(high);
-            let len = c.alloc.table()[&base.0].len;
-            for i in 0..len {
-                c.mem.write(base.offset(i as u64), 0);
-            }
-            if c.charge_zero_fill {
-                c.zero_fill_instr += len as u64;
-            }
-            let block = c.alloc.table()[&base.0].clone();
-            c.monitor.as_monitor().on_alloc(tid, &block);
-            c.trace_push(tid, TraceOp::Alloc { base, len });
-            c.obs_emit(|step| {
-                obs::Event::instant(step, tid as u32, "alloc")
-                    .with_arg("base", base.0)
-                    .with_arg("words", len)
-            });
-            base
         };
         self.reschedule(TState::Ready).await;
         base
@@ -1252,8 +1303,14 @@ fn lib_perturb(c: &mut Central, tid: ThreadId, v: u64) -> u64 {
 
 /// Single-threaded setup context: establishes the program's fixed input
 /// state before the threads start. No scheduling is involved; effects are
-/// still visible to the [`Monitor`] (attributed to thread 0) so that the
-/// identical input contributes identically to every run.
+/// still observed, attributed to thread 0, so that the identical input
+/// contributes identically to every run.
+///
+/// Stores reach the run's [`Monitor`] through `on_store`, unless it
+/// claims [`Monitor::fast_path`]: then, exactly like thread stores, they
+/// go to the engine's batched datapath and land in thread 0's engine
+/// sum, and the monitor gets no callback for them. Allocations always
+/// reach `on_alloc`.
 pub struct SetupCtx<'a> {
     c: &'a mut Central,
 }
@@ -1265,22 +1322,25 @@ impl std::fmt::Debug for SetupCtx<'_> {
 }
 
 impl SetupCtx<'_> {
+    #[inline]
+    fn store_word(&mut self, addr: Addr, value: u64, kind: ValKind) {
+        let c = &mut *self.c;
+        c.threads[0].instr += COST_ACCESS;
+        let old = c
+            .mem
+            .write(addr, value)
+            .expect("setup store to unmapped address");
+        c.observe_store(0, addr, old, value, kind);
+    }
+
     /// Stores an integer word.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is unmapped (setup bugs are programming errors).
+    #[inline]
     pub fn store(&mut self, addr: Addr, value: u64) {
-        self.c.threads[0].instr += COST_ACCESS;
-        let old = self
-            .c
-            .mem
-            .write(addr, value)
-            .expect("setup store to unmapped address");
-        self.c
-            .monitor
-            .as_monitor()
-            .on_store(0, addr, old, value, ValKind::U64);
+        self.store_word(addr, value, ValKind::U64);
     }
 
     /// Stores an `f64` word.
@@ -1288,17 +1348,9 @@ impl SetupCtx<'_> {
     /// # Panics
     ///
     /// Panics if `addr` is unmapped.
+    #[inline]
     pub fn store_f64(&mut self, addr: Addr, value: f64) {
-        self.c.threads[0].instr += COST_ACCESS;
-        let old = self
-            .c
-            .mem
-            .write(addr, value.to_bits())
-            .expect("setup store to unmapped address");
-        self.c
-            .monitor
-            .as_monitor()
-            .on_store(0, addr, old, value.to_bits(), ValKind::F64);
+        self.store_word(addr, value.to_bits(), ValKind::F64);
     }
 
     /// Loads a word.
@@ -1317,23 +1369,12 @@ impl SetupCtx<'_> {
     /// input data of the program).
     pub fn malloc(&mut self, site: &'static str, tag: TypeTag, len: usize) -> Addr {
         self.c.threads[0].instr += COST_MALLOC;
-        let base = self.c.alloc.alloc(0, site, tag, len);
-        let high = self.c.alloc.high_water();
-        self.c.mem.grow_heap(high);
-        let len = self.c.alloc.table()[&base.0].len;
-        for i in 0..len {
-            self.c.mem.write(base.offset(i as u64), 0);
-        }
-        if self.c.charge_zero_fill {
-            self.c.zero_fill_instr += len as u64;
-        }
-        let block = self.c.alloc.table()[&base.0].clone();
-        self.c.monitor.as_monitor().on_alloc(0, &block);
-        base
+        self.c.alloc_block(0, site, tag, len).0
     }
 
     /// A deterministic pseudo-random stream for building input data
     /// (fixed across runs; not a simulated nondeterministic library call).
+    #[inline]
     pub fn input_rand(&mut self, key: u64) -> u64 {
         let mut x = key ^ 0x5bf0_3635_16f5_0e5b;
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -1570,7 +1611,7 @@ pub(crate) fn run<M: Monitor + 'static>(
         // Drop disabled sinks up front so every emission site reduces
         // to a `None` check.
         sink: config.sink.clone().filter(|s| s.enabled()),
-        sched_scratch: Vec::with_capacity(nthreads),
+        sched_scratch: vec![0; nthreads],
     };
 
     if let Some(setup) = prog.setup {

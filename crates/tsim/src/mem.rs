@@ -37,9 +37,16 @@ impl Memory {
         }
     }
 
-    /// Number of mapped heap words.
-    pub fn heap_words(&self) -> usize {
-        self.heap.len()
+    /// Maps the heap words `[base, base + len)`, growing the heap if
+    /// needed, and zero-fills them: the memory of a fresh allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is below [`HEAP_BASE`].
+    pub(crate) fn zero_heap(&mut self, base: Addr, len: usize) {
+        let start = (base.0 - HEAP_BASE) as usize;
+        self.grow_heap(start + len);
+        self.heap[start..start + len].fill(0);
     }
 
     /// Number of mapped global words.
@@ -132,14 +139,27 @@ mod tests {
     fn heap_growth() {
         let mut m = Memory::new(0);
         m.grow_heap(8);
-        assert_eq!(m.heap_words(), 8);
+        assert_eq!(m.read(Addr(HEAP_BASE + 8)), None);
         let a = Addr(HEAP_BASE + 7);
         assert_eq!(m.write(a, 42), Some(0));
         assert_eq!(m.read(a), Some(42));
         // Growing never shrinks.
         m.grow_heap(2);
-        assert_eq!(m.heap_words(), 8);
         assert_eq!(m.read(a), Some(42));
+        assert_eq!(m.read(Addr(HEAP_BASE + 8)), None);
+    }
+
+    #[test]
+    fn zero_heap_maps_and_clears_a_block() {
+        let mut m = Memory::new(0);
+        m.zero_heap(Addr(HEAP_BASE + 2), 3);
+        assert_eq!(m.words(Addr(HEAP_BASE), 5), Some(&[0; 5][..]));
+        assert_eq!(m.read(Addr(HEAP_BASE + 5)), None);
+        m.write(Addr(HEAP_BASE + 1), 9);
+        m.write(Addr(HEAP_BASE + 3), 9);
+        // Reuse below the end clears only the block, and never shrinks.
+        m.zero_heap(Addr(HEAP_BASE + 3), 1);
+        assert_eq!(m.words(Addr(HEAP_BASE), 5), Some(&[0, 9, 0, 0, 0][..]));
     }
 
     #[test]

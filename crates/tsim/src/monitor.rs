@@ -13,12 +13,15 @@ use crate::types::{Addr, BarrierId, ThreadId, ValKind};
 /// itself (see [`Monitor::fast_path`]).
 ///
 /// A claiming monitor stops receiving `on_store`/`on_load`/`on_free`
-/// callbacks for accesses performed by simulated threads. Instead the
-/// engine maintains per-thread incremental hash sums with the default
+/// callbacks for accesses performed by simulated threads, and
+/// `on_store` for the stores of the setup phase
+/// ([`SetupCtx`](crate::SetupCtx)). Instead the engine maintains
+/// per-thread incremental hash sums with the default
 /// [`adhash::Mix64Hasher`] (when `hashing` is set), batched and folded
 /// four lanes wide, and hands the results to the monitor at every
-/// checkpoint via [`StateView::engine_hashes`]. Setup-phase accesses and
-/// every other callback (`on_alloc`, `on_output`, `on_checkpoint`) are
+/// checkpoint via [`StateView::engine_hashes`]. Setup-phase stores land
+/// in thread 0's sum, the thread the setup phase is attributed to. Every
+/// other callback (`on_alloc`, `on_output`, `on_checkpoint`) is
 /// delivered as usual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FastPathSpec {
@@ -42,7 +45,8 @@ pub struct EngineHashes<'a> {
     /// Per-thread incremental hash sums (index = thread id). All zeros
     /// when the fast path ran with `hashing: false`.
     pub sums: &'a [HashSum],
-    /// Total monitored stores performed by simulated threads so far.
+    /// Total monitored stores so far: the setup phase's and the
+    /// simulated threads'.
     pub stores: u64,
     /// Total words of freed heap blocks whose contribution the engine
     /// cancelled out of the sums so far.
@@ -232,12 +236,15 @@ pub trait Monitor: Send {
     /// Opt this monitor into the engine's monomorphic store datapath.
     ///
     /// Returning `Some(spec)` promises that `on_store`, `on_load` and
-    /// `on_free` for simulated-thread accesses are redundant with the
-    /// engine maintaining per-thread incremental hash sums per `spec`
-    /// (delivered at checkpoints through [`StateView::engine_hashes`]).
-    /// The engine then skips the virtual dispatch on every access — the
-    /// hot path of the whole simulator. Monitors that need per-access
-    /// callbacks (recorders, cache models) keep the default `None`.
+    /// `on_free` for simulated-thread accesses, and `on_store` for
+    /// setup-phase stores, are redundant with the engine maintaining
+    /// per-thread incremental hash sums per `spec` (delivered at
+    /// checkpoints through [`StateView::engine_hashes`]; setup stores
+    /// count toward thread 0's sum). The engine then skips the virtual
+    /// dispatch on every access — the hot path of the whole simulator —
+    /// and a claiming monitor never sees `on_store` at all. Monitors that
+    /// need per-access callbacks (recorders, cache models) keep the
+    /// default `None`.
     ///
     /// The claim is consulted once at run start; it must not change over
     /// the monitor's lifetime.

@@ -1,6 +1,7 @@
 //! Core value types: addresses, regions, ids, and type tags.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A word-granular simulated memory address.
@@ -14,11 +15,13 @@ pub struct Addr(pub u64);
 impl Addr {
     /// Returns the address `words` words past this one.
     #[must_use]
+    #[inline]
     pub const fn offset(self, words: u64) -> Addr {
         Addr(self.0 + words)
     }
 
     /// Returns the raw word index.
+    #[inline]
     pub const fn raw(self) -> u64 {
         self.0
     }
@@ -135,6 +138,7 @@ impl Region {
     /// # Panics
     ///
     /// Panics if `i >= self.len`.
+    #[inline]
     pub fn at(&self, i: usize) -> Addr {
         assert!(
             i < self.len,
@@ -172,23 +176,31 @@ impl Region {
 /// assert_eq!(tag.kind_at(1), ValKind::F64);
 /// assert_eq!(tag.kind_at(2), ValKind::U64); // pattern repeats
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone)]
 pub struct TypeTag {
-    pattern: Arc<[ValKind]>,
+    pattern: Pattern,
+}
+
+/// A [`TypeTag`]'s word pattern: the uniform built-in tags are static,
+/// so making one (at every allocation site) allocates nothing.
+#[derive(Clone)]
+enum Pattern {
+    Static(&'static [ValKind]),
+    Shared(Arc<[ValKind]>),
 }
 
 impl TypeTag {
     /// A tag for blocks of plain integer/pointer words.
     pub fn u64s() -> Self {
         TypeTag {
-            pattern: Arc::from([ValKind::U64].as_slice()),
+            pattern: Pattern::Static(&[ValKind::U64]),
         }
     }
 
     /// A tag for blocks of `f64` words.
     pub fn f64s() -> Self {
         TypeTag {
-            pattern: Arc::from([ValKind::F64].as_slice()),
+            pattern: Pattern::Static(&[ValKind::F64]),
         }
     }
 
@@ -200,23 +212,51 @@ impl TypeTag {
     pub fn of(pattern: Vec<ValKind>) -> Self {
         assert!(!pattern.is_empty(), "type tag pattern must be non-empty");
         TypeTag {
-            pattern: Arc::from(pattern),
+            pattern: Pattern::Shared(Arc::from(pattern)),
         }
     }
 
     /// The declared kind of the word at `offset` within a block.
     pub fn kind_at(&self, offset: usize) -> ValKind {
-        self.pattern[offset % self.pattern.len()]
+        let pattern = self.pattern();
+        pattern[offset % pattern.len()]
     }
 
     /// Length of the repeating pattern in words.
     pub fn stride(&self) -> usize {
-        self.pattern.len()
+        self.pattern().len()
     }
 
     /// The repeating pattern: word `i` has kind `pattern()[i % stride()]`.
     pub fn pattern(&self) -> &[ValKind] {
-        &self.pattern
+        match &self.pattern {
+            Pattern::Static(p) => p,
+            Pattern::Shared(p) => p,
+        }
+    }
+}
+
+// Tags are equal, hash and print by their pattern alone, however it is
+// stored.
+impl PartialEq for TypeTag {
+    fn eq(&self, other: &Self) -> bool {
+        self.pattern() == other.pattern()
+    }
+}
+
+impl Eq for TypeTag {}
+
+impl Hash for TypeTag {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.pattern().hash(state);
+    }
+}
+
+impl fmt::Debug for TypeTag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TypeTag")
+            .field("pattern", &self.pattern())
+            .finish()
     }
 }
 
@@ -274,6 +314,17 @@ mod tests {
         assert_eq!(mixed.kind_at(5), ValKind::F64);
         assert_eq!(mixed.pattern(), [ValKind::U64, ValKind::F64, ValKind::F64]);
         assert_eq!(TypeTag::default(), TypeTag::u64s());
+        // Equality, hashing and `Debug` see the pattern, not its storage.
+        let built = TypeTag::of(vec![ValKind::F64]);
+        assert_eq!(built, TypeTag::f64s());
+        let hash = |t: &TypeTag| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&built), hash(&TypeTag::f64s()));
+        assert_eq!(format!("{built:?}"), "TypeTag { pattern: [F64] }");
+        assert_ne!(TypeTag::u64s(), TypeTag::f64s());
     }
 
     #[test]
