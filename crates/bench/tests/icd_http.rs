@@ -350,6 +350,19 @@ fn http_plane_is_observational_and_fault_isolated() {
         "worker lanes recorded"
     );
 
+    // Give the drain real work: a long campaign (full-scale fft, 800
+    // runs on a seed no other campaign uses, about a second and a half
+    // of simulation and 9 MB of trace) is submitted right before
+    // SIGTERM, so the drain window outlasts the scrapes below instead
+    // of racing an idle daemon's exit. (The CI `icd-daemon` leg drains
+    // full-scale canneal, but without `--trace`; traced, that campaign
+    // writes about 300 MB.)
+    let long = CampaignSpec::new("fft:full", Scheme::HwInc)
+        .with_runs(800)
+        .with_base_seed(1001);
+    let reply = submit(&sock, &submission_line("drain", &long));
+    assert!(reply.contains("\"enqueued\""), "{reply}");
+
     // SIGTERM: the plane answers during the drain window, then the
     // daemon exits cleanly with artifacts on disk.
     sigterm(&daemon);

@@ -1,14 +1,14 @@
 //! The multi-run determinism-checking harness.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Duration;
 
 use adhash::FpRound;
 use mhm::CacheStats;
 use obs::{BufferSink, Event, EventSink, MemorySink, Registry, Telemetry, CONTROL_TRACK};
-use tsim::{AllocLog, FaultPlan, Program, RunConfig, SimError, SwitchPolicy};
+use tsim::{AllocLog, FaultPlan, Monitor, Program, RunConfig, SetupImage, SimError, SwitchPolicy};
 
 use crate::cache::{CacheLease, CachedRun, RunCache, RunKey};
 use crate::ignore::IgnoreSpec;
@@ -790,11 +790,14 @@ impl Checker {
     /// every attempt. Control-track events (run spans, the divergence
     /// instant against `reference`) and simulator events go to `sink` —
     /// the campaign's own sink on the serial path, a per-slot
-    /// [`BufferSink`] on the parallel one.
+    /// [`BufferSink`] on the parallel one. The campaign's first computed
+    /// attempt fills `image` with its program's setup image, and every
+    /// computed attempt starts from it when it fits.
     #[allow(clippy::too_many_arguments)]
     fn run_slot<F: Fn() -> Program>(
         &self,
         source: &F,
+        image: &OnceLock<Option<SetupImage>>,
         keys: Option<&RunKeyTemplate>,
         slot: usize,
         alloc: Option<(&Arc<AllocLog>, u64)>,
@@ -898,7 +901,18 @@ impl Checker {
                         .with_arg("scheme", cfg.scheme.name()),
                 );
             }
-            match source().run_with(&rc, monitor) {
+            // The L1 model observes every setup store, so it runs the
+            // setup phase itself; a claiming monitor starts from the
+            // campaign's image.
+            let mut prog = source();
+            let result = match monitor.fast_path() {
+                Some(spec) => match image.get_or_init(|| prog.setup_image(&rc, spec)) {
+                    Some(img) => prog.run_from(img, &rc, monitor),
+                    None => prog.run_with(&rc, monitor),
+                },
+                None => prog.run_with(&rc, monitor),
+            };
+            match result {
                 Ok(out) => {
                     let steps = out.steps;
                     let native_instr = out.total_instructions();
@@ -1093,10 +1107,14 @@ impl Checker {
         // compare against. Events stream straight to the sink here.
         let keys = self.key_template();
         let keys = keys.as_ref();
+        // One setup image per campaign, shared read-only by the workers;
+        // dropped with the campaign.
+        let image = OnceLock::new();
         let mut next_slot = 0usize;
         while next_slot < runs && (jobs == 1 || state.first_hashes.is_none()) {
             let slot_run = self.run_slot(
                 source,
+                &image,
                 keys,
                 next_slot,
                 alloc.as_ref().map(|(log, seed)| (log, *seed)),
@@ -1160,6 +1178,7 @@ impl Checker {
                 let slot_sink = buffer.clone().map(|b| b as Arc<dyn EventSink>);
                 let slot_run = self.run_slot(
                     source,
+                    &image,
                     keys,
                     slot,
                     Some((alloc_log, alloc_seed)),
@@ -1217,6 +1236,11 @@ impl Checker {
     /// Runs the campaign: `source` must build a fresh copy of the same
     /// program for each run (same input — the checker controls allocator
     /// addresses and library calls so that only the interleaving varies).
+    /// The contract also lets the campaign execute the setup phase once:
+    /// its first computed run captures a [`SetupImage`] and every later
+    /// computed run starts from a copy of it when the image fits (see
+    /// [`SetupImage`]), so a `source` whose builds differ in their setup
+    /// phase would be checked against the first build's input.
     ///
     /// Run slots execute on [`CheckerConfig::effective_jobs`] worker
     /// threads; the report is identical regardless of the worker count

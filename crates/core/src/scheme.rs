@@ -225,11 +225,6 @@ impl CheckMonitor {
         self.scheme
     }
 
-    /// Number of stores observed so far.
-    pub fn stores_seen(&self) -> u64 {
-        self.stores_seen
-    }
-
     /// The checkpoint records so far.
     pub fn records(&self) -> &[CheckpointRecord] {
         &self.records
@@ -541,7 +536,7 @@ mod tests {
         let mut m = CheckMonitor::new(Scheme::Native, None, IgnoreSpec::new());
         m.on_store(0, Addr(0x1000), 0, 5, ValKind::U64);
         assert_eq!(m.extra_instructions(), 0);
-        assert_eq!(m.stores_seen(), 1);
+        assert_eq!(m.into_hashes().stores, 1);
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl AllocLog {
 }
 
 /// The heap allocator state for one run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Allocator {
     /// Next unused word offset from `HEAP_BASE`.
     next: u64,
@@ -212,6 +212,34 @@ impl Allocator {
     /// epoch.
     pub(crate) fn into_parts(self) -> (AllocLog, BTreeMap<u64, BlockInfo>, u64, u64) {
         (self.log, self.table, self.replay_misses, self.epoch)
+    }
+
+    /// How many replayed allocations fell back to fresh memory so far.
+    pub(crate) fn replay_misses(&self) -> u64 {
+        self.replay_misses
+    }
+
+    /// The `(base, len)` of each of `tid`'s allocations so far, in
+    /// sequence order. Expects none of them freed.
+    pub(crate) fn blocks_of(&self, tid: ThreadId) -> Vec<(u64, usize)> {
+        (0..self.counters[tid])
+            .map(|seq| {
+                let base = self
+                    .log
+                    .lookup(tid, seq)
+                    .expect("every allocation is logged");
+                (base.0, self.table[&base.0].len)
+            })
+            .collect()
+    }
+
+    /// A copy of this allocator that goes on replaying from `replay`
+    /// instead of its own log.
+    pub(crate) fn resume(&self, replay: Option<Arc<AllocLog>>) -> Allocator {
+        Allocator {
+            replay,
+            ..self.clone()
+        }
     }
 
     /// Returns `true` if `[base, base+len)` overlaps any live block.

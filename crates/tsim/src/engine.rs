@@ -48,12 +48,13 @@ use adhash::{hash_delta_run, DeltaBatch, FpRound, HashSum, Mix64Hasher};
 use crate::alloc::{AllocLog, Allocator, BlockInfo};
 use crate::error::SimError;
 use crate::faults::{FaultKind, FaultPlan, FaultRecord, FaultState};
+use crate::image::SetupImage;
 use crate::libcalls::{LibCalls, LibLog};
 use crate::mem::Memory;
 use crate::monitor::{
-    CheckpointInfo, CheckpointKind, EngineHashes, FastPathSpec, Monitor, StateView,
+    CheckpointInfo, CheckpointKind, EngineHashes, FastPathSpec, Monitor, NullMonitor, StateView,
 };
-use crate::program::{GlobalDecl, Program, RunConfig, ThreadBody};
+use crate::program::{GlobalDecl, Program, RunConfig, Setup, ThreadBody};
 use crate::sched::{Scheduler, SwitchPolicy};
 use crate::trace::{Trace, TraceOp};
 use crate::types::{Addr, BarrierId, CondId, LockId, RwLockId, SemId, ThreadId, TypeTag, ValKind};
@@ -1311,6 +1312,12 @@ fn lib_perturb(c: &mut Central, tid: ThreadId, v: u64) -> u64 {
 /// go to the engine's batched datapath and land in thread 0's engine
 /// sum, and the monitor gets no callback for them. Allocations always
 /// reach `on_alloc`.
+///
+/// The context reaches memory, the allocator, thread 0's instruction
+/// count, the zero-fill charge and the store datapath, and nothing
+/// else: no fault plan, event sink, trace, scheduler or library call.
+/// That is what lets a [`SetupImage`] of those parts stand in for the
+/// setup phase.
 pub struct SetupCtx<'a> {
     c: &'a mut Central,
 }
@@ -1545,78 +1552,191 @@ fn drive(central: &Rc<RefCell<Central>>, bodies: Vec<ThreadBody>) {
     }
 }
 
-/// Runs `prog` under `config` with `monitor` observing.
+impl Central {
+    /// The machine state at the start of a run of `prog` under `config`,
+    /// before its setup phase, or right after it when `image` is given.
+    fn new(
+        prog: &Program,
+        globals: Vec<GlobalDecl>,
+        config: &RunConfig,
+        monitor: Box<dyn AnyMonitor + Send>,
+        hot: Option<HotState>,
+        image: Option<&SetupImage>,
+    ) -> Central {
+        let nthreads = prog.nthreads;
+        let mut scheduler = config.scheduler.build();
+        scheduler.init(nthreads);
+        let replay = config.alloc_replay.clone();
+        let (mem, alloc) = match image {
+            Some(img) => (img.mem.clone(), img.alloc.resume(replay)),
+            None => (
+                Memory::new(prog.global_words),
+                Allocator::new(nthreads, replay),
+            ),
+        };
+        let mut central = Central {
+            mem,
+            globals,
+            alloc,
+            locks: (0..prog.locks).map(|_| LockState::default()).collect(),
+            rwlocks: (0..prog.rwlocks).map(|_| RwState::default()).collect(),
+            sems: prog.sems.iter().map(|&count| SemState { count }).collect(),
+            barriers: prog
+                .barriers
+                .iter()
+                .map(|&parties| BarrierState {
+                    parties,
+                    arrived: Vec::new(),
+                })
+                .collect(),
+            threads: vec![
+                ThreadSlot {
+                    state: TState::Ready,
+                    instr: 0,
+                    access_count: 0,
+                };
+                nthreads
+            ],
+            active: None,
+            scheduler,
+            switch: config.switch,
+            monitor,
+            hot,
+            zero_fill_instr: 0,
+            charge_zero_fill: config.charge_zero_fill,
+            lib: LibCalls::new(nthreads, config.lib_seed, config.lib_replay.clone()),
+            output: Vec::new(),
+            trace: config.record_trace.then(Trace::default),
+            decisions: Vec::new(),
+            decision_options: config.record_options.then(Vec::new),
+            step: 0,
+            max_steps: config.max_steps,
+            faults: config
+                .faults
+                .clone()
+                .filter(FaultPlan::is_active)
+                .map(FaultState::new),
+            deadline_at: config.deadline.map(|d| Instant::now() + d),
+            deadline_ms: config.deadline.map_or(0, |d| d.as_millis() as u64),
+            cp_seq: 0,
+            cp_decision_index: Vec::new(),
+            error: None,
+            finished: 0,
+            nthreads,
+            // Drop disabled sinks up front so every emission site reduces
+            // to a `None` check.
+            sink: config.sink.clone().filter(|s| s.enabled()),
+            sched_scratch: vec![0; nthreads],
+        };
+        if let Some(img) = image {
+            central.threads[0].instr = img.setup_instr;
+            central.zero_fill_instr = img.zero_fill_instr;
+            let hot = central
+                .hot
+                .as_mut()
+                .expect("an image fits only a claiming monitor");
+            hot.sums.clone_from(&img.sums);
+            hot.stores = img.stores;
+            // The setup phase's callbacks: a claiming monitor saw only
+            // its allocations.
+            let table = central.alloc.table();
+            for (base, _) in &img.blocks {
+                central.monitor.as_monitor().on_alloc(0, &table[base]);
+            }
+        }
+        central
+    }
+}
+
+/// Executes `prog`'s setup phase alone, as a run under `config` whose
+/// monitor claims `spec` would, and captures the state after it (see
+/// [`Program::setup_image`]).
+pub(crate) fn setup_image(
+    prog: &mut Program,
+    config: &RunConfig,
+    spec: FastPathSpec,
+) -> Option<SetupImage> {
+    let Setup::Pending(body) = std::mem::replace(&mut prog.setup, Setup::Taken) else {
+        panic!("the program's setup phase was already taken by setup_image");
+    };
+    let globals = prog.globals.clone();
+    let mut central = Central::new(
+        prog,
+        globals,
+        config,
+        Box::new(NullMonitor),
+        Some(HotState::new(spec)),
+        None,
+    );
+    if let Some(body) = body {
+        body(&mut SetupCtx { c: &mut central });
+    }
+    let mut hot = central
+        .hot
+        .take()
+        .expect("the setup phase ran on the fast path");
+    hot.flush_batch();
+    let image = SetupImage {
+        spec,
+        charge_zero_fill: config.charge_zero_fill,
+        nthreads: prog.nthreads,
+        globals: central.globals,
+        blocks: central.alloc.blocks_of(0),
+        alloc: central.alloc.resume(None),
+        mem: central.mem,
+        setup_instr: central.threads[0].instr,
+        zero_fill_instr: central.zero_fill_instr,
+        sums: hot.sums,
+        stores: hot.stores,
+    };
+    if image.alloc.replay_misses() == 0 {
+        Some(image)
+    } else {
+        prog.setup = Setup::Kept(Box::new(image), config.alloc_replay.clone());
+        None
+    }
+}
+
+/// Runs `prog` under `config` with `monitor` observing, starting from
+/// `image` when it fits the run and executing the setup phase otherwise.
 pub(crate) fn run<M: Monitor + 'static>(
-    prog: Program,
+    mut prog: Program,
     config: &RunConfig,
     monitor: M,
+    image: Option<&SetupImage>,
 ) -> Result<RunOutcome<M>, SimError> {
     install_quiet_abort_hook();
-    let nthreads = prog.nthreads;
-    let mut scheduler = config.scheduler.build();
-    scheduler.init(nthreads);
 
     // Consult the monitor's fast-path claim once, before it is boxed.
-    let hot = monitor.fast_path().map(HotState::new);
-
-    let mut central = Central {
-        mem: Memory::new(prog.global_words),
-        globals: prog.globals,
-        alloc: Allocator::new(nthreads, config.alloc_replay.clone()),
-        locks: (0..prog.locks).map(|_| LockState::default()).collect(),
-        rwlocks: (0..prog.rwlocks).map(|_| RwState::default()).collect(),
-        sems: prog.sems.iter().map(|&count| SemState { count }).collect(),
-        barriers: prog
-            .barriers
-            .iter()
-            .map(|&parties| BarrierState {
-                parties,
-                arrived: Vec::new(),
-            })
-            .collect(),
-        threads: vec![
-            ThreadSlot {
-                state: TState::Ready,
-                instr: 0,
-                access_count: 0,
-            };
-            nthreads
-        ],
-        active: None,
-        scheduler,
-        switch: config.switch,
-        monitor: Box::new(monitor),
-        hot,
-        zero_fill_instr: 0,
-        charge_zero_fill: config.charge_zero_fill,
-        lib: LibCalls::new(nthreads, config.lib_seed, config.lib_replay.clone()),
-        output: Vec::new(),
-        trace: config.record_trace.then(Trace::default),
-        decisions: Vec::new(),
-        decision_options: config.record_options.then(Vec::new),
-        step: 0,
-        max_steps: config.max_steps,
-        faults: config
-            .faults
-            .clone()
-            .filter(FaultPlan::is_active)
-            .map(FaultState::new),
-        deadline_at: config.deadline.map(|d| Instant::now() + d),
-        deadline_ms: config.deadline.map_or(0, |d| d.as_millis() as u64),
-        cp_seq: 0,
-        cp_decision_index: Vec::new(),
-        error: None,
-        finished: 0,
-        nthreads,
-        // Drop disabled sinks up front so every emission site reduces
-        // to a `None` check.
-        sink: config.sink.clone().filter(|s| s.enabled()),
-        sched_scratch: vec![0; nthreads],
+    let spec = monitor.fast_path();
+    let setup = std::mem::replace(&mut prog.setup, Setup::Taken);
+    let image = match (image.filter(|img| img.fits(&prog, config, spec)), &setup) {
+        (Some(img), _) => Some(img),
+        (None, Setup::Pending(_)) => None,
+        (None, Setup::Kept(img, replay)) => {
+            assert!(
+                img.built_under(config, spec, replay.as_ref()),
+                "setup_image kept this program's setup phase under a different run config"
+            );
+            Some(&**img)
+        }
+        (None, Setup::Taken) => panic!(
+            "setup_image took this program's setup phase; run it from that image under the same config"
+        ),
     };
-
-    if let Some(setup) = prog.setup {
-        let mut sctx = SetupCtx { c: &mut central };
-        setup(&mut sctx);
+    let globals = std::mem::take(&mut prog.globals);
+    let mut central = Central::new(
+        &prog,
+        globals,
+        config,
+        Box::new(monitor),
+        spec.map(HotState::new),
+        image,
+    );
+    if image.is_none() {
+        if let Setup::Pending(Some(body)) = setup {
+            body(&mut SetupCtx { c: &mut central });
+        }
     }
 
     schedule_next_core(&mut central, None);

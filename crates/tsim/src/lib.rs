@@ -60,6 +60,7 @@ mod alloc;
 mod engine;
 mod error;
 mod faults;
+mod image;
 mod libcalls;
 mod mem;
 mod monitor;
@@ -72,6 +73,7 @@ pub use alloc::{AllocLog, BlockInfo};
 pub use engine::{RunOutcome, SetupCtx, ThreadCtx};
 pub use error::{SimError, SimErrorKind};
 pub use faults::{FaultKind, FaultPlan, FaultRecord, Trigger, FAULT_KINDS};
+pub use image::SetupImage;
 pub use libcalls::LibLog;
 pub use mem::{Memory, GLOBALS_BASE, HEAP_BASE};
 pub use monitor::{

@@ -23,6 +23,12 @@ use crate::types::{Addr, BarrierId, ThreadId, ValKind};
 /// in thread 0's sum, the thread the setup phase is attributed to. Every
 /// other callback (`on_alloc`, `on_output`, `on_checkpoint`) is
 /// delivered as usual.
+///
+/// Because a claiming monitor sees nothing of the setup phase but its
+/// allocations, a run may start from a [`SetupImage`](crate::SetupImage)
+/// built under the same spec instead of executing the setup phase
+/// ([`Program::run_from`](crate::Program::run_from)); the monitor then
+/// gets the setup blocks' `on_alloc`s, in allocation order, at run start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FastPathSpec {
     /// Maintain per-thread incremental hash sums over the stores. When
@@ -212,6 +218,11 @@ pub trait Monitor: Send {
     fn on_load(&mut self, tid: ThreadId, addr: Addr, value: u64, kind: ValKind) {}
 
     /// A new heap block was allocated (already zero-filled).
+    ///
+    /// A run that starts from a [`SetupImage`](crate::SetupImage)
+    /// delivers the setup phase's allocations (thread 0, in sequence
+    /// order) at run start, before any thread runs, exactly as executing
+    /// the setup phase would.
     fn on_alloc(&mut self, tid: ThreadId, block: &BlockInfo) {}
 
     /// A heap block was freed. `contents` holds the words of the block at

@@ -9,9 +9,10 @@ use crate::alloc::AllocLog;
 use crate::engine::{self, RunOutcome, SetupCtx, ThreadCtx};
 use crate::error::SimError;
 use crate::faults::FaultPlan;
+use crate::image::SetupImage;
 use crate::libcalls::LibLog;
 use crate::mem::GLOBALS_BASE;
-use crate::monitor::{Monitor, NullMonitor};
+use crate::monitor::{FastPathSpec, Monitor, NullMonitor};
 use crate::sched::{SchedulerKind, SwitchPolicy};
 use crate::types::{Addr, BarrierId, CondId, LockId, Region, RwLockId, SemId, ValKind};
 
@@ -29,6 +30,19 @@ pub struct GlobalDecl {
 pub(crate) type ThreadBody =
     Box<dyn for<'a> FnOnce(&'a mut ThreadCtx) -> Pin<Box<dyn Future<Output = ()> + 'a>> + Send>;
 pub(crate) type SetupBody = Box<dyn FnOnce(&mut SetupCtx<'_>) + Send + 'static>;
+
+/// Where a program's setup phase stands.
+pub(crate) enum Setup {
+    /// Not executed yet; `None` if the program declared no setup phase.
+    Pending(Option<SetupBody>),
+    /// Executed by [`Program::setup_image`], which handed the image to
+    /// the caller: the program can only start from a fitting image.
+    Taken,
+    /// Executed by [`Program::setup_image`] with a replay miss: the
+    /// program starts from this state, under the config it was built
+    /// with (the replay log is kept to check that).
+    Kept(Box<SetupImage>, Option<Arc<AllocLog>>),
+}
 
 /// Builder for a simulated parallel [`Program`].
 ///
@@ -211,7 +225,7 @@ impl ProgramBuilder {
             rwlocks: self.rwlocks,
             sems: self.sems,
             barriers: self.barriers,
-            setup: self.setup,
+            setup: Setup::Pending(self.setup),
             threads: self.threads,
         }
     }
@@ -228,7 +242,7 @@ pub struct Program {
     pub(crate) rwlocks: usize,
     pub(crate) sems: Vec<u64>,
     pub(crate) barriers: Vec<usize>,
-    pub(crate) setup: Option<SetupBody>,
+    pub(crate) setup: Setup,
     pub(crate) threads: Vec<ThreadBody>,
 }
 
@@ -262,12 +276,65 @@ impl Program {
     ///
     /// Returns a [`SimError`] if the run deadlocks, exceeds the step
     /// limit, misuses the machine, or a thread panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`setup_image`](Program::setup_image) took this
+    /// program's setup phase (run it with
+    /// [`run_from`](Program::run_from) instead), or kept it under a
+    /// different config.
     pub fn run_with<M: Monitor + 'static>(
         self,
         config: &RunConfig,
         monitor: M,
     ) -> Result<RunOutcome<M>, SimError> {
-        engine::run(self, config, monitor)
+        engine::run(self, config, monitor, None)
+    }
+
+    /// Executes the setup phase once, as a run under `config` whose
+    /// monitor claims `spec` would, and returns the resulting
+    /// [`SetupImage`].
+    ///
+    /// The setup phase is taken out of this program, so the program
+    /// that is about to run builds the image and no extra copy of it is
+    /// needed: run it next with [`run_from`](Program::run_from) this
+    /// image under the same `config` (which always fits). Returns
+    /// `None` if a setup allocation missed its replayed address; the
+    /// program then keeps the state itself, and must run under the same
+    /// `config` and `spec`, through [`run_with`](Program::run_with) or
+    /// `run_from` with any image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the setup phase was already taken by an earlier call,
+    /// or if the setup phase itself panics.
+    pub fn setup_image(&mut self, config: &RunConfig, spec: FastPathSpec) -> Option<SetupImage> {
+        engine::setup_image(self, config, spec)
+    }
+
+    /// Runs the program like [`run_with`](Program::run_with), starting
+    /// from `image` instead of executing the setup phase when the image
+    /// fits this run (see [`SetupImage`] for the fit rule). The monitor
+    /// then receives each setup block's `on_alloc`, in allocation order,
+    /// before any thread runs. A run the image does not fit executes
+    /// its own setup phase. Either way the outcome equals `run_with`'s.
+    ///
+    /// # Errors
+    ///
+    /// As for [`run_with`](Program::run_with).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image does not fit and
+    /// [`setup_image`](Program::setup_image) took this program's setup
+    /// phase, or kept it under a different config.
+    pub fn run_from<M: Monitor + 'static>(
+        self,
+        image: &SetupImage,
+        config: &RunConfig,
+        monitor: M,
+    ) -> Result<RunOutcome<M>, SimError> {
+        engine::run(self, config, monitor, Some(image))
     }
 }
 

@@ -12,39 +12,10 @@
 
 use adhash::FpRound;
 use instantcheck::{CheckMonitor, IgnoreSpec, Scheme};
-use tsim::{
-    Addr, BlockInfo, CheckpointInfo, Monitor, Program, ProgramBuilder, RunConfig, StateView,
-    ThreadId, TypeTag, ValKind,
-};
+use tsim::{Program, ProgramBuilder, RunConfig, TypeTag, ValKind};
 
-/// Delegates every callback to the wrapped [`CheckMonitor`] but keeps
-/// the default `fast_path() -> None`, forcing the engine onto per-access
-/// virtual dispatch.
-struct DynShim(CheckMonitor);
-
-impl Monitor for DynShim {
-    fn on_store(&mut self, tid: ThreadId, addr: Addr, old: u64, new: u64, kind: ValKind) {
-        self.0.on_store(tid, addr, old, new, kind);
-    }
-    fn on_load(&mut self, tid: ThreadId, addr: Addr, value: u64, kind: ValKind) {
-        self.0.on_load(tid, addr, value, kind);
-    }
-    fn on_alloc(&mut self, tid: ThreadId, block: &BlockInfo) {
-        self.0.on_alloc(tid, block);
-    }
-    fn on_free(&mut self, tid: ThreadId, block: &BlockInfo, contents: &[u64]) {
-        self.0.on_free(tid, block, contents);
-    }
-    fn on_output(&mut self, tid: ThreadId, bytes: &[u8]) {
-        self.0.on_output(tid, bytes);
-    }
-    fn on_checkpoint(&mut self, info: &CheckpointInfo, view: &StateView<'_>) {
-        self.0.on_checkpoint(info, view);
-    }
-    fn extra_instructions(&self) -> u64 {
-        self.0.extra_instructions()
-    }
-}
+mod common;
+use common::DynShim;
 
 /// A workload that exercises everything the fast path touches: setup
 /// stores, integer and FP store sweeps, `fetch_add`, locks, barriers
