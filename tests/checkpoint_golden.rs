@@ -8,6 +8,12 @@
 //! extra instructions, stores, hash updates) is folded into one digest
 //! per (kernel, scheme).
 //!
+//! Every run also executes with the L1 cache model on. The model only
+//! observes: each such run must report every `RunHashes` field but
+//! `cache` exactly as the plain run does, and a second digest per
+//! (kernel, scheme) folds these runs together with their cache
+//! counters, pinning the §3.1 hit/miss numbers under every rounding.
+//!
 //! `fast_path_equivalence` compares the engine fast path with the
 //! dynamic-dispatch path, but both sides run the same
 //! `CheckMonitor::on_checkpoint`, so a fault in the checkpoint path (the
@@ -50,6 +56,29 @@ const GOLDEN: [(&str, [u64; 3]); 17] = [
     ("radiosity", [0x5e32af79556b11b0, 0x15b36b47f454ec5f, 0xc87f388636fc4def]),
 ];
 
+/// `(kernel, [HwInc, SwInc, SwTr])` digests of the same runs with the L1
+/// model on, each folded by [`fold_l1_run`].
+#[rustfmt::skip]
+const L1_GOLDEN: [(&str, [u64; 3]); 17] = [
+    ("blackscholes", [0x1da24a3d74d0a7ff, 0x2edbab9106514f27, 0x9b73f04e0738a924]),
+    ("fft", [0x2243de743098845a, 0x885d7feed1e39fc1, 0x6559664398c4ee75]),
+    ("lu", [0x04ee04c46dc6ad7c, 0x9f95c2dc2dc7b447, 0xf74fd6a243868a56]),
+    ("radix", [0x9627ede3ed1e6cc4, 0x96c3517ba2bd5f82, 0xe85244f40cc39be4]),
+    ("streamcluster", [0x8c15cbd6b26136bc, 0x8ee847c4096bc999, 0x267838e35f8c4efd]),
+    ("swaptions", [0xc6b05da120f4d016, 0x533cfbc1c6ad6a12, 0xef172b7f31dc8d6a]),
+    ("volrend", [0x7db5314a7dad246b, 0x64b5ec948c852917, 0xa08b07be8b2320c1]),
+    ("fluidanimate", [0xccb1cdd2abae3a77, 0x9eb5698e13e63a2f, 0x27991e59c75f8a51]),
+    ("ocean", [0x936f25887664a5d5, 0xd1ecdb1198439cef, 0x2b2bec3e2fc34990]),
+    ("waterNS", [0x53358ecec96ef277, 0xd625f43cfaa0ca84, 0xf715e0542da94109]),
+    ("waterSP", [0x13e966ec1e776ab4, 0xe4a7ed77cedd0329, 0x3d3519f137fd4a0f]),
+    ("cholesky", [0xbd6fb25d82fe816e, 0x556615aa807e220f, 0xe3209871245842bc]),
+    ("pbzip2", [0x049184335f6612a4, 0xbd8622056edebfb7, 0x658722816c23abc2]),
+    ("sphinx3", [0x47515fc5706187bb, 0x28b6a8feb20fe80a, 0xe40adb6cbbc37e25]),
+    ("barnes", [0xc4581d5da8c9621b, 0x15aac35b656e21a6, 0x442500773991f579]),
+    ("canneal", [0xb09104138202b659, 0x85519c960789003d, 0xbd8fb33f347cdab4]),
+    ("radiosity", [0x955bb6eb4a65f511, 0xe5b598c42821e1e5, 0xf11218d1ace13786]),
+];
+
 fn mix(h: u64, v: u64) -> u64 {
     (h ^ v)
         .wrapping_mul(0x0000_0100_0000_01b3)
@@ -73,6 +102,38 @@ fn fold_run(mut h: u64, r: &RunHashes) -> u64 {
     mix(h, r.hash_updates)
 }
 
+/// [`fold_run`] followed by the run's L1 model counters.
+fn fold_l1_run(h: u64, r: &RunHashes) -> u64 {
+    let c = r.cache.expect("the L1 model was on");
+    [c.hits, c.misses, c.mhm_reads, c.mhm_read_misses]
+        .into_iter()
+        .fold(fold_run(h, r), mix)
+}
+
+/// The L1 model only observes: a run with it on reports every
+/// [`RunHashes`] field but `cache` exactly as the plain run does.
+fn assert_observation_only(plain: &RunHashes, l1: &RunHashes, what: &str) {
+    assert!(
+        plain.cache.is_none(),
+        "{what}: plain run has cache counters"
+    );
+    assert!(l1.cache.is_some(), "{what}: L1 run has no cache counters");
+    let without_cache = |r: &RunHashes| {
+        format!(
+            "{:?}",
+            RunHashes {
+                cache: None,
+                ..r.clone()
+            }
+        )
+    };
+    assert_eq!(
+        without_cache(plain),
+        without_cache(l1),
+        "{what}: the L1 model changed the run's hashes"
+    );
+}
+
 /// The kernel's class rounding, as a campaign over it would configure.
 fn class_rounding(class: DetClass, uses_fp: bool) -> Option<FpRound> {
     match class {
@@ -82,25 +143,35 @@ fn class_rounding(class: DetClass, uses_fp: bool) -> Option<FpRound> {
     }
 }
 
-fn digest(app: &instantcheck_workloads::AppSpec, scheme: Scheme) -> u64 {
+/// The plain and the L1-model digest of `app` under `scheme`.
+fn digests(app: &instantcheck_workloads::AppSpec, scheme: Scheme) -> [u64; 2] {
     let variants = [
         class_rounding(app.expected_class, app.uses_fp),
         Some(FpRound::FloorDecimal { digits: 2 }),
         Some(FpRound::MaskMantissa { bits: 20 }),
     ];
     let mut h = 0xc0ff_ee00_0000_0001;
+    let mut h_l1 = 0xc0ff_ee00_0000_0011;
     for rounding in variants {
         for seed in SEEDS {
+            let what = format!("{} {scheme:?} {rounding:?} seed {seed}", app.name);
             let rc = RunConfig::random(seed).with_zero_fill_charged();
-            let monitor = CheckMonitor::new(scheme, rounding, app.ignore.clone());
-            let out = app
-                .build()
-                .run_with(&rc, monitor)
-                .unwrap_or_else(|e| panic!("{} {scheme:?} seed {seed}: {e}", app.name));
-            h = fold_run(h, &out.monitor.into_hashes());
+            let run = |monitor: CheckMonitor| {
+                app.build()
+                    .run_with(&rc, monitor)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"))
+                    .monitor
+                    .into_hashes()
+            };
+            let monitor = || CheckMonitor::new(scheme, rounding, app.ignore.clone());
+            let plain = run(monitor());
+            let l1 = run(monitor().with_cache_model());
+            assert_observation_only(&plain, &l1, &what);
+            h = fold_run(h, &plain);
+            h_l1 = fold_l1_run(h_l1, &l1);
         }
     }
-    h
+    [h, h_l1]
 }
 
 #[test]
@@ -108,31 +179,50 @@ fn checkpoint_path_matches_the_golden_digests() {
     let apps = instantcheck_workloads::all_scaled();
     assert_eq!(apps.len(), GOLDEN.len());
     let mut table = String::new();
+    let mut l1_table = String::new();
     let mut bad = Vec::new();
-    for (app, (name, want)) in apps.iter().zip(GOLDEN) {
+    for (i, (app, (name, want))) in apps.iter().zip(GOLDEN).enumerate() {
         assert_eq!(app.name, name, "kernel order changed");
-        let got = SCHEMES.map(|s| digest(app, s));
+        let (l1_name, l1_want) = L1_GOLDEN[i];
+        assert_eq!(l1_name, name, "L1 table order");
+        let [got, l1_got] = transpose(SCHEMES.map(|s| digests(app, s)));
         table.push_str(&format!(
             "    (\"{name}\", [{:#018x}, {:#018x}, {:#018x}]),\n",
             got[0], got[1], got[2]
+        ));
+        l1_table.push_str(&format!(
+            "    (\"{name}\", [{:#018x}, {:#018x}, {:#018x}]),\n",
+            l1_got[0], l1_got[1], l1_got[2]
         ));
         for (i, scheme) in SCHEMES.iter().enumerate() {
             if got[i] != want[i] {
                 bad.push(format!("{name} {scheme:?}"));
             }
+            if l1_got[i] != l1_want[i] {
+                bad.push(format!("{name} {scheme:?} + L1"));
+            }
         }
     }
     assert!(
         bad.is_empty(),
-        "checkpoint digests changed for {bad:?}; computed table:\n{table}"
+        "checkpoint digests changed for {bad:?}; computed table:\n{table}\nL1 table:\n{l1_table}"
     );
+}
+
+/// Per-scheme `[plain, L1]` pairs to `[plain per scheme, L1 per scheme]`.
+fn transpose(d: [[u64; 2]; 3]) -> [[u64; 3]; 2] {
+    [d.map(|p| p[0]), d.map(|p| p[1])]
 }
 
 /// `[HwInc, SwInc, SwTr]` digests of `reuse_program` over [`SEEDS`] ×
 /// the three roundings of [`reuse_digest`], natural and replayed.
 const REUSE_GOLDEN: [u64; 3] = [0xbd9aa2e98358a0b6, 0x5fdde11ac412fd31, 0x015e0316effd6413];
 
-fn reuse_digest(scheme: Scheme) -> u64 {
+/// The same runs with the L1 model on, folded by [`fold_l1_run`].
+const REUSE_L1_GOLDEN: [u64; 3] = [0xed806865b25d8a4c, 0xb391294f2dec3a9b, 0x99696d70aec89ab3];
+
+/// The plain and the L1-model digest of `reuse_program` under `scheme`.
+fn reuse_digests(scheme: Scheme) -> [u64; 2] {
     let ignore = IgnoreSpec::new()
         .ignore_site("junk")
         .ignore_global_range("noise", 1, 3)
@@ -142,7 +232,7 @@ fn reuse_digest(scheme: Scheme) -> u64 {
         Some(FpRound::FloorDecimal { digits: 2 }),
         Some(FpRound::MaskMantissa { bits: 20 }),
     ];
-    let mut h = 0xc0ff_ee00_0000_0002;
+    let mut h = [0xc0ff_ee00_0000_0002, 0xc0ff_ee00_0000_0012];
     let mut replay = None;
     for rounding in roundings {
         for seed in SEEDS {
@@ -151,19 +241,31 @@ fn reuse_digest(scheme: Scheme) -> u64 {
                 if replayed {
                     rc = rc.with_alloc_replay(Arc::clone(replay.as_ref().unwrap()));
                 }
-                let monitor = CheckMonitor::new(scheme, rounding, ignore.clone());
-                let out = reuse_program()
-                    .run_with(&rc, monitor)
-                    .unwrap_or_else(|e| panic!("reuse {scheme:?} seed {seed}: {e}"));
-                for ((tid, seq), base) in out.alloc_log.entries() {
-                    h = mix(mix(mix(h, tid as u64), seq), base);
+                let what = format!("reuse {scheme:?} {rounding:?} seed {seed} {replayed}");
+                let monitor = || CheckMonitor::new(scheme, rounding, ignore.clone());
+                let mut hashes = [None, None];
+                for (l1, monitor) in [monitor(), monitor().with_cache_model()]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let out = reuse_program()
+                        .run_with(&rc, monitor)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let h = &mut h[l1];
+                    for ((tid, seq), base) in out.alloc_log.entries() {
+                        *h = mix(mix(mix(*h, tid as u64), seq), base);
+                    }
+                    *h = mix(*h, out.replay_misses);
+                    *h = mix(*h, out.zero_fill_instr);
+                    let run = out.monitor.into_hashes();
+                    *h = [fold_run, fold_l1_run][l1](*h, &run);
+                    hashes[l1] = Some(run);
+                    if replay.is_none() {
+                        replay = Some(out.alloc_log);
+                    }
                 }
-                h = mix(h, out.replay_misses);
-                h = mix(h, out.zero_fill_instr);
-                h = fold_run(h, &out.monitor.into_hashes());
-                if replay.is_none() {
-                    replay = Some(out.alloc_log);
-                }
+                let [plain, l1] = hashes.map(Option::unwrap);
+                assert_observation_only(&plain, &l1, &what);
             }
         }
     }
@@ -172,10 +274,15 @@ fn reuse_digest(scheme: Scheme) -> u64 {
 
 #[test]
 fn reuse_and_mixed_tag_program_matches_the_golden_digests() {
-    let got = SCHEMES.map(reuse_digest);
+    let [got, l1_got] = transpose(SCHEMES.map(reuse_digests));
     assert_eq!(
         got, REUSE_GOLDEN,
         "reuse digests changed; computed [{:#018x}, {:#018x}, {:#018x}]",
         got[0], got[1], got[2]
+    );
+    assert_eq!(
+        l1_got, REUSE_L1_GOLDEN,
+        "reuse L1 digests changed; computed [{:#018x}, {:#018x}, {:#018x}]",
+        l1_got[0], l1_got[1], l1_got[2]
     );
 }
