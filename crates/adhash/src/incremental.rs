@@ -126,12 +126,6 @@ impl<H: LocationHasher> IncHasher<H> {
         self.sum = sum;
     }
 
-    /// Merges another partial sum into this one.
-    #[inline]
-    pub fn merge_sum(&mut self, other: HashSum) {
-        self.sum = self.sum.combine(other);
-    }
-
     /// Resets the running sum to zero.
     #[inline]
     pub fn reset(&mut self) {
@@ -269,17 +263,6 @@ mod tests {
         assert_eq!(inc.sum(), HashSum::ZERO);
         inc.set_sum(saved);
         assert_eq!(inc.sum(), saved);
-    }
-
-    #[test]
-    fn merge_sum_is_addition() {
-        let mut a = IncHasher::new(h());
-        let mut b = IncHasher::new(h());
-        a.on_write(1, 0, 1);
-        b.on_write(2, 0, 2);
-        let total = a.sum() + b.sum();
-        a.merge_sum(b.sum());
-        assert_eq!(a.sum(), total);
     }
 
     #[test]

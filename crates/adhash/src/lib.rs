@@ -53,14 +53,12 @@
 #![deny(missing_docs)]
 
 mod batch;
-mod crc;
 mod fp;
 mod group;
 mod hasher;
 mod incremental;
 
 pub use batch::{hash_delta_run, DeltaBatch, DELTA_BATCH_CAPACITY};
-pub use crc::Crc64Hasher;
 pub use fp::FpRound;
 pub use group::HashSum;
 pub use hasher::{LocationHasher, Mix64Hasher};

@@ -901,15 +901,18 @@ impl Checker {
                         .with_arg("scheme", cfg.scheme.name()),
                 );
             }
-            // The L1 model observes every setup store, so it runs the
-            // setup phase itself; a claiming monitor starts from the
-            // campaign's image.
+            // The L1 model observes every setup store, so a monitor that
+            // asks for accesses executes the setup phase itself; any
+            // other starts from the campaign's image.
             let mut prog = source();
-            let result = match monitor.fast_path() {
-                Some(spec) => match image.get_or_init(|| prog.setup_image(&rc, spec)) {
-                    Some(img) => prog.run_from(img, &rc, monitor),
-                    None => prog.run_with(&rc, monitor),
-                },
+            let spec = monitor.hash_spec();
+            let image = if spec.accesses {
+                None
+            } else {
+                image.get_or_init(|| prog.setup_image(&rc, spec)).as_ref()
+            };
+            let result = match image {
+                Some(img) => prog.run_from(img, &rc, monitor),
                 None => prog.run_with(&rc, monitor),
             };
             match result {

@@ -3,11 +3,8 @@
 use std::ops::Range;
 
 use adhash::{hash_full_state, FpRound, HashSum, LocationHasher, Mix64Hasher};
-use mhm::{CacheStats, L1Cache, MhmCore};
-use tsim::{
-    Addr, BlockInfo, CheckpointInfo, CheckpointKind, EngineHashes, FastPathSpec, Monitor,
-    StateView, ThreadId, ValKind,
-};
+use mhm::{CacheStats, L1Cache};
+use tsim::{Addr, CheckpointInfo, CheckpointKind, HashSpec, Monitor, StateView, ThreadId, ValKind};
 
 use crate::checker::RunHashes;
 use crate::ignore::IgnoreSpec;
@@ -159,6 +156,12 @@ impl ResolvedIgnore {
 /// yields the run's checkpoint hash sequence for cross-run comparison.
 /// The monitor also tracks the extra instructions its scheme would
 /// execute on a real machine (the Figure 6 cost model).
+///
+/// The incremental schemes' per-thread hashes are the engine's (see
+/// [`HashSpec`]): HW-Inc and SW-Inc run the same datapath and differ
+/// only in what the cost model charges for it. The monitor's store,
+/// hash-update and instruction counts for that datapath come from the
+/// engine's counters ([`StateView::engine_hashes`]).
 #[derive(Debug)]
 pub struct CheckMonitor {
     scheme: Scheme,
@@ -166,23 +169,22 @@ pub struct CheckMonitor {
     ignore: IgnoreSpec,
     /// `ignore` resolved at the latest checkpoint's allocation epoch.
     ignored: ResolvedIgnore,
-    /// Per-thread MHM units (HwInc), or the software emulation of the
-    /// same per-thread incremental hashes (SwInc).
-    cores: Vec<MhmCore>,
     hasher: Mix64Hasher,
     output: OutputHasher,
     records: Vec<CheckpointRecord>,
+    /// Extra instructions of the checkpoints and the output hashing;
+    /// the store datapath's share is [`CheckMonitor::datapath_cost`].
     extra_instr: u64,
-    stores_seen: u64,
-    /// Location-hash operations performed (two per incremental store,
-    /// one per traversed word, two per freed/ignored word).
+    /// Location-hash operations of the checkpoints (one per traversed
+    /// word, two per ignored word); the datapath's share is
+    /// [`CheckMonitor::datapath_cost`].
     hash_updates: u64,
+    /// The engine's store and freed-word counts at the latest
+    /// checkpoint; the final `End` checkpoint makes them the run's.
+    stores: u64,
+    freed_words: u64,
     /// Per-thread L1 models, when the cache model is enabled.
     caches: Option<Vec<L1Cache>>,
-    /// Engine fast-path counters already folded into this monitor's
-    /// accounting (see [`CheckMonitor::apply_engine_deltas`]).
-    engine_stores_applied: u64,
-    engine_freed_applied: u64,
 }
 
 impl CheckMonitor {
@@ -197,16 +199,14 @@ impl CheckMonitor {
             rounding,
             ignore,
             ignored: ResolvedIgnore::default(),
-            cores: Vec::new(),
             hasher: Mix64Hasher::default(),
             output: OutputHasher::new(),
             records: Vec::new(),
             extra_instr: 0,
-            stores_seen: 0,
             hash_updates: 0,
+            stores: 0,
+            freed_words: 0,
             caches: None,
-            engine_stores_applied: 0,
-            engine_freed_applied: 0,
         }
     }
 
@@ -251,18 +251,6 @@ impl CheckMonitor {
         })
     }
 
-    fn core(&mut self, tid: ThreadId) -> &mut MhmCore {
-        if self.cores.len() <= tid {
-            let mut fresh = MhmCore::new();
-            if let Some(r) = self.rounding {
-                fresh.set_rounding(r);
-                fresh.start_fp_rounding();
-            }
-            self.cores.resize(tid + 1, fresh);
-        }
-        &mut self.cores[tid]
-    }
-
     fn round(&self, value: u64, kind: ValKind) -> u64 {
         match (kind, self.rounding) {
             (ValKind::F64, Some(r)) => r.apply_bits(value),
@@ -270,63 +258,48 @@ impl CheckMonitor {
         }
     }
 
-    /// Folds the engine fast path's cumulative counters into this
-    /// monitor's per-store accounting, by differencing against what was
-    /// already applied at the previous checkpoint.
-    ///
-    /// When the engine handles the store datapath (see
-    /// [`Monitor::fast_path`]), `on_store`/`on_free` never fire for
-    /// simulated-thread accesses; this reconstructs exactly what those
-    /// callbacks would have accumulated — store counts, hash-update
-    /// counts, and the Figure 6 instruction charges — so the run's
-    /// [`RunHashes`] are byte-identical either way.
-    fn apply_engine_deltas(&mut self, eh: &EngineHashes<'_>) {
-        let d_stores = eh.stores - self.engine_stores_applied;
-        let d_freed = eh.freed_words - self.engine_freed_applied;
-        self.engine_stores_applied = eh.stores;
-        self.engine_freed_applied = eh.freed_words;
-        self.stores_seen += d_stores;
-        if self.scheme.is_incremental() {
-            self.hash_updates += 2 * d_stores + 2 * d_freed;
-            if self.scheme == Scheme::SwInc {
-                self.extra_instr += SW_INC_INSTR_PER_STORE * d_stores;
-            }
-            let per_word = match self.scheme {
-                Scheme::HwInc => HW_INSTR_PER_EXCLUDED_WORD,
-                _ => SW_INSTR_PER_EXCLUDED_WORD,
-            };
-            self.extra_instr += per_word * d_freed;
+    /// Instructions to cancel one word out of a hash: a freed word, or
+    /// an ignored one at a checkpoint.
+    fn excluded_word_instr(&self) -> u64 {
+        match self.scheme {
+            Scheme::HwInc => HW_INSTR_PER_EXCLUDED_WORD,
+            _ => SW_INSTR_PER_EXCLUDED_WORD,
         }
     }
 
-    /// The incremental schemes' checkpoint hash: the modular sum of the
-    /// per-thread hashes, with the ignore-set's current contributions
-    /// cancelled (computed fresh per checkpoint, without mutating the
-    /// thread hashes).
-    ///
-    /// Under the engine fast path every store, the setup phase's
-    /// included, lands in the engine's per-thread sums and `cores` stays
-    /// empty; without it, `cores` holds them all. Commutativity makes
-    /// the sum the same state hash either way.
-    fn incremental_hash(&mut self, view: &StateView<'_>) -> HashSum {
-        let mut sum: HashSum = self.cores.iter().map(MhmCore::th).sum();
-        // Combining the THs is a rare software loop; one "unit" per
-        // per-thread hash register, matching the dyn path's lazily grown
-        // core set.
-        let mut units = self.cores.len() as u64;
-        if let Some(eh) = view.engine_hashes() {
-            sum = sum.combine(eh.sums.iter().copied().sum());
-            units = units.max(eh.sums.len() as u64);
+    /// The store datapath's share of the cost model as `(hash updates,
+    /// extra instructions)`, from the engine's counters: an incremental
+    /// scheme hashes (addr, old) and (addr, new) per store and cancels
+    /// every freed word, and SW-Inc also pays for each store's hashing
+    /// in software.
+    fn datapath_cost(&self) -> (u64, u64) {
+        if !self.scheme.is_incremental() {
+            return (0, 0);
         }
-        self.extra_instr += units;
+        let per_store = match self.scheme {
+            Scheme::SwInc => SW_INC_INSTR_PER_STORE,
+            _ => 0,
+        };
+        (
+            2 * (self.stores + self.freed_words),
+            per_store * self.stores + self.excluded_word_instr() * self.freed_words,
+        )
+    }
+
+    /// The incremental schemes' checkpoint hash: the modular sum of the
+    /// engine's per-thread hashes, with the ignore-set's current
+    /// contributions cancelled (computed fresh per checkpoint, without
+    /// mutating the thread hashes).
+    fn incremental_hash(&mut self, view: &StateView<'_>) -> HashSum {
+        let sums = view.engine_hashes().sums;
+        let mut sum: HashSum = sums.iter().copied().sum();
+        // Combining the per-thread hashes is a rare software loop: one
+        // unit per per-thread hash register.
+        self.extra_instr += sums.len() as u64;
         if !self.ignore.is_empty() {
             self.ignored.refresh(&self.ignore, view, &self.hasher);
             let n = self.ignored.words.len() as u64;
-            let per_word = match self.scheme {
-                Scheme::HwInc => HW_INSTR_PER_EXCLUDED_WORD,
-                _ => SW_INSTR_PER_EXCLUDED_WORD,
-            };
-            self.extra_instr += per_word * n;
+            self.extra_instr += self.excluded_word_instr() * n;
             self.hash_updates += 2 * n;
             // SH ⊕ Σ h(a, initial) ⊖ Σ h(a, current); allocations are
             // zero-filled, so the initial value is always 0.
@@ -380,12 +353,13 @@ impl CheckMonitor {
     /// Consumes the monitor, yielding the run's hash sequence.
     pub fn into_hashes(self) -> RunHashes {
         let cache = self.cache_stats();
+        let (updates, instr) = self.datapath_cost();
         RunHashes {
             checkpoints: self.records,
             output_digest: self.output.digest(),
-            extra_instr: self.extra_instr,
-            stores: self.stores_seen,
-            hash_updates: self.hash_updates,
+            extra_instr: self.extra_instr + instr,
+            stores: self.stores,
+            hash_updates: self.hash_updates + updates,
             cache,
         }
     }
@@ -422,7 +396,9 @@ fn hash_run(
 }
 
 impl Monitor for CheckMonitor {
-    fn on_store(&mut self, tid: ThreadId, addr: Addr, old: u64, new: u64, kind: ValKind) {
+    /// Drives the L1 model, the only reason this monitor asks for
+    /// accesses.
+    fn on_store(&mut self, tid: ThreadId, addr: Addr, _old: u64, _new: u64, _kind: ValKind) {
         let scheme = self.scheme;
         if let Some(l1) = self.l1(tid) {
             // Word addresses are byte-scaled (8 B/word) for line mapping.
@@ -431,47 +407,11 @@ impl Monitor for CheckMonitor {
                 l1.mhm_read_old(addr.raw() * 8);
             }
         }
-        match scheme {
-            Scheme::Native | Scheme::SwTr => {}
-            Scheme::HwInc | Scheme::SwInc => {
-                if scheme == Scheme::SwInc {
-                    self.extra_instr += SW_INC_INSTR_PER_STORE;
-                }
-                self.hash_updates += 2; // minus old, plus new
-                self.core(tid)
-                    .on_store(addr.raw(), old, new, kind == ValKind::F64);
-            }
-        }
-        self.stores_seen += 1;
     }
 
     fn on_load(&mut self, tid: ThreadId, addr: Addr, _value: u64, _kind: ValKind) {
         if let Some(l1) = self.l1(tid) {
             l1.load(addr.raw() * 8);
-        }
-    }
-
-    fn on_free(&mut self, tid: ThreadId, block: &BlockInfo, contents: &[u64]) {
-        // Freed memory leaves the program state: cancel each word's
-        // contribution back to the zero baseline so the incremental hash
-        // matches the live state. (The traversal scheme simply stops
-        // seeing the block.)
-        if !self.scheme.is_incremental() {
-            return;
-        }
-        let per_word = match self.scheme {
-            Scheme::HwInc => HW_INSTR_PER_EXCLUDED_WORD,
-            _ => SW_INSTR_PER_EXCLUDED_WORD,
-        };
-        self.extra_instr += per_word * contents.len() as u64;
-        self.hash_updates += 2 * contents.len() as u64;
-        let rounding = self.rounding;
-        let core = self.core(tid);
-        for (i, &value) in contents.iter().enumerate() {
-            let kind = block.kind_at(i);
-            let is_fp = kind == ValKind::F64 && rounding.is_some();
-            let addr = block.base.offset(i as u64).raw();
-            core.free_word(addr, value, is_fp);
         }
     }
 
@@ -484,11 +424,9 @@ impl Monitor for CheckMonitor {
     }
 
     fn on_checkpoint(&mut self, info: &CheckpointInfo, view: &StateView<'_>) {
-        if let Some(eh) = view.engine_hashes() {
-            // Checkpoints (including the guaranteed final `End`) are the
-            // reconciliation points for the engine fast path.
-            self.apply_engine_deltas(&eh);
-        }
+        let engine = view.engine_hashes();
+        self.stores = engine.stores;
+        self.freed_words = engine.freed_words;
         let hash = match self.scheme {
             Scheme::Native => HashSum::ZERO,
             Scheme::HwInc | Scheme::SwInc => self.incremental_hash(view),
@@ -501,18 +439,15 @@ impl Monitor for CheckMonitor {
     }
 
     fn extra_instructions(&self) -> u64 {
-        self.extra_instr
+        self.extra_instr + self.datapath_cost().1
     }
 
-    fn fast_path(&self) -> Option<FastPathSpec> {
-        if self.caches.is_some() {
-            // The L1/MHM cache model needs every access callback.
-            return None;
-        }
-        Some(FastPathSpec {
+    fn hash_spec(&self) -> HashSpec {
+        HashSpec {
             hashing: self.scheme.is_incremental(),
             rounding: self.rounding,
-        })
+            accesses: self.caches.is_some(),
+        }
     }
 }
 
@@ -531,24 +466,58 @@ mod tests {
         assert!(!Scheme::Native.is_checking());
     }
 
+    /// Runs a program whose thread `tid` (of `tid + 1`) stores `values`
+    /// into consecutive words of a global of `kind`, under `monitor`,
+    /// and returns the monitor.
+    fn stores_by(monitor: CheckMonitor, tid: usize, kind: ValKind, values: &[u64]) -> CheckMonitor {
+        use tsim::{ProgramBuilder, RunConfig};
+
+        let mut b = ProgramBuilder::new(tid + 1);
+        let g = b.global("g", kind, values.len());
+        for t in 0..=tid {
+            let values = if t == tid {
+                values.to_vec()
+            } else {
+                Vec::new()
+            };
+            b.thread(async move |ctx| {
+                for (i, v) in values.into_iter().enumerate() {
+                    match kind {
+                        ValKind::U64 => ctx.store(g.at(i), v).await,
+                        ValKind::F64 => ctx.store_f64(g.at(i), f64::from_bits(v)).await,
+                    }
+                }
+            });
+        }
+        b.build()
+            .run_with(&RunConfig::random(0), monitor)
+            .unwrap()
+            .monitor
+    }
+
     #[test]
     fn native_records_zero_hashes_and_no_extra_cost() {
-        let mut m = CheckMonitor::new(Scheme::Native, None, IgnoreSpec::new());
-        m.on_store(0, Addr(0x1000), 0, 5, ValKind::U64);
+        let m = CheckMonitor::new(Scheme::Native, None, IgnoreSpec::new());
+        let m = stores_by(m, 0, ValKind::U64, &[5]);
         assert_eq!(m.extra_instructions(), 0);
-        assert_eq!(m.into_hashes().stores, 1);
+        let hashes = m.into_hashes();
+        assert_eq!(hashes.stores, 1);
+        assert_eq!(hashes.hash_updates, 0);
+        assert_eq!(hashes.checkpoints[0].hash, HashSum::ZERO);
     }
 
     #[test]
     fn sw_inc_charges_per_store_and_hw_does_not() {
-        let mut hw = CheckMonitor::new(Scheme::HwInc, None, IgnoreSpec::new());
-        let mut sw = CheckMonitor::new(Scheme::SwInc, None, IgnoreSpec::new());
-        for i in 0..10 {
-            hw.on_store(0, Addr(0x1000 + i), 0, i, ValKind::U64);
-            sw.on_store(0, Addr(0x1000 + i), 0, i, ValKind::U64);
-        }
-        assert_eq!(hw.extra_instructions(), 0);
-        assert_eq!(sw.extra_instructions(), 10 * SW_INC_INSTR_PER_STORE);
+        let values: Vec<u64> = (0..10).collect();
+        let run = |scheme| {
+            let m = CheckMonitor::new(scheme, None, IgnoreSpec::new());
+            stores_by(m, 0, ValKind::U64, &values)
+        };
+        let (hw, sw) = (run(Scheme::HwInc), run(Scheme::SwInc));
+        // Both combine one per-thread hash at the `End` checkpoint.
+        assert_eq!(hw.extra_instructions(), 1);
+        assert_eq!(sw.extra_instructions(), 1 + 10 * SW_INC_INSTR_PER_STORE);
+        assert_eq!(hw.into_hashes().hash_updates, 20);
     }
 
     /// The Section 4.1 caveat, demonstrated at the hash level: if the
@@ -574,16 +543,20 @@ mod tests {
     }
 
     #[test]
-    fn rounding_configures_cores_lazily() {
-        let mut m = CheckMonitor::new(Scheme::HwInc, Some(FpRound::default()), IgnoreSpec::new());
-        let noisy: f64 = 0.1 + 0.2 + 0.3;
-        let clean: f64 = 0.6;
-        m.on_store(3, Addr(0x8), 0, noisy.to_bits(), ValKind::F64);
-        let mut n = CheckMonitor::new(Scheme::HwInc, Some(FpRound::default()), IgnoreSpec::new());
-        n.on_store(3, Addr(0x8), 0, clean.to_bits(), ValKind::F64);
-        assert_eq!(m.cores[3].th(), n.cores[3].th());
-        // Cores 0..2 exist but are untouched.
-        assert_eq!(m.cores.len(), 4);
+    fn rounding_applies_to_lazily_grown_thread_sums() {
+        let run = |value: f64| {
+            let m = CheckMonitor::new(Scheme::HwInc, Some(FpRound::default()), IgnoreSpec::new());
+            stores_by(m, 3, ValKind::F64, &[value.to_bits()])
+        };
+        let (noisy, clean) = (run(0.1 + 0.2 + 0.3), run(0.6));
+        assert_ne!((0.1 + 0.2 + 0.3f64).to_bits(), 0.6f64.to_bits());
+        // Only thread 3 stored, yet the sums grew to four: the `End`
+        // checkpoint combines four per-thread hashes.
+        assert_eq!(noisy.extra_instructions(), 4);
+        assert_eq!(
+            noisy.into_hashes().checkpoints,
+            clean.into_hashes().checkpoints
+        );
     }
 
     #[test]
@@ -593,9 +566,9 @@ mod tests {
         assert_eq!(m.scheme(), Scheme::SwTr);
     }
 
-    /// Delegates to a [`CheckMonitor`] on the per-access dispatch path
-    /// and, at every checkpoint, compares the monitor's hash and the
-    /// checkpoint's own counter increments with a from-scratch
+    /// Delegates to a [`CheckMonitor`], which hashes through the engine's
+    /// datapath, and at every checkpoint compares the monitor's hash and
+    /// the checkpoint's own counter increments with a from-scratch
     /// reference computed on the same view.
     struct Referee {
         inner: CheckMonitor,
@@ -625,11 +598,8 @@ mod tests {
     }
 
     impl Monitor for Referee {
-        fn on_store(&mut self, tid: ThreadId, addr: Addr, old: u64, new: u64, kind: ValKind) {
-            self.inner.on_store(tid, addr, old, new, kind);
-        }
-        fn on_free(&mut self, tid: ThreadId, block: &BlockInfo, contents: &[u64]) {
-            self.inner.on_free(tid, block, contents);
+        fn hash_spec(&self) -> HashSpec {
+            self.inner.hash_spec()
         }
         fn on_checkpoint(&mut self, info: &CheckpointInfo, view: &StateView<'_>) {
             let m = &self.inner;
@@ -687,7 +657,7 @@ mod tests {
                         Scheme::HwInc => HW_INSTR_PER_EXCLUDED_WORD,
                         _ => SW_INSTR_PER_EXCLUDED_WORD,
                     };
-                    let units = m.cores.len() as u64;
+                    let units = view.engine_hashes().sums.len() as u64;
                     (hash, 2 * n_ignored, units + per_word * n_ignored)
                 }
             };

@@ -52,7 +52,7 @@ use crate::image::SetupImage;
 use crate::libcalls::{LibCalls, LibLog};
 use crate::mem::Memory;
 use crate::monitor::{
-    CheckpointInfo, CheckpointKind, EngineHashes, FastPathSpec, Monitor, NullMonitor, StateView,
+    CheckpointInfo, CheckpointKind, EngineHashes, HashSpec, Monitor, NullMonitor, StateView,
 };
 use crate::program::{GlobalDecl, Program, RunConfig, Setup, ThreadBody};
 use crate::sched::{Scheduler, SwitchPolicy};
@@ -151,20 +151,22 @@ struct ThreadSlot {
     access_count: u64,
 }
 
-/// Engine-side store datapath for monitors that claim a
-/// [`FastPathSpec`]: replaces the per-store virtual dispatch with
-/// monomorphic batched incremental hashing (folded four lanes wide at
+/// The engine's store datapath, run per the monitor's [`HashSpec`]:
+/// counts every store and, when hashing, keeps per-thread incremental
+/// sums through monomorphic batched hashing (folded four lanes wide at
 /// flush, see [`DeltaBatch`]).
 struct HotState {
     hashing: bool,
     rounding: Option<FpRound>,
+    /// Deliver `on_store`/`on_load` to the monitor too.
+    accesses: bool,
     hasher: Mix64Hasher,
     /// Deltas buffered since the last flush; all belong to `batch_tid`.
     batch: DeltaBatch,
     batch_tid: ThreadId,
-    /// Per-thread incremental sums, grown lazily to the highest storing
-    /// thread id (mirrors the lazy per-core growth of the dyn-path
-    /// checker, which the cost model observes).
+    /// Per-thread incremental sums, grown lazily to the highest thread
+    /// id that stored or freed (the checker's cost model charges one
+    /// unit per sum).
     sums: Vec<HashSum>,
     stores: u64,
     freed_words: u64,
@@ -173,10 +175,11 @@ struct HotState {
 }
 
 impl HotState {
-    fn new(spec: FastPathSpec) -> Self {
+    fn new(spec: HashSpec) -> Self {
         HotState {
             hashing: spec.hashing,
             rounding: spec.rounding,
+            accesses: spec.accesses,
             hasher: Mix64Hasher::default(),
             batch: DeltaBatch::new(),
             batch_tid: 0,
@@ -188,8 +191,8 @@ impl HotState {
     }
 
     /// Rounds a word iff it is an FP store and rounding is configured —
-    /// exactly `MhmCore::round_off` semantics, so the fast path hashes
-    /// bit-identically to the dyn-path checker.
+    /// exactly `MhmCore::round_off` semantics, so the engine hashes
+    /// bit-identically to the paper's hardware model.
     #[inline]
     fn round(&self, bits: u64, kind: ValKind) -> u64 {
         match (kind, self.rounding) {
@@ -198,15 +201,29 @@ impl HotState {
         }
     }
 
+    /// `tid`'s sum, grown to it if needed.
+    fn sum_mut(&mut self, tid: ThreadId) -> &mut HashSum {
+        if self.sums.len() <= tid {
+            self.sums.resize(tid + 1, HashSum::ZERO);
+        }
+        &mut self.sums[tid]
+    }
+
     /// Folds the buffered deltas into `batch_tid`'s sum.
     fn flush_batch(&mut self) {
         if !self.batch.is_empty() {
             let sum = self.batch.flush(&self.hasher);
-            let tid = self.batch_tid;
-            if self.sums.len() <= tid {
-                self.sums.resize(tid + 1, HashSum::ZERO);
-            }
-            self.sums[tid] = self.sums[tid].combine(sum);
+            let total = self.sum_mut(self.batch_tid);
+            *total = total.combine(sum);
+        }
+    }
+
+    /// The datapath's counters and flushed sums, for a checkpoint.
+    fn hashes(&self) -> EngineHashes<'_> {
+        EngineHashes {
+            sums: &self.sums,
+            stores: self.stores,
+            freed_words: self.freed_words,
         }
     }
 
@@ -223,6 +240,29 @@ impl HotState {
         }
         self.batch
             .push(addr.raw(), self.round(old, kind), self.round(new, kind));
+    }
+
+    /// `tid` freed `block`, whose words `mem` still holds: the block
+    /// leaves the live state, so cancel every word's contribution (delta
+    /// current → 0, rounded as a store of its kind would be) via one
+    /// fused run over the block's contiguous words.
+    fn on_free(&mut self, tid: ThreadId, block: &BlockInfo, mem: &Memory) {
+        self.freed_words += block.len as u64;
+        if !self.hashing {
+            return;
+        }
+        self.flush_batch();
+        let mut pairs = std::mem::take(&mut self.free_scratch);
+        pairs.clear();
+        for i in 0..block.len {
+            let cur = mem.read(block.base.offset(i as u64)).unwrap_or(0);
+            let kind = block.kind_at(i);
+            pairs.push((self.round(cur, kind), self.round(0, kind)));
+        }
+        let delta = hash_delta_run(&self.hasher, block.base.raw(), &pairs);
+        let sum = self.sum_mut(tid);
+        *sum = sum.combine(delta);
+        self.free_scratch = pairs;
     }
 }
 
@@ -241,7 +281,7 @@ struct Central {
     scheduler: Box<dyn Scheduler + Send>,
     switch: SwitchPolicy,
     monitor: Box<dyn AnyMonitor + Send>,
-    hot: Option<HotState>,
+    hot: HotState,
     zero_fill_instr: u64,
     charge_zero_fill: bool,
     lib: LibCalls,
@@ -320,16 +360,15 @@ impl Central {
         }
     }
 
-    /// Hands a store to the engine datapath when the monitor claims it,
-    /// and to the monitor's `on_store` otherwise.
+    /// Hands a store to the engine datapath, and to the monitor's
+    /// `on_store` when its spec asks for accesses.
     #[inline]
     fn observe_store(&mut self, tid: ThreadId, addr: Addr, old: u64, new: u64, kind: ValKind) {
-        match &mut self.hot {
-            Some(hot) => hot.on_store(tid, addr, old, new, kind),
-            None => self
-                .monitor
+        self.hot.on_store(tid, addr, old, new, kind);
+        if self.hot.accesses {
+            self.monitor
                 .as_monitor()
-                .on_store(tid, addr, old, new, kind),
+                .on_store(tid, addr, old, new, kind);
         }
     }
 
@@ -403,19 +442,10 @@ impl Central {
             hot,
             ..
         } = self;
-        let mut view = StateView::new(mem, globals, alloc.table(), alloc.epoch());
-        if let Some(h) = hot.as_mut() {
-            // Checkpoints are flush boundaries: drain the delta batch so
-            // the per-thread sums are exact, then expose them.
-            h.flush_batch();
-        }
-        if let Some(h) = hot.as_ref() {
-            view = view.with_engine(EngineHashes {
-                sums: &h.sums,
-                stores: h.stores,
-                freed_words: h.freed_words,
-            });
-        }
+        // Checkpoints are flush boundaries: drain the delta batch so the
+        // per-thread sums are exact, then expose them.
+        hot.flush_batch();
+        let view = StateView::new(mem, globals, alloc.table(), alloc.epoch(), hot.hashes());
         monitor
             .as_monitor()
             .on_checkpoint(&CheckpointInfo { seq, kind }, &view);
@@ -659,10 +689,7 @@ impl ThreadCtx {
             c.threads[tid].instr += COST_ACCESS;
             match c.mem.read(addr) {
                 Some(value) => {
-                    if c.hot.is_none() {
-                        // A fast-path claim covers loads too (a claiming
-                        // monitor's `on_load` is a no-op), so the dispatch
-                        // is skipped entirely.
+                    if c.hot.accesses {
                         c.monitor.as_monitor().on_load(tid, addr, value, kind);
                     }
                     c.trace_push(tid, TraceOp::Load(addr));
@@ -1179,39 +1206,7 @@ impl ThreadCtx {
         {
             let mut guard = self.central();
             let central = &mut *guard;
-            match &mut central.hot {
-                Some(hot) => {
-                    hot.freed_words += block.len as u64;
-                    if hot.hashing {
-                        // The freed block leaves the live state: cancel every
-                        // word's contribution (delta current → 0, rounded as
-                        // the dyn-path checker would) via one fused run over
-                        // the block's contiguous words.
-                        hot.flush_batch();
-                        if hot.sums.len() <= tid {
-                            hot.sums.resize(tid + 1, HashSum::ZERO);
-                        }
-                        let mut pairs = std::mem::take(&mut hot.free_scratch);
-                        pairs.clear();
-                        for i in 0..block.len {
-                            let a = block.base.offset(i as u64);
-                            let cur = central.mem.read(a).unwrap_or(0);
-                            let kind = block.kind_at(i);
-                            pairs.push((hot.round(cur, kind), hot.round(0, kind)));
-                        }
-                        let delta = hash_delta_run(&hot.hasher, block.base.raw(), &pairs);
-                        hot.sums[tid] = hot.sums[tid].combine(delta);
-                        hot.free_scratch = pairs;
-                    }
-                }
-                None => {
-                    let contents: Vec<u64> = block
-                        .iter()
-                        .map(|a| central.mem.read(a).unwrap_or(0))
-                        .collect();
-                    central.monitor.as_monitor().on_free(tid, &block, &contents);
-                }
-            }
+            central.hot.on_free(tid, &block, &central.mem);
             central.trace_push(tid, TraceOp::Free { base: addr });
             central.obs_emit(|step| {
                 obs::Event::instant(step, tid as u32, "free").with_arg("base", addr.0)
@@ -1307,11 +1302,10 @@ fn lib_perturb(c: &mut Central, tid: ThreadId, v: u64) -> u64 {
 /// still observed, attributed to thread 0, so that the identical input
 /// contributes identically to every run.
 ///
-/// Stores reach the run's [`Monitor`] through `on_store`, unless it
-/// claims [`Monitor::fast_path`]: then, exactly like thread stores, they
-/// go to the engine's batched datapath and land in thread 0's engine
-/// sum, and the monitor gets no callback for them. Allocations always
-/// reach `on_alloc`.
+/// Stores take the engine's datapath exactly like thread stores and
+/// land in thread 0's engine sum; the monitor's `on_store` sees them
+/// only when its [`HashSpec`] asks for accesses. Loads reach no
+/// callback. Allocations always reach `on_alloc`.
 ///
 /// The context reaches memory, the allocator, thread 0's instruction
 /// count, the zero-fill charge and the store datapath, and nothing
@@ -1434,6 +1428,8 @@ pub struct RunOutcome<M> {
     pub faults: Vec<FaultRecord>,
     /// The recorded trace, if requested.
     pub trace: Option<Trace>,
+    /// The store datapath at the end of the run.
+    hot: HotState,
     mem: Memory,
     globals: Vec<GlobalDecl>,
     blocks: BTreeMap<u64, BlockInfo>,
@@ -1463,7 +1459,13 @@ impl<M> RunOutcome<M> {
 
     /// A view of the final live state (globals + live heap blocks).
     pub fn final_state(&self) -> StateView<'_> {
-        StateView::new(&self.mem, &self.globals, &self.blocks, self.alloc_epoch)
+        StateView::new(
+            &self.mem,
+            &self.globals,
+            &self.blocks,
+            self.alloc_epoch,
+            self.hot.hashes(),
+        )
     }
 
     /// Total native instructions across all threads (excluding monitor
@@ -1560,7 +1562,7 @@ impl Central {
         globals: Vec<GlobalDecl>,
         config: &RunConfig,
         monitor: Box<dyn AnyMonitor + Send>,
-        hot: Option<HotState>,
+        spec: HashSpec,
         image: Option<&SetupImage>,
     ) -> Central {
         let nthreads = prog.nthreads;
@@ -1601,7 +1603,7 @@ impl Central {
             scheduler,
             switch: config.switch,
             monitor,
-            hot,
+            hot: HotState::new(spec),
             zero_fill_instr: 0,
             charge_zero_fill: config.charge_zero_fill,
             lib: LibCalls::new(nthreads, config.lib_seed, config.lib_replay.clone()),
@@ -1631,14 +1633,10 @@ impl Central {
         if let Some(img) = image {
             central.threads[0].instr = img.setup_instr;
             central.zero_fill_instr = img.zero_fill_instr;
-            let hot = central
-                .hot
-                .as_mut()
-                .expect("an image fits only a claiming monitor");
-            hot.sums.clone_from(&img.sums);
-            hot.stores = img.stores;
-            // The setup phase's callbacks: a claiming monitor saw only
-            // its allocations.
+            central.hot.sums.clone_from(&img.sums);
+            central.hot.stores = img.stores;
+            // The setup phase's callbacks: a monitor that starts from an
+            // image asks for no accesses, so it saw only the allocations.
             let table = central.alloc.table();
             for (base, _) in &img.blocks {
                 central.monitor.as_monitor().on_alloc(0, &table[base]);
@@ -1649,32 +1647,26 @@ impl Central {
 }
 
 /// Executes `prog`'s setup phase alone, as a run under `config` whose
-/// monitor claims `spec` would, and captures the state after it (see
+/// monitor's spec is `spec` would, and captures the state after it (see
 /// [`Program::setup_image`]).
 pub(crate) fn setup_image(
     prog: &mut Program,
     config: &RunConfig,
-    spec: FastPathSpec,
+    spec: HashSpec,
 ) -> Option<SetupImage> {
+    assert!(
+        !spec.accesses,
+        "an image cannot replay the setup phase's access callbacks"
+    );
     let Setup::Pending(body) = std::mem::replace(&mut prog.setup, Setup::Taken) else {
         panic!("the program's setup phase was already taken by setup_image");
     };
     let globals = prog.globals.clone();
-    let mut central = Central::new(
-        prog,
-        globals,
-        config,
-        Box::new(NullMonitor),
-        Some(HotState::new(spec)),
-        None,
-    );
+    let mut central = Central::new(prog, globals, config, Box::new(NullMonitor), spec, None);
     if let Some(body) = body {
         body(&mut SetupCtx { c: &mut central });
     }
-    let mut hot = central
-        .hot
-        .take()
-        .expect("the setup phase ran on the fast path");
+    let mut hot = central.hot;
     hot.flush_batch();
     let image = SetupImage {
         spec,
@@ -1707,8 +1699,8 @@ pub(crate) fn run<M: Monitor + 'static>(
 ) -> Result<RunOutcome<M>, SimError> {
     install_quiet_abort_hook();
 
-    // Consult the monitor's fast-path claim once, before it is boxed.
-    let spec = monitor.fast_path();
+    // Consult the monitor's spec once, before it is boxed.
+    let spec = monitor.hash_spec();
     let setup = std::mem::replace(&mut prog.setup, Setup::Taken);
     let image = match (image.filter(|img| img.fits(&prog, config, spec)), &setup) {
         (Some(img), _) => Some(img),
@@ -1725,14 +1717,7 @@ pub(crate) fn run<M: Monitor + 'static>(
         ),
     };
     let globals = std::mem::take(&mut prog.globals);
-    let mut central = Central::new(
-        &prog,
-        globals,
-        config,
-        Box::new(monitor),
-        spec.map(HotState::new),
-        image,
-    );
+    let mut central = Central::new(&prog, globals, config, Box::new(monitor), spec, image);
     if image.is_none() {
         if let Setup::Pending(Some(body)) = setup {
             body(&mut SetupCtx { c: &mut central });
@@ -1776,6 +1761,7 @@ pub(crate) fn run<M: Monitor + 'static>(
         replay_misses,
         faults: central.faults.map_or_else(Vec::new, FaultState::into_log),
         trace: central.trace,
+        hot: central.hot,
         mem: central.mem,
         globals: central.globals,
         blocks,

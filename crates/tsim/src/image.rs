@@ -8,7 +8,7 @@ use adhash::HashSum;
 
 use crate::alloc::{AllocLog, Allocator};
 use crate::mem::{Memory, HEAP_BASE};
-use crate::monitor::FastPathSpec;
+use crate::monitor::HashSpec;
 use crate::program::{GlobalDecl, Program, RunConfig};
 use crate::types::Addr;
 
@@ -29,9 +29,11 @@ use crate::types::Addr;
 /// config would produce it bit for bit. The check is exact and costs
 /// O(setup allocations). An image fits when all of these hold:
 ///
-/// - the run's monitor claims [`Monitor::fast_path`](crate::Monitor::fast_path)
-///   with the [`FastPathSpec`] the image was built with (same hashing and
-///   rounding), so a non-claiming monitor never uses an image;
+/// - the run's monitor's [`Monitor::hash_spec`](crate::Monitor::hash_spec)
+///   equals the [`HashSpec`] the image was built with (same hashing and
+///   rounding). No image is built for a spec that asks for accesses:
+///   an image holds no setup-phase `on_store`s, so a monitor that wants
+///   them never uses one;
 /// - the run's [`charge_zero_fill`](RunConfig::charge_zero_fill), thread
 ///   count and global layout equal the image's;
 /// - every setup allocation would get the address it has in the image:
@@ -49,7 +51,7 @@ use crate::types::Addr;
 /// only start runs of programs built by the same source as the one it
 /// was taken from.
 pub struct SetupImage {
-    pub(crate) spec: FastPathSpec,
+    pub(crate) spec: HashSpec,
     pub(crate) charge_zero_fill: bool,
     pub(crate) nthreads: usize,
     pub(crate) globals: Vec<GlobalDecl>,
@@ -81,14 +83,9 @@ impl std::fmt::Debug for SetupImage {
 
 impl SetupImage {
     /// The fit rule (see the type's docs) for a run of `prog` under
-    /// `config` whose monitor claims `spec`.
-    pub(crate) fn fits(
-        &self,
-        prog: &Program,
-        config: &RunConfig,
-        spec: Option<FastPathSpec>,
-    ) -> bool {
-        spec == Some(self.spec)
+    /// `config` whose monitor's spec is `spec`.
+    pub(crate) fn fits(&self, prog: &Program, config: &RunConfig, spec: HashSpec) -> bool {
+        spec == self.spec
             && config.charge_zero_fill == self.charge_zero_fill
             && prog.nthreads == self.nthreads
             && prog.globals == self.globals
@@ -116,12 +113,12 @@ impl SetupImage {
     }
 
     /// Whether this image, kept by a program whose setup phase had a
-    /// replay miss, was built under `config` with a monitor claiming
-    /// `spec` (the replay log compared by identity).
+    /// replay miss, was built under `config` for a monitor whose spec
+    /// is `spec` (the replay log compared by identity).
     pub(crate) fn built_under(
         &self,
         config: &RunConfig,
-        spec: Option<FastPathSpec>,
+        spec: HashSpec,
         replay: Option<&Arc<AllocLog>>,
     ) -> bool {
         let same_log = match (replay, &config.alloc_replay) {
@@ -129,6 +126,6 @@ impl SetupImage {
             (None, None) => true,
             _ => false,
         };
-        spec == Some(self.spec) && config.charge_zero_fill == self.charge_zero_fill && same_log
+        spec == self.spec && config.charge_zero_fill == self.charge_zero_fill && same_log
     }
 }

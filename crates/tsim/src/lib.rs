@@ -77,7 +77,7 @@ pub use image::SetupImage;
 pub use libcalls::LibLog;
 pub use mem::{Memory, GLOBALS_BASE, HEAP_BASE};
 pub use monitor::{
-    CheckpointInfo, CheckpointKind, EngineHashes, FastPathSpec, Monitor, NullMonitor, StateView,
+    CheckpointInfo, CheckpointKind, EngineHashes, HashSpec, Monitor, NullMonitor, StateView,
 };
 pub use program::{GlobalDecl, Program, ProgramBuilder, RunConfig};
 pub use sched::{

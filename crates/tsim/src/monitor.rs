@@ -9,50 +9,51 @@ use crate::mem::Memory;
 use crate::program::GlobalDecl;
 use crate::types::{Addr, BarrierId, ThreadId, ValKind};
 
-/// A monitor's claim that the engine may handle its store/load datapath
-/// itself (see [`Monitor::fast_path`]).
+/// What a monitor asks of the engine's store datapath (see
+/// [`Monitor::hash_spec`]).
 ///
-/// A claiming monitor stops receiving `on_store`/`on_load`/`on_free`
-/// callbacks for accesses performed by simulated threads, and
-/// `on_store` for the stores of the setup phase
-/// ([`SetupCtx`](crate::SetupCtx)). Instead the engine maintains
-/// per-thread incremental hash sums with the default
-/// [`adhash::Mix64Hasher`] (when `hashing` is set), batched and folded
-/// four lanes wide, and hands the results to the monitor at every
-/// checkpoint via [`StateView::engine_hashes`]. Setup-phase stores land
-/// in thread 0's sum, the thread the setup phase is attributed to. Every
-/// other callback (`on_alloc`, `on_output`, `on_checkpoint`) is
-/// delivered as usual.
+/// The engine sees every store: the simulated threads' stores, their
+/// `fetch_add`/`compare_and_swap` writes and the setup phase's stores
+/// ([`SetupCtx`](crate::SetupCtx)), which are attributed to thread 0. It
+/// counts them and, when `hashing` is set, keeps one incremental hash sum
+/// per thread with the default [`adhash::Mix64Hasher`], batched and
+/// folded four lanes wide. A free cancels the block's words out of the
+/// freeing thread's sum. The monitor reads the sums and counts at every
+/// checkpoint through [`StateView::engine_hashes`].
 ///
-/// Because a claiming monitor sees nothing of the setup phase but its
-/// allocations, a run may start from a [`SetupImage`](crate::SetupImage)
-/// built under the same spec instead of executing the setup phase
-/// ([`Program::run_from`](crate::Program::run_from)); the monitor then
-/// gets the setup blocks' `on_alloc`s, in allocation order, at run start.
+/// The default spec (no hashing, no rounding, no accesses) is the
+/// *Native* configuration: the engine only counts stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FastPathSpec {
-    /// Maintain per-thread incremental hash sums over the stores. When
-    /// `false` the engine only counts (the *Native* configuration).
+pub struct HashSpec {
+    /// Keep per-thread incremental hash sums over the stores. When
+    /// `false` the engine only counts.
     pub hashing: bool,
     /// Round off FP stores (both old and new value) with this mode before
     /// hashing, exactly as the `mhm` crate's `MhmCore` would. `None`
-    /// hashes FP bits
-    /// exactly.
+    /// hashes FP bits exactly.
     pub rounding: Option<FpRound>,
+    /// Also deliver [`Monitor::on_store`] for every store the engine sees
+    /// and [`Monitor::on_load`] for every simulated thread's load. These
+    /// callbacks only drive observers (a cache model, a test recorder);
+    /// the hashing stays the engine's. A run whose monitor sets this
+    /// never starts from a [`SetupImage`](crate::SetupImage), so the
+    /// monitor sees the setup phase's stores too.
+    pub accesses: bool,
 }
 
-/// The engine-side accumulation handed to a fast-path monitor at each
-/// checkpoint (via [`StateView::engine_hashes`]).
+/// The engine's store datapath state handed to the monitor at each
+/// checkpoint (via [`StateView::engine_hashes`]), maintained per the
+/// monitor's [`HashSpec`].
 ///
-/// All counters are cumulative over the run so far; a monitor reconciles
-/// by differencing against the previous checkpoint's values.
+/// All counters are cumulative over the run so far.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineHashes<'a> {
-    /// Per-thread incremental hash sums (index = thread id). All zeros
-    /// when the fast path ran with `hashing: false`.
+    /// Per-thread incremental hash sums (index = thread id), grown
+    /// lazily to the highest thread id that stored or freed. Empty when
+    /// the spec has `hashing: false`.
     pub sums: &'a [HashSum],
-    /// Total monitored stores so far: the setup phase's and the
-    /// simulated threads'.
+    /// Total stores so far: the setup phase's and the simulated
+    /// threads'.
     pub stores: u64,
     /// Total words of freed heap blocks whose contribution the engine
     /// cancelled out of the sums so far.
@@ -94,7 +95,7 @@ pub struct StateView<'a> {
     globals: &'a [GlobalDecl],
     blocks: &'a BTreeMap<u64, BlockInfo>,
     alloc_epoch: u64,
-    engine: Option<EngineHashes<'a>>,
+    engine: EngineHashes<'a>,
 }
 
 impl<'a> StateView<'a> {
@@ -103,24 +104,20 @@ impl<'a> StateView<'a> {
         globals: &'a [GlobalDecl],
         blocks: &'a BTreeMap<u64, BlockInfo>,
         alloc_epoch: u64,
+        engine: EngineHashes<'a>,
     ) -> Self {
         StateView {
             mem,
             globals,
             blocks,
             alloc_epoch,
-            engine: None,
+            engine,
         }
     }
 
-    pub(crate) fn with_engine(mut self, engine: EngineHashes<'a>) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// The engine-side hash accumulation, present iff the run's monitor
-    /// claimed the store datapath via [`Monitor::fast_path`].
-    pub fn engine_hashes(&self) -> Option<EngineHashes<'a>> {
+    /// The engine's per-thread hash sums and store counts at this point
+    /// of the run (see [`HashSpec`]).
+    pub fn engine_hashes(&self) -> EngineHashes<'a> {
         self.engine
     }
 
@@ -199,22 +196,29 @@ impl<'a> StateView<'a> {
 /// Observer of a simulated run — the instrumentation hook surface.
 ///
 /// This is the role Pin instrumentation (and the modeled MHM hardware)
-/// plays in the paper: it sees every store with its old and new value,
-/// every allocation and free, every output byte, and every checkpoint.
-/// All methods default to no-ops so a monitor implements only what it
+/// plays in the paper. The store-hashing itself is the engine's: a
+/// monitor states what it needs in [`hash_spec`](Monitor::hash_spec)
+/// and reads the per-thread sums at every checkpoint through
+/// [`StateView::engine_hashes`]. The callbacks report every allocation,
+/// every output byte and every checkpoint, and, when the spec asks for
+/// accesses, every store with its old and new value and every load.
+/// All methods default to no-ops, so a monitor implements only what it
 /// needs.
 ///
-/// Methods are invoked with the machine lock held and execution
-/// serialized, so a monitor needs no internal synchronization.
+/// Methods are invoked while the run's execution is serialized, so a
+/// monitor needs no internal synchronization.
 #[allow(unused_variables)]
 pub trait Monitor: Send {
-    /// A store of `new` over `old` at `addr` by `tid`.
+    /// A store of `new` over `old` at `addr` by `tid`, delivered only
+    /// when [`hash_spec`](Monitor::hash_spec) sets `accesses`. Setup-phase
+    /// stores come from thread 0.
     ///
     /// `kind` is [`ValKind::F64`] iff the program issued an FP store —
     /// the information the paper's LLVM pass provides to the MHM.
     fn on_store(&mut self, tid: ThreadId, addr: Addr, old: u64, new: u64, kind: ValKind) {}
 
-    /// A load of `value` from `addr` by `tid`.
+    /// A load of `value` from `addr` by simulated thread `tid`, delivered
+    /// only when [`hash_spec`](Monitor::hash_spec) sets `accesses`.
     fn on_load(&mut self, tid: ThreadId, addr: Addr, value: u64, kind: ValKind) {}
 
     /// A new heap block was allocated (already zero-filled).
@@ -224,11 +228,6 @@ pub trait Monitor: Send {
     /// order) at run start, before any thread runs, exactly as executing
     /// the setup phase would.
     fn on_alloc(&mut self, tid: ThreadId, block: &BlockInfo) {}
-
-    /// A heap block was freed. `contents` holds the words of the block at
-    /// free time (an incremental checker uses them to cancel the block's
-    /// contribution out of the running hash).
-    fn on_free(&mut self, tid: ThreadId, block: &BlockInfo, contents: &[u64]) {}
 
     /// Bytes appended to the program output stream.
     fn on_output(&mut self, tid: ThreadId, bytes: &[u8]) {}
@@ -244,23 +243,15 @@ pub trait Monitor: Send {
         0
     }
 
-    /// Opt this monitor into the engine's monomorphic store datapath.
+    /// What this monitor needs of the engine's store datapath: whether
+    /// to hash, how to round FP stores, and whether to deliver the
+    /// per-access callbacks. The default hashes nothing and delivers no
+    /// accesses (the *Native* configuration).
     ///
-    /// Returning `Some(spec)` promises that `on_store`, `on_load` and
-    /// `on_free` for simulated-thread accesses, and `on_store` for
-    /// setup-phase stores, are redundant with the engine maintaining
-    /// per-thread incremental hash sums per `spec` (delivered at
-    /// checkpoints through [`StateView::engine_hashes`]; setup stores
-    /// count toward thread 0's sum). The engine then skips the virtual
-    /// dispatch on every access — the hot path of the whole simulator —
-    /// and a claiming monitor never sees `on_store` at all. Monitors that
-    /// need per-access callbacks (recorders, cache models) keep the
-    /// default `None`.
-    ///
-    /// The claim is consulted once at run start; it must not change over
+    /// The spec is consulted once at run start; it must not change over
     /// the monitor's lifetime.
-    fn fast_path(&self) -> Option<FastPathSpec> {
-        None
+    fn hash_spec(&self) -> HashSpec {
+        HashSpec::default()
     }
 }
 
@@ -268,22 +259,19 @@ pub trait Monitor: Send {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullMonitor;
 
-impl Monitor for NullMonitor {
-    fn fast_path(&self) -> Option<FastPathSpec> {
-        // Nothing to observe: let the engine count stores and skip both
-        // the dispatch and the hashing.
-        Some(FastPathSpec {
-            hashing: false,
-            rounding: None,
-        })
-    }
-}
+impl Monitor for NullMonitor {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mem::GLOBALS_BASE;
     use crate::types::{Region, TypeTag};
+
+    const NO_ENGINE: EngineHashes<'static> = EngineHashes {
+        sums: &[],
+        stores: 0,
+        freed_words: 0,
+    };
 
     fn fixture() -> (Memory, Vec<GlobalDecl>, BTreeMap<u64, BlockInfo>) {
         let mut mem = Memory::new(3);
@@ -317,7 +305,7 @@ mod tests {
     #[test]
     fn live_regions_cover_globals_and_heap() {
         let (mem, globals, blocks) = fixture();
-        let view = StateView::new(&mem, &globals, &blocks, 4);
+        let view = StateView::new(&mem, &globals, &blocks, 4, NO_ENGINE);
         let regions: Vec<_> = view.live_regions().collect();
         assert_eq!(
             regions,
@@ -338,7 +326,7 @@ mod tests {
     #[test]
     fn lookup_helpers() {
         let (mem, globals, blocks) = fixture();
-        let view = StateView::new(&mem, &globals, &blocks, 0);
+        let view = StateView::new(&mem, &globals, &blocks, 0, NO_ENGINE);
         assert!(view.global("g").is_some());
         assert!(view.global("nope").is_none());
         assert_eq!(view.blocks().count(), 1);
@@ -351,7 +339,7 @@ mod tests {
     #[test]
     fn null_monitor_is_free() {
         let (mem, globals, blocks) = fixture();
-        let view = StateView::new(&mem, &globals, &blocks, 0);
+        let view = StateView::new(&mem, &globals, &blocks, 0, NO_ENGINE);
         let mut m = NullMonitor;
         m.on_store(0, Addr(GLOBALS_BASE), 0, 1, ValKind::U64);
         m.on_checkpoint(
@@ -362,5 +350,6 @@ mod tests {
             &view,
         );
         assert_eq!(m.extra_instructions(), 0);
+        assert_eq!(m.hash_spec(), HashSpec::default());
     }
 }

@@ -12,7 +12,7 @@ use crate::faults::FaultPlan;
 use crate::image::SetupImage;
 use crate::libcalls::LibLog;
 use crate::mem::GLOBALS_BASE;
-use crate::monitor::{FastPathSpec, Monitor, NullMonitor};
+use crate::monitor::{HashSpec, Monitor, NullMonitor};
 use crate::sched::{SchedulerKind, SwitchPolicy};
 use crate::types::{Addr, BarrierId, CondId, LockId, Region, RwLockId, SemId, ValKind};
 
@@ -292,8 +292,8 @@ impl Program {
     }
 
     /// Executes the setup phase once, as a run under `config` whose
-    /// monitor claims `spec` would, and returns the resulting
-    /// [`SetupImage`].
+    /// monitor's [`Monitor::hash_spec`] is `spec` would, and returns the
+    /// resulting [`SetupImage`].
     ///
     /// The setup phase is taken out of this program, so the program
     /// that is about to run builds the image and no extra copy of it is
@@ -306,9 +306,10 @@ impl Program {
     ///
     /// # Panics
     ///
-    /// Panics if the setup phase was already taken by an earlier call,
-    /// or if the setup phase itself panics.
-    pub fn setup_image(&mut self, config: &RunConfig, spec: FastPathSpec) -> Option<SetupImage> {
+    /// Panics if `spec` asks for accesses (an image cannot replay the
+    /// setup phase's `on_store`s), if the setup phase was already taken
+    /// by an earlier call, or if the setup phase itself panics.
+    pub fn setup_image(&mut self, config: &RunConfig, spec: HashSpec) -> Option<SetupImage> {
         engine::setup_image(self, config, spec)
     }
 

@@ -4,7 +4,7 @@
 use std::sync::{Arc, Mutex};
 
 use tsim::{
-    Addr, CheckpointKind, Monitor, ProgramBuilder, RunConfig, SchedulerKind, SimError,
+    Addr, CheckpointKind, HashSpec, Monitor, ProgramBuilder, RunConfig, SchedulerKind, SimError,
     SwitchPolicy, ThreadId, TypeTag, ValKind,
 };
 
@@ -17,7 +17,6 @@ struct Recorder {
     stores: Arc<Mutex<Vec<StoreEvent>>>,
     checkpoints: Arc<Mutex<Vec<CheckpointKind>>>,
     allocs: Arc<Mutex<Vec<(&'static str, usize)>>>,
-    frees: Arc<Mutex<Vec<Vec<u64>>>>,
     outputs: Arc<Mutex<Vec<u8>>>,
 }
 
@@ -31,14 +30,17 @@ impl Monitor for Recorder {
     fn on_alloc(&mut self, _tid: ThreadId, block: &tsim::BlockInfo) {
         self.allocs.lock().unwrap().push((block.site, block.len));
     }
-    fn on_free(&mut self, _tid: ThreadId, _block: &tsim::BlockInfo, contents: &[u64]) {
-        self.frees.lock().unwrap().push(contents.to_vec());
-    }
     fn on_output(&mut self, _tid: ThreadId, bytes: &[u8]) {
         self.outputs.lock().unwrap().extend_from_slice(bytes);
     }
     fn on_checkpoint(&mut self, info: &tsim::CheckpointInfo, _view: &tsim::StateView<'_>) {
         self.checkpoints.lock().unwrap().push(info.kind);
+    }
+    fn hash_spec(&self) -> HashSpec {
+        HashSpec {
+            accesses: true,
+            ..HashSpec::default()
+        }
     }
 }
 
@@ -472,18 +474,46 @@ fn malloc_free_lifecycle_is_observed() {
         // Reused memory is zero-filled.
         assert_eq!(ctx.load(q).await, 0);
         assert_eq!(ctx.load(q.offset(2)).await, 0);
+        ctx.store(q.offset(1), 7).await;
+        let r = ctx.malloc("edges", TypeTag::u64s(), 2).await;
+        ctx.free(r).await;
     });
     let rec = Recorder::default();
-    let out = b.build().run_with(&RunConfig::random(0), rec).unwrap();
+    let out = b
+        .build()
+        .run_with(&RunConfig::random(0).with_trace(), rec)
+        .unwrap();
     assert_eq!(
         out.monitor.allocs.lock().unwrap().as_slice(),
-        &[("nodes", 3), ("nodes", 3)]
+        &[("nodes", 3), ("nodes", 3), ("edges", 2)]
     );
-    let frees = out.monitor.frees.lock().unwrap().clone();
+    // The freed blocks leave the live state; the reused one is live.
+    let view = out.final_state();
+    let live: Vec<_> = view.blocks().map(|b| (b.site, b.len)).collect();
+    assert_eq!(live, [("nodes", 3)]);
+    let regions: Vec<_> = view.live_regions().map(|(_, w, _)| w.to_vec()).collect();
+    assert_eq!(regions, [vec![0, 7, 0]]);
+    let trace = out.trace.expect("trace requested");
+    let allocs: Vec<_> = trace
+        .events()
+        .iter()
+        .filter_map(|e| match e.op {
+            tsim::TraceOp::Alloc { base, .. } => Some(base),
+            _ => None,
+        })
+        .collect();
+    let frees: Vec<_> = trace
+        .events()
+        .iter()
+        .filter_map(|e| match e.op {
+            tsim::TraceOp::Free { base } => Some(base),
+            _ => None,
+        })
+        .collect();
     assert_eq!(
         frees,
-        vec![vec![10, 0, 30]],
-        "free sees contents at free time"
+        [allocs[0], allocs[2]],
+        "each free is traced at its base"
     );
 }
 

@@ -14,13 +14,13 @@
 //! (kernel, scheme) folds these runs together with their cache
 //! counters, pinning the §3.1 hit/miss numbers under every rounding.
 //!
-//! `fast_path_equivalence` compares the engine fast path with the
-//! dynamic-dispatch path, but both sides run the same
-//! `CheckMonitor::on_checkpoint`, so a fault in the checkpoint path (the
-//! ignore-set resolution, the exclusion sums, the traversal, FP
-//! rounding) shows on both and cancels. These digests were produced by
-//! the straightforward checkpoint path (a fresh resolve per checkpoint,
-//! a per-word traversal) and pin its exact output.
+//! `engine_datapath` pins the engine's per-thread store sums, but not
+//! what `CheckMonitor::on_checkpoint` makes of them (the ignore-set
+//! resolution, the exclusion sums, the traversal, FP rounding). These
+//! digests were produced by the straightforward checkpoint path (a
+//! fresh resolve per checkpoint, a per-word traversal) and pin its exact
+//! output. The L1 digests were recorded while the L1 model still hashed
+//! through its own per-thread `MhmCore`s.
 
 use std::sync::Arc;
 

@@ -1,41 +1,9 @@
-//! Programs and monitors shared by the root integration tests. Each
-//! test crate uses a subset of them.
+//! Programs shared by the root integration tests. Each test crate uses
+//! a subset of them.
 #![allow(dead_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-use instantcheck::CheckMonitor;
-use tsim::{Addr, BlockInfo, CheckpointInfo, Monitor, StateView, ThreadId, ValKind};
-
-/// Delegates every callback to the wrapped [`CheckMonitor`] but keeps
-/// the default `fast_path() -> None`, forcing the engine onto per-access
-/// virtual dispatch (setup-phase stores included).
-pub struct DynShim(pub CheckMonitor);
-
-impl Monitor for DynShim {
-    fn on_store(&mut self, tid: ThreadId, addr: Addr, old: u64, new: u64, kind: ValKind) {
-        self.0.on_store(tid, addr, old, new, kind);
-    }
-    fn on_load(&mut self, tid: ThreadId, addr: Addr, value: u64, kind: ValKind) {
-        self.0.on_load(tid, addr, value, kind);
-    }
-    fn on_alloc(&mut self, tid: ThreadId, block: &BlockInfo) {
-        self.0.on_alloc(tid, block);
-    }
-    fn on_free(&mut self, tid: ThreadId, block: &BlockInfo, contents: &[u64]) {
-        self.0.on_free(tid, block, contents);
-    }
-    fn on_output(&mut self, tid: ThreadId, bytes: &[u8]) {
-        self.0.on_output(tid, bytes);
-    }
-    fn on_checkpoint(&mut self, info: &CheckpointInfo, view: &StateView<'_>) {
-        self.0.on_checkpoint(info, view);
-    }
-    fn extra_instructions(&self) -> u64 {
-        self.0.extra_instructions()
-    }
-}
 
 /// A program exercising what no Table-1 kernel does: each thread frees a
 /// block at an ignored site and reallocates the same base (an exact-size

@@ -19,12 +19,11 @@ use instantcheck::{
 };
 use instantcheck_workloads::AppSpec;
 use tsim::{
-    Addr, AllocLog, BlockInfo, FastPathSpec, FaultKind, FaultPlan, FaultRecord, Monitor,
-    NullMonitor, Program, RunConfig, RunOutcome, SetupImage, SimError, ThreadId, Trigger,
+    Addr, AllocLog, BlockInfo, FaultKind, FaultPlan, FaultRecord, HashSpec, Monitor, NullMonitor,
+    Program, RunConfig, RunOutcome, SetupImage, SimError, ThreadId, Trigger,
 };
 
 mod common;
-use common::DynShim;
 
 struct Fnv(u64);
 
@@ -364,9 +363,7 @@ fn assert_image_runs_equal(
     for scheme in IMAGE_SCHEMES {
         for rounding in roundings(rounding) {
             let monitor = || CheckMonitor::new(scheme, rounding, ignore.clone());
-            let spec = monitor()
-                .fast_path()
-                .expect("CheckMonitor claims the fast path");
+            let spec = monitor().hash_spec();
             // The first natural run builds the image, as a campaign's
             // first computed attempt does, and records the log the
             // replayed runs use.
@@ -429,7 +426,7 @@ fn counted_image(rounding: Option<FpRound>) -> (SetupImage, Arc<AtomicUsize>, Ar
     let setups = Arc::new(AtomicUsize::new(0));
     let rc = RunConfig::random(1).with_zero_fill_charged();
     let monitor = CheckMonitor::new(Scheme::HwInc, rounding, reuse_ignore());
-    let spec = monitor.fast_path().unwrap();
+    let spec = monitor.hash_spec();
     let mut prog = common::reuse_program_counting(Some(Arc::clone(&setups)));
     let image = prog.setup_image(&rc, spec).unwrap();
     let log = prog.run_from(&image, &rc, monitor).unwrap().alloc_log;
@@ -473,7 +470,7 @@ fn a_fitting_image_replaces_the_setup_phase() {
 fn an_image_that_does_not_fit_runs_its_own_setup() {
     let (image, setups, log) = counted_image(None);
     let charged = RunConfig::random(5).with_zero_fill_charged();
-    // Another rounding claims another fast-path spec.
+    // Another rounding asks for another hash spec.
     for rounding in [
         Some(FpRound::default()),
         Some(FpRound::MaskMantissa { bits: 20 }),
@@ -506,9 +503,7 @@ fn an_image_that_does_not_fit_runs_its_own_setup() {
     // Built under that log, an image is off the bump sequence, so it
     // fits the log's runs but no natural run.
     let mut prog = common::reuse_program_counting(Some(Arc::clone(&setups)));
-    let moved_image = prog
-        .setup_image(&rc, monitor().fast_path().unwrap())
-        .unwrap();
+    let moved_image = prog.setup_image(&rc, monitor().hash_spec()).unwrap();
     assert_eq!(
         setups_executed(&moved_image, &setups, &rc, monitor, hashes),
         0
@@ -517,10 +512,11 @@ fn an_image_that_does_not_fit_runs_its_own_setup() {
         setups_executed(&moved_image, &setups, &charged, monitor, hashes),
         1
     );
-    // A monitor that does not claim the fast path sees every setup store.
-    let shim = || DynShim(CheckMonitor::new(Scheme::HwInc, None, reuse_ignore()));
+    // A monitor that asks for accesses (the L1 model) sees every setup
+    // store.
+    let observing = || CheckMonitor::new(Scheme::HwInc, None, reuse_ignore()).with_cache_model();
     assert_eq!(
-        setups_executed(&image, &setups, &charged, shim, |m| hashes(m.0)),
+        setups_executed(&image, &setups, &charged, observing, hashes),
         1
     );
 }
@@ -531,9 +527,7 @@ fn a_moved_setup_address_falls_back_on_every_kernel() {
         let monitor = || CheckMonitor::new(Scheme::HwInc, None, app.ignore.clone());
         let rc = RunConfig::random(1).with_zero_fill_charged();
         let mut prog = app.build();
-        let image = prog
-            .setup_image(&rc, monitor().fast_path().unwrap())
-            .unwrap();
+        let image = prog.setup_image(&rc, monitor().hash_spec()).unwrap();
         let log = prog.run_from(&image, &rc, monitor()).unwrap().alloc_log;
         if log.lookup(0, 0).is_none() {
             continue;
@@ -553,18 +547,18 @@ fn a_moved_setup_address_falls_back_on_every_kernel() {
     }
 }
 
-/// A claiming monitor that records every allocation callback.
+/// A hashing monitor that records every allocation callback.
 struct AllocRecorder(Vec<String>);
 
 impl Monitor for AllocRecorder {
     fn on_alloc(&mut self, tid: ThreadId, block: &BlockInfo) {
         self.0.push(format!("{tid} {block:?}"));
     }
-    fn fast_path(&self) -> Option<FastPathSpec> {
-        Some(FastPathSpec {
+    fn hash_spec(&self) -> HashSpec {
+        HashSpec {
             hashing: true,
-            rounding: None,
-        })
+            ..HashSpec::default()
+        }
     }
 }
 
@@ -577,7 +571,7 @@ fn a_recording_monitor_sees_the_same_allocations() {
     }
     for (name, build) in &builds {
         let rc = RunConfig::random(9);
-        let spec = AllocRecorder(Vec::new()).fast_path().unwrap();
+        let spec = AllocRecorder(Vec::new()).hash_spec();
         let mut prog = build();
         let image = prog.setup_image(&rc, spec).unwrap();
         for prog in [prog, build()] {
@@ -610,9 +604,7 @@ fn a_setup_replay_miss_keeps_the_state_in_the_program() {
     let rc = RunConfig::random(4).with_alloc_replay(Arc::new(log));
     let setups = Arc::new(AtomicUsize::new(0));
     let mut prog = common::reuse_program_counting(Some(Arc::clone(&setups)));
-    assert!(prog
-        .setup_image(&rc, monitor().fast_path().unwrap())
-        .is_none());
+    assert!(prog.setup_image(&rc, monitor().hash_spec()).is_none());
     let want = seen(common::reuse_program().run_with(&rc, monitor()), hashes);
     let got = seen(prog.run_with(&rc, monitor()), hashes);
     assert_eq!(got, want);
@@ -625,6 +617,13 @@ fn a_setup_replay_miss_keeps_the_state_in_the_program() {
 fn a_taken_setup_phase_cannot_run_without_its_image() {
     let mut prog = common::reuse_program();
     let rc = RunConfig::random(1);
-    let _ = prog.setup_image(&rc, FastPathSpec::default());
+    let _ = prog.setup_image(&rc, HashSpec::default());
     let _ = prog.run_with(&rc, NullMonitor);
+}
+
+#[test]
+#[should_panic(expected = "an image cannot replay the setup phase's access callbacks")]
+fn no_image_is_built_for_a_spec_that_asks_for_accesses() {
+    let monitor = CheckMonitor::new(Scheme::HwInc, None, reuse_ignore()).with_cache_model();
+    let _ = common::reuse_program().setup_image(&RunConfig::random(1), monitor.hash_spec());
 }
