@@ -84,7 +84,7 @@ type Case = (&'static str, fn() -> Program);
 fn main() {
     let opts = HarnessOpts::from_args();
     let r = Reporter::new("race_filter");
-    let runs = opts.runs.max(20);
+    let runs = opts.spec.runs.max(20);
     r.line(format!(
         "{:<22} {:<12} {:>10} {:>16} {:>16}",
         "program", "address", "threads", "orders seen", "verdict"
@@ -101,7 +101,7 @@ fn main() {
         ("harmful_lost_update", harmful_lost_update),
     ];
     for (name, source) in cases {
-        let report = classify_races(source, runs, opts.seed).expect("runs complete");
+        let report = classify_races(source, runs, opts.spec.base_seed).expect("runs complete");
         show(&r, name, &report);
         benign += report.benign().count();
         harmful += report.harmful().count();

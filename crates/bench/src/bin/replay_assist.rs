@@ -37,7 +37,7 @@ fn main() {
     r.line("-".repeat(54));
     let mut rows = Vec::new();
     for fraction in [1.0, 0.75, 0.5, 0.25, 0.0] {
-        let log = record_partial_log(&program, opts.seed + 42, fraction)
+        let log = record_partial_log(&program, opts.spec.base_seed + 42, fraction)
             .expect("recording run completes");
         let result = search_replay(&program, &log, 2000).expect("search runs complete");
         r.line(format!(

@@ -8,7 +8,7 @@ fn main() {
     let r = Reporter::new("table1");
     r.progress(&format!(
         "Table 1: {} runs per campaign, {} workloads…",
-        opts.runs,
+        opts.spec.runs,
         if opts.scaled { "scaled" } else { "paper-scale" }
     ));
     let mut rows = Vec::new();

@@ -5,7 +5,7 @@ use instantcheck_bench::{render_table2, table2_row, HarnessOpts, Reporter};
 fn main() {
     let opts = HarnessOpts::from_args();
     let r = Reporter::new("table2");
-    r.progress(&format!("Table 2: {} runs per campaign…", opts.runs));
+    r.progress(&format!("Table 2: {} runs per campaign…", opts.spec.runs));
     let mut rows = Vec::new();
     for app in opts.seeded() {
         r.progress(&format!("  checking {}…", app.name));

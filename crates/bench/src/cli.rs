@@ -1,40 +1,19 @@
 //! Spec-driven command-line parsing shared by the harness binaries.
 //!
-//! Every campaign binary used to plumb its own scheme/seed/policy flags
-//! into a [`CheckerConfig`](instantcheck::CheckerConfig); now they all
-//! parse into one
-//! [`CampaignSpec`] via [`parse_spec`] and build configs with
-//! `CheckerConfig::from_spec`. The historical flags (`--runs`,
-//! `--seed`, `--policy`, …) remain as aliases for the corresponding
-//! spec fields, and `--spec FILE` loads a full serialized spec — the
-//! same JSON the `icd` orchestrator accepts — which individual flags
-//! may then override.
+//! Every campaign binary parses its command line with [`parse_spec`]
+//! into one [`HarnessOpts`]: a [`CampaignSpec`] plus the harness-only
+//! switches. Each flag (`--runs`, `--seed`, `--switch`, …) sets one spec
+//! field, and `--spec FILE` loads a full serialized spec — the same JSON
+//! the `icd` orchestrator accepts — which individual flags may then
+//! override. Binaries build their checker configs from that spec with
+//! `CheckerConfig::from_spec`, so no flag is parsed and then dropped.
 
 use std::sync::Arc;
 
 use corpus::{Corpus, CorpusError, CorpusOptions};
 use instantcheck::{parse_rounding, parse_switch, CampaignSpec, FailurePolicy, Scheme};
 
-/// The parsed spec-level command line of a harness binary.
-#[derive(Debug, Clone)]
-pub struct SpecArgs {
-    /// The campaign template. Its `workload` is empty unless `--spec`
-    /// supplied one — the table/figure binaries stamp the per-app
-    /// workload id themselves. Corpus placement flags are echoed into
-    /// the spec's shape-only `corpus_*` fields, so a recorded spec
-    /// documents the storage it ran against without moving any run key.
-    pub spec: CampaignSpec,
-    /// `--scaled`: use miniature workloads.
-    pub scaled: bool,
-    /// `--trace`: record per-campaign event traces.
-    pub trace: bool,
-    /// The corpus named by `--corpus-dir`, already opened through
-    /// [`open_corpus`] with the sizing flags applied.
-    pub corpus: Option<Arc<Corpus>>,
-    /// Arguments this parser did not recognize, in order — binaries
-    /// with extra flags (subcommands, `--dir`, …) consume these.
-    pub rest: Vec<String>,
-}
+use crate::HarnessOpts;
 
 /// Parses the shared spec flags out of `args` (exclusive of `argv[0]`).
 ///
@@ -45,9 +24,9 @@ pub struct SpecArgs {
 /// `--max-steps N`, `--jobs N`, `--cache-model`, `--trace`,
 /// `--corpus-dir DIR`, `--corpus-segment-bytes N`,
 /// `--corpus-max-bytes N`, `--corpus-cache-slots N`. Anything else
-/// lands in [`SpecArgs::rest`].
+/// lands in [`HarnessOpts::rest`].
 /// (`--workload` matters for spec authoring; the table/figure binaries
-/// overwrite it per app.)
+/// key their corpus entries per app.)
 ///
 /// Flag order is immaterial: the skip policy's failure budget is
 /// resolved against the *final* run count, so `--policy skip --runs 8`
@@ -57,7 +36,7 @@ pub struct SpecArgs {
 ///
 /// A usage message naming the offending flag (missing value, malformed
 /// number, unknown token, unreadable spec file or corpus directory).
-pub fn parse_spec(args: &[String]) -> Result<SpecArgs, String> {
+pub fn parse_spec(args: &[String]) -> Result<HarnessOpts, String> {
     let mut spec_file: Option<String> = None;
     let mut workload: Option<String> = None;
     let mut scheme: Option<Scheme> = None;
@@ -192,7 +171,7 @@ pub fn parse_spec(args: &[String]) -> Result<SpecArgs, String> {
         None => None,
     };
 
-    Ok(SpecArgs {
+    Ok(HarnessOpts {
         spec,
         scaled,
         trace,
@@ -265,7 +244,7 @@ mod tests {
     use super::*;
     use tsim::SwitchPolicy;
 
-    fn parse(args: &[&str]) -> SpecArgs {
+    fn parse(args: &[&str]) -> HarnessOpts {
         parse_spec(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>()).unwrap()
     }
 

@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use adhash::FpRound;
 use instantcheck::{
     characterize, geometric_mean, measure_overhead, CampaignSpec, Characterization, CheckerConfig,
-    FailurePolicy, IgnoreSpec, Scheme,
+    IgnoreSpec,
 };
 use instantcheck_workloads::AppSpec;
 
@@ -33,88 +33,51 @@ pub mod json;
 
 use json::{write_field, ToJson};
 
-/// Command-line options shared by the harness binaries.
+/// The parsed command line of a harness binary (see
+/// [`cli::parse_spec`]): the campaign spec plus the harness-only
+/// switches.
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
-    /// Use miniature workloads.
+    /// The campaign template. Its `workload` is empty unless `--spec`
+    /// supplied one — the table/figure binaries key each app's corpus
+    /// entries by [`workload_id`](Self::workload_id). Corpus placement
+    /// flags are echoed into the spec's shape-only `corpus_*` fields, so
+    /// a recorded spec documents the storage it ran against without
+    /// moving any run key.
+    pub spec: CampaignSpec,
+    /// `--scaled`: use miniature workloads.
     pub scaled: bool,
-    /// Runs per campaign (the paper uses 30).
-    pub runs: usize,
-    /// Base seed.
-    pub seed: u64,
-    /// Checking scheme (the harness default is HW-InstantCheck, as in
-    /// the paper's determinism experiments; the software schemes agree
-    /// on all verdicts).
-    pub scheme: Scheme,
-    /// What a campaign does when one of its runs fails.
-    pub policy: FailurePolicy,
-    /// Record per-campaign event traces under `results/`.
+    /// `--trace`: record per-campaign event traces under `results/`.
     pub trace: bool,
-    /// Model L1/MHM cache behavior during the campaigns.
-    pub cache_model: bool,
-    /// Worker threads per campaign (`None` = the machine's available
-    /// parallelism; the report is identical either way).
-    pub jobs: Option<usize>,
-    /// Persistent run corpus (`--corpus-dir DIR`): completed runs are
-    /// looked up in, and recorded to, the log-structured store, so
-    /// repeated harness invocations replay instead of re-simulating. Warm campaigns produce
-    /// byte-identical reports (the determinism verdicts cannot drift
-    /// with cache state), so tables and figures are unaffected.
+    /// The persistent run corpus named by `--corpus-dir`, already
+    /// opened with the sizing flags applied: completed runs are looked
+    /// up in, and recorded to, the log-structured store, so repeated
+    /// harness invocations replay instead of re-simulating. Warm
+    /// campaigns produce byte-identical reports, so tables and figures
+    /// are unaffected.
     pub corpus: Option<std::sync::Arc<corpus::Corpus>>,
-}
-
-impl Default for HarnessOpts {
-    fn default() -> Self {
-        HarnessOpts {
-            scaled: false,
-            runs: 30,
-            seed: 1,
-            scheme: Scheme::HwInc,
-            policy: FailurePolicy::Abort,
-            trace: false,
-            cache_model: false,
-            jobs: None,
-            corpus: None,
-        }
-    }
+    /// Arguments the parser did not recognize, in order — binaries
+    /// with extra flags (subcommands, `--dir`, …) consume these.
+    pub rest: Vec<String>,
 }
 
 impl HarnessOpts {
     /// Parses the shared spec flags (see [`cli::parse_spec`]) from
-    /// `std::env::args`: `--scaled`, `--runs N`, `--seed N`,
-    /// `--scheme S`, `--jobs N`, `--policy P` (`abort`/`skip`/
-    /// `retry`/`retry-same`), `--trace`, `--cache-model`,
-    /// `--corpus-dir DIR`, `--spec FILE`, and the rest of the spec fields.
-    /// Unknown arguments are reported and ignored; malformed values
-    /// exit with status 2.
+    /// `std::env::args`. Unknown arguments are reported and ignored;
+    /// malformed values exit with status 2.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         match cli::parse_spec(&args) {
-            Ok(sa) => {
-                for other in &sa.rest {
+            Ok(opts) => {
+                for other in &opts.rest {
                     eprintln!("ignoring unknown argument {other}");
                 }
-                HarnessOpts::from_spec_args(&sa)
+                opts
             }
             Err(e) => {
                 eprintln!("{e}");
                 std::process::exit(2);
             }
-        }
-    }
-
-    /// Builds harness options from a parsed spec command line.
-    pub fn from_spec_args(sa: &cli::SpecArgs) -> Self {
-        HarnessOpts {
-            scaled: sa.scaled,
-            runs: sa.spec.runs,
-            seed: sa.spec.base_seed,
-            scheme: sa.spec.scheme,
-            policy: sa.spec.policy,
-            trace: sa.trace,
-            cache_model: sa.spec.cache_model,
-            jobs: sa.spec.jobs,
-            corpus: sa.corpus.clone(),
         }
     }
 
@@ -136,32 +99,9 @@ impl HarnessOpts {
         }
     }
 
-    /// The campaign template as a spec, workload unset — the
-    /// table/figure binaries stamp per-app ids via
-    /// [`spec_for`](Self::spec_for).
-    pub fn base_spec(&self) -> CampaignSpec {
-        let mut spec = CampaignSpec::new("", self.scheme)
-            .with_runs(self.runs)
-            .with_base_seed(self.seed)
-            .with_policy(self.policy);
-        spec.cache_model = self.cache_model;
-        spec.jobs = self.jobs;
-        spec
-    }
-
-    /// The campaign spec for one registered app —
-    /// [`base_spec`](Self::base_spec) stamped with the app's
-    /// [`workload_id`](Self::workload_id). This is exactly what the
-    /// `icd` orchestrator would run for the same flags.
-    pub fn spec_for(&self, app_name: &str) -> CampaignSpec {
-        let mut spec = self.base_spec();
-        spec.workload = self.workload_id(app_name);
-        spec
-    }
-
-    /// The checker template, built from [`base_spec`](Self::base_spec).
+    /// The checker template: exactly the parsed [`spec`](Self::spec).
     pub fn template(&self) -> CheckerConfig {
-        CheckerConfig::from_spec(&self.base_spec())
+        CheckerConfig::from_spec(&self.spec)
     }
 
     /// A fresh in-memory trace sink for one campaign, when `--trace`
@@ -381,10 +321,11 @@ pub struct Fig6Row {
 /// Measures Figure 6 for every registered app, plus the GEOM row and the
 /// sphinx3 delete-4% special case.
 pub fn fig6(opts: &HarnessOpts) -> (Vec<Fig6Row>, Fig6Row, Fig6Row) {
+    let seed = opts.spec.base_seed;
     let mut rows = Vec::new();
     for app in opts.apps() {
         let build = std::sync::Arc::clone(&app.build);
-        let report = match measure_overhead(move || build(), opts.seed, None, &IgnoreSpec::new()) {
+        let report = match measure_overhead(move || build(), seed, None, &IgnoreSpec::new()) {
             Ok(r) => r,
             Err(e) => {
                 let skipped: Option<()> = log_and_skip(&app, "overhead run", &e);
@@ -411,7 +352,7 @@ pub fn fig6(opts: &HarnessOpts) -> (Vec<Fig6Row>, Fig6Row, Fig6Row) {
     let build = std::sync::Arc::clone(&sphinx.build);
     let del = measure_overhead(
         move || build(),
-        opts.seed,
+        seed,
         Some(FpRound::default()),
         &sphinx.ignore,
     )
@@ -776,12 +717,12 @@ fn written(result: io::Result<PathBuf>) {
 mod tests {
     use super::*;
 
+    fn opts(args: &[&str]) -> HarnessOpts {
+        cli::parse_spec(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>()).unwrap()
+    }
+
     fn quick_opts() -> HarnessOpts {
-        HarnessOpts {
-            scaled: true,
-            runs: 5,
-            ..HarnessOpts::default()
-        }
+        opts(&["--scaled", "--runs", "5"])
     }
 
     #[test]
@@ -803,11 +744,7 @@ mod tests {
             .into_iter()
             .find(|a| a.name.contains("atomicity"))
             .unwrap();
-        let opts = HarnessOpts {
-            scaled: true,
-            runs: 10,
-            ..HarnessOpts::default()
-        };
+        let opts = opts(&["--scaled", "--runs", "10"]);
         let row = table2_row(&app, &opts, &Reporter::new("test")).expect("campaign completes");
         assert!(row.ndet_points > 0);
         assert!(row.det_points > 0);
@@ -818,10 +755,7 @@ mod tests {
     #[test]
     fn cache_model_rates_reach_the_row_json() {
         let app = instantcheck_workloads::by_name("fft", true).unwrap();
-        let opts = HarnessOpts {
-            cache_model: true,
-            ..quick_opts()
-        };
+        let opts = opts(&["--scaled", "--runs", "5", "--cache-model"]);
         let row = table2_row(&app, &opts, &Reporter::new("test")).expect("campaign completes");
         let mhm = row.mhm_hit_rate.expect("cache model was on");
         assert!((mhm - 100.0).abs() < 1e-9, "§3.1: old-value reads all hit");
@@ -900,9 +834,36 @@ mod tests {
 
     #[test]
     fn opts_defaults() {
-        let o = HarnessOpts::default();
-        assert_eq!(o.runs, 30);
+        let o = opts(&[]);
+        assert_eq!(o.spec.runs, 30);
         assert!(!o.scaled);
         assert_eq!(o.apps().len(), 17);
+    }
+
+    #[test]
+    fn every_spec_flag_reaches_the_checker_template() {
+        let o = opts(&[
+            "--lib-seed",
+            "5",
+            "--switch",
+            "every-access",
+            "--max-steps",
+            "10",
+            "--deadline-ms",
+            "7",
+            "--rounding",
+            "mask-mantissa:12",
+        ]);
+        assert_eq!(o.spec.lib_seed, 5);
+        assert_eq!(o.spec.max_steps, 10);
+        assert_eq!(o.template().spec, o.spec);
+
+        // A 10-step limit fails every run, so the campaign is skipped.
+        let app = instantcheck_workloads::seeded_bugs_scaled()
+            .into_iter()
+            .next()
+            .unwrap();
+        let o = opts(&["--scaled", "--runs", "2", "--max-steps", "10"]);
+        assert!(table2_row(&app, &o, &Reporter::new("test")).is_none());
     }
 }

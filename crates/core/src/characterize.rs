@@ -159,7 +159,7 @@ impl Characterization {
 /// small structures isolated.
 ///
 /// `template` supplies the scheme, number of runs, seeds, switch
-/// policy, and [`FailurePolicy`](crate::FailurePolicy); its
+/// policy, and [`FailurePolicy`](crate::FailurePolicy); its spec's
 /// `rounding`/`ignore` fields are overridden per stage.
 ///
 /// # Errors
@@ -178,8 +178,8 @@ pub fn characterize(
 ) -> Result<Characterization, SimError> {
     let stage = |rounding: Option<FpRound>, ignore: IgnoreSpec| {
         let mut cfg = template.clone();
-        cfg.rounding = rounding;
-        cfg.ignore = ignore;
+        cfg.spec.rounding = rounding;
+        cfg.spec.ignore = ignore;
         Checker::new(cfg)
             .expect("characterize template must be a valid config")
             .check(&subject.source)

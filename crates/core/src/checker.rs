@@ -92,35 +92,20 @@ impl RunHashes {
     }
 }
 
-/// Configuration of a determinism-checking campaign.
+/// Configuration of a determinism-checking campaign: the
+/// [`CampaignSpec`] that pins what the campaign computes, plus the
+/// runtime attachments (trace sink, metrics registry, telemetry, run
+/// cache) that only observe or memoize it.
+///
+/// The `with_*` campaign setters write straight into
+/// [`spec`](CheckerConfig::spec); there is no second copy of a
+/// campaign field.
 #[derive(Debug, Clone)]
 pub struct CheckerConfig {
-    /// Which scheme computes the hashes.
-    pub scheme: Scheme,
-    /// How many runs to compare (the paper uses 30).
-    pub runs: usize,
-    /// Scheduler seed of the first run; run `i` uses `base_seed + i`.
-    pub base_seed: u64,
-    /// FP round-off before hashing (`None` = bit-exact comparison).
-    pub rounding: Option<FpRound>,
-    /// Structures excluded from the hash.
-    pub ignore: IgnoreSpec,
-    /// Preemption policy for all runs.
-    pub switch: SwitchPolicy,
-    /// Library-call seed: fixed across the campaign's runs (the calls
-    /// are *input*), but can be varied between campaigns for coverage.
-    pub lib_seed: u64,
-    /// Step limit per run.
-    pub max_steps: u64,
-    /// What to do when a run fails (default: abort the campaign).
-    pub policy: FailurePolicy,
-    /// Wall-clock watchdog per run (`None` = no deadline). A run that
-    /// exceeds it fails with [`SimError::Deadline`](tsim::SimError).
-    pub deadline: Option<Duration>,
-    /// Fault-injection plans applied to specific run slots (every
-    /// attempt of that slot, including retries, gets the plan). Used to
-    /// exercise the failure policies deterministically.
-    pub fault_plans: Vec<(usize, FaultPlan)>,
+    /// Everything the campaign does. Its
+    /// [`workload`](CampaignSpec::workload) is the identity the run
+    /// cache keys under (see [`with_run_cache`](Self::with_run_cache)).
+    pub spec: CampaignSpec,
     /// Event-trace sink for the campaign. The checker wraps each run in
     /// a span on the control track and forwards the sink to the
     /// simulator for scheduler/checkpoint/fault events. `None` (the
@@ -129,193 +114,104 @@ pub struct CheckerConfig {
     /// Metrics registry the campaign accumulates counters into
     /// (`checker.*`, `mhm.l1.*`). `None` records nothing.
     pub registry: Option<Arc<Registry>>,
-    /// Enables the per-thread L1 cache model in the monitor, so runs
-    /// report demand and MHM old-value hit rates.
-    pub cache_model: bool,
-    /// Worker threads for the campaign's run slots (`None` = the
-    /// machine's available parallelism). `1` executes the slots in
-    /// order on the calling thread, exactly as the checker always has;
-    /// higher values fan the slots out across a scoped worker pool and
-    /// reduce the results back in slot order, so the report, metrics,
-    /// and trace are byte-identical regardless of the worker count.
-    pub jobs: Option<usize>,
-    /// Optional run-result cache: completed runs are looked up in, and
-    /// stored to, the cache keyed by everything that determines their
-    /// hashes (see [`RunKey`]). Only consulted when
-    /// [`workload`](CheckerConfig::workload) is also set — the key
-    /// needs a workload identity the checker cannot derive from the
-    /// program closure. A warm campaign replays cached outcomes through
-    /// the same reduction path a cold one takes, so its report, trace,
-    /// and metrics are byte-identical to the cold campaign's.
-    pub cache: Option<Arc<dyn RunCache>>,
-    /// Caller-declared workload identity for cache keys. The contract:
-    /// equal strings must mean the `source` closure builds equal
-    /// programs (same structure *and* parameters); the checker trusts
-    /// the caller on this.
-    pub workload: Option<String>,
     /// Wall-clock telemetry side-channel: per-worker busy/idle span
     /// attribution for the parallel executor. Strictly observational —
     /// it never alters slot dispatch, events, outcomes, or anything
     /// else on the deterministic artifact path. `None` records nothing.
     pub telemetry: Option<Arc<Telemetry>>,
+    /// Optional run-result cache: completed runs are looked up in, and
+    /// stored to, the cache keyed by everything that determines their
+    /// hashes ([`CampaignSpec::run_key`]). A warm campaign replays
+    /// cached outcomes through the same reduction path a cold one
+    /// takes, so its report, trace, and metrics are byte-identical to
+    /// the cold campaign's.
+    pub cache: Option<Arc<dyn RunCache>>,
 }
 
 impl CheckerConfig {
-    /// The canonical entry point: a config carrying everything a
-    /// [`CampaignSpec`] pins. Runtime resources (sink, registry, cache)
-    /// are not part of a spec — attach them afterwards with the usual
-    /// builders; [`with_run_cache`](CheckerConfig::with_run_cache)
-    /// conventionally reuses the spec's workload id.
-    ///
-    /// [`workload`](CheckerConfig::workload) is set from the spec when
-    /// the spec names one (non-empty), so cache keys derive from the
-    /// same identity the spec serializes.
+    /// The canonical entry point: a config running exactly `spec`.
+    /// Runtime attachments (sink, registry, telemetry, cache) are not
+    /// part of a spec — attach them afterwards with the usual builders.
     pub fn from_spec(spec: &CampaignSpec) -> Self {
-        let mut cfg = CheckerConfig::new(spec.scheme);
-        cfg.runs = spec.runs;
-        cfg.base_seed = spec.base_seed;
-        cfg.rounding = spec.rounding;
-        cfg.ignore = spec.ignore.clone();
-        cfg.switch = spec.switch;
-        cfg.lib_seed = spec.lib_seed;
-        cfg.max_steps = spec.max_steps;
-        cfg.policy = spec.policy;
-        cfg.deadline = spec.deadline();
-        cfg.fault_plans = spec.fault_plans.clone();
-        cfg.jobs = spec.jobs;
-        cfg.cache_model = spec.cache_model;
-        if !spec.workload.is_empty() {
-            cfg.workload = Some(spec.workload.clone());
-        }
-        cfg
-    }
-
-    /// The inverse of [`from_spec`](CheckerConfig::from_spec): the spec
-    /// this config instantiates. Runtime resources (sink, registry,
-    /// cache) are dropped — they are attachments, not campaign
-    /// identity. Returns `None` when the config has no
-    /// [`workload`](CheckerConfig::workload) identity, or when its
-    /// deadline does not survive millisecond precision — a spec must
-    /// name both faithfully or not exist.
-    pub fn to_spec(&self) -> Option<CampaignSpec> {
-        let workload = self.workload.clone()?;
-        let deadline_ms = match self.deadline {
-            None => None,
-            Some(d) => {
-                let ms = u64::try_from(d.as_millis()).ok()?;
-                if Duration::from_millis(ms) != d {
-                    return None;
-                }
-                Some(ms)
-            }
-        };
-        Some(CampaignSpec {
-            workload,
-            scheme: self.scheme,
-            runs: self.runs,
-            base_seed: self.base_seed,
-            lib_seed: self.lib_seed,
-            switch: self.switch,
-            rounding: self.rounding,
-            ignore: self.ignore.clone(),
-            policy: self.policy,
-            deadline_ms,
-            max_steps: self.max_steps,
-            jobs: self.jobs,
-            cache_model: self.cache_model,
-            fault_plans: self.fault_plans.clone(),
-            corpus_dir: None,
-            corpus_segment_bytes: None,
-            corpus_max_bytes: None,
-            corpus_cache_slots: None,
-        })
-    }
-
-    /// A default campaign: 30 runs, sync-only switching, bit-exact
-    /// hashing, nothing ignored, abort on the first failed run.
-    pub fn new(scheme: Scheme) -> Self {
         CheckerConfig {
-            scheme,
-            runs: 30,
-            base_seed: 1,
-            rounding: None,
-            ignore: IgnoreSpec::new(),
-            switch: SwitchPolicy::SyncOnly,
-            lib_seed: 0xfeed,
-            max_steps: 20_000_000,
-            policy: FailurePolicy::Abort,
-            deadline: None,
-            fault_plans: Vec::new(),
+            spec: spec.clone(),
             sink: None,
             registry: None,
-            cache_model: false,
-            jobs: None,
-            cache: None,
-            workload: None,
             telemetry: None,
+            cache: None,
         }
+    }
+
+    /// A default campaign with no workload identity: 30 runs,
+    /// sync-only switching, bit-exact hashing, nothing ignored, abort
+    /// on the first failed run ([`CampaignSpec::new`]'s defaults).
+    pub fn new(scheme: Scheme) -> Self {
+        CheckerConfig::from_spec(&CampaignSpec::new("", scheme))
     }
 
     /// Sets the number of runs.
     #[must_use]
     pub fn with_runs(mut self, runs: usize) -> Self {
-        self.runs = runs;
+        self.spec.runs = runs;
         self
     }
 
     /// Sets the first run's scheduler seed.
     #[must_use]
     pub fn with_base_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
+        self.spec.base_seed = seed;
         self
     }
 
     /// Enables FP round-off before hashing.
     #[must_use]
     pub fn with_rounding(mut self, rounding: FpRound) -> Self {
-        self.rounding = Some(rounding);
+        self.spec.rounding = Some(rounding);
         self
     }
 
     /// Sets the ignore spec.
     #[must_use]
     pub fn with_ignore(mut self, ignore: IgnoreSpec) -> Self {
-        self.ignore = ignore;
+        self.spec.ignore = ignore;
         self
     }
 
     /// Sets the preemption policy.
     #[must_use]
     pub fn with_switch(mut self, switch: SwitchPolicy) -> Self {
-        self.switch = switch;
+        self.spec.switch = switch;
         self
     }
 
     /// Sets the library-call input seed.
     #[must_use]
     pub fn with_lib_seed(mut self, seed: u64) -> Self {
-        self.lib_seed = seed;
+        self.spec.lib_seed = seed;
         self
     }
 
     /// Sets the failure policy.
     #[must_use]
     pub fn with_policy(mut self, policy: FailurePolicy) -> Self {
-        self.policy = policy;
+        self.spec.policy = policy;
         self
     }
 
-    /// Sets the per-run wall-clock watchdog.
+    /// Sets the per-run wall-clock watchdog. The spec keeps deadlines
+    /// in whole milliseconds, so a fractional one is rounded *up*
+    /// (1500 µs runs with a 2 ms deadline).
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        let ms = deadline.as_nanos().div_ceil(1_000_000);
+        self.spec.deadline_ms = Some(u64::try_from(ms).unwrap_or(u64::MAX));
         self
     }
 
     /// Injects a fault plan into one run slot of the campaign.
     #[must_use]
     pub fn with_fault_in_run(mut self, run_index: usize, plan: FaultPlan) -> Self {
-        self.fault_plans.push((run_index, plan));
+        self.spec.fault_plans.push((run_index, plan));
         self
     }
 
@@ -347,41 +243,37 @@ impl CheckerConfig {
     /// Enables the per-thread L1 cache model for all runs.
     #[must_use]
     pub fn with_cache_model(mut self) -> Self {
-        self.cache_model = true;
+        self.spec.cache_model = true;
         self
     }
 
-    /// Sets the campaign's worker-thread count.
-    ///
-    /// `0` is accepted and clamped to `1` by
-    /// [`effective_jobs`](CheckerConfig::effective_jobs) — documented
-    /// behavior, so scripted sweeps (`--jobs $N` with `N=0`) degrade to
-    /// the serial executor instead of erroring.
+    /// Sets the campaign's worker-thread count. `0` is accepted and
+    /// runs the serial executor, so scripted sweeps (`--jobs $N` with
+    /// `N=0`) degrade instead of erroring.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
+        self.spec.jobs = Some(jobs);
         self
     }
 
-    /// Attaches a run-result cache, with the workload identity used in
-    /// its keys (see [`CheckerConfig::workload`] for the contract).
+    /// Attaches a run-result cache and sets the spec's
+    /// [`workload`](CampaignSpec::workload) identity its keys carry.
+    /// The contract: equal workload strings must mean the `source`
+    /// closure builds equal programs (same structure *and*
+    /// parameters); the checker trusts the caller on this.
     #[must_use]
     pub fn with_run_cache(mut self, cache: Arc<dyn RunCache>, workload: impl Into<String>) -> Self {
         self.cache = Some(cache);
-        self.workload = Some(workload.into());
+        self.spec.workload = workload.into();
         self
     }
+}
 
-    /// The worker count a campaign will actually use: the configured
-    /// [`jobs`](CheckerConfig::jobs), defaulting to the machine's
-    /// available parallelism, and clamped to never be less than one —
-    /// `with_jobs(0)` runs the serial executor, it does not error.
-    #[must_use]
-    pub fn effective_jobs(&self) -> usize {
-        self.jobs
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
-            .max(1)
-    }
+/// The worker count a campaign uses: the spec's `jobs`, defaulting to
+/// the machine's available parallelism, and never less than one.
+fn worker_count(jobs: Option<usize>) -> usize {
+    jobs.unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
+        .max(1)
 }
 
 /// One attempt's outcome plus the simulator counters the metrics
@@ -644,7 +536,7 @@ impl Checker {
     /// here, with a typed error, instead of panicking deep in
     /// [`check`](Checker::check).
     pub fn new(config: CheckerConfig) -> Result<Self, ConfigError> {
-        if config.runs == 0 {
+        if config.spec.runs == 0 {
             return Err(ConfigError::ZeroRuns);
         }
         Ok(Checker { config })
@@ -676,7 +568,7 @@ impl Checker {
         alloc_log: Option<&Arc<AllocLog>>,
         sink: Option<&Arc<dyn EventSink>>,
     ) -> RunConfig {
-        let cfg = &self.config;
+        let cfg = &self.config.spec;
         let mut rc = RunConfig::random(seed)
             .with_switch(cfg.switch)
             .with_lib_seed(cfg.lib_seed)
@@ -689,7 +581,7 @@ impl Checker {
         if let Some(log) = alloc_log {
             rc = rc.with_alloc_replay(Arc::clone(log));
         }
-        if let Some(deadline) = cfg.deadline {
+        if let Some(deadline) = cfg.deadline() {
             rc = rc.with_deadline(deadline);
         }
         if let Some((_, plan)) = cfg.fault_plans.iter().find(|(slot, _)| *slot == run_index) {
@@ -701,16 +593,14 @@ impl Checker {
         rc
     }
 
-    /// The campaign's run-key template, when a cache is configured
-    /// (both [`CheckerConfig::cache`] and [`CheckerConfig::workload`]
-    /// set). Derived from the config's [`CampaignSpec`] rendering
-    /// ([`CheckerConfig::to_spec`], the same template
-    /// [`CampaignSpec::run_key`] fills) so the checker and a serialized
+    /// The campaign's run-key template, when a
+    /// [`cache`](CheckerConfig::cache) is attached: the same template
+    /// [`CampaignSpec::run_key`] fills, so the checker and a serialized
     /// spec provably address the same corpus entries. Built once per
     /// campaign; each attempt only fills in its seeds.
     fn key_template(&self) -> Option<RunKeyTemplate> {
         self.config.cache.as_ref()?;
-        Some(self.config.to_spec()?.key_template())
+        Some(self.config.spec.key_template())
     }
 
     /// Shared tail of a completed attempt, live or cache-satisfied:
@@ -816,12 +706,12 @@ impl Checker {
         let mut abandoned = false;
         let mut attempt = 0usize;
         loop {
-            let seed = match (attempt, cfg.policy) {
-                (0, _) => cfg.base_seed + slot as u64,
+            let seed = match (attempt, cfg.spec.policy) {
+                (0, _) => cfg.spec.base_seed + slot as u64,
                 (a, FailurePolicy::Retry { reseed: true, .. }) => {
-                    retry_seed(cfg.base_seed, slot, a)
+                    retry_seed(cfg.spec.base_seed, slot, a)
                 }
-                _ => cfg.base_seed + slot as u64,
+                _ => cfg.spec.base_seed + slot as u64,
             };
             let key = keys.map(|t| t.key(slot, seed, alloc_seed));
             // Claim-aware lookup: a hit replays; a claimed miss makes
@@ -845,7 +735,7 @@ impl Checker {
                                     .with_arg("run", slot)
                                     .with_arg("seed", seed)
                                     .with_arg("attempt", attempt)
-                                    .with_arg("scheme", cfg.scheme.name()),
+                                    .with_arg("scheme", cfg.spec.scheme.name()),
                             );
                             for ev in hit.sim_trace.iter().flatten() {
                                 sink.record(ev.clone());
@@ -888,8 +778,9 @@ impl Checker {
                 None => sink.cloned(),
             };
             let rc = self.run_config(seed, slot, alloc_log, sim_sink.as_ref());
-            let mut monitor = CheckMonitor::new(cfg.scheme, cfg.rounding, cfg.ignore.clone());
-            if cfg.cache_model {
+            let mut monitor =
+                CheckMonitor::new(cfg.spec.scheme, cfg.spec.rounding, cfg.spec.ignore.clone());
+            if cfg.spec.cache_model {
                 monitor = monitor.with_cache_model();
             }
             if let Some(sink) = sink {
@@ -898,7 +789,7 @@ impl Checker {
                         .with_arg("run", slot)
                         .with_arg("seed", seed)
                         .with_arg("attempt", attempt)
-                        .with_arg("scheme", cfg.scheme.name()),
+                        .with_arg("scheme", cfg.spec.scheme.name()),
                 );
             }
             // The L1 model observes every setup store, so a monitor that
@@ -996,7 +887,7 @@ impl Checker {
                         steps: 0,
                         native_instr: 0,
                     });
-                    let give_up = match cfg.policy {
+                    let give_up = match cfg.spec.policy {
                         FailurePolicy::Abort | FailurePolicy::Skip { .. } => true,
                         FailurePolicy::Retry { max_retries, .. } => attempt >= max_retries,
                     };
@@ -1038,7 +929,7 @@ impl Checker {
             return;
         }
         if slot_run.terminal_failure() {
-            match self.config.policy {
+            match self.config.spec.policy {
                 // Abort gives up on any failure; a terminal Retry
                 // failure means the slot exhausted its attempts.
                 FailurePolicy::Abort | FailurePolicy::Retry { .. } => ctl.cancel_at(slot),
@@ -1056,7 +947,7 @@ impl Checker {
     /// The campaign supervisor: executes the run slots, applying the
     /// configured [`FailurePolicy`] to failed attempts.
     ///
-    /// With one worker ([`CheckerConfig::effective_jobs`]) the slots
+    /// With one worker ([`CampaignSpec::jobs`], at least one) the slots
     /// run in order on the calling thread. With more, a sequential
     /// prefix runs until the first completed run has pinned the
     /// allocator log and the reference hashes, the remaining slots fan
@@ -1080,19 +971,19 @@ impl Checker {
         stop_early: bool,
     ) -> Result<Vec<RunOutcome>, SimError> {
         let cfg = &self.config;
-        let runs = cfg.runs;
-        let jobs = cfg.effective_jobs();
+        let runs = cfg.spec.runs;
+        let jobs = worker_count(cfg.spec.jobs);
         let sink = cfg.sink.as_ref().filter(|s| s.enabled());
         if let Some(sink) = sink {
             sink.record(
                 Event::instant(0, CONTROL_TRACK, "campaign")
-                    .with_arg("scheme", cfg.scheme.name())
-                    .with_arg("runs", cfg.runs)
-                    .with_arg("base_seed", cfg.base_seed),
+                    .with_arg("scheme", cfg.spec.scheme.name())
+                    .with_arg("runs", cfg.spec.runs)
+                    .with_arg("base_seed", cfg.spec.base_seed),
             );
         }
         let mut state = CampaignState {
-            policy: cfg.policy,
+            policy: cfg.spec.policy,
             registry: cfg.registry.as_deref(),
             stop_early,
             outcomes: Vec::with_capacity(runs),
@@ -1245,9 +1136,9 @@ impl Checker {
     /// [`SetupImage`]), so a `source` whose builds differ in their setup
     /// phase would be checked against the first build's input.
     ///
-    /// Run slots execute on [`CheckerConfig::effective_jobs`] worker
-    /// threads; the report is identical regardless of the worker count
-    /// (see [`CheckerConfig::jobs`]).
+    /// Run slots execute on [`CampaignSpec::jobs`] worker threads (the
+    /// machine's parallelism when unset, at least one); the report is
+    /// identical regardless of the worker count.
     ///
     /// # Errors
     ///
@@ -1446,24 +1337,26 @@ mod tests {
             .with_deadline(Duration::from_secs(5))
             .with_fault_in_run(1, FaultPlan::new(7))
             .with_jobs(3);
-        assert_eq!(cfg.runs, 5);
-        assert_eq!(cfg.base_seed, 9);
-        assert_eq!(cfg.lib_seed, 3);
-        assert!(cfg.rounding.is_some());
-        assert!(!cfg.ignore.is_empty());
-        assert_eq!(cfg.policy, FailurePolicy::Skip { max_failures: 2 });
-        assert_eq!(cfg.deadline, Some(Duration::from_secs(5)));
-        assert_eq!(cfg.fault_plans.len(), 1);
-        assert_eq!(cfg.jobs, Some(3));
-        assert_eq!(cfg.effective_jobs(), 3);
+        assert_eq!(cfg.spec.runs, 5);
+        assert_eq!(cfg.spec.base_seed, 9);
+        assert_eq!(cfg.spec.lib_seed, 3);
+        assert!(cfg.spec.rounding.is_some());
+        assert!(!cfg.spec.ignore.is_empty());
+        assert_eq!(cfg.spec.policy, FailurePolicy::Skip { max_failures: 2 });
+        assert_eq!(cfg.spec.deadline(), Some(Duration::from_secs(5)));
+        assert_eq!(cfg.spec.fault_plans.len(), 1);
+        assert_eq!(worker_count(cfg.spec.jobs), 3);
+        // A fractional deadline rounds up to the spec's whole millisecond.
+        let odd = cfg.clone().with_deadline(Duration::from_micros(1500));
+        assert_eq!(odd.spec.deadline_ms, Some(2));
         let checker = Checker::new(cfg).expect("valid config");
-        assert_eq!(checker.config().runs, 5);
+        assert_eq!(checker.config().spec.runs, 5);
     }
 
     #[test]
     fn zero_jobs_is_clamped_to_one() {
         let cfg = CheckerConfig::new(Scheme::HwInc).with_jobs(0);
-        assert_eq!(cfg.effective_jobs(), 1);
+        assert_eq!(worker_count(cfg.spec.jobs), 1);
         // And the campaign still runs (on the serial path).
         let report = Checker::new(cfg.with_runs(3))
             .expect("valid config")
@@ -1481,34 +1374,26 @@ mod tests {
     }
 
     #[test]
-    fn config_round_trips_through_spec() {
-        let mut cfg = CheckerConfig::new(Scheme::SwInc)
-            .with_runs(5)
-            .with_base_seed(9)
-            .with_lib_seed(3)
-            .with_switch(SwitchPolicy::EveryNth(4))
-            .with_rounding(FpRound::default())
-            .with_ignore(IgnoreSpec::new().ignore_global("x"))
-            .with_policy(FailurePolicy::Skip { max_failures: 2 })
-            .with_deadline(Duration::from_millis(1500))
-            .with_fault_in_run(1, FaultPlan::new(7))
-            .with_jobs(3)
-            .with_cache_model();
-        cfg.workload = Some("w:scaled".into());
-        let spec = cfg.to_spec().expect("workload is set");
-        let back = CheckerConfig::from_spec(&spec);
-        let again = back.to_spec().expect("still has a workload");
-        assert_eq!(spec, again, "spec ↔ config round-trip is stable");
-        assert_eq!(back.runs, cfg.runs);
-        assert_eq!(back.deadline, cfg.deadline);
-        assert_eq!(back.fault_plans, cfg.fault_plans);
-
-        // No workload identity → no spec (nothing to key a corpus by).
-        assert!(CheckerConfig::new(Scheme::HwInc).to_spec().is_none());
-        // Sub-millisecond deadlines don't survive the ms encoding.
-        let mut odd = cfg;
-        odd.deadline = Some(Duration::from_micros(1500));
-        assert!(odd.to_spec().is_none());
+    fn a_fractional_deadline_still_caches_every_run() {
+        use crate::cache::MemoryRunCache;
+        let cache = Arc::new(MemoryRunCache::new());
+        let cfg = CheckerConfig::new(Scheme::HwInc)
+            .with_runs(4)
+            .with_jobs(1)
+            .with_deadline(Duration::from_micros(1500))
+            .with_run_cache(cache.clone(), "racy_unordered_sum");
+        let cold = Checker::new(cfg.clone())
+            .expect("valid config")
+            .check(racy_unordered_sum)
+            .unwrap();
+        assert_eq!(cache.len(), 4, "every completed run is stored");
+        assert_eq!(cache.hits(), 0);
+        let warm = Checker::new(cfg)
+            .expect("valid config")
+            .check(racy_unordered_sum)
+            .unwrap();
+        assert_eq!(cold, warm);
+        assert_eq!(cache.hits(), 4, "the rerun replays every run");
     }
 
     #[test]

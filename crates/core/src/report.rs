@@ -34,11 +34,6 @@ impl Distribution {
         &self.0
     }
 
-    /// Number of distinct states observed.
-    pub fn distinct_states(&self) -> usize {
-        self.0.len()
-    }
-
     /// `true` if every run produced the same state.
     pub fn is_deterministic(&self) -> bool {
         self.0.len() <= 1
@@ -68,7 +63,7 @@ pub enum CheckpointVerdict {
 ///
 /// Reports compare equal field for field — two campaigns that differ
 /// only in how their runs were scheduled across worker threads (see
-/// [`CheckerConfig::jobs`](crate::CheckerConfig::jobs)) produce equal
+/// [`CampaignSpec::jobs`](crate::CampaignSpec::jobs)) produce equal
 /// reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckReport {
@@ -308,7 +303,6 @@ mod tests {
     fn distribution_sorting_and_display() {
         let d = Distribution::from_hashes([1, 2, 1, 1, 3, 2]);
         assert_eq!(d.counts(), &[3, 2, 1]);
-        assert_eq!(d.distinct_states(), 3);
         assert!(!d.is_deterministic());
         assert_eq!(d.to_string(), "3-2-1");
         let det = Distribution::from_hashes([7, 7, 7]);

@@ -438,10 +438,6 @@ impl Monitor for CheckMonitor {
         });
     }
 
-    fn extra_instructions(&self) -> u64 {
-        self.extra_instr + self.datapath_cost().1
-    }
-
     fn hash_spec(&self) -> HashSpec {
         HashSpec {
             hashing: self.scheme.is_incremental(),
@@ -498,9 +494,8 @@ mod tests {
     #[test]
     fn native_records_zero_hashes_and_no_extra_cost() {
         let m = CheckMonitor::new(Scheme::Native, None, IgnoreSpec::new());
-        let m = stores_by(m, 0, ValKind::U64, &[5]);
-        assert_eq!(m.extra_instructions(), 0);
-        let hashes = m.into_hashes();
+        let hashes = stores_by(m, 0, ValKind::U64, &[5]).into_hashes();
+        assert_eq!(hashes.extra_instr, 0);
         assert_eq!(hashes.stores, 1);
         assert_eq!(hashes.hash_updates, 0);
         assert_eq!(hashes.checkpoints[0].hash, HashSum::ZERO);
@@ -511,13 +506,13 @@ mod tests {
         let values: Vec<u64> = (0..10).collect();
         let run = |scheme| {
             let m = CheckMonitor::new(scheme, None, IgnoreSpec::new());
-            stores_by(m, 0, ValKind::U64, &values)
+            stores_by(m, 0, ValKind::U64, &values).into_hashes()
         };
         let (hw, sw) = (run(Scheme::HwInc), run(Scheme::SwInc));
         // Both combine one per-thread hash at the `End` checkpoint.
-        assert_eq!(hw.extra_instructions(), 1);
-        assert_eq!(sw.extra_instructions(), 1 + 10 * SW_INC_INSTR_PER_STORE);
-        assert_eq!(hw.into_hashes().hash_updates, 20);
+        assert_eq!(hw.extra_instr, 1);
+        assert_eq!(sw.extra_instr, 1 + 10 * SW_INC_INSTR_PER_STORE);
+        assert_eq!(hw.hash_updates, 20);
     }
 
     /// The Section 4.1 caveat, demonstrated at the hash level: if the
@@ -546,17 +541,14 @@ mod tests {
     fn rounding_applies_to_lazily_grown_thread_sums() {
         let run = |value: f64| {
             let m = CheckMonitor::new(Scheme::HwInc, Some(FpRound::default()), IgnoreSpec::new());
-            stores_by(m, 3, ValKind::F64, &[value.to_bits()])
+            stores_by(m, 3, ValKind::F64, &[value.to_bits()]).into_hashes()
         };
         let (noisy, clean) = (run(0.1 + 0.2 + 0.3), run(0.6));
         assert_ne!((0.1 + 0.2 + 0.3f64).to_bits(), 0.6f64.to_bits());
         // Only thread 3 stored, yet the sums grew to four: the `End`
         // checkpoint combines four per-thread hashes.
-        assert_eq!(noisy.extra_instructions(), 4);
-        assert_eq!(
-            noisy.into_hashes().checkpoints,
-            clean.into_hashes().checkpoints
-        );
+        assert_eq!(noisy.extra_instr, 4);
+        assert_eq!(noisy.checkpoints, clean.checkpoints);
     }
 
     #[test]

@@ -1,21 +1,16 @@
-//! The unified campaign description: one serializable value that pins
+//! The campaign description: one serializable value that pins
 //! everything a checking campaign does.
 //!
-//! Historically every entry point re-collected the same knobs by hand —
-//! the harness binaries each parsed scheme/seed/policy flags into a
-//! [`CheckerConfig`], and the checker re-collected the same fields again
-//! to build cache keys. A [`CampaignSpec`] is the single canonical
-//! bundle: workload identity, [`Scheme`], seeds, [`SwitchPolicy`],
-//! [`FpRound`], [`IgnoreSpec`], [`FailurePolicy`], worker count, and
-//! fault plans. It serializes to one line of deterministic JSON (the
-//! same hand-rolled codec style as the corpus baselines: a hand-written
-//! writer over [`obs::json`]), so a spec can be submitted over a wire,
-//! stored next to a corpus, and diffed byte-for-byte.
-//!
-//! [`CheckerConfig::from_spec`] and [`Checker::from_spec`] are the
-//! canonical entry points, and the checker's cache keys are derived
-//! from the spec ([`CampaignSpec::run_key`]) instead of re-collecting
-//! the fields by hand.
+//! A [`CampaignSpec`] is the only place a campaign's fields live:
+//! workload identity, [`Scheme`], seeds, [`SwitchPolicy`], [`FpRound`],
+//! [`IgnoreSpec`], [`FailurePolicy`], worker count, and fault plans. A
+//! [`CheckerConfig`](crate::CheckerConfig) is a spec plus runtime
+//! attachments, the harness command line parses into one, and the
+//! checker's cache keys are derived from it
+//! ([`CampaignSpec::run_key`]). It serializes to one line of
+//! deterministic JSON (a hand-written writer over [`obs::json`]), so a
+//! spec can be submitted over a wire, stored next to a corpus, and
+//! diffed byte-for-byte.
 //!
 //! # Example
 //!
@@ -65,7 +60,7 @@ pub const SPEC_VERSION: u32 = 1;
 
 /// Everything one checking campaign does, as one serializable value.
 ///
-/// Fields mirror [`CheckerConfig`](crate::CheckerConfig) minus the
+/// [`CheckerConfig`](crate::CheckerConfig) carries a spec plus the
 /// runtime resources (sinks, registries, caches are attached when the
 /// spec is instantiated, not serialized). The deliberate split in
 /// [`run_key`](CampaignSpec::run_key) applies: `runs`, `policy`,
@@ -84,7 +79,8 @@ pub struct CampaignSpec {
     pub runs: usize,
     /// Scheduler seed of the first run; run `i` uses `base_seed + i`.
     pub base_seed: u64,
-    /// Library-call input seed.
+    /// Library-call input seed: fixed across the campaign's runs (the
+    /// calls are *input*), but can be varied between campaigns.
     pub lib_seed: u64,
     /// Preemption policy for all runs.
     pub switch: SwitchPolicy,
@@ -94,7 +90,9 @@ pub struct CampaignSpec {
     pub ignore: IgnoreSpec,
     /// What the campaign does when a run fails.
     pub policy: FailurePolicy,
-    /// Wall-clock watchdog per run, in milliseconds (`None` = none).
+    /// Wall-clock watchdog per run, in milliseconds (`None` = none). A
+    /// run that exceeds it fails with
+    /// [`SimError::Deadline`](tsim::SimError).
     pub deadline_ms: Option<u64>,
     /// Step limit per run.
     pub max_steps: u64,
@@ -103,7 +101,8 @@ pub struct CampaignSpec {
     pub jobs: Option<usize>,
     /// Whether the per-thread L1/MHM cache model runs.
     pub cache_model: bool,
-    /// Fault-injection plans applied to specific run slots.
+    /// Fault-injection plans applied to specific run slots (every
+    /// attempt of that slot, including retries, gets the plan).
     pub fault_plans: Vec<(usize, FaultPlan)>,
     /// Corpus directory the campaign was recorded against (`None` =
     /// unspecified). Shape-only: storage placement never enters a
@@ -302,8 +301,8 @@ impl RunKeyTemplate {
 impl CampaignSpec {
     /// A default campaign over `workload`: 30 runs, base seed 1,
     /// sync-only switching, bit-exact hashing, nothing ignored, abort
-    /// on the first failed run — the same defaults as
-    /// [`CheckerConfig::new`](crate::CheckerConfig::new).
+    /// on the first failed run — the defaults
+    /// [`CheckerConfig::new`](crate::CheckerConfig::new) starts from.
     pub fn new(workload: impl Into<String>, scheme: Scheme) -> Self {
         CampaignSpec {
             workload: workload.into(),
@@ -738,18 +737,8 @@ mod tests {
 
     #[test]
     fn defaults_match_checker_config() {
-        let spec = CampaignSpec::new("w", Scheme::HwInc);
         let cfg = crate::CheckerConfig::new(Scheme::HwInc);
-        assert_eq!(spec.runs, cfg.runs);
-        assert_eq!(spec.base_seed, cfg.base_seed);
-        assert_eq!(spec.lib_seed, cfg.lib_seed);
-        assert_eq!(spec.switch, cfg.switch);
-        assert_eq!(spec.rounding, cfg.rounding);
-        assert_eq!(spec.max_steps, cfg.max_steps);
-        assert_eq!(spec.policy, cfg.policy);
-        assert_eq!(spec.deadline(), cfg.deadline);
-        assert_eq!(spec.jobs, cfg.jobs);
-        assert_eq!(spec.cache_model, cfg.cache_model);
+        assert_eq!(cfg.spec, CampaignSpec::new("", Scheme::HwInc));
     }
 
     #[test]

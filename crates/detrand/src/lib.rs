@@ -126,11 +126,6 @@ impl DetRng {
     pub fn bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
-
-    /// A uniformly distributed `f64` in `[0, 1)`.
-    pub fn f64_unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 #[cfg(test)]
@@ -181,15 +176,6 @@ mod tests {
         let mut rng = DetRng::new(11);
         let hits = (0..10_000).filter(|_| rng.chance(1, 4)).count();
         assert!((2000..3000).contains(&hits), "hits = {hits}");
-    }
-
-    #[test]
-    fn f64_unit_in_range() {
-        let mut rng = DetRng::new(13);
-        for _ in 0..100 {
-            let x = rng.f64_unit();
-            assert!((0.0..1.0).contains(&x));
-        }
     }
 
     #[test]

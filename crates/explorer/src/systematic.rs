@@ -39,14 +39,6 @@ pub struct ExplorationStats {
     pub truncated: bool,
 }
 
-impl ExplorationStats {
-    /// How many executions state pruning saves relative to HB pruning.
-    pub fn hash_vs_hb_savings(&self) -> usize {
-        self.distinct_hb_classes
-            .saturating_sub(self.distinct_final_states)
-    }
-}
-
 /// Exhaustively explores every schedule of `source` (up to `limit`
 /// executions), classifying executions by HB signature and by state
 /// hash.
@@ -284,7 +276,6 @@ mod tests {
         assert!(stats.executions >= 2);
         assert_eq!(stats.distinct_hb_classes, 2, "two lock orders");
         assert_eq!(stats.distinct_final_states, 1, "one final state");
-        assert!(stats.hash_vs_hb_savings() >= 1);
         // Ordering: states ≤ HB classes ≤ executions.
         assert!(stats.distinct_final_states <= stats.distinct_hb_classes);
         assert!(stats.distinct_hb_classes <= stats.executions);
@@ -295,7 +286,6 @@ mod tests {
         let stats = explore(last_writer, 10_000).unwrap();
         assert_eq!(stats.distinct_hb_classes, 2);
         assert_eq!(stats.distinct_final_states, 2, "truly different outcomes");
-        assert_eq!(stats.hash_vs_hb_savings(), 0);
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl LaneSpan {
 }
 
 /// Default bound on the retained lane-span log.
-pub const DEFAULT_LANE_CAP: usize = 16_384;
+const DEFAULT_LANE_CAP: usize = 16_384;
 
 /// The wall-clock telemetry registry. Cheap to share (`Arc`) and cheap
 /// to record into: histogram/gauge/counter handles are atomics, the
@@ -170,7 +170,7 @@ impl Telemetry {
 
     /// A telemetry plane retaining at most `lane_cap` lane spans
     /// (further spans are dropped and counted, never blocking).
-    pub fn with_lane_cap(lane_cap: usize) -> Telemetry {
+    fn with_lane_cap(lane_cap: usize) -> Telemetry {
         Telemetry {
             epoch: Instant::now(),
             counters: RwLock::new(BTreeMap::new()),

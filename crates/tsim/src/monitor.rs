@@ -236,13 +236,6 @@ pub trait Monitor: Send {
     /// or the end of the run.
     fn on_checkpoint(&mut self, info: &CheckpointInfo, view: &StateView<'_>) {}
 
-    /// Extra instructions this monitor's checking scheme would execute on
-    /// a real machine (e.g. 5 instructions per byte hashed in software) —
-    /// the Figure 6 cost model.
-    fn extra_instructions(&self) -> u64 {
-        0
-    }
-
     /// What this monitor needs of the engine's store datapath: whether
     /// to hash, how to round FP stores, and whether to deliver the
     /// per-access callbacks. The default hashes nothing and delivers no
@@ -349,7 +342,6 @@ mod tests {
             },
             &view,
         );
-        assert_eq!(m.extra_instructions(), 0);
         assert_eq!(m.hash_spec(), HashSpec::default());
     }
 }
