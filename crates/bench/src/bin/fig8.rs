@@ -16,6 +16,7 @@ fn main() {
             reports.push(report);
         }
     }
+    r.require_rows(&reports);
     r.table(&render_distributions(&reports));
     r.artifact(&reports);
 }

@@ -18,6 +18,7 @@ fn main() {
             rows.push(row);
         }
     }
+    r.require_rows(&rows);
     r.table(&render_table1(&rows));
     r.line("* streamcluster: nondeterministic barriers caused by the PARSEC 2.1");
     r.line("  order-violation bug; with the bug fixed they become deterministic.");

@@ -13,6 +13,7 @@ fn main() {
             rows.push(row);
         }
     }
+    r.require_rows(&rows);
     r.table(&render_table2(&rows));
     r.artifact(&rows);
 }

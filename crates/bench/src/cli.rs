@@ -37,6 +37,23 @@ use crate::HarnessOpts;
 /// A usage message naming the offending flag (missing value, malformed
 /// number, unknown token, unreadable spec file or corpus directory).
 pub fn parse_spec(args: &[String]) -> Result<HarnessOpts, String> {
+    parse_flags(args, None)
+}
+
+/// [`parse_spec`] for a binary that reads only the flags in `reads` of
+/// those [`parse_spec`] recognizes. Any other such flag is an error
+/// naming it, not a setting that silently changes nothing; it is
+/// refused before the corpus is opened.
+///
+/// # Errors
+///
+/// Those of [`parse_spec`], and the first recognized flag not in
+/// `reads`.
+pub fn parse_spec_reading(args: &[String], reads: &[&str]) -> Result<HarnessOpts, String> {
+    parse_flags(args, Some(reads))
+}
+
+fn parse_flags(args: &[String], reads: Option<&[&str]>) -> Result<HarnessOpts, String> {
     let mut spec_file: Option<String> = None;
     let mut workload: Option<String> = None;
     let mut scheme: Option<Scheme> = None;
@@ -90,7 +107,20 @@ pub fn parse_spec(args: &[String]) -> Result<HarnessOpts, String> {
             "--corpus-segment-bytes" => corpus_segment_bytes = Some(parse_num(flag, &value()?)?),
             "--corpus-max-bytes" => corpus_max_bytes = Some(parse_num(flag, &value()?)?),
             "--corpus-cache-slots" => corpus_cache_slots = Some(parse_num(flag, &value()?)?),
-            other => rest.push(other.to_owned()),
+            other => {
+                rest.push(other.to_owned());
+                i += 1;
+                continue;
+            }
+        }
+        if let Some(reads) = reads.filter(|reads| !reads.contains(&flag)) {
+            let read = match reads {
+                [] => "no spec flag".to_owned(),
+                _ => reads.join(", "),
+            };
+            return Err(format!(
+                "{flag}: this binary does not read it (it reads {read})"
+            ));
         }
         i += 1;
     }
@@ -356,6 +386,34 @@ mod tests {
         let bare = parse(&[]).spec.run_key(0, 1, None);
         assert_eq!(keyed.canonical(), bare.canonical());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flag_the_binary_does_not_read_is_refused_by_name() {
+        let reading = |args: &[&str], reads: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+            parse_spec_reading(&args, reads)
+        };
+        let sa = reading(&["--seed", "4", "--extra"], &["--runs", "--seed"]).unwrap();
+        assert_eq!(sa.spec.base_seed, 4);
+        assert_eq!(sa.rest, ["--extra"]);
+
+        let err = reading(&["--seed", "4", "--switch", "every-access"], &["--seed"]).unwrap_err();
+        assert!(
+            err.starts_with("--switch:") && err.contains("--seed"),
+            "{err}"
+        );
+        let err = reading(&["--runs", "3"], &[]).unwrap_err();
+        assert!(
+            err.starts_with("--runs:") && err.contains("no spec flag"),
+            "{err}"
+        );
+
+        // Refused before the store would be created.
+        let dir = std::env::temp_dir().join(format!("icd-cli-unread-{}", std::process::id()));
+        let err = reading(&["--corpus-dir", &dir.to_string_lossy()], &[]).unwrap_err();
+        assert!(err.starts_with("--corpus-dir:"), "{err}");
+        assert!(!dir.exists());
     }
 
     #[test]

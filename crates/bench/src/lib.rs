@@ -2,12 +2,16 @@
 //!
 //! One binary per paper table/figure (see `src/bin/`): `table1`,
 //! `table2`, `fig5`, `fig6`, `fig8`, `race_filter`, `pruning`,
-//! `replay_assist`, plus the `icprof` trace profiler. Each accepts
-//! `--scaled` (miniature workloads for a quick pass) and `--runs N`,
-//! prints a human-readable table to stdout, and writes a JSON artifact
-//! under `results/`. With `--trace`, campaign binaries also write a
-//! deterministic event trace (`results/<app>.trace.jsonl`) that
-//! `icprof` can profile or convert for `chrome://tracing`; with
+//! `replay_assist`, plus the `icprof` trace profiler. Each prints a
+//! human-readable table to stdout and writes a JSON artifact under
+//! `results/`. The campaign binaries (`table1`, `table2`, `fig5`,
+//! `fig8`) accept every spec flag, among them `--scaled` (miniature
+//! workloads for a quick pass) and `--runs N`; the others refuse the
+//! spec flags they do not read (see
+//! [`HarnessOpts::from_args_reading`]). With `--trace`, campaign
+//! binaries also write a deterministic event trace
+//! (`results/<app>.trace.jsonl`) that `icprof` can profile or convert
+//! for `chrome://tracing`; with
 //! `--cache-model`, L1/MHM hit rates are measured and included in the
 //! JSON artifacts; with `--corpus-dir DIR`, completed runs are recorded
 //! to (and replayed from) a persistent content-addressed store — see
@@ -67,7 +71,21 @@ impl HarnessOpts {
     /// malformed values exit with status 2.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match cli::parse_spec(&args) {
+        Self::or_exit(cli::parse_spec(&args))
+    }
+
+    /// [`from_args`](Self::from_args) for a binary that reads only the
+    /// spec flags in `reads` (see [`cli::parse_spec_reading`]): any
+    /// other spec flag is a usage error, exit status 2.
+    pub fn from_args_reading(reads: &[&str]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::or_exit(cli::parse_spec_reading(&args, reads))
+    }
+
+    /// Reports the unknown arguments of a parse, or its usage error
+    /// with exit status 2.
+    fn or_exit(parsed: Result<Self, String>) -> Self {
+        match parsed {
             Ok(opts) => {
                 for other in &opts.rest {
                     eprintln!("ignoring unknown argument {other}");
@@ -684,6 +702,16 @@ impl Reporter {
     /// A pre-rendered multi-line table (stdout).
     pub fn table(&self, text: &str) {
         println!("{text}");
+    }
+
+    /// Ends the process with status 1, before any table or artifact is
+    /// written, when no campaign produced a row: every failure is
+    /// already logged, and an empty table must not pass for a result.
+    pub fn require_rows<T>(&self, rows: &[T]) {
+        if rows.is_empty() {
+            eprintln!("{}: every campaign failed; nothing to report", self.tool);
+            std::process::exit(1);
+        }
     }
 
     /// Writes the binary's JSON artifact (`results/{tool}.json`).

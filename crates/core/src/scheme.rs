@@ -150,6 +150,82 @@ impl ResolvedIgnore {
     }
 }
 
+/// SW-Tr's per-region folds, kept across the checkpoints of one
+/// allocation epoch so that a region whose words have not changed adds
+/// its cached fold instead of hashing them again.
+///
+/// Within an epoch the block table, the kind patterns and the resolved
+/// ignore list are fixed (as [`ResolvedIgnore`] relies on), and the
+/// rounding and the hasher are fixed per monitor, so a region's fold is
+/// a pure function of its words. The snapshot holds one copy of the
+/// live state and is reused across the run's checkpoints.
+#[derive(Debug, Default)]
+struct TraversalMemo {
+    /// The [`StateView::alloc_epoch`] the entries belong to; `None`
+    /// before the first traversal.
+    epoch: Option<u64>,
+    /// One entry per [`StateView::live_regions`] region, in order.
+    regions: Vec<RegionFold>,
+    /// Every region's words at its latest fold, back to back.
+    snapshot: Vec<u64>,
+}
+
+/// One region's entry in a [`TraversalMemo`].
+#[derive(Debug)]
+struct RegionFold {
+    base: Addr,
+    len: usize,
+    /// `Σ h(a, v)` over the region's kept words (after the ignore cut).
+    hash: HashSum,
+    /// How many of the region's words are kept.
+    kept: u64,
+    /// Where the region's words start in [`TraversalMemo::snapshot`].
+    offset: usize,
+}
+
+impl TraversalMemo {
+    /// Forgets every entry if `epoch` is not the one they were folded
+    /// at.
+    fn refresh(&mut self, epoch: u64) {
+        if self.epoch != Some(epoch) {
+            self.epoch = Some(epoch);
+            self.regions.clear();
+            self.snapshot.clear();
+        }
+    }
+
+    /// Region `i`'s cached `(fold, kept words)`, if its entry has the
+    /// same base and exactly the words `values`.
+    fn lookup(&self, i: usize, base: Addr, values: &[u64]) -> Option<(HashSum, u64)> {
+        let r = self.regions.get(i)?;
+        (r.base == base && self.snapshot[r.offset..r.offset + r.len] == *values)
+            .then_some((r.hash, r.kept))
+    }
+
+    /// Records region `i`'s fold of `values`. Every traversal of one
+    /// epoch yields the same regions in the same order, so an existing
+    /// entry `i` is this region's and is overwritten in place, and a
+    /// fresh memo grows by one entry per region.
+    fn store(&mut self, i: usize, base: Addr, values: &[u64], (hash, kept): (HashSum, u64)) {
+        if let Some(r) = self.regions.get_mut(i) {
+            debug_assert_eq!(r.base, base, "an epoch fixes the region layout");
+            self.snapshot[r.offset..r.offset + r.len].copy_from_slice(values);
+            r.hash = hash;
+            r.kept = kept;
+        } else {
+            debug_assert_eq!(self.regions.len(), i, "regions are stored in order");
+            self.regions.push(RegionFold {
+                base,
+                len: values.len(),
+                hash,
+                kept,
+                offset: self.snapshot.len(),
+            });
+            self.snapshot.extend_from_slice(values);
+        }
+    }
+}
+
 /// The [`Monitor`] that implements the checking schemes.
 ///
 /// One instance observes one run; [`CheckMonitor::into_hashes`] then
@@ -169,6 +245,8 @@ pub struct CheckMonitor {
     ignore: IgnoreSpec,
     /// `ignore` resolved at the latest checkpoint's allocation epoch.
     ignored: ResolvedIgnore,
+    /// SW-Tr's region folds at the latest checkpoint.
+    memo: TraversalMemo,
     hasher: Mix64Hasher,
     output: OutputHasher,
     records: Vec<CheckpointRecord>,
@@ -199,6 +277,7 @@ impl CheckMonitor {
             rounding,
             ignore,
             ignored: ResolvedIgnore::default(),
+            memo: TraversalMemo::default(),
             hasher: Mix64Hasher::default(),
             output: OutputHasher::new(),
             records: Vec::new(),
@@ -316,34 +395,30 @@ impl CheckMonitor {
     /// (globals + allocation table), rounding FP-typed words, skipping
     /// the ignore set.
     ///
-    /// The live state streams region by region. A cursor into the sorted
-    /// ignore list cuts each region into runs of kept words, and each
-    /// run folds straight from the region's slice (the group is
-    /// commutative, so summing per-run folds is the whole-state fold).
+    /// The live state streams region by region. A region whose base and
+    /// words equal its [`TraversalMemo`] entry adds the cached fold; any
+    /// other is folded by [`fold_region`] and its entry updated (the
+    /// group is commutative, so summing per-region folds is the
+    /// whole-state fold). The cost model charges every kept word either
+    /// way, as the paper's traversal hashes them all.
     fn traversal_hash(&mut self, view: &StateView<'_>) -> HashSum {
         self.ignored.refresh(&self.ignore, view, &self.hasher);
+        self.memo.refresh(view.alloc_epoch());
         let ignored = self.ignored.words.as_slice();
         let rounding = self.rounding.filter(|r| !r.is_bit_exact());
         let mut hash = HashSum::ZERO;
         let mut words = 0u64;
-        for (base, values, kinds) in view.live_regions() {
-            let end = base.raw() + values.len() as u64;
-            let mut cursor = ignored.partition_point(|&(a, _)| a < base);
-            let mut start = 0;
-            loop {
-                let stop = match ignored.get(cursor) {
-                    Some(&(a, _)) if a.raw() < end => (a.raw() - base.raw()) as usize,
-                    _ => values.len(),
-                };
-                let run = hash_run(&self.hasher, base, values, kinds, start..stop, rounding);
-                hash = hash.combine(run);
-                words += (stop - start) as u64;
-                if stop == values.len() {
-                    break;
+        for (i, (base, values, kinds)) in view.live_regions().enumerate() {
+            let (fold, kept) = match self.memo.lookup(i, base, values) {
+                Some(cached) => cached,
+                None => {
+                    let fresh = fold_region(&self.hasher, ignored, base, values, kinds, rounding);
+                    self.memo.store(i, base, values, fresh);
+                    fresh
                 }
-                cursor += 1;
-                start = stop + 1;
-            }
+            };
+            hash = hash.combine(fold);
+            words += kept;
         }
         self.extra_instr += words * SW_TR_INSTR_PER_WORD;
         self.hash_updates += words;
@@ -362,6 +437,37 @@ impl CheckMonitor {
             hash_updates: self.hash_updates + updates,
             cache,
         }
+    }
+}
+
+/// One region's `(fold, kept words)`: a cursor into the sorted ignore
+/// list cuts the region into runs of kept words, and each run folds
+/// straight from the region's slice.
+fn fold_region(
+    hasher: &Mix64Hasher,
+    ignored: &[(Addr, ValKind)],
+    base: Addr,
+    values: &[u64],
+    kinds: &[ValKind],
+    rounding: Option<FpRound>,
+) -> (HashSum, u64) {
+    let end = base.raw() + values.len() as u64;
+    let mut cursor = ignored.partition_point(|&(a, _)| a < base);
+    let mut start = 0;
+    let mut hash = HashSum::ZERO;
+    let mut kept = 0u64;
+    loop {
+        let stop = match ignored.get(cursor) {
+            Some(&(a, _)) if a.raw() < end => (a.raw() - base.raw()) as usize,
+            _ => values.len(),
+        };
+        hash = hash.combine(hash_run(hasher, base, values, kinds, start..stop, rounding));
+        kept += (stop - start) as u64;
+        if stop == values.len() {
+            return (hash, kept);
+        }
+        cursor += 1;
+        start = stop + 1;
     }
 }
 
@@ -565,6 +671,20 @@ mod tests {
     struct Referee {
         inner: CheckMonitor,
         checked: usize,
+        /// SW-Tr only: per checkpoint, how many regions the traversal
+        /// memo could not serve (read from the memo before the
+        /// checkpoint folds).
+        misses: Vec<usize>,
+    }
+
+    impl Referee {
+        fn new(inner: CheckMonitor) -> Self {
+            Referee {
+                inner,
+                checked: 0,
+                misses: Vec::new(),
+            }
+        }
     }
 
     /// Whether word `i` of the global named `global`, or of a block
@@ -596,6 +716,17 @@ mod tests {
         fn on_checkpoint(&mut self, info: &CheckpointInfo, view: &StateView<'_>) {
             let m = &self.inner;
             let (updates, instr) = (m.hash_updates, m.extra_instr);
+            if m.scheme == Scheme::SwTr {
+                let same_epoch = m.memo.epoch == Some(view.alloc_epoch());
+                let misses = view
+                    .live_regions()
+                    .enumerate()
+                    .filter(|&(i, (base, values, _))| {
+                        !same_epoch || m.memo.lookup(i, base, values).is_none()
+                    })
+                    .count();
+                self.misses.push(misses);
+            }
             self.inner.on_checkpoint(info, view);
             let m = &self.inner;
 
@@ -729,10 +860,7 @@ mod tests {
             for rounding in roundings {
                 for seed in [1, 2, 3] {
                     let (program, bases) = build();
-                    let referee = Referee {
-                        inner: CheckMonitor::new(scheme, rounding, spec.clone()),
-                        checked: 0,
-                    };
+                    let referee = Referee::new(CheckMonitor::new(scheme, rounding, spec.clone()));
                     let out = program.run_with(&RunConfig::random(seed), referee).unwrap();
                     assert_eq!(
                         out.final_word(bases.at(0)),
@@ -742,6 +870,93 @@ mod tests {
                     // Two barriers, three manual checkpoints, the end.
                     assert_eq!(out.monitor.checked, 6);
                 }
+            }
+        }
+    }
+
+    /// SW-Tr's region memo serves exactly the regions whose words did
+    /// not change, and every checkpoint still equals the word-by-word
+    /// reference in hash, hash updates and extra instructions: an idle
+    /// interval, one changed word, a word beside an ignore-list cut, an
+    /// ignored word, a rounded FP word in a `[U64, F64, F64]` block, and
+    /// two same-base reallocations that keep the region count but move
+    /// the epoch (the second with the old words at an ignored site).
+    #[test]
+    fn traversal_memo_refolds_only_changed_regions() {
+        use tsim::{ProgramBuilder, RunConfig, TypeTag};
+
+        let spec = IgnoreSpec::new()
+            .ignore_global_range("noise", 1, 4)
+            .ignore_site("junk");
+        let build = || {
+            let mut b = ProgramBuilder::new(1);
+            let noise = b.global("noise", ValKind::U64, 6);
+            let data = b.global("data", ValKind::F64, 4);
+            let bases = b.global("bases", ValKind::U64, 3);
+            b.thread(async move |ctx| {
+                let rec_tag = TypeTag::of(vec![ValKind::U64, ValKind::F64, ValKind::F64]);
+                let rec = ctx.malloc("rec", rec_tag, 6).await;
+                let tmp = ctx.malloc("tmp", TypeTag::u64s(), 4).await;
+                for i in 0..6u64 {
+                    ctx.store(noise.at(i as usize), 100 + i).await;
+                    match i % 3 {
+                        0 => ctx.store(rec.offset(i), 7 * i + 1).await,
+                        _ => ctx.store_f64(rec.offset(i), 0.1 * i as f64).await,
+                    }
+                }
+                for i in 0..4 {
+                    ctx.store_f64(data.at(i), 1.0 / (i + 3) as f64).await;
+                    ctx.store(tmp.offset(i as u64), 0xdead + i as u64).await;
+                }
+                ctx.checkpoint("first").await;
+                ctx.checkpoint("idle").await;
+                ctx.store_f64(data.at(2), 0.5).await;
+                ctx.checkpoint("one word").await;
+                ctx.store(noise.at(4), 7).await;
+                ctx.checkpoint("beside the cut").await;
+                ctx.store(noise.at(2), 8).await;
+                ctx.checkpoint("ignored word").await;
+                ctx.store_f64(rec.offset(4), 0.4 + 1e-12).await;
+                ctx.checkpoint("rounded word").await;
+                ctx.free(tmp).await;
+                let again = ctx.malloc("tmp", TypeTag::u64s(), 4).await;
+                for i in 0..4 {
+                    ctx.store(again.offset(i), 0xbeef + i).await;
+                }
+                ctx.checkpoint("reused").await;
+                ctx.free(again).await;
+                let junk = ctx.malloc("junk", TypeTag::u64s(), 4).await;
+                for i in 0..4 {
+                    ctx.store(junk.offset(i), 0xbeef + i).await;
+                }
+                ctx.checkpoint("reused, ignored").await;
+                ctx.store(bases.at(0), tmp.raw()).await;
+                ctx.store(bases.at(1), again.raw()).await;
+                ctx.store(bases.at(2), junk.raw()).await;
+            });
+            (b.build(), bases)
+        };
+        let roundings = [
+            None,
+            Some(FpRound::default()),
+            Some(FpRound::FloorDecimal { digits: 2 }),
+        ];
+        for rounding in roundings {
+            let (program, bases) = build();
+            let referee = Referee::new(CheckMonitor::new(Scheme::SwTr, rounding, spec.clone()));
+            let out = program.run_with(&RunConfig::random(1), referee).unwrap();
+            let (a, b, c) = (bases.at(0), bases.at(1), bases.at(2));
+            assert_eq!(out.final_word(a), out.final_word(b), "same-base reuse");
+            assert_eq!(out.final_word(a), out.final_word(c), "same-base reuse");
+            // Five regions (three globals, two blocks) at every
+            // checkpoint; the last interval stores only to `bases`.
+            assert_eq!(out.monitor.misses, [5, 0, 1, 1, 1, 1, 5, 5, 1]);
+            let hashes: Vec<HashSum> = out.monitor.inner.records.iter().map(|r| r.hash).collect();
+            assert_eq!(hashes[0], hashes[1], "{rounding:?}: idle interval");
+            assert_eq!(hashes[3], hashes[4], "{rounding:?}: ignored word");
+            assert_ne!(hashes[6], hashes[7], "{rounding:?}: the epoch decides");
+            if rounding.is_some() {
+                assert_eq!(hashes[4], hashes[5], "{rounding:?}: rounded away");
             }
         }
     }

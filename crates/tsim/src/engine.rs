@@ -181,7 +181,13 @@ impl HotState {
             rounding: spec.rounding,
             accesses: spec.accesses,
             hasher: Mix64Hasher::default(),
-            batch: DeltaBatch::new(),
+            // Only a hashing run buffers deltas; the others skip the
+            // buffer's allocation.
+            batch: if spec.hashing {
+                DeltaBatch::new()
+            } else {
+                DeltaBatch::default()
+            },
             batch_tid: 0,
             sums: Vec::new(),
             stores: 0,

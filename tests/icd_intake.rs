@@ -272,3 +272,25 @@ fn batch_intake_reads_through_the_same_bounded_reader() {
     let ids: Vec<String> = svc.drain().into_iter().map(|r| r.id).collect();
     assert_eq!(ids, ["a", "c"]);
 }
+
+#[test]
+fn a_deeply_nested_line_is_one_bad_line_not_a_dead_daemon() {
+    let server = Server::start("nested", SocketOptions::default());
+
+    // Far deeper than any stack can recurse: the parser must refuse it
+    // with an error reply instead of overflowing the handler's stack.
+    let mut nested = Client::connect(&server.path);
+    let reply = nested.request(&"[".repeat(20_000));
+    assert!(reply.starts_with("{\"error\":"), "{reply:?}");
+
+    // The daemon still serves a new connection and runs its campaign.
+    let reply = Client::connect(&server.path).request(&submission("after"));
+    assert!(reply.contains("\"enqueued\""), "{reply}");
+
+    drop(nested);
+    let (svc, results) = server.drain();
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].id, "after");
+    assert_eq!(results[0].status, CampaignStatus::Completed);
+    assert_eq!(svc.registry().counter("icd.bad_lines").get(), 1);
+}
