@@ -8,11 +8,7 @@
 //! ```
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let sa = instantcheck_bench::cli::parse_spec(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let sa = instantcheck_bench::HarnessOpts::from_args();
     if sa.spec.workload.is_empty() {
         eprintln!("note: no --workload set; the spec is a template");
     }

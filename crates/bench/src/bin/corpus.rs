@@ -2,9 +2,9 @@
 //! run corpus and checks fresh campaigns against them.
 //!
 //! ```text
-//! corpus record --app canneal [--scaled] [--runs N] [--seed N] [--dir DIR]
-//! corpus check  --app canneal [--scaled] [--runs N] [--seed N] [--dir DIR] [--require-hits]
-//! corpus dump   --dir DIR
+//! corpus record --app canneal [--scaled] [--runs N] [--seed N] [--corpus-dir DIR]
+//! corpus check  --app canneal [--scaled] [--runs N] [--seed N] [--corpus-dir DIR] [--require-hits]
+//! corpus dump   --corpus-dir DIR
 //! ```
 //!
 //! `record` runs one checking campaign, stores every completed run in
@@ -27,9 +27,8 @@
 //! `--runs`/`--seed`/`--jobs`/`--scheme`/`--spec FILE` — and the
 //! storage flags `--corpus-dir`/`--corpus-segment-bytes`/
 //! `--corpus-max-bytes`/`--corpus-cache-slots` — mean exactly what
-//! they mean to every other harness binary and to `icd`. `--dir DIR`
-//! is this binary's historic alias for `--corpus-dir DIR`; without
-//! either, the store lives at `results/corpus`.
+//! they mean to every other harness binary and to `icd`. Without
+//! `--corpus-dir`, the store lives at `results/corpus`.
 
 use std::io::Write;
 use std::path::Path;
@@ -53,8 +52,8 @@ struct Cli {
 fn usage() -> ! {
     eprintln!(
         "usage: corpus <record|check> --app NAME [--scaled] [--runs N] \
-         [--seed N] [--jobs N] [--dir DIR] [--require-hits] [shared spec flags]\n       \
-         corpus dump --dir DIR"
+         [--seed N] [--jobs N] [--corpus-dir DIR] [--require-hits] [shared spec flags]\n       \
+         corpus dump --corpus-dir DIR"
     );
     std::process::exit(2);
 }
@@ -67,7 +66,6 @@ fn parse_cli() -> Cli {
     });
     let mut command = String::new();
     let mut app = String::new();
-    let mut dir: Option<String> = None;
     let mut require_hits = false;
     let mut i = 0;
     while i < sa.rest.len() {
@@ -78,7 +76,6 @@ fn parse_cli() -> Cli {
         match sa.rest[i].as_str() {
             "record" | "check" if command.is_empty() => command = sa.rest[i].clone(),
             "--app" => app = value(&mut i),
-            "--dir" => dir = Some(value(&mut i)),
             "--require-hits" => require_hits = true,
             other => {
                 eprintln!("unknown argument {other}");
@@ -92,29 +89,23 @@ fn parse_cli() -> Cli {
     }
     let mut spec = sa.spec;
     spec.workload = format!("{app}:{}", if sa.scaled { "scaled" } else { "full" });
-    // `--dir` (this binary's historic spelling) overrides the shared
-    // `--corpus-dir`; absent both, the store defaults to
-    // `results/corpus`. All three routes open through
-    // `cli::open_corpus`, so sizing flags apply regardless of spelling.
-    let corpus = match (&dir, &sa.corpus) {
-        (None, Some(corpus)) => Arc::clone(corpus),
-        _ => {
-            let chosen = dir
-                .or_else(|| spec.corpus_dir.clone())
-                .unwrap_or_else(|| "results/corpus".to_owned());
-            match cli::open_corpus(
-                &chosen,
-                spec.corpus_segment_bytes,
-                spec.corpus_max_bytes,
-                spec.corpus_cache_slots,
-            ) {
-                Ok(c) => Arc::new(c),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
+    // Without `--corpus-dir` the store defaults to `results/corpus`,
+    // opened through `cli::open_corpus` like the shared flag's, so the
+    // sizing flags apply either way.
+    let corpus = match &sa.corpus {
+        Some(corpus) => Arc::clone(corpus),
+        None => match cli::open_corpus(
+            "results/corpus",
+            spec.corpus_segment_bytes,
+            spec.corpus_max_bytes,
+            spec.corpus_cache_slots,
+        ) {
+            Ok(c) => Arc::new(c),
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(2);
             }
-        }
+        },
     };
     spec.corpus_dir = Some(corpus.dir().to_string_lossy().into_owned());
     Cli {
@@ -158,12 +149,12 @@ fn campaign(cli: &Cli, app: &AppSpec) -> (Vec<instantcheck::RunHashes>, CheckRep
     (runs, report)
 }
 
-/// `corpus dump --dir DIR`: prints every live record of the corpus at
-/// `DIR` as one readable block. Refuses a directory that holds no
-/// corpus rather than creating one.
+/// `corpus dump --corpus-dir DIR`: prints every live record of the
+/// corpus at `DIR` as one readable block. Refuses a directory that
+/// holds no corpus rather than creating one.
 fn dump(args: &[String]) -> ExitCode {
     let dir = match args {
-        [flag, dir] if flag == "--dir" => Path::new(dir),
+        [flag, dir] if flag == "--corpus-dir" => Path::new(dir),
         _ => usage(),
     };
     if !dir.join("format").is_file() {

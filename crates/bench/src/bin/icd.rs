@@ -7,8 +7,7 @@
 //! DESIGN.md §12–13).
 //!
 //! ```text
-//! icd [--width N] [--queue-cap N] [--budget N] [--retries N]
-//!     [--backoff-ms N] [--deadline-ms N] [--trace]
+//! icd [--width N] [--queue-cap N] [--budget N] [--trace]
 //!     [--tenant-quota N] [--idle-timeout-ms N] [--max-bad-lines N]
 //!     [--corpus-dir DIR] [--corpus-segment-bytes N]
 //!     [--corpus-max-bytes N] [--corpus-cache-slots N]
@@ -81,8 +80,7 @@ struct IcdCli {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: icd [--width N] [--queue-cap N] [--budget N] [--retries N] \
-         [--backoff-ms N] [--deadline-ms N] [--trace] \
+        "usage: icd [--width N] [--queue-cap N] [--budget N] [--trace] \
          [--tenant-quota N] [--idle-timeout-ms N] [--max-bad-lines N] \
          [--corpus-dir DIR] [--corpus-segment-bytes N] [--corpus-max-bytes N] \
          [--corpus-cache-slots N] [--out DIR] [--batch FILE|-] [--socket PATH] \
@@ -119,9 +117,6 @@ fn parse_cli() -> IcdCli {
             "--width" => cli.config.width = num(&mut i) as usize,
             "--queue-cap" => cli.config.queue_capacity = num(&mut i) as usize,
             "--budget" => cli.config.job_budget = num(&mut i) as usize,
-            "--retries" => cli.config.retries = num(&mut i) as u32,
-            "--backoff-ms" => cli.config.backoff = Duration::from_millis(num(&mut i)),
-            "--deadline-ms" => cli.config.default_deadline_ms = Some(num(&mut i)),
             "--trace" => cli.config.trace = true,
             "--tenant-quota" => cli.config.tenant_quota = Some(num(&mut i)),
             "--idle-timeout-ms" => {

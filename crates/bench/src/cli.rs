@@ -20,11 +20,11 @@ use crate::HarnessOpts;
 /// Recognized: `--spec FILE`, `--workload ID`, `--scheme S` (lenient:
 /// `hw-inc`, `SwTr`, …), `--scaled`, `--runs N`, `--seed N`,
 /// `--lib-seed N`, `--switch TOKEN`, `--rounding TOKEN`, `--policy P`
-/// (`abort`/`skip`/`retry`/`retry-same`), `--deadline-ms N`,
-/// `--max-steps N`, `--jobs N`, `--cache-model`, `--trace`,
-/// `--corpus-dir DIR`, `--corpus-segment-bytes N`,
-/// `--corpus-max-bytes N`, `--corpus-cache-slots N`. Anything else
-/// lands in [`HarnessOpts::rest`].
+/// (`abort`/`skip`/`retry`), `--max-steps N`, `--jobs N`,
+/// `--cache-model`, `--trace`, `--corpus-dir DIR`,
+/// `--corpus-segment-bytes N`, `--corpus-max-bytes N`,
+/// `--corpus-cache-slots N`. Anything else lands in
+/// [`HarnessOpts::rest`].
 /// (`--workload` matters for spec authoring; the table/figure binaries
 /// key their corpus entries per app.)
 ///
@@ -63,7 +63,6 @@ fn parse_flags(args: &[String], reads: Option<&[&str]>) -> Result<HarnessOpts, S
     let mut switch: Option<String> = None;
     let mut rounding: Option<String> = None;
     let mut policy: Option<String> = None;
-    let mut deadline_ms: Option<u64> = None;
     let mut max_steps: Option<u64> = None;
     let mut jobs: Option<usize> = None;
     let mut cache_model = false;
@@ -100,7 +99,6 @@ fn parse_flags(args: &[String], reads: Option<&[&str]>) -> Result<HarnessOpts, S
             "--switch" => switch = Some(value()?),
             "--rounding" => rounding = Some(value()?),
             "--policy" => policy = Some(value()?),
-            "--deadline-ms" => deadline_ms = Some(parse_num(flag, &value()?)?),
             "--max-steps" => max_steps = Some(parse_num(flag, &value()?)?),
             "--jobs" => jobs = Some(parse_num(flag, &value()?)?),
             "--corpus-dir" => corpus_dir = Some(value()?),
@@ -156,9 +154,6 @@ fn parse_flags(args: &[String], reads: Option<&[&str]>) -> Result<HarnessOpts, S
     }
     if let Some(tok) = &rounding {
         spec.rounding = parse_rounding(tok).map_err(|e| format!("--rounding: {e}"))?;
-    }
-    if let Some(ms) = deadline_ms {
-        spec.deadline_ms = Some(ms);
     }
     if let Some(n) = max_steps {
         spec.max_steps = n;
@@ -250,16 +245,9 @@ pub fn resolve_policy(name: &str, runs: usize) -> Result<FailurePolicy, String> 
         "skip" => Ok(FailurePolicy::Skip {
             max_failures: runs.div_ceil(2),
         }),
-        "retry" => Ok(FailurePolicy::Retry {
-            max_retries: 2,
-            reseed: true,
-        }),
-        "retry-same" => Ok(FailurePolicy::Retry {
-            max_retries: 2,
-            reseed: false,
-        }),
+        "retry" => Ok(FailurePolicy::Retry { max_retries: 2 }),
         other => Err(format!(
-            "unknown policy {other:?} (expected abort, skip, retry, or retry-same)"
+            "unknown policy {other:?} (expected abort, skip, or retry)"
         )),
     }
 }

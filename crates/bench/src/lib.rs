@@ -61,14 +61,14 @@ pub struct HarnessOpts {
     /// are unaffected.
     pub corpus: Option<std::sync::Arc<corpus::Corpus>>,
     /// Arguments the parser did not recognize, in order — binaries
-    /// with extra flags (subcommands, `--dir`, …) consume these.
+    /// with extra flags (subcommands, `--app`, …) consume these.
     pub rest: Vec<String>,
 }
 
 impl HarnessOpts {
     /// Parses the shared spec flags (see [`cli::parse_spec`]) from
-    /// `std::env::args`. Unknown arguments are reported and ignored;
-    /// malformed values exit with status 2.
+    /// `std::env::args`. An unknown argument or a malformed value exits
+    /// with status 2.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::or_exit(cli::parse_spec(&args))
@@ -82,21 +82,18 @@ impl HarnessOpts {
         Self::or_exit(cli::parse_spec_reading(&args, reads))
     }
 
-    /// Reports the unknown arguments of a parse, or its usage error
-    /// with exit status 2.
+    /// The parsed options, or exit status 2 with the usage error or
+    /// the first unknown argument.
     fn or_exit(parsed: Result<Self, String>) -> Self {
-        match parsed {
-            Ok(opts) => {
-                for other in &opts.rest {
-                    eprintln!("ignoring unknown argument {other}");
-                }
-                opts
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+        let error = match parsed {
+            Ok(opts) => match opts.rest.first() {
+                None => return opts,
+                Some(other) => format!("unknown argument {other}"),
+            },
+            Err(e) => e,
+        };
+        eprintln!("{error}");
+        std::process::exit(2);
     }
 
     /// The workload registry for the chosen scale.
@@ -877,8 +874,6 @@ mod tests {
             "every-access",
             "--max-steps",
             "10",
-            "--deadline-ms",
-            "7",
             "--rounding",
             "mask-mantissa:12",
         ]);

@@ -69,7 +69,7 @@ fn fixed_record() -> (RunKey, CachedRun) {
 
 fn dump(dir: &PathBuf) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_corpus"))
-        .args(["dump", "--dir"])
+        .args(["dump", "--corpus-dir"])
         .arg(dir)
         .output()
         .expect("run corpus dump");

@@ -418,3 +418,31 @@ fn idle_clients_are_disconnected_at_the_deadline() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs are bounded by steps alone, so `icd` has no run deadline or
+/// campaign retry loop to tune and the harness no deadline flag: each
+/// such flag is a usage error naming it, not a silently ignored one.
+#[test]
+fn deadline_and_retry_flags_are_unknown_arguments() {
+    let dir = tempdir("flags");
+    for (bin, flag) in [
+        (env!("CARGO_BIN_EXE_icd"), "--deadline-ms"),
+        (env!("CARGO_BIN_EXE_icd"), "--retries"),
+        (env!("CARGO_BIN_EXE_icd"), "--backoff-ms"),
+        (env!("CARGO_BIN_EXE_table2"), "--deadline-ms"),
+    ] {
+        let out = Command::new(bin)
+            .args([flag, "5"])
+            .current_dir(&dir)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run the binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument {flag}")),
+            "{bin} {flag}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

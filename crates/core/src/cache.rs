@@ -28,9 +28,8 @@
 //! # What is cached
 //!
 //! Only *completed* runs. A failed attempt is never satisfied from a
-//! cache: failures can be wall-clock-dependent ([`tsim::SimError`]
-//! carries non-serializable context), and recomputing them keeps the
-//! failure-policy machinery honest. A cached run carries the full
+//! cache: [`tsim::SimError`] carries non-serializable context, and
+//! recomputing failures keeps the failure-policy machinery honest. A cached run carries the full
 //! [`RunHashes`], the simulator accounting the metrics registry folds
 //! in, the allocator log (when the run was the campaign's
 //! address-logging run), and — when the run was recorded under an event
@@ -99,7 +98,7 @@ pub fn fault_plan_token(plan: &FaultPlan) -> u64 {
 /// outcome can satisfy the other. The key deliberately excludes
 /// anything that does *not* affect the hashes: the failure policy (it
 /// decides which attempts run, not what an attempt computes), the
-/// wall-clock deadline, worker count, and observability sinks.
+/// worker count, and observability sinks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunKey {
     /// Caller-supplied workload identity: program name plus every

@@ -3,7 +3,6 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
-use std::time::Duration;
 
 use adhash::FpRound;
 use mhm::CacheStats;
@@ -195,16 +194,6 @@ impl CheckerConfig {
     #[must_use]
     pub fn with_policy(mut self, policy: FailurePolicy) -> Self {
         self.spec.policy = policy;
-        self
-    }
-
-    /// Sets the per-run wall-clock watchdog. The spec keeps deadlines
-    /// in whole milliseconds, so a fractional one is rounded *up*
-    /// (1500 µs runs with a 2 ms deadline).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        let ms = deadline.as_nanos().div_ceil(1_000_000);
-        self.spec.deadline_ms = Some(u64::try_from(ms).unwrap_or(u64::MAX));
         self
     }
 
@@ -581,9 +570,6 @@ impl Checker {
         if let Some(log) = alloc_log {
             rc = rc.with_alloc_replay(Arc::clone(log));
         }
-        if let Some(deadline) = cfg.deadline() {
-            rc = rc.with_deadline(deadline);
-        }
         if let Some((_, plan)) = cfg.fault_plans.iter().find(|(slot, _)| *slot == run_index) {
             rc = rc.with_faults(plan.clone());
         }
@@ -706,12 +692,10 @@ impl Checker {
         let mut abandoned = false;
         let mut attempt = 0usize;
         loop {
-            let seed = match (attempt, cfg.spec.policy) {
-                (0, _) => cfg.spec.base_seed + slot as u64,
-                (a, FailurePolicy::Retry { reseed: true, .. }) => {
-                    retry_seed(cfg.spec.base_seed, slot, a)
-                }
-                _ => cfg.spec.base_seed + slot as u64,
+            // Only `Retry` takes a second attempt, always reseeded.
+            let seed = match attempt {
+                0 => cfg.spec.base_seed + slot as u64,
+                a => retry_seed(cfg.spec.base_seed, slot, a),
             };
             let key = keys.map(|t| t.key(slot, seed, alloc_seed));
             // Claim-aware lookup: a hit replays; a claimed miss makes
@@ -1334,7 +1318,6 @@ mod tests {
             .with_rounding(FpRound::default())
             .with_ignore(IgnoreSpec::new().ignore_global("x"))
             .with_policy(FailurePolicy::Skip { max_failures: 2 })
-            .with_deadline(Duration::from_secs(5))
             .with_fault_in_run(1, FaultPlan::new(7))
             .with_jobs(3);
         assert_eq!(cfg.spec.runs, 5);
@@ -1343,12 +1326,8 @@ mod tests {
         assert!(cfg.spec.rounding.is_some());
         assert!(!cfg.spec.ignore.is_empty());
         assert_eq!(cfg.spec.policy, FailurePolicy::Skip { max_failures: 2 });
-        assert_eq!(cfg.spec.deadline(), Some(Duration::from_secs(5)));
         assert_eq!(cfg.spec.fault_plans.len(), 1);
         assert_eq!(worker_count(cfg.spec.jobs), 3);
-        // A fractional deadline rounds up to the spec's whole millisecond.
-        let odd = cfg.clone().with_deadline(Duration::from_micros(1500));
-        assert_eq!(odd.spec.deadline_ms, Some(2));
         let checker = Checker::new(cfg).expect("valid config");
         assert_eq!(checker.config().spec.runs, 5);
     }
@@ -1371,29 +1350,6 @@ mod tests {
             .expect_err("runs == 0 must not construct");
         assert_eq!(err, ConfigError::ZeroRuns);
         assert!(err.to_string().contains("at least one run"), "{err}");
-    }
-
-    #[test]
-    fn a_fractional_deadline_still_caches_every_run() {
-        use crate::cache::MemoryRunCache;
-        let cache = Arc::new(MemoryRunCache::new());
-        let cfg = CheckerConfig::new(Scheme::HwInc)
-            .with_runs(4)
-            .with_jobs(1)
-            .with_deadline(Duration::from_micros(1500))
-            .with_run_cache(cache.clone(), "racy_unordered_sum");
-        let cold = Checker::new(cfg.clone())
-            .expect("valid config")
-            .check(racy_unordered_sum)
-            .unwrap();
-        assert_eq!(cache.len(), 4, "every completed run is stored");
-        assert_eq!(cache.hits(), 0);
-        let warm = Checker::new(cfg)
-            .expect("valid config")
-            .check(racy_unordered_sum)
-            .unwrap();
-        assert_eq!(cold, warm);
-        assert_eq!(cache.hits(), 4, "the rerun replays every run");
     }
 
     #[test]
@@ -1799,27 +1755,5 @@ mod tests {
         let after_second = cache.len();
         run(Scheme::HwInc, 100);
         assert!(cache.len() > after_second, "different seeds, new entries");
-    }
-
-    #[test]
-    fn retry_without_reseed_replays_the_same_seed_and_gives_up() {
-        // The fault plan is a pure function of the attempt's run config,
-        // so retrying the same seed deterministically fails again.
-        let plan = FaultPlan::new(3).with(FaultKind::AllocFail, Trigger::Nth(0));
-        let cfg = CheckerConfig::new(Scheme::HwInc)
-            .with_runs(4)
-            .with_policy(FailurePolicy::Retry {
-                max_retries: 2,
-                reseed: false,
-            })
-            .with_fault_in_run(1, plan);
-        let checker = Checker::new(cfg.clone()).expect("valid config");
-        let err = checker.check(alloc_heavy).unwrap_err();
-        assert_eq!(err.kind(), tsim::SimErrorKind::AllocFailed);
-        let outcomes = checker.collect_outcomes(&alloc_heavy);
-        assert!(
-            outcomes.is_err(),
-            "outcome collection honors the policy too"
-        );
     }
 }

@@ -14,13 +14,12 @@
 //!   a partial (but still multi-run) [`CheckReport`](crate::CheckReport)
 //!   unless more than `max_failures` runs fail.
 //! * [`FailurePolicy::Retry`] — a failed run is retried in place, up to
-//!   `max_retries` extra attempts, optionally with a fresh scheduler
-//!   seed ([`reseed`](FailurePolicy::Retry::reseed)). Every failed
-//!   attempt is still recorded.
+//!   `max_retries` extra attempts, each under a fresh scheduler seed
+//!   ([`retry_seed`]). Every failed attempt is still recorded.
 //!
-//! Crucially, a failure that is *schedule-dependent* (deadlock,
-//! livelock, watchdog timeout — see [`SimError::is_schedule_dependent`])
-//! is not mere infrastructure trouble: deadlocking under one seed while
+//! Crucially, a failure that is *schedule-dependent* (deadlock or
+//! livelock — see [`SimError::is_schedule_dependent`]) is not mere
+//! infrastructure trouble: deadlocking under one seed while
 //! completing under another is itself a determinism finding, and the
 //! report classifies it as one (see
 //! [`CheckReport::schedule_divergence`](crate::CheckReport::schedule_divergence)).
@@ -80,17 +79,14 @@ pub enum FailurePolicy {
         /// silently degrade into a one-run "comparison".
         max_failures: usize,
     },
-    /// Re-attempt the failed run slot in place.
+    /// Re-attempt the failed run slot in place, each retry under a
+    /// fresh scheduler seed (see [`retry_seed`]): a run is a
+    /// deterministic function of its seed, so replaying the same seed
+    /// would only fail again.
     Retry {
         /// Extra attempts per run slot beyond the first, after which
         /// the campaign aborts with the last error.
         max_retries: usize,
-        /// If `true`, each retry derives a fresh scheduler seed (see
-        /// [`retry_seed`]); if `false`, the retry replays the exact
-        /// same seed — useful only against wall-clock failures such as
-        /// [`SimError::Deadline`], since everything else in a run is a
-        /// deterministic function of the seed.
-        reseed: bool,
     },
 }
 

@@ -19,7 +19,7 @@ pub struct Distribution(Vec<usize>);
 
 impl Distribution {
     /// Builds a distribution from the hash each run produced.
-    pub fn from_hashes<I: IntoIterator<Item = u64>>(hashes: I) -> Self {
+    pub(crate) fn from_hashes<I: IntoIterator<Item = u64>>(hashes: I) -> Self {
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
         for h in hashes {
             *counts.entry(h).or_insert(0) += 1;
@@ -199,8 +199,8 @@ impl CheckReport {
     }
 
     /// `true` if some runs completed while others failed in a
-    /// schedule-dependent way (deadlock, livelock, watchdog timeout —
-    /// see [`SimError::is_schedule_dependent`](tsim::SimError)). Whether
+    /// schedule-dependent way (deadlock or livelock — see
+    /// [`SimError::is_schedule_dependent`](tsim::SimError)). Whether
     /// the program *finishes* then depends on the interleaving, which is
     /// an external-determinism finding in its own right, not
     /// infrastructure noise.

@@ -43,7 +43,6 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use adhash::FpRound;
 use obs::json::{self, write_str, Value};
@@ -63,9 +62,9 @@ pub const SPEC_VERSION: u32 = 1;
 /// [`CheckerConfig`](crate::CheckerConfig) carries a spec plus the
 /// runtime resources (sinks, registries, caches are attached when the
 /// spec is instantiated, not serialized). The deliberate split in
-/// [`run_key`](CampaignSpec::run_key) applies: `runs`, `policy`,
-/// `deadline_ms`, and `jobs` shape the campaign but never a single
-/// run's hashes, so they are excluded from cache keys.
+/// [`run_key`](CampaignSpec::run_key) applies: `runs`, `policy` and
+/// `jobs` shape the campaign but never a single run's hashes, so they
+/// are excluded from cache keys.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Workload identity: program name plus every construction
@@ -90,11 +89,8 @@ pub struct CampaignSpec {
     pub ignore: IgnoreSpec,
     /// What the campaign does when a run fails.
     pub policy: FailurePolicy,
-    /// Wall-clock watchdog per run, in milliseconds (`None` = none). A
-    /// run that exceeds it fails with
-    /// [`SimError::Deadline`](tsim::SimError).
-    pub deadline_ms: Option<u64>,
-    /// Step limit per run.
+    /// Step limit per run, which also bounds a thread's run of calls
+    /// that are not scheduling points (see `tsim::RunConfig::max_steps`).
     pub max_steps: u64,
     /// Worker threads for the campaign (`None` = machine default; the
     /// report is byte-identical at any value).
@@ -194,13 +190,7 @@ fn policy_token(policy: FailurePolicy) -> String {
     match policy {
         FailurePolicy::Abort => "abort".to_owned(),
         FailurePolicy::Skip { max_failures } => format!("skip:{max_failures}"),
-        FailurePolicy::Retry {
-            max_retries,
-            reseed,
-        } => format!(
-            "retry:{max_retries}:{}",
-            if reseed { "reseed" } else { "same" }
-        ),
+        FailurePolicy::Retry { max_retries } => format!("retry:{max_retries}:reseed"),
     }
 }
 
@@ -217,15 +207,15 @@ fn parse_policy(token: &str) -> Result<FailurePolicy, String> {
             .split_once(':')
             .ok_or_else(|| format!("bad policy {token:?}"))?;
         let max_retries = n.parse().map_err(|_| format!("bad policy {token:?}"))?;
-        let reseed = match mode {
-            "reseed" => true,
-            "same" => false,
-            _ => return Err(format!("bad policy {token:?}")),
+        return match mode {
+            "reseed" => Ok(FailurePolicy::Retry { max_retries }),
+            // A run is a deterministic function of its seed, so a retry
+            // that replays it would only fail again.
+            "same" => Err(format!(
+                "bad policy {token:?}: a retry always reseeds (retry:{n}:reseed)"
+            )),
+            _ => Err(format!("bad policy {token:?}")),
         };
-        return Ok(FailurePolicy::Retry {
-            max_retries,
-            reseed,
-        });
     }
     Err(format!("bad policy {token:?}"))
 }
@@ -314,7 +304,6 @@ impl CampaignSpec {
             rounding: None,
             ignore: IgnoreSpec::new(),
             policy: FailurePolicy::Abort,
-            deadline_ms: None,
             max_steps: 20_000_000,
             jobs: None,
             cache_model: false,
@@ -354,12 +343,6 @@ impl CampaignSpec {
         self
     }
 
-    /// The per-run deadline as a [`Duration`], when one is set.
-    #[must_use]
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline_ms.map(Duration::from_millis)
-    }
-
     /// The cache key of one run attempt of this campaign: slot `slot`
     /// running under scheduler seed `seed`, with allocator-replay
     /// provenance `alloc_seed` (see [`RunKey::alloc_seed`]).
@@ -367,9 +350,9 @@ impl CampaignSpec {
     /// This is the *only* place run keys are assembled — the checker
     /// derives its keys from the spec (through the same per-campaign
     /// key template), so a spec stored next to a corpus provably
-    /// addresses the same entries the campaign used. `runs`, `policy`,
-    /// `deadline_ms`, and `jobs` never enter the key: they decide which
-    /// attempts run and how fast, not what an attempt computes.
+    /// addresses the same entries the campaign used. `runs`, `policy`
+    /// and `jobs` never enter the key: they decide which attempts run
+    /// and how fast, not what an attempt computes.
     #[must_use]
     pub fn run_key(&self, slot: usize, seed: u64, alloc_seed: Option<u64>) -> RunKey {
         self.key_template().key(slot, seed, alloc_seed)
@@ -419,12 +402,6 @@ impl CampaignSpec {
         write_str(&mut out, &rounding_token(self.rounding));
         out.push_str(",\"policy\":");
         write_str(&mut out, &policy_token(self.policy));
-        match self.deadline_ms {
-            Some(ms) => {
-                let _ = write!(out, ",\"deadline_ms\":{ms}");
-            }
-            None => out.push_str(",\"deadline_ms\":null"),
-        }
         let _ = write!(out, ",\"max_steps\":{}", self.max_steps);
         match self.jobs {
             Some(jobs) => {
@@ -573,6 +550,13 @@ impl CampaignSpec {
         // on write (`Scheme::name`), so round-trips stay byte-stable.
         let scheme =
             Scheme::parse(scheme_name).ok_or_else(|| format!("unknown scheme {scheme_name:?}"))?;
+        // Runs are bounded by `max_steps` alone. Older spec files carry
+        // `"deadline_ms":null`, which still parses.
+        if !matches!(v.get("deadline_ms"), None | Some(Value::Null)) {
+            return Err("field \"deadline_ms\" is no longer supported: \
+                        runs are bounded by \"max_steps\""
+                .to_owned());
+        }
         let cache_model = match v.get("cache_model") {
             Some(Value::Bool(b)) => *b,
             _ => return Err("missing boolean field \"cache_model\"".to_owned()),
@@ -683,7 +667,6 @@ impl CampaignSpec {
             rounding: parse_rounding(str_field("rounding")?)?,
             ignore,
             policy: parse_policy(str_field("policy")?)?,
-            deadline_ms: opt_u64_field("deadline_ms")?,
             max_steps: u64_field("max_steps")?,
             jobs: opt_u64_field("jobs")?.map(|n| n as usize),
             cache_model,
@@ -714,11 +697,7 @@ mod tests {
                 .ignore_global_range("g", 1, 3)
                 .ignore_site("free_list")
                 .ignore_site_offsets("records", [2, 5]),
-            policy: FailurePolicy::Retry {
-                max_retries: 2,
-                reseed: true,
-            },
-            deadline_ms: Some(5000),
+            policy: FailurePolicy::Retry { max_retries: 2 },
             max_steps: 1_000_000,
             jobs: Some(4),
             cache_model: true,
@@ -785,6 +764,16 @@ mod tests {
                 "\"rounding\":\"fuzzy\"",
                 "rounding",
             ),
+            (
+                "\"policy\":\"retry:2:reseed\"",
+                "\"policy\":\"retry:2:same\"",
+                "policy \"retry:2:same\"",
+            ),
+            (
+                "\"max_steps\"",
+                "\"deadline_ms\":5000,\"max_steps\"",
+                "deadline_ms",
+            ),
         ] {
             let bad = good.replace(needle, replacement);
             assert_ne!(bad, good, "replacement {needle:?} must apply");
@@ -809,7 +798,7 @@ mod tests {
 
     #[test]
     fn campaign_shape_fields_do_not_enter_the_run_key() {
-        // runs/policy/deadline/jobs decide which attempts run, not what
+        // runs/policy/jobs decide which attempts run, not what
         // an attempt computes — changing them must keep keys (and thus
         // corpus entries) valid.
         let base = full_spec();
@@ -817,7 +806,6 @@ mod tests {
         let mut reshaped = base.clone();
         reshaped.runs = 30;
         reshaped.policy = FailurePolicy::Abort;
-        reshaped.deadline_ms = None;
         reshaped.jobs = None;
         reshaped.corpus_dir = None;
         reshaped.corpus_segment_bytes = None;
@@ -835,6 +823,21 @@ mod tests {
         let line = spec.to_json();
         assert!(!line.contains("corpus"), "{line}");
         assert_eq!(CampaignSpec::from_json(&line).expect("parses"), spec);
+    }
+
+    #[test]
+    fn the_committed_corpus_spec_still_parses() {
+        // Written with `"deadline_ms":null`, which parses as absent.
+        let file = include_str!("../../../results/corpus/specs/canneal-scaled-r8-s1.spec.json");
+        let spec = CampaignSpec::from_json(file.trim()).expect("parses");
+        assert_eq!(
+            spec,
+            CampaignSpec::new("canneal:scaled", Scheme::HwInc).with_runs(8)
+        );
+        assert_eq!(
+            spec.to_json(),
+            file.trim().replace(",\"deadline_ms\":null", "")
+        );
     }
 
     #[test]

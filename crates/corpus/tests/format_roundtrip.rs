@@ -268,10 +268,8 @@ fn gen_spec(g: &mut Gen) -> CampaignSpec {
         },
         _ => FailurePolicy::Retry {
             max_retries: g.usize_in(0, 5),
-            reseed: g.bool(),
         },
     };
-    spec.deadline_ms = g.bool().then(|| g.u64_in(1, 1 << 32));
     spec.max_steps = g.u64_in(1, 1 << 40);
     spec.jobs = g.bool().then(|| g.usize_in(1, 16));
     spec.cache_model = g.bool();
@@ -382,12 +380,6 @@ fn each_run_content_field_moves_the_fingerprint_and_shape_fields_do_not() {
             _ => FailurePolicy::Abort,
         };
         same.push(("policy", m));
-        let mut m = spec.clone();
-        m.deadline_ms = match m.deadline_ms {
-            None => Some(1000),
-            Some(_) => None,
-        };
-        same.push(("deadline_ms", m));
         let mut m = spec.clone();
         m.jobs = match m.jobs {
             None => Some(4),

@@ -99,7 +99,7 @@ pub struct RunProfile {
 
 impl RunProfile {
     /// Fraction of modeled instructions spent on checking, in percent.
-    pub fn hash_share(&self) -> f64 {
+    pub(crate) fn hash_share(&self) -> f64 {
         let total = self.native_instr + self.hash_instr;
         if total == 0 {
             0.0

@@ -343,7 +343,7 @@ impl TelemetrySnapshot {
     /// Serializes the snapshot (without the lane log) as one line of
     /// deterministic-schema JSON — the heartbeat record shape. `seq`
     /// is the heartbeat sequence number (0 for ad-hoc snapshots).
-    pub fn to_heartbeat_json(&self, seq: u64) -> String {
+    pub(crate) fn to_heartbeat_json(&self, seq: u64) -> String {
         let mut out = String::new();
         let _ = write!(out, "{{\"seq\":{seq},\"uptime_ns\":{}", self.uptime_ns);
         out.push_str(",\"counters\":{");

@@ -15,16 +15,16 @@
 //! * **Determinism under orchestration.** A campaign's report and
 //!   trace bytes are identical whether it runs alone or under the
 //!   orchestrator at any width. Everything wall-clock-dependent (queue
-//!   waits, retry backoff, cache contention) lives in metrics, never
-//!   in artifacts; results are keyed and ordered by submission
-//!   sequence, not completion order.
+//!   waits, cache contention) lives in metrics, never in artifacts;
+//!   results are keyed and ordered by submission sequence, not
+//!   completion order. A campaign runs once: its runs are bounded by
+//!   the spec's deterministic step budget, never by a clock, so a
+//!   failed campaign would fail the same way again and is not retried.
 //! * **Graceful degradation.** The queue is bounded: submissions past
 //!   the bound are *shed* with an explicit
 //!   [`Disposition::Shed`] outcome (never a hang, never a panic) and
 //!   appear in both the metrics snapshot (`icd.shed`) and the drain
-//!   output. Per-campaign deadlines reuse the checker's
-//!   `FailurePolicy`/`SimError::Deadline` machinery, and transient
-//!   deadline failures retry with exponential backoff.
+//!   output.
 //!
 //! A [`Service`] is served by two fault-isolating servers that share
 //! one connection core (accept loop, bounded frame reader, close

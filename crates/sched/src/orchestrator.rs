@@ -6,12 +6,12 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use corpus::{CampaignBaseline, Corpus, SharedCacheStats};
 use instantcheck::{CheckReport, Checker, CheckerConfig, RunCache};
 use obs::{Event, MemorySink, Registry, Telemetry, CONTROL_TRACK};
-use tsim::{Program, SimErrorKind};
+use tsim::Program;
 
 use crate::queue::{PushError, QueueEntry, WorkQueue};
 use crate::{CampaignSpec, Priority};
@@ -152,11 +152,19 @@ pub struct CampaignResult {
     pub error: Option<String>,
     /// Why the campaign was shed, when it was.
     pub shed: Option<ShedReason>,
-    /// Campaign-level attempts taken (1 + transient retries).
-    pub attempts: u32,
 }
 
 impl CampaignResult {
+    /// Campaign-level attempts taken: 1 for a campaign that ran to
+    /// [`Completed`](CampaignStatus::Completed) or
+    /// [`Failed`](CampaignStatus::Failed), 0 for one that never ran.
+    pub fn attempts(&self) -> u32 {
+        u32::from(matches!(
+            self.status,
+            CampaignStatus::Completed | CampaignStatus::Failed
+        ))
+    }
+
     /// One line of deterministic JSON summarizing the result (without
     /// the artifact bodies) — the orchestrator batch summary format.
     pub fn summary_json(&self) -> String {
@@ -168,7 +176,7 @@ impl CampaignResult {
         let _ = write!(out, ",\"seq\":{}", self.seq);
         out.push_str(",\"status\":");
         obs::json::write_str(&mut out, self.status.label());
-        let _ = write!(out, ",\"attempts\":{}", self.attempts);
+        let _ = write!(out, ",\"attempts\":{}", self.attempts());
         match &self.shed {
             Some(reason) => {
                 out.push_str(",\"shed\":");
@@ -197,7 +205,6 @@ impl CampaignResult {
             trace_jsonl: None,
             error: None,
             shed: Some(reason),
-            attempts: 0,
         }
     }
 }
@@ -223,18 +230,8 @@ pub struct OrchestratorConfig {
     /// `min(spec.jobs (or the budget), budget)`, clamped to ≥ 1, so a
     /// single greedy spec cannot monopolize the box.
     pub job_budget: usize,
-    /// Campaign-level retries for *transient* failures (a run deadline
-    /// exhausting the spec's own failure policy). Structural failures
-    /// (deadlock, panic, step limit) are not retried — they are
-    /// deterministic and would fail again.
-    pub retries: u32,
-    /// Base backoff between campaign retries; attempt `n` sleeps
-    /// `backoff * 2^n`.
-    pub backoff: Duration,
     /// Record per-campaign simulator event traces.
     pub trace: bool,
-    /// Deadline applied to specs that do not carry their own.
-    pub default_deadline_ms: Option<u64>,
     /// Per-tenant submission budget: once a tenant has had this many
     /// submissions *accepted*, further ones shed with
     /// [`ShedReason::QuotaExceeded`]. `None` disables quotas. The
@@ -249,10 +246,7 @@ impl Default for OrchestratorConfig {
             width: 2,
             queue_capacity: 64,
             job_budget: 2,
-            retries: 2,
-            backoff: Duration::from_millis(10),
             trace: false,
-            default_deadline_ms: None,
             tenant_quota: None,
         }
     }
@@ -533,7 +527,7 @@ impl Orchestrator {
             );
             let mut end = Event::end(seq, CONTROL_TRACK, "icd.campaign")
                 .with_arg("status", r.status.label())
-                .with_arg("attempts", u64::from(r.attempts));
+                .with_arg("attempts", u64::from(r.attempts()));
             if let Some(reason) = r.shed {
                 end = end.with_arg("shed", reason.label());
             }
@@ -564,7 +558,6 @@ fn run_campaign(shared: &Shared, seq: usize, job: Job) -> CampaignResult {
             trace_jsonl: None,
             error: Some(error),
             shed: None,
-            attempts: 0,
         }
     };
 
@@ -573,97 +566,68 @@ fn run_campaign(shared: &Shared, seq: usize, job: Job) -> CampaignResult {
     };
 
     let mut spec = job.spec.clone();
-    if spec.deadline_ms.is_none() {
-        spec.deadline_ms = shared.config.default_deadline_ms;
-    }
     // Per-campaign job budget on top of the campaign's own executor:
     // the spec may ask for fewer jobs than the budget, never more.
     let budget = shared.config.job_budget.max(1);
     spec.jobs = Some(spec.jobs.unwrap_or(budget).min(budget).max(1));
 
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let mut cfg = CheckerConfig::from_spec(&spec)
-            .with_registry(Arc::clone(reg))
-            .with_telemetry(Arc::clone(&shared.telemetry));
-        if let Some(corpus) = &shared.corpus {
-            cfg = cfg.with_run_cache(Arc::clone(corpus) as Arc<dyn RunCache>, &*spec.workload);
-        }
-        let sink = shared.config.trace.then(|| Arc::new(MemorySink::new()));
-        if let Some(sink) = &sink {
-            cfg = cfg.with_sink(Arc::clone(sink) as _);
-        }
-        let checker = match Checker::new(cfg) {
-            Ok(c) => c,
-            Err(e) => return invalid(format!("invalid spec: {e}")),
-        };
+    let mut cfg = CheckerConfig::from_spec(&spec)
+        .with_registry(Arc::clone(reg))
+        .with_telemetry(Arc::clone(&shared.telemetry));
+    if let Some(corpus) = &shared.corpus {
+        cfg = cfg.with_run_cache(Arc::clone(corpus) as Arc<dyn RunCache>, &*spec.workload);
+    }
+    let sink = shared.config.trace.then(|| Arc::new(MemorySink::new()));
+    if let Some(sink) = &sink {
+        cfg = cfg.with_sink(Arc::clone(sink) as _);
+    }
+    let checker = match Checker::new(cfg) {
+        Ok(c) => c,
+        Err(e) => return invalid(format!("invalid spec: {e}")),
+    };
 
-        let source = Arc::clone(&source);
-        match checker.collect_runs(&move || source()) {
-            Ok(runs) if runs.is_empty() => {
-                reg.add("icd.failed", 1);
-                return CampaignResult {
-                    id: job.id,
-                    tenant: job.tenant,
-                    seq,
-                    status: CampaignStatus::Failed,
-                    report_json: None,
-                    trace_jsonl: sink.map(|s| s.to_jsonl()),
-                    error: Some("no run completed".to_owned()),
-                    shed: None,
-                    attempts,
-                };
-            }
-            Ok(runs) => {
-                let report = CheckReport::from_runs(&runs);
-                let artifact = CampaignBaseline::capture(
-                    &job.id,
-                    &spec.workload,
-                    spec.scheme,
-                    spec.base_seed,
-                    &runs[0],
-                    &report,
-                );
-                reg.add("icd.completed", 1);
-                return CampaignResult {
-                    id: job.id,
-                    tenant: job.tenant,
-                    seq,
-                    status: CampaignStatus::Completed,
-                    report_json: Some(artifact.to_json()),
-                    trace_jsonl: sink.map(|s| s.to_jsonl()),
-                    error: None,
-                    shed: None,
-                    attempts,
-                };
-            }
-            Err(e) => {
-                // Only wall-clock deadlines are transient at the
-                // orchestrator level: a loaded box can starve a run
-                // past its watchdog, and backing off gives the next
-                // attempt a quieter machine. Everything else is a
-                // deterministic property of the spec.
-                let transient = e.kind() == SimErrorKind::Deadline;
-                if transient && attempts <= shared.config.retries {
-                    reg.add("icd.retries", 1);
-                    let backoff = shared.config.backoff * 2u32.saturating_pow(attempts - 1);
-                    std::thread::sleep(backoff);
-                    continue;
-                }
-                reg.add("icd.failed", 1);
-                return CampaignResult {
-                    id: job.id,
-                    tenant: job.tenant,
-                    seq,
-                    status: CampaignStatus::Failed,
-                    report_json: None,
-                    trace_jsonl: None,
-                    error: Some(e.to_string()),
-                    shed: None,
-                    attempts,
-                };
-            }
+    let trace = || sink.as_ref().map(|s| s.to_jsonl());
+    let (status, report_json, trace_jsonl, error) = match checker.collect_runs(&move || source()) {
+        Ok(runs) if runs.is_empty() => (
+            CampaignStatus::Failed,
+            None,
+            trace(),
+            Some("no run completed".to_owned()),
+        ),
+        Ok(runs) => {
+            let report = CheckReport::from_runs(&runs);
+            let artifact = CampaignBaseline::capture(
+                &job.id,
+                &spec.workload,
+                spec.scheme,
+                spec.base_seed,
+                &runs[0],
+                &report,
+            );
+            (
+                CampaignStatus::Completed,
+                Some(artifact.to_json()),
+                trace(),
+                None,
+            )
         }
+        Err(e) => (CampaignStatus::Failed, None, None, Some(e.to_string())),
+    };
+    reg.add(
+        match status {
+            CampaignStatus::Completed => "icd.completed",
+            _ => "icd.failed",
+        },
+        1,
+    );
+    CampaignResult {
+        id: job.id,
+        tenant: job.tenant,
+        seq,
+        status,
+        report_json,
+        trace_jsonl,
+        error,
+        shed: None,
     }
 }

@@ -22,16 +22,18 @@
 //! involved, so all simulated threads of a run share one OS thread: a
 //! thread-local is shared between them.
 //!
-//! # Failures and the deadline
+//! # Failures and the step budget
 //!
-//! Machine misuse, the step limit and the deadline record the run's error
-//! and unwind the active thread with a silent [`SimAbort`] panic; the
-//! loop catches every poll's unwind and ends the run. The deadline is
-//! checked at every scheduling point, and also every
-//! [`FORCED_PREEMPT_EVERY`] calls that are not scheduling points
-//! (`work`, `rand_u64`, `gettimeofday`), so a body that never reaches a
-//! scheduling point (`loop { ctx.work(1) }`) still ends in
-//! [`SimError::Deadline`].
+//! Machine misuse and the step limit record the run's error and unwind
+//! the active thread with a silent [`SimAbort`] panic; the loop catches
+//! every poll's unwind and ends the run. Every bound is deterministic:
+//! a run reads no clock. The step limit is checked at every scheduling
+//! point, and a spin of plain accesses reaches one every
+//! [`FORCED_PREEMPT_EVERY`] accesses. Calls that are not scheduling
+//! points (`work`, `rand_u64`, `gettimeofday`) count against the same
+//! budget: a thread that makes more than `max_steps` of them without a
+//! scheduling point (`loop { ctx.work(1) }`) ends the run in
+//! [`SimError::StepLimit`].
 
 use std::any::Any;
 use std::cell::{RefCell, RefMut};
@@ -41,7 +43,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Waker};
-use std::time::Instant;
 
 use adhash::{hash_delta_run, DeltaBatch, FpRound, HashSum, Mix64Hasher};
 
@@ -68,8 +69,8 @@ const COST_LIB: u64 = 5;
 
 /// Even under `SwitchPolicy::SyncOnly`, force a scheduling point every
 /// this many consecutive data accesses by one thread, so spin loops over
-/// plain loads cannot monopolize the turn forever; and check the deadline
-/// every this many calls that are not scheduling points.
+/// plain loads cannot monopolize the turn forever; and check the step
+/// budget every this many calls that are not scheduling points.
 const FORCED_PREEMPT_EVERY: u64 = 4096;
 
 /// Panic payload used to silently unwind simulated threads when the run
@@ -298,8 +299,6 @@ struct Central {
     step: u64,
     max_steps: u64,
     faults: Option<FaultState>,
-    deadline_at: Option<Instant>,
-    deadline_ms: u64,
     cp_seq: u64,
     cp_decision_index: Vec<usize>,
     error: Option<SimError>,
@@ -323,22 +322,12 @@ impl Central {
     }
 
     /// A scheduling point for `tid`: counts the step, checks the step
-    /// limit and the deadline, records the caller's new state and lets
-    /// the scheduler pick.
+    /// limit, records the caller's new state and lets the scheduler pick.
     fn point(&mut self, tid: ThreadId, new_state: TState, avoid_self: bool) -> Turn {
         self.step += 1;
         if self.step > self.max_steps {
             return self.abort(SimError::StepLimit {
                 limit: self.max_steps,
-            });
-        }
-        // The watchdog: every scheduling point checks the wall clock, so
-        // even a spin livelock over plain loads (which reaches here via
-        // the forced-preemption backstop) is caught without waiting for
-        // the much larger step limit.
-        if self.deadline_at.is_some_and(|at| Instant::now() >= at) {
-            return self.abort(SimError::Deadline {
-                limit_ms: self.deadline_ms,
             });
         }
         self.threads[tid].state = new_state;
@@ -610,8 +599,11 @@ pub struct ThreadCtx {
     tid: ThreadId,
     nthreads: usize,
     central: Rc<RefCell<Central>>,
-    /// Calls that were not scheduling points, for the deadline check.
+    /// Calls that were not scheduling points since `quiet_step` was
+    /// last seen to move, for the quiet-call budget.
     quiet_calls: u64,
+    /// `Central::step` at the last budget check.
+    quiet_step: u64,
 }
 
 impl std::fmt::Debug for ThreadCtx {
@@ -649,26 +641,31 @@ impl ThreadCtx {
     }
 
     /// Counts a call that is not a scheduling point; every
-    /// [`FORCED_PREEMPT_EVERY`]th one checks the deadline.
+    /// [`FORCED_PREEMPT_EVERY`]th one checks the budget. Only the active
+    /// thread moves `Central::step`, so a step equal to the last check's
+    /// means every call counted since then was made without a
+    /// scheduling point: more than `max_steps` of them end the run in
+    /// [`SimError::StepLimit`]. The check only reads the machine state.
     #[inline]
     fn quiet_call(&mut self) {
         self.quiet_calls += 1;
         if self.quiet_calls.is_multiple_of(FORCED_PREEMPT_EVERY) {
-            let expired = {
+            let (step, max_steps) = {
                 let c = self.central();
-                c.deadline_at
-                    .is_some_and(|at| Instant::now() >= at)
-                    .then_some(c.deadline_ms)
+                (c.step, c.max_steps)
             };
-            if let Some(limit_ms) = expired {
-                self.fail(SimError::Deadline { limit_ms });
+            if step != self.quiet_step {
+                self.quiet_step = step;
+                self.quiet_calls = 0;
+            } else if self.quiet_calls > max_steps {
+                self.fail(SimError::StepLimit { limit: max_steps });
             }
         }
     }
 
     /// A scheduling point (see [`Central::point`]); unwinds this thread
-    /// if the run has hit its step limit or deadline. Returns whether the
-    /// caller must yield.
+    /// if the run has hit its step limit. Returns whether the caller
+    /// must yield.
     fn point(&mut self, new_state: TState, avoid_self: bool) -> bool {
         let tid = self.tid;
         let turn = self.central().point(tid, new_state, avoid_self);
@@ -1522,6 +1519,7 @@ fn drive(central: &Rc<RefCell<Central>>, bodies: Vec<ThreadBody>) {
             nthreads,
             central: Rc::clone(central),
             quiet_calls: 0,
+            quiet_step: u64::MAX,
         })
         .collect();
     let mut threads: Vec<_> = bodies
@@ -1624,8 +1622,6 @@ impl Central {
                 .clone()
                 .filter(FaultPlan::is_active)
                 .map(FaultState::new),
-            deadline_at: config.deadline.map(|d| Instant::now() + d),
-            deadline_ms: config.deadline.map_or(0, |d| d.as_millis() as u64),
             cp_seq: 0,
             cp_decision_index: Vec::new(),
             error: None,

@@ -72,12 +72,6 @@ pub enum SimError {
         /// The panic message, if it was a string.
         message: String,
     },
-    /// The run exceeded its wall-clock watchdog deadline
-    /// ([`RunConfig::deadline`](crate::RunConfig)).
-    Deadline {
-        /// The configured deadline, in milliseconds.
-        limit_ms: u64,
-    },
     /// An allocation failed (today only via injected
     /// [`FaultKind::AllocFail`](crate::FaultKind) faults; a real
     /// out-of-memory condition would surface the same way).
@@ -114,8 +108,6 @@ pub enum SimErrorKind {
     RwUnlockNotHeld,
     /// See [`SimError::ThreadPanic`].
     ThreadPanic,
-    /// See [`SimError::Deadline`].
-    Deadline,
     /// See [`SimError::AllocFailed`].
     AllocFailed,
 }
@@ -133,7 +125,6 @@ impl SimErrorKind {
             SimErrorKind::StepLimit => "step-limit",
             SimErrorKind::RwUnlockNotHeld => "rw-unlock-not-held",
             SimErrorKind::ThreadPanic => "thread-panic",
-            SimErrorKind::Deadline => "deadline",
             SimErrorKind::AllocFailed => "alloc-failed",
         }
     }
@@ -158,21 +149,19 @@ impl SimError {
             SimError::StepLimit { .. } => SimErrorKind::StepLimit,
             SimError::RwUnlockNotHeld { .. } => SimErrorKind::RwUnlockNotHeld,
             SimError::ThreadPanic { .. } => SimErrorKind::ThreadPanic,
-            SimError::Deadline { .. } => SimErrorKind::Deadline,
             SimError::AllocFailed { .. } => SimErrorKind::AllocFailed,
         }
     }
 
     /// Whether this failure can come and go with the schedule alone: a
-    /// deadlock, livelock (step limit), or watchdog timeout under one
-    /// scheduler seed, with clean completion under another, is itself a
+    /// deadlock or livelock (step limit) under one scheduler seed, with clean completion under another, is itself a
     /// determinism finding — the campaign reports it rather than writing
     /// it off as infrastructure trouble.
     #[must_use]
     pub fn is_schedule_dependent(&self) -> bool {
         matches!(
             self.kind(),
-            SimErrorKind::Deadlock | SimErrorKind::StepLimit | SimErrorKind::Deadline
+            SimErrorKind::Deadlock | SimErrorKind::StepLimit
         )
     }
 }
@@ -204,9 +193,6 @@ impl fmt::Display for SimError {
             SimError::ThreadPanic { tid, message } => {
                 write!(f, "thread {tid} panicked: {message}")
             }
-            SimError::Deadline { limit_ms } => {
-                write!(f, "run exceeded the wall-clock deadline of {limit_ms} ms")
-            }
             SimError::AllocFailed { tid, site } => {
                 write!(f, "thread {tid} failed to allocate at site {site:?}")
             }
@@ -234,8 +220,6 @@ mod tests {
         assert!(e.to_string().contains("deadlock"));
         let e = SimError::StepLimit { limit: 10 };
         assert!(e.to_string().contains("10"));
-        let e = SimError::Deadline { limit_ms: 250 };
-        assert!(e.to_string().contains("250 ms"));
         let e = SimError::AllocFailed {
             tid: 1,
             site: "tree",
@@ -260,7 +244,6 @@ mod tests {
                 SimErrorKind::Deadlock,
             ),
             (SimError::StepLimit { limit: 1 }, SimErrorKind::StepLimit),
-            (SimError::Deadline { limit_ms: 1 }, SimErrorKind::Deadline),
             (
                 SimError::AllocFailed { tid: 0, site: "s" },
                 SimErrorKind::AllocFailed,
@@ -286,7 +269,6 @@ mod tests {
         }
         .is_schedule_dependent());
         assert!(SimError::StepLimit { limit: 5 }.is_schedule_dependent());
-        assert!(SimError::Deadline { limit_ms: 5 }.is_schedule_dependent());
         assert!(!SimError::BadFree {
             tid: 0,
             addr: Addr(8)

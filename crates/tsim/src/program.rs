@@ -3,7 +3,6 @@
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::alloc::AllocLog;
 use crate::engine::{self, RunOutcome, SetupCtx, ThreadCtx};
@@ -346,7 +345,10 @@ pub struct RunConfig {
     pub scheduler: SchedulerKind,
     /// Where scheduling points are inserted besides synchronization ops.
     pub switch: SwitchPolicy,
-    /// Abort the run after this many scheduling steps (livelock guard).
+    /// Abort the run after this many scheduling steps, or when one
+    /// thread makes more than this many calls that are not scheduling
+    /// points (`work`, `rand_u64`, `gettimeofday`) in a row: the
+    /// livelock guard, in [`SimError::StepLimit`].
     pub max_steps: u64,
     /// Charge the zero-fill of allocations to the run's instruction
     /// counts (the paper's HW-InstantCheck overhead source). The fill
@@ -366,11 +368,6 @@ pub struct RunConfig {
     /// Deterministic fault-injection plan (see [`FaultPlan`]); `None`
     /// runs fault-free.
     pub faults: Option<FaultPlan>,
-    /// Wall-clock watchdog: abort the run with
-    /// [`SimError::Deadline`] if it is still going after this long.
-    /// Unlike [`max_steps`](RunConfig::max_steps) this also catches
-    /// runs that stop taking scheduling steps entirely.
-    pub deadline: Option<Duration>,
     /// Observability sink for structured events (scheduler decisions,
     /// checkpoints, faults, allocations), keyed by simulated step.
     /// `None` (the default) emits nothing; a disabled sink (e.g.
@@ -400,7 +397,6 @@ impl RunConfig {
             record_trace: false,
             record_options: false,
             faults: None,
-            deadline: None,
             sink: None,
         }
     }
@@ -473,13 +469,6 @@ impl RunConfig {
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Sets the wall-clock watchdog deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -557,18 +546,15 @@ mod tests {
             .with_lib_seed(5)
             .with_zero_fill_charged()
             .with_max_steps(100)
-            .with_faults(FaultPlan::new(3))
-            .with_deadline(Duration::from_millis(50));
+            .with_faults(FaultPlan::new(3));
         assert_eq!(cfg.switch, SwitchPolicy::EveryAccess);
         assert!(cfg.record_trace);
         assert_eq!(cfg.lib_seed, 5);
         assert!(cfg.charge_zero_fill);
         assert_eq!(cfg.max_steps, 100);
         assert_eq!(cfg.faults, Some(FaultPlan::new(3)));
-        assert_eq!(cfg.deadline, Some(Duration::from_millis(50)));
         let d = RunConfig::default();
         assert_eq!(d.lib_seed, 0);
         assert_eq!(d.faults, None);
-        assert_eq!(d.deadline, None);
     }
 }

@@ -1,5 +1,5 @@
 //! The executor survives failing runs. Runs that panic, deadlock, hit
-//! the step limit, miss their deadline or panic in an event sink are
+//! the step limit, spin on local work or panic in an event sink are
 //! interleaved with healthy runs: every failure must surface as its
 //! typed [`SimError`], every healthy run must match the same-seed run
 //! made before any failure, and a run's simulated threads are futures on
@@ -11,7 +11,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use obs::{Event, EventSink};
 use tsim::{
@@ -66,8 +65,8 @@ fn deadlocking() -> Program {
 }
 
 /// One thread spins on pure local work, so it never reaches a
-/// scheduling point: only the deadline check among its `work` calls can
-/// end the run.
+/// scheduling point: only the step budget of its `work` calls can end
+/// the run.
 fn spinning() -> Program {
     let mut b = ProgramBuilder::new(THREADS);
     let g = b.global("g", ValKind::U64, 1);
@@ -153,9 +152,9 @@ fn failing_run(kind: usize) -> (SimErrorKind, Result<(), SimError>) {
                 .map(drop),
         ),
         3 => (
-            SimErrorKind::Deadline,
+            SimErrorKind::StepLimit,
             spinning()
-                .run(&RunConfig::random(5).with_deadline(Duration::from_millis(30)))
+                .run(&RunConfig::random(5).with_max_steps(10_000))
                 .map(drop),
         ),
         _ => {
@@ -185,7 +184,7 @@ fn executor_survives_failed_runs_without_starting_threads() {
                     assert!(message.contains("thread 2 gives up"), "{message}");
                 }
                 (2, e) => assert_eq!(*e, SimError::StepLimit { limit: 40 }),
-                (3, e) => assert_eq!(*e, SimError::Deadline { limit_ms: 30 }),
+                (3, e) => assert_eq!(*e, SimError::StepLimit { limit: 10_000 }),
                 (4, SimError::ThreadPanic { message, .. }) => {
                     assert!(message.contains("second pick"), "{message}");
                 }

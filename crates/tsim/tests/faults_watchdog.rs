@@ -1,9 +1,10 @@
 //! Integration tests of the deterministic fault-injection harness and
-//! the wall-clock watchdog.
+//! the step budget that ends a livelocked run.
 
-use std::time::Duration;
+use std::sync::Arc;
 
 use minicheck::{check, Gen};
+use obs::MemorySink;
 use tsim::{
     FaultKind, FaultPlan, Program, ProgramBuilder, RunConfig, SimError, SimErrorKind, Trigger,
     ValKind,
@@ -142,39 +143,50 @@ fn lib_perturb_changes_the_observed_stream() {
     assert_eq!(read(&clean, 3), read(&faulted, 3));
 }
 
-#[test]
-fn watchdog_fires_deadline_on_spin_livelock() {
-    // Thread 1 spins forever on a flag nobody sets: plain loads only,
-    // so without the watchdog this would run until the (huge) step
-    // limit. The forced-preemption backstop turns the spin into
-    // scheduling points where the deadline check fires.
+/// Thread 1 spins forever on a flag nobody sets. With `loads` the spin
+/// is plain loads, which the forced-preemption backstop turns into
+/// scheduling points; without, it is `work(1)` calls, which are never
+/// scheduling points and count against the quiet-call budget.
+fn spin_livelock(loads: bool) -> Program {
     let mut b = ProgramBuilder::new(2);
     let flag = b.global("flag", ValKind::U64, 1);
     b.thread(async move |ctx| {
         ctx.work(10);
     });
     b.thread(async move |ctx| {
-        while ctx.load(flag.at(0)).await == 0 {
-            // spin-wait on a flag that is never written
+        if loads {
+            while ctx.load(flag.at(0)).await == 0 {
+                // spin-wait on a flag that is never written
+            }
+        } else {
+            loop {
+                ctx.work(1);
+            }
         }
     });
-    let cfg = RunConfig::random(1)
-        .with_max_steps(u64::MAX / 2)
-        .with_deadline(Duration::from_millis(100));
-    let err = b.build().run(&cfg).unwrap_err();
-    assert_eq!(err.kind(), SimErrorKind::Deadline);
-    assert_eq!(err, SimError::Deadline { limit_ms: 100 });
-    assert!(err.is_schedule_dependent());
+    b.build()
 }
 
 #[test]
-fn generous_deadline_does_not_disturb_a_healthy_run() {
-    let clean = locked_adders().run(&RunConfig::random(7)).unwrap();
-    let watched = locked_adders()
-        .run(&RunConfig::random(7).with_deadline(Duration::from_secs(60)))
-        .unwrap();
-    assert_eq!(clean.decisions, watched.decisions);
-    assert_eq!(clean.steps, watched.steps);
+fn step_budget_ends_a_spin_livelock_deterministically() {
+    const LIMIT: u64 = 300;
+    for loads in [true, false] {
+        let run = || {
+            let sink = Arc::new(MemorySink::new());
+            let cfg = RunConfig::random(1)
+                .with_max_steps(LIMIT)
+                .with_sink(sink.clone());
+            let err = spin_livelock(loads).run(&cfg).unwrap_err();
+            let last_step = sink.events().last().map(|e| e.step);
+            (err, last_step)
+        };
+        let (err, last_step) = run();
+        assert_eq!(err, SimError::StepLimit { limit: LIMIT }, "loads: {loads}");
+        assert_eq!(err.kind(), SimErrorKind::StepLimit);
+        assert!(err.is_schedule_dependent());
+        assert!(last_step.is_some(), "the run recorded its scheduler picks");
+        assert_eq!(run(), (err, last_step), "a repeat fails identically");
+    }
 }
 
 #[test]

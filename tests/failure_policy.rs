@@ -82,12 +82,9 @@ fn skip_policy_completes_and_reports_the_deadlock_as_a_determinism_signal() {
 
 #[test]
 fn retry_policy_fills_every_slot_and_remembers_the_failure() {
-    let report = campaign(FailurePolicy::Retry {
-        max_retries: 3,
-        reseed: true,
-    })
-    .check(kernel)
-    .expect("reseeded retries recover the deadlocked slot");
+    let report = campaign(FailurePolicy::Retry { max_retries: 3 })
+        .check(kernel)
+        .expect("reseeded retries recover the deadlocked slot");
     assert_eq!(report.runs, RUNS, "every slot is eventually compared");
     assert!(!report.failures.is_empty());
     let first = &report.failures[0];
@@ -127,10 +124,7 @@ fn recovery_marks_only_its_own_slots_failures() {
         CheckerConfig::new(Scheme::HwInc)
             .with_runs(runs)
             .with_base_seed(base)
-            .with_policy(FailurePolicy::Retry {
-                max_retries: 3,
-                reseed: true,
-            }),
+            .with_policy(FailurePolicy::Retry { max_retries: 3 }),
     )
     .expect("valid config")
     .check(kernel)
@@ -161,12 +155,9 @@ fn recovery_marks_only_its_own_slots_failures() {
 #[test]
 fn retry_reseeds_deterministically() {
     let run = || {
-        campaign(FailurePolicy::Retry {
-            max_retries: 3,
-            reseed: true,
-        })
-        .check(kernel)
-        .expect("campaign completes")
+        campaign(FailurePolicy::Retry { max_retries: 3 })
+            .check(kernel)
+            .expect("campaign completes")
     };
     let (a, b) = (run(), run());
     let digest = |r: &CheckReport| {

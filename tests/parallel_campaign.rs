@@ -128,10 +128,7 @@ fn retried_campaign_reduces_identically() {
         CheckerConfig::new(Scheme::HwInc)
             .with_runs(30)
             .with_base_seed(10)
-            .with_policy(FailurePolicy::Retry {
-                max_retries: 3,
-                reseed: true,
-            })
+            .with_policy(FailurePolicy::Retry { max_retries: 3 })
     };
     let kernel = || stress::lock_order_hazard(32);
     let serial = Checker::new(cfg().with_jobs(1))

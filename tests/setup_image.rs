@@ -229,7 +229,7 @@ fn checker_campaigns_match_the_golden_digests() {
 /// Digest of [`retry_campaign`] at one and two workers.
 const RETRY_GOLDEN: u64 = 0x71ce0dd1f0a1820b;
 
-/// A `Retry { reseed: true }` campaign whose slot 0 runs under a fault
+/// A `Retry` campaign whose slot 0 runs under a fault
 /// plan that fails its first attempts (dropped wakeups deadlock some
 /// schedules), so the campaign's first computed attempt fails and a
 /// reseeded retry completes the slot.
@@ -238,10 +238,7 @@ fn retry_campaign(jobs: usize) -> u64 {
     let plan = FaultPlan::new(3).with(FaultKind::WakeDrop, Trigger::Rate { num: 1, denom: 3 });
     let cfg = CheckerConfig::new(Scheme::HwInc)
         .with_runs(4)
-        .with_policy(FailurePolicy::Retry {
-            max_retries: 4,
-            reseed: true,
-        })
+        .with_policy(FailurePolicy::Retry { max_retries: 4 })
         .with_fault_in_run(0, plan);
     let cache = Arc::new(Recorder::default());
     let cfg = cfg.with_run_cache(cache.clone(), "canneal").with_jobs(jobs);
