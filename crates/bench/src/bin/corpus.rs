@@ -60,33 +60,35 @@ fn usage() -> ! {
 
 fn parse_cli() -> Cli {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let sa = cli::parse_spec(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage();
-    });
     let mut command = String::new();
     let mut app = String::new();
     let mut require_hits = false;
-    let mut i = 0;
-    while i < sa.rest.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            sa.rest.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match sa.rest[i].as_str() {
-            "record" | "check" if command.is_empty() => command = sa.rest[i].clone(),
-            "--app" => app = value(&mut i),
-            "--require-hits" => require_hits = true,
-            other => {
-                eprintln!("unknown argument {other}");
-                usage();
+    // The subcommand and `--app` are checked before `--corpus-dir` is
+    // opened, so a usage error creates no store.
+    let sa = cli::parse_spec_then(&args, |rest| {
+        let mut i = 0;
+        while i < rest.len() {
+            let value = |i: &mut usize| -> String {
+                *i += 1;
+                rest.get(*i).cloned().unwrap_or_else(|| usage())
+            };
+            match rest[i].as_str() {
+                "record" | "check" if command.is_empty() => command = rest[i].clone(),
+                "--app" => app = value(&mut i),
+                "--require-hits" => require_hits = true,
+                other => return Err(format!("unknown argument {other}")),
             }
+            i += 1;
         }
-        i += 1;
-    }
-    if command.is_empty() || app.is_empty() {
+        if command.is_empty() || app.is_empty() {
+            usage();
+        }
+        Ok(())
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("{e}");
         usage();
-    }
+    });
     let mut spec = sa.spec;
     spec.workload = format!("{app}:{}", if sa.scaled { "scaled" } else { "full" });
     // Without `--corpus-dir` the store defaults to `results/corpus`,

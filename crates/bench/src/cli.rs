@@ -37,7 +37,22 @@ use crate::HarnessOpts;
 /// A usage message naming the offending flag (missing value, malformed
 /// number, unknown token, unreadable spec file or corpus directory).
 pub fn parse_spec(args: &[String]) -> Result<HarnessOpts, String> {
-    parse_flags(args, None)
+    parse_flags(args, None, |_| Ok(()))
+}
+
+/// [`parse_spec`] for a binary with arguments of its own: `check_rest`
+/// sees the arguments left for [`HarnessOpts::rest`] before the corpus
+/// is opened, so a usage error it returns (or exits on) leaves no
+/// store behind at `--corpus-dir`.
+///
+/// # Errors
+///
+/// Those of [`parse_spec`], and `check_rest`'s.
+pub fn parse_spec_then(
+    args: &[String],
+    check_rest: impl FnOnce(&[String]) -> Result<(), String>,
+) -> Result<HarnessOpts, String> {
+    parse_flags(args, None, check_rest)
 }
 
 /// [`parse_spec`] for a binary that reads only the flags in `reads` of
@@ -50,10 +65,26 @@ pub fn parse_spec(args: &[String]) -> Result<HarnessOpts, String> {
 /// Those of [`parse_spec`], and the first recognized flag not in
 /// `reads`.
 pub fn parse_spec_reading(args: &[String], reads: &[&str]) -> Result<HarnessOpts, String> {
-    parse_flags(args, Some(reads))
+    parse_flags(args, Some(reads), |_| Ok(()))
 }
 
-fn parse_flags(args: &[String], reads: Option<&[&str]>) -> Result<HarnessOpts, String> {
+/// The error for the first argument no parser recognized: the
+/// `check_rest` of a binary that takes no arguments of its own.
+pub(crate) fn no_rest(rest: &[String]) -> Result<(), String> {
+    match rest.first() {
+        None => Ok(()),
+        Some(other) => Err(format!("unknown argument {other}")),
+    }
+}
+
+/// The shared parser: `reads` restricts the spec flags (see
+/// [`parse_spec_reading`]) and `check_rest` vets the leftover
+/// arguments before the corpus is opened (see [`parse_spec_then`]).
+pub(crate) fn parse_flags(
+    args: &[String],
+    reads: Option<&[&str]>,
+    check_rest: impl FnOnce(&[String]) -> Result<(), String>,
+) -> Result<HarnessOpts, String> {
     let mut spec_file: Option<String> = None;
     let mut workload: Option<String> = None;
     let mut scheme: Option<Scheme> = None;
@@ -183,6 +214,8 @@ fn parse_flags(args: &[String], reads: Option<&[&str]>) -> Result<HarnessOpts, S
     if let Some(n) = corpus_cache_slots {
         spec.corpus_cache_slots = Some(n);
     }
+    // Every usage error is reported before the store is created.
+    check_rest(&rest)?;
     let corpus = match &spec.corpus_dir {
         Some(dir) => Some(Arc::new(
             open_corpus(

@@ -71,7 +71,7 @@ impl HarnessOpts {
     /// with status 2.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::or_exit(cli::parse_spec(&args))
+        Self::or_exit(cli::parse_flags(&args, None, cli::no_rest))
     }
 
     /// [`from_args`](Self::from_args) for a binary that reads only the
@@ -79,21 +79,16 @@ impl HarnessOpts {
     /// other spec flag is a usage error, exit status 2.
     pub fn from_args_reading(reads: &[&str]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::or_exit(cli::parse_spec_reading(&args, reads))
+        Self::or_exit(cli::parse_flags(&args, Some(reads), cli::no_rest))
     }
 
     /// The parsed options, or exit status 2 with the usage error or
     /// the first unknown argument.
     fn or_exit(parsed: Result<Self, String>) -> Self {
-        let error = match parsed {
-            Ok(opts) => match opts.rest.first() {
-                None => return opts,
-                Some(other) => format!("unknown argument {other}"),
-            },
-            Err(e) => e,
-        };
-        eprintln!("{error}");
-        std::process::exit(2);
+        parsed.unwrap_or_else(|error| {
+            eprintln!("{error}");
+            std::process::exit(2);
+        })
     }
 
     /// The workload registry for the chosen scale.

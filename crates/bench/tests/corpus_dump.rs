@@ -118,3 +118,28 @@ fn dump_refuses_a_directory_without_a_corpus() {
     assert!(stderr.contains("no corpus at"), "{stderr}");
     assert!(!dir.exists(), "dump must not create a corpus");
 }
+
+#[test]
+fn a_usage_error_creates_no_corpus() {
+    let dir = std::env::temp_dir().join(format!("corpus-usage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = |bin: &str, args: &[&str]| {
+        let out = Command::new(bin)
+            .args(args)
+            .arg("--corpus-dir")
+            .arg(&dir)
+            .output()
+            .expect("run the binary");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(!dir.exists(), "{bin} {args:?} created a corpus");
+    };
+    let corpus = env!("CARGO_BIN_EXE_corpus");
+    // No subcommand, no `--app`, an unknown argument.
+    run(corpus, &[]);
+    run(corpus, &["check"]);
+    run(corpus, &["record", "--app", "canneal", "--bogus"]);
+    // The table binaries refuse an unknown argument before opening the
+    // store too.
+    run(env!("CARGO_BIN_EXE_table2"), &["--scaled", "--bogus"]);
+}

@@ -39,7 +39,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use adhash::FpRound;
@@ -133,9 +132,11 @@ pub struct RunKey {
     pub alloc_seed: Option<u64>,
 }
 
-/// A fixed-capacity stack string for one rendered key token. Writes
-/// past the capacity fail the `fmt::Write` contract instead of
-/// allocating; capacities are sized to each field's maximum rendering.
+/// A fixed-capacity stack string for one rendered key token, written
+/// by a hand-rolled formatter instead of `core::fmt` (a hit renders
+/// every token, so the formatting machinery would dominate the lookup).
+/// Writes past the capacity are dropped instead of allocating;
+/// capacities are sized to each field's maximum rendering.
 struct TokenBuf<const N: usize> {
     bytes: [u8; N],
     len: usize,
@@ -150,29 +151,68 @@ impl<const N: usize> TokenBuf<N> {
     }
 
     fn push(&mut self, s: &str) {
-        let _ = self.write_str(s);
+        self.push_bytes(s.as_bytes());
+    }
+
+    fn push_bytes(&mut self, b: &[u8]) {
+        let end = self.len + b.len();
+        if end <= N {
+            self.bytes[self.len..end].copy_from_slice(b);
+            self.len = end;
+        }
+    }
+
+    /// `v` in decimal, as `{}` renders it.
+    fn push_u64(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.push_bytes(&digits[i..]);
+    }
+
+    /// `v` as 16 lowercase hex digits, as `{:016x}` renders it.
+    fn push_hex16(&mut self, v: u64) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut digits = [0u8; 16];
+        for (i, d) in digits.iter_mut().enumerate() {
+            *d = HEX[(v >> (60 - 4 * i)) as usize & 0xf];
+        }
+        self.push_bytes(&digits);
     }
 
     fn as_str(&self) -> &str {
-        // Only whole `str`s are ever copied in, so the prefix is valid
-        // UTF-8 by construction.
+        // Only whole `str`s and ASCII digits are ever copied in, so the
+        // prefix is valid UTF-8 by construction.
         std::str::from_utf8(&self.bytes[..self.len]).unwrap_or_default()
     }
 }
 
-impl<const N: usize> fmt::Write for TokenBuf<N> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        let end = self.len + s.len();
-        if end > N {
-            return Err(fmt::Error);
-        }
-        self.bytes[self.len..end].copy_from_slice(s.as_bytes());
-        self.len = end;
-        Ok(())
-    }
-}
-
 impl RunKey {
+    /// The labels of [`tokens`](RunKey::tokens), in their order. The
+    /// corpus precomputes each label's fingerprint state from this
+    /// list.
+    pub const LABELS: [&'static str; 12] = [
+        "version",
+        "workload",
+        "scheme",
+        "seed",
+        "lib_seed",
+        "switch",
+        "max_steps",
+        "rounding",
+        "ignore",
+        "faults",
+        "cache_model",
+        "alloc_seed",
+    ];
+
     /// The key as canonical `(label, value)` fields.
     ///
     /// This is the serialization contract for fingerprinting: every
@@ -191,66 +231,71 @@ impl RunKey {
     }
 
     /// [`tokens`](RunKey::tokens) as borrowed `(label, value)` pairs on
-    /// the stack — same labels, same values, same order, no per-field
-    /// allocation. This is the form the corpus lookup path consumes on
-    /// every cache probe, where the owned vector would be pure
-    /// overhead.
+    /// the stack — same labels ([`LABELS`](RunKey::LABELS)), same
+    /// values, same order, no allocation and no `core::fmt`. This is
+    /// the form the corpus lookup path consumes on every cache probe,
+    /// where the owned vector would be pure overhead.
     pub fn with_tokens<R>(&self, f: impl FnOnce(&[(&'static str, &str)]) -> R) -> R {
         let mut version = TokenBuf::<10>::new();
-        let _ = write!(version, "{RUN_KEY_VERSION}");
+        version.push_u64(u64::from(RUN_KEY_VERSION));
         let mut seed = TokenBuf::<20>::new();
-        let _ = write!(seed, "{}", self.seed);
+        seed.push_u64(self.seed);
         let mut lib_seed = TokenBuf::<20>::new();
-        let _ = write!(lib_seed, "{}", self.lib_seed);
+        lib_seed.push_u64(self.lib_seed);
         let mut switch = TokenBuf::<32>::new();
         match self.switch {
             SwitchPolicy::SyncOnly => switch.push("sync-only"),
             SwitchPolicy::EveryAccess => switch.push("every-access"),
             SwitchPolicy::EveryNth(n) => {
-                let _ = write!(switch, "every-nth:{n}");
+                switch.push("every-nth:");
+                switch.push_u64(u64::from(n));
             }
         }
         let mut max_steps = TokenBuf::<20>::new();
-        let _ = write!(max_steps, "{}", self.max_steps);
+        max_steps.push_u64(self.max_steps);
         let mut rounding = TokenBuf::<32>::new();
         match self.rounding {
             None => rounding.push("none"),
             Some(FpRound::BitExact) => rounding.push("bit-exact"),
             Some(FpRound::MaskMantissa { bits }) => {
-                let _ = write!(rounding, "mask-mantissa:{bits}");
+                rounding.push("mask-mantissa:");
+                rounding.push_u64(u64::from(bits));
             }
             Some(FpRound::FloorDecimal { digits }) => {
-                let _ = write!(rounding, "floor-decimal:{digits}");
+                rounding.push("floor-decimal:");
+                rounding.push_u64(u64::from(digits));
             }
             Some(FpRound::NearestDecimal { digits }) => {
-                let _ = write!(rounding, "nearest-decimal:{digits}");
+                rounding.push("nearest-decimal:");
+                rounding.push_u64(u64::from(digits));
             }
         }
         let mut ignore = TokenBuf::<16>::new();
-        let _ = write!(ignore, "{:016x}", self.ignore_token);
+        ignore.push_hex16(self.ignore_token);
         let mut faults = TokenBuf::<16>::new();
-        let _ = write!(faults, "{:016x}", self.fault_token);
+        faults.push_hex16(self.fault_token);
         let mut alloc_seed = TokenBuf::<20>::new();
         match self.alloc_seed {
             None => alloc_seed.push("log"),
-            Some(s) => {
-                let _ = write!(alloc_seed, "{s}");
-            }
+            Some(s) => alloc_seed.push_u64(s),
         }
-        f(&[
-            ("version", version.as_str()),
-            ("workload", &self.workload),
-            ("scheme", self.scheme.name()),
-            ("seed", seed.as_str()),
-            ("lib_seed", lib_seed.as_str()),
-            ("switch", switch.as_str()),
-            ("max_steps", max_steps.as_str()),
-            ("rounding", rounding.as_str()),
-            ("ignore", ignore.as_str()),
-            ("faults", faults.as_str()),
-            ("cache_model", if self.cache_model { "1" } else { "0" }),
-            ("alloc_seed", alloc_seed.as_str()),
-        ])
+        let values = [
+            version.as_str(),
+            self.workload.as_str(),
+            self.scheme.name(),
+            seed.as_str(),
+            lib_seed.as_str(),
+            switch.as_str(),
+            max_steps.as_str(),
+            rounding.as_str(),
+            ignore.as_str(),
+            faults.as_str(),
+            if self.cache_model { "1" } else { "0" },
+            alloc_seed.as_str(),
+        ];
+        let fields: [(&'static str, &str); 12] =
+            std::array::from_fn(|i| (Self::LABELS[i], values[i]));
+        f(&fields)
     }
 
     /// A canonical single-string rendering of [`tokens`](RunKey::tokens)
@@ -458,6 +503,8 @@ impl RunCache for MemoryRunCache {
 
 #[cfg(test)]
 mod tests {
+    use minicheck::Gen;
+
     use super::*;
 
     fn sample_key() -> RunKey {
@@ -497,9 +544,9 @@ mod tests {
     #[test]
     fn with_tokens_renders_exactly_like_the_token_helpers() {
         // The stack rendering duplicates switch_token/rounding_token's
-        // formats; this pins them together across every parametric
-        // variant so the fingerprint can never drift from the spec
-        // tokens.
+        // formats; this pins them together so the fingerprint can
+        // never drift from the spec tokens (the rendering itself is
+        // pinned by `with_tokens_matches_the_fmt_rendering`).
         let mut key = sample_key();
         key.workload = "canneal:full".into();
         key.seed = u64::MAX;
@@ -513,12 +560,6 @@ mod tests {
         key.alloc_seed = Some(u64::MAX);
         for key in [sample_key(), key] {
             let owned = key.tokens();
-            key.with_tokens(|borrowed| {
-                assert_eq!(owned.len(), borrowed.len());
-                for ((ol, ov), (bl, bv)) in owned.iter().zip(borrowed) {
-                    assert_eq!((ol, ov.as_str()), (bl, *bv));
-                }
-            });
             assert_eq!(
                 owned[5].1,
                 crate::spec::switch_token(key.switch),
@@ -530,6 +571,113 @@ mod tests {
                 "rounding rendering drifted"
             );
         }
+    }
+
+    /// The `write!`-based rendering `with_tokens` used before its
+    /// hand-rolled formatter, kept as an independent reference.
+    fn fmt_tokens(key: &RunKey) -> Vec<(&'static str, String)> {
+        let switch = match key.switch {
+            SwitchPolicy::SyncOnly => "sync-only".to_owned(),
+            SwitchPolicy::EveryAccess => "every-access".to_owned(),
+            SwitchPolicy::EveryNth(n) => format!("every-nth:{n}"),
+        };
+        let rounding = match key.rounding {
+            None => "none".to_owned(),
+            Some(FpRound::BitExact) => "bit-exact".to_owned(),
+            Some(FpRound::MaskMantissa { bits }) => format!("mask-mantissa:{bits}"),
+            Some(FpRound::FloorDecimal { digits }) => format!("floor-decimal:{digits}"),
+            Some(FpRound::NearestDecimal { digits }) => format!("nearest-decimal:{digits}"),
+        };
+        vec![
+            ("version", format!("{RUN_KEY_VERSION}")),
+            ("workload", key.workload.clone()),
+            ("scheme", key.scheme.name().to_owned()),
+            ("seed", format!("{}", key.seed)),
+            ("lib_seed", format!("{}", key.lib_seed)),
+            ("switch", switch),
+            ("max_steps", format!("{}", key.max_steps)),
+            ("rounding", rounding),
+            ("ignore", format!("{:016x}", key.ignore_token)),
+            ("faults", format!("{:016x}", key.fault_token)),
+            (
+                "cache_model",
+                if key.cache_model { "1" } else { "0" }.to_owned(),
+            ),
+            (
+                "alloc_seed",
+                match key.alloc_seed {
+                    None => "log".to_owned(),
+                    Some(s) => format!("{s}"),
+                },
+            ),
+        ]
+    }
+
+    /// A `u64` biased to the rendering's edges: zero, one- and
+    /// many-digit boundaries, the extremes, and uniform values.
+    fn edge_u64(g: &mut Gen) -> u64 {
+        match g.usize_in(0, 6) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => *g.pick(&[1, 9, 10, 99, 100, 0xf, 0x10, u64::MAX - 1, 1 << 63]),
+            3 => g.u64_in(0, 1000),
+            4 => u64::from(g.u32()),
+            _ => g.u64(),
+        }
+    }
+
+    fn edge_u32(g: &mut Gen) -> u32 {
+        match g.usize_in(0, 3) {
+            0 => *g.pick(&[0, 1, 9, 10, 52, u32::MAX]),
+            1 => g.u64_in(0, 100) as u32,
+            _ => g.u32(),
+        }
+    }
+
+    #[test]
+    fn with_tokens_matches_the_fmt_rendering() {
+        minicheck::check(
+            "with_tokens_matches_the_fmt_rendering",
+            2000,
+            |g: &mut Gen| {
+                let key = RunKey {
+                    workload: g.pick(&["", "canneal:scaled", "fft:full=x;y"]).to_string(),
+                    scheme: *g.pick(&[Scheme::Native, Scheme::HwInc, Scheme::SwInc, Scheme::SwTr]),
+                    seed: edge_u64(g),
+                    lib_seed: edge_u64(g),
+                    switch: match g.usize_in(0, 3) {
+                        0 => SwitchPolicy::SyncOnly,
+                        1 => SwitchPolicy::EveryAccess,
+                        _ => SwitchPolicy::EveryNth(edge_u32(g)),
+                    },
+                    max_steps: edge_u64(g),
+                    rounding: match g.usize_in(0, 5) {
+                        0 => None,
+                        1 => Some(FpRound::BitExact),
+                        2 => Some(FpRound::MaskMantissa { bits: edge_u32(g) }),
+                        3 => Some(FpRound::FloorDecimal {
+                            digits: edge_u32(g),
+                        }),
+                        _ => Some(FpRound::NearestDecimal {
+                            digits: edge_u32(g),
+                        }),
+                    },
+                    ignore_token: edge_u64(g),
+                    fault_token: edge_u64(g),
+                    cache_model: g.bool(),
+                    alloc_seed: g.bool().then(|| edge_u64(g)),
+                };
+                let want = fmt_tokens(&key);
+                key.with_tokens(|got| {
+                    assert_eq!(got.len(), want.len());
+                    for ((gl, gv), (wl, wv)) in got.iter().zip(&want) {
+                        assert_eq!((gl, gv), (wl, &wv.as_str()), "{key:?}");
+                    }
+                });
+                let labels: Vec<&str> = want.iter().map(|(l, _)| *l).collect();
+                assert_eq!(labels, RunKey::LABELS);
+            },
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@ use std::thread;
 
 use adhash::FpRound;
 use mhm::CacheStats;
-use obs::{BufferSink, Event, EventSink, MemorySink, Registry, Telemetry, CONTROL_TRACK};
+use obs::{
+    BufferSink, Counter, Event, EventSink, Histogram, MemorySink, Registry, Telemetry,
+    CONTROL_TRACK,
+};
 use tsim::{AllocLog, FaultPlan, Monitor, Program, RunConfig, SetupImage, SimError, SwitchPolicy};
 
 use crate::cache::{CacheLease, CachedRun, RunCache, RunKey};
@@ -285,6 +288,9 @@ struct SlotRun {
     /// lower slot had already decided the campaign (parallel path
     /// only). An abandoned slot is never part of the reduced result.
     abandoned: bool,
+    /// `true` if the slot's completed attempt was answered by the run
+    /// cache, so the slot simulated nothing.
+    from_cache: bool,
 }
 
 impl SlotRun {
@@ -392,6 +398,45 @@ enum SlotVerdict {
     Fail(SimError),
 }
 
+/// The registry handles every completed run adds to, resolved once
+/// per campaign instead of looked up by name per run.
+struct RunCounters {
+    runs_completed: Arc<Counter>,
+    steps: Arc<Counter>,
+    native_instr: Arc<Counter>,
+    hash_instr: Arc<Counter>,
+    stores: Arc<Counter>,
+    hash_updates: Arc<Counter>,
+    checkpoints: Arc<Counter>,
+    run_steps: Arc<Histogram>,
+}
+
+impl RunCounters {
+    fn resolve(reg: &Registry) -> Self {
+        RunCounters {
+            runs_completed: reg.counter("checker.runs_completed"),
+            steps: reg.counter("checker.steps"),
+            native_instr: reg.counter("checker.native_instr"),
+            hash_instr: reg.counter("checker.hash_instr"),
+            stores: reg.counter("checker.stores"),
+            hash_updates: reg.counter("checker.hash_updates"),
+            checkpoints: reg.counter("checker.checkpoints"),
+            run_steps: reg.histogram("checker.run_steps"),
+        }
+    }
+
+    fn record(&self, steps: u64, native_instr: u64, hashes: &RunHashes) {
+        self.runs_completed.inc();
+        self.steps.add(steps);
+        self.native_instr.add(native_instr);
+        self.hash_instr.add(hashes.extra_instr);
+        self.stores.add(hashes.stores);
+        self.hash_updates.add(hashes.hash_updates);
+        self.checkpoints.add(hashes.checkpoints.len() as u64);
+        self.run_steps.record(steps);
+    }
+}
+
 /// The serial view of a campaign: outcomes in slot order plus the
 /// accounting the failure policy and the metrics registry need. Both
 /// executors funnel every slot through [`CampaignState::absorb`] — the
@@ -400,6 +445,9 @@ enum SlotVerdict {
 struct CampaignState<'a> {
     policy: FailurePolicy,
     registry: Option<&'a Registry>,
+    /// Resolved at the first completed run, so a campaign without one
+    /// registers none of these metrics.
+    counters: Option<RunCounters>,
     stop_early: bool,
     outcomes: Vec<RunOutcome>,
     first_hashes: Option<RunHashes>,
@@ -439,14 +487,9 @@ impl CampaignState<'_> {
                     hashes,
                 } => {
                     if let Some(reg) = self.registry {
-                        reg.add("checker.runs_completed", 1);
-                        reg.add("checker.steps", attempt.steps);
-                        reg.add("checker.native_instr", attempt.native_instr);
-                        reg.add("checker.hash_instr", hashes.extra_instr);
-                        reg.add("checker.stores", hashes.stores);
-                        reg.add("checker.hash_updates", hashes.hash_updates);
-                        reg.add("checker.checkpoints", hashes.checkpoints.len() as u64);
-                        reg.histogram("checker.run_steps").record(attempt.steps);
+                        self.counters
+                            .get_or_insert_with(|| RunCounters::resolve(reg))
+                            .record(attempt.steps, attempt.native_instr, &hashes);
                         if let Some(c) = hashes.cache {
                             c.export(reg, "mhm.l1");
                         }
@@ -690,6 +733,7 @@ impl Checker {
         let mut slot_alloc_log: Option<Arc<AllocLog>> = None;
         let mut diverged = false;
         let mut abandoned = false;
+        let mut from_cache = false;
         let mut attempt = 0usize;
         loop {
             // Only `Retry` takes a second attempt, always reseeded.
@@ -738,6 +782,7 @@ impl Checker {
                             &mut attempts,
                             &mut diverged,
                         );
+                        from_cache = true;
                         break;
                     }
                     CacheLease::Hit(_) => {}
@@ -893,6 +938,7 @@ impl Checker {
             alloc_log: slot_alloc_log,
             diverged,
             abandoned,
+            from_cache,
         }
     }
 
@@ -934,11 +980,15 @@ impl Checker {
     /// With one worker ([`CampaignSpec::jobs`], at least one) the slots
     /// run in order on the calling thread. With more, a sequential
     /// prefix runs until the first completed run has pinned the
-    /// allocator log and the reference hashes, the remaining slots fan
-    /// out across a scoped worker pool, and the per-slot results are
-    /// reduced back in slot order — outcomes, registry counters, trace
-    /// events, and the early-stop/abort point are identical to the
-    /// serial campaign's regardless of worker count.
+    /// allocator log and the reference hashes, and keeps going while
+    /// the previous slot was answered by the run cache: a hit costs a
+    /// lookup, far less than a thread spawn. The slots after the first
+    /// one that had to be simulated fan out across a scoped worker
+    /// pool (so an all-hit campaign spawns no thread), and the
+    /// per-slot results are reduced back in slot order — outcomes,
+    /// registry counters, trace events, and the early-stop/abort point
+    /// are identical to the serial campaign's regardless of worker
+    /// count.
     ///
     /// With `stop_early`, the campaign halts as soon as a completed
     /// run's hashes differ from the first completed run's.
@@ -969,6 +1019,7 @@ impl Checker {
         let mut state = CampaignState {
             policy: cfg.spec.policy,
             registry: cfg.registry.as_deref(),
+            counters: None,
             stop_early,
             outcomes: Vec::with_capacity(runs),
             first_hashes: None,
@@ -980,16 +1031,18 @@ impl Checker {
         let mut alloc: Option<(Arc<AllocLog>, u64)> = None;
 
         // Sequential prefix: every slot when there is one worker; with
-        // more, just up to the first completed run, which pins the
-        // allocator log and the reference hashes the fanned-out slots
-        // compare against. Events stream straight to the sink here.
+        // more, up to the first completed run (which pins the allocator
+        // log and the reference hashes the fanned-out slots compare
+        // against), then on while the cache answers the previous slot.
+        // Events stream straight to the sink here.
         let keys = self.key_template();
         let keys = keys.as_ref();
         // One setup image per campaign, shared read-only by the workers;
         // dropped with the campaign.
         let image = OnceLock::new();
         let mut next_slot = 0usize;
-        while next_slot < runs && (jobs == 1 || state.first_hashes.is_none()) {
+        let mut last_hit = false;
+        while next_slot < runs && (jobs == 1 || state.first_hashes.is_none() || last_hit) {
             let slot_run = self.run_slot(
                 source,
                 &image,
@@ -1008,6 +1061,7 @@ impl Checker {
                 }
             }
             next_slot += 1;
+            last_hit = slot_run.from_cache;
             match state.absorb(slot_run) {
                 SlotVerdict::Continue => {}
                 SlotVerdict::Stop => return Ok(state.outcomes),
@@ -1027,7 +1081,7 @@ impl Checker {
         let reference = state
             .first_hashes
             .clone()
-            .expect("sequential prefix ends at a completed run");
+            .expect("sequential prefix passes a completed run");
         let (alloc_log, alloc_seed) = alloc
             .as_ref()
             .map(|(log, seed)| (log, *seed))
@@ -1573,6 +1627,50 @@ mod tests {
             });
         }
         b.build()
+    }
+
+    #[test]
+    fn run_metrics_are_registered_only_once_a_run_completes() {
+        // Slot 0 fails under Abort: no run completes, so none of the
+        // per-run metrics exist, not even at zero.
+        let plan = FaultPlan::new(3).with(FaultKind::AllocFail, Trigger::Nth(0));
+        let reg = Arc::new(Registry::new());
+        let cfg = CheckerConfig::new(Scheme::HwInc)
+            .with_runs(3)
+            .with_registry(reg.clone())
+            .with_fault_in_run(0, plan);
+        Checker::new(cfg)
+            .expect("valid config")
+            .check(alloc_heavy)
+            .unwrap_err();
+        let snap = reg.snapshot();
+        let names: Vec<&str> = snap.counters.keys().map(String::as_str).collect();
+        assert_eq!(names, ["checker.runs_failed"]);
+        assert!(snap.histograms.is_empty());
+
+        // One completed run registers all of them, zeros included.
+        let reg = Arc::new(Registry::new());
+        let cfg = CheckerConfig::new(Scheme::Native)
+            .with_runs(1)
+            .with_registry(reg.clone());
+        Checker::new(cfg)
+            .expect("valid config")
+            .check(alloc_heavy)
+            .unwrap();
+        let snap = reg.snapshot();
+        for name in [
+            "checker.runs_completed",
+            "checker.steps",
+            "checker.native_instr",
+            "checker.hash_instr",
+            "checker.stores",
+            "checker.hash_updates",
+            "checker.checkpoints",
+        ] {
+            assert!(snap.counters.contains_key(name), "{name}");
+        }
+        assert_eq!(snap.counters["checker.runs_completed"], 1);
+        assert_eq!(snap.histograms["checker.run_steps"].count, 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use corpus::{CampaignBaseline, Corpus, CorpusOptions, Drift, FRAME_LEN};
 use instantcheck::{CheckReport, Checker, CheckerConfig, RunCache, Scheme};
-use obs::{MemorySink, Registry};
+use obs::{MemorySink, Registry, Telemetry};
 use tsim::{Program, ProgramBuilder, ValKind};
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -167,6 +167,68 @@ fn warm_disk_campaign_is_byte_identical_to_cold() {
         );
         fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A `runs`-run campaign of `commuting_sum` on a fresh open of the
+/// corpus at `dir` (a new process's view), with telemetry attached:
+/// every deterministic surface plus the slot samples the worker pool
+/// recorded.
+fn traced_campaign(
+    dir: &PathBuf,
+    runs: usize,
+    jobs: usize,
+) -> ((CheckReport, String, obs::Snapshot), u64) {
+    let sink = Arc::new(MemorySink::new());
+    let reg = Arc::new(Registry::new());
+    let telemetry = Arc::new(Telemetry::new());
+    let cfg = config(&open(dir), jobs)
+        .with_runs(runs)
+        .with_sink(sink.clone())
+        .with_registry(reg.clone())
+        .with_telemetry(telemetry.clone());
+    let report = Checker::new(cfg)
+        .expect("valid config")
+        .check(commuting_sum)
+        .expect("completes");
+    let busy = telemetry
+        .snapshot()
+        .histograms
+        .get("checker.slot.busy")
+        .map_or(0, |h| h.count);
+    ((report, sink.to_jsonl(), reg.snapshot()), busy)
+}
+
+#[test]
+fn warm_hits_are_answered_inline_at_any_worker_count() {
+    let dir = tempdir("inline");
+    let (cold, busy) = traced_campaign(&dir, 30, 4);
+    assert!(busy > 0, "the cold campaign fans out");
+
+    // Every slot is a hit: the sequential prefix answers all of them,
+    // so no worker pool runs, and the artifacts match the serial
+    // campaign's and the cold one's byte for byte.
+    let (warm4, busy4) = traced_campaign(&dir, 30, 4);
+    let (warm1, _) = traced_campaign(&dir, 30, 1);
+    assert_eq!(busy4, 0, "an all-hit campaign fans nothing out");
+    assert_eq!(warm4.0, warm1.0, "report");
+    assert_eq!(warm4.1, warm1.1, "trace bytes");
+    assert_eq!(warm4.2, warm1.2, "registry snapshot");
+    assert_eq!(warm4, cold, "warm equals cold");
+    fs::remove_dir_all(&dir).unwrap();
+
+    // Partially warm: slots 0..10 hit inline, slot 10 is simulated,
+    // the rest fan out. The result is the cold campaign's.
+    let warm_dir = tempdir("inline-partial");
+    traced_campaign(&warm_dir, 10, 2);
+    let cold_dir = tempdir("inline-partial-cold");
+    let (partial, partial_busy) = traced_campaign(&warm_dir, 30, 2);
+    let (cold, _) = traced_campaign(&cold_dir, 30, 2);
+    assert!(partial_busy > 0, "the slots after the first miss fan out");
+    assert_eq!(partial.0, cold.0, "report");
+    assert_eq!(partial.1, cold.1, "trace bytes");
+    assert_eq!(partial.2, cold.2, "registry snapshot");
+    fs::remove_dir_all(&warm_dir).unwrap();
+    fs::remove_dir_all(&cold_dir).unwrap();
 }
 
 #[test]
