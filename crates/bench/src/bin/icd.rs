@@ -237,7 +237,11 @@ fn run_client(path: &str, batch: Option<&str>) -> Result<bool, String> {
         println!("{reply}");
         // Only error and shed replies degrade the exit status; a
         // `status` snapshot mentions "shed" in its tenant table.
-        ok &= !(reply.starts_with("{\"error\":") || reply.contains("\"disposition\":\"shed\""));
+        let failed = obs::json::parse(reply).is_ok_and(|v| {
+            v.get("error").is_some()
+                || v.get("disposition").and_then(obs::json::Value::as_str) == Some("shed")
+        });
+        ok &= !failed;
     }
     Ok(ok)
 }

@@ -8,7 +8,7 @@
 //! attachments, the harness command line parses into one, and the
 //! checker's cache keys are derived from it
 //! ([`CampaignSpec::run_key`]). It serializes to one line of
-//! deterministic JSON (a hand-written writer over [`obs::json`]), so a
+//! deterministic JSON (written and read by [`obs::json`]), so a
 //! spec can be submitted over a wire, stored next to a corpus, and
 //! diffed byte-for-byte.
 //!
@@ -42,10 +42,8 @@
 //! assert!(report.is_deterministic());
 //! ```
 
-use std::fmt::Write as _;
-
 use adhash::FpRound;
-use obs::json::{self, write_str, Value};
+use obs::json::{self, Layout, Value};
 use tsim::{FaultKind, FaultPlan, SwitchPolicy, Trigger, FAULT_KINDS};
 
 use crate::cache::{fault_plan_token, RunKey};
@@ -387,109 +385,57 @@ impl CampaignSpec {
     /// and submitted over line-oriented transports (the `icd`
     /// orchestrator reads one spec per line).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"version\":");
-        let _ = write!(out, "{SPEC_VERSION}");
-        out.push_str(",\"workload\":");
-        write_str(&mut out, &self.workload);
-        out.push_str(",\"scheme\":");
-        write_str(&mut out, self.scheme.name());
-        let _ = write!(out, ",\"runs\":{}", self.runs);
-        let _ = write!(out, ",\"base_seed\":{}", self.base_seed);
-        let _ = write!(out, ",\"lib_seed\":{}", self.lib_seed);
-        out.push_str(",\"switch\":");
-        write_str(&mut out, &switch_token(self.switch));
-        out.push_str(",\"rounding\":");
-        write_str(&mut out, &rounding_token(self.rounding));
-        out.push_str(",\"policy\":");
-        write_str(&mut out, &policy_token(self.policy));
-        let _ = write!(out, ",\"max_steps\":{}", self.max_steps);
-        match self.jobs {
-            Some(jobs) => {
-                let _ = write!(out, ",\"jobs\":{jobs}");
-            }
-            None => out.push_str(",\"jobs\":null"),
-        }
-        let _ = write!(out, ",\"cache_model\":{}", self.cache_model);
-        out.push_str(",\"ignore\":{\"globals\":[");
-        for (i, (name, range)) in self.ignore.globals.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            write_str(&mut out, name);
-            match range {
-                None => out.push_str(",null"),
-                Some((start, end)) => {
-                    let _ = write!(out, ",[{start},{end}]");
-                }
-            }
-            out.push(']');
-        }
-        out.push_str("],\"sites\":[");
-        for (i, (site, offsets)) in self.ignore.sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            write_str(&mut out, site);
-            match offsets {
-                None => out.push_str(",null"),
-                Some(offs) => {
-                    out.push_str(",[");
-                    for (j, o) in offs.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{o}");
+        let mut out = String::new();
+        json::object(&mut out, Layout::Compact, |o| {
+            o.field("version", &SPEC_VERSION)
+                .field("workload", &self.workload)
+                .field("scheme", self.scheme.name())
+                .field("runs", &self.runs)
+                .field("base_seed", &self.base_seed)
+                .field("lib_seed", &self.lib_seed)
+                .field("switch", &switch_token(self.switch))
+                .field("rounding", &rounding_token(self.rounding))
+                .field("policy", &policy_token(self.policy))
+                .field("max_steps", &self.max_steps)
+                .field("jobs", &self.jobs)
+                .field("cache_model", &self.cache_model)
+                .object("ignore", |o| {
+                    o.field("globals", &self.ignore.globals)
+                        .field("sites", &self.ignore.sites);
+                })
+                .array("faults", |faults| {
+                    for (slot, plan) in &self.fault_plans {
+                        faults.object(|o| {
+                            o.field("slot", slot).field("seed", &plan.seed).array(
+                                "triggers",
+                                |triggers| {
+                                    for kind in FAULT_KINDS {
+                                        let trigger = plan.trigger(kind);
+                                        if trigger != Trigger::Never {
+                                            triggers.item(&(kind.label(), trigger_token(trigger)));
+                                        }
+                                    }
+                                },
+                            );
+                        });
                     }
-                    out.push(']');
+                });
+            // Shape-only corpus placement fields are emitted only when
+            // set, so specs written before they existed keep
+            // serializing to the exact bytes they were committed with.
+            if let Some(dir) = &self.corpus_dir {
+                o.field("corpus_dir", dir);
+            }
+            for (key, value) in [
+                ("corpus_segment_bytes", self.corpus_segment_bytes),
+                ("corpus_max_bytes", self.corpus_max_bytes),
+                ("corpus_cache_slots", self.corpus_cache_slots),
+            ] {
+                if let Some(n) = value {
+                    o.field(key, &n);
                 }
             }
-            out.push(']');
-        }
-        out.push_str("]},\"faults\":[");
-        for (i, (slot, plan)) in self.fault_plans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"slot\":{slot},\"seed\":{},", plan.seed);
-            out.push_str("\"triggers\":[");
-            let mut first = true;
-            for kind in FAULT_KINDS {
-                let trigger = plan.trigger(kind);
-                if trigger == Trigger::Never {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push('[');
-                write_str(&mut out, kind.label());
-                out.push(',');
-                write_str(&mut out, &trigger_token(trigger));
-                out.push(']');
-            }
-            out.push_str("]}");
-        }
-        out.push(']');
-        // Shape-only corpus placement fields are emitted only when set,
-        // so specs written before they existed keep serializing to the
-        // exact bytes they were committed with.
-        if let Some(dir) = &self.corpus_dir {
-            out.push_str(",\"corpus_dir\":");
-            write_str(&mut out, dir);
-        }
-        if let Some(n) = self.corpus_segment_bytes {
-            let _ = write!(out, ",\"corpus_segment_bytes\":{n}");
-        }
-        if let Some(n) = self.corpus_max_bytes {
-            let _ = write!(out, ",\"corpus_max_bytes\":{n}");
-        }
-        if let Some(n) = self.corpus_cache_slots {
-            let _ = write!(out, ",\"corpus_cache_slots\":{n}");
-        }
-        out.push('}');
+        });
         out
     }
 

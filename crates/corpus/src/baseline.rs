@@ -14,7 +14,7 @@ use std::io;
 use std::path::Path;
 
 use instantcheck::{CheckReport, RunHashes, Scheme};
-use obs::json::{self, write_str, Value};
+use obs::json::{self, Layout, Value};
 
 use crate::record::kind_token;
 
@@ -309,43 +309,33 @@ impl CampaignBaseline {
         drifts
     }
 
-    /// Serializes the baseline as deterministic, human-diffable JSON.
+    /// Serializes the baseline as deterministic, human-diffable JSON:
+    /// one member per line, and one line per reference hash and group.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"name\": ");
-        write_str(&mut out, &self.name);
-        out.push_str(",\n  \"workload\": ");
-        write_str(&mut out, &self.workload);
-        out.push_str(",\n  \"scheme\": ");
-        write_str(&mut out, &self.scheme);
-        out.push_str(&format!(",\n  \"runs\": {}", self.runs));
-        out.push_str(&format!(",\n  \"base_seed\": {}", self.base_seed));
-        out.push_str(&format!(",\n  \"output_digest\": {}", self.output_digest));
-        out.push_str(&format!(",\n  \"det_at_end\": {}", self.det_at_end));
-        out.push_str(&format!(",\n  \"ndet_points\": {}", self.ndet_points));
-        out.push_str(&format!(
-            ",\n  \"structural_divergence\": {}",
-            self.structural_divergence
-        ));
-        out.push_str(&format!(",\n  \"failed_runs\": {}", self.failed_runs));
-        out.push_str(",\n  \"reference\": [");
-        for (i, (kind, hash)) in self.reference.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    [");
-            write_str(&mut out, kind);
-            out.push_str(&format!(", {hash}]"));
-        }
-        out.push_str("\n  ],\n  \"groups\": [");
-        for (i, (dist, count)) in self.groups.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    [");
-            write_str(&mut out, dist);
-            out.push_str(&format!(", {count}]"));
-        }
-        out.push_str("\n  ]\n}\n");
+        let mut out = String::new();
+        json::object(&mut out, Layout::Indented, |o| {
+            o.field("name", &self.name)
+                .field("workload", &self.workload)
+                .field("scheme", &self.scheme)
+                .field("runs", &self.runs)
+                .field("base_seed", &self.base_seed)
+                .field("output_digest", &self.output_digest)
+                .field("det_at_end", &self.det_at_end)
+                .field("ndet_points", &self.ndet_points)
+                .field("structural_divergence", &self.structural_divergence)
+                .field("failed_runs", &self.failed_runs)
+                .array("reference", |a| {
+                    for pair in &self.reference {
+                        a.item(pair);
+                    }
+                })
+                .array("groups", |a| {
+                    for pair in &self.groups {
+                        a.item(pair);
+                    }
+                });
+        });
+        out.push('\n');
         out
     }
 

@@ -6,11 +6,10 @@
 //! deterministic for a deterministic input trace.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::json;
+use crate::json::{self, Array, Layout};
 use crate::telemetry::LaneSpan;
-use crate::trace::{ArgValue, Event, Phase, CONTROL_TRACK};
+use crate::trace::{Event, Phase, CONTROL_TRACK};
 
 /// `tid` used for campaign-level control events in the Chrome output
 /// (Chrome renders `u32::MAX` poorly, so control events get their own
@@ -20,8 +19,65 @@ const CONTROL_TID: u32 = 0;
 /// Converts a trace to Chrome trace-event JSON (object form with a
 /// `traceEvents` array).
 pub fn chrome_trace(events: &[Event]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
+    chrome_lanes(events, &[])
+}
+
+/// `pid` used for wall-clock worker lanes, far above any run index so
+/// the lanes group separately from simulated-step tracks.
+const LANES_PID: u64 = 1_000_000;
+
+/// Converts a trace plus wall-clock worker [`LaneSpan`]s to Chrome
+/// trace-event JSON.
+///
+/// The deterministic events render exactly as [`chrome_trace`]; the
+/// lanes are appended as `ph:"X"` complete events under their own
+/// process (`pid` 1000000), one `tid` per distinct lane name in
+/// sorted order, with `ts`/`dur` in microseconds of wall clock. The
+/// two time bases (simulated steps vs wall clock) are deliberately not
+/// aligned — the lanes answer "who was busy when", not "at which step".
+pub fn chrome_lanes(events: &[Event], lanes: &[LaneSpan]) -> String {
+    let mut tids: BTreeMap<&str, u64> = BTreeMap::new();
+    for span in lanes {
+        let next = tids.len() as u64;
+        tids.entry(span.lane.as_str()).or_insert(next);
+    }
+    let mut out = String::new();
+    json::object(&mut out, Layout::Compact, |o| {
+        o.array("traceEvents", |items| {
+            write_events(items, events);
+            for (lane, tid) in &tids {
+                items.object(|o| {
+                    o.field("name", "thread_name")
+                        .field("ph", "M")
+                        .field("pid", &LANES_PID)
+                        .field("tid", tid)
+                        .object("args", |args| {
+                            args.field("name", *lane);
+                        });
+                });
+            }
+            for span in lanes {
+                let dur = span.end_ns.saturating_sub(span.start_ns).max(1_000) / 1_000;
+                items.object(|o| {
+                    o.field("name", &span.name)
+                        .field("ph", "X")
+                        .field("ts", &(span.start_ns / 1_000))
+                        .field("dur", &dur)
+                        .field("pid", &LANES_PID)
+                        .field("tid", &tids[span.lane.as_str()])
+                        .object("args", |args| {
+                            args.field("detail", &span.detail);
+                        });
+                });
+            }
+        })
+        .field("displayTimeUnit", "ms");
+    });
+    out
+}
+
+/// Writes the deterministic events, one Chrome event each.
+fn write_events(items: &mut Array<'_>, events: &[Event]) {
     let mut pid: u64 = 0;
     let mut max_ts: u64 = 0;
     for ev in events {
@@ -40,10 +96,6 @@ pub fn chrome_trace(events: &[Event]) -> String {
         } else {
             ev.step
         };
-        if !first {
-            out.push(',');
-        }
-        first = false;
         let ph = match ev.phase {
             Phase::Begin => "B",
             Phase::End => "E",
@@ -55,99 +107,25 @@ pub fn chrome_trace(events: &[Event]) -> String {
             // Simulated threads start at lane 1; lane 0 is control.
             ev.track + 1
         };
-        out.push_str("{\"name\":");
-        json::write_str(&mut out, &ev.name);
-        let _ = write!(
-            out,
-            ",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}"
-        );
-        if ev.phase == Phase::Instant {
-            out.push_str(",\"s\":\"t\"");
-        }
-        out.push_str(",\"args\":{");
-        for (i, (k, v)) in ev.args.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        items.object(|o| {
+            o.field("name", &*ev.name)
+                .field("ph", ph)
+                .field("ts", &ts)
+                .field("pid", &pid)
+                .field("tid", &tid);
+            if ev.phase == Phase::Instant {
+                o.field("s", "t");
             }
-            json::write_str(&mut out, k);
-            out.push(':');
-            match v {
-                ArgValue::U64(n) => {
-                    let _ = write!(out, "{n}");
+            o.object("args", |args| {
+                for (k, v) in &ev.args {
+                    args.field(k, v);
                 }
-                ArgValue::Str(s) => json::write_str(&mut out, s),
-            }
-        }
-        if let Some(ns) = ev.wall_ns {
-            if !ev.args.is_empty() {
-                out.push(',');
-            }
-            let _ = write!(out, "\"wall_ns\":{ns}");
-        }
-        out.push_str("}}");
+                if let Some(ns) = ev.wall_ns {
+                    args.field("wall_ns", &ns);
+                }
+            });
+        });
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
-/// `pid` used for wall-clock worker lanes, far above any run index so
-/// the lanes group separately from simulated-step tracks.
-const LANES_PID: u64 = 1_000_000;
-
-/// Converts a trace plus wall-clock worker [`LaneSpan`]s to Chrome
-/// trace-event JSON.
-///
-/// The deterministic events render exactly as [`chrome_trace`]; the
-/// lanes are appended as `ph:"X"` complete events under their own
-/// process (`pid` 1000000), one `tid` per distinct lane name in
-/// sorted order, with `ts`/`dur` in microseconds of wall clock. The
-/// two time bases (simulated steps vs wall clock) are deliberately not
-/// aligned — the lanes answer "who was busy when", not "at which step".
-pub fn chrome_lanes(events: &[Event], lanes: &[LaneSpan]) -> String {
-    let mut out = chrome_trace(events);
-    if lanes.is_empty() {
-        return out;
-    }
-    // Reopen the traceEvents array; with no deterministic events the
-    // array is empty and the first appended element takes no comma.
-    let tail = "],\"displayTimeUnit\":\"ms\"}";
-    out.truncate(out.len() - tail.len());
-    let mut first = events.is_empty();
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-    };
-    let mut tids: BTreeMap<&str, u64> = BTreeMap::new();
-    for span in lanes {
-        let next = tids.len() as u64;
-        tids.entry(span.lane.as_str()).or_insert(next);
-    }
-    for (lane, tid) in &tids {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{LANES_PID},\"tid\":{tid},\"args\":{{\"name\":"
-        );
-        json::write_str(&mut out, lane);
-        out.push_str("}}");
-    }
-    for span in lanes {
-        let tid = tids[span.lane.as_str()];
-        let ts = span.start_ns / 1_000;
-        let dur = span.end_ns.saturating_sub(span.start_ns).max(1_000) / 1_000;
-        sep(&mut out);
-        out.push_str("{\"name\":");
-        json::write_str(&mut out, &span.name);
-        let _ = write!(
-            out,
-            ",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{LANES_PID},\"tid\":{tid},\"args\":{{\"detail\":{}}}}}",
-            span.detail
-        );
-    }
-    out.push_str(tail);
-    out
 }
 
 #[cfg(test)]

@@ -1,14 +1,22 @@
-//! Minimal JSON reading/writing for trace and metrics artifacts.
+//! The workspace's one JSON reader and writer.
 //!
 //! The workspace deliberately has no external dependencies, so this
-//! module provides the small JSON subset the observability layer needs:
-//! a writer with deterministic output (callers control field order) and
-//! a recursive-descent parser used by `icprof` to load trace files.
+//! module provides the small JSON subset its artifacts need:
+//!
+//! * a writer with deterministic output: [`ToJson`] for values, and
+//!   [`object()`]/[`array()`] for containers whose members the caller
+//!   writes in a fixed order. The container writers own every
+//!   separator; a call site picks one of three byte [`Layout`]s
+//!   (compact specs and traces, spaced harness rows, the indented
+//!   corpus baselines);
+//! * a recursive-descent parser ([`parse`]) for specs, submissions,
+//!   baselines, traces and telemetry snapshots.
 //!
 //! Numbers are kept as their raw source text ([`Value::Num`]) so that
 //! full-range `u64` values (seeds, hashes) round-trip exactly instead of
 //! being squeezed through an `f64`.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -89,6 +97,291 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How a container separates its members. Every layout writes the
+/// same values; only the whitespace differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// `,` between members and `:` after keys, no whitespace: specs,
+    /// traces, snapshots and wire replies.
+    Compact,
+    /// `, ` between members and `: ` after keys: the harness rows
+    /// under `results/`.
+    Spaced,
+    /// One member per line, indented two spaces per level, with `: `
+    /// after keys: the corpus baselines. Containers opened through
+    /// [`Object::array`] and the like nest one level deeper; a value
+    /// written through [`ToJson`] stays on its member's line, spaced.
+    /// The closing bracket takes its own line even when the container
+    /// is empty.
+    Indented,
+}
+
+/// Types that can render themselves as a JSON value.
+pub trait ToJson {
+    /// Appends this value's JSON representation to `out`, separating
+    /// the members of any container as `layout` says.
+    fn write_json(&self, out: &mut String, layout: Layout);
+}
+
+/// `value` as a standalone JSON document.
+pub fn to_string<T: ToJson + ?Sized>(value: &T, layout: Layout) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out, layout);
+    out
+}
+
+impl Layout {
+    fn separator(self) -> &'static str {
+        if self == Layout::Spaced {
+            ", "
+        } else {
+            ","
+        }
+    }
+
+    fn colon(self) -> &'static str {
+        if self == Layout::Compact {
+            ":"
+        } else {
+            ": "
+        }
+    }
+}
+
+/// Appends one object to `out`; `body` writes its members in order.
+pub fn object(out: &mut String, layout: Layout, body: impl FnOnce(&mut Object<'_>)) {
+    Object::write(out, layout, 0, body);
+}
+
+/// Appends one array to `out`; `body` writes its items in order.
+pub fn array(out: &mut String, layout: Layout, body: impl FnOnce(&mut Array<'_>)) {
+    Array::write(out, layout, 0, body);
+}
+
+/// The separator and indentation state of one open container.
+struct Members<'a> {
+    out: &'a mut String,
+    layout: Layout,
+    /// Containers open around this one.
+    depth: usize,
+    first: bool,
+}
+
+impl<'a> Members<'a> {
+    fn open(out: &'a mut String, layout: Layout, depth: usize, bracket: char) -> Self {
+        out.push(bracket);
+        Members {
+            out,
+            layout,
+            depth,
+            first: true,
+        }
+    }
+
+    fn close(mut self, bracket: char) {
+        self.newline(self.depth);
+        self.out.push(bracket);
+    }
+
+    /// Writes what goes before the next member.
+    fn next(&mut self) {
+        if !self.first {
+            self.out.push_str(self.layout.separator());
+        }
+        self.first = false;
+        self.newline(self.depth + 1);
+    }
+
+    fn newline(&mut self, depth: usize) {
+        if self.layout == Layout::Indented {
+            self.out.push('\n');
+            for _ in 0..depth {
+                self.out.push_str("  ");
+            }
+        }
+    }
+
+    /// The layout of a member written through [`ToJson`].
+    fn value_layout(&self) -> Layout {
+        match self.layout {
+            Layout::Indented => Layout::Spaced,
+            layout => layout,
+        }
+    }
+}
+
+/// An open JSON object (see [`object()`]).
+pub struct Object<'a>(Members<'a>);
+
+impl<'a> Object<'a> {
+    fn write(out: &'a mut String, layout: Layout, depth: usize, body: impl FnOnce(&mut Self)) {
+        let mut object = Object(Members::open(out, layout, depth, '{'));
+        body(&mut object);
+        object.0.close('}');
+    }
+
+    /// Writes one `key: value` member.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) -> &mut Self {
+        self.key(key);
+        value.write_json(self.0.out, self.0.value_layout());
+        self
+    }
+
+    /// Writes one member whose value is an object; `body` writes the
+    /// nested object's members.
+    pub fn object(&mut self, key: &str, body: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        self.key(key);
+        Object::write(self.0.out, self.0.layout, self.0.depth + 1, body);
+        self
+    }
+
+    /// Writes one member whose value is an array; `body` writes the
+    /// nested array's items.
+    pub fn array(&mut self, key: &str, body: impl FnOnce(&mut Array<'_>)) -> &mut Self {
+        self.key(key);
+        Array::write(self.0.out, self.0.layout, self.0.depth + 1, body);
+        self
+    }
+
+    fn key(&mut self, key: &str) {
+        self.0.next();
+        write_str(self.0.out, key);
+        self.0.out.push_str(self.0.layout.colon());
+    }
+}
+
+/// An open JSON array (see [`array()`]).
+pub struct Array<'a>(Members<'a>);
+
+impl<'a> Array<'a> {
+    fn write(out: &'a mut String, layout: Layout, depth: usize, body: impl FnOnce(&mut Self)) {
+        let mut array = Array(Members::open(out, layout, depth, '['));
+        body(&mut array);
+        array.0.close(']');
+    }
+
+    /// Writes one item.
+    pub fn item<T: ToJson + ?Sized>(&mut self, value: &T) -> &mut Self {
+        self.0.next();
+        value.write_json(self.0.out, self.0.value_layout());
+        self
+    }
+
+    /// Writes one item that is an object; `body` writes its members.
+    pub fn object(&mut self, body: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        self.0.next();
+        Object::write(self.0.out, self.0.layout, self.0.depth + 1, body);
+        self
+    }
+}
+
+impl ToJson for bool {
+    fn write_json(&self, out: &mut String, _: Layout) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+macro_rules! int_to_json {
+    ($($ty:ty),*) => {$(
+        impl ToJson for $ty {
+            fn write_json(&self, out: &mut String, _: Layout) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+int_to_json!(u32, u64, usize);
+
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String, _: Layout) {
+        if self.is_finite() {
+            // `{:?}` round-trips f64 exactly and always includes a
+            // decimal point or exponent, so the output stays a JSON
+            // number distinguishable from an integer.
+            let _ = write!(out, "{self:?}");
+        } else {
+            out.push_str("null"); // JSON has no NaN/Infinity
+        }
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String, _: Layout) {
+        write_str(out, self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String, _: Layout) {
+        write_str(out, self);
+    }
+}
+
+/// `()` is JSON `null`.
+impl ToJson for () {
+    fn write_json(&self, out: &mut String, _: Layout) {
+        out.push_str("null");
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        match self {
+            Some(v) => v.write_json(out, layout),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        (**self).write_json(out, layout);
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        array(out, layout, |a| {
+            for v in self {
+                a.item(v);
+            }
+        });
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        self.as_slice().write_json(out, layout);
+    }
+}
+
+/// A string-keyed map is an object with its keys in sorted order.
+impl<V: ToJson> ToJson for BTreeMap<String, V> {
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        object(out, layout, |o| {
+            for (k, v) in self {
+                o.field(k, v);
+            }
+        });
+    }
+}
+
+macro_rules! tuple_to_json {
+    ($($name:ident : $idx:tt),+) => {
+        /// A tuple is an array of its fields.
+        impl<$($name: ToJson),+> ToJson for ($($name,)+) {
+            fn write_json(&self, out: &mut String, layout: Layout) {
+                array(out, layout, |a| {
+                    $(a.item(&self.$idx);)+
+                });
+            }
+        }
+    };
+}
+tuple_to_json!(A: 0, B: 1);
+tuple_to_json!(A: 0, B: 1, C: 2);
+tuple_to_json!(A: 0, B: 1, C: 2, D: 3);
+
 /// How deeply arrays and objects may nest. The parser recurses once
 /// per level, so a bound keeps a hostile line (say, 20,000 `[`) from
 /// overflowing the stack of whichever thread parses it; every document
@@ -100,6 +393,7 @@ pub const MAX_DEPTH: usize = 128;
 /// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -114,6 +408,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
@@ -213,8 +508,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
+        let raw = &self.src[start..self.pos];
         if raw.is_empty() || raw == "-" {
             return Err(format!("invalid number at byte {start}"));
         }
@@ -225,13 +519,23 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of unescaped characters up to the next quote
+            // or backslash in one piece. Both are ASCII, so the run ends
+            // on a character boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: one escape sequence.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -258,14 +562,6 @@ impl Parser<'_> {
                         }
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "non-utf8 string")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -393,6 +689,85 @@ mod tests {
     fn unicode_escapes_and_chars() {
         assert_eq!(parse("\"\\u0041\"").unwrap().as_str(), Some("A"));
         assert_eq!(parse("\"héllo\"").unwrap().as_str(), Some("héllo"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let text = "é".repeat(1 << 19);
+        let doc = format!("[\"{text}\",\"a\\\"b\"]");
+        let v = parse(&doc).unwrap();
+        assert_eq!(
+            v,
+            Value::Arr(vec![Value::Str(text), Value::Str("a\"b".into())])
+        );
+    }
+
+    #[test]
+    fn scalars_and_strings() {
+        assert_eq!(to_string(&true, Layout::Spaced), "true");
+        assert_eq!(to_string(&42u64, Layout::Spaced), "42");
+        assert_eq!(to_string(&1.5f64, Layout::Spaced), "1.5");
+        assert_eq!(to_string(&2.0f64, Layout::Spaced), "2.0");
+        assert_eq!(to_string(&f64::NAN, Layout::Spaced), "null");
+        assert_eq!(to_string("a\"b\\c\nd", Layout::Spaced), r#""a\"b\\c\nd""#);
+        assert_eq!(to_string("Det→Det", Layout::Spaced), "\"Det→Det\"");
+        assert_eq!(to_string(&(), Layout::Compact), "null");
+    }
+
+    #[test]
+    fn containers() {
+        assert_eq!(to_string(&Option::<u64>::None, Layout::Spaced), "null");
+        assert_eq!(to_string(&Some(3usize), Layout::Spaced), "3");
+        assert_eq!(to_string(&vec![1u32, 2, 3], Layout::Spaced), "[1, 2, 3]");
+        assert_eq!(to_string(&vec![1u32, 2, 3], Layout::Compact), "[1,2,3]");
+        assert_eq!(
+            to_string(&("x".to_owned(), 1u64, true), Layout::Spaced),
+            r#"["x", 1, true]"#
+        );
+        let map = BTreeMap::from([("b".to_owned(), 2u64), ("a".to_owned(), 1)]);
+        assert_eq!(to_string(&map, Layout::Compact), r#"{"a":1,"b":2}"#);
+        assert_eq!(to_string(&Vec::<u64>::new(), Layout::Spaced), "[]");
+    }
+
+    #[test]
+    fn object_fields() {
+        let mut s = String::new();
+        object(&mut s, Layout::Spaced, |o| {
+            o.field("a", &1u64).field("b", "two");
+        });
+        assert_eq!(s, r#"{"a": 1, "b": "two"}"#);
+    }
+
+    #[test]
+    fn layouts_place_every_separator() {
+        let write = |layout| {
+            let mut s = String::new();
+            object(&mut s, layout, |o| {
+                o.field("n", &1u32)
+                    .array("xs", |a| {
+                        a.item(&(1u32, "p")).object(|o| {
+                            o.field("k", &());
+                        });
+                    })
+                    .object("empty", |_| {});
+            });
+            s
+        };
+        assert_eq!(
+            write(Layout::Compact),
+            r#"{"n":1,"xs":[[1,"p"],{"k":null}],"empty":{}}"#
+        );
+        assert_eq!(
+            write(Layout::Spaced),
+            r#"{"n": 1, "xs": [[1, "p"], {"k": null}], "empty": {}}"#
+        );
+        assert_eq!(
+            write(Layout::Indented),
+            "{\n  \"n\": 1,\n  \"xs\": [\n    [1, \"p\"],\n    {\n      \"k\": null\n    }\n  ],\n  \"empty\": {\n  }\n}"
+        );
+        for layout in [Layout::Compact, Layout::Spaced, Layout::Indented] {
+            assert_eq!(parse(&write(layout)), parse(&write(Layout::Compact)));
+        }
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! the registry lock is only taken to register or snapshot.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use crate::json;
+use crate::json::{self, Layout};
 
 /// A monotonic counter.
 #[derive(Debug, Default)]
@@ -268,34 +267,19 @@ impl Snapshot {
 
     /// Serializes the snapshot as deterministic (sorted-key) JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, k);
-            let _ = write!(out, ":{v}");
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, k);
-            let _ = write!(
-                out,
-                ":{{\"count\":{},\"sum\":{},\"buckets\":[",
-                h.count, h.sum
-            );
-            for (j, b) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{b}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
+        let mut out = String::new();
+        json::object(&mut out, Layout::Compact, |o| {
+            o.field("counters", &self.counters)
+                .object("histograms", |hs| {
+                    for (k, h) in &self.histograms {
+                        hs.object(k, |o| {
+                            o.field("count", &h.count)
+                                .field("sum", &h.sum)
+                                .field("buckets", &h.buckets);
+                        });
+                    }
+                });
+        });
         out
     }
 }

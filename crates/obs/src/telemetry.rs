@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::json::{self, Value};
+use crate::json::{self, Layout, Object, ToJson, Value};
 use crate::metrics::{Counter, Histogram, HistogramSnapshot, Snapshot};
 
 /// A set-or-add instantaneous value (queue depth, in-flight count,
@@ -85,20 +85,20 @@ pub struct LaneSpan {
     pub detail: u64,
 }
 
-impl LaneSpan {
-    /// Serializes as one deterministic-schema JSON object.
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"lane\":");
-        json::write_str(out, &self.lane);
-        out.push_str(",\"name\":");
-        json::write_str(out, &self.name);
-        let _ = write!(
-            out,
-            ",\"start_ns\":{},\"end_ns\":{},\"detail\":{}}}",
-            self.start_ns, self.end_ns, self.detail
-        );
+/// One deterministic-schema JSON object.
+impl ToJson for LaneSpan {
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        json::object(out, layout, |o| {
+            o.field("lane", &self.lane)
+                .field("name", &self.name)
+                .field("start_ns", &self.start_ns)
+                .field("end_ns", &self.end_ns)
+                .field("detail", &self.detail);
+        });
     }
+}
 
+impl LaneSpan {
     /// Parses a span from its JSON object form.
     pub fn from_json(v: &Value) -> Result<LaneSpan, String> {
         let field = |k: &str| v.get(k).ok_or_else(|| format!("lane span missing {k:?}"));
@@ -320,58 +320,44 @@ pub struct TelemetrySnapshot {
     pub dropped_lanes: u64,
 }
 
-fn write_histogram_json(out: &mut String, h: &HistogramSnapshot) {
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
-        h.count,
-        h.sum,
-        h.p50(),
-        h.p95(),
-        h.p99()
-    );
-    for (j, b) in h.buckets.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{b}");
+/// The heartbeat members with a `seq` of 0, then the lane log.
+impl ToJson for TelemetrySnapshot {
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        json::object(out, layout, |o| {
+            self.heartbeat_fields(o, 0);
+            o.field("dropped_lanes", &self.dropped_lanes)
+                .field("lanes", &self.lanes);
+        });
     }
-    out.push_str("]}");
 }
 
 impl TelemetrySnapshot {
+    /// The heartbeat record's members: everything but the lane log.
+    /// `seq` is the heartbeat sequence number (0 for ad-hoc snapshots).
+    fn heartbeat_fields(&self, o: &mut Object<'_>, seq: u64) {
+        o.field("seq", &seq)
+            .field("uptime_ns", &self.uptime_ns)
+            .field("counters", &self.counters)
+            .field("gauges", &self.gauges)
+            .object("histograms", |hs| {
+                for (k, h) in &self.histograms {
+                    hs.object(k, |o| {
+                        o.field("count", &h.count)
+                            .field("sum", &h.sum)
+                            .field("p50", &h.p50())
+                            .field("p95", &h.p95())
+                            .field("p99", &h.p99())
+                            .field("buckets", &h.buckets);
+                    });
+                }
+            });
+    }
+
     /// Serializes the snapshot (without the lane log) as one line of
-    /// deterministic-schema JSON — the heartbeat record shape. `seq`
-    /// is the heartbeat sequence number (0 for ad-hoc snapshots).
+    /// deterministic-schema JSON — the heartbeat record shape.
     pub(crate) fn to_heartbeat_json(&self, seq: u64) -> String {
         let mut out = String::new();
-        let _ = write!(out, "{{\"seq\":{seq},\"uptime_ns\":{}", self.uptime_ns);
-        out.push_str(",\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, k);
-            let _ = write!(out, ":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, k);
-            let _ = write!(out, ":{v}");
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, k);
-            out.push(':');
-            write_histogram_json(&mut out, h);
-        }
-        out.push_str("}}");
+        json::object(&mut out, Layout::Compact, |o| self.heartbeat_fields(o, seq));
         out
     }
 
@@ -379,19 +365,7 @@ impl TelemetrySnapshot {
     /// log — as deterministic-schema JSON (the `/profile` body shape's
     /// telemetry section).
     pub fn to_json(&self) -> String {
-        let mut out = self.to_heartbeat_json(0);
-        out.pop(); // reopen the object
-        out.push_str(",\"dropped_lanes\":");
-        let _ = write!(out, "{}", self.dropped_lanes);
-        out.push_str(",\"lanes\":[");
-        for (i, span) in self.lanes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            span.write_json(&mut out);
-        }
-        out.push_str("]}");
-        out
+        json::to_string(self, Layout::Compact)
     }
 
     /// Parses a snapshot back from [`to_json`](Self::to_json) (or

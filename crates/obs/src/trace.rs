@@ -10,11 +10,10 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::json::{self, Value};
+use crate::json::{self, Layout, ToJson, Value};
 
 /// An event or argument name: usually a static string, occasionally
 /// computed.
@@ -101,6 +100,17 @@ impl From<String> for ArgValue {
     }
 }
 
+/// An integer or a string: the same bytes in trace lines and in the
+/// Chrome export.
+impl ToJson for ArgValue {
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        match self {
+            ArgValue::U64(n) => n.write_json(out, layout),
+            ArgValue::Str(s) => s.write_json(out, layout),
+        }
+    }
+}
+
 /// One trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
@@ -176,33 +186,20 @@ impl Event {
     /// then `wall_ns` if present) so that equal events serialize to
     /// identical bytes.
     pub fn write_json_line(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"step\":{},\"track\":{},\"ph\":\"{}\",\"name\":",
-            self.step,
-            self.track,
-            self.phase.code()
-        );
-        json::write_str(out, &self.name);
-        out.push_str(",\"args\":{");
-        for (i, (k, v)) in self.args.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::object(out, Layout::Compact, |o| {
+            o.field("step", &self.step)
+                .field("track", &self.track)
+                .field("ph", self.phase.code())
+                .field("name", &*self.name)
+                .object("args", |args| {
+                    for (k, v) in &self.args {
+                        args.field(k, v);
+                    }
+                });
+            if let Some(ns) = self.wall_ns {
+                o.field("wall_ns", &ns);
             }
-            json::write_str(out, k);
-            out.push(':');
-            match v {
-                ArgValue::U64(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                ArgValue::Str(s) => json::write_str(out, s),
-            }
-        }
-        out.push('}');
-        if let Some(ns) = self.wall_ns {
-            let _ = write!(out, ",\"wall_ns\":{ns}");
-        }
-        out.push('}');
+        });
     }
 
     /// Reconstructs an event from a parsed JSON object.

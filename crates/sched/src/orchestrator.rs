@@ -10,6 +10,7 @@ use std::time::Instant;
 
 use corpus::{CampaignBaseline, Corpus, SharedCacheStats};
 use instantcheck::{CheckReport, Checker, CheckerConfig, RunCache};
+use obs::json::{self, Layout};
 use obs::{Event, MemorySink, Registry, Telemetry, CONTROL_TRACK};
 use tsim::Program;
 
@@ -168,30 +169,16 @@ impl CampaignResult {
     /// One line of deterministic JSON summarizing the result (without
     /// the artifact bodies) — the orchestrator batch summary format.
     pub fn summary_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"id\":");
-        obs::json::write_str(&mut out, &self.id);
-        out.push_str(",\"tenant\":");
-        obs::json::write_str(&mut out, &self.tenant);
-        let _ = write!(out, ",\"seq\":{}", self.seq);
-        out.push_str(",\"status\":");
-        obs::json::write_str(&mut out, self.status.label());
-        let _ = write!(out, ",\"attempts\":{}", self.attempts());
-        match &self.shed {
-            Some(reason) => {
-                out.push_str(",\"shed\":");
-                obs::json::write_str(&mut out, reason.label());
-            }
-            None => out.push_str(",\"shed\":null"),
-        }
-        match &self.error {
-            Some(e) => {
-                out.push_str(",\"error\":");
-                obs::json::write_str(&mut out, e);
-            }
-            None => out.push_str(",\"error\":null"),
-        }
-        out.push('}');
+        let mut out = String::new();
+        json::object(&mut out, Layout::Compact, |o| {
+            o.field("id", &self.id)
+                .field("tenant", &self.tenant)
+                .field("seq", &self.seq)
+                .field("status", self.status.label())
+                .field("attempts", &self.attempts())
+                .field("shed", &self.shed.map(ShedReason::label))
+                .field("error", &self.error);
+        });
         out
     }
 

@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use corpus::{Corpus, LogStats, SharedCacheStats};
+use obs::json::{self, Layout};
 use obs::{Registry, Telemetry};
 
 use crate::orchestrator::TenantStats;
@@ -231,64 +232,44 @@ impl Service {
                 None => inner.frozen.clone(),
             }
         };
-        let mut out = String::from("{\"draining\":");
-        out.push_str(if self.is_draining() { "true" } else { "false" });
-        let _ = write!(
-            out,
-            ",\"submitted\":{},\"queue_depth\":{},\"in_flight\":{}",
-            core.submitted, core.queue_depth, core.in_flight
-        );
-        out.push_str(",\"tenants\":{");
-        for (i, (name, stats)) in core.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            obs::json::write_str(&mut out, name);
-            let _ = write!(
-                out,
-                ":{{\"accepted\":{},\"shed\":{}}}",
-                stats.accepted, stats.shed
-            );
-        }
-        out.push_str("},\"corpus\":");
-        match self.cache_stats() {
-            Some(s) => {
-                let _ = write!(
-                    out,
-                    "{{\"cache_capacity\":{},\"published\":{},\"in_flight\":{},\
-                     \"cas_retries\":{},\"waits\":{},\"wait_ns\":{}",
-                    s.capacity, s.published, s.in_flight, s.cas_retries, s.waits, s.wait_ns
-                );
-                out.push_str(",\"log\":");
-                match self.log_stats() {
-                    Some(l) => {
-                        let _ = write!(
-                            out,
-                            "{{\"segments\":{},\"live_records\":{},\"live_bytes\":{},\
-                             \"garbage_bytes\":{},\"total_bytes\":{},\"compactions\":{}}}",
-                            l.segments,
-                            l.live_records,
-                            l.live_bytes,
-                            l.garbage_bytes,
-                            l.total_bytes,
-                            l.compactions
-                        );
+        let mut out = String::new();
+        json::object(&mut out, Layout::Compact, |o| {
+            o.field("draining", &self.is_draining())
+                .field("submitted", &core.submitted)
+                .field("queue_depth", &core.queue_depth)
+                .field("in_flight", &core.in_flight)
+                .object("tenants", |tenants| {
+                    for (name, stats) in &core.tenants {
+                        tenants.object(name, |o| {
+                            o.field("accepted", &stats.accepted)
+                                .field("shed", &stats.shed);
+                        });
                     }
-                    None => out.push_str("null"),
-                }
-                out.push('}');
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"counters\":{");
-        for (i, (name, value)) in self.registry.snapshot().counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            obs::json::write_str(&mut out, name);
-            let _ = write!(out, ":{value}");
-        }
-        out.push_str("}}");
+                });
+            match self.cache_stats() {
+                Some(s) => o.object("corpus", |o| {
+                    o.field("cache_capacity", &s.capacity)
+                        .field("published", &s.published)
+                        .field("in_flight", &s.in_flight)
+                        .field("cas_retries", &s.cas_retries)
+                        .field("waits", &s.waits)
+                        .field("wait_ns", &s.wait_ns);
+                    match self.log_stats() {
+                        Some(l) => o.object("log", |o| {
+                            o.field("segments", &l.segments)
+                                .field("live_records", &l.live_records)
+                                .field("live_bytes", &l.live_bytes)
+                                .field("garbage_bytes", &l.garbage_bytes)
+                                .field("total_bytes", &l.total_bytes)
+                                .field("compactions", &l.compactions);
+                        }),
+                        None => o.field("log", &()),
+                    };
+                }),
+                None => o.field("corpus", &()),
+            };
+            o.field("counters", &self.registry.snapshot().counters);
+        });
         out
     }
 
@@ -352,31 +333,25 @@ impl Service {
     /// "cas_retries":…,"waits":…,"wait_ns":…,"arena_full":…}|null}`.
     /// Wall-clock throughout; never an artifact.
     pub fn profile_json(&self) -> String {
-        let mut out = String::from("{\"telemetry\":");
-        out.push_str(&self.telemetry.snapshot().to_json());
-        out.push_str(",\"cache\":");
-        match self.cache_stats() {
-            Some(s) => {
-                let _ = write!(
-                    out,
-                    "{{\"capacity\":{},\"published\":{},\"in_flight\":{},\"abandoned\":{},\
-                     \"probes\":{},\"probe_steps\":{},\"cas_retries\":{},\"waits\":{},\
-                     \"wait_ns\":{},\"arena_full\":{}}}",
-                    s.capacity,
-                    s.published,
-                    s.in_flight,
-                    s.abandoned,
-                    s.probes,
-                    s.probe_steps,
-                    s.cas_retries,
-                    s.waits,
-                    s.wait_ns,
-                    s.arena_full
-                );
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
+        let mut out = String::new();
+        json::object(&mut out, Layout::Compact, |o| {
+            o.field("telemetry", &self.telemetry.snapshot());
+            match self.cache_stats() {
+                Some(s) => o.object("cache", |o| {
+                    o.field("capacity", &s.capacity)
+                        .field("published", &s.published)
+                        .field("in_flight", &s.in_flight)
+                        .field("abandoned", &s.abandoned)
+                        .field("probes", &s.probes)
+                        .field("probe_steps", &s.probe_steps)
+                        .field("cas_retries", &s.cas_retries)
+                        .field("waits", &s.waits)
+                        .field("wait_ns", &s.wait_ns)
+                        .field("arena_full", &s.arena_full);
+                }),
+                None => o.field("cache", &()),
+            };
+        });
         out
     }
 }
