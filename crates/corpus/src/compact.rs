@@ -20,9 +20,9 @@
 //! where "losing" records is by design.
 
 use std::io;
-use std::os::unix::fs::FileExt;
 
-use crate::index::{CrashPoints, LogInner};
+use crate::index::{CrashPoints, LogInner, RecordLoc};
+use crate::window::{whole, with_window};
 
 /// What one inline compaction did.
 #[derive(Debug, Clone, Copy)]
@@ -65,23 +65,28 @@ pub(crate) fn maybe_compact(
     // re-append each — the index update inside `append` retires the old
     // location as garbage, so a crash mid-loop leaves a log the rebuild
     // rules resolve to exactly the same live set.
-    let mut live: Vec<(u128, crate::index::RecordLoc)> = inner
+    let mut live: Vec<(u128, RecordLoc)> = inner
         .map
         .iter()
         .filter(|(_, loc)| loc.seg == id)
         .map(|(fp, loc)| (*fp, *loc))
         .collect();
     live.sort_unstable_by_key(|(_, loc)| loc.offset);
-    let file = std::sync::Arc::clone(&inner.segments[&id].file);
     let rewritten = live.len() as u64;
     // Records are self-contained (the frame carries the fingerprint),
-    // so a live record moves byte for byte.
-    let mut record = Vec::new();
-    for (fp, loc) in live {
-        record.resize(loc.len as usize, 0);
-        file.read_exact_at(&mut record, loc.offset)?;
-        inner.append(fp, &record, segment_bytes, crash)?;
-    }
+    // so a live record moves byte for byte. Read in file order through
+    // the thread's window, one `pread` fetches many of them.
+    with_window(|window| -> io::Result<()> {
+        for (fp, loc) in live {
+            let at = inner.segments[&id].located(loc);
+            let record = window.record(&at);
+            whole(record, loc).map_err(|why| {
+                io::Error::new(io::ErrorKind::UnexpectedEof, format!("segment {id}: {why}"))
+            })?;
+            inner.append(fp, record, segment_bytes, crash)?;
+        }
+        Ok(())
+    })?;
     if crash.fires("compact") {
         std::process::abort();
     }

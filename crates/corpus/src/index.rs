@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
-use std::io;
+use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,6 +98,30 @@ pub(crate) struct SegmentInfo {
     pub live_records: u64,
 }
 
+impl SegmentInfo {
+    /// What a read of the record at `loc` in this segment needs.
+    pub(crate) fn located(&self, loc: RecordLoc) -> Located {
+        Located {
+            file: Arc::clone(&self.file),
+            sealed_len: self.sealed.then_some(self.len),
+            loc,
+        }
+    }
+}
+
+/// A live record's location plus what a read of it needs from its
+/// segment, taken under the store lock and read outside it.
+#[derive(Debug)]
+pub(crate) struct Located {
+    /// The segment's shared read handle.
+    pub file: Arc<File>,
+    /// The segment's length when it is sealed (immutable, so a read
+    /// window may serve it); `None` for the active segment.
+    pub sealed_len: Option<u64>,
+    /// Where the record lives.
+    pub loc: RecordLoc,
+}
+
 /// A torn tail preserved from a scan, for quarantine by the caller.
 #[derive(Debug)]
 pub(crate) struct TornTail {
@@ -145,6 +169,10 @@ impl LogInner {
             active: 0,
         };
         let mut torn = Vec::new();
+        // One buffer serves every segment: `read_to_end` reserves the
+        // file's length up front, so it grows only to the largest
+        // segment instead of allocating afresh per segment.
+        let mut bytes = Vec::new();
 
         for &(id, sealed) in &found {
             let name = if sealed {
@@ -153,8 +181,10 @@ impl LogInner {
                 open_name(id)
             };
             let path = segments_dir.join(name);
-            let bytes = fs::read(&path)?;
+            bytes.clear();
+            File::open(&path)?.read_to_end(&mut bytes)?;
             let scan = scan_segment(&bytes);
+            inner.map.reserve(scan.records.len());
             if scan.torn {
                 torn.push(TornTail {
                     seg: id,
@@ -287,23 +317,19 @@ impl LogInner {
 
     /// Looks a fingerprint up, returning a cloned file handle plus the
     /// record location so the read can happen outside the store lock.
-    pub(crate) fn locate(&self, fp: u128) -> Option<(Arc<File>, RecordLoc)> {
+    pub(crate) fn locate(&self, fp: u128) -> Option<Located> {
         let loc = self.map.get(&fp)?;
-        let info = self.segments.get(&loc.seg)?;
-        Some((Arc::clone(&info.file), *loc))
+        Some(self.segments.get(&loc.seg)?.located(*loc))
     }
 
     /// Every live record with its segment handle, in log order.
-    pub(crate) fn live_in_log_order(&self) -> Vec<(u128, Arc<File>, RecordLoc)> {
-        let mut live: Vec<(u128, Arc<File>, RecordLoc)> = self
+    pub(crate) fn live_in_log_order(&self) -> Vec<(u128, Located)> {
+        let mut live: Vec<(u128, Located)> = self
             .map
             .iter()
-            .filter_map(|(&fp, &loc)| {
-                let info = self.segments.get(&loc.seg)?;
-                Some((fp, Arc::clone(&info.file), loc))
-            })
+            .filter_map(|(&fp, &loc)| Some((fp, self.segments.get(&loc.seg)?.located(loc))))
             .collect();
-        live.sort_unstable_by_key(|(_, _, loc)| (loc.seg, loc.offset));
+        live.sort_unstable_by_key(|(_, at)| (at.loc.seg, at.loc.offset));
         live
     }
 

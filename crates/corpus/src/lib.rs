@@ -89,6 +89,7 @@ mod record;
 mod segment;
 mod shared;
 mod store;
+mod window;
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -108,6 +109,7 @@ pub use shared::{
     SharedCacheStats, CACHE_ACQUIRE_HISTOGRAM, CACHE_WAIT_HISTOGRAM, DEFAULT_CACHE_CAPACITY,
 };
 pub use store::{LogStats, StoredRecord, CORPUS_COMPACT_HISTOGRAM, CORPUS_OPEN_HISTOGRAM};
+pub use window::thread_record_reads;
 
 use shared::SharedCache;
 use store::LogStore;

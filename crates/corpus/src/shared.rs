@@ -213,10 +213,15 @@ pub(crate) struct SharedCache {
     /// Wall-clock telemetry plane; bindable once, like `registry`.
     telemetry: OnceLock<Arc<Telemetry>>,
     /// Park/wake pair for in-flight waits. Waiting is the rare path
-    /// (two workers racing one key); probes and publications never
-    /// touch this lock.
+    /// (two workers racing one key); probes never touch this lock, and
+    /// publications only while a waiter is parked.
     park: Mutex<()>,
     wake: Condvar,
+    /// Threads inside [`wait_for_publication`](Self::wait_for_publication).
+    /// A `notify_all` is a futex syscall even with nobody to wake, and
+    /// every warm hit publishes, so [`notify`](Self::notify) skips the
+    /// wake while this reads 0.
+    parked: AtomicUsize,
 }
 
 /// Splits a fingerprint into the arena's two tag words.
@@ -262,6 +267,7 @@ impl SharedCache {
             telemetry: OnceLock::new(),
             park: Mutex::new(()),
             wake: Condvar::new(),
+            parked: AtomicUsize::new(0),
         };
         if let Some(registry) = registry {
             cache.bind_registry(&registry);
@@ -334,20 +340,25 @@ impl SharedCache {
     }
 
     /// Parks until `slot` leaves `CLAIMED`, tallying the wait. The
-    /// publisher/abandoner takes the park lock (empty critical
-    /// section) before notifying, so a waiter that checked the state
-    /// under the lock can never miss the wake; the timeout is pure
-    /// defense in depth.
+    /// waiter counts itself in `parked` before it checks the state, and
+    /// the publisher/abandoner stores the state before it reads
+    /// `parked`, all `SeqCst`: a waiter that read `CLAIMED` is counted
+    /// by the time the publisher looks. The publisher then takes the
+    /// park lock (empty critical section) before notifying, so a waiter
+    /// that checked the state under the lock can never miss the wake;
+    /// the timeout is pure defense in depth.
     fn wait_for_publication(&self, slot: &Slot) {
         let start = Instant::now();
         let mut guard = self.park.lock().unwrap();
-        while slot.state.load(Ordering::Acquire) == CLAIMED {
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        while slot.state.load(Ordering::SeqCst) == CLAIMED {
             let (g, _) = self
                 .wake
                 .wait_timeout(guard, Duration::from_millis(10))
                 .unwrap();
             guard = g;
         }
+        self.parked.fetch_sub(1, Ordering::Relaxed);
         drop(guard);
         let wait = start.elapsed();
         self.tallies.waits.fetch_add(1, Ordering::Relaxed);
@@ -359,11 +370,16 @@ impl SharedCache {
         }
     }
 
-    /// Wakes every parked waiter. Taking (and immediately dropping)
-    /// the park lock orders this thread's state store before any
-    /// waiter's under-lock state check — the classic no-lost-wakeup
-    /// handshake.
+    /// Wakes every parked waiter, if there is one (see
+    /// [`wait_for_publication`](Self::wait_for_publication)); the caller
+    /// has just stored the slot's new state `SeqCst`. Taking (and
+    /// immediately dropping) the park lock orders this thread's state
+    /// store before any waiter's under-lock state check — the classic
+    /// no-lost-wakeup handshake.
     fn notify(&self) {
+        if self.parked.load(Ordering::SeqCst) == 0 {
+            return;
+        }
         drop(self.park.lock().unwrap());
         self.wake.notify_all();
     }
@@ -375,8 +391,9 @@ impl SharedCache {
     /// returning it.
     ///
     /// Memory ordering: state loads are `Acquire`, pairing with the
-    /// `Release` state stores in [`claim_slot`](Self::claim_slot),
-    /// [`publish`](Self::publish), and [`Self::abandon`], so fingerprint
+    /// `Release` (or stronger) state stores in
+    /// [`claim_slot`](Self::claim_slot), [`publish`](Self::publish),
+    /// and [`Self::abandon`], so fingerprint
     /// tags (written before the `CLAIMED` release) and published values
     /// (written before the `PUBLISHED` release) are visible to any
     /// thread that observed the state.
@@ -479,11 +496,11 @@ impl SharedCache {
 
     /// Publishes `run` into a slot this thread holds in `CLAIMED`
     /// state (or just claimed for direct insertion) and wakes waiters.
-    /// The value is set before the `Release` store of `PUBLISHED`, so
-    /// any prober that observes the state also observes the value.
+    /// The value is set before the store of `PUBLISHED`, so any prober
+    /// that observes the state also observes the value.
     fn publish(&self, slot: &Slot, run: &Arc<CachedRun>) {
         let _ = slot.value.set(Arc::clone(run));
-        slot.state.store(PUBLISHED, Ordering::Release);
+        slot.state.store(PUBLISHED, Ordering::SeqCst);
         self.notify();
     }
 
@@ -599,7 +616,7 @@ impl RunCache for SharedCache {
         if let Found::Slot(slot, CLAIMED) = self.probe(lo, hi, false, false) {
             if slot
                 .state
-                .compare_exchange(CLAIMED, ABANDONED, Ordering::AcqRel, Ordering::Acquire)
+                .compare_exchange(CLAIMED, ABANDONED, Ordering::SeqCst, Ordering::Acquire)
                 .is_ok()
             {
                 self.notify();
@@ -731,6 +748,38 @@ mod tests {
             CacheLease::Compute { .. } => panic!("logged entry must surface as a hit"),
         }
         assert_eq!(cache.stats().published, 1, "log hit published to arena");
+    }
+
+    /// A publication wakes a parked waiter at once, not at the 10 ms
+    /// re-check: skipping the wake while nobody is parked must never
+    /// skip it for a waiter that is.
+    #[test]
+    fn publish_wakes_a_parked_waiter_before_the_recheck() {
+        let mut fastest = Duration::MAX;
+        for seed in 0..20 {
+            let log = TempLog::new();
+            let cache = Arc::new(log.arena(64));
+            let k = key(seed);
+            assert!(matches!(
+                cache.begin(&k),
+                CacheLease::Compute { claimed: true }
+            ));
+            let waiter = {
+                let cache = Arc::clone(&cache);
+                let k = k.clone();
+                std::thread::spawn(move || cache.begin(&k))
+            };
+            while cache.parked.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            cache.store(&k, &run(seed));
+            assert!(matches!(waiter.join().unwrap(), CacheLease::Hit(_)));
+            fastest = fastest.min(Duration::from_nanos(cache.stats().wait_ns));
+        }
+        assert!(
+            fastest < Duration::from_millis(10),
+            "every wait ran to the re-check: {fastest:?}"
+        );
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //!
 //! A warm hit does each step once: the caller hands in the key's
 //! rendered tokens and fingerprint, the index yields the record's
-//! location, one `pread` fetches frame and body together, and one pass
-//! verifies the checksum, compares the stored key token for token and
-//! decodes the run.
+//! location, the thread's read window ([`crate::window`]) yields its
+//! bytes — from memory when an earlier read of the same sealed segment
+//! already fetched them, else by one `pread` that refills the window —
+//! and one pass verifies the length and checksum, compares the stored
+//! key token for token and decodes the run.
 //!
 //! The in-memory index is built lazily: opening a store only checks the
 //! format marker, and the segment scan runs on the first lookup or
@@ -32,9 +34,8 @@
 //! recording campaign on a fresh directory therefore pays no scan at
 //! all.
 
-use std::fs::{self, File};
+use std::fs;
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -46,8 +47,9 @@ use obs::{Counter, Registry, Telemetry};
 use crate::compact::{enforce_size_bound, maybe_compact};
 use crate::error::CorpusError;
 use crate::fingerprint::fingerprint_fields;
-use crate::index::{format_marker, CrashPoints, LogInner, RecordLoc};
+use crate::index::{format_marker, CrashPoints, LogInner};
 use crate::record::{decode_for, decode_record, encode_into, Corruption};
+use crate::window::{whole, with_window};
 
 /// Telemetry histogram fed with the wall-clock duration of each lazy
 /// index build (the segment scan). One sample per store instance per
@@ -283,9 +285,10 @@ impl LogStore {
 }
 
 thread_local! {
-    /// Each thread reuses one record buffer across reads and appends,
-    /// so the hot paths allocate nothing before the decoded run.
-    static RECORD: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Each thread reuses one buffer across appends, so the store path
+    /// allocates nothing to encode a record. Reads go through the
+    /// thread's read window instead.
+    static ENCODED: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl LogStore {
@@ -300,24 +303,23 @@ impl LogStore {
         tokens: &[(&'static str, &str)],
     ) -> Option<Arc<CachedRun>> {
         // Locate under the lock, read outside it: concurrent lookups
-        // share nothing but the index probe and a positional read.
+        // share nothing but the index probe, and each thread reads
+        // through its own window.
         let located = self.with_inner(|inner| inner.locate(fp)).ok().flatten();
-        let Some((file, loc)) = located else {
+        let Some(at) = located else {
             self.misses.inc();
             return None;
         };
-        RECORD.with(|buf| {
-            let mut record = buf.borrow_mut();
-            let why = match read_record(&file, loc, &mut record)
-                .and_then(|()| decode_for(&record, fp, tokens))
-            {
+        with_window(|window| {
+            let record = window.record(&at);
+            let why = match whole(record, at.loc).and_then(|()| decode_for(record, fp, tokens)) {
                 Ok(run) => {
                     self.hits.inc();
                     return Some(Arc::new(run));
                 }
                 Err(why) => why,
             };
-            self.quarantine(fp, &record, &why);
+            self.quarantine(fp, record, &why);
             self.misses.inc();
             None
         })
@@ -332,7 +334,7 @@ impl LogStore {
         tokens: &[(&'static str, &str)],
         run: &CachedRun,
     ) {
-        RECORD.with(|buf| {
+        ENCODED.with(|buf| {
             let mut record = buf.borrow_mut();
             encode_into(&mut record, fp, tokens, run);
             if matches!(
@@ -373,29 +375,21 @@ impl LogStore {
     /// Every live record, in log order, read back and checked.
     pub(crate) fn records(&self) -> Result<Vec<StoredRecord>, CorpusError> {
         let live = self.with_inner(|inner| inner.live_in_log_order())?;
-        let mut buf = Vec::new();
-        Ok(live
-            .into_iter()
-            .map(|(fp, file, loc)| StoredRecord {
-                fp,
-                segment: loc.seg,
-                offset: loc.offset,
-                len: loc.len,
-                content: read_record(&file, loc, &mut buf).and_then(|()| decode_record(&buf)),
-            })
-            .collect())
+        Ok(with_window(|window| {
+            live.into_iter()
+                .map(|(fp, at)| {
+                    let record = window.record(&at);
+                    StoredRecord {
+                        fp,
+                        segment: at.loc.seg,
+                        offset: at.loc.offset,
+                        len: at.loc.len,
+                        content: whole(record, at.loc).and_then(|()| decode_record(record)),
+                    }
+                })
+                .collect()
+        }))
     }
-}
-
-/// Reads the whole record at `loc` into `buf`; a short read is the
-/// truncation class.
-fn read_record(file: &File, loc: RecordLoc, buf: &mut Vec<u8>) -> Result<(), Corruption> {
-    buf.resize(loc.len as usize, 0);
-    file.read_exact_at(buf, loc.offset)
-        .map_err(|_| Corruption::Truncated {
-            expected: loc.len as usize,
-            found: 0,
-        })
 }
 
 impl RunCache for LogStore {

@@ -485,34 +485,61 @@ impl Parser<'_> {
         }
     }
 
+    /// One number, held to JSON's grammar: `-? (0 | [1-9][0-9]*)
+    /// (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(format!("invalid number at byte {start}: leading zero"));
+            }
+        } else {
+            self.digits(start, "integer part")?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits(start, "fraction")?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            self.digits(start, "exponent")?;
+        }
+        Ok(Value::Num(self.src[start..self.pos].to_string()))
+    }
+
+    /// Consumes a run of at least one decimal digit, the `part` of the
+    /// number starting at byte `start`.
+    fn digits(&mut self, start: usize, part: &str) -> Result<(), String> {
+        let from = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == from {
+            return Err(format!(
+                "invalid number at byte {start}: no digits in its {part}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// The value of the four hex digits at byte `at`, right after the
+    /// `\u` of an escape.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        match self.bytes.get(at..at + 4) {
+            Some(hex) if hex.iter().all(u8::is_ascii_hexdigit) => {
+                Ok(hex.iter().fold(0, |code, &b| {
+                    code * 16 + (b as char).to_digit(16).expect("hex digit")
+                }))
             }
+            _ => Err(format!("bad \\u escape at byte {}", at - 2)),
         }
-        let raw = &self.src[start..self.pos];
-        if raw.is_empty() || raw == "-" {
-            return Err(format!("invalid number at byte {start}"));
-        }
-        Ok(Value::Num(raw.to_string()))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -524,7 +551,7 @@ impl Parser<'_> {
             // on a character boundary.
             let run = self.bytes[self.pos..]
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(self.bytes.len() - self.pos);
             out.push_str(&self.src[self.pos..self.pos + run]);
             self.pos += run;
@@ -533,6 +560,12 @@ impl Parser<'_> {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
+                }
+                Some(b) if b < 0x20 => {
+                    return Err(format!(
+                        "raw control byte 0x{b:02x} in string at byte {}",
+                        self.pos
+                    ));
                 }
                 Some(_) => {
                     // A backslash: one escape sequence.
@@ -547,15 +580,21 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let mut code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // An escaped high surrogate followed by an
+                            // escaped low one is one character beyond the
+                            // BMP; an unpaired surrogate reads as U+FFFD.
+                            if (0xd800..0xdc00).contains(&code)
+                                && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                            {
+                                let low = self.hex4(self.pos + 3)?;
+                                if (0xdc00..0xe000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         other => {
                             return Err(format!("bad escape {:?}", other.map(|c| c as char)));

@@ -149,3 +149,99 @@ fn mutated_golden_documents_parse_or_fail_cleanly() {
         let _ = json::parse(&text);
     });
 }
+
+/// Text outside JSON's grammar is an `Err` naming the byte it failed
+/// at, not a value.
+#[test]
+fn text_outside_the_grammar_is_refused_at_its_offset() {
+    for (doc, at) in [
+        (r#""\u+041""#, "byte 1"),
+        (r#"["\u00g1"]"#, "byte 2"),
+        (r#""\u12""#, "byte 1"),
+        ("01", "byte 0"),
+        ("[-01]", "byte 1"),
+        ("1.", "byte 0"),
+        ("[1.e5]", "byte 1"),
+        ("1e", "byte 0"),
+        (r#"{"a":-2E+}"#, "byte 5"),
+        ("-", "byte 0"),
+        ("-.5", "byte 0"),
+        ("\"a\u{1}b\"", "byte 2"),
+        ("[\"tab\there\"]", "byte 5"),
+        ("\"new\nline\"", "byte 4"),
+    ] {
+        let err = json::parse(doc).expect_err(doc);
+        assert!(err.contains(at), "{doc:?}: {err}");
+    }
+}
+
+#[test]
+fn numbers_inside_the_grammar_keep_their_text() {
+    for doc in [
+        "0",
+        "-0",
+        "10",
+        "0.5",
+        "-0.0e0",
+        "1E+9",
+        "2e-7",
+        "18446744073709551615",
+    ] {
+        assert_eq!(json::parse(doc), Ok(Value::Num(doc.to_owned())), "{doc}");
+    }
+}
+
+#[test]
+fn surrogate_pairs_decode_to_one_character() {
+    // What Python's `json.dumps` writes for an emoji.
+    assert_eq!(
+        json::parse(r#""\ud83d\ude00""#),
+        Ok(Value::Str("\u{1f600}".to_owned()))
+    );
+    assert_eq!(
+        json::parse(r#""a\uD834\uDD1Eb""#),
+        Ok(Value::Str("a\u{1d11e}b".to_owned()))
+    );
+    // An unpaired surrogate has no character of its own.
+    assert_eq!(
+        json::parse(r#""\ud83d!""#),
+        Ok(Value::Str("\u{fffd}!".to_owned()))
+    );
+    assert_eq!(
+        json::parse(r#""\ude00\ud83dA""#),
+        Ok(Value::Str("\u{fffd}\u{fffd}A".to_owned()))
+    );
+    // A bad escape after a high surrogate is still an error.
+    assert!(json::parse(r#""\ud83d\uzzzz""#).is_err());
+}
+
+/// The stricter grammar still reads every JSON artifact the repository
+/// commits: the benchmark declaration and every file under `results/`.
+#[test]
+fn every_committed_json_artifact_still_parses() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = vec![root.join("BENCHMARK.json")];
+    let mut dirs = vec![root.join("results")];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            match path.extension().and_then(|e| e.to_str()) {
+                _ if path.is_dir() => dirs.push(path),
+                Some("json" | "jsonl") => files.push(path),
+                _ => {}
+            }
+        }
+    }
+    assert!(files.len() >= 5, "{files:?}");
+    for path in files {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let docs: Vec<&str> = if path.extension().is_some_and(|e| e == "jsonl") {
+            text.lines().collect()
+        } else {
+            vec![&text]
+        };
+        for doc in docs {
+            json::parse(doc).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        }
+    }
+}
