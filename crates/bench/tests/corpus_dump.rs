@@ -143,3 +143,35 @@ fn a_usage_error_creates_no_corpus() {
     // store too.
     run(env!("CARGO_BIN_EXE_table2"), &["--scaled", "--bogus"]);
 }
+
+#[test]
+fn a_memo_arena_past_the_maximum_is_refused_by_value() {
+    let dir = std::env::temp_dir().join(format!("corpus-slots-{}", std::process::id()));
+    let out = std::env::temp_dir().join(format!("corpus-slots-out-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (dir_s, out_s) = (dir.to_string_lossy(), out.to_string_lossy());
+    let slots = u64::MAX.to_string();
+    let storage = ["--corpus-dir", &dir_s, "--corpus-cache-slots", &slots];
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_corpus"),
+            vec!["check", "--app", "canneal", "--scaled"],
+        ),
+        (env!("CARGO_BIN_EXE_table2"), vec!["--scaled"]),
+        (
+            env!("CARGO_BIN_EXE_icd"),
+            vec!["--batch", "/dev/null", "--out", &out_s],
+        ),
+    ] {
+        let run = Command::new(bin)
+            .args(args)
+            .args(storage)
+            .output()
+            .expect("run the binary");
+        let stderr = String::from_utf8(run.stderr).unwrap();
+        assert_eq!(run.status.code(), Some(2), "{bin}: {stderr}");
+        assert!(stderr.contains(&slots), "{bin} names the value: {stderr}");
+        assert!(!dir.exists(), "{bin} created a corpus");
+    }
+    let _ = std::fs::remove_dir_all(&out);
+}

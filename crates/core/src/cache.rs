@@ -15,15 +15,11 @@
 //! [`CheckReport`](crate::CheckReport), metrics, and event trace are
 //! byte-identical to a cold campaign's.
 //!
-//! Two implementations exist:
-//!
-//! * [`MemoryRunCache`] (here) — a process-local warm cache, useful for
-//!   repeated campaigns over the same workload within one process and
-//!   as the reference implementation for tests.
-//! * `corpus::Corpus` (the `corpus` crate) — the unified storage
-//!   facade: a log-structured, crash-safe on-disk store with
-//!   corruption quarantine behind a lock-free warm cache, the
-//!   persistent cross-process/cross-PR corpus.
+//! The one implementation is `corpus::Corpus` (the `corpus` crate): a
+//! log-structured, crash-safe on-disk store with corruption quarantine
+//! behind a lock-free in-memory memo arena — the persistent
+//! cross-process corpus. Tests that only need a warm cache open one in
+//! a temp directory.
 //!
 //! # What is cached
 //!
@@ -37,9 +33,8 @@
 //! traces byte for byte. A cache entry without a stored trace is
 //! treated as a miss by a campaign that records traces.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use adhash::FpRound;
 use detrand::splitmix64;
@@ -70,16 +65,13 @@ pub(crate) fn mix_u64(seed: u64, value: u64) -> u64 {
 }
 
 /// A stable 64-bit token for a [`FaultPlan`]: the plan seed plus every
-/// kind's trigger. Equal plans (same seed, same triggers) produce equal
-/// tokens; `None` plans are conventionally token `0`.
+/// kind's trigger as a tagged word. Equal plans (same seed, same
+/// triggers) produce equal tokens; `None` plans are conventionally
+/// token `0`.
 pub fn fault_plan_token(plan: &FaultPlan) -> u64 {
     let mut h = mix_u64(0xfa17_07a9_0000_0001, plan.seed);
     for kind in FAULT_KINDS {
-        let t = match plan.trigger(kind) {
-            tsim::Trigger::Never => 0u64,
-            tsim::Trigger::Nth(n) => 1 << 62 | n,
-            tsim::Trigger::Rate { num, denom } => 2 << 62 | num << 31 | denom,
-        };
+        let t = trigger_word(plan.trigger(kind));
         h = mix_u64(h, mix_bytes(t, kind.label().as_bytes()));
     }
     // A token of 0 is reserved for "no plan"; remap the (cosmically
@@ -88,6 +80,28 @@ pub fn fault_plan_token(plan: &FaultPlan) -> u64 {
         1
     } else {
         h
+    }
+}
+
+/// One trigger as a word whose top two bits are its tag. `never` is
+/// `0`; `nth:n` (tag 1) and `rate:num/denom` (tag 2) pack their fields
+/// bit for bit whenever they fit (`n < 2^62`; `num, denom < 2^31`),
+/// which is the form every stored key was made with. Fields that do
+/// not fit would overlap the tag or each other (`rate:1/1` and
+/// `rate:0/2147483649` packed alike), so they are mixed instead, under
+/// tag 3, which no packed trigger uses.
+fn trigger_word(trigger: tsim::Trigger) -> u64 {
+    const MIXED: u64 = 3 << 62;
+    match trigger {
+        tsim::Trigger::Never => 0,
+        tsim::Trigger::Nth(n) if n < 1 << 62 => 1 << 62 | n,
+        tsim::Trigger::Rate { num, denom } if num < 1 << 31 && denom < 1 << 31 => {
+            2 << 62 | num << 31 | denom
+        }
+        tsim::Trigger::Nth(n) => MIXED | mix_u64(0x0d7a_11e5_0000_0001, n) >> 2,
+        tsim::Trigger::Rate { num, denom } => {
+            MIXED | mix_u64(mix_u64(0x7a7e_11e5_0000_0002, num), denom) >> 2
+        }
     }
 }
 
@@ -195,9 +209,9 @@ impl<const N: usize> TokenBuf<N> {
 }
 
 impl RunKey {
-    /// The labels of [`tokens`](RunKey::tokens), in their order. The
-    /// corpus precomputes each label's fingerprint state from this
-    /// list.
+    /// The labels of [`with_tokens`](RunKey::with_tokens), in their
+    /// order. The corpus precomputes each label's fingerprint state from
+    /// this list.
     pub const LABELS: [&'static str; 12] = [
         "version",
         "workload",
@@ -213,7 +227,10 @@ impl RunKey {
         "alloc_seed",
     ];
 
-    /// The key as canonical `(label, value)` fields.
+    /// Calls `f` with the key as canonical `(label, value)` fields,
+    /// borrowed on the stack: [`LABELS`](RunKey::LABELS) in order, no
+    /// allocation and no `core::fmt` (the corpus renders every key it
+    /// probes).
     ///
     /// This is the serialization contract for fingerprinting: every
     /// field is rendered to a stable string, labels are unique, and a
@@ -221,20 +238,6 @@ impl RunKey {
     /// order (see the corpus crate's order-independent fingerprint).
     /// The encoding version rides along as its own field, so bumping
     /// [`RUN_KEY_VERSION`] invalidates old entries by key mismatch.
-    pub fn tokens(&self) -> Vec<(&'static str, String)> {
-        self.with_tokens(|fields| {
-            fields
-                .iter()
-                .map(|(label, value)| (*label, (*value).to_owned()))
-                .collect()
-        })
-    }
-
-    /// [`tokens`](RunKey::tokens) as borrowed `(label, value)` pairs on
-    /// the stack — same labels ([`LABELS`](RunKey::LABELS)), same
-    /// values, same order, no allocation and no `core::fmt`. This is
-    /// the form the corpus lookup path consumes on every cache probe,
-    /// where the owned vector would be pure overhead.
     pub fn with_tokens<R>(&self, f: impl FnOnce(&[(&'static str, &str)]) -> R) -> R {
         let mut version = TokenBuf::<10>::new();
         version.push_u64(u64::from(RUN_KEY_VERSION));
@@ -297,22 +300,6 @@ impl RunKey {
             std::array::from_fn(|i| (Self::LABELS[i], values[i]));
         f(&fields)
     }
-
-    /// A canonical single-string rendering of [`tokens`](RunKey::tokens)
-    /// (fields joined in label order) — the map key of
-    /// [`MemoryRunCache`] and a convenient debugging handle.
-    pub fn canonical(&self) -> String {
-        let mut fields = self.tokens();
-        fields.sort_by_key(|(label, _)| *label);
-        let mut s = String::new();
-        for (label, value) in fields {
-            s.push_str(label);
-            s.push('=');
-            s.push_str(&value);
-            s.push(';');
-        }
-        s
-    }
 }
 
 /// One completed run, as a cache can reproduce it: the hash sequence
@@ -340,7 +327,7 @@ pub struct CachedRun {
     pub sim_trace: Option<Vec<Event>>,
 }
 
-/// What a claim-aware cache told an attempt to do.
+/// What a cache told an attempt to do.
 ///
 /// Returned by [`RunCache::begin`]. `Hit` carries a published outcome;
 /// `Compute` tells the caller to simulate the run itself. When
@@ -365,139 +352,47 @@ pub enum CacheLease {
 ///
 /// Implementations must be infallible at the API level: corruption or
 /// I/O trouble is an implementation concern (quarantine, recompute) and
-/// surfaces as a `None` lookup, never as a trusted-but-wrong hit.
+/// surfaces as a miss, never as a trusted-but-wrong hit.
 ///
 /// Outcomes travel as `Arc<CachedRun>` so publication is a pointer
 /// swap: a hit never deep-copies the hash sequence or a recorded event
 /// trace, and a concurrent cache can publish an entry to other workers
 /// with a single atomic store.
 ///
-/// The optional claim protocol ([`begin`](RunCache::begin) /
-/// [`abandon`](RunCache::abandon)) lets a cache deduplicate *in-flight*
-/// work: when two workers race the same key, one computes and the other
-/// waits for the published result. The default implementations degrade
-/// to plain `lookup` with no claim tracking, so simple caches need not
-/// implement them.
+/// [`begin`](RunCache::begin) is the one find-or-claim operation: when
+/// two workers race a key, one is told to compute and the other waits
+/// for the published result. Every claim it grants is resolved by
+/// [`store`](RunCache::store) or [`abandon`](RunCache::abandon).
 pub trait RunCache: fmt::Debug + Send + Sync {
-    /// Returns the recorded outcome for `key`, if one is stored and
-    /// trustworthy.
-    fn lookup(&self, key: &RunKey) -> Option<Arc<CachedRun>>;
+    /// Returns the published outcome for `key`, or tells the caller to
+    /// compute it — registering the attempt as in-flight
+    /// (`claimed: true`) when the cache can, so concurrent attempts on
+    /// `key` wait instead of duplicating the work.
+    fn begin(&self, key: &RunKey) -> CacheLease;
 
     /// Records the outcome of a completed run under `key`, releasing
     /// the caller's claim on the key if it held one.
     fn store(&self, key: &RunKey, run: &Arc<CachedRun>);
 
-    /// Claim-aware lookup: returns the published outcome, or tells the
-    /// caller to compute it — possibly registering the attempt as
-    /// in-flight so concurrent attempts on `key` wait instead of
-    /// duplicating the work. The default is a plain [`lookup`]
-    /// (`lookup`): hits map to [`CacheLease::Hit`], misses to an
-    /// unclaimed [`CacheLease::Compute`].
-    ///
-    /// [`lookup`]: RunCache::lookup
-    fn begin(&self, key: &RunKey) -> CacheLease {
-        match self.lookup(key) {
-            Some(hit) => CacheLease::Hit(hit),
-            None => CacheLease::Compute { claimed: false },
-        }
-    }
-
     /// Releases a claim issued by [`begin`](RunCache::begin) without
     /// publishing an outcome (the attempt failed or was abandoned), so
     /// waiting attempts wake up and compute the run themselves. A no-op
-    /// for caches without claim tracking, and for keys the caller does
-    /// not hold a claim on.
-    fn abandon(&self, _key: &RunKey) {}
-}
+    /// for keys the caller holds no claim on.
+    fn abandon(&self, key: &RunKey);
 
-/// A process-local, in-memory [`RunCache`].
-///
-/// # Example
-///
-/// Two campaigns over the same workload share the run results — the
-/// second is satisfied entirely from memory and produces the identical
-/// report:
-///
-/// ```
-/// use std::sync::Arc;
-/// use instantcheck::{Checker, CheckerConfig, MemoryRunCache, Scheme};
-/// use tsim::{ProgramBuilder, ValKind};
-///
-/// let source = || {
-///     let mut b = ProgramBuilder::new(2);
-///     let g = b.global("G", ValKind::U64, 1);
-///     let lock = b.mutex();
-///     for t in 0..2u64 {
-///         b.thread(async move |ctx| {
-///             ctx.lock(lock).await;
-///             let v = ctx.load(g.at(0)).await;
-///             ctx.store(g.at(0), v + t + 1).await;
-///             ctx.unlock(lock).await;
-///         });
-///     }
-///     b.build()
-/// };
-///
-/// let cache = Arc::new(MemoryRunCache::new());
-/// let cfg = CheckerConfig::new(Scheme::HwInc)
-///     .with_runs(4)
-///     .with_run_cache(cache.clone(), "g-plus-t");
-/// let cold = Checker::new(cfg.clone()).expect("valid config").check(source).unwrap();
-/// let warm = Checker::new(cfg).expect("valid config").check(source).unwrap();
-/// assert_eq!(cold, warm);
-/// assert_eq!(cache.hits(), 4);
-/// ```
-#[derive(Debug, Default)]
-pub struct MemoryRunCache {
-    entries: Mutex<HashMap<String, Arc<CachedRun>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-impl MemoryRunCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        MemoryRunCache::default()
-    }
-
-    /// Number of stored runs.
-    pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups satisfied from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-impl RunCache for MemoryRunCache {
+    /// Returns the recorded outcome for `key`, if one is stored and
+    /// trustworthy: a [`begin`](RunCache::begin) whose claimed miss is
+    /// abandoned at once.
     fn lookup(&self, key: &RunKey) -> Option<Arc<CachedRun>> {
-        let hit = self.entries.lock().unwrap().get(&key.canonical()).cloned();
-        let counter = if hit.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        hit
-    }
-
-    fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
-        self.entries
-            .lock()
-            .unwrap()
-            .insert(key.canonical(), Arc::clone(run));
+        match self.begin(key) {
+            CacheLease::Hit(run) => Some(run),
+            CacheLease::Compute { claimed } => {
+                if claimed {
+                    self.abandon(key);
+                }
+                None
+            }
+        }
     }
 }
 
@@ -523,24 +418,6 @@ mod tests {
         }
     }
 
-    fn sample_run() -> CachedRun {
-        CachedRun {
-            hashes: RunHashes {
-                checkpoints: Vec::new(),
-                output_digest: 5,
-                extra_instr: 1,
-                stores: 2,
-                hash_updates: 3,
-                cache: None,
-            },
-            steps: 10,
-            native_instr: 20,
-            zero_fill_instr: 0,
-            alloc_log: None,
-            sim_trace: None,
-        }
-    }
-
     #[test]
     fn with_tokens_renders_exactly_like_the_token_helpers() {
         // The stack rendering duplicates switch_token/rounding_token's
@@ -559,17 +436,18 @@ mod tests {
         key.cache_model = true;
         key.alloc_seed = Some(u64::MAX);
         for key in [sample_key(), key] {
-            let owned = key.tokens();
-            assert_eq!(
-                owned[5].1,
-                crate::spec::switch_token(key.switch),
-                "switch rendering drifted"
-            );
-            assert_eq!(
-                owned[7].1,
-                crate::spec::rounding_token(key.rounding),
-                "rounding rendering drifted"
-            );
+            key.with_tokens(|fields| {
+                assert_eq!(
+                    fields[5].1,
+                    crate::spec::switch_token(key.switch),
+                    "switch rendering drifted"
+                );
+                assert_eq!(
+                    fields[7].1,
+                    crate::spec::rounding_token(key.rounding),
+                    "rounding rendering drifted"
+                );
+            });
         }
     }
 
@@ -717,26 +595,15 @@ mod tests {
         k = base.clone();
         k.alloc_seed = Some(1);
         variants.push(k);
-        let canon: Vec<String> = variants.iter().map(RunKey::canonical).collect();
-        for i in 0..canon.len() {
-            for j in (i + 1)..canon.len() {
-                assert_ne!(canon[i], canon[j], "fields {i} and {j} collide");
+        let rendered: Vec<Vec<String>> = variants
+            .iter()
+            .map(|k| k.with_tokens(|fields| fields.iter().map(|(_, v)| (*v).to_owned()).collect()))
+            .collect();
+        for i in 0..rendered.len() {
+            for j in (i + 1)..rendered.len() {
+                assert_ne!(rendered[i], rendered[j], "fields {i} and {j} collide");
             }
         }
-    }
-
-    #[test]
-    fn memory_cache_round_trips() {
-        let cache = MemoryRunCache::new();
-        let key = sample_key();
-        assert!(cache.lookup(&key).is_none());
-        assert_eq!(cache.misses(), 1);
-        cache.store(&key, &Arc::new(sample_run()));
-        let hit = cache.lookup(&key).expect("stored");
-        assert_eq!(hit.hashes.output_digest, 5);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
     }
 
     #[test]
@@ -757,5 +624,44 @@ mod tests {
         assert_ne!(c, d);
         assert_eq!(a, fault_plan_token(&FaultPlan::new(1)), "pure function");
         assert_ne!(a, 0, "0 is reserved for no-plan");
+    }
+
+    /// The packing every stored key was made with, kept as an
+    /// independent reference for the triggers that fit it.
+    fn packed_word(trigger: tsim::Trigger) -> u64 {
+        match trigger {
+            tsim::Trigger::Never => 0,
+            tsim::Trigger::Nth(n) => 1 << 62 | n,
+            tsim::Trigger::Rate { num, denom } => 2 << 62 | num << 31 | denom,
+        }
+    }
+
+    #[test]
+    fn triggers_that_fit_the_packing_keep_their_word() {
+        use tsim::Trigger;
+        minicheck::check(
+            "triggers_that_fit_the_packing_keep_their_word",
+            2000,
+            |g: &mut Gen| {
+                let trigger = match g.usize_in(0, 3) {
+                    0 => Trigger::Never,
+                    1 => Trigger::Nth(g.u64_in(0, 1 << 62)),
+                    _ => Trigger::Rate {
+                        num: g.u64_in(0, 1 << 31),
+                        denom: g.u64_in(1, 1 << 31),
+                    },
+                };
+                assert_eq!(trigger_word(trigger), packed_word(trigger), "{trigger:?}");
+            },
+        );
+        for edge in [
+            Trigger::Nth((1 << 62) - 1),
+            Trigger::Rate {
+                num: (1 << 31) - 1,
+                denom: (1 << 31) - 1,
+            },
+        ] {
+            assert_eq!(trigger_word(edge), packed_word(edge), "{edge:?}");
+        }
     }
 }

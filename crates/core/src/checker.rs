@@ -1710,148 +1710,4 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), tsim::SimErrorKind::AllocFailed);
     }
-
-    #[test]
-    fn warm_cache_reproduces_cold_campaign_exactly() {
-        use crate::cache::MemoryRunCache;
-        for jobs in [1usize, 8] {
-            let cache = Arc::new(MemoryRunCache::new());
-            let campaign = || {
-                let sink = Arc::new(obs::MemorySink::new());
-                let reg = Arc::new(Registry::new());
-                let cfg = CheckerConfig::new(Scheme::HwInc)
-                    .with_runs(6)
-                    .with_jobs(jobs)
-                    .with_sink(sink.clone())
-                    .with_registry(reg.clone())
-                    .with_cache_model()
-                    .with_run_cache(cache.clone(), "racy_unordered_sum");
-                let report = Checker::new(cfg)
-                    .expect("valid config")
-                    .check(racy_unordered_sum)
-                    .unwrap();
-                (report, sink.to_jsonl(), reg.snapshot())
-            };
-            let cold = campaign();
-            assert_eq!(cache.hits(), 0, "jobs={jobs}: first campaign is cold");
-            assert_eq!(cache.len(), 6);
-            let warm = campaign();
-            assert_eq!(cold.0, warm.0, "jobs={jobs}: report");
-            assert_eq!(cold.1, warm.1, "jobs={jobs}: trace bytes");
-            assert_eq!(cold.2, warm.2, "jobs={jobs}: metrics snapshot");
-            assert_eq!(cache.hits(), 6, "jobs={jobs}: every slot hit");
-        }
-    }
-
-    #[test]
-    fn cache_keys_are_worker_count_invariant() {
-        use crate::cache::MemoryRunCache;
-        let cache = Arc::new(MemoryRunCache::new());
-        let at = |jobs: usize| {
-            let cfg = CheckerConfig::new(Scheme::SwInc)
-                .with_runs(8)
-                .with_jobs(jobs)
-                .with_run_cache(cache.clone(), "order_dependent");
-            Checker::new(cfg)
-                .expect("valid config")
-                .check(order_dependent)
-                .unwrap()
-        };
-        let cold = at(1);
-        let stored = cache.len();
-        let warm = at(8);
-        assert_eq!(cold, warm);
-        assert_eq!(cache.hits(), 8, "serial entries satisfy a parallel rerun");
-        assert_eq!(cache.len(), stored, "no re-store on a pure-hit rerun");
-    }
-
-    #[test]
-    fn traceless_cache_entry_is_recomputed_by_a_tracing_campaign() {
-        use crate::cache::MemoryRunCache;
-        let cache = Arc::new(MemoryRunCache::new());
-        let base = || {
-            CheckerConfig::new(Scheme::HwInc)
-                .with_runs(3)
-                .with_jobs(1)
-                .with_run_cache(cache.clone(), "racy_unordered_sum")
-        };
-        // Populate without a sink: entries have no stored trace.
-        let untraced = Checker::new(base())
-            .expect("valid config")
-            .check(racy_unordered_sum)
-            .unwrap();
-        // A tracing campaign must not replay those entries.
-        let sink = Arc::new(obs::MemorySink::new());
-        let traced = Checker::new(base().with_sink(sink.clone()))
-            .expect("valid config")
-            .check(racy_unordered_sum)
-            .unwrap();
-        assert_eq!(untraced, traced);
-        let events = sink.events();
-        assert!(
-            events.iter().any(|e| e.name == "sched"),
-            "trace has live simulator events"
-        );
-        // The recompute re-stored the entries with traces; a second
-        // tracing campaign replays them byte-identically.
-        let reference = sink.to_jsonl();
-        let sink2 = Arc::new(obs::MemorySink::new());
-        let replayed = Checker::new(base().with_sink(sink2.clone()))
-            .expect("valid config")
-            .check(racy_unordered_sum)
-            .unwrap();
-        assert_eq!(traced, replayed);
-        assert_eq!(reference, sink2.to_jsonl());
-    }
-
-    #[test]
-    fn cache_preserves_failure_policy_behavior() {
-        use crate::cache::MemoryRunCache;
-        // A slot that deterministically fails must fail again on a warm
-        // rerun: failures are never cached.
-        let cache = Arc::new(MemoryRunCache::new());
-        let plan = FaultPlan::new(3).with(FaultKind::AllocFail, Trigger::Nth(0));
-        let cfg = CheckerConfig::new(Scheme::HwInc)
-            .with_runs(6)
-            .with_jobs(1)
-            .with_policy(FailurePolicy::Skip { max_failures: 3 })
-            .with_fault_in_run(2, plan)
-            .with_run_cache(cache.clone(), "alloc_heavy");
-        let cold = Checker::new(cfg.clone())
-            .expect("valid config")
-            .check(alloc_heavy)
-            .unwrap();
-        assert_eq!(cache.len(), 5, "only completed runs are stored");
-        let warm = Checker::new(cfg)
-            .expect("valid config")
-            .check(alloc_heavy)
-            .unwrap();
-        assert_eq!(cold, warm);
-        assert_eq!(warm.failures.len(), 1, "the failure recomputed");
-        assert_eq!(cache.hits(), 5);
-    }
-
-    #[test]
-    fn cache_key_distinguishes_scheme_and_seed() {
-        use crate::cache::MemoryRunCache;
-        let cache = Arc::new(MemoryRunCache::new());
-        let run = |scheme, base_seed| {
-            let cfg = CheckerConfig::new(scheme)
-                .with_runs(2)
-                .with_jobs(1)
-                .with_base_seed(base_seed)
-                .with_run_cache(cache.clone(), "racy_unordered_sum");
-            Checker::new(cfg)
-                .expect("valid config")
-                .check(racy_unordered_sum)
-                .unwrap()
-        };
-        run(Scheme::HwInc, 1);
-        let after_first = cache.len();
-        run(Scheme::SwTr, 1);
-        assert!(cache.len() > after_first, "different scheme, new entries");
-        let after_second = cache.len();
-        run(Scheme::HwInc, 100);
-        assert!(cache.len() > after_second, "different seeds, new entries");
-    }
 }

@@ -111,7 +111,7 @@ pub struct CampaignSpec {
 }
 
 /// Stable token for a [`SwitchPolicy`] — shared by spec JSON,
-/// [`RunKey::tokens`], and command-line flags.
+/// [`RunKey::with_tokens`], and command-line flags.
 pub fn switch_token(switch: SwitchPolicy) -> String {
     match switch {
         SwitchPolicy::SyncOnly => "sync-only".to_owned(),
@@ -140,7 +140,7 @@ pub fn parse_switch(token: &str) -> Result<SwitchPolicy, String> {
 }
 
 /// Stable token for an optional [`FpRound`] — shared by spec JSON,
-/// [`RunKey::tokens`], and command-line flags.
+/// [`RunKey::with_tokens`], and command-line flags.
 pub fn rounding_token(rounding: Option<FpRound>) -> String {
     match rounding {
         None => "none".to_owned(),
@@ -743,12 +743,41 @@ mod tests {
     }
 
     #[test]
+    fn triggers_past_the_token_packing_key_apart() {
+        // Each pair once packed into one fault token, so a warm corpus
+        // replayed one plan's run for the other.
+        let spec = full_spec();
+        let line = spec.to_json();
+        for (packed, trigger, overflowing) in [
+            ("rate:1/50", "rate:1/1", "rate:0/2147483649"),
+            ("nth:0", "nth:5", "nth:4611686018427387909"),
+        ] {
+            let keyed = |token: &str| {
+                let text = line.replace(packed, token);
+                assert_ne!(text, line, "{packed} must be in the spec");
+                let parsed = CampaignSpec::from_json(&text).expect("parses");
+                parsed.run_key(2, parsed.base_seed + 2, None)
+            };
+            let (a, b) = (keyed(trigger), keyed(overflowing));
+            assert_ne!(a.fault_token, b.fault_token, "{trigger} vs {overflowing}");
+            assert_ne!(a, b);
+            let plan =
+                |token| FaultPlan::new(7).with(FaultKind::BitFlip, parse_trigger(token).unwrap());
+            assert_ne!(
+                crate::fault_plan_token(&plan(trigger)),
+                crate::fault_plan_token(&plan(overflowing)),
+                "{trigger} vs {overflowing} as bare tokens"
+            );
+        }
+    }
+
+    #[test]
     fn campaign_shape_fields_do_not_enter_the_run_key() {
         // runs/policy/jobs decide which attempts run, not what
         // an attempt computes — changing them must keep keys (and thus
         // corpus entries) valid.
         let base = full_spec();
-        let key = base.run_key(0, 1, None).canonical();
+        let key = base.run_key(0, 1, None);
         let mut reshaped = base.clone();
         reshaped.runs = 30;
         reshaped.policy = FailurePolicy::Abort;
@@ -757,7 +786,7 @@ mod tests {
         reshaped.corpus_segment_bytes = None;
         reshaped.corpus_max_bytes = None;
         reshaped.corpus_cache_slots = None;
-        assert_eq!(reshaped.run_key(0, 1, None).canonical(), key);
+        assert_eq!(reshaped.run_key(0, 1, None), key);
     }
 
     #[test]

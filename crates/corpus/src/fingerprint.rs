@@ -109,10 +109,9 @@ pub fn fingerprint_fields(fields: &[(&str, &str)]) -> u128 {
 }
 
 /// The fingerprint a [`RunKey`] is stored under: its canonical
-/// [`tokens`](RunKey::tokens) (which include the key-encoding version),
-/// fingerprinted order-independently. Uses the key's stack-rendered
-/// token form ([`RunKey::with_tokens`]), so fingerprinting allocates
-/// nothing.
+/// fields ([`RunKey::with_tokens`], which include the key-encoding
+/// version, rendered on the stack), fingerprinted order-independently
+/// without allocating.
 pub fn fingerprint_key(key: &RunKey) -> u128 {
     key.with_tokens(fingerprint_fields)
 }

@@ -6,12 +6,14 @@
 //! handful of counters. This crate makes those witnesses *persistent*
 //! and *shared*, behind one front door:
 //!
-//! * [`Corpus`] is the storage facade every consumer constructs —
-//!   [`Corpus::open`] with a [`CorpusOptions`] builder yields a
-//!   [`RunCache`] that layers the lock-free
-//!   in-memory `SharedCache` memo over the on-disk log engine.
-//!   There is no other way to assemble corpus storage; `sched`, `icd`,
-//!   and every bench binary construct it the same way.
+//! * [`Corpus`] is the storage facade every consumer constructs, and
+//!   the workspace's one [`RunCache`]: [`Corpus::open`] with a
+//!   [`CorpusOptions`] builder pairs the on-disk log engine with a
+//!   lock-free in-memory memo arena (`SharedCache`). A key's tokens
+//!   and fingerprint are rendered once per call and serve the arena
+//!   probe, the index probe, the stored-key check and the append
+//!   alike. There is no other way to assemble corpus storage; `sched`,
+//!   `icd`, and every bench binary construct it the same way.
 //! * On disk, completed runs live in an **append-only segment log**
 //!   (`icseg-v2`) of fixed-layout binary records: a frame of the
 //!   128-bit [`RunKey`] fingerprint, body length and one checksum,
@@ -91,6 +93,7 @@ mod shared;
 mod store;
 mod window;
 
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -113,6 +116,12 @@ pub use window::thread_record_reads;
 
 use shared::SharedCache;
 use store::LogStore;
+
+/// The largest memo arena [`Corpus::open`] builds, in slots: 1,024
+/// times [`DEFAULT_CACHE_CAPACITY`]. A larger
+/// [`cache_slots`](CorpusOptions::cache_slots) is refused, never
+/// rounded or allocated.
+pub const MAX_CACHE_SLOTS: usize = 1 << 24;
 
 /// How to open a [`Corpus`]: where it lives and how it is shaped.
 ///
@@ -160,7 +169,8 @@ impl CorpusOptions {
     }
 
     /// In-memory memo arena capacity in slots (default
-    /// [`DEFAULT_CACHE_CAPACITY`]; rounded up to a power of two).
+    /// [`DEFAULT_CACHE_CAPACITY`]; rounded up to a power of two; at
+    /// most [`MAX_CACHE_SLOTS`]).
     #[must_use]
     pub fn cache_slots(mut self, slots: usize) -> CorpusOptions {
         self.cache_slots = slots;
@@ -191,17 +201,16 @@ impl CorpusOptions {
     }
 }
 
-/// The unified corpus: a lock-free `SharedCache` memo layered over
-/// the log engine, constructed exclusively through
-/// [`Corpus::open`]. Implements [`RunCache`], so it plugs straight
-/// into
+/// The unified corpus: the log engine behind a lock-free memo arena,
+/// constructed exclusively through [`Corpus::open`]. It is the
+/// [`RunCache`] that plugs into
 /// [`CheckerConfig::with_run_cache`](instantcheck::CheckerConfig::with_run_cache)
 /// and the orchestrator.
 ///
 /// See the [crate docs](crate) for a cold/warm round-trip example.
 #[derive(Debug)]
 pub struct Corpus {
-    log: Arc<LogStore>,
+    log: LogStore,
     cache: SharedCache,
 }
 
@@ -214,14 +223,25 @@ impl Corpus {
     /// ([`CorpusError::Open`]) or holds a store of a different on-disk
     /// format ([`CorpusError::FormatMismatch`]) — including a PR-4
     /// `icorpus` one-file-per-run store, which is refused, never
-    /// silently misread.
+    /// silently misread. A `cache_slots` above [`MAX_CACHE_SLOTS`] is
+    /// an [`CorpusError::Open`] with an
+    /// [`InvalidInput`](io::ErrorKind::InvalidInput) source, reported
+    /// before anything is created on disk.
     pub fn open(options: CorpusOptions) -> Result<Corpus, CorpusError> {
-        let log = Arc::new(LogStore::open(
-            &options.dir,
-            options.segment_bytes,
-            options.max_bytes,
-        )?);
-        let cache = SharedCache::over(Arc::clone(&log), options.cache_slots, options.registry);
+        if options.cache_slots > MAX_CACHE_SLOTS {
+            return Err(CorpusError::Open {
+                dir: options.dir,
+                source: io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "{} cache slots exceed the maximum of {MAX_CACHE_SLOTS}",
+                        options.cache_slots
+                    ),
+                ),
+            });
+        }
+        let log = LogStore::open(&options.dir, options.segment_bytes, options.max_bytes)?;
+        let cache = SharedCache::new(options.cache_slots, options.registry);
         if let Some(t) = &options.telemetry {
             log.bind_telemetry(t);
             cache.bind_telemetry(t);
@@ -314,19 +334,26 @@ impl Corpus {
 }
 
 impl RunCache for Corpus {
-    fn lookup(&self, key: &RunKey) -> Option<Arc<CachedRun>> {
-        self.cache.lookup(key)
+    fn begin(&self, key: &RunKey) -> CacheLease {
+        key.with_tokens(|tokens| {
+            let fp = fingerprint_fields(tokens);
+            // One disk read per key, under the claim.
+            self.cache
+                .acquire(fp, || self.log.lookup_prepared(fp, tokens))
+        })
     }
 
     fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
-        self.cache.store(key, run)
-    }
-
-    fn begin(&self, key: &RunKey) -> CacheLease {
-        self.cache.begin(key)
+        key.with_tokens(|tokens| {
+            let fp = fingerprint_fields(tokens);
+            // Write-through first: the log stays the source of truth
+            // and is durable before the memo serves the entry back.
+            self.log.store_prepared(fp, tokens, run);
+            self.cache.publish(fp, run);
+        })
     }
 
     fn abandon(&self, key: &RunKey) {
-        self.cache.abandon(key)
+        self.cache.abandon(fingerprint_key(key));
     }
 }

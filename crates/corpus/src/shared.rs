@@ -1,9 +1,9 @@
-//! A lock-free shared run cache for concurrent campaigns.
+//! The lock-free memo arena in front of the corpus log.
 //!
-//! When many campaigns run at once against one [`RunCache`] — the
-//! `icd` orchestrator's whole point — the cache is the one structure
-//! every worker touches on every run slot, and any lock in it becomes
-//! the serialization point every wide batch pays for. [`SharedCache`]
+//! When many campaigns run at once against one corpus — the `icd`
+//! orchestrator's whole point — the memo is the one structure every
+//! worker touches on every run slot, and any lock in it becomes the
+//! serialization point every wide batch pays for. [`SharedCache`]
 //! removes the locks: it is an open-addressing hash table over a
 //! **fixed arena** of slots, in the style of the shared state tables
 //! used for multi-core reachability (Laarman et al., *Boosting
@@ -32,12 +32,17 @@
 //!   that fails (a run that errors is never cached) abandons the
 //!   claim, waking the waiters, one of which re-claims and computes.
 //!
-//! Correctness note: as with the striped memo this replaces, the arena
-//! is a pure pass-through cache of the log's contents, and
-//! determinism never depends on hitting it — a miss just re-asks the
-//! log, and a hit replays through the checker's normal
-//! reduction path. Artifacts therefore stay byte-identical to solo
-//! runs regardless of which worker computed which entry, in what
+//! The arena holds no log: [`Corpus`](crate::Corpus) implements
+//! `RunCache` by pairing [`acquire`](SharedCache::acquire) — the one
+//! find-or-claim operation, which reads the log through a caller's
+//! closure only under a fresh claim — with a write-through
+//! [`publish`](SharedCache::publish) and [`abandon`](SharedCache::abandon).
+//!
+//! Correctness note: the arena is a pure pass-through cache of the
+//! log's contents, and determinism never depends on hitting it — a
+//! miss just re-asks the log, and a hit replays through the checker's
+//! normal reduction path. Artifacts therefore stay byte-identical to
+//! solo runs regardless of which worker computed which entry, in what
 //! order, or whether the arena was full. The wait/retry/probe tallies
 //! are wall-clock telemetry and never feed deterministic artifacts.
 
@@ -45,11 +50,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use instantcheck::{CacheLease, CachedRun, RunCache, RunKey};
+use instantcheck::{CacheLease, CachedRun};
 use obs::{Counter, Registry, Telemetry};
-
-use crate::fingerprint::{fingerprint_fields, fingerprint_key};
-use crate::store::LogStore;
 
 /// Default arena capacity in slots. Sized so realistic campaign
 /// batches (tens of campaigns × tens of runs) stay far below the
@@ -57,9 +59,10 @@ use crate::store::LogStore;
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 14;
 
 /// Telemetry histogram fed with the wall-clock duration of every
-/// arena acquisition (`begin`): probe time plus, on the slow path, the
-/// in-flight wait. Always sampled under cache traffic, so contention
-/// shows up as a fat tail of one series rather than a separate one.
+/// arena acquisition (`Corpus::begin`): probe time plus, on the slow
+/// path, the in-flight wait or the log read. Always sampled under cache
+/// traffic, so contention shows up as a fat tail of one series rather
+/// than a separate one.
 pub const CACHE_ACQUIRE_HISTOGRAM: &str = "icd.cache.acquire";
 
 /// Telemetry histogram fed only with in-flight claim waits — the time
@@ -159,7 +162,7 @@ pub struct SharedCacheStats {
     pub in_flight: u64,
     /// Slots currently abandoned (claim failed, re-claimable).
     pub abandoned: u64,
-    /// Probe sequences started (one per `begin`/`lookup`/`store`).
+    /// Probe sequences started (one per `begin`, `store` and `abandon`).
     pub probes: u64,
     /// Total slots examined across all probe sequences; divide by
     /// [`probes`](SharedCacheStats::probes) for the mean probe length.
@@ -175,9 +178,9 @@ pub struct SharedCacheStats {
     pub arena_full: u64,
 }
 
-/// A lock-free, fixed-arena, open-addressing memo in front of the
-/// corpus log engine, with in-flight claim tracking. Built only by
-/// [`Corpus::open`](crate::Corpus::open).
+/// A lock-free, fixed-arena, open-addressing memo with in-flight claim
+/// tracking, addressed by key fingerprint. Built only by
+/// [`Corpus::open`](crate::Corpus::open), which pairs it with the log.
 ///
 /// # Slot state machine
 ///
@@ -191,11 +194,6 @@ pub struct SharedCacheStats {
 /// ```
 #[derive(Debug)]
 pub(crate) struct SharedCache {
-    /// The store behind the arena, reached directly, so a key's
-    /// rendered tokens and fingerprint — computed once per call here —
-    /// serve the arena probe, the index probe, the stored-key
-    /// comparison and the append alike.
-    log: Arc<LogStore>,
     slots: Box<[Slot]>,
     mask: usize,
     /// Slots ever moved off `EMPTY`; gates the insertion cap.
@@ -244,19 +242,15 @@ enum Found<'a> {
 
 impl SharedCache {
     /// Builds an arena of `capacity` slots (rounded up to a power of
-    /// two, minimum 8) in front of `log`. When `registry` is given,
-    /// the memo counts `corpus.cache.memo_hits` and
+    /// two, minimum 8; the caller bounds `capacity` by
+    /// [`MAX_CACHE_SLOTS`](crate::MAX_CACHE_SLOTS)). When `registry` is
+    /// given, the memo counts `corpus.cache.memo_hits` and
     /// `corpus.cache.memo_misses` into the deterministic registry —
     /// totals that do not depend on worker interleaving, because the
     /// claim protocol computes every distinct key at most once.
-    pub(crate) fn over(
-        log: Arc<LogStore>,
-        capacity: usize,
-        registry: Option<Arc<Registry>>,
-    ) -> Self {
+    pub(crate) fn new(capacity: usize, registry: Option<Arc<Registry>>) -> Self {
         let capacity = capacity.next_power_of_two().max(8);
         let cache = SharedCache {
-            log,
             slots: (0..capacity).map(|_| Slot::new()).collect(),
             mask: capacity - 1,
             occupied: AtomicUsize::new(0),
@@ -276,7 +270,7 @@ impl SharedCache {
     }
 
     /// Late-binds the deterministic memo-counter registry (see
-    /// [`over`](SharedCache::over)). The first binding wins; later calls
+    /// [`new`](SharedCache::new)). The first binding wins; later calls
     /// are no-ops, so an orchestrator can attach its registry to a
     /// cache that was constructed elsewhere.
     pub(crate) fn bind_registry(&self, registry: &Arc<Registry>) {
@@ -392,11 +386,11 @@ impl SharedCache {
     ///
     /// Memory ordering: state loads are `Acquire`, pairing with the
     /// `Release` (or stronger) state stores in
-    /// [`claim_slot`](Self::claim_slot), [`publish`](Self::publish),
-    /// and [`Self::abandon`], so fingerprint
-    /// tags (written before the `CLAIMED` release) and published values
-    /// (written before the `PUBLISHED` release) are visible to any
-    /// thread that observed the state.
+    /// [`claim_slot`](Self::claim_slot),
+    /// [`publish_slot`](Self::publish_slot), and [`Self::abandon`], so
+    /// fingerprint tags (written before the `CLAIMED` release) and
+    /// published values (written before the `PUBLISHED` release) are
+    /// visible to any thread that observed the state.
     fn probe(&self, lo: u64, hi: u64, claim: bool, wait: bool) -> Found<'_> {
         let t = &self.tallies;
         t.probes.fetch_add(1, Ordering::Relaxed);
@@ -498,7 +492,7 @@ impl SharedCache {
     /// state (or just claimed for direct insertion) and wakes waiters.
     /// The value is set before the store of `PUBLISHED`, so any prober
     /// that observes the state also observes the value.
-    fn publish(&self, slot: &Slot, run: &Arc<CachedRun>) {
+    fn publish_slot(&self, slot: &Slot, run: &Arc<CachedRun>) {
         let _ = slot.value.set(Arc::clone(run));
         slot.state.store(PUBLISHED, Ordering::SeqCst);
         self.notify();
@@ -517,102 +511,81 @@ impl SharedCache {
         }
     }
 
-    /// Records the acquire duration of one `begin` into telemetry.
-    fn record_acquire(&self, start: Option<Instant>) {
+    /// The find-or-claim operation behind `Corpus::begin`: the
+    /// published outcome for fingerprint `fp`, or — when this call wins
+    /// the key's claim — whatever `fetch` reads from the log, published
+    /// under the claim so waiters block on the read once instead of all
+    /// issuing it. A miss in `fetch` leaves the claim held
+    /// (`Compute { claimed: true }`) for the caller to resolve with
+    /// [`publish`](Self::publish) or [`abandon`](Self::abandon). When
+    /// no slot can be claimed (arena full, or a lost abandoned slot),
+    /// `fetch` still answers, uncached and unclaimed.
+    pub(crate) fn acquire(
+        &self,
+        fp: u128,
+        fetch: impl FnOnce() -> Option<Arc<CachedRun>>,
+    ) -> CacheLease {
+        let start = self.telemetry.get().map(|_| Instant::now());
+        let (lo, hi) = tags(fp);
+        // Claiming, waiting probe: the only outcomes are a published
+        // value or ownership of the key's computation.
+        let lease = match self.probe(lo, hi, true, true) {
+            Found::Slot(slot, PUBLISHED) => {
+                self.count_hot(&self.memo_hits, "corpus.cache.memo_hits");
+                match slot.best() {
+                    Some(run) => CacheLease::Hit(run),
+                    // Unreachable by construction (value precedes
+                    // PUBLISHED); degrade to a computing miss.
+                    None => CacheLease::Compute { claimed: false },
+                }
+            }
+            Found::Claimed(slot) => {
+                self.count_hot(&self.memo_misses, "corpus.cache.memo_misses");
+                match fetch() {
+                    Some(fetched) => {
+                        self.publish_slot(slot, &fetched);
+                        CacheLease::Hit(fetched)
+                    }
+                    None => CacheLease::Compute { claimed: true },
+                }
+            }
+            _ => {
+                self.count_hot(&self.memo_misses, "corpus.cache.memo_misses");
+                match fetch() {
+                    Some(fetched) => CacheLease::Hit(fetched),
+                    None => CacheLease::Compute { claimed: false },
+                }
+            }
+        };
         if let (Some(t), Some(start)) = (self.telemetry.get(), start) {
             t.record_wait(CACHE_ACQUIRE_HISTOGRAM, start.elapsed());
         }
-    }
-}
-
-impl RunCache for SharedCache {
-    fn lookup(&self, key: &RunKey) -> Option<Arc<CachedRun>> {
-        key.with_tokens(|tokens| {
-            let fp = fingerprint_fields(tokens);
-            let (lo, hi) = tags(fp);
-            // Non-claiming, non-waiting probe: a plain lookup has no
-            // claim discipline, so an in-flight key just reads as a miss.
-            if let Found::Slot(slot, PUBLISHED) = self.probe(lo, hi, false, false) {
-                self.count_hot(&self.memo_hits, "corpus.cache.memo_hits");
-                return slot.best();
-            }
-            self.count_hot(&self.memo_misses, "corpus.cache.memo_misses");
-            let fetched = self.log.lookup_prepared(fp, tokens)?;
-            // Warm the arena so the next lookup stays in memory.
-            if let Found::Claimed(slot) = self.probe(lo, hi, true, false) {
-                self.publish(slot, &fetched);
-            }
-            Some(fetched)
-        })
-    }
-
-    fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
-        key.with_tokens(|tokens| {
-            let fp = fingerprint_fields(tokens);
-            // Write-through first: the log stays the source of
-            // truth and is durable before the memo serves the entry back.
-            self.log.store_prepared(fp, tokens, run);
-            let (lo, hi) = tags(fp);
-            match self.probe(lo, hi, true, false) {
-                // The common case: this thread's claim from `begin`.
-                Found::Slot(slot, CLAIMED) | Found::Claimed(slot) => self.publish(slot, run),
-                // Re-store over a published entry: only meaningful as a
-                // traced upgrade of a traceless value (the checker
-                // recomputes such entries under a tracing sink).
-                Found::Slot(slot, PUBLISHED) => self.try_upgrade(slot, run),
-                // Abandoned-but-unclaimable or arena-full: the
-                // write-through above already preserved the outcome.
-                _ => {}
-            }
-        })
-    }
-
-    fn begin(&self, key: &RunKey) -> CacheLease {
-        let start = self.telemetry.get().map(|_| Instant::now());
-        let lease = key.with_tokens(|tokens| {
-            let fp = fingerprint_fields(tokens);
-            let (lo, hi) = tags(fp);
-            // Claiming, waiting probe: the only outcomes are a published
-            // value or ownership of the key's computation.
-            match self.probe(lo, hi, true, true) {
-                Found::Slot(slot, PUBLISHED) => {
-                    self.count_hot(&self.memo_hits, "corpus.cache.memo_hits");
-                    match slot.best() {
-                        Some(run) => CacheLease::Hit(run),
-                        // Unreachable by construction (value precedes
-                        // PUBLISHED); degrade to a computing miss.
-                        None => CacheLease::Compute { claimed: false },
-                    }
-                }
-                Found::Claimed(slot) => {
-                    self.count_hot(&self.memo_misses, "corpus.cache.memo_misses");
-                    // One disk read per key, under the claim, so waiters
-                    // block on the I/O once instead of all issuing it.
-                    match self.log.lookup_prepared(fp, tokens) {
-                        Some(fetched) => {
-                            self.publish(slot, &fetched);
-                            CacheLease::Hit(fetched)
-                        }
-                        None => CacheLease::Compute { claimed: true },
-                    }
-                }
-                _ => {
-                    // Arena full (or a stuck abandoned slot): uncached
-                    // compute, deduplicated only by the log.
-                    self.count_hot(&self.memo_misses, "corpus.cache.memo_misses");
-                    match self.log.lookup_prepared(fp, tokens) {
-                        Some(fetched) => CacheLease::Hit(fetched),
-                        None => CacheLease::Compute { claimed: false },
-                    }
-                }
-            }
-        });
-        self.record_acquire(start);
         lease
     }
 
-    fn abandon(&self, key: &RunKey) {
-        let (lo, hi) = tags(fingerprint_key(key));
+    /// Publishes `run` under fingerprint `fp` once the log holds it:
+    /// into the caller's claim, or a fresh slot, or — over a published
+    /// traceless entry — as its traced upgrade. An abandoned slot
+    /// another worker re-claimed, or a full arena, leaves `run` to the
+    /// log alone.
+    pub(crate) fn publish(&self, fp: u128, run: &Arc<CachedRun>) {
+        let (lo, hi) = tags(fp);
+        match self.probe(lo, hi, true, false) {
+            // The common case: this thread's claim from `acquire`.
+            Found::Slot(slot, CLAIMED) | Found::Claimed(slot) => self.publish_slot(slot, run),
+            // Re-store over a published entry: only meaningful as a
+            // traced upgrade of a traceless value (the checker
+            // recomputes such entries under a tracing sink).
+            Found::Slot(slot, PUBLISHED) => self.try_upgrade(slot, run),
+            _ => {}
+        }
+    }
+
+    /// Releases the claim on fingerprint `fp` without publishing, waking
+    /// every waiter (one of which re-claims and computes). A no-op when
+    /// the key is not claimed.
+    pub(crate) fn abandon(&self, fp: u128) {
+        let (lo, hi) = tags(fp);
         if let Found::Slot(slot, CLAIMED) = self.probe(lo, hi, false, false) {
             if slot
                 .state
@@ -636,14 +609,14 @@ mod tests {
     use tsim::{CheckpointKind, SwitchPolicy};
 
     use super::*;
-    use crate::segment::DEFAULT_SEGMENT_BYTES;
+    use crate::{Corpus, CorpusOptions};
+    use instantcheck::{RunCache, RunKey};
 
     static SERIAL: AtomicU64 = AtomicU64::new(0);
 
-    /// A fresh log in its own temp dir, removed on drop.
+    /// A fresh corpus directory, removed on drop.
     struct TempLog {
         dir: PathBuf,
-        log: Arc<LogStore>,
     }
 
     impl TempLog {
@@ -654,19 +627,45 @@ mod tests {
                 SERIAL.fetch_add(1, Ordering::Relaxed)
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let log = Arc::new(LogStore::open(&dir, DEFAULT_SEGMENT_BYTES, None).unwrap());
-            TempLog { dir, log }
+            TempLog { dir }
         }
 
-        /// An arena of `capacity` slots in front of this log.
-        fn arena(&self, capacity: usize) -> SharedCache {
-            SharedCache::over(Arc::clone(&self.log), capacity, None)
+        /// A corpus over this directory with an arena of `capacity`
+        /// slots.
+        fn arena(&self, capacity: usize) -> Arena {
+            Arena(Corpus::open(CorpusOptions::at(&self.dir).cache_slots(capacity)).unwrap())
         }
     }
 
     impl Drop for TempLog {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    /// A corpus seen from its arena: the claim protocol goes through
+    /// `RunCache for Corpus`, and everything else reads the arena.
+    struct Arena(Corpus);
+
+    impl std::ops::Deref for Arena {
+        type Target = SharedCache;
+
+        fn deref(&self) -> &SharedCache {
+            &self.0.cache
+        }
+    }
+
+    impl Arena {
+        fn begin(&self, key: &RunKey) -> CacheLease {
+            self.0.begin(key)
+        }
+
+        fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
+            self.0.store(key, run);
+        }
+
+        fn abandon(&self, key: &RunKey) {
+            self.0.abandon(key);
         }
     }
 
@@ -733,13 +732,13 @@ mod tests {
             CacheLease::Compute { .. } => panic!("published entry must hit"),
         }
         assert_eq!(cache.stats().published, 1);
-        assert!(cache.lookup(&k).is_some());
+        assert!(cache.0.lookup(&k).is_some());
     }
 
     #[test]
     fn inner_hits_publish_into_the_arena_under_the_claim() {
         let log = TempLog::new();
-        log.log.store(&key(5), &run(50));
+        log.arena(64).store(&key(5), &run(50));
         let cache = log.arena(64);
         // First begin finds the entry in the log and publishes
         // it, so it reads as a Hit without any checker round trip.

@@ -41,12 +41,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use instantcheck::{CachedRun, RunCache, RunKey};
+use instantcheck::CachedRun;
 use obs::{Counter, Registry, Telemetry};
 
 use crate::compact::{enforce_size_bound, maybe_compact};
 use crate::error::CorpusError;
-use crate::fingerprint::fingerprint_fields;
 use crate::index::{format_marker, CrashPoints, LogInner};
 use crate::record::{decode_for, decode_record, encode_into, Corruption};
 use crate::window::{whole, with_window};
@@ -392,21 +391,12 @@ impl LogStore {
     }
 }
 
-impl RunCache for LogStore {
-    fn lookup(&self, key: &RunKey) -> Option<Arc<CachedRun>> {
-        key.with_tokens(|tokens| self.lookup_prepared(fingerprint_fields(tokens), tokens))
-    }
-
-    fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
-        key.with_tokens(|tokens| self.store_prepared(fingerprint_fields(tokens), tokens, run))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::fingerprint_fields;
     use adhash::HashSum;
-    use instantcheck::{CheckpointRecord, RunHashes, Scheme};
+    use instantcheck::{CheckpointRecord, RunHashes, RunKey, Scheme};
     use tsim::{CheckpointKind, SwitchPolicy};
 
     static SERIAL: AtomicU64 = AtomicU64::new(0);
@@ -458,6 +448,16 @@ mod tests {
         }
     }
 
+    /// The prepared lookup path, keyed the way `Corpus` keys it.
+    fn lookup(store: &LogStore, key: &RunKey) -> Option<Arc<CachedRun>> {
+        key.with_tokens(|tokens| store.lookup_prepared(fingerprint_fields(tokens), tokens))
+    }
+
+    /// The prepared store path, keyed the way `Corpus` keys it.
+    fn put(store: &LogStore, key: &RunKey, run: &CachedRun) {
+        key.with_tokens(|tokens| store.store_prepared(fingerprint_fields(tokens), tokens, run))
+    }
+
     fn open(dir: &Path) -> LogStore {
         LogStore::open(dir, crate::segment::DEFAULT_SEGMENT_BYTES, None).unwrap()
     }
@@ -467,17 +467,17 @@ mod tests {
         let dir = tempdir("roundtrip");
         let store = open(&dir);
         let key = sample_key(1);
-        assert!(store.lookup(&key).is_none());
+        assert!(lookup(&store, &key).is_none());
         assert_eq!(store.registry().counter("corpus.misses").get(), 1);
-        store.store(&key, &Arc::new(sample_run()));
+        put(&store, &key, &sample_run());
         assert_eq!(store.registry().counter("corpus.stores").get(), 1);
         assert_eq!(store.run_count(), 1);
-        let hit = store.lookup(&key).expect("stored entry readable");
+        let hit = lookup(&store, &key).expect("stored entry readable");
         assert_eq!(hit.hashes.output_digest, 99);
         assert_eq!(store.registry().counter("corpus.hits").get(), 1);
         // A second instance over the same directory sees the entry.
         let reopened = open(&dir);
-        assert!(reopened.lookup(&key).is_some());
+        assert!(lookup(&reopened, &key).is_some());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -486,7 +486,7 @@ mod tests {
         let dir = tempdir("rotate");
         let store = LogStore::open(&dir, 4096, None).unwrap();
         for seed in 0..40 {
-            store.store(&sample_key(seed), &Arc::new(sample_run()));
+            put(&store, &sample_key(seed), &sample_run());
         }
         let stats = store.log_stats();
         assert!(stats.segments > 1, "4 KiB segments must rotate: {stats:?}");
@@ -494,7 +494,10 @@ mod tests {
         let reopened = LogStore::open(&dir, 4096, None).unwrap();
         assert_eq!(reopened.run_count(), 40);
         for seed in 0..40 {
-            assert!(reopened.lookup(&sample_key(seed)).is_some(), "seed {seed}");
+            assert!(
+                lookup(&reopened, &sample_key(seed)).is_some(),
+                "seed {seed}"
+            );
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -507,7 +510,7 @@ mod tests {
         // accumulates that inline compaction triggers.
         for round in 0..40 {
             for seed in 0..8 {
-                store.store(&sample_key(seed), &Arc::new(sample_run()));
+                put(&store, &sample_key(seed), &sample_run());
             }
             if store.log_stats().compactions > 0 {
                 let _ = round;
@@ -521,7 +524,7 @@ mod tests {
         );
         assert_eq!(stats.live_records, 8, "compaction preserves the live set");
         for seed in 0..8 {
-            assert!(store.lookup(&sample_key(seed)).is_some(), "seed {seed}");
+            assert!(lookup(&store, &sample_key(seed)).is_some(), "seed {seed}");
         }
         // And the log is still clean on reopen.
         let reopened = LogStore::open(&dir, 4096, None).unwrap();
@@ -534,7 +537,7 @@ mod tests {
         let dir = tempdir("evict");
         let store = LogStore::open(&dir, 4096, Some(16 * 1024)).unwrap();
         for seed in 0..200 {
-            store.store(&sample_key(seed), &Arc::new(sample_run()));
+            put(&store, &sample_key(seed), &sample_run());
         }
         let stats = store.log_stats();
         assert!(
@@ -543,8 +546,8 @@ mod tests {
         );
         assert!(stats.evicted_records > 0);
         // Old keys evicted (miss), newest keys still present.
-        assert!(store.lookup(&sample_key(0)).is_none());
-        assert!(store.lookup(&sample_key(199)).is_some());
+        assert!(lookup(&store, &sample_key(0)).is_none());
+        assert!(lookup(&store, &sample_key(199)).is_some());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -571,7 +574,7 @@ mod tests {
         let store = open(&dir);
         let a = sample_key(3);
         let b = sample_key(4);
-        store.store(&a, &Arc::new(sample_run()));
+        put(&store, &a, &sample_run());
         // Graft a's body under b's fingerprint with a valid checksum by
         // appending the forged record to the active segment, then
         // reopen so the forgery is indexed.
@@ -587,7 +590,7 @@ mod tests {
         bytes.extend_from_slice(&forged);
         fs::write(&seg, &bytes).unwrap();
         let store = open(&dir);
-        assert!(store.lookup(&b).is_none());
+        assert!(lookup(&store, &b).is_none());
         assert_eq!(store.registry().counter("corpus.quarantined").get(), 1);
         assert_eq!(
             store
@@ -596,7 +599,7 @@ mod tests {
                 .get(),
             1
         );
-        assert!(store.lookup(&a).is_some(), "neighbor record unharmed");
+        assert!(lookup(&store, &a).is_some(), "neighbor record unharmed");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,16 +1,20 @@
 //! The persistent corpus, checked end to end through the checker: warm
-//! campaigns replayed from disk are byte-identical to cold ones at any
-//! worker count, corrupt records are quarantined and recomputed (never
-//! trusted), and recorded baselines flag perturbation as drift.
+//! campaigns replayed from disk or from the memo arena are
+//! byte-identical to cold ones at any worker count, run keys separate
+//! what changes a run and nothing else, failures and traceless entries
+//! are recomputed, corrupt records are quarantined and recomputed
+//! (never trusted), and recorded baselines flag perturbation as drift.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use corpus::{CampaignBaseline, Corpus, CorpusOptions, Drift, FRAME_LEN};
-use instantcheck::{CheckReport, Checker, CheckerConfig, RunCache, Scheme};
+use corpus::{
+    CampaignBaseline, Corpus, CorpusError, CorpusOptions, Drift, FRAME_LEN, MAX_CACHE_SLOTS,
+};
+use instantcheck::{CheckReport, Checker, CheckerConfig, FailurePolicy, Scheme};
 use obs::{MemorySink, Registry, Telemetry};
-use tsim::{Program, ProgramBuilder, ValKind};
+use tsim::{FaultKind, FaultPlan, Program, ProgramBuilder, Trigger, ValKind};
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("corpus-it-{tag}-{}", std::process::id()));
@@ -383,31 +387,164 @@ fn perturbed_baseline_is_flagged_as_drift() {
 
 #[test]
 fn disk_and_memory_caches_agree() {
-    // The log-backed corpus and the in-memory reference implementation
-    // are interchangeable RunCache impls: same campaign, same results.
-    let dir = tempdir("parity");
-    let disk = open(&dir);
-    let memory = Arc::new(instantcheck::MemoryRunCache::new());
-    let run = |cache: Arc<dyn RunCache>| {
-        let cfg = CheckerConfig::new(Scheme::HwInc)
-            .with_runs(4)
-            .with_run_cache(cache, "commuting_sum");
+    // A warm campaign on the instance that recorded the runs is answered
+    // by the memo arena; one on a fresh instance reads the log. Both
+    // replay the cold campaign byte for byte, at any worker count.
+    for jobs in [1usize, 8] {
+        let dir = tempdir(&format!("parity-{jobs}"));
+        let memo_registry = Arc::new(Registry::new());
+        let recorder = Arc::new(
+            Corpus::open(CorpusOptions::at(&dir).registry(memo_registry.clone())).unwrap(),
+        );
+        let cold = observed_campaign(&recorder, jobs);
+        let memo = observed_campaign(&recorder, jobs);
+        assert_eq!(cold, memo, "jobs={jobs}: the memo arena replays cold");
+        assert_eq!(
+            memo_registry.counter("corpus.cache.memo_hits").get(),
+            6,
+            "jobs={jobs}: every warm slot hit the arena"
+        );
+        assert_eq!(recorder.hits(), 0, "jobs={jobs}: no warm slot read the log");
+
+        let fresh = open(&dir);
+        let log = observed_campaign(&fresh, jobs);
+        assert_eq!(cold, log, "jobs={jobs}: the log replays cold");
+        assert_eq!(fresh.hits(), 6, "jobs={jobs}: every slot read the log");
+        assert_eq!(fresh.run_count(), 6);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn cache_keys_are_worker_count_invariant() {
+    // Entries a serial campaign stored satisfy a parallel rerun.
+    let dir = tempdir("jobs");
+    let serial = open(&dir);
+    let cold = Checker::new(config(&serial, 1).with_runs(8))
+        .expect("valid config")
+        .check(commuting_sum)
+        .unwrap();
+    let parallel = open(&dir);
+    let warm = Checker::new(config(&parallel, 8).with_runs(8))
+        .expect("valid config")
+        .check(commuting_sum)
+        .unwrap();
+    assert_eq!(cold, warm);
+    assert_eq!(
+        parallel.hits(),
+        8,
+        "serial entries satisfy a parallel rerun"
+    );
+    assert_eq!(parallel.stores(), 0, "no re-store on a pure-hit rerun");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn traceless_cache_entry_is_recomputed_by_a_tracing_campaign() {
+    // One instance throughout, so the traced recompute replaces the
+    // traceless entries in the memo arena, not only in the log.
+    let dir = tempdir("traceless");
+    let store = open(&dir);
+    let base = || config(&store, 1).with_runs(3);
+    // Populate without a sink: entries have no stored trace.
+    let untraced = Checker::new(base())
+        .expect("valid config")
+        .check(commuting_sum)
+        .unwrap();
+    // A tracing campaign must not replay those entries.
+    let sink = Arc::new(MemorySink::new());
+    let traced = Checker::new(base().with_sink(sink.clone()))
+        .expect("valid config")
+        .check(commuting_sum)
+        .unwrap();
+    assert_eq!(untraced, traced);
+    assert!(
+        sink.events().iter().any(|e| e.name == "sched"),
+        "trace has live simulator events"
+    );
+    assert_eq!(
+        store.stores(),
+        6,
+        "the tracing campaign re-stored every run"
+    );
+    // A second tracing campaign replays the upgraded entries
+    // byte-identically and computes nothing.
+    let sink2 = Arc::new(MemorySink::new());
+    let replayed = Checker::new(base().with_sink(sink2.clone()))
+        .expect("valid config")
+        .check(commuting_sum)
+        .unwrap();
+    assert_eq!(traced, replayed);
+    assert_eq!(sink.to_jsonl(), sink2.to_jsonl());
+    assert_eq!(store.stores(), 6, "the replay stored nothing");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn cache_preserves_failure_policy_behavior() {
+    // A slot that deterministically fails must fail again on a warm
+    // rerun: failures are never cached.
+    let dir = tempdir("failure");
+    let plan = FaultPlan::new(3).with(FaultKind::AllocFail, Trigger::Nth(0));
+    let cfg = |store: &Arc<Corpus>| {
+        config(store, 1)
+            .with_policy(FailurePolicy::Skip { max_failures: 3 })
+            .with_fault_in_run(2, plan.clone())
+    };
+    let cold_store = open(&dir);
+    let cold = Checker::new(cfg(&cold_store))
+        .expect("valid config")
+        .check(commuting_sum)
+        .unwrap();
+    assert_eq!(cold.failures.len(), 1, "the faulted slot failed");
+    assert_eq!(cold_store.run_count(), 5, "only completed runs are stored");
+    let warm_store = open(&dir);
+    let warm = Checker::new(cfg(&warm_store))
+        .expect("valid config")
+        .check(commuting_sum)
+        .unwrap();
+    assert_eq!(cold, warm);
+    assert_eq!(warm.failures.len(), 1, "the failure recomputed");
+    assert_eq!(warm_store.hits(), 5);
+    assert_eq!(warm_store.stores(), 0);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn cache_key_distinguishes_scheme_and_seed() {
+    let dir = tempdir("keys");
+    let store = open(&dir);
+    let run = |scheme, base_seed| {
+        let cfg = CheckerConfig::new(scheme)
+            .with_runs(2)
+            .with_jobs(1)
+            .with_base_seed(base_seed)
+            .with_run_cache(Arc::clone(&store) as _, "commuting_sum");
         Checker::new(cfg)
             .expect("valid config")
             .check(commuting_sum)
-            .unwrap()
+            .unwrap();
+        store.run_count()
     };
-    let a = run(disk.clone());
-    let b = run(memory.clone());
-    assert_eq!(a, b);
-    // Warm reruns on both also agree.
-    let a2 = run(disk.clone());
-    let b2 = run(memory.clone());
-    assert_eq!(a2, b2);
-    assert_eq!(a, a2);
-    assert_eq!(memory.hits(), 4);
-    // On the same instance, warm lookups are satisfied by the memo
-    // arena before reaching the log — the runs are still all there.
-    assert_eq!(disk.run_count(), 4);
+    assert_eq!(run(Scheme::HwInc, 1), 2);
+    assert_eq!(run(Scheme::SwTr, 1), 4, "different scheme, new entries");
+    assert_eq!(run(Scheme::HwInc, 100), 6, "different seeds, new entries");
+    assert_eq!(run(Scheme::HwInc, 1), 6, "a repeat adds nothing");
     fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_memo_arena_past_the_maximum_is_refused_before_the_store_exists() {
+    let dir = tempdir("slots");
+    for slots in [usize::MAX, MAX_CACHE_SLOTS + 1] {
+        match Corpus::open(CorpusOptions::at(&dir).cache_slots(slots)) {
+            Err(CorpusError::Open { source, .. }) => {
+                assert_eq!(source.kind(), std::io::ErrorKind::InvalidInput);
+                assert!(source.to_string().contains(&slots.to_string()), "{source}");
+            }
+            Ok(_) => panic!("{slots} cache slots must be refused"),
+            Err(other) => panic!("expected an Open error, got {other}"),
+        }
+        assert!(!dir.exists(), "a refused open created {}", dir.display());
+    }
 }

@@ -9,13 +9,14 @@
 //! attempt replays a log. They were recorded before setup images
 //! existed, when every run executed its own setup.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use adhash::FpRound;
 use instantcheck::{
-    CachedRun, CheckMonitor, Checker, CheckerConfig, DetClass, FailurePolicy, IgnoreSpec,
-    MemoryRunCache, RunCache, RunKey, Scheme,
+    CacheLease, CachedRun, CheckMonitor, Checker, CheckerConfig, DetClass, FailurePolicy,
+    IgnoreSpec, RunCache, RunKey, Scheme,
 };
 use instantcheck_workloads::AppSpec;
 use tsim::{
@@ -50,25 +51,45 @@ impl Fnv {
 }
 
 /// An in-memory run cache that also keeps every run the checker stores,
-/// which is how a test sees a computed run's accounting and log.
+/// which is how a test sees a computed run's accounting and log. It
+/// grants no claims: the checker computes every miss itself.
 #[derive(Debug, Default)]
 struct Recorder {
-    inner: MemoryRunCache,
+    runs: Mutex<HashMap<String, Arc<CachedRun>>>,
     stored: Mutex<Vec<(String, Arc<CachedRun>)>>,
 }
 
+/// The key's fields as `label=value;`, in label order — the form the
+/// digests below fold.
+fn canonical(key: &RunKey) -> String {
+    key.with_tokens(|fields| {
+        let mut fields = fields.to_vec();
+        fields.sort_by_key(|(label, _)| *label);
+        fields
+            .iter()
+            .map(|(label, value)| format!("{label}={value};"))
+            .collect()
+    })
+}
+
 impl RunCache for Recorder {
-    fn lookup(&self, key: &RunKey) -> Option<Arc<CachedRun>> {
-        self.inner.lookup(key)
+    fn begin(&self, key: &RunKey) -> CacheLease {
+        match self.runs.lock().unwrap().get(&canonical(key)) {
+            Some(run) => CacheLease::Hit(Arc::clone(run)),
+            None => CacheLease::Compute { claimed: false },
+        }
     }
 
     fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
+        let key = canonical(key);
         self.stored
             .lock()
             .unwrap()
-            .push((key.canonical(), Arc::clone(run)));
-        self.inner.store(key, run);
+            .push((key.clone(), Arc::clone(run)));
+        self.runs.lock().unwrap().insert(key, Arc::clone(run));
     }
+
+    fn abandon(&self, _key: &RunKey) {}
 }
 
 impl Recorder {
