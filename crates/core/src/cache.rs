@@ -382,7 +382,15 @@ pub trait RunCache: fmt::Debug + Send + Sync {
 
     /// Returns the recorded outcome for `key`, if one is stored and
     /// trustworthy: a [`begin`](RunCache::begin) whose claimed miss is
-    /// abandoned at once.
+    /// abandoned at once. It is therefore not a side-effect-free read:
+    ///
+    /// * A miss claims the key and leaves it abandoned, so in a cache
+    ///   whose slots are never freed (the corpus memo arena) every
+    ///   missing key looked up occupies a slot for good and counts
+    ///   against the arena's insertion cap.
+    /// * Like `begin`, it waits out any in-flight claim on `key`, so it
+    ///   must not be called while the caller itself holds that claim:
+    ///   the call would wait on itself.
     fn lookup(&self, key: &RunKey) -> Option<Arc<CachedRun>> {
         match self.begin(key) {
             CacheLease::Hit(run) => Some(run),

@@ -335,12 +335,9 @@ impl Corpus {
 
 impl RunCache for Corpus {
     fn begin(&self, key: &RunKey) -> CacheLease {
-        key.with_tokens(|tokens| {
-            let fp = fingerprint_fields(tokens);
-            // One disk read per key, under the claim.
-            self.cache
-                .acquire(fp, || self.log.lookup_prepared(fp, tokens))
-        })
+        // One disk read per key, under the claim.
+        self.cache
+            .acquire(key, |fp, tokens| self.log.lookup_prepared(fp, tokens))
     }
 
     fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {

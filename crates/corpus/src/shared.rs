@@ -50,8 +50,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use instantcheck::{CacheLease, CachedRun};
+use instantcheck::{CacheLease, CachedRun, RunKey};
 use obs::{Counter, Registry, Telemetry};
+
+use crate::fingerprint::fingerprint_fields;
 
 /// Default arena capacity in slots. Sized so realistic campaign
 /// batches (tens of campaigns × tens of runs) stay far below the
@@ -59,8 +61,9 @@ use obs::{Counter, Registry, Telemetry};
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 14;
 
 /// Telemetry histogram fed with the wall-clock duration of every
-/// arena acquisition (`Corpus::begin`): probe time plus, on the slow
-/// path, the in-flight wait or the log read. Always sampled under cache
+/// arena acquisition (`Corpus::begin`): key render, fingerprint and
+/// probe time plus, on the slow path, the in-flight wait or the log
+/// read. Always sampled under cache
 /// traffic, so contention shows up as a fat tail of one series rather
 /// than a separate one.
 pub const CACHE_ACQUIRE_HISTOGRAM: &str = "icd.cache.acquire";
@@ -512,24 +515,42 @@ impl SharedCache {
     }
 
     /// The find-or-claim operation behind `Corpus::begin`: the
-    /// published outcome for fingerprint `fp`, or — when this call wins
-    /// the key's claim — whatever `fetch` reads from the log, published
-    /// under the claim so waiters block on the read once instead of all
-    /// issuing it. A miss in `fetch` leaves the claim held
-    /// (`Compute { claimed: true }`) for the caller to resolve with
-    /// [`publish`](Self::publish) or [`abandon`](Self::abandon). When
-    /// no slot can be claimed (arena full, or a lost abandoned slot),
-    /// `fetch` still answers, uncached and unclaimed.
+    /// published outcome for `key`, or — when this call wins the key's
+    /// claim — whatever `fetch` reads from the log given the key's
+    /// fingerprint and tokens, published under the claim so waiters
+    /// block on the read once instead of all issuing it. A miss in
+    /// `fetch` leaves the claim held (`Compute { claimed: true }`) for
+    /// the caller to resolve with [`publish`](Self::publish) or
+    /// [`abandon`](Self::abandon). When no slot can be claimed (arena
+    /// full, or a lost abandoned slot), `fetch` still answers, uncached
+    /// and unclaimed. Each `icd.cache.acquire` sample covers the whole
+    /// call: key render, fingerprint, probe, wait and log read.
     pub(crate) fn acquire(
+        &self,
+        key: &RunKey,
+        fetch: impl FnOnce(u128, &[(&'static str, &str)]) -> Option<Arc<CachedRun>>,
+    ) -> CacheLease {
+        let start = self.telemetry.get().map(|_| Instant::now());
+        let lease = key.with_tokens(|tokens| {
+            let fp = fingerprint_fields(tokens);
+            self.find_or_claim(fp, || fetch(fp, tokens))
+        });
+        if let (Some(t), Some(start)) = (self.telemetry.get(), start) {
+            t.record_wait(CACHE_ACQUIRE_HISTOGRAM, start.elapsed());
+        }
+        lease
+    }
+
+    /// `acquire`'s probe for a rendered key's fingerprint `fp`.
+    fn find_or_claim(
         &self,
         fp: u128,
         fetch: impl FnOnce() -> Option<Arc<CachedRun>>,
     ) -> CacheLease {
-        let start = self.telemetry.get().map(|_| Instant::now());
         let (lo, hi) = tags(fp);
         // Claiming, waiting probe: the only outcomes are a published
         // value or ownership of the key's computation.
-        let lease = match self.probe(lo, hi, true, true) {
+        match self.probe(lo, hi, true, true) {
             Found::Slot(slot, PUBLISHED) => {
                 self.count_hot(&self.memo_hits, "corpus.cache.memo_hits");
                 match slot.best() {
@@ -556,11 +577,7 @@ impl SharedCache {
                     None => CacheLease::Compute { claimed: false },
                 }
             }
-        };
-        if let (Some(t), Some(start)) = (self.telemetry.get(), start) {
-            t.record_wait(CACHE_ACQUIRE_HISTOGRAM, start.elapsed());
         }
-        lease
     }
 
     /// Publishes `run` under fingerprint `fp` once the log holds it:
@@ -733,6 +750,30 @@ mod tests {
         }
         assert_eq!(cache.stats().published, 1);
         assert!(cache.0.lookup(&k).is_some());
+    }
+
+    #[test]
+    fn a_lookup_miss_occupies_an_abandoned_slot() {
+        let log = TempLog::new();
+        let cache = log.arena(64);
+        assert!(cache.0.lookup(&key(3)).is_none());
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.in_flight, stats.abandoned),
+            (0, 1),
+            "the miss's claim stays abandoned"
+        );
+        assert_eq!(
+            cache.occupied.load(Ordering::Relaxed),
+            1,
+            "it counts against the cap"
+        );
+        // A later begin re-claims the same slot rather than a new one.
+        assert!(matches!(
+            cache.begin(&key(3)),
+            CacheLease::Compute { claimed: true }
+        ));
+        assert_eq!(cache.occupied.load(Ordering::Relaxed), 1);
     }
 
     #[test]
