@@ -16,12 +16,13 @@
 //! divergent checkpoint, and, when the fresh campaign disagrees with
 //! *itself*, the state-diff localization (`instantcheck::localize`)
 //! that maps the divergence back to globals and allocation sites.
-//! `--require-hits` additionally fails the check if nothing was
-//! replayed from the corpus (the CI smoke leg uses this to prove the
-//! warm path actually engaged). `dump` prints every live record of an
-//! existing corpus as one readable block — fingerprint and location,
-//! key tokens, counters, checkpoints, alloc-log and trace lengths — the
-//! human view of the binary on-disk records.
+//! `--require-hits` additionally fails the check unless every run was
+//! replayed from the corpus: no miss and no quarantined record (the CI
+//! smoke leg uses this to prove the warm path answered the whole
+//! campaign). `dump` prints every live record of an existing corpus as
+//! one readable block — fingerprint and location, key tokens, counters,
+//! checkpoints, alloc-log and trace lengths — the human view of the
+//! binary on-disk records.
 //!
 //! Campaign shape comes from the shared spec flags (`bench::cli`), so
 //! `--runs`/`--seed`/`--jobs`/`--scheme`/`--spec FILE` — and the
@@ -65,7 +66,7 @@ fn parse_cli() -> Cli {
     let mut require_hits = false;
     // The subcommand and `--app` are checked before `--corpus-dir` is
     // opened, so a usage error creates no store.
-    let sa = cli::parse_spec_then(&args, |rest| {
+    let sa = cli::parse(&args, cli::SPEC_FLAGS, |rest| {
         let mut i = 0;
         while i < rest.len() {
             let value = |i: &mut usize| -> String {
@@ -332,8 +333,12 @@ fn main() -> ExitCode {
             }
         }
     }
-    if cli.require_hits && store.hits() == 0 {
-        eprintln!("{name}: --require-hits set but no run was replayed from the corpus");
+    if cli.require_hits && (store.misses() > 0 || store.quarantined() > 0) {
+        eprintln!(
+            "{name}: --require-hits set but {} run(s) missed the corpus and {} record(s) were quarantined",
+            store.misses(),
+            store.quarantined()
+        );
         failed = true;
     }
     if failed {

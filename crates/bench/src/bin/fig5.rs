@@ -2,12 +2,12 @@
 //! representative applications (how many of the 30 runs produced each
 //! distinct state at each checking point).
 
-use instantcheck_bench::{distributions, render_distributions, HarnessOpts, Reporter};
+use instantcheck_bench::{cli, distributions, render_distributions, HarnessOpts, Reporter};
 
 const APPS: [&str; 3] = ["canneal", "fluidanimate", "sphinx3"];
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(cli::SPEC_FLAGS);
     let r = Reporter::new("fig5");
     let mut reports = Vec::new();
     // (a) an inherently nondeterministic app; (b) an FP-precision app

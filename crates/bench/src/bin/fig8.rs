@@ -3,10 +3,10 @@
 //! nondeterminism is the bug's).
 
 use adhash::FpRound;
-use instantcheck_bench::{distributions, render_distributions, HarnessOpts, Reporter};
+use instantcheck_bench::{cli, distributions, render_distributions, HarnessOpts, Reporter};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(cli::SPEC_FLAGS);
     let r = Reporter::new("fig8");
     let mut reports = Vec::new();
     for app in opts.seeded() {

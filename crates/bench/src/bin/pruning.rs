@@ -64,7 +64,7 @@ fn two_phase_commuting(n: usize) -> impl Fn() -> Program {
 }
 
 fn main() {
-    let _opts = HarnessOpts::from_args_reading(&[]);
+    let _opts = HarnessOpts::from_args(&[]);
     let r = Reporter::new("pruning");
     r.line(format!(
         "{:<28} {:>11} {:>12} {:>12} {:>10}",

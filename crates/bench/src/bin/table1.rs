@@ -1,10 +1,10 @@
 //! Regenerates Table 1: determinism characteristics of the 17
 //! applications. `--scaled` for miniatures, `--runs N` (default 30).
 
-use instantcheck_bench::{render_table1, table1_row, HarnessOpts, Reporter};
+use instantcheck_bench::{cli, render_table1, table1_row, HarnessOpts, Reporter};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(cli::SPEC_FLAGS);
     let r = Reporter::new("table1");
     r.progress(&format!(
         "Table 1: {} runs per campaign, {} workloads…",

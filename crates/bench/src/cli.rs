@@ -1,7 +1,7 @@
 //! Spec-driven command-line parsing shared by the harness binaries.
 //!
-//! Every campaign binary parses its command line with [`parse_spec`]
-//! into one [`HarnessOpts`]: a [`CampaignSpec`] plus the harness-only
+//! Every harness binary parses its command line with [`parse`] into
+//! one [`HarnessOpts`]: a [`CampaignSpec`] plus the harness-only
 //! switches. Each flag (`--runs`, `--seed`, `--switch`, …) sets one spec
 //! field, and `--spec FILE` loads a full serialized spec — the same JSON
 //! the `icd` orchestrator accepts — which individual flags may then
@@ -15,16 +15,42 @@ use instantcheck::{parse_rounding, parse_switch, CampaignSpec, FailurePolicy, Sc
 
 use crate::HarnessOpts;
 
-/// Parses the shared spec flags out of `args` (exclusive of `argv[0]`).
-///
-/// Recognized: `--spec FILE`, `--workload ID`, `--scheme S` (lenient:
-/// `hw-inc`, `SwTr`, …), `--scaled`, `--runs N`, `--seed N`,
-/// `--lib-seed N`, `--switch TOKEN`, `--rounding TOKEN`, `--policy P`
-/// (`abort`/`skip`/`retry`), `--max-steps N`, `--jobs N`,
+/// Every spec flag [`parse`] recognizes: `--spec FILE`, `--workload ID`,
+/// `--scheme S` (lenient: `hw-inc`, `SwTr`, …), `--scaled`, `--runs N`,
+/// `--seed N`, `--lib-seed N`, `--switch TOKEN`, `--rounding TOKEN`,
+/// `--policy P` (`abort`/`skip`/`retry`), `--max-steps N`, `--jobs N`,
 /// `--cache-model`, `--trace`, `--corpus-dir DIR`,
-/// `--corpus-segment-bytes N`, `--corpus-max-bytes N`,
-/// `--corpus-cache-slots N`. Anything else lands in
-/// [`HarnessOpts::rest`].
+/// `--corpus-segment-bytes N`, `--corpus-max-bytes N` and
+/// `--corpus-cache-slots N`. The read-set of a campaign binary, which
+/// runs its spec as is.
+pub const SPEC_FLAGS: &[&str] = &[
+    "--spec",
+    "--workload",
+    "--scheme",
+    "--scaled",
+    "--trace",
+    "--cache-model",
+    "--runs",
+    "--seed",
+    "--lib-seed",
+    "--switch",
+    "--rounding",
+    "--policy",
+    "--max-steps",
+    "--jobs",
+    "--corpus-dir",
+    "--corpus-segment-bytes",
+    "--corpus-max-bytes",
+    "--corpus-cache-slots",
+];
+
+/// Parses the spec flags out of `args` (exclusive of `argv[0]`).
+///
+/// `reads` is the binary's read-set: a spec flag outside it is an error
+/// naming it, not a setting that silently changes nothing. Anything
+/// that is not a spec flag lands in [`HarnessOpts::rest`], in order,
+/// and `check_rest` vets it. Both checks run before the corpus at
+/// `--corpus-dir` is opened, so a usage error leaves no store behind.
 /// (`--workload` matters for spec authoring; the table/figure binaries
 /// key their corpus entries per app.)
 ///
@@ -35,54 +61,11 @@ use crate::HarnessOpts;
 /// # Errors
 ///
 /// A usage message naming the offending flag (missing value, malformed
-/// number, unknown token, unreadable spec file or corpus directory).
-pub fn parse_spec(args: &[String]) -> Result<HarnessOpts, String> {
-    parse_flags(args, None, |_| Ok(()))
-}
-
-/// [`parse_spec`] for a binary with arguments of its own: `check_rest`
-/// sees the arguments left for [`HarnessOpts::rest`] before the corpus
-/// is opened, so a usage error it returns (or exits on) leaves no
-/// store behind at `--corpus-dir`.
-///
-/// # Errors
-///
-/// Those of [`parse_spec`], and `check_rest`'s.
-pub fn parse_spec_then(
+/// number, unknown token, a flag outside `reads`, unreadable spec file
+/// or corpus directory), or `check_rest`'s.
+pub fn parse(
     args: &[String],
-    check_rest: impl FnOnce(&[String]) -> Result<(), String>,
-) -> Result<HarnessOpts, String> {
-    parse_flags(args, None, check_rest)
-}
-
-/// [`parse_spec`] for a binary that reads only the flags in `reads` of
-/// those [`parse_spec`] recognizes. Any other such flag is an error
-/// naming it, not a setting that silently changes nothing; it is
-/// refused before the corpus is opened.
-///
-/// # Errors
-///
-/// Those of [`parse_spec`], and the first recognized flag not in
-/// `reads`.
-pub fn parse_spec_reading(args: &[String], reads: &[&str]) -> Result<HarnessOpts, String> {
-    parse_flags(args, Some(reads), |_| Ok(()))
-}
-
-/// The error for the first argument no parser recognized: the
-/// `check_rest` of a binary that takes no arguments of its own.
-pub(crate) fn no_rest(rest: &[String]) -> Result<(), String> {
-    match rest.first() {
-        None => Ok(()),
-        Some(other) => Err(format!("unknown argument {other}")),
-    }
-}
-
-/// The shared parser: `reads` restricts the spec flags (see
-/// [`parse_spec_reading`]) and `check_rest` vets the leftover
-/// arguments before the corpus is opened (see [`parse_spec_then`]).
-pub(crate) fn parse_flags(
-    args: &[String],
-    reads: Option<&[&str]>,
+    reads: &[&str],
     check_rest: impl FnOnce(&[String]) -> Result<(), String>,
 ) -> Result<HarnessOpts, String> {
     let mut spec_file: Option<String> = None;
@@ -142,7 +125,7 @@ pub(crate) fn parse_flags(
                 continue;
             }
         }
-        if let Some(reads) = reads.filter(|reads| !reads.contains(&flag)) {
+        if !reads.contains(&flag) {
             let read = match reads {
                 [] => "no spec flag".to_owned(),
                 _ => reads.join(", "),
@@ -296,7 +279,8 @@ mod tests {
     use tsim::SwitchPolicy;
 
     fn parse(args: &[&str]) -> HarnessOpts {
-        parse_spec(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>()).unwrap()
+        let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+        super::parse(&args, SPEC_FLAGS, |_| Ok(())).unwrap()
     }
 
     #[test]
@@ -413,7 +397,7 @@ mod tests {
     fn a_flag_the_binary_does_not_read_is_refused_by_name() {
         let reading = |args: &[&str], reads: &[&str]| {
             let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-            parse_spec_reading(&args, reads)
+            super::parse(&args, reads, |_| Ok(()))
         };
         let sa = reading(&["--seed", "4", "--extra"], &["--runs", "--seed"]).unwrap();
         assert_eq!(sa.spec.base_seed, 4);
@@ -438,9 +422,18 @@ mod tests {
     }
 
     #[test]
+    fn every_declared_spec_flag_is_parsed() {
+        for &flag in SPEC_FLAGS {
+            let err = super::parse(&[flag.to_owned()], &[], |_| Ok(())).unwrap_err();
+            assert!(err.starts_with(flag), "{flag}: {err}");
+        }
+    }
+
+    #[test]
     fn malformed_input_names_the_flag() {
         let err = |args: &[&str]| {
-            parse_spec(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>()).unwrap_err()
+            let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+            super::parse(&args, SPEC_FLAGS, |_| Ok(())).unwrap_err()
         };
         assert!(err(&["--runs", "many"]).contains("--runs"));
         assert!(err(&["--runs"]).contains("needs a value"));

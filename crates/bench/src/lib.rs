@@ -7,13 +7,11 @@
 //! `results/`. The campaign binaries (`table1`, `table2`, `fig5`,
 //! `fig8`) accept every spec flag, among them `--scaled` (miniature
 //! workloads for a quick pass) and `--runs N`; the others refuse the
-//! spec flags they do not read (see
-//! [`HarnessOpts::from_args_reading`]). With `--trace`, campaign
-//! binaries also write a deterministic event trace
+//! spec flags they do not read (see [`HarnessOpts::from_args`]). With
+//! `--trace`, campaign binaries also write a deterministic event trace
 //! (`results/<app>.trace.jsonl`) that `icprof` can profile or convert
-//! for `chrome://tracing`; with
-//! `--cache-model`, L1/MHM hit rates are measured and included in the
-//! JSON artifacts; with `--corpus-dir DIR`, completed runs are recorded
+//! for `chrome://tracing`; with `--cache-model`, L1/MHM hit rates are
+//! measured and included in the JSON artifacts; with `--corpus-dir DIR`, completed runs are recorded
 //! to (and replayed from) a persistent content-addressed store — see
 //! the `corpus` crate and the `corpus` binary, which records and
 //! drift-checks campaign baselines against that store.
@@ -36,7 +34,7 @@ use obs::json::{self, Layout, ToJson};
 pub mod cli;
 
 /// The parsed command line of a harness binary (see
-/// [`cli::parse_spec`]): the campaign spec plus the harness-only
+/// [`cli::parse`]): the campaign spec plus the harness-only
 /// switches.
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
@@ -64,26 +62,18 @@ pub struct HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses the shared spec flags (see [`cli::parse_spec`]) from
-    /// `std::env::args`. An unknown argument or a malformed value exits
-    /// with status 2.
-    pub fn from_args() -> Self {
+    /// Parses `std::env::args` with [`cli::parse`] for a binary that
+    /// reads the spec flags in `reads` ([`cli::SPEC_FLAGS`] for a
+    /// campaign binary) and takes no arguments of its own. A usage
+    /// error, a flag outside `reads` or any other argument exits with
+    /// status 2.
+    pub fn from_args(reads: &[&str]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::or_exit(cli::parse_flags(&args, None, cli::no_rest))
-    }
-
-    /// [`from_args`](Self::from_args) for a binary that reads only the
-    /// spec flags in `reads` (see [`cli::parse_spec_reading`]): any
-    /// other spec flag is a usage error, exit status 2.
-    pub fn from_args_reading(reads: &[&str]) -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::or_exit(cli::parse_flags(&args, Some(reads), cli::no_rest))
-    }
-
-    /// The parsed options, or exit status 2 with the usage error or
-    /// the first unknown argument.
-    fn or_exit(parsed: Result<Self, String>) -> Self {
-        parsed.unwrap_or_else(|error| {
+        let no_rest = |rest: &[String]| match rest.first() {
+            None => Ok(()),
+            Some(other) => Err(format!("unknown argument {other}")),
+        };
+        cli::parse(&args, reads, no_rest).unwrap_or_else(|error| {
             eprintln!("{error}");
             std::process::exit(2);
         })
@@ -731,7 +721,8 @@ mod tests {
     use super::*;
 
     fn opts(args: &[&str]) -> HarnessOpts {
-        cli::parse_spec(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>()).unwrap()
+        let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+        cli::parse(&args, cli::SPEC_FLAGS, |_| Ok(())).unwrap()
     }
 
     fn quick_opts() -> HarnessOpts {

@@ -1,4 +1,4 @@
-//! `corpus dump` is the human view of the binary `icseg 2` records: its
+//! `corpus dump` is the human view of the binary `icseg 3` records: its
 //! output for a fixed record — and with it the record's fingerprint
 //! and encoded length — is pinned here, end to end through the binary.
 
@@ -93,7 +93,7 @@ fn the_dump_of_a_fixed_record_is_pinned() {
     assert_eq!(status, Some(0), "{stderr}");
     assert_eq!(
         stdout,
-        "record efe80fb13e0f8c6c13763012fdc9f4cc seg 1 offset 0 len 479\n  \
+        "record a88c09374127f61bcee480eb70517d3d seg 1 offset 0 len 479\n  \
          key version=1 workload=dump demo scheme=HwInc seed=7 lib_seed=42 switch=sync-only \
          max_steps=1000 rounding=none ignore=0000000000000000 faults=0000000000000000 \
          cache_model=1 alloc_seed=log\n  \
@@ -174,4 +174,43 @@ fn a_memo_arena_past_the_maximum_is_refused_by_value() {
         assert!(!dir.exists(), "{bin} created a corpus");
     }
     let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn require_hits_fails_a_campaign_the_corpus_answers_only_in_part() {
+    let tag = std::process::id();
+    let dir = std::env::temp_dir().join(format!("corpus-partial-{tag}"));
+    let full = std::env::temp_dir().join(format!("corpus-partial-full-{tag}"));
+    for d in [&dir, &full] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+    let corpus = |command: &str, runs: &str, at: &PathBuf| {
+        let out = Command::new(env!("CARGO_BIN_EXE_corpus"))
+            .args([command, "--app", "canneal", "--scaled", "--runs", runs])
+            .arg("--require-hits")
+            .arg("--corpus-dir")
+            .arg(at)
+            .output()
+            .expect("run corpus");
+        (out.status.code(), String::from_utf8(out.stderr).unwrap())
+    };
+    assert_eq!(corpus("record", "4", &dir).0, Some(0));
+    let (status, stderr) = corpus("check", "4", &dir);
+    assert_eq!(status, Some(0), "a full replay passes: {stderr}");
+    // The 8-run baseline, recorded elsewhere, so the check finds no
+    // drift and only the 4 runs the store lacks can fail it.
+    assert_eq!(corpus("record", "8", &full).0, Some(0));
+    let name = "canneal-scaled-r8-s1.json";
+    std::fs::copy(
+        full.join("baselines").join(name),
+        dir.join("baselines").join(name),
+    )
+    .unwrap();
+    let (status, stderr) = corpus("check", "8", &dir);
+    assert_eq!(status, Some(1), "{stderr}");
+    assert!(stderr.contains("4 hits / 4 misses"), "{stderr}");
+    assert!(stderr.contains("--require-hits"), "{stderr}");
+    for d in [&dir, &full] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }

@@ -210,8 +210,9 @@ impl<const N: usize> TokenBuf<N> {
 
 impl RunKey {
     /// The labels of [`with_tokens`](RunKey::with_tokens), in their
-    /// order. The corpus precomputes each label's fingerprint state from
-    /// this list.
+    /// order. A value's label is fixed by its position, so the corpus
+    /// fingerprints only the values, in this order, and refuses a stored
+    /// key with other labels.
     pub const LABELS: [&'static str; 12] = [
         "version",
         "workload",
@@ -233,11 +234,10 @@ impl RunKey {
     /// probes).
     ///
     /// This is the serialization contract for fingerprinting: every
-    /// field is rendered to a stable string, labels are unique, and a
-    /// fingerprint built from these fields must not depend on their
-    /// order (see the corpus crate's order-independent fingerprint).
-    /// The encoding version rides along as its own field, so bumping
-    /// [`RUN_KEY_VERSION`] invalidates old entries by key mismatch.
+    /// field is rendered to a stable UTF-8 string, always in this
+    /// order. The encoding version rides along as its own field, so
+    /// bumping [`RUN_KEY_VERSION`] invalidates old entries by key
+    /// mismatch.
     pub fn with_tokens<R>(&self, f: impl FnOnce(&[(&'static str, &str)]) -> R) -> R {
         let mut version = TokenBuf::<10>::new();
         version.push_u64(u64::from(RUN_KEY_VERSION));

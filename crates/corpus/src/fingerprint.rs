@@ -1,20 +1,24 @@
-//! Order-independent fingerprints of labeled key fields.
+//! The 128-bit fingerprint a [`RunKey`] is stored under.
 //!
-//! A corpus entry is addressed by a 128-bit fingerprint of its
-//! [`RunKey`](instantcheck::RunKey)'s fields. Each `(label, value)`
-//! field is hashed independently and the per-field hashes are combined
-//! with a commutative operation (wrapping addition, twice with
-//! independent seeds), so the fingerprint is a function of the *set* of
-//! fields, not the order they were listed in. That makes the on-disk
-//! addressing stable under refactors that reorder the key encoding — a
-//! property the format's round-trip tests pin down.
+//! Every corpus record and memo slot is addressed by it. Two lanes with
+//! independent seeds make one ordered pass over the key's values, as
+//! [`RunKey::with_tokens`] lists them: each value is hashed with FNV-1a
+//! from the lane's seed, and the lane folds that hash into its state
+//! with a splitmix64 avalanche. The fold is a bijection of the state
+//! and order-sensitive, so a difference in one value cannot cancel a
+//! difference in another, and the value hashes are independent chains
+//! the processor overlaps. Labels are not hashed: they are fixed by
+//! position ([`RunKey::LABELS`]) and by the `version` token, and
+//! [`decode_record`](crate::decode_record) refuses a stored key whose
+//! labels differ. Equal fingerprints are taken to mean equal keys, so
+//! the memo arena compares nothing else.
 
+use detrand::splitmix64;
 use instantcheck::RunKey;
 
 /// Seed of the low 64 fingerprint bits.
 const LO_SEED: u64 = 0xc0f_9a5e_0000_0001;
-/// Seed of the high 64 fingerprint bits (independent of [`LO_SEED`], so
-/// the two halves never cancel together).
+/// Seed of the high 64 fingerprint bits.
 const HI_SEED: u64 = 0x5ee_dbee_f000_0002;
 
 /// FNV-1a offset basis.
@@ -22,163 +26,105 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Plain FNV-1a — the checksum of entry bodies and record frames.
-/// Public so offline tooling (and tests) can re-frame or audit segment
-/// records without linking the whole engine.
+/// Plain FNV-1a. Public so offline tooling (and tests) can checksum
+/// bytes the way the workspace does without linking the whole engine.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     fnv64_seeded(0, bytes)
 }
 
-/// FNV-1a over `bytes`, folded into `seed`.
-const fn fnv64_seeded(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET ^ seed;
-    let mut i = 0;
-    while i < bytes.len() {
-        h ^= bytes[i] as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-        i += 1;
-    }
-    h
+/// FNV-1a over `bytes`, from the offset basis xor `seed`.
+fn fnv64_seeded(seed: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET ^ seed, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
-/// The FNV state a field's value bytes continue from: the label and
-/// the `=` separator hashed from `seed`, each chain step re-seeded
-/// from the offset basis. So a field hashes as
-/// `fnv64_seeded(fnv64_seeded(fnv64_seeded(seed, label), "="), value)`,
-/// and the label and value are length-prefixed by the `=` plus the
-/// seeded initial state: `("ab", "c")` and `("a", "bc")` hash
-/// differently.
-const fn value_state(seed: u64, label: &str) -> u64 {
-    FNV_OFFSET ^ fnv64_seeded(fnv64_seeded(seed, label.as_bytes()), b"=")
+/// The fingerprint of a key rendered by [`RunKey::with_tokens`].
+pub(crate) fn fingerprint_tokens(tokens: &[(&str, &str)]) -> u128 {
+    let (mut lo, mut hi) = (LO_SEED, HI_SEED);
+    for (_, value) in tokens {
+        lo = splitmix64(lo ^ fnv64_seeded(LO_SEED, value.as_bytes()));
+        hi = splitmix64(hi ^ fnv64_seeded(HI_SEED, value.as_bytes()));
+    }
+    u128::from(hi) << 64 | u128::from(lo)
 }
 
-/// [`value_state`] of every [`RunKey::LABELS`] entry for both seeds,
-/// computed at compile time, so a run key's fields hash only their
-/// values.
-const KEY_STATES: [(u64, u64); RunKey::LABELS.len()] = {
-    let mut states = [(0, 0); RunKey::LABELS.len()];
-    let mut i = 0;
-    while i < states.len() {
-        states[i] = (
-            value_state(LO_SEED, RunKey::LABELS[i]),
-            value_state(HI_SEED, RunKey::LABELS[i]),
-        );
-        i += 1;
-    }
-    states
-};
-
-/// The `(lo, hi)` value states of the field at position `at` labelled
-/// `label`: precomputed when the label is the run-key label of that
-/// position (as [`RunKey::with_tokens`] lists them), hashed here
-/// otherwise. Both give the same states for the same label.
-fn label_states(at: usize, label: &str) -> (u64, u64) {
-    if RunKey::LABELS.get(at) == Some(&label) {
-        KEY_STATES[at]
-    } else {
-        (value_state(LO_SEED, label), value_state(HI_SEED, label))
-    }
-}
-
-/// The order-independent 128-bit fingerprint of a set of labeled
-/// fields: per field, FNV-1a of `label=value` under each of two seeds,
-/// summed per seed. Both chains run in one pass over the value bytes.
-///
-/// # Example
-///
-/// ```
-/// let a = corpus::fingerprint_fields(&[("x", "1"), ("y", "2")]);
-/// let b = corpus::fingerprint_fields(&[("y", "2"), ("x", "1")]);
-/// assert_eq!(a, b, "field order does not matter");
-/// let c = corpus::fingerprint_fields(&[("x", "2"), ("y", "1")]);
-/// assert_ne!(a, c, "values bind to their labels");
-/// ```
-pub fn fingerprint_fields(fields: &[(&str, &str)]) -> u128 {
-    let mut lo = 0u64;
-    let mut hi = 0u64;
-    for (at, (label, value)) in fields.iter().enumerate() {
-        let (mut l, mut h) = label_states(at, label);
-        for &b in value.as_bytes() {
-            l = (l ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        lo = lo.wrapping_add(l);
-        hi = hi.wrapping_add(h);
-    }
-    (u128::from(hi)) << 64 | u128::from(lo)
-}
-
-/// The fingerprint a [`RunKey`] is stored under: its canonical
-/// fields ([`RunKey::with_tokens`], which include the key-encoding
-/// version, rendered on the stack), fingerprinted order-independently
-/// without allocating.
+/// The fingerprint a [`RunKey`] is stored under: its tokens rendered
+/// on the stack and fingerprinted without allocating.
 pub fn fingerprint_key(key: &RunKey) -> u128 {
-    key.with_tokens(fingerprint_fields)
+    key.with_tokens(fingerprint_tokens)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use adhash::FpRound;
-    use instantcheck::Scheme;
+    use instantcheck::{CampaignSpec, Scheme};
     use tsim::SwitchPolicy;
 
     use super::*;
 
-    #[test]
-    fn reordering_fields_preserves_the_fingerprint() {
-        let fields = [("a", "1"), ("b", "2"), ("c", "3"), ("d", "4")];
-        let base = fingerprint_fields(&fields);
-        let mut rotated = fields;
-        rotated.rotate_left(1);
-        assert_eq!(base, fingerprint_fields(&rotated));
-        let mut reversed = fields;
-        reversed.reverse();
-        assert_eq!(base, fingerprint_fields(&reversed));
+    fn assert_distinct(keys: &[RunKey]) {
+        let mut seen = HashSet::new();
+        let collisions = keys
+            .iter()
+            .filter(|k| !seen.insert(fingerprint_key(k)))
+            .count();
+        assert_eq!(collisions, 0, "of {} keys", keys.len());
     }
 
     #[test]
-    fn any_field_change_moves_the_fingerprint() {
-        let base = fingerprint_fields(&[("a", "1"), ("b", "2")]);
-        assert_ne!(base, fingerprint_fields(&[("a", "1"), ("b", "3")]));
-        assert_ne!(base, fingerprint_fields(&[("a", "1"), ("c", "2")]));
-        assert_ne!(base, fingerprint_fields(&[("a", "1")]));
+    fn adjacent_campaigns_key_apart() {
+        // 40 campaigns with base seeds 1..=40, 6 runs each: slot 0 logs
+        // its allocations, later slots replay the base seed's log. An
+        // unordered sum of per-field hashes gave 78 of these 240 keys
+        // another key's fingerprint.
+        let spec = CampaignSpec::new("canneal:scaled", Scheme::HwInc);
+        let keys: Vec<RunKey> = (1..=40u64)
+            .flat_map(|base| {
+                let spec = &spec;
+                (0..6u64).map(move |i| {
+                    let alloc = (i > 0).then_some(base);
+                    spec.run_key(i as usize, base + i, alloc)
+                })
+            })
+            .collect();
+        assert_eq!(keys.len(), 240);
+        assert_distinct(&keys);
+    }
+
+    #[test]
+    fn a_seed_by_alloc_seed_grid_keys_apart() {
+        let spec = CampaignSpec::new("canneal:scaled", Scheme::HwInc);
+        let keys: Vec<RunKey> = (0..300u64)
+            .flat_map(|seed| {
+                let spec = &spec;
+                (0..300u64).map(move |alloc| spec.run_key(0, seed, Some(alloc)))
+            })
+            .collect();
+        assert_distinct(&keys);
+    }
+
+    #[test]
+    fn any_value_change_moves_the_fingerprint() {
+        let base = fingerprint_tokens(&[("a", "1"), ("b", "2")]);
+        assert_ne!(base, fingerprint_tokens(&[("a", "1"), ("b", "3")]));
+        assert_ne!(base, fingerprint_tokens(&[("a", "2"), ("b", "1")]));
+        assert_ne!(base, fingerprint_tokens(&[("a", "1")]));
         assert_ne!(
             base,
-            fingerprint_fields(&[("a", "1"), ("b", "2"), ("b", "2")])
+            fingerprint_tokens(&[("a", "1"), ("b", "2"), ("c", "")])
         );
     }
 
     #[test]
-    fn label_value_boundary_matters() {
+    fn value_boundaries_matter() {
         assert_ne!(
-            fingerprint_fields(&[("ab", "c")]),
-            fingerprint_fields(&[("a", "bc")])
+            fingerprint_tokens(&[("a", "12"), ("b", "")]),
+            fingerprint_tokens(&[("a", "1"), ("b", "2")])
         );
-    }
-
-    /// The two-pass form this module's fast path replaced: each field
-    /// hashed from scratch, one seed at a time.
-    fn two_pass(fields: &[(&str, &str)]) -> u128 {
-        let field = |seed: u64, label: &str, value: &str| {
-            let h = fnv64_seeded(seed, label.as_bytes());
-            fnv64_seeded(fnv64_seeded(h, b"="), value.as_bytes())
-        };
-        let (mut lo, mut hi) = (0u64, 0u64);
-        for (label, value) in fields {
-            lo = lo.wrapping_add(field(LO_SEED, label, value));
-            hi = hi.wrapping_add(field(HI_SEED, label, value));
-        }
-        u128::from(hi) << 64 | u128::from(lo)
-    }
-
-    #[test]
-    fn one_pass_fingerprint_equals_the_two_pass_form() {
-        minicheck::check("one_pass_fingerprint", 500, |g| {
-            let labels = [&RunKey::LABELS[..], &["", "x", "tenant", "seed2", "=", "é"]].concat();
-            let values = ["", "0", "1", "HwInc", "log", "a=b", "ü"];
-            let fields = g.vec_of(0, 16, |g| (*g.pick(&labels), *g.pick(&values)));
-            assert_eq!(fingerprint_fields(&fields), two_pass(&fields), "{fields:?}");
-        });
+        assert_ne!(fingerprint_tokens(&[("a", "")]), fingerprint_tokens(&[]));
     }
 
     /// Keys spanning every rendering branch: seeds 0 and `u64::MAX`,
@@ -239,36 +185,19 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_match_the_values_recorded_before_the_fast_path() {
-        // Recorded with the `write!` rendering and the per-field
-        // two-pass FNV chains this module replaced; the on-disk
-        // addresses of every stored run depend on these exact values.
+    fn fingerprints_match_the_recorded_values() {
+        // The on-disk address of every stored run depends on these
+        // exact values (`icseg 3`).
         const KEYS: [u128; 6] = [
-            0x89860bfdc5385990af8af36c8490636a,
-            0x7b4f7d16598799e19ed37312c9185ad7,
-            0x945fdbc12751e9a96b3568b0a83bf6fb,
-            0x2b82731ab059f1fdd23241af67f4f937,
-            0x9761a8fdf2585928de4149f364cfc98e,
-            0xd641d510e66ede05afcbfeb60779b96b,
+            0xcfecb9ba3dc25821f323ea77e47d4dfd,
+            0x3fab26d3d415800c0343320ecaa7c054,
+            0xb9014604fa061fedac0b813efcbed7ae,
+            0x1c92114c7b94638e3a44d4c31b513b02,
+            0x2e4a71b16058824256672e44a33b1a2a,
+            0xb124808a63ce074e958d8697a12689ac,
         ];
         for (i, (key, want)) in table_keys().iter().zip(KEYS).enumerate() {
             assert_eq!(fingerprint_key(key), want, "key {i}: {key:?}");
-        }
-        // Labels outside the run-key schema take the generic path.
-        let fields: [(&[(&str, &str)], u128); 4] = [
-            (
-                &[("x", "1"), ("y", "2")],
-                0x48f0b6e53be718c474b6a891a3fcd69e,
-            ),
-            (
-                &[("seed", "7"), ("tenant", "a"), ("scheme", "HwInc")],
-                0x20cb7189a9c804af96802be5d38ed0b6,
-            ),
-            (&[], 0),
-            (&[("", "")], 0xdf2d6ae554224828b571155e842246d1),
-        ];
-        for (f, want) in fields {
-            assert_eq!(fingerprint_fields(f), want, "{f:?}");
         }
     }
 }

@@ -15,7 +15,7 @@
 //!   alike. There is no other way to assemble corpus storage; `sched`,
 //!   `icd`, and every bench binary construct it the same way.
 //! * On disk, completed runs live in an **append-only segment log**
-//!   (`icseg-v2`) of fixed-layout binary records: a frame of the
+//!   (`icseg-v3`) of fixed-layout binary records: a frame of the
 //!   128-bit [`RunKey`] fingerprint, body length and one checksum,
 //!   then the key tokens, counters and checkpoint hashes (see
 //!   [`encode_record`]). Segments seal by atomic rename, the
@@ -31,8 +31,8 @@
 //!   hashes and summary verdicts as a JSON artifact; a later campaign
 //!   is compared against it and any change surfaces as a [`Drift`],
 //!   localized to the first divergent checkpoint.
-//! * [`fingerprint_fields`] is the order-independent fingerprint all
-//!   records and memo slots are addressed by.
+//! * [`fingerprint_key`] is the ordered fingerprint all records and
+//!   memo slots are addressed by.
 //!
 //! # Quick start
 //!
@@ -102,7 +102,7 @@ use obs::{Registry, Snapshot, Telemetry};
 
 pub use baseline::{CampaignBaseline, Drift};
 pub use error::CorpusError;
-pub use fingerprint::{fingerprint_fields, fingerprint_key, fnv64};
+pub use fingerprint::{fingerprint_key, fnv64};
 pub use index::CRASH_ENV;
 pub use record::{
     decode_record, encode_record, frame_record, kind_token, record_sum, Corruption, FRAME_LEN,
@@ -114,6 +114,7 @@ pub use shared::{
 pub use store::{LogStats, StoredRecord, CORPUS_COMPACT_HISTOGRAM, CORPUS_OPEN_HISTOGRAM};
 pub use window::thread_record_reads;
 
+use fingerprint::fingerprint_tokens;
 use shared::SharedCache;
 use store::LogStore;
 
@@ -342,7 +343,7 @@ impl RunCache for Corpus {
 
     fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
         key.with_tokens(|tokens| {
-            let fp = fingerprint_fields(tokens);
+            let fp = fingerprint_tokens(tokens);
             // Write-through first: the log stays the source of truth
             // and is durable before the memo serves the entry back.
             self.log.store_prepared(fp, tokens, run);

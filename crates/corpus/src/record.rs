@@ -1,4 +1,4 @@
-//! The `icseg-v2` record codec: one fixed frame, one binary body, one
+//! The `icseg-v3` record codec: one fixed frame, one binary body, one
 //! checksum.
 //!
 //! Every completed run is stored as one self-contained record — the
@@ -39,7 +39,7 @@ use adhash::HashSum;
 use instantcheck::{CachedRun, CheckpointRecord, RunHashes, RunKey};
 use tsim::{AllocLog, BarrierId, CheckpointKind};
 
-use crate::fingerprint::fingerprint_fields;
+use crate::fingerprint::fingerprint_tokens;
 
 /// Byte length of a record frame: `fp u128 | body_len u32 | sum u64`.
 pub const FRAME_LEN: usize = 28;
@@ -188,7 +188,7 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// byte-identical records, which is what makes re-stores idempotent.
 pub fn encode_record(key: &RunKey, run: &CachedRun) -> Vec<u8> {
     let mut out = Vec::new();
-    key.with_tokens(|tokens| encode_into(&mut out, fingerprint_fields(tokens), tokens, run));
+    key.with_tokens(|tokens| encode_into(&mut out, fingerprint_tokens(tokens), tokens, run));
     out
 }
 
@@ -533,8 +533,9 @@ pub(crate) fn decode_for(
 }
 
 /// Decodes one whole record for tooling: verifies frame and checksum,
-/// then returns the stored key tokens and the run. The frame's
-/// fingerprint must be the fingerprint of the stored tokens.
+/// then returns the stored key tokens and the run. The stored labels
+/// must be [`RunKey::LABELS`] in order, and the frame's fingerprint the
+/// fingerprint of the stored values.
 ///
 /// # Errors
 ///
@@ -542,16 +543,22 @@ pub(crate) fn decode_for(
 pub fn decode_record(bytes: &[u8]) -> Result<(Vec<(String, String)>, CachedRun), Corruption> {
     let (fp, body) = verify(bytes)?;
     let mut tokens = Vec::new();
-    let run = decode_body(body, |_, label, value| {
-        let text = |b| std::str::from_utf8(b).map_err(|_| malformed("key token is not utf-8"));
-        tokens.push((text(label)?.to_owned(), text(value)?.to_owned()));
+    let run = decode_body(body, |i, label, value| {
+        if RunKey::LABELS.get(i).map(|l| l.as_bytes()) != Some(label) {
+            return Err(malformed("stored labels are not the run-key labels"));
+        }
+        let value = std::str::from_utf8(value).map_err(|_| malformed("key token is not utf-8"))?;
+        tokens.push((RunKey::LABELS[i].to_owned(), value.to_owned()));
         Ok(())
     })?;
+    if tokens.len() != RunKey::LABELS.len() {
+        return Err(malformed("stored labels are not the run-key labels"));
+    }
     let fields: Vec<(&str, &str)> = tokens
         .iter()
         .map(|(l, v)| (l.as_str(), v.as_str()))
         .collect();
-    if fingerprint_fields(&fields) != fp {
+    if fingerprint_tokens(&fields) != fp {
         return Err(malformed("fingerprint does not match the stored key"));
     }
     Ok((tokens, run))
@@ -603,6 +610,42 @@ mod tests {
             assert_ne!(record_sum(7 ^ (1 << bit), &body), base, "fp bit {bit}");
         }
         assert_ne!(record_sum(7, &body[..36]), base, "length is covered");
+    }
+
+    #[test]
+    fn tooling_decode_refuses_labels_other_than_the_run_key_labels() {
+        let run = CachedRun {
+            hashes: RunHashes {
+                checkpoints: Vec::new(),
+                output_digest: 0,
+                extra_instr: 0,
+                stores: 0,
+                hash_updates: 0,
+                cache: None,
+            },
+            steps: 0,
+            native_instr: 0,
+            zero_fill_instr: 0,
+            alloc_log: None,
+            sim_trace: None,
+        };
+        let decode = |tokens: &[(&str, &str)]| {
+            let mut out = Vec::new();
+            encode_into(&mut out, fingerprint_tokens(tokens), tokens, &run);
+            decode_record(&out)
+        };
+        let labeled: Vec<(&str, &str)> = RunKey::LABELS.iter().map(|&l| (l, "0")).collect();
+        assert!(decode(&labeled).is_ok());
+        let mut renamed = labeled.clone();
+        renamed[3].0 = "tenant";
+        let mut swapped = labeled.clone();
+        swapped.swap(3, 4);
+        for tokens in [&renamed[..], &swapped, &labeled[..11], &[]] {
+            assert!(
+                matches!(decode(tokens), Err(Corruption::Malformed(_))),
+                "{tokens:?}"
+            );
+        }
     }
 
     #[test]

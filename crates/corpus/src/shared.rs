@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 use instantcheck::{CacheLease, CachedRun, RunKey};
 use obs::{Counter, Registry, Telemetry};
 
-use crate::fingerprint::fingerprint_fields;
+use crate::fingerprint::fingerprint_tokens;
 
 /// Default arena capacity in slots. Sized so realistic campaign
 /// batches (tens of campaigns × tens of runs) stay far below the
@@ -532,7 +532,7 @@ impl SharedCache {
     ) -> CacheLease {
         let start = self.telemetry.get().map(|_| Instant::now());
         let lease = key.with_tokens(|tokens| {
-            let fp = fingerprint_fields(tokens);
+            let fp = fingerprint_tokens(tokens);
             self.find_or_claim(fp, || fetch(fp, tokens))
         });
         if let (Some(t), Some(start)) = (self.telemetry.get(), start) {

@@ -3,7 +3,7 @@
 //! Layout under the root directory:
 //!
 //! ```text
-//! <root>/format                  "icseg 2" — the store's format marker
+//! <root>/format                  "icseg 3" — the store's format marker
 //! <root>/segments/seg-NNNNNNNN.icseg   sealed, immutable segments
 //! <root>/segments/seg-NNNNNNNN.open    the one active segment
 //! <root>/quarantine/             corrupt records and torn tails,
@@ -11,7 +11,7 @@
 //! <root>/baselines/              named campaign baselines (JSON)
 //! ```
 //!
-//! Segments hold `icseg-v2` records ([`crate::record`]). The engine
+//! Segments hold `icseg-v3` records ([`crate::record`]). The engine
 //! never trusts a damaged record: a read that comes up short, fails
 //! the checksum, or finds another key at the address quarantines the
 //! record (the bytes move to `quarantine/`, the fingerprint leaves the
@@ -394,7 +394,7 @@ impl LogStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::fingerprint_fields;
+    use crate::fingerprint::fingerprint_tokens;
     use adhash::HashSum;
     use instantcheck::{CheckpointRecord, RunHashes, RunKey, Scheme};
     use tsim::{CheckpointKind, SwitchPolicy};
@@ -450,12 +450,12 @@ mod tests {
 
     /// The prepared lookup path, keyed the way `Corpus` keys it.
     fn lookup(store: &LogStore, key: &RunKey) -> Option<Arc<CachedRun>> {
-        key.with_tokens(|tokens| store.lookup_prepared(fingerprint_fields(tokens), tokens))
+        key.with_tokens(|tokens| store.lookup_prepared(fingerprint_tokens(tokens), tokens))
     }
 
     /// The prepared store path, keyed the way `Corpus` keys it.
     fn put(store: &LogStore, key: &RunKey, run: &CachedRun) {
-        key.with_tokens(|tokens| store.store_prepared(fingerprint_fields(tokens), tokens, run))
+        key.with_tokens(|tokens| store.store_prepared(fingerprint_tokens(tokens), tokens, run))
     }
 
     fn open(dir: &Path) -> LogStore {
@@ -561,7 +561,7 @@ mod tests {
                 found, expected, ..
             }) => {
                 assert_eq!(found, "icorpus 1");
-                assert_eq!(expected, "icseg 2");
+                assert_eq!(expected, "icseg 3");
             }
             other => panic!("expected FormatMismatch, got {other:?}"),
         }

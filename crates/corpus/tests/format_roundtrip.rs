@@ -1,5 +1,5 @@
 //! Property tests of the corpus record format: encode/decode identity,
-//! fingerprint stability under field reordering, a quarantine
+//! fingerprints that tell apart keys a field step apart, a quarantine
 //! classification per corruption class — plus the campaign-spec codec
 //! the same fingerprints key off: `CampaignSpec` → JSON →
 //! `CampaignSpec` is the identity, and each run-content field moves
@@ -9,10 +9,7 @@
 use std::sync::Arc;
 
 use adhash::{FpRound, HashSum};
-use corpus::{
-    decode_record, encode_record, fingerprint_fields, fingerprint_key, frame_record, Corruption,
-    FRAME_LEN,
-};
+use corpus::{decode_record, encode_record, fingerprint_key, frame_record, Corruption, FRAME_LEN};
 use instantcheck::{
     CachedRun, CampaignSpec, CheckpointRecord, FailurePolicy, IgnoreSpec, RunHashes, RunKey, Scheme,
 };
@@ -134,32 +131,29 @@ fn encode_decode_is_the_identity() {
 }
 
 #[test]
-fn fingerprints_are_order_independent_and_value_sensitive() {
-    check("corpus_fingerprint_stability", 128, |g: &mut Gen| {
+fn keys_a_step_apart_fingerprint_apart() {
+    check("corpus_fingerprint_steps", 256, |g: &mut Gen| {
         let key = gen_key(g);
-        let tokens: Vec<(&str, String)> =
-            key.with_tokens(|fields| fields.iter().map(|(l, v)| (*l, (*v).to_owned())).collect());
-        let fields: Vec<(&str, &str)> = tokens.iter().map(|(l, v)| (*l, v.as_str())).collect();
-        let base = fingerprint_fields(&fields);
-
-        // Any rotation of the fields fingerprints identically.
-        let mut rotated = fields.clone();
-        rotated.rotate_left(g.usize_in(1, fields.len()));
-        assert_eq!(base, fingerprint_fields(&rotated), "order-independent");
-
-        // Changing any one field's value moves the fingerprint.
-        let victim = g.usize_in(0, fields.len());
-        let mut changed: Vec<(&str, String)> =
-            tokens.iter().map(|(l, v)| (*l, v.clone())).collect();
-        changed[victim].1.push('!');
-        let changed_fields: Vec<(&str, &str)> =
-            changed.iter().map(|(l, v)| (*l, v.as_str())).collect();
-        assert_ne!(
-            base,
-            fingerprint_fields(&changed_fields),
-            "value-sensitive in field {}",
-            fields[victim].0
-        );
+        // One or two fields stepped by one, as the keys of campaigns
+        // with adjacent base seeds are.
+        let mut other = key.clone();
+        for _ in 0..g.usize_in(1, 3) {
+            match g.usize_in(0, 6) {
+                0 => other.workload.push('!'),
+                1 => other.seed = other.seed.wrapping_add(1),
+                2 => other.lib_seed = other.lib_seed.wrapping_sub(1),
+                3 => other.max_steps += 1,
+                4 => other.cache_model = !other.cache_model,
+                _ => other.alloc_seed = Some(other.alloc_seed.map_or(0, |s| s.wrapping_add(1))),
+            }
+        }
+        if other != key {
+            assert_ne!(
+                fingerprint_key(&key),
+                fingerprint_key(&other),
+                "{key:?} vs {other:?}"
+            );
+        }
     });
 }
 
@@ -185,11 +179,11 @@ fn every_corruption_class_is_detected_and_classified() {
             1 => {
                 // A checksum-valid record framed under another key's
                 // fingerprint.
-                let other = fingerprint_key(&gen_key(g));
-                if other == fingerprint_key(&key) {
+                let other = gen_key(g);
+                if other == key {
                     return; // the generator drew the same key twice
                 }
-                let bad = frame_record(other, body);
+                let bad = frame_record(fingerprint_key(&other), body);
                 assert!(matches!(decode_record(&bad), Err(Corruption::Malformed(_))));
             }
             2 => {

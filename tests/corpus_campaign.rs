@@ -447,6 +447,40 @@ fn cache_keys_are_worker_count_invariant() {
 }
 
 #[test]
+fn adjacent_base_seed_campaigns_each_get_their_own_runs() {
+    // Slot i of base b and slot i - 1 of base b + 1 differ by one in
+    // both the seed and the allocator seed: keys an order-independent
+    // fingerprint let collide, so one instance's memo arena served one
+    // campaign another's runs. The program is nondeterministic, so a
+    // foreign run shows in the report.
+    let dir = tempdir("adjacent");
+    let store = open(&dir);
+    let campaign = |base_seed, cache: Option<&Arc<Corpus>>| {
+        let mut cfg = CheckerConfig::new(Scheme::SwInc)
+            .with_runs(6)
+            .with_jobs(1)
+            .with_base_seed(base_seed);
+        if let Some(store) = cache {
+            cfg = cfg.with_run_cache(Arc::clone(store) as _, "last_writer");
+        }
+        Checker::new(cfg)
+            .expect("valid config")
+            .check(last_writer)
+            .unwrap()
+    };
+    for base_seed in 1..=40 {
+        assert_eq!(
+            campaign(base_seed, Some(&store)),
+            campaign(base_seed, None),
+            "base seed {base_seed}"
+        );
+    }
+    assert_eq!(store.quarantined(), 0);
+    assert_eq!(store.run_count(), 240);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn traceless_cache_entry_is_recomputed_by_a_tracing_campaign() {
     // One instance throughout, so the traced recompute replaces the
     // traceless entries in the memo arena, not only in the log.

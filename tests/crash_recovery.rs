@@ -293,7 +293,7 @@ fn an_icorpus_one_file_per_run_store_is_refused_with_a_typed_error() {
             found, expected, ..
         }) => {
             assert_eq!(found, "icorpus 1");
-            assert_eq!(expected, "icseg 2");
+            assert_eq!(expected, "icseg 3");
         }
         Ok(_) => panic!("an icorpus store must not open as a log store"),
         Err(other) => panic!("expected FormatMismatch, got {other}"),
