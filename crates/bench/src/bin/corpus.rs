@@ -194,12 +194,12 @@ fn write_record(out: &mut impl Write, rec: &StoredRecord) -> std::io::Result<()>
         "record {:032x} seg {} offset {} len {}",
         rec.fp, rec.segment, rec.offset, rec.len
     )?;
-    let (tokens, run) = match &rec.content {
+    let (key, run) = match &rec.content {
         Ok(content) => content,
         Err(why) => return writeln!(out, "  corrupt {}: {why}", why.label()),
     };
     write!(out, "  key")?;
-    for (label, value) in tokens {
+    for (label, value) in key.tokens() {
         write!(out, " {label}={value}")?;
     }
     let h = &run.hashes;

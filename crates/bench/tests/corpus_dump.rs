@@ -1,4 +1,4 @@
-//! `corpus dump` is the human view of the binary `icseg 3` records: its
+//! `corpus dump` is the human view of the binary `icseg 4` records: its
 //! output for a fixed record — and with it the record's fingerprint
 //! and encoded length — is pinned here, end to end through the binary.
 
@@ -93,7 +93,7 @@ fn the_dump_of_a_fixed_record_is_pinned() {
     assert_eq!(status, Some(0), "{stderr}");
     assert_eq!(
         stdout,
-        "record a88c09374127f61bcee480eb70517d3d seg 1 offset 0 len 479\n  \
+        "record ffe46718eaa4ae5458cb8f348361a88d seg 1 offset 0 len 373\n  \
          key version=1 workload=dump demo scheme=HwInc seed=7 lib_seed=42 switch=sync-only \
          max_steps=1000 rounding=none ignore=0000000000000000 faults=0000000000000000 \
          cache_model=1 alloc_seed=log\n  \

@@ -43,6 +43,7 @@ use tsim::{AllocLog, FaultPlan, SwitchPolicy, FAULT_KINDS};
 
 use crate::checker::RunHashes;
 use crate::scheme::Scheme;
+use crate::spec::{rounding_token, switch_token};
 
 /// Version of the run-key encoding. Bumped whenever the meaning of a
 /// cached outcome changes (new nondeterminism control, changed hash
@@ -146,73 +147,74 @@ pub struct RunKey {
     pub alloc_seed: Option<u64>,
 }
 
-/// A fixed-capacity stack string for one rendered key token, written
-/// by a hand-rolled formatter instead of `core::fmt` (a hit renders
-/// every token, so the formatting machinery would dominate the lookup).
-/// Writes past the capacity are dropped instead of allocating;
-/// capacities are sized to each field's maximum rendering.
-struct TokenBuf<const N: usize> {
-    bytes: [u8; N],
-    len: usize,
+/// Byte offsets of the key block's fields ([`RunKey::with_bytes`]).
+mod block {
+    /// `u32` [`RUN_KEY_VERSION`](super::RUN_KEY_VERSION).
+    pub const VERSION: usize = 0;
+    /// `u8` tags: scheme, switch, rounding, cache model, alloc seed
+    /// present.
+    pub const TAGS: usize = VERSION + 4;
+    /// `u32` parameter of the switch tag (`every-nth`'s n, else 0).
+    pub const SWITCH_ARG: usize = TAGS + 5;
+    /// `u32` parameter of the rounding tag (bits or digits, else 0).
+    pub const ROUNDING_ARG: usize = SWITCH_ARG + 4;
+    /// Six `u64` words: seed, lib seed, max steps, ignore token, fault
+    /// token, alloc seed (0 when absent).
+    pub const WORDS: usize = ROUNDING_ARG + 4;
+    /// `u32` byte length of the workload id, which follows.
+    pub const WORKLOAD_LEN: usize = WORDS + 6 * 8;
+    /// The fixed part: everything before the workload id (69 bytes).
+    pub const FIXED: usize = WORKLOAD_LEN + 4;
+    /// Blocks up to this length are encoded on the stack.
+    pub const INLINE: usize = 128;
 }
 
-impl<const N: usize> TokenBuf<N> {
-    fn new() -> Self {
-        TokenBuf {
-            bytes: [0; N],
-            len: 0,
-        }
-    }
+/// Why a byte string is not the key block of any [`RunKey`]
+/// ([`RunKey::from_bytes`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KeyBlockError {
+    /// Fewer bytes than the fixed part or the declared workload id.
+    Truncated {
+        /// Bytes declared.
+        expected: usize,
+        /// Bytes present.
+        found: usize,
+    },
+    /// A block written under another [`RUN_KEY_VERSION`].
+    Version(u32),
+    /// A tag byte outside its field's table.
+    UnknownTag {
+        /// The field the tag selects a variant of.
+        field: &'static str,
+        /// The tag found.
+        tag: u8,
+    },
+    /// The workload id is not UTF-8.
+    WorkloadNotUtf8,
+    /// The block decodes, but its key encodes to other bytes: a
+    /// parameter or word set where its tag has none, or bytes after
+    /// the workload id.
+    NonCanonical,
+}
 
-    fn push(&mut self, s: &str) {
-        self.push_bytes(s.as_bytes());
-    }
-
-    fn push_bytes(&mut self, b: &[u8]) {
-        let end = self.len + b.len();
-        if end <= N {
-            self.bytes[self.len..end].copy_from_slice(b);
-            self.len = end;
-        }
-    }
-
-    /// `v` in decimal, as `{}` renders it.
-    fn push_u64(&mut self, mut v: u64) {
-        let mut digits = [0u8; 20];
-        let mut i = digits.len();
-        loop {
-            i -= 1;
-            digits[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
+impl fmt::Display for KeyBlockError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KeyBlockError::Truncated { expected, found } => {
+                write!(f, "{found} key bytes present, {expected} declared")
             }
+            KeyBlockError::Version(v) => write!(f, "key version {v}, expected {RUN_KEY_VERSION}"),
+            KeyBlockError::UnknownTag { field, tag } => write!(f, "unknown {field} tag {tag}"),
+            KeyBlockError::WorkloadNotUtf8 => write!(f, "workload id is not utf-8"),
+            KeyBlockError::NonCanonical => write!(f, "key block is not canonical"),
         }
-        self.push_bytes(&digits[i..]);
-    }
-
-    /// `v` as 16 lowercase hex digits, as `{:016x}` renders it.
-    fn push_hex16(&mut self, v: u64) {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        let mut digits = [0u8; 16];
-        for (i, d) in digits.iter_mut().enumerate() {
-            *d = HEX[(v >> (60 - 4 * i)) as usize & 0xf];
-        }
-        self.push_bytes(&digits);
-    }
-
-    fn as_str(&self) -> &str {
-        // Only whole `str`s and ASCII digits are ever copied in, so the
-        // prefix is valid UTF-8 by construction.
-        std::str::from_utf8(&self.bytes[..self.len]).unwrap_or_default()
     }
 }
+
+impl std::error::Error for KeyBlockError {}
 
 impl RunKey {
-    /// The labels of [`with_tokens`](RunKey::with_tokens), in their
-    /// order. A value's label is fixed by its position, so the corpus
-    /// fingerprints only the values, in this order, and refuses a stored
-    /// key with other labels.
+    /// The labels of [`tokens`](RunKey::tokens), in their order.
     pub const LABELS: [&'static str; 12] = [
         "version",
         "workload",
@@ -228,77 +230,205 @@ impl RunKey {
         "alloc_seed",
     ];
 
-    /// Calls `f` with the key as canonical `(label, value)` fields,
-    /// borrowed on the stack: [`LABELS`](RunKey::LABELS) in order, no
-    /// allocation and no `core::fmt` (the corpus renders every key it
-    /// probes).
+    /// Byte length of a key block before its workload id
+    /// ([`with_bytes`](RunKey::with_bytes)): the block of a key with
+    /// an empty id.
+    pub const BLOCK_FIXED_LEN: usize = block::FIXED;
+
+    /// Calls `f` with the key's canonical binary block: the form the
+    /// corpus fingerprints, stores and compares. Little-endian, one
+    /// encoding per key:
     ///
-    /// This is the serialization contract for fingerprinting: every
-    /// field is rendered to a stable UTF-8 string, always in this
-    /// order. The encoding version rides along as its own field, so
-    /// bumping [`RUN_KEY_VERSION`] invalidates old entries by key
-    /// mismatch.
-    pub fn with_tokens<R>(&self, f: impl FnOnce(&[(&'static str, &str)]) -> R) -> R {
-        let mut version = TokenBuf::<10>::new();
-        version.push_u64(u64::from(RUN_KEY_VERSION));
-        let mut seed = TokenBuf::<20>::new();
-        seed.push_u64(self.seed);
-        let mut lib_seed = TokenBuf::<20>::new();
-        lib_seed.push_u64(self.lib_seed);
-        let mut switch = TokenBuf::<32>::new();
-        match self.switch {
-            SwitchPolicy::SyncOnly => switch.push("sync-only"),
-            SwitchPolicy::EveryAccess => switch.push("every-access"),
-            SwitchPolicy::EveryNth(n) => {
-                switch.push("every-nth:");
-                switch.push_u64(u64::from(n));
-            }
+    /// ```text
+    ///  0  u32      RUN_KEY_VERSION
+    ///  4  5 × u8   tags: scheme (0 Native | 1 HwInc | 2 SwInc | 3 SwTr),
+    ///              switch (0 sync-only | 1 every-access | 2 every-nth),
+    ///              rounding (0 none | 1 bit-exact | 2 mask-mantissa
+    ///              | 3 floor-decimal | 4 nearest-decimal),
+    ///              cache_model (0 | 1), alloc_seed present (0 | 1)
+    ///  9  u32      switch parameter (every-nth's n, else 0)
+    /// 13  u32      rounding parameter (bits or digits, else 0)
+    /// 17  6 × u64  seed, lib_seed, max_steps, ignore, faults,
+    ///              alloc_seed (0 when absent)
+    /// 65  u32      workload id length, then the id's UTF-8 bytes
+    /// ```
+    ///
+    /// The version rides in the block, so bumping [`RUN_KEY_VERSION`]
+    /// invalidates old entries by key mismatch. A block of up to 128
+    /// bytes (a workload id of up to 59) is encoded on the stack, so
+    /// the corpus probes such keys without allocating.
+    ///
+    /// # Panics
+    ///
+    /// When the workload id is 4 GiB or longer.
+    pub fn with_bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        let len = block::FIXED + self.workload.len();
+        if len <= block::INLINE {
+            let mut buf = [0u8; block::INLINE];
+            self.write_block(&mut buf[..len]);
+            f(&buf[..len])
+        } else {
+            let mut buf = vec![0u8; len];
+            self.write_block(&mut buf);
+            f(&buf)
         }
-        let mut max_steps = TokenBuf::<20>::new();
-        max_steps.push_u64(self.max_steps);
-        let mut rounding = TokenBuf::<32>::new();
-        match self.rounding {
-            None => rounding.push("none"),
-            Some(FpRound::BitExact) => rounding.push("bit-exact"),
-            Some(FpRound::MaskMantissa { bits }) => {
-                rounding.push("mask-mantissa:");
-                rounding.push_u64(u64::from(bits));
-            }
-            Some(FpRound::FloorDecimal { digits }) => {
-                rounding.push("floor-decimal:");
-                rounding.push_u64(u64::from(digits));
-            }
-            Some(FpRound::NearestDecimal { digits }) => {
-                rounding.push("nearest-decimal:");
-                rounding.push_u64(u64::from(digits));
-            }
+    }
+
+    /// Encodes the block into `out`, which is exactly its length.
+    fn write_block(&self, out: &mut [u8]) {
+        let scheme = match self.scheme {
+            Scheme::Native => 0,
+            Scheme::HwInc => 1,
+            Scheme::SwInc => 2,
+            Scheme::SwTr => 3,
+        };
+        let (switch, switch_arg) = match self.switch {
+            SwitchPolicy::SyncOnly => (0, 0),
+            SwitchPolicy::EveryAccess => (1, 0),
+            SwitchPolicy::EveryNth(n) => (2, n),
+        };
+        let (rounding, rounding_arg) = match self.rounding {
+            None => (0, 0),
+            Some(FpRound::BitExact) => (1, 0),
+            Some(FpRound::MaskMantissa { bits }) => (2, bits),
+            Some(FpRound::FloorDecimal { digits }) => (3, digits),
+            Some(FpRound::NearestDecimal { digits }) => (4, digits),
+        };
+        let workload_len = u32::try_from(self.workload.len()).expect("workload id under 4 GiB");
+        let mut at = 0;
+        let mut put = |bytes: &[u8]| {
+            out[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
+        };
+        put(&RUN_KEY_VERSION.to_le_bytes());
+        put(&[
+            scheme,
+            switch,
+            rounding,
+            u8::from(self.cache_model),
+            u8::from(self.alloc_seed.is_some()),
+        ]);
+        put(&switch_arg.to_le_bytes());
+        put(&rounding_arg.to_le_bytes());
+        for word in [
+            self.seed,
+            self.lib_seed,
+            self.max_steps,
+            self.ignore_token,
+            self.fault_token,
+            self.alloc_seed.unwrap_or(0),
+        ] {
+            put(&word.to_le_bytes());
         }
-        let mut ignore = TokenBuf::<16>::new();
-        ignore.push_hex16(self.ignore_token);
-        let mut faults = TokenBuf::<16>::new();
-        faults.push_hex16(self.fault_token);
-        let mut alloc_seed = TokenBuf::<20>::new();
-        match self.alloc_seed {
-            None => alloc_seed.push("log"),
-            Some(s) => alloc_seed.push_u64(s),
+        put(&workload_len.to_le_bytes());
+        put(self.workload.as_bytes());
+    }
+
+    /// The key whose [`with_bytes`](RunKey::with_bytes) block is
+    /// exactly `bytes` — for tooling that reads stored keys back.
+    ///
+    /// # Errors
+    ///
+    /// A [`KeyBlockError`] when `bytes` is cut short, carries another
+    /// version or an unknown tag, holds a workload id that is not
+    /// UTF-8, or is not the canonical block of the key it decodes to.
+    pub fn from_bytes(bytes: &[u8]) -> Result<RunKey, KeyBlockError> {
+        let fixed = bytes.get(..block::FIXED).ok_or(KeyBlockError::Truncated {
+            expected: block::FIXED,
+            found: bytes.len(),
+        })?;
+        let u32_at = |at: usize| u32::from_le_bytes(fixed[at..at + 4].try_into().expect("4 bytes"));
+        let word = |i: usize| {
+            let at = block::WORDS + 8 * i;
+            u64::from_le_bytes(fixed[at..at + 8].try_into().expect("8 bytes"))
+        };
+        let version = u32_at(block::VERSION);
+        if version != RUN_KEY_VERSION {
+            return Err(KeyBlockError::Version(version));
         }
+        let tags = &fixed[block::TAGS..block::TAGS + 5];
+        let unknown = |field, tag| KeyBlockError::UnknownTag { field, tag };
+        let scheme = match tags[0] {
+            0 => Scheme::Native,
+            1 => Scheme::HwInc,
+            2 => Scheme::SwInc,
+            3 => Scheme::SwTr,
+            tag => return Err(unknown("scheme", tag)),
+        };
+        let switch = match (tags[1], u32_at(block::SWITCH_ARG)) {
+            (0, _) => SwitchPolicy::SyncOnly,
+            (1, _) => SwitchPolicy::EveryAccess,
+            (2, n) => SwitchPolicy::EveryNth(n),
+            (tag, _) => return Err(unknown("switch", tag)),
+        };
+        let rounding = match (tags[2], u32_at(block::ROUNDING_ARG)) {
+            (0, _) => None,
+            (1, _) => Some(FpRound::BitExact),
+            (2, bits) => Some(FpRound::MaskMantissa { bits }),
+            (3, digits) => Some(FpRound::FloorDecimal { digits }),
+            (4, digits) => Some(FpRound::NearestDecimal { digits }),
+            (tag, _) => return Err(unknown("rounding", tag)),
+        };
+        let flag = |field, tag| match tag {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(unknown(field, tag)),
+        };
+        let cache_model = flag("cache_model", tags[3])?;
+        let alloc_seed = flag("alloc_seed", tags[4])?.then(|| word(5));
+        let declared = block::FIXED.saturating_add(u32_at(block::WORKLOAD_LEN) as usize);
+        let id = bytes
+            .get(block::FIXED..declared)
+            .ok_or(KeyBlockError::Truncated {
+                expected: declared,
+                found: bytes.len(),
+            })?;
+        let workload = std::str::from_utf8(id)
+            .map_err(|_| KeyBlockError::WorkloadNotUtf8)?
+            .to_owned();
+        let key = RunKey {
+            workload,
+            scheme,
+            seed: word(0),
+            lib_seed: word(1),
+            switch,
+            max_steps: word(2),
+            rounding,
+            ignore_token: word(3),
+            fault_token: word(4),
+            cache_model,
+            alloc_seed,
+        };
+        // Re-encoding is the canonical check: it refuses a parameter or
+        // word set where its tag has none, and trailing bytes.
+        if key.with_bytes(|canonical| canonical != bytes) {
+            return Err(KeyBlockError::NonCanonical);
+        }
+        Ok(key)
+    }
+
+    /// The key as `(label, value)` text fields, [`LABELS`](RunKey::LABELS)
+    /// in order: the human form `corpus dump` prints. Switch and
+    /// rounding values are [`switch_token`] and [`rounding_token`];
+    /// ignore and fault tokens are 16 hex digits; an absent alloc seed
+    /// reads `log`.
+    pub fn tokens(&self) -> Vec<(&'static str, String)> {
         let values = [
-            version.as_str(),
-            self.workload.as_str(),
-            self.scheme.name(),
-            seed.as_str(),
-            lib_seed.as_str(),
-            switch.as_str(),
-            max_steps.as_str(),
-            rounding.as_str(),
-            ignore.as_str(),
-            faults.as_str(),
-            if self.cache_model { "1" } else { "0" },
-            alloc_seed.as_str(),
+            RUN_KEY_VERSION.to_string(),
+            self.workload.clone(),
+            self.scheme.name().to_owned(),
+            self.seed.to_string(),
+            self.lib_seed.to_string(),
+            switch_token(self.switch),
+            self.max_steps.to_string(),
+            rounding_token(self.rounding),
+            format!("{:016x}", self.ignore_token),
+            format!("{:016x}", self.fault_token),
+            u8::from(self.cache_model).to_string(),
+            self.alloc_seed
+                .map_or_else(|| "log".to_owned(), |s| s.to_string()),
         ];
-        let fields: [(&'static str, &str); 12] =
-            std::array::from_fn(|i| (Self::LABELS[i], values[i]));
-        f(&fields)
+        Self::LABELS.into_iter().zip(values).collect()
     }
 }
 
@@ -426,86 +556,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn with_tokens_renders_exactly_like_the_token_helpers() {
-        // The stack rendering duplicates switch_token/rounding_token's
-        // formats; this pins them together so the fingerprint can
-        // never drift from the spec tokens (the rendering itself is
-        // pinned by `with_tokens_matches_the_fmt_rendering`).
-        let mut key = sample_key();
-        key.workload = "canneal:full".into();
-        key.seed = u64::MAX;
-        key.lib_seed = 0;
-        key.switch = SwitchPolicy::EveryNth(12345);
-        key.max_steps = 42;
-        key.rounding = Some(FpRound::NearestDecimal { digits: 6 });
-        key.ignore_token = 0xdead_beef;
-        key.fault_token = u64::MAX;
-        key.cache_model = true;
-        key.alloc_seed = Some(u64::MAX);
-        for key in [sample_key(), key] {
-            key.with_tokens(|fields| {
-                assert_eq!(
-                    fields[5].1,
-                    crate::spec::switch_token(key.switch),
-                    "switch rendering drifted"
-                );
-                assert_eq!(
-                    fields[7].1,
-                    crate::spec::rounding_token(key.rounding),
-                    "rounding rendering drifted"
-                );
-            });
-        }
-    }
-
-    /// The `write!`-based rendering `with_tokens` used before its
-    /// hand-rolled formatter, kept as an independent reference.
-    fn fmt_tokens(key: &RunKey) -> Vec<(&'static str, String)> {
-        let switch = match key.switch {
-            SwitchPolicy::SyncOnly => "sync-only".to_owned(),
-            SwitchPolicy::EveryAccess => "every-access".to_owned(),
-            SwitchPolicy::EveryNth(n) => format!("every-nth:{n}"),
-        };
-        let rounding = match key.rounding {
-            None => "none".to_owned(),
-            Some(FpRound::BitExact) => "bit-exact".to_owned(),
-            Some(FpRound::MaskMantissa { bits }) => format!("mask-mantissa:{bits}"),
-            Some(FpRound::FloorDecimal { digits }) => format!("floor-decimal:{digits}"),
-            Some(FpRound::NearestDecimal { digits }) => format!("nearest-decimal:{digits}"),
-        };
-        vec![
-            ("version", format!("{RUN_KEY_VERSION}")),
-            ("workload", key.workload.clone()),
-            ("scheme", key.scheme.name().to_owned()),
-            ("seed", format!("{}", key.seed)),
-            ("lib_seed", format!("{}", key.lib_seed)),
-            ("switch", switch),
-            ("max_steps", format!("{}", key.max_steps)),
-            ("rounding", rounding),
-            ("ignore", format!("{:016x}", key.ignore_token)),
-            ("faults", format!("{:016x}", key.fault_token)),
-            (
-                "cache_model",
-                if key.cache_model { "1" } else { "0" }.to_owned(),
-            ),
-            (
-                "alloc_seed",
-                match key.alloc_seed {
-                    None => "log".to_owned(),
-                    Some(s) => format!("{s}"),
-                },
-            ),
-        ]
-    }
-
-    /// A `u64` biased to the rendering's edges: zero, one- and
-    /// many-digit boundaries, the extremes, and uniform values.
+    /// A `u64` biased to the block's edges: zero, byte boundaries, the
+    /// extremes, and uniform values.
     fn edge_u64(g: &mut Gen) -> u64 {
         match g.usize_in(0, 6) {
             0 => 0,
             1 => u64::MAX,
-            2 => *g.pick(&[1, 9, 10, 99, 100, 0xf, 0x10, u64::MAX - 1, 1 << 63]),
+            2 => *g.pick(&[1, 0xff, 0x100, u64::from(u32::MAX), u64::MAX - 1, 1 << 63]),
             3 => g.u64_in(0, 1000),
             4 => u64::from(g.u32()),
             _ => g.u64(),
@@ -514,104 +571,238 @@ mod tests {
 
     fn edge_u32(g: &mut Gen) -> u32 {
         match g.usize_in(0, 3) {
-            0 => *g.pick(&[0, 1, 9, 10, 52, u32::MAX]),
+            0 => *g.pick(&[0, 1, 52, 0xff, 0x100, u32::MAX]),
             1 => g.u64_in(0, 100) as u32,
             _ => g.u32(),
         }
     }
 
-    #[test]
-    fn with_tokens_matches_the_fmt_rendering() {
-        minicheck::check(
-            "with_tokens_matches_the_fmt_rendering",
-            2000,
-            |g: &mut Gen| {
-                let key = RunKey {
-                    workload: g.pick(&["", "canneal:scaled", "fft:full=x;y"]).to_string(),
-                    scheme: *g.pick(&[Scheme::Native, Scheme::HwInc, Scheme::SwInc, Scheme::SwTr]),
-                    seed: edge_u64(g),
-                    lib_seed: edge_u64(g),
-                    switch: match g.usize_in(0, 3) {
-                        0 => SwitchPolicy::SyncOnly,
-                        1 => SwitchPolicy::EveryAccess,
-                        _ => SwitchPolicy::EveryNth(edge_u32(g)),
-                    },
-                    max_steps: edge_u64(g),
-                    rounding: match g.usize_in(0, 5) {
-                        0 => None,
-                        1 => Some(FpRound::BitExact),
-                        2 => Some(FpRound::MaskMantissa { bits: edge_u32(g) }),
-                        3 => Some(FpRound::FloorDecimal {
-                            digits: edge_u32(g),
-                        }),
-                        _ => Some(FpRound::NearestDecimal {
-                            digits: edge_u32(g),
-                        }),
-                    },
-                    ignore_token: edge_u64(g),
-                    fault_token: edge_u64(g),
-                    cache_model: g.bool(),
-                    alloc_seed: g.bool().then(|| edge_u64(g)),
-                };
-                let want = fmt_tokens(&key);
-                key.with_tokens(|got| {
-                    assert_eq!(got.len(), want.len());
-                    for ((gl, gv), (wl, wv)) in got.iter().zip(&want) {
-                        assert_eq!((gl, gv), (wl, &wv.as_str()), "{key:?}");
-                    }
-                });
-                let labels: Vec<&str> = want.iter().map(|(l, _)| *l).collect();
-                assert_eq!(labels, RunKey::LABELS);
+    /// Workload ids from empty to past the inline buffer, with
+    /// multi-byte UTF-8.
+    fn gen_workload(g: &mut Gen) -> String {
+        let parts = [
+            "",
+            "canneal:scaled",
+            "fft:full=x;y",
+            "é",
+            "∑ ",
+            "🦀",
+            "a b%",
+        ];
+        g.vec_of(0, 40, |g| *g.pick(&parts)).concat()
+    }
+
+    fn gen_key(g: &mut Gen) -> RunKey {
+        RunKey {
+            workload: gen_workload(g),
+            scheme: *g.pick(&[Scheme::Native, Scheme::HwInc, Scheme::SwInc, Scheme::SwTr]),
+            seed: edge_u64(g),
+            lib_seed: edge_u64(g),
+            switch: match g.usize_in(0, 3) {
+                0 => SwitchPolicy::SyncOnly,
+                1 => SwitchPolicy::EveryAccess,
+                _ => SwitchPolicy::EveryNth(edge_u32(g)),
             },
-        );
+            max_steps: edge_u64(g),
+            rounding: match g.usize_in(0, 5) {
+                0 => None,
+                1 => Some(FpRound::BitExact),
+                2 => Some(FpRound::MaskMantissa { bits: edge_u32(g) }),
+                3 => Some(FpRound::FloorDecimal {
+                    digits: edge_u32(g),
+                }),
+                _ => Some(FpRound::NearestDecimal {
+                    digits: edge_u32(g),
+                }),
+            },
+            ignore_token: edge_u64(g),
+            fault_token: edge_u64(g),
+            cache_model: g.bool(),
+            alloc_seed: g.bool().then(|| edge_u64(g)),
+        }
+    }
+
+    fn block(key: &RunKey) -> Vec<u8> {
+        key.with_bytes(<[u8]>::to_vec)
     }
 
     #[test]
-    fn canonical_distinguishes_every_field() {
-        let base = sample_key();
-        let mut variants = vec![base.clone()];
-        let mut k = base.clone();
-        k.workload = "other".into();
-        variants.push(k.clone());
-        k = base.clone();
-        k.scheme = Scheme::SwTr;
-        variants.push(k.clone());
-        k = base.clone();
-        k.seed = 8;
-        variants.push(k.clone());
-        k = base.clone();
-        k.lib_seed = 1;
-        variants.push(k.clone());
-        k = base.clone();
-        k.switch = SwitchPolicy::EveryNth(3);
-        variants.push(k.clone());
-        k = base.clone();
-        k.max_steps = 999;
-        variants.push(k.clone());
-        k = base.clone();
-        k.rounding = Some(FpRound::default());
-        variants.push(k.clone());
-        k = base.clone();
-        k.ignore_token = 9;
-        variants.push(k.clone());
-        k = base.clone();
-        k.fault_token = 9;
-        variants.push(k.clone());
-        k = base.clone();
-        k.cache_model = true;
-        variants.push(k.clone());
-        k = base.clone();
-        k.alloc_seed = Some(1);
-        variants.push(k);
-        let rendered: Vec<Vec<String>> = variants
-            .iter()
-            .map(|k| k.with_tokens(|fields| fields.iter().map(|(_, v)| (*v).to_owned()).collect()))
-            .collect();
-        for i in 0..rendered.len() {
-            for j in (i + 1)..rendered.len() {
-                assert_ne!(rendered[i], rendered[j], "fields {i} and {j} collide");
-            }
+    fn key_blocks_round_trip() {
+        minicheck::check("key_blocks_round_trip", 2000, |g: &mut Gen| {
+            let key = gen_key(g);
+            let bytes = block(&key);
+            assert_eq!(bytes.len(), 69 + key.workload.len());
+            assert_eq!(RunKey::from_bytes(&bytes).as_ref(), Ok(&key));
+        });
+        let mut key = sample_key();
+        key.seed = u64::MAX;
+        key.lib_seed = u64::MAX;
+        key.max_steps = u64::MAX;
+        key.ignore_token = u64::MAX;
+        key.fault_token = u64::MAX;
+        key.alloc_seed = Some(u64::MAX);
+        key.switch = SwitchPolicy::EveryNth(u32::MAX);
+        key.rounding = Some(FpRound::NearestDecimal { digits: u32::MAX });
+        for workload in [String::new(), "é".repeat(30), "🦀".repeat(200)] {
+            key.workload = workload;
+            assert_eq!(RunKey::from_bytes(&block(&key)), Ok(key.clone()));
         }
+    }
+
+    #[test]
+    fn near_miss_keys_encode_apart() {
+        let base = sample_key();
+        let step = |f: &dyn Fn(&mut RunKey)| {
+            let mut k = base.clone();
+            f(&mut k);
+            k
+        };
+        let mut pairs: Vec<(RunKey, RunKey)> = vec![
+            (base.clone(), step(&|k| k.workload.push('!'))),
+            (base.clone(), step(&|k| k.workload.pop().map(drop).unwrap())),
+            (base.clone(), step(&|k| k.scheme = Scheme::SwInc)),
+            (base.clone(), step(&|k| k.seed += 1)),
+            (base.clone(), step(&|k| k.lib_seed += 1)),
+            (base.clone(), step(&|k| k.max_steps += 1)),
+            (base.clone(), step(&|k| k.ignore_token += 1)),
+            (base.clone(), step(&|k| k.fault_token += 1)),
+            (base.clone(), step(&|k| k.cache_model = true)),
+            (base.clone(), step(&|k| k.alloc_seed = Some(0))),
+            (
+                step(&|k| k.alloc_seed = Some(6)),
+                step(&|k| k.alloc_seed = Some(7)),
+            ),
+            (
+                step(&|k| k.switch = SwitchPolicy::EveryNth(0)),
+                step(&|k| k.switch = SwitchPolicy::EveryAccess),
+            ),
+            (
+                step(&|k| k.switch = SwitchPolicy::EveryNth(3)),
+                step(&|k| k.switch = SwitchPolicy::EveryNth(4)),
+            ),
+            (
+                base.clone(),
+                step(&|k| k.rounding = Some(FpRound::BitExact)),
+            ),
+            (
+                step(&|k| k.rounding = Some(FpRound::MaskMantissa { bits: 0 })),
+                step(&|k| k.rounding = Some(FpRound::BitExact)),
+            ),
+            (
+                step(&|k| k.rounding = Some(FpRound::FloorDecimal { digits: 3 })),
+                step(&|k| k.rounding = Some(FpRound::NearestDecimal { digits: 3 })),
+            ),
+            (
+                step(&|k| k.rounding = Some(FpRound::FloorDecimal { digits: 3 })),
+                step(&|k| k.rounding = Some(FpRound::FloorDecimal { digits: 4 })),
+            ),
+        ];
+        // A workload id that is a prefix of the other, with the tail
+        // spelling what a shifted field would.
+        pairs.push((
+            step(&|k| k.workload = "fft".into()),
+            step(&|k| k.workload = "fft\0\0\0\0".into()),
+        ));
+        for (i, (a, b)) in pairs.iter().enumerate() {
+            assert_ne!(a, b, "pair {i} is a near miss, not a repeat");
+            assert_ne!(block(a), block(b), "pair {i}: {a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_blocks_are_refused_with_a_typed_error() {
+        let mut key = sample_key();
+        key.alloc_seed = Some(3);
+        let good = block(&key);
+        let with = |at: usize, byte: u8| {
+            let mut b = good.clone();
+            b[at] = byte;
+            RunKey::from_bytes(&b)
+        };
+        for cut in 0..good.len() {
+            assert!(
+                matches!(
+                    RunKey::from_bytes(&good[..cut]),
+                    Err(KeyBlockError::Truncated { .. })
+                ),
+                "cut at {cut}"
+            );
+        }
+        assert_eq!(with(0, 2), Err(KeyBlockError::Version(2)));
+        for (at, field) in [
+            (4, "scheme"),
+            (5, "switch"),
+            (6, "rounding"),
+            (7, "cache_model"),
+            (8, "alloc_seed"),
+        ] {
+            assert_eq!(
+                with(at, 9),
+                Err(KeyBlockError::UnknownTag { field, tag: 9 }),
+                "{field}"
+            );
+        }
+        // A parameter where the tag takes none, an alloc seed word
+        // under an absent tag, a trailing byte.
+        assert_eq!(with(9, 1), Err(KeyBlockError::NonCanonical));
+        assert_eq!(with(13, 1), Err(KeyBlockError::NonCanonical));
+        let mut absent = good.clone();
+        absent[8] = 0;
+        assert_eq!(
+            RunKey::from_bytes(&absent),
+            Err(KeyBlockError::NonCanonical)
+        );
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert_eq!(
+            RunKey::from_bytes(&trailing),
+            Err(KeyBlockError::NonCanonical)
+        );
+        assert_eq!(with(69, 0xff), Err(KeyBlockError::WorkloadNotUtf8));
+    }
+
+    #[test]
+    fn garbled_blocks_never_panic_and_only_canonical_ones_decode() {
+        minicheck::check("garbled_key_blocks", 2000, |g: &mut Gen| {
+            let mut bytes = block(&gen_key(g));
+            for _ in 0..g.usize_in(1, 4) {
+                match g.usize_in(0, 3) {
+                    0 if !bytes.is_empty() => {
+                        let at = g.usize_in(0, bytes.len());
+                        bytes[at] = g.u32() as u8;
+                    }
+                    1 => bytes.truncate(g.usize_in(0, bytes.len() + 1)),
+                    _ => bytes.push(g.u32() as u8),
+                }
+            }
+            if let Ok(key) = RunKey::from_bytes(&bytes) {
+                assert_eq!(block(&key), bytes);
+            }
+        });
+    }
+
+    #[test]
+    fn tokens_render_the_dump_form() {
+        let mut key = sample_key();
+        key.seed = u64::MAX;
+        key.switch = SwitchPolicy::EveryNth(12345);
+        key.rounding = Some(FpRound::NearestDecimal { digits: 6 });
+        key.ignore_token = 0xdead_beef;
+        key.cache_model = true;
+        key.alloc_seed = Some(4);
+        let rendered: Vec<String> = key
+            .tokens()
+            .iter()
+            .map(|(label, value)| format!("{label}={value}"))
+            .collect();
+        assert_eq!(
+            rendered.join(" "),
+            "version=1 workload=w:scaled scheme=HwInc seed=18446744073709551615 \
+             lib_seed=65261 switch=every-nth:12345 max_steps=1000 \
+             rounding=nearest-decimal:6 ignore=00000000deadbeef \
+             faults=0000000000000000 cache_model=1 alloc_seed=4"
+        );
+        assert_eq!(sample_key().tokens()[11].1, "log");
     }
 
     #[test]

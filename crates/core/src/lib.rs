@@ -77,7 +77,9 @@ mod report;
 mod scheme;
 mod spec;
 
-pub use cache::{fault_plan_token, CacheLease, CachedRun, RunCache, RunKey, RUN_KEY_VERSION};
+pub use cache::{
+    fault_plan_token, CacheLease, CachedRun, KeyBlockError, RunCache, RunKey, RUN_KEY_VERSION,
+};
 pub use characterize::{characterize, Characterization, DetClass, Subject};
 pub use checker::{Checker, CheckerConfig, ConfigError, RunHashes};
 pub use ignore::IgnoreSpec;

@@ -111,7 +111,7 @@ pub struct CampaignSpec {
 }
 
 /// Stable token for a [`SwitchPolicy`] — shared by spec JSON,
-/// [`RunKey::with_tokens`], and command-line flags.
+/// [`RunKey::tokens`], and command-line flags.
 pub fn switch_token(switch: SwitchPolicy) -> String {
     match switch {
         SwitchPolicy::SyncOnly => "sync-only".to_owned(),
@@ -140,7 +140,7 @@ pub fn parse_switch(token: &str) -> Result<SwitchPolicy, String> {
 }
 
 /// Stable token for an optional [`FpRound`] — shared by spec JSON,
-/// [`RunKey::with_tokens`], and command-line flags.
+/// [`RunKey::tokens`], and command-line flags.
 pub fn rounding_token(rounding: Option<FpRound>) -> String {
     match rounding {
         None => "none".to_owned(),

@@ -24,8 +24,9 @@ pub enum CorpusError {
         source: io::Error,
     },
     /// The directory holds a corpus of a different on-disk format.
-    /// An incompatible store — an `icseg 2` log addressed by the older
-    /// fingerprint, an `icseg 1` text-entry log, or an `icorpus`
+    /// An incompatible store — an `icseg 3` log of text key tokens, an
+    /// `icseg 2` log addressed by the older fingerprint, an `icseg 1`
+    /// text-entry log, or an `icorpus`
     /// one-file-per-run store — is refused outright, never silently
     /// misread or migrated in place.
     FormatMismatch {
@@ -83,10 +84,10 @@ mod tests {
         let e = CorpusError::FormatMismatch {
             dir: PathBuf::from("/x"),
             found: "icorpus 1".into(),
-            expected: "icseg 3".into(),
+            expected: "icseg 4".into(),
         };
         assert!(e.to_string().contains("icorpus 1"));
-        assert!(e.to_string().contains("icseg 3"));
+        assert!(e.to_string().contains("icseg 4"));
         let e = CorpusError::Index(io::Error::other("boom"));
         assert!(e.to_string().contains("index build failed: boom"));
     }

@@ -1,17 +1,17 @@
 //! The 128-bit fingerprint a [`RunKey`] is stored under.
 //!
 //! Every corpus record and memo slot is addressed by it. Two lanes with
-//! independent seeds make one ordered pass over the key's values, as
-//! [`RunKey::with_tokens`] lists them: each value is hashed with FNV-1a
-//! from the lane's seed, and the lane folds that hash into its state
-//! with a splitmix64 avalanche. The fold is a bijection of the state
-//! and order-sensitive, so a difference in one value cannot cancel a
-//! difference in another, and the value hashes are independent chains
-//! the processor overlaps. Labels are not hashed: they are fixed by
-//! position ([`RunKey::LABELS`]) and by the `version` token, and
-//! [`decode_record`](crate::decode_record) refuses a stored key whose
-//! labels differ. Equal fingerprints are taken to mean equal keys, so
-//! the memo arena compares nothing else.
+//! independent seeds make one ordered pass over the key's binary block
+//! ([`RunKey::with_bytes`]): the block's length first, then its bytes
+//! as little-endian `u64` words (the last one zero-padded), each folded
+//! into the lane's state with a splitmix64 avalanche. The fold is a
+//! bijection of the state and order-sensitive, so a difference in one
+//! word cannot cancel a difference in another, and the length keeps a
+//! zero-padded tail apart from real zero bytes; the two lanes are
+//! independent chains the processor overlaps. Equal fingerprints are
+//! taken to mean equal keys by the memo arena, which compares nothing
+//! else; a record read from the log is also compared with the whole
+//! stored block.
 
 use detrand::splitmix64;
 use instantcheck::RunKey;
@@ -29,30 +29,36 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Plain FNV-1a. Public so offline tooling (and tests) can checksum
 /// bytes the way the workspace does without linking the whole engine.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_seeded(0, bytes)
-}
-
-/// FNV-1a over `bytes`, from the offset basis xor `seed`.
-fn fnv64_seeded(seed: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET ^ seed, |h, &b| {
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
     })
 }
 
-/// The fingerprint of a key rendered by [`RunKey::with_tokens`].
-pub(crate) fn fingerprint_tokens(tokens: &[(&str, &str)]) -> u128 {
+/// The fingerprint of a key block rendered by [`RunKey::with_bytes`].
+pub(crate) fn fingerprint_block(block: &[u8]) -> u128 {
     let (mut lo, mut hi) = (LO_SEED, HI_SEED);
-    for (_, value) in tokens {
-        lo = splitmix64(lo ^ fnv64_seeded(LO_SEED, value.as_bytes()));
-        hi = splitmix64(hi ^ fnv64_seeded(HI_SEED, value.as_bytes()));
+    let mut fold = |word: u64| {
+        lo = splitmix64(lo ^ word);
+        hi = splitmix64(hi ^ word);
+    };
+    fold(block.len() as u64);
+    let mut words = block.chunks_exact(8);
+    for w in &mut words {
+        fold(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        fold(u64::from_le_bytes(last));
     }
     u128::from(hi) << 64 | u128::from(lo)
 }
 
-/// The fingerprint a [`RunKey`] is stored under: its tokens rendered
-/// on the stack and fingerprinted without allocating.
+/// The fingerprint a [`RunKey`] is stored under: its block encoded on
+/// the stack and fingerprinted without allocating.
 pub fn fingerprint_key(key: &RunKey) -> u128 {
-    key.with_tokens(fingerprint_tokens)
+    key.with_bytes(fingerprint_block)
 }
 
 #[cfg(test)]
@@ -107,27 +113,29 @@ mod tests {
     }
 
     #[test]
-    fn any_value_change_moves_the_fingerprint() {
-        let base = fingerprint_tokens(&[("a", "1"), ("b", "2")]);
-        assert_ne!(base, fingerprint_tokens(&[("a", "1"), ("b", "3")]));
-        assert_ne!(base, fingerprint_tokens(&[("a", "2"), ("b", "1")]));
-        assert_ne!(base, fingerprint_tokens(&[("a", "1")]));
-        assert_ne!(
-            base,
-            fingerprint_tokens(&[("a", "1"), ("b", "2"), ("c", "")])
-        );
+    fn any_bit_change_moves_the_fingerprint() {
+        let block: Vec<u8> = (0..83u8).collect();
+        let base = fingerprint_block(&block);
+        for i in 0..block.len() {
+            for bit in 0..8 {
+                let mut b = block.clone();
+                b[i] ^= 1 << bit;
+                assert_ne!(fingerprint_block(&b), base, "byte {i} bit {bit}");
+            }
+        }
     }
 
     #[test]
-    fn value_boundaries_matter() {
+    fn the_length_keeps_zero_padding_apart() {
         assert_ne!(
-            fingerprint_tokens(&[("a", "12"), ("b", "")]),
-            fingerprint_tokens(&[("a", "1"), ("b", "2")])
+            fingerprint_block(&[1, 2, 3]),
+            fingerprint_block(&[1, 2, 3, 0])
         );
-        assert_ne!(fingerprint_tokens(&[("a", "")]), fingerprint_tokens(&[]));
+        assert_ne!(fingerprint_block(&[]), fingerprint_block(&[0; 8]));
+        assert_ne!(fingerprint_block(&[0; 8]), fingerprint_block(&[0; 16]));
     }
 
-    /// Keys spanning every rendering branch: seeds 0 and `u64::MAX`,
+    /// Keys spanning every encoding branch: seeds 0 and `u64::MAX`,
     /// both allocator provenances, every scheme, switch policy and
     /// rounding variant, non-zero ignore and fault tokens, the cache
     /// model, and an empty workload.
@@ -187,14 +195,14 @@ mod tests {
     #[test]
     fn fingerprints_match_the_recorded_values() {
         // The on-disk address of every stored run depends on these
-        // exact values (`icseg 3`).
+        // exact values (`icseg 4`).
         const KEYS: [u128; 6] = [
-            0xcfecb9ba3dc25821f323ea77e47d4dfd,
-            0x3fab26d3d415800c0343320ecaa7c054,
-            0xb9014604fa061fedac0b813efcbed7ae,
-            0x1c92114c7b94638e3a44d4c31b513b02,
-            0x2e4a71b16058824256672e44a33b1a2a,
-            0xb124808a63ce074e958d8697a12689ac,
+            0x0d6eae9c7ae190830b7480c1c991b26c,
+            0x6e7be3a4dc1ba48c4462e4b428718576,
+            0x9b9def1f3ffdd3dedb8e1dccbb7cb794,
+            0xeb371a4482198c37a0f06dac6e78cd0d,
+            0x60d2db323b8f0873546ed53669e621e9,
+            0xcd9a82b34bea873ae469c54f4e5bb9c6,
         ];
         for (i, (key, want)) in table_keys().iter().zip(KEYS).enumerate() {
             assert_eq!(fingerprint_key(key), want, "key {i}: {key:?}");

@@ -9,15 +9,16 @@
 //! * [`Corpus`] is the storage facade every consumer constructs, and
 //!   the workspace's one [`RunCache`]: [`Corpus::open`] with a
 //!   [`CorpusOptions`] builder pairs the on-disk log engine with a
-//!   lock-free in-memory memo arena (`SharedCache`). A key's tokens
-//!   and fingerprint are rendered once per call and serve the arena
-//!   probe, the index probe, the stored-key check and the append
-//!   alike. There is no other way to assemble corpus storage; `sched`,
-//!   `icd`, and every bench binary construct it the same way.
+//!   lock-free in-memory memo arena (`SharedCache`). A key's binary
+//!   block ([`RunKey::with_bytes`]) and fingerprint are encoded once
+//!   per call, on the stack, and serve the arena probe, the index
+//!   probe, the stored-key compare and the append alike. There is no
+//!   other way to assemble corpus storage; `sched`, `icd`, and every
+//!   bench binary construct it the same way.
 //! * On disk, completed runs live in an **append-only segment log**
-//!   (`icseg-v3`) of fixed-layout binary records: a frame of the
+//!   (`icseg-v4`) of fixed-layout binary records: a frame of the
 //!   128-bit [`RunKey`] fingerprint, body length and one checksum,
-//!   then the key tokens, counters and checkpoint hashes (see
+//!   then the key block, counters and checkpoint hashes (see
 //!   [`encode_record`]). Segments seal by atomic rename, the
 //!   fingerprint index is rebuilt by scanning on first use (torn tails
 //!   from crashed appends truncate away), inline compaction rewrites
@@ -31,8 +32,8 @@
 //!   hashes and summary verdicts as a JSON artifact; a later campaign
 //!   is compared against it and any change surfaces as a [`Drift`],
 //!   localized to the first divergent checkpoint.
-//! * [`fingerprint_key`] is the ordered fingerprint all records and
-//!   memo slots are addressed by.
+//! * [`fingerprint_key`] is the ordered fingerprint of the key block
+//!   all records and memo slots are addressed by.
 //!
 //! # Quick start
 //!
@@ -114,7 +115,7 @@ pub use shared::{
 pub use store::{LogStats, StoredRecord, CORPUS_COMPACT_HISTOGRAM, CORPUS_OPEN_HISTOGRAM};
 pub use window::thread_record_reads;
 
-use fingerprint::fingerprint_tokens;
+use fingerprint::fingerprint_block;
 use shared::SharedCache;
 use store::LogStore;
 
@@ -338,15 +339,15 @@ impl RunCache for Corpus {
     fn begin(&self, key: &RunKey) -> CacheLease {
         // One disk read per key, under the claim.
         self.cache
-            .acquire(key, |fp, tokens| self.log.lookup_prepared(fp, tokens))
+            .acquire(key, |fp, block| self.log.lookup_prepared(fp, block))
     }
 
     fn store(&self, key: &RunKey, run: &Arc<CachedRun>) {
-        key.with_tokens(|tokens| {
-            let fp = fingerprint_tokens(tokens);
+        key.with_bytes(|block| {
+            let fp = fingerprint_block(block);
             // Write-through first: the log stays the source of truth
             // and is durable before the memo serves the entry back.
-            self.log.store_prepared(fp, tokens, run);
+            self.log.store_prepared(fp, block, run);
             self.cache.publish(fp, run);
         })
     }

@@ -1,9 +1,9 @@
-//! The `icseg-v3` record codec: one fixed frame, one binary body, one
+//! The `icseg-v4` record codec: one fixed frame, one binary body, one
 //! checksum.
 //!
 //! Every completed run is stored as one self-contained record — the
-//! [`CachedRun`] plus the canonical tokens of the [`RunKey`] it was
-//! recorded under:
+//! [`CachedRun`] plus the binary block of the [`RunKey`] it was
+//! recorded under ([`RunKey::with_bytes`]):
 //!
 //! ```text
 //! frame      28 bytes, little-endian
@@ -11,7 +11,7 @@
 //!   body_len   u32    exact body byte count
 //!   sum        u64    checksum of fp, body_len and the body
 //! body       (v = LEB128 varint)
-//!   v n, then n × { v len, label, v len, value }      key tokens
+//!   v len, key block                                   RunKey::with_bytes
 //!   7 × u64    steps, native_instr, zero_fill_instr,
 //!              output_digest, extra_instr, stores, hash_updates
 //!   u8         flags: 1 = l1 stats, 2 = alloc log, 4 = sim trace
@@ -27,9 +27,9 @@
 //! bytes read ([`Corruption::Truncated`]), the checksum must match
 //! ([`Corruption::BadChecksum`]), and the body must decode exactly to
 //! its end under the requested key ([`Corruption::Malformed`]
-//! otherwise) — a stored key is compared token for token, so a
-//! fingerprint collision or a record at the wrong address is never a
-//! hit.
+//! otherwise) — the stored key block is compared whole with the
+//! requested one, so a fingerprint collision or a record at the wrong
+//! address is never a hit.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -39,15 +39,15 @@ use adhash::HashSum;
 use instantcheck::{CachedRun, CheckpointRecord, RunHashes, RunKey};
 use tsim::{AllocLog, BarrierId, CheckpointKind};
 
-use crate::fingerprint::fingerprint_tokens;
+use crate::fingerprint::fingerprint_block;
 
 /// Byte length of a record frame: `fp u128 | body_len u32 | sum u64`.
 pub const FRAME_LEN: usize = 28;
 
-/// The smallest body a record can have (empty key, no checkpoints, no
-/// optional sections). The segment scan treats a shorter declared
-/// body — a zero-filled tail, say — as torn.
-pub(crate) const MIN_BODY_LEN: usize = 1 + 7 * 8 + 1 + 1 + 1;
+/// The smallest body a record can have (an empty workload id, no
+/// checkpoints, no optional sections). The segment scan treats a
+/// shorter declared body — a zero-filled tail, say — as torn.
+pub(crate) const MIN_BODY_LEN: usize = 1 + RunKey::BLOCK_FIXED_LEN + 7 * 8 + 1 + 1 + 1;
 
 const FLAG_L1: u8 = 1;
 const FLAG_ALLOC: u8 = 2;
@@ -188,20 +188,16 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// byte-identical records, which is what makes re-stores idempotent.
 pub fn encode_record(key: &RunKey, run: &CachedRun) -> Vec<u8> {
     let mut out = Vec::new();
-    key.with_tokens(|tokens| encode_into(&mut out, fingerprint_tokens(tokens), tokens, run));
+    key.with_bytes(|block| encode_into(&mut out, fingerprint_block(block), block, run));
     out
 }
 
-/// [`encode_record`] with the key's fingerprint and tokens already
-/// rendered, into a reusable buffer.
-pub(crate) fn encode_into(out: &mut Vec<u8>, fp: u128, tokens: &[(&str, &str)], run: &CachedRun) {
+/// [`encode_record`] with the key's fingerprint and block already
+/// encoded, into a reusable buffer.
+pub(crate) fn encode_into(out: &mut Vec<u8>, fp: u128, block: &[u8], run: &CachedRun) {
     out.clear();
     out.resize(FRAME_LEN, 0);
-    put_var(out, tokens.len() as u64);
-    for (label, value) in tokens {
-        put_bytes(out, label.as_bytes());
-        put_bytes(out, value.as_bytes());
-    }
+    put_bytes(out, block);
     let h = &run.hashes;
     for v in [
         run.steps,
@@ -388,19 +384,17 @@ fn verify(bytes: &[u8]) -> Result<(u128, &[u8]), Corruption> {
     Ok((frame.fp, body))
 }
 
-/// Decodes a verified body in one pass. `token` sees each stored
-/// `(label, value)` with its position and may reject it.
-fn decode_body<'a>(
-    body: &'a [u8],
-    mut token: impl FnMut(usize, &'a [u8], &'a [u8]) -> Result<(), Corruption>,
-) -> Result<CachedRun, Corruption> {
+/// Splits a verified body into its stored key block and a reader
+/// positioned at the run.
+fn key_block(body: &[u8]) -> Result<(&[u8], Reader<'_>), Corruption> {
     let mut r = Reader { buf: body, pos: 0 };
-    let n = r.len()?;
-    for i in 0..n {
-        let label = r.bytes()?;
-        let value = r.bytes()?;
-        token(i, label, value)?;
-    }
+    let block = r.bytes()?;
+    Ok((block, r))
+}
+
+/// Decodes the run that follows a body's key block, to the body's end.
+fn decode_run(mut r: Reader<'_>) -> Result<CachedRun, Corruption> {
+    let body = r.buf;
     let mut counters = [0u64; 7];
     for c in &mut counters {
         *c = r.u64()?;
@@ -497,71 +491,46 @@ fn decode_body<'a>(
     })
 }
 
-/// The hot read path: verifies one whole record and decodes it, in a
-/// single pass, as the record of `(fp, expected)`. The stored key is
-/// compared token for token against the requested key's canonical
-/// tokens — the preimage check a fingerprint only approximates — so no
-/// fingerprint is recomputed and no token is allocated.
+/// The hot read path: verifies one whole record and decodes it as the
+/// record of `(fp, block)`. After the length and checksum checks, the
+/// frame's fingerprint must be `fp` and the stored key block must equal
+/// `block` byte for byte — the preimage check a fingerprint only
+/// approximates — before the run is decoded.
 ///
 /// # Errors
 ///
 /// [`Corruption::Truncated`] or [`Corruption::BadChecksum`] for a
 /// damaged record; [`Corruption::Malformed`] for a checksum-valid one
-/// that does not decode or whose stored key differs from `expected`.
-pub(crate) fn decode_for(
-    bytes: &[u8],
-    fp: u128,
-    expected: &[(&str, &str)],
-) -> Result<CachedRun, Corruption> {
+/// that does not decode or whose stored key differs from `block`.
+pub(crate) fn decode_for(bytes: &[u8], fp: u128, block: &[u8]) -> Result<CachedRun, Corruption> {
     let (stored, body) = verify(bytes)?;
     if stored != fp {
         return Err(malformed("record does not match its address"));
     }
-    let mut matched = 0;
-    let run = decode_body(body, |i, label, value| match expected.get(i) {
-        Some((l, v)) if l.as_bytes() == label && v.as_bytes() == value => {
-            matched += 1;
-            Ok(())
-        }
-        _ => Err(malformed("stored key does not match its address")),
-    })?;
-    // A stored key that is a strict prefix of the requested one.
-    if matched != expected.len() {
+    let (stored, run) = key_block(body)?;
+    if stored != block {
         return Err(malformed("stored key does not match its address"));
     }
-    Ok(run)
+    decode_run(run)
 }
 
 /// Decodes one whole record for tooling: verifies frame and checksum,
-/// then returns the stored key tokens and the run. The stored labels
-/// must be [`RunKey::LABELS`] in order, and the frame's fingerprint the
-/// fingerprint of the stored values.
+/// then returns the stored key and the run. The stored block must be
+/// the canonical block of a [`RunKey`] ([`RunKey::from_bytes`]), and
+/// the frame's fingerprint the fingerprint of that block.
 ///
 /// # Errors
 ///
 /// A [`Corruption`] describing the first problem found.
-pub fn decode_record(bytes: &[u8]) -> Result<(Vec<(String, String)>, CachedRun), Corruption> {
+pub fn decode_record(bytes: &[u8]) -> Result<(RunKey, CachedRun), Corruption> {
     let (fp, body) = verify(bytes)?;
-    let mut tokens = Vec::new();
-    let run = decode_body(body, |i, label, value| {
-        if RunKey::LABELS.get(i).map(|l| l.as_bytes()) != Some(label) {
-            return Err(malformed("stored labels are not the run-key labels"));
-        }
-        let value = std::str::from_utf8(value).map_err(|_| malformed("key token is not utf-8"))?;
-        tokens.push((RunKey::LABELS[i].to_owned(), value.to_owned()));
-        Ok(())
-    })?;
-    if tokens.len() != RunKey::LABELS.len() {
-        return Err(malformed("stored labels are not the run-key labels"));
-    }
-    let fields: Vec<(&str, &str)> = tokens
-        .iter()
-        .map(|(l, v)| (l.as_str(), v.as_str()))
-        .collect();
-    if fingerprint_tokens(&fields) != fp {
+    let (block, run) = key_block(body)?;
+    let key = RunKey::from_bytes(block)
+        .map_err(|why| Corruption::Malformed(format!("run key: {why}")))?;
+    if fingerprint_block(block) != fp {
         return Err(malformed("fingerprint does not match the stored key"));
     }
-    Ok((tokens, run))
+    Ok((key, decode_run(run)?))
 }
 
 #[cfg(test)]
@@ -613,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn tooling_decode_refuses_labels_other_than_the_run_key_labels() {
+    fn tooling_decode_refuses_a_key_block_that_is_not_canonical() {
         let run = CachedRun {
             hashes: RunHashes {
                 checkpoints: Vec::new(),
@@ -629,21 +598,38 @@ mod tests {
             alloc_log: None,
             sim_trace: None,
         };
-        let decode = |tokens: &[(&str, &str)]| {
+        let decode = |block: &[u8]| {
             let mut out = Vec::new();
-            encode_into(&mut out, fingerprint_tokens(tokens), tokens, &run);
+            encode_into(&mut out, fingerprint_block(block), block, &run);
             decode_record(&out)
         };
-        let labeled: Vec<(&str, &str)> = RunKey::LABELS.iter().map(|&l| (l, "0")).collect();
-        assert!(decode(&labeled).is_ok());
-        let mut renamed = labeled.clone();
-        renamed[3].0 = "tenant";
-        let mut swapped = labeled.clone();
-        swapped.swap(3, 4);
-        for tokens in [&renamed[..], &swapped, &labeled[..11], &[]] {
+        let key = RunKey {
+            workload: String::new(),
+            scheme: instantcheck::Scheme::HwInc,
+            seed: 0,
+            lib_seed: 0,
+            switch: tsim::SwitchPolicy::SyncOnly,
+            max_steps: 0,
+            rounding: None,
+            ignore_token: 0,
+            fault_token: 0,
+            cache_model: false,
+            alloc_seed: None,
+        };
+        let good = key.with_bytes(<[u8]>::to_vec);
+        let (decoded, _) = decode(&good).unwrap();
+        assert_eq!(decoded, key);
+        let mut empty = Vec::new();
+        encode_into(&mut empty, 0, &good, &run);
+        assert_eq!(empty.len(), FRAME_LEN + MIN_BODY_LEN, "the smallest body");
+        let mut tagged = good.clone();
+        tagged[4] = 7;
+        let mut padded = good.clone();
+        padded.push(0);
+        for block in [&good[..68], &tagged, &padded, &[][..]] {
             assert!(
-                matches!(decode(tokens), Err(Corruption::Malformed(_))),
-                "{tokens:?}"
+                matches!(decode(block), Err(Corruption::Malformed(_))),
+                "{block:?}"
             );
         }
     }

@@ -1,4 +1,4 @@
-//! `icseg-v3` segment files and their open-time scan.
+//! `icseg-v4` segment files and their open-time scan.
 //!
 //! A corpus is a sequence of append-only *segment* files, each a plain
 //! concatenation of records (see [`crate::record`] for the record
@@ -19,14 +19,14 @@
 use crate::record::{parse_frame, FRAME_LEN, MIN_BODY_LEN};
 
 /// Magic token of the segment format (the `format` marker reads
-/// `icseg 3`).
+/// `icseg 4`).
 pub const SEGMENT_MAGIC: &str = "icseg";
 
 /// Version of the segment format. Bumped on any change to the record
 /// encoding or to the fingerprint records are addressed by
 /// ([`fingerprint_key`](crate::fingerprint_key)); a store of a
 /// different version is refused at open.
-pub const SEGMENT_VERSION: u32 = 3;
+pub const SEGMENT_VERSION: u32 = 4;
 
 /// Default size bound of the active segment: once an append would grow
 /// it past this many bytes it is sealed and a new one started. Sized so

@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 use instantcheck::{CacheLease, CachedRun, RunKey};
 use obs::{Counter, Registry, Telemetry};
 
-use crate::fingerprint::fingerprint_tokens;
+use crate::fingerprint::fingerprint_block;
 
 /// Default arena capacity in slots. Sized so realistic campaign
 /// batches (tens of campaigns × tens of runs) stay far below the
@@ -61,7 +61,7 @@ use crate::fingerprint::fingerprint_tokens;
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 14;
 
 /// Telemetry histogram fed with the wall-clock duration of every
-/// arena acquisition (`Corpus::begin`): key render, fingerprint and
+/// arena acquisition (`Corpus::begin`): key encode, fingerprint and
 /// probe time plus, on the slow path, the in-flight wait or the log
 /// read. Always sampled under cache
 /// traffic, so contention shows up as a fat tail of one series rather
@@ -517,23 +517,23 @@ impl SharedCache {
     /// The find-or-claim operation behind `Corpus::begin`: the
     /// published outcome for `key`, or — when this call wins the key's
     /// claim — whatever `fetch` reads from the log given the key's
-    /// fingerprint and tokens, published under the claim so waiters
+    /// fingerprint and block, published under the claim so waiters
     /// block on the read once instead of all issuing it. A miss in
     /// `fetch` leaves the claim held (`Compute { claimed: true }`) for
     /// the caller to resolve with [`publish`](Self::publish) or
     /// [`abandon`](Self::abandon). When no slot can be claimed (arena
     /// full, or a lost abandoned slot), `fetch` still answers, uncached
     /// and unclaimed. Each `icd.cache.acquire` sample covers the whole
-    /// call: key render, fingerprint, probe, wait and log read.
+    /// call: key encode, fingerprint, probe, wait and log read.
     pub(crate) fn acquire(
         &self,
         key: &RunKey,
-        fetch: impl FnOnce(u128, &[(&'static str, &str)]) -> Option<Arc<CachedRun>>,
+        fetch: impl FnOnce(u128, &[u8]) -> Option<Arc<CachedRun>>,
     ) -> CacheLease {
         let start = self.telemetry.get().map(|_| Instant::now());
-        let lease = key.with_tokens(|tokens| {
-            let fp = fingerprint_tokens(tokens);
-            self.find_or_claim(fp, || fetch(fp, tokens))
+        let lease = key.with_bytes(|block| {
+            let fp = fingerprint_block(block);
+            self.find_or_claim(fp, || fetch(fp, block))
         });
         if let (Some(t), Some(start)) = (self.telemetry.get(), start) {
             t.record_wait(CACHE_ACQUIRE_HISTOGRAM, start.elapsed());
@@ -541,7 +541,7 @@ impl SharedCache {
         lease
     }
 
-    /// `acquire`'s probe for a rendered key's fingerprint `fp`.
+    /// `acquire`'s probe for an encoded key's fingerprint `fp`.
     fn find_or_claim(
         &self,
         fp: u128,

@@ -3,7 +3,7 @@
 //! Layout under the root directory:
 //!
 //! ```text
-//! <root>/format                  "icseg 3" — the store's format marker
+//! <root>/format                  "icseg 4" — the store's format marker
 //! <root>/segments/seg-NNNNNNNN.icseg   sealed, immutable segments
 //! <root>/segments/seg-NNNNNNNN.open    the one active segment
 //! <root>/quarantine/             corrupt records and torn tails,
@@ -11,7 +11,7 @@
 //! <root>/baselines/              named campaign baselines (JSON)
 //! ```
 //!
-//! Segments hold `icseg-v3` records ([`crate::record`]). The engine
+//! Segments hold `icseg-v4` records ([`crate::record`]). The engine
 //! never trusts a damaged record: a read that comes up short, fails
 //! the checksum, or finds another key at the address quarantines the
 //! record (the bytes move to `quarantine/`, the fingerprint leaves the
@@ -20,12 +20,12 @@
 //! untouched — corruption never poisons neighbors.
 //!
 //! A warm hit does each step once: the caller hands in the key's
-//! rendered tokens and fingerprint, the index yields the record's
+//! binary block and fingerprint, the index yields the record's
 //! location, the thread's read window ([`crate::window`]) yields its
 //! bytes — from memory when an earlier read of the same sealed segment
 //! already fetched them, else by one `pread` that refills the window —
 //! and one pass verifies the length and checksum, compares the stored
-//! key token for token and decodes the run.
+//! key block with one slice compare and decodes the run.
 //!
 //! The in-memory index is built lazily: opening a store only checks the
 //! format marker, and the segment scan runs on the first lookup or
@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use instantcheck::CachedRun;
+use instantcheck::{CachedRun, RunKey};
 use obs::{Counter, Registry, Telemetry};
 
 use crate::compact::{enforce_size_bound, maybe_compact};
@@ -97,9 +97,9 @@ pub struct StoredRecord {
     pub offset: u64,
     /// Whole record length, frame included.
     pub len: u32,
-    /// The stored key tokens and run, or why the record fails its
+    /// The stored key and run, or why the record fails its
     /// checks.
-    pub content: Result<(Vec<(String, String)>, CachedRun), Corruption>,
+    pub content: Result<(RunKey, CachedRun), Corruption>,
 }
 
 /// The log-structured store: segment files, a lazily built in-memory
@@ -291,16 +291,12 @@ thread_local! {
 }
 
 impl LogStore {
-    /// The lookup path proper, with the key's fingerprint and canonical
-    /// tokens already rendered by the caller. The record is verified
+    /// The lookup path proper, with the key's fingerprint and block
+    /// already encoded by the caller. The record is verified
     /// and decoded in a single pass ([`decode_for`]): a fingerprint
     /// collision (or a record compacted to the wrong address) must
     /// never read as a hit.
-    pub(crate) fn lookup_prepared(
-        &self,
-        fp: u128,
-        tokens: &[(&'static str, &str)],
-    ) -> Option<Arc<CachedRun>> {
+    pub(crate) fn lookup_prepared(&self, fp: u128, block: &[u8]) -> Option<Arc<CachedRun>> {
         // Locate under the lock, read outside it: concurrent lookups
         // share nothing but the index probe, and each thread reads
         // through its own window.
@@ -311,7 +307,7 @@ impl LogStore {
         };
         with_window(|window| {
             let record = window.record(&at);
-            let why = match whole(record, at.loc).and_then(|()| decode_for(record, fp, tokens)) {
+            let why = match whole(record, at.loc).and_then(|()| decode_for(record, fp, block)) {
                 Ok(run) => {
                     self.hits.inc();
                     return Some(Arc::new(run));
@@ -324,18 +320,13 @@ impl LogStore {
         })
     }
 
-    /// The store path proper, with the key's fingerprint and canonical
-    /// tokens already rendered by the caller. The API is infallible: a
+    /// The store path proper, with the key's fingerprint and block
+    /// already encoded by the caller. The API is infallible: a
     /// failed append is just a future miss.
-    pub(crate) fn store_prepared(
-        &self,
-        fp: u128,
-        tokens: &[(&'static str, &str)],
-        run: &CachedRun,
-    ) {
+    pub(crate) fn store_prepared(&self, fp: u128, block: &[u8], run: &CachedRun) {
         ENCODED.with(|buf| {
             let mut record = buf.borrow_mut();
-            encode_into(&mut record, fp, tokens, run);
+            encode_into(&mut record, fp, block, run);
             if matches!(
                 self.with_inner(|inner| self.append(inner, fp, &record)),
                 Ok(Ok(()))
@@ -394,9 +385,9 @@ impl LogStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::fingerprint_tokens;
+    use crate::fingerprint::fingerprint_block;
     use adhash::HashSum;
-    use instantcheck::{CheckpointRecord, RunHashes, RunKey, Scheme};
+    use instantcheck::{CheckpointRecord, RunHashes, Scheme};
     use tsim::{CheckpointKind, SwitchPolicy};
 
     static SERIAL: AtomicU64 = AtomicU64::new(0);
@@ -450,12 +441,12 @@ mod tests {
 
     /// The prepared lookup path, keyed the way `Corpus` keys it.
     fn lookup(store: &LogStore, key: &RunKey) -> Option<Arc<CachedRun>> {
-        key.with_tokens(|tokens| store.lookup_prepared(fingerprint_tokens(tokens), tokens))
+        key.with_bytes(|block| store.lookup_prepared(fingerprint_block(block), block))
     }
 
     /// The prepared store path, keyed the way `Corpus` keys it.
     fn put(store: &LogStore, key: &RunKey, run: &CachedRun) {
-        key.with_tokens(|tokens| store.store_prepared(fingerprint_tokens(tokens), tokens, run))
+        key.with_bytes(|block| store.store_prepared(fingerprint_block(block), block, run))
     }
 
     fn open(dir: &Path) -> LogStore {
@@ -561,7 +552,7 @@ mod tests {
                 found, expected, ..
             }) => {
                 assert_eq!(found, "icorpus 1");
-                assert_eq!(expected, "icseg 3");
+                assert_eq!(expected, "icseg 4");
             }
             other => panic!("expected FormatMismatch, got {other:?}"),
         }

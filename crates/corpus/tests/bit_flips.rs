@@ -79,7 +79,7 @@ fn run(seed: u64) -> CachedRun {
 fn write_log(dir: &Path, records: &[Vec<u8>; 3], bit: Option<usize>) {
     let _ = fs::remove_dir_all(dir);
     fs::create_dir_all(dir.join("segments")).unwrap();
-    fs::write(dir.join("format"), "icseg 3\n").unwrap();
+    fs::write(dir.join("format"), "icseg 4\n").unwrap();
     let mut victim = records[1].clone();
     if let Some(bit) = bit {
         victim[bit / 8] ^= 1 << (bit % 8);

@@ -1,6 +1,7 @@
 //! Property tests of the corpus record format: encode/decode identity,
 //! fingerprints that tell apart keys a field step apart, a quarantine
-//! classification per corruption class — plus the campaign-spec codec
+//! classification per corruption class, damaged key blocks read as
+//! malformed records — plus the campaign-spec codec
 //! the same fingerprints key off: `CampaignSpec` → JSON →
 //! `CampaignSpec` is the identity, and each run-content field moves
 //! the derived `RunKey` fingerprint while campaign-shape fields
@@ -110,16 +111,10 @@ fn encode_decode_is_the_identity() {
         let key = gen_key(g);
         let run = gen_run(g);
         let bytes = encode_record(&key, &run);
-        let (tokens, decoded) = decode_record(&bytes).unwrap_or_else(|why| {
+        let (stored, decoded) = decode_record(&bytes).unwrap_or_else(|why| {
             panic!("fresh record failed to decode: {why}\n{bytes:?}");
         });
-        let expected: Vec<(String, String)> = key.with_tokens(|fields| {
-            fields
-                .iter()
-                .map(|(l, v)| ((*l).to_owned(), (*v).to_owned()))
-                .collect()
-        });
-        assert_eq!(tokens, expected, "key tokens round-trip");
+        assert_eq!(stored, key, "the key round-trips");
         // Encoding is a pure function of (key, run), so decode is the
         // identity exactly when re-encoding reproduces the bytes.
         assert_eq!(
@@ -216,6 +211,70 @@ fn every_corruption_class_is_detected_and_classified() {
                     "junk body classified as malformed"
                 );
             }
+        }
+    });
+}
+
+/// `record`'s body with its key block replaced by `block`, re-framed
+/// under the original fingerprint with a valid checksum.
+fn with_key_block(record: &[u8], block: &[u8]) -> Vec<u8> {
+    let body = &record[FRAME_LEN..];
+    let (mut len, mut at) = (0usize, 0usize);
+    loop {
+        let b = body[at];
+        len |= usize::from(b & 0x7f) << (7 * at);
+        at += 1;
+        if b & 0x80 == 0 {
+            break;
+        }
+    }
+    let mut out = Vec::new();
+    let mut n = block.len();
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+    out.extend_from_slice(block);
+    out.extend_from_slice(&body[at + len..]);
+    let fp = u128::from_le_bytes(record[..16].try_into().unwrap());
+    frame_record(fp, &out)
+}
+
+#[test]
+fn damaged_key_blocks_are_malformed_never_a_panic() {
+    check("corpus_damaged_key_blocks", 256, |g: &mut Gen| {
+        let key = gen_key(g);
+        let record = encode_record(&key, &gen_run(g));
+        let good = key.with_bytes(<[u8]>::to_vec);
+        let mut bad = good.clone();
+        match g.usize_in(0, 5) {
+            // Truncated: the fixed part or the workload id cut short.
+            0 => bad.truncate(g.usize_in(0, good.len())),
+            // An unknown tag in one of the five tag bytes.
+            1 => bad[4 + g.usize_in(0, 5)] = 0x80 | g.u32() as u8,
+            // Non-canonical: a parameter under a tag that takes none,
+            // or a trailing byte.
+            2 => {
+                bad[5] = 0;
+                bad[9] |= 1;
+            }
+            3 => bad.push(g.u32() as u8),
+            // Garbled: random bytes anywhere.
+            _ => {
+                for _ in 0..g.usize_in(1, 4) {
+                    let at = g.usize_in(0, bad.len());
+                    bad[at] = g.u32() as u8;
+                }
+            }
+        }
+        match decode_record(&with_key_block(&record, &bad)) {
+            Ok((stored, _)) => {
+                assert_eq!(bad, good, "only the intact block decodes");
+                assert_eq!(stored, key);
+            }
+            Err(Corruption::Malformed(_)) => assert_ne!(bad, good),
+            Err(other) => panic!("{bad:?}: expected Malformed, got {other:?}"),
         }
     });
 }

@@ -44,21 +44,26 @@ fn refused_marker(marker: &str) -> (String, String) {
 
 #[test]
 fn stores_of_other_formats_are_refused_with_a_typed_error() {
+    // Binary records whose keys are stored as decimal text tokens.
+    assert_eq!(
+        refused_marker("icseg 3"),
+        ("icseg 3".to_owned(), "icseg 4".to_owned())
+    );
     // Binary records addressed by the commutative field-hash sum,
     // whose addresses the ordered fingerprint no longer finds.
     assert_eq!(
         refused_marker("icseg 2"),
-        ("icseg 2".to_owned(), "icseg 3".to_owned())
+        ("icseg 2".to_owned(), "icseg 4".to_owned())
     );
     // The text-entry segment log that preceded the binary records.
     assert_eq!(
         refused_marker("icseg 1"),
-        ("icseg 1".to_owned(), "icseg 3".to_owned())
+        ("icseg 1".to_owned(), "icseg 4".to_owned())
     );
     // The one-file-per-run store before that.
     assert_eq!(
         refused_marker("icorpus 1"),
-        ("icorpus 1".to_owned(), "icseg 3".to_owned())
+        ("icorpus 1".to_owned(), "icseg 4".to_owned())
     );
 }
 

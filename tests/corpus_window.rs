@@ -172,7 +172,7 @@ fn a_flipped_record_is_quarantined_and_its_neighbours_come_from_the_same_window(
     for bit in 0..records[1].len() * 8 {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(dir.join("segments")).unwrap();
-        fs::write(dir.join("format"), "icseg 3\n").unwrap();
+        fs::write(dir.join("format"), "icseg 4\n").unwrap();
         fs::write(segment_path(&dir, 1), &sealed).unwrap();
         let corpus = open(&dir);
         // Index the clean segment first, then flip the bit under the

@@ -43,8 +43,9 @@ const MODE_ENV: &str = "ICSEG_CRASH_TEST_MODE";
 /// compaction; the engine clamps lower values to this anyway.
 const SEGMENT_BYTES: u64 = 4096;
 
-/// Records the `fill` child appends (spanning several segments).
-const FILL: u64 = 30;
+/// Records the `fill` child appends: three segments, so the second seal
+/// (`seal-pre:2`) fires.
+const FILL: u64 = 40;
 /// Distinct keys the `churn` child overwrites.
 const CHURN_KEYS: u64 = 12;
 /// Overwrite rounds in the `churn` child — enough that sealed segments
@@ -293,7 +294,7 @@ fn an_icorpus_one_file_per_run_store_is_refused_with_a_typed_error() {
             found, expected, ..
         }) => {
             assert_eq!(found, "icorpus 1");
-            assert_eq!(expected, "icseg 3");
+            assert_eq!(expected, "icseg 4");
         }
         Ok(_) => panic!("an icorpus store must not open as a log store"),
         Err(other) => panic!("expected FormatMismatch, got {other}"),

@@ -255,12 +255,15 @@ fn live_scraping_telemetry_leaves_artifacts_byte_identical() {
         let addr = server.local_addr();
 
         // The scraper hammers every endpoint until the drain is done.
+        // It signals after its first full round, and the batch is only
+        // submitted then, so it scrapes however fast the drain is.
         let stop = Arc::new(AtomicBool::new(false));
+        let (ready_tx, ready) = std::sync::mpsc::channel();
         let scraper = {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut scrapes = 0usize;
-                while !stop.load(Ordering::SeqCst) {
+                loop {
                     for path in ["/status", "/metrics", "/profile"] {
                         let reply = get(addr, path);
                         assert!(
@@ -270,11 +273,16 @@ fn live_scraping_telemetry_leaves_artifacts_byte_identical() {
                         );
                         scrapes += 1;
                     }
+                    let _ = ready_tx.send(());
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 }
                 scrapes
             })
         };
+        ready.recv().expect("the scraper finishes its first round");
 
         for sub in subs.clone() {
             assert_eq!(svc.submit(sub).1, Disposition::Enqueued);

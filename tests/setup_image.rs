@@ -62,14 +62,12 @@ struct Recorder {
 /// The key's fields as `label=value;`, in label order — the form the
 /// digests below fold.
 fn canonical(key: &RunKey) -> String {
-    key.with_tokens(|fields| {
-        let mut fields = fields.to_vec();
-        fields.sort_by_key(|(label, _)| *label);
-        fields
-            .iter()
-            .map(|(label, value)| format!("{label}={value};"))
-            .collect()
-    })
+    let mut fields = key.tokens();
+    fields.sort_by_key(|(label, _)| *label);
+    fields
+        .iter()
+        .map(|(label, value)| format!("{label}={value};"))
+        .collect()
 }
 
 impl RunCache for Recorder {
