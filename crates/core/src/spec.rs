@@ -269,20 +269,37 @@ pub(crate) struct RunKeyTemplate {
 }
 
 impl RunKeyTemplate {
+    /// A key of this campaign for one worker to rewrite per attempt.
+    pub(crate) fn worker(&self) -> WorkerKey<'_> {
+        WorkerKey {
+            template: self,
+            key: self.base.clone(),
+        }
+    }
+}
+
+/// One worker's run key: the template's campaign-wide fields, cloned
+/// once, with the per-attempt fields rewritten in place for each
+/// attempt the worker makes.
+#[derive(Debug)]
+pub(crate) struct WorkerKey<'t> {
+    template: &'t RunKeyTemplate,
+    key: RunKey,
+}
+
+impl WorkerKey<'_> {
     /// The key of slot `slot` under scheduler seed `seed` and
     /// allocator provenance `alloc_seed`.
-    pub(crate) fn key(&self, slot: usize, seed: u64, alloc_seed: Option<u64>) -> RunKey {
-        let fault_token = self
+    pub(crate) fn at(&mut self, slot: usize, seed: u64, alloc_seed: Option<u64>) -> &RunKey {
+        self.key.seed = seed;
+        self.key.alloc_seed = alloc_seed;
+        self.key.fault_token = self
+            .template
             .fault_tokens
             .iter()
             .find(|(s, _)| *s == slot)
             .map_or(0, |(_, token)| *token);
-        RunKey {
-            seed,
-            alloc_seed,
-            fault_token,
-            ..self.base.clone()
-        }
+        &self.key
     }
 }
 
@@ -353,7 +370,10 @@ impl CampaignSpec {
     /// and how fast, not what an attempt computes.
     #[must_use]
     pub fn run_key(&self, slot: usize, seed: u64, alloc_seed: Option<u64>) -> RunKey {
-        self.key_template().key(slot, seed, alloc_seed)
+        self.key_template()
+            .worker()
+            .at(slot, seed, alloc_seed)
+            .clone()
     }
 
     /// Everything campaign-wide in this spec's run keys, rendered once.

@@ -17,8 +17,10 @@
 //!   quarantine, and the file is truncated back to its last whole
 //!   record. Records before the tear are untouched.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
+use std::hash::{BuildHasher, Hasher};
 use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -67,6 +69,71 @@ impl CrashPoints {
             Some((p, n)) if p == name => self.hits.fetch_add(1, Ordering::Relaxed) + 1 == *n,
             _ => false,
         }
+    }
+}
+
+/// The index's hasher builder: a folded 64×64→128 multiply of the
+/// fingerprint's two halves under a random per-store key. Fingerprints
+/// are already uniform hashes of the key block, so one multiply mixes
+/// enough; SipHash would cost three times as much per probe. The key
+/// stays secret and per store (drawn from [`RandomState`]) because the
+/// fingerprinted fields come from clients: without it, chosen keys
+/// could pile into one bucket.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FpKeys {
+    k0: u64,
+    k1: u64,
+}
+
+impl FpKeys {
+    /// Fresh random keys.
+    pub(crate) fn new() -> FpKeys {
+        let seeds = RandomState::new();
+        FpKeys {
+            k0: seeds.hash_one(0u8),
+            k1: seeds.hash_one(1u8),
+        }
+    }
+}
+
+impl BuildHasher for FpKeys {
+    type Hasher = FpHasher;
+
+    fn build_hasher(&self) -> FpHasher {
+        FpHasher {
+            keys: *self,
+            hash: 0,
+        }
+    }
+}
+
+/// The hasher [`FpKeys`] builds. A `u128` key is one
+/// [`write_u128`](Hasher::write_u128); other input is folded in
+/// 16-byte words.
+#[derive(Debug)]
+pub(crate) struct FpHasher {
+    keys: FpKeys,
+    hash: u64,
+}
+
+impl Hasher for FpHasher {
+    fn write_u128(&mut self, word: u128) {
+        let a = self.hash ^ word as u64 ^ self.keys.k0;
+        let b = (word >> 64) as u64 ^ self.keys.k1;
+        let product = u128::from(a) * u128::from(b);
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(16) {
+            let mut word = [0u8; 16];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u128(u128::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -140,7 +207,7 @@ pub(crate) struct TornTail {
 pub(crate) struct LogInner {
     segments_dir: PathBuf,
     /// fingerprint → live record location.
-    pub map: HashMap<u128, RecordLoc>,
+    pub map: HashMap<u128, RecordLoc, FpKeys>,
     /// Segment table in id (= age) order.
     pub segments: BTreeMap<u64, SegmentInfo>,
     /// Id of the active segment.
@@ -164,7 +231,7 @@ impl LogInner {
 
         let mut inner = LogInner {
             segments_dir: segments_dir.to_path_buf(),
-            map: HashMap::new(),
+            map: HashMap::with_hasher(FpKeys::new()),
             segments: BTreeMap::new(),
             active: 0,
         };
@@ -376,7 +443,7 @@ impl LogInner {
 /// Indexes one scanned record of segment `id`, superseding any earlier
 /// record with the same fingerprint ("later wins").
 fn index_record(
-    map: &mut HashMap<u128, RecordLoc>,
+    map: &mut HashMap<u128, RecordLoc, FpKeys>,
     segments: &mut BTreeMap<u64, SegmentInfo>,
     info: &mut SegmentInfo,
     id: u64,
@@ -404,4 +471,118 @@ fn index_record(
 /// `format` marker contents of an `icseg` store.
 pub(crate) fn format_marker() -> String {
     format!("{SEGMENT_MAGIC} {}\n", crate::segment::SEGMENT_VERSION)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+    use std::path::PathBuf;
+
+    use super::*;
+    use crate::record::{frame_record, MIN_BODY_LEN};
+
+    /// A fresh segments directory, removed on drop.
+    struct TempSegments(PathBuf);
+
+    impl TempSegments {
+        fn new(tag: &str) -> TempSegments {
+            let dir = std::env::temp_dir().join(format!(
+                "corpus-index-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            TempSegments(dir)
+        }
+    }
+
+    impl Drop for TempSegments {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn no_crash() -> CrashPoints {
+        CrashPoints {
+            point: None,
+            hits: AtomicU64::new(0),
+        }
+    }
+
+    fn open(dir: &TempSegments) -> LogInner {
+        let (inner, torn) = LogInner::open(&dir.0).unwrap();
+        assert!(torn.is_empty());
+        inner
+    }
+
+    /// The index's live set: fingerprint → (segment, offset, length).
+    fn live_set(inner: &LogInner) -> BTreeMap<u128, (u64, u64, u32)> {
+        inner
+            .map
+            .iter()
+            .map(|(&fp, loc)| (fp, (loc.seg, loc.offset, loc.len)))
+            .collect()
+    }
+
+    #[test]
+    fn two_stores_key_the_index_differently() {
+        let (a, b) = (TempSegments::new("key-a"), TempSegments::new("key-b"));
+        let (a, b) = (open(&a), open(&b));
+        let fp = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210u128;
+        assert_ne!(a.map.hasher().hash_one(fp), b.map.hasher().hash_one(fp));
+    }
+
+    /// Fingerprint sets a weak mix would send to one bucket: 4,096
+    /// sharing their low 64 bits, and 4,096 sharing `lo ^ hi`. Each
+    /// indexes, looks up, hashes without a collision, and rebuilds
+    /// into the same live set from a log of 16 KiB segments.
+    #[test]
+    fn degenerate_fingerprint_sets_index_look_up_and_rebuild() {
+        const N: u64 = 4096;
+        let spread = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let same_lo: Vec<u128> = (0..N)
+            .map(|i| u128::from(spread(i + 1)) << 64 | 0x5555_aaaa_5555_aaaa)
+            .collect();
+        let same_xor: Vec<u128> = (0..N)
+            .map(|i| {
+                let lo = spread(i + 1);
+                u128::from(lo ^ 0x0f0f_0f0f_0f0f_0f0f) << 64 | u128::from(lo)
+            })
+            .collect();
+        let body = vec![7u8; MIN_BODY_LEN];
+        for (name, fps) in [("same-lo", same_lo), ("same-xor", same_xor)] {
+            let dir = TempSegments::new(name);
+            let mut inner = open(&dir);
+            for &fp in &fps {
+                inner
+                    .append(fp, &frame_record(fp, &body), 16 * 1024, &no_crash())
+                    .unwrap();
+            }
+            assert_eq!(inner.live_records(), N as usize, "{name}");
+            assert!(inner.segments.len() > 1, "{name}: the log must rotate");
+            for &fp in &fps {
+                let at = inner
+                    .locate(fp)
+                    .unwrap_or_else(|| panic!("{name}: {fp:#x}"));
+                assert_eq!(
+                    u64::from(at.loc.len),
+                    (crate::record::FRAME_LEN + body.len()) as u64
+                );
+            }
+            let hashes: HashSet<u64> = fps
+                .iter()
+                .map(|&fp| inner.map.hasher().hash_one(fp))
+                .collect();
+            assert_eq!(
+                hashes.len(),
+                N as usize,
+                "{name}: the mix collapsed fingerprints"
+            );
+            let before = live_set(&inner);
+            drop(inner);
+            let rebuilt = open(&dir);
+            assert_eq!(live_set(&rebuilt), before, "{name}");
+        }
+    }
 }

@@ -397,9 +397,19 @@ impl SharedCache {
     fn probe(&self, lo: u64, hi: u64, claim: bool, wait: bool) -> Found<'_> {
         let t = &self.tallies;
         t.probes.fetch_add(1, Ordering::Relaxed);
+        let (found, steps) = self.probe_sequence(lo, hi, claim, wait);
+        t.probe_steps.fetch_add(steps, Ordering::Relaxed);
+        found
+    }
+
+    /// [`probe`](Self::probe)'s sequence: what it found, and how many
+    /// slots it examined, so the tally takes one add per sequence.
+    fn probe_sequence(&self, lo: u64, hi: u64, claim: bool, wait: bool) -> (Found<'_>, u64) {
+        let t = &self.tallies;
         let start = (lo ^ hi) as usize & self.mask;
-        for i in 0..PROBE_LIMIT.min(self.slots.len()) {
-            t.probe_steps.fetch_add(1, Ordering::Relaxed);
+        let limit = PROBE_LIMIT.min(self.slots.len());
+        for i in 0..limit {
+            let steps = i as u64 + 1;
             let slot = &self.slots[(start + i) & self.mask];
             loop {
                 match slot.state.load(Ordering::Acquire) {
@@ -407,16 +417,16 @@ impl SharedCache {
                         if !claim {
                             // An empty slot proves the key is nowhere
                             // in its probe sequence.
-                            return Found::Absent;
+                            return (Found::Absent, steps);
                         }
                         if self.occupied.load(Ordering::Relaxed) >= insert_cap(self.slots.len()) {
                             // Insertion cap: the key is absent and may
                             // not claim a slot — an arena-full fallback.
                             t.arena_full.fetch_add(1, Ordering::Relaxed);
-                            return Found::Absent;
+                            return (Found::Absent, steps);
                         }
                         match self.claim_slot(slot, lo, hi) {
-                            true => return Found::Claimed(slot),
+                            true => return (Found::Claimed(slot), steps),
                             false => {
                                 // Lost the empty-CAS; re-examine the
                                 // slot under its new owner.
@@ -440,7 +450,7 @@ impl SharedCache {
                             break; // other key's slot — next probe step
                         }
                         match state {
-                            PUBLISHED => return Found::Slot(slot, PUBLISHED),
+                            PUBLISHED => return (Found::Slot(slot, PUBLISHED), steps),
                             ABANDONED if claim => {
                                 if slot
                                     .state
@@ -452,24 +462,24 @@ impl SharedCache {
                                     )
                                     .is_ok()
                                 {
-                                    return Found::Claimed(slot);
+                                    return (Found::Claimed(slot), steps);
                                 }
                                 t.cas_retries.fetch_add(1, Ordering::Relaxed);
                                 continue;
                             }
-                            ABANDONED => return Found::Slot(slot, ABANDONED),
+                            ABANDONED => return (Found::Slot(slot, ABANDONED), steps),
                             CLAIMED if wait => {
                                 self.wait_for_publication(slot);
                                 continue;
                             }
-                            _ => return Found::Slot(slot, CLAIMED),
+                            _ => return (Found::Slot(slot, CLAIMED), steps),
                         }
                     }
                 }
             }
         }
         t.arena_full.fetch_add(1, Ordering::Relaxed);
-        Found::Absent
+        (Found::Absent, limit as u64)
     }
 
     /// CAS-claims an empty slot and freezes the fingerprint tags.
@@ -1019,6 +1029,34 @@ mod tests {
             CacheLease::Hit(hit) => assert!(hit.sim_trace.is_some(), "upgrade visible"),
             CacheLease::Compute { .. } => panic!("published entry must hit"),
         }
+    }
+
+    /// Ten fingerprints share one home slot, so the k-th (from 0)
+    /// sits k slots down the cluster: its claim, its publication and
+    /// its hit each examine k + 1 slots, and a miss for an eleventh
+    /// examines all ten plus the empty slot that ends the cluster.
+    #[test]
+    fn probe_steps_sum_the_probe_lengths_of_a_cluster() {
+        const N: u64 = 10;
+        let cache = SharedCache::new(64, None);
+        let fp = |k: u64| u128::from(k * 64 + 5);
+        for k in 0..N {
+            assert!(matches!(
+                cache.find_or_claim(fp(k), || None),
+                CacheLease::Compute { claimed: true }
+            ));
+            cache.publish(fp(k), &run(k));
+        }
+        for k in 0..N {
+            assert!(matches!(
+                cache.find_or_claim(fp(k), || None),
+                CacheLease::Hit(_)
+            ));
+        }
+        cache.abandon(fp(N));
+        let lengths: u64 = (0..N).map(|k| 3 * (k + 1)).sum::<u64>() + N + 1;
+        let stats = cache.stats();
+        assert_eq!((stats.probes, stats.probe_steps), (3 * N + 1, lengths));
     }
 
     #[test]

@@ -55,13 +55,31 @@ impl Default for Histogram {
     }
 }
 
+/// The bucket `value` lands in: its bit length (see [`BUCKETS`]).
+pub const fn bucket(value: u64) -> usize {
+    (64 - value.leading_zeros()) as usize
+}
+
 impl Histogram {
     /// Records one observation.
     pub fn record(&self, value: u64) {
-        let idx = (64 - value.leading_zeros()) as usize;
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Adds observations tallied elsewhere in plain integers: `count`
+    /// of them summing to `sum`, `buckets[i]` of them in bucket `i`
+    /// (see [`bucket`]). Equal to recording each one, at one atomic
+    /// add per nonzero bucket.
+    pub fn add_totals(&self, count: u64, sum: u64, buckets: &[u64; BUCKETS]) {
+        for (cell, &n) in self.buckets.iter().zip(buckets) {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the histogram state.
@@ -325,6 +343,22 @@ mod tests {
         assert_eq!(s.buckets[2], 2);
         assert_eq!(s.buckets[11], 1);
         assert!((s.mean() - 206.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn added_totals_equal_the_recorded_observations() {
+        let values = [0u64, 1, 3, 3, 1024, u64::MAX >> 1];
+        let recorded = Histogram::default();
+        let mut buckets = [0u64; BUCKETS];
+        for v in values {
+            recorded.record(v);
+            buckets[bucket(v)] += 1;
+        }
+        let added = Histogram::default();
+        added.record(7);
+        added.add_totals(values.len() as u64, values.iter().sum(), &buckets);
+        recorded.record(7);
+        assert_eq!(added.snapshot(), recorded.snapshot());
     }
 
     #[test]
