@@ -8,7 +8,7 @@
 //! ```
 
 fn main() {
-    let sa = instantcheck_bench::HarnessOpts::from_args(instantcheck_bench::cli::SPEC_FLAGS);
+    let sa = instantcheck_bench::HarnessOpts::from_args(&[instantcheck_bench::cli::SPEC_FLAGS]);
     if sa.spec.workload.is_empty() {
         eprintln!("note: no --workload set; the spec is a template");
     }

@@ -24,11 +24,12 @@
 //! checkpoints, alloc-log and trace lengths — the human view of the
 //! binary on-disk records.
 //!
-//! Campaign shape comes from the shared spec flags (`bench::cli`), so
-//! `--runs`/`--seed`/`--jobs`/`--scheme`/`--spec FILE` — and the
-//! storage flags `--corpus-dir`/`--corpus-segment-bytes`/
-//! `--corpus-max-bytes`/`--corpus-cache-slots` — mean exactly what
-//! they mean to every other harness binary and to `icd`. Without
+//! The campaign comes from the shared spec flags (`bench::cli`), so
+//! `--runs`/`--seed`/`--jobs`/`--scheme`/`--spec FILE` mean exactly
+//! what they mean to every other harness binary. The store comes from
+//! the shared storage flags `--corpus-dir`/`--corpus-segment-bytes`/
+//! `--corpus-max-bytes`/`--corpus-cache-slots`, parsed by the same
+//! code as every campaign binary's and `icd`'s; without
 //! `--corpus-dir`, the store lives at `results/corpus`.
 
 use std::io::Write;
@@ -60,13 +61,18 @@ fn usage() -> ! {
 }
 
 fn parse_cli() -> Cli {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command = String::new();
     let mut app = String::new();
     let mut require_hits = false;
-    // The subcommand and `--app` are checked before `--corpus-dir` is
-    // opened, so a usage error creates no store.
-    let sa = cli::parse(&args, cli::SPEC_FLAGS, |rest| {
+    // The store defaults to `results/corpus`: a later `--corpus-dir`
+    // overrides this one. The subcommand and `--app` are checked before
+    // the store is opened, so a usage error creates none.
+    let args: Vec<String> = ["--corpus-dir", "results/corpus"]
+        .into_iter()
+        .map(str::to_owned)
+        .chain(std::env::args().skip(1))
+        .collect();
+    let sa = cli::parse(&args, &[cli::SPEC_FLAGS, cli::STORAGE_FLAGS], |rest| {
         let mut i = 0;
         while i < rest.len() {
             let value = |i: &mut usize| -> String {
@@ -92,25 +98,7 @@ fn parse_cli() -> Cli {
     });
     let mut spec = sa.spec;
     spec.workload = format!("{app}:{}", if sa.scaled { "scaled" } else { "full" });
-    // Without `--corpus-dir` the store defaults to `results/corpus`,
-    // opened through `cli::open_corpus` like the shared flag's, so the
-    // sizing flags apply either way.
-    let corpus = match &sa.corpus {
-        Some(corpus) => Arc::clone(corpus),
-        None => match cli::open_corpus(
-            "results/corpus",
-            spec.corpus_segment_bytes,
-            spec.corpus_max_bytes,
-            spec.corpus_cache_slots,
-        ) {
-            Ok(c) => Arc::new(c),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
-    };
-    spec.corpus_dir = Some(corpus.dir().to_string_lossy().into_owned());
+    let corpus = sa.corpus.expect("the store has a default directory");
     Cli {
         command,
         app,

@@ -6,7 +6,7 @@
 use instantcheck_bench::{fig6, render_fig6, HarnessOpts, Reporter};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&["--seed", "--scaled"]);
+    let opts = HarnessOpts::from_args(&[&["--seed", "--scaled"]]);
     let r = Reporter::new("fig6");
     r.progress("Figure 6: measuring the four configurations per app…");
     let (rows, geom, deletion) = fig6(&opts);

@@ -54,7 +54,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use corpus::Corpus;
-use instantcheck_bench::cli::open_corpus;
+use instantcheck_bench::cli;
 use obs::Heartbeat;
 use sched::{
     CampaignStatus, HttpOptions, HttpServer, Orchestrator, OrchestratorConfig, ProgramSource,
@@ -63,10 +63,8 @@ use sched::{
 
 struct IcdCli {
     config: OrchestratorConfig,
-    corpus_dir: Option<String>,
-    corpus_segment_bytes: Option<u64>,
-    corpus_max_bytes: Option<u64>,
-    corpus_cache_slots: Option<u64>,
+    /// The shared run corpus the storage flags opened.
+    corpus: Option<Arc<Corpus>>,
     out: String,
     batch: Option<String>,
     socket: Option<String>,
@@ -90,14 +88,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Parses the command line. `--trace` and the storage flags go through
+/// the harness parser (`cli::parse`), which opens the corpus once every
+/// other flag has been vetted; the daemon's own flags are the rest.
 fn parse_cli() -> IcdCli {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cli = IcdCli {
         config: OrchestratorConfig::default(),
-        corpus_dir: None,
-        corpus_segment_bytes: None,
-        corpus_max_bytes: None,
-        corpus_cache_slots: None,
+        corpus: None,
         out: "results/icd".to_owned(),
         batch: None,
         socket: None,
@@ -106,42 +104,54 @@ fn parse_cli() -> IcdCli {
         http: None,
         heartbeat: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        let num = |i: &mut usize| -> u64 { value(i).parse().unwrap_or_else(|_| usage()) };
-        match args[i].as_str() {
-            "--width" => cli.config.width = num(&mut i) as usize,
-            "--queue-cap" => cli.config.queue_capacity = num(&mut i) as usize,
-            "--budget" => cli.config.job_budget = num(&mut i) as usize,
-            "--trace" => cli.config.trace = true,
-            "--tenant-quota" => cli.config.tenant_quota = Some(num(&mut i)),
-            "--idle-timeout-ms" => {
-                cli.daemon.idle_timeout = Duration::from_millis(num(&mut i).max(1));
+    let own_flags = |rest: &[String]| {
+        let mut i = 0;
+        while i < rest.len() {
+            let value = |i: &mut usize| -> String {
+                *i += 1;
+                rest.get(*i).cloned().unwrap_or_else(|| usage())
+            };
+            let num = |i: &mut usize| -> u64 { value(i).parse().unwrap_or_else(|_| usage()) };
+            match rest[i].as_str() {
+                "--width" => cli.config.width = num(&mut i) as usize,
+                "--queue-cap" => cli.config.queue_capacity = num(&mut i) as usize,
+                "--budget" => cli.config.job_budget = num(&mut i) as usize,
+                "--tenant-quota" => cli.config.tenant_quota = Some(num(&mut i)),
+                "--idle-timeout-ms" => {
+                    cli.daemon.idle_timeout = Duration::from_millis(num(&mut i).max(1));
+                }
+                "--max-bad-lines" => cli.daemon.max_bad_lines = num(&mut i) as usize,
+                "--out" => cli.out = value(&mut i),
+                "--batch" => cli.batch = Some(value(&mut i)),
+                "--socket" => cli.socket = Some(value(&mut i)),
+                "--connect" => cli.connect = Some(value(&mut i)),
+                "--http" => cli.http = Some(value(&mut i)),
+                "--heartbeat-ms" => {
+                    cli.heartbeat = Some(Duration::from_millis(num(&mut i).max(1)));
+                }
+                other => return Err(format!("unknown argument {other}")),
             }
-            "--max-bad-lines" => cli.daemon.max_bad_lines = num(&mut i) as usize,
-            "--corpus-dir" => cli.corpus_dir = Some(value(&mut i)),
-            "--corpus-segment-bytes" => cli.corpus_segment_bytes = Some(num(&mut i)),
-            "--corpus-max-bytes" => cli.corpus_max_bytes = Some(num(&mut i)),
-            "--corpus-cache-slots" => cli.corpus_cache_slots = Some(num(&mut i)),
-            "--out" => cli.out = value(&mut i),
-            "--batch" => cli.batch = Some(value(&mut i)),
-            "--socket" => cli.socket = Some(value(&mut i)),
-            "--connect" => cli.connect = Some(value(&mut i)),
-            "--http" => cli.http = Some(value(&mut i)),
-            "--heartbeat-ms" => {
-                cli.heartbeat = Some(Duration::from_millis(num(&mut i).max(1)));
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                usage();
-            }
+            i += 1;
         }
-        i += 1;
-    }
+        // Checked before the corpus opens: a client uses none, so a
+        // storage flag there would create a directory for nothing.
+        match args
+            .iter()
+            .find(|a| cli::STORAGE_FLAGS.contains(&a.as_str()))
+        {
+            Some(flag) if cli.connect.is_some() => {
+                Err(format!("{flag}: a --connect client opens no corpus"))
+            }
+            _ => Ok(()),
+        }
+    };
+    let sa =
+        cli::parse(&args, &[cli::STORAGE_FLAGS, &["--trace"]], own_flags).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            usage();
+        });
+    cli.config.trace = sa.trace;
+    cli.corpus = sa.corpus;
     cli
 }
 
@@ -281,22 +291,10 @@ fn run_daemon(cli: &IcdCli) -> Result<bool, String> {
     let out_dir = PathBuf::from(&cli.out);
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
-    let corpus: Option<Arc<Corpus>> = match &cli.corpus_dir {
-        Some(dir) => Some(Arc::new(
-            open_corpus(
-                dir,
-                cli.corpus_segment_bytes,
-                cli.corpus_max_bytes,
-                cli.corpus_cache_slots,
-            )
-            .map_err(|e| e.to_string())?,
-        )),
-        None => None,
-    };
     let svc = Arc::new(Service::new(Orchestrator::new(
         cli.config.clone(),
         resolver(),
-        corpus.clone(),
+        cli.corpus.clone(),
     )));
 
     // The wall-clock telemetry plane: read-only, so it starts before
@@ -370,7 +368,7 @@ fn run_daemon(cli: &IcdCli) -> Result<bool, String> {
         results.len(),
         results.iter().filter(|r| r.shed.is_some()).count(),
     );
-    if let Some(corpus) = &corpus {
+    if let Some(corpus) = &cli.corpus {
         eprintln!(
             "icd: corpus {} hits / {} misses / {} stores",
             corpus.hits(),

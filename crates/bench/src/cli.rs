@@ -2,27 +2,28 @@
 //!
 //! Every harness binary parses its command line with [`parse`] into
 //! one [`HarnessOpts`]: a [`CampaignSpec`] plus the harness-only
-//! switches. Each flag (`--runs`, `--seed`, `--switch`, …) sets one spec
-//! field, and `--spec FILE` loads a full serialized spec — the same JSON
-//! the `icd` orchestrator accepts — which individual flags may then
-//! override. Binaries build their checker configs from that spec with
-//! `CheckerConfig::from_spec`, so no flag is parsed and then dropped.
+//! switches and the opened corpus. Each spec flag (`--runs`, `--seed`,
+//! `--switch`, …) sets one spec field, and `--spec FILE` loads a full
+//! serialized spec — the same JSON the `icd` orchestrator accepts —
+//! which individual flags may then override. Binaries build their
+//! checker configs from that spec with `CheckerConfig::from_spec`, so
+//! no flag is parsed and then dropped. The storage flags
+//! (`--corpus-*`) are a deployment setting, not part of the spec: they
+//! only say which corpus [`parse`] opens.
 
 use std::sync::Arc;
 
-use corpus::{Corpus, CorpusError, CorpusOptions};
+use corpus::CorpusOptions;
 use instantcheck::{parse_rounding, parse_switch, CampaignSpec, FailurePolicy, Scheme};
 
 use crate::HarnessOpts;
 
 /// Every spec flag [`parse`] recognizes: `--spec FILE`, `--workload ID`,
-/// `--scheme S` (lenient: `hw-inc`, `SwTr`, …), `--scaled`, `--runs N`,
-/// `--seed N`, `--lib-seed N`, `--switch TOKEN`, `--rounding TOKEN`,
-/// `--policy P` (`abort`/`skip`/`retry`), `--max-steps N`, `--jobs N`,
-/// `--cache-model`, `--trace`, `--corpus-dir DIR`,
-/// `--corpus-segment-bytes N`, `--corpus-max-bytes N` and
-/// `--corpus-cache-slots N`. The read-set of a campaign binary, which
-/// runs its spec as is.
+/// `--scheme S` (lenient: `hw-inc`, `SwTr`, …), `--scaled`, `--trace`,
+/// `--cache-model`, `--runs N`, `--seed N`, `--lib-seed N`,
+/// `--switch TOKEN`, `--rounding TOKEN`, `--policy P`
+/// (`abort`/`skip`/`retry`), `--max-steps N` and `--jobs N`. The
+/// read-set of a binary that only describes a campaign (`make_spec`).
 pub const SPEC_FLAGS: &[&str] = &[
     "--spec",
     "--workload",
@@ -38,6 +39,14 @@ pub const SPEC_FLAGS: &[&str] = &[
     "--policy",
     "--max-steps",
     "--jobs",
+];
+
+/// The storage flags [`parse`] recognizes: `--corpus-dir DIR` names the
+/// corpus [`parse`] opens (or creates), and `--corpus-segment-bytes N`,
+/// `--corpus-max-bytes N` and `--corpus-cache-slots N` size it. A
+/// campaign binary reads these and [`SPEC_FLAGS`]; `icd` reads these
+/// and `--trace`.
+pub const STORAGE_FLAGS: &[&str] = &[
     "--corpus-dir",
     "--corpus-segment-bytes",
     "--corpus-max-bytes",
@@ -46,11 +55,12 @@ pub const SPEC_FLAGS: &[&str] = &[
 
 /// Parses the spec flags out of `args` (exclusive of `argv[0]`).
 ///
-/// `reads` is the binary's read-set: a spec flag outside it is an error
+/// `reads` is the binary's read-set, given as a list of flag sets: a
+/// flag of [`SPEC_FLAGS`] or [`STORAGE_FLAGS`] outside it is an error
 /// naming it, not a setting that silently changes nothing. Anything
-/// that is not a spec flag lands in [`HarnessOpts::rest`], in order,
-/// and `check_rest` vets it. Both checks run before the corpus at
-/// `--corpus-dir` is opened, so a usage error leaves no store behind.
+/// else lands in [`HarnessOpts::rest`], in order, and `check_rest`
+/// vets it. Both checks run before the corpus at `--corpus-dir` is
+/// opened, so a usage error leaves no store behind.
 /// (`--workload` matters for spec authoring; the table/figure binaries
 /// key their corpus entries per app.)
 ///
@@ -65,7 +75,7 @@ pub const SPEC_FLAGS: &[&str] = &[
 /// or corpus directory), or `check_rest`'s.
 pub fn parse(
     args: &[String],
-    reads: &[&str],
+    reads: &[&[&str]],
     check_rest: impl FnOnce(&[String]) -> Result<(), String>,
 ) -> Result<HarnessOpts, String> {
     let mut spec_file: Option<String> = None;
@@ -85,7 +95,7 @@ pub fn parse(
     let mut corpus_dir: Option<String> = None;
     let mut corpus_segment_bytes: Option<u64> = None;
     let mut corpus_max_bytes: Option<u64> = None;
-    let mut corpus_cache_slots: Option<u64> = None;
+    let mut corpus_cache_slots: Option<usize> = None;
     let mut rest = Vec::new();
 
     let mut i = 0;
@@ -125,10 +135,10 @@ pub fn parse(
                 continue;
             }
         }
-        if !reads.contains(&flag) {
-            let read = match reads {
-                [] => "no spec flag".to_owned(),
-                _ => reads.join(", "),
+        if !reads.iter().any(|set| set.contains(&flag)) {
+            let read = match reads.concat() {
+                read if read.is_empty() => "no spec flag".to_owned(),
+                read => read.join(", "),
             };
             return Err(format!(
                 "{flag}: this binary does not read it (it reads {read})"
@@ -182,34 +192,34 @@ pub fn parse(
         spec.policy = resolve_policy(name, spec.runs)?;
     }
 
-    // Storage placement: flags override what the spec file carried,
-    // and whatever wins is echoed back into the spec's shape-only
-    // fields (never the run key).
-    if let Some(dir) = corpus_dir {
-        spec.corpus_dir = Some(dir);
-    }
-    if let Some(n) = corpus_segment_bytes {
-        spec.corpus_segment_bytes = Some(n);
-    }
-    if let Some(n) = corpus_max_bytes {
-        spec.corpus_max_bytes = Some(n);
-    }
-    if let Some(n) = corpus_cache_slots {
-        spec.corpus_cache_slots = Some(n);
-    }
     // Every usage error is reported before the store is created.
     check_rest(&rest)?;
-    let corpus = match &spec.corpus_dir {
-        Some(dir) => Some(Arc::new(
-            open_corpus(
-                dir,
-                spec.corpus_segment_bytes,
-                spec.corpus_max_bytes,
-                spec.corpus_cache_slots,
-            )
-            .map_err(|e| e.to_string())?,
-        )),
-        None => None,
+    let corpus = match corpus_dir {
+        Some(dir) => {
+            let mut options = CorpusOptions::at(dir);
+            if let Some(n) = corpus_segment_bytes {
+                options = options.segment_bytes(n);
+            }
+            if let Some(n) = corpus_max_bytes {
+                options = options.max_bytes(n);
+            }
+            if let Some(n) = corpus_cache_slots {
+                options = options.cache_slots(n);
+            }
+            Some(Arc::new(options.open().map_err(|e| e.to_string())?))
+        }
+        None => {
+            // A size for no store would be parsed and then dropped.
+            let sizing = [
+                ("--corpus-segment-bytes", corpus_segment_bytes.is_some()),
+                ("--corpus-max-bytes", corpus_max_bytes.is_some()),
+                ("--corpus-cache-slots", corpus_cache_slots.is_some()),
+            ];
+            if let Some((flag, _)) = sizing.iter().find(|(_, set)| *set) {
+                return Err(format!("{flag}: sizes a corpus, so it needs --corpus-dir"));
+            }
+            None
+        }
     };
 
     Ok(HarnessOpts {
@@ -219,33 +229,6 @@ pub fn parse(
         corpus,
         rest,
     })
-}
-
-/// Opens (or creates) the corpus the storage flags describe: the
-/// `--corpus-dir` directory, sized by `--corpus-segment-bytes`,
-/// `--corpus-max-bytes` and `--corpus-cache-slots` where given. Every
-/// binary with storage flags opens its corpus here.
-///
-/// # Errors
-///
-/// The corpus could not be opened.
-pub fn open_corpus(
-    dir: &str,
-    segment_bytes: Option<u64>,
-    max_bytes: Option<u64>,
-    cache_slots: Option<u64>,
-) -> Result<Corpus, CorpusError> {
-    let mut options = CorpusOptions::at(dir);
-    if let Some(n) = segment_bytes {
-        options = options.segment_bytes(n);
-    }
-    if let Some(n) = max_bytes {
-        options = options.max_bytes(n);
-    }
-    if let Some(n) = cache_slots {
-        options = options.cache_slots(n as usize);
-    }
-    options.open()
 }
 
 /// Resolves a `--policy` name against the campaign's final run count
@@ -280,7 +263,7 @@ mod tests {
 
     fn parse(args: &[&str]) -> HarnessOpts {
         let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        super::parse(&args, SPEC_FLAGS, |_| Ok(())).unwrap()
+        super::parse(&args, &[SPEC_FLAGS, STORAGE_FLAGS], |_| Ok(())).unwrap()
     }
 
     #[test]
@@ -363,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn corpus_flags_open_the_store_and_land_in_the_spec_shape() {
+    fn corpus_flags_open_the_store_and_leave_the_spec_alone() {
         let dir = std::env::temp_dir().join(format!("icd-cli-corpus-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let dir_s = dir.to_string_lossy().into_owned();
@@ -378,13 +361,10 @@ mod tests {
             "--corpus-cache-slots",
             "128",
         ]);
-        assert_eq!(sa.spec.corpus_dir.as_deref(), Some(dir_s.as_str()));
-        assert_eq!(sa.spec.corpus_segment_bytes, Some(65536));
-        assert_eq!(sa.spec.corpus_max_bytes, Some(1048576));
-        assert_eq!(sa.spec.corpus_cache_slots, Some(128));
+        assert_eq!(sa.spec, CampaignSpec::new("", Scheme::HwInc));
         let corpus = sa.corpus.expect("corpus opened");
         assert_eq!(corpus.dir(), dir.as_path());
-        assert_eq!(corpus.cache_capacity(), 128);
+        assert_eq!(corpus.cache_stats().capacity, 128);
 
         // The run key ignores storage placement entirely.
         let keyed = parse(&["--corpus-dir", &dir_s]).spec.run_key(0, 1, None);
@@ -394,10 +374,36 @@ mod tests {
     }
 
     #[test]
+    fn a_spec_only_binary_refuses_storage_flags_and_creates_nothing() {
+        let dir = std::env::temp_dir().join(format!("icd-cli-spec-only-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_s = dir.to_string_lossy().into_owned();
+        let args: Vec<String> = ["--workload", "fft:scaled", "--corpus-dir", &dir_s]
+            .iter()
+            .map(|s| (*s).to_owned())
+            .collect();
+        let err = super::parse(&args, &[SPEC_FLAGS], |_| Ok(())).unwrap_err();
+        assert!(err.starts_with("--corpus-dir:"), "{err}");
+        assert!(!dir.exists(), "{err}");
+    }
+
+    #[test]
+    fn a_corpus_size_without_a_corpus_is_refused_by_name() {
+        for flag in &STORAGE_FLAGS[1..] {
+            let args = [flag.to_string(), "4096".to_owned()];
+            let err = super::parse(&args, &[STORAGE_FLAGS], |_| Ok(())).unwrap_err();
+            assert!(
+                err.starts_with(flag) && err.contains("--corpus-dir"),
+                "{flag}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn a_flag_the_binary_does_not_read_is_refused_by_name() {
         let reading = |args: &[&str], reads: &[&str]| {
             let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-            super::parse(&args, reads, |_| Ok(()))
+            super::parse(&args, &[reads], |_| Ok(()))
         };
         let sa = reading(&["--seed", "4", "--extra"], &["--runs", "--seed"]).unwrap();
         assert_eq!(sa.spec.base_seed, 4);
@@ -423,7 +429,7 @@ mod tests {
 
     #[test]
     fn every_declared_spec_flag_is_parsed() {
-        for &flag in SPEC_FLAGS {
+        for flag in [SPEC_FLAGS, STORAGE_FLAGS].concat() {
             let err = super::parse(&[flag.to_owned()], &[], |_| Ok(())).unwrap_err();
             assert!(err.starts_with(flag), "{flag}: {err}");
         }
@@ -433,7 +439,7 @@ mod tests {
     fn malformed_input_names_the_flag() {
         let err = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-            super::parse(&args, SPEC_FLAGS, |_| Ok(())).unwrap_err()
+            super::parse(&args, &[SPEC_FLAGS, STORAGE_FLAGS], |_| Ok(())).unwrap_err()
         };
         assert!(err(&["--runs", "many"]).contains("--runs"));
         assert!(err(&["--runs"]).contains("needs a value"));

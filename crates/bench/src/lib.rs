@@ -5,9 +5,9 @@
 //! `replay_assist`, plus the `icprof` trace profiler. Each prints a
 //! human-readable table to stdout and writes a JSON artifact under
 //! `results/`. The campaign binaries (`table1`, `table2`, `fig5`,
-//! `fig8`) accept every spec flag, among them `--scaled` (miniature
-//! workloads for a quick pass) and `--runs N`; the others refuse the
-//! spec flags they do not read (see [`HarnessOpts::from_args`]). With
+//! `fig8`) accept every spec and storage flag, among them `--scaled`
+//! (miniature workloads for a quick pass) and `--runs N`; the others
+//! refuse the flags they do not read (see [`HarnessOpts::from_args`]). With
 //! `--trace`, campaign binaries also write a deterministic event trace
 //! (`results/<app>.trace.jsonl`) that `icprof` can profile or convert
 //! for `chrome://tracing`; with `--cache-model`, L1/MHM hit rates are
@@ -40,17 +40,15 @@ pub mod cli;
 pub struct HarnessOpts {
     /// The campaign template. Its `workload` is empty unless `--spec`
     /// supplied one — the table/figure binaries key each app's corpus
-    /// entries by [`workload_id`](Self::workload_id). Corpus placement
-    /// flags are echoed into the spec's shape-only `corpus_*` fields, so
-    /// a recorded spec documents the storage it ran against without
-    /// moving any run key.
+    /// entries by [`workload_id`](Self::workload_id).
     pub spec: CampaignSpec,
     /// `--scaled`: use miniature workloads.
     pub scaled: bool,
     /// `--trace`: record per-campaign event traces under `results/`.
     pub trace: bool,
     /// The persistent run corpus named by `--corpus-dir`, already
-    /// opened with the sizing flags applied: completed runs are looked
+    /// opened with the other storage flags
+    /// ([`cli::STORAGE_FLAGS`]) applied: completed runs are looked
     /// up in, and recorded to, the log-structured store, so repeated
     /// harness invocations replay instead of re-simulating. Warm
     /// campaigns produce byte-identical reports, so tables and figures
@@ -63,11 +61,11 @@ pub struct HarnessOpts {
 
 impl HarnessOpts {
     /// Parses `std::env::args` with [`cli::parse`] for a binary that
-    /// reads the spec flags in `reads` ([`cli::SPEC_FLAGS`] for a
-    /// campaign binary) and takes no arguments of its own. A usage
-    /// error, a flag outside `reads` or any other argument exits with
-    /// status 2.
-    pub fn from_args(reads: &[&str]) -> Self {
+    /// reads the flag sets in `reads` (`[cli::SPEC_FLAGS,
+    /// cli::STORAGE_FLAGS]` for a campaign binary) and takes no
+    /// arguments of its own. A usage error, a flag outside `reads` or
+    /// any other argument exits with status 2.
+    pub fn from_args(reads: &[&[&str]]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let no_rest = |rest: &[String]| match rest.first() {
             None => Ok(()),
@@ -722,7 +720,7 @@ mod tests {
 
     fn opts(args: &[&str]) -> HarnessOpts {
         let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        cli::parse(&args, cli::SPEC_FLAGS, |_| Ok(())).unwrap()
+        cli::parse(&args, &[cli::SPEC_FLAGS, cli::STORAGE_FLAGS], |_| Ok(())).unwrap()
     }
 
     fn quick_opts() -> HarnessOpts {

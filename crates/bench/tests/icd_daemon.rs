@@ -446,3 +446,85 @@ fn deadline_and_retry_flags_are_unknown_arguments() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Storage is a deployment setting (the `--corpus-*` flags), not part
+/// of a campaign: a batch line whose spec sets a storage key is a bad
+/// line naming that key, and the rest of the batch runs as if the line
+/// were absent.
+#[test]
+fn a_spec_that_sets_a_storage_key_is_a_bad_line() {
+    let dir = tempdir("storage-key");
+    let never = dir.join("never");
+    let out = dir.join("out");
+    let clean = spec("fft", 3);
+    let stored = clean.to_json().replacen(
+        '{',
+        &format!("{{\"corpus_dir\":\"{}\",", never.display()),
+        1,
+    );
+    let batch = dir.join("batch.jsonl");
+    std::fs::write(
+        &batch,
+        format!(
+            "{{\"id\":\"stored\",\"spec\":{stored}}}\n{}\n",
+            submission_line("clean", "anon", &clean)
+        ),
+    )
+    .unwrap();
+    let run = Command::new(env!("CARGO_BIN_EXE_icd"))
+        .args(["--trace", "--batch"])
+        .arg(&batch)
+        .arg("--out")
+        .arg(&out)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run icd");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(
+        run.status.code(),
+        Some(1),
+        "a bad line fails the batch: {stderr}"
+    );
+    assert!(
+        stderr.contains("\"corpus_dir\"") && stderr.contains("--corpus-dir"),
+        "the refusal names the key and its flag: {stderr}"
+    );
+    assert!(!never.exists(), "the refused spec's directory was created");
+
+    let metrics = std::fs::read_to_string(out.join("metrics.json")).unwrap();
+    let metrics = obs::json::parse(&metrics).expect("metrics parse");
+    assert_eq!(counter(&metrics, "icd.bad_lines"), 1);
+    let summary = std::fs::read_to_string(out.join("batch.jsonl")).unwrap();
+    assert_eq!(
+        summary.lines().count(),
+        1,
+        "only the clean line ran: {summary}"
+    );
+    assert!(
+        summary.contains("\"id\":\"clean\"") && summary.contains("\"status\":\"completed\""),
+        "{summary}"
+    );
+    let (report, trace) = solo_artifacts("clean", &clean);
+    assert_eq!(
+        std::fs::read_to_string(out.join("clean.report.json")).unwrap(),
+        report
+    );
+    assert_eq!(
+        std::fs::read_to_string(out.join("clean.trace.jsonl")).unwrap(),
+        trace
+    );
+
+    // A client opens no corpus: its storage flags are refused before
+    // anything is created.
+    let client = Command::new(env!("CARGO_BIN_EXE_icd"))
+        .args(["--connect", &dir.join("no.sock").to_string_lossy()])
+        .args(["--corpus-dir", &never.to_string_lossy()])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run icd");
+    let stderr = String::from_utf8_lossy(&client.stderr);
+    assert_eq!(client.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("--corpus-dir:"), "{stderr}");
+    assert!(!never.exists(), "the client created a corpus");
+    let _ = std::fs::remove_dir_all(&dir);
+}

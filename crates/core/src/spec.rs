@@ -98,16 +98,6 @@ pub struct CampaignSpec {
     /// Fault-injection plans applied to specific run slots (every
     /// attempt of that slot, including retries, gets the plan).
     pub fault_plans: Vec<(usize, FaultPlan)>,
-    /// Corpus directory the campaign was recorded against (`None` =
-    /// unspecified). Shape-only: storage placement never enters a
-    /// [`run_key`](CampaignSpec::run_key).
-    pub corpus_dir: Option<String>,
-    /// Target segment size of that corpus, in bytes (shape-only).
-    pub corpus_segment_bytes: Option<u64>,
-    /// Size bound of that corpus, in bytes (shape-only).
-    pub corpus_max_bytes: Option<u64>,
-    /// Memo-cache slots layered over that corpus (shape-only).
-    pub corpus_cache_slots: Option<u64>,
 }
 
 /// Stable token for a [`SwitchPolicy`] — shared by spec JSON,
@@ -323,10 +313,6 @@ impl CampaignSpec {
             jobs: None,
             cache_model: false,
             fault_plans: Vec::new(),
-            corpus_dir: None,
-            corpus_segment_bytes: None,
-            corpus_max_bytes: None,
-            corpus_cache_slots: None,
         }
     }
 
@@ -440,21 +426,6 @@ impl CampaignSpec {
                         });
                     }
                 });
-            // Shape-only corpus placement fields are emitted only when
-            // set, so specs written before they existed keep
-            // serializing to the exact bytes they were committed with.
-            if let Some(dir) = &self.corpus_dir {
-                o.field("corpus_dir", dir);
-            }
-            for (key, value) in [
-                ("corpus_segment_bytes", self.corpus_segment_bytes),
-                ("corpus_max_bytes", self.corpus_max_bytes),
-                ("corpus_cache_slots", self.corpus_cache_slots),
-            ] {
-                if let Some(n) = value {
-                    o.field(key, &n);
-                }
-            }
         });
         out
     }
@@ -496,15 +467,6 @@ impl CampaignSpec {
                     .ok_or_else(|| format!("bad numeric field {name:?}")),
             }
         };
-        let opt_str_field = |name: &str| -> Result<Option<String>, String> {
-            match v.get(name) {
-                None | Some(Value::Null) => Ok(None),
-                Some(val) => val
-                    .as_str()
-                    .map(|s| Some(s.to_owned()))
-                    .ok_or_else(|| format!("bad string field {name:?}")),
-            }
-        };
         let version = u64_field("version")?;
         if version != u64::from(SPEC_VERSION) {
             return Err(format!(
@@ -516,12 +478,24 @@ impl CampaignSpec {
         // on write (`Scheme::name`), so round-trips stay byte-stable.
         let scheme =
             Scheme::parse(scheme_name).ok_or_else(|| format!("unknown scheme {scheme_name:?}"))?;
-        // Runs are bounded by `max_steps` alone. Older spec files carry
-        // `"deadline_ms":null`, which still parses.
-        if !matches!(v.get("deadline_ms"), None | Some(Value::Null)) {
-            return Err("field \"deadline_ms\" is no longer supported: \
-                        runs are bounded by \"max_steps\""
-                .to_owned());
+        // Fields that left the spec. Runs are bounded by `max_steps`
+        // alone, and where results are stored is a deployment setting
+        // of the binary, not part of the campaign. Older spec files
+        // carry `"deadline_ms":null`, which still parses, as does a
+        // `null` storage field.
+        for (name, instead) in [
+            ("deadline_ms", "runs are bounded by \"max_steps\""),
+            ("corpus_dir", "use the --corpus-dir flag"),
+            (
+                "corpus_segment_bytes",
+                "use the --corpus-segment-bytes flag",
+            ),
+            ("corpus_max_bytes", "use the --corpus-max-bytes flag"),
+            ("corpus_cache_slots", "use the --corpus-cache-slots flag"),
+        ] {
+            if !matches!(v.get(name), None | Some(Value::Null)) {
+                return Err(format!("field {name:?} is no longer supported: {instead}"));
+            }
         }
         let cache_model = match v.get("cache_model") {
             Some(Value::Bool(b)) => *b,
@@ -637,10 +611,6 @@ impl CampaignSpec {
             jobs: opt_u64_field("jobs")?.map(|n| n as usize),
             cache_model,
             fault_plans,
-            corpus_dir: opt_str_field("corpus_dir")?,
-            corpus_segment_bytes: opt_u64_field("corpus_segment_bytes")?,
-            corpus_max_bytes: opt_u64_field("corpus_max_bytes")?,
-            corpus_cache_slots: opt_u64_field("corpus_cache_slots")?,
         })
     }
 }
@@ -673,10 +643,6 @@ mod tests {
                     .with(FaultKind::AllocFail, Trigger::Nth(0))
                     .with(FaultKind::BitFlip, Trigger::Rate { num: 1, denom: 50 }),
             )],
-            corpus_dir: Some("results/corpus".into()),
-            corpus_segment_bytes: Some(1 << 23),
-            corpus_max_bytes: Some(1 << 30),
-            corpus_cache_slots: Some(1 << 14),
         }
     }
 
@@ -802,22 +768,31 @@ mod tests {
         reshaped.runs = 30;
         reshaped.policy = FailurePolicy::Abort;
         reshaped.jobs = None;
-        reshaped.corpus_dir = None;
-        reshaped.corpus_segment_bytes = None;
-        reshaped.corpus_max_bytes = None;
-        reshaped.corpus_cache_slots = None;
         assert_eq!(reshaped.run_key(0, 1, None), key);
     }
 
     #[test]
-    fn specs_without_corpus_fields_serialize_as_before_them() {
-        // Committed spec files predate the corpus placement fields;
-        // an all-`None` spec must keep producing the exact bytes those
-        // files hold, and parsing them must keep working.
+    fn storage_fields_are_refused_when_set_and_parse_when_null() {
+        // Storage comes from the `--corpus-*` flags alone: a spec that
+        // sets a storage field is refused by name (with the flag that
+        // replaces it), not silently ignored.
         let spec = CampaignSpec::new("w", Scheme::HwInc);
         let line = spec.to_json();
         assert!(!line.contains("corpus"), "{line}");
-        assert_eq!(CampaignSpec::from_json(&line).expect("parses"), spec);
+        for (name, value) in [
+            ("corpus_dir", "\"results/corpus\""),
+            ("corpus_segment_bytes", "65536"),
+            ("corpus_max_bytes", "1048576"),
+            ("corpus_cache_slots", "64"),
+        ] {
+            let with =
+                |v: &str| line.replace("\"version\":1", &format!("\"version\":1,\"{name}\":{v}"));
+            let err = CampaignSpec::from_json(&with(value)).unwrap_err();
+            let flag = format!("--{}", name.replace('_', "-"));
+            assert!(err.contains(name) && err.contains(&flag), "{name}: {err}");
+            let null = CampaignSpec::from_json(&with("null")).expect("null parses");
+            assert_eq!(null, spec, "{name}");
+        }
     }
 
     #[test]

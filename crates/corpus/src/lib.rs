@@ -305,11 +305,6 @@ impl Corpus {
         self.log.run_count()
     }
 
-    /// Memo arena capacity in slots.
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
     /// A point-in-time snapshot of the memo layer's contention stats.
     pub fn cache_stats(&self) -> SharedCacheStats {
         self.cache.stats()

@@ -291,11 +291,6 @@ impl SharedCache {
         let _ = self.telemetry.set(Arc::clone(telemetry));
     }
 
-    /// Fixed arena capacity in slots.
-    pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// A point-in-time stats snapshot (occupancy states are scanned
     /// live; tallies are monotonic).
     pub(crate) fn stats(&self) -> SharedCacheStats {
@@ -1062,8 +1057,8 @@ mod tests {
     #[test]
     fn capacity_rounds_up_to_a_power_of_two() {
         let log = TempLog::new();
-        assert_eq!(log.arena(100).capacity(), 128);
+        assert_eq!(log.arena(100).stats().capacity, 128);
         let tiny = log.arena(0);
-        assert_eq!(tiny.capacity(), 8);
+        assert_eq!(tiny.stats().capacity, 8);
     }
 }

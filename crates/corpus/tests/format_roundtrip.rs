@@ -328,10 +328,6 @@ fn gen_spec(g: &mut Gen) -> CampaignSpec {
     spec.max_steps = g.u64_in(1, 1 << 40);
     spec.jobs = g.bool().then(|| g.usize_in(1, 16));
     spec.cache_model = g.bool();
-    spec.corpus_dir = g.bool().then(|| gen_workload(g));
-    spec.corpus_segment_bytes = g.bool().then(|| g.u64_in(4096, 1 << 30));
-    spec.corpus_max_bytes = g.bool().then(|| g.u64_in(1 << 20, 1 << 40));
-    spec.corpus_cache_slots = g.bool().then(|| g.u64_in(1, 1 << 20));
     // Fault plans on run slots ≥ 1 only: the fingerprint test below
     // mutates slot 0 and must know it starts fault-free.
     spec.fault_plans = g.vec_of(0, 3, |g| {
@@ -441,15 +437,6 @@ fn each_run_content_field_moves_the_fingerprint_and_shape_fields_do_not() {
             Some(_) => None,
         };
         same.push(("jobs", m));
-        let mut m = spec.clone();
-        m.corpus_dir = match m.corpus_dir {
-            None => Some("elsewhere".into()),
-            Some(_) => None,
-        };
-        m.corpus_segment_bytes = Some(1 << 16);
-        m.corpus_max_bytes = Some(1 << 24);
-        m.corpus_cache_slots = Some(64);
-        same.push(("corpus placement", m));
         for (field, mutated) in &same {
             assert_eq!(
                 base,

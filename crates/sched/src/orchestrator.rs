@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use corpus::{CampaignBaseline, Corpus, SharedCacheStats};
+use corpus::{CampaignBaseline, Corpus};
 use instantcheck::{CheckReport, Checker, CheckerConfig, RunCache};
 use obs::json::{self, Layout};
 use obs::{Event, MemorySink, Registry, Telemetry, CONTROL_TRACK};
@@ -340,12 +340,6 @@ impl Orchestrator {
     /// [`corpus::CACHE_WAIT_HISTOGRAM`]), worker busy/idle, lanes.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.shared.telemetry
-    }
-
-    /// Contention and occupancy tallies of the corpus's memo cache;
-    /// `None` when the orchestrator runs without a corpus.
-    pub fn cache_stats(&self) -> Option<SharedCacheStats> {
-        self.shared.corpus.as_ref().map(|c| c.cache_stats())
     }
 
     /// The attached corpus itself, when one is — lets a daemon front

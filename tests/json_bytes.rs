@@ -56,10 +56,6 @@ fn full_spec() -> CampaignSpec {
         ),
         (4, FaultPlan::new(10)),
     ];
-    spec.corpus_dir = Some("/var/ic\\corpus".to_owned());
-    spec.corpus_segment_bytes = Some(1 << 20);
-    spec.corpus_max_bytes = Some(1 << 30);
-    spec.corpus_cache_slots = Some(64);
     spec
 }
 
@@ -67,7 +63,7 @@ fn full_spec() -> CampaignSpec {
 fn spec_bytes() {
     assert_eq!(
         full_spec().to_json(),
-        r#"{"version":1,"workload":"fft:scaled \"q\"","scheme":"SwTr","runs":30,"base_seed":18446744073709551615,"lib_seed":7,"switch":"every-nth:3","rounding":"mask-mantissa:8","policy":"retry:2:reseed","max_steps":123456,"jobs":4,"cache_model":true,"ignore":{"globals":[["G",null],["H",[2,5]]],"sites":[["s1",null],["s2",[0,3]]]},"faults":[{"slot":1,"seed":9,"triggers":[["bit-flip","rate:1/1000"],["alloc-fail","nth:2"]]},{"slot":4,"seed":10,"triggers":[]}],"corpus_dir":"/var/ic\\corpus","corpus_segment_bytes":1048576,"corpus_max_bytes":1073741824,"corpus_cache_slots":64}"#
+        r#"{"version":1,"workload":"fft:scaled \"q\"","scheme":"SwTr","runs":30,"base_seed":18446744073709551615,"lib_seed":7,"switch":"every-nth:3","rounding":"mask-mantissa:8","policy":"retry:2:reseed","max_steps":123456,"jobs":4,"cache_model":true,"ignore":{"globals":[["G",null],["H",[2,5]]],"sites":[["s1",null],["s2",[0,3]]]},"faults":[{"slot":1,"seed":9,"triggers":[["bit-flip","rate:1/1000"],["alloc-fail","nth:2"]]},{"slot":4,"seed":10,"triggers":[]}]}"#
     );
     let bare = CampaignSpec::new("sum", Scheme::HwInc);
     assert_eq!(
