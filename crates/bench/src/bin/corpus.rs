@@ -2,9 +2,10 @@
 //! run corpus and checks fresh campaigns against them.
 //!
 //! ```text
-//! corpus record --app canneal [--scaled] [--runs N] [--seed N] [--corpus-dir DIR]
-//! corpus check  --app canneal [--scaled] [--runs N] [--seed N] [--corpus-dir DIR] [--require-hits]
-//! corpus dump   --corpus-dir DIR
+//! corpus record|check --app NAME [--require-hits] [--scaled]
+//!     [every spec flag but --workload] [--corpus-dir DIR]
+//!     [--corpus-segment-bytes N] [--corpus-max-bytes N] [--corpus-cache-slots N]
+//! corpus dump --corpus-dir DIR
 //! ```
 //!
 //! `record` runs one checking campaign, stores every completed run in
@@ -22,109 +23,80 @@
 //! campaign). `dump` prints every live record of an existing corpus as
 //! one readable block — fingerprint and location, key tokens, counters,
 //! checkpoints, alloc-log and trace lengths — the human view of the
-//! binary on-disk records.
+//! binary on-disk records; it never creates a corpus.
 //!
-//! The campaign comes from the shared spec flags (`bench::cli`), so
-//! `--runs`/`--seed`/`--jobs`/`--scheme`/`--spec FILE` mean exactly
-//! what they mean to every other harness binary. The store comes from
-//! the shared storage flags `--corpus-dir`/`--corpus-segment-bytes`/
-//! `--corpus-max-bytes`/`--corpus-cache-slots`, parsed by the same
-//! code as every campaign binary's and `icd`'s; without
-//! `--corpus-dir`, the store lives at `results/corpus`.
+//! `record` and `check` parse their command line with the shared parser
+//! (`bench::cli::parse`), so `--runs`/`--seed`/`--jobs`/`--scheme`/
+//! `--spec FILE` and the storage flags mean exactly what they mean to
+//! every other binary. `--app` and `--scaled` name the workload, so
+//! `--workload` is refused, as is `--trace` (no trace is written).
+//! Without `--corpus-dir`, the store lives at `results/corpus`; it is
+//! opened only once the command line is vetted, so a usage error
+//! (exit status 2) creates none.
 
 use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use corpus::{kind_token, CampaignBaseline, Corpus, CorpusOptions, StoredRecord};
-use instantcheck::{CampaignSpec, CheckReport, Checker, CheckerConfig};
+use corpus::{kind_token, CampaignBaseline, CorpusOptions, StoredRecord};
+use instantcheck::{CheckReport, Checker};
 use instantcheck_bench::cli;
+use instantcheck_bench::HarnessOpts;
 use instantcheck_workloads::AppSpec;
+
+const APP: &str = "--app NAME";
+/// `record` and `check` read `--app`, `--require-hits`, `--scaled`, the
+/// spec flags but `--workload` (the app names the workload) and the
+/// storage flags.
+const READS: &[&[&str]] = &[
+    &[APP],
+    &["--require-hits", cli::SCALED],
+    cli::PER_APP_FLAGS,
+    cli::STORAGE_FLAGS,
+];
+
+fn usage() -> String {
+    format!(
+        "usage: corpus record|check {APP} {}\n       corpus dump --corpus-dir DIR",
+        cli::synopsis(&READS[1..])
+    )
+}
 
 struct Cli {
     command: String,
     app: String,
-    scaled: bool,
-    corpus: Arc<Corpus>,
-    require_hits: bool,
-    spec: CampaignSpec,
+    opts: HarnessOpts,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: corpus <record|check> --app NAME [--scaled] [--runs N] \
-         [--seed N] [--jobs N] [--corpus-dir DIR] [--require-hits] [shared spec flags]\n       \
-         corpus dump --corpus-dir DIR"
-    );
-    std::process::exit(2);
-}
-
-fn parse_cli() -> Cli {
-    let mut command = String::new();
-    let mut app = String::new();
-    let mut require_hits = false;
-    // The store defaults to `results/corpus`: a later `--corpus-dir`
-    // overrides this one. The subcommand and `--app` are checked before
-    // the store is opened, so a usage error creates none.
+/// Parses `record|check`'s command line. The store defaults to
+/// `results/corpus` (a later `--corpus-dir` overrides it), and opens
+/// only once the subcommand and `--app` are vetted, so a usage error
+/// creates none.
+fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let args: Vec<String> = ["--corpus-dir", "results/corpus"]
         .into_iter()
         .map(str::to_owned)
-        .chain(std::env::args().skip(1))
+        .chain(args.iter().cloned())
         .collect();
-    let sa = cli::parse(&args, &[cli::SPEC_FLAGS, cli::STORAGE_FLAGS], |rest| {
-        let mut i = 0;
-        while i < rest.len() {
-            let value = |i: &mut usize| -> String {
-                *i += 1;
-                rest.get(*i).cloned().unwrap_or_else(|| usage())
-            };
-            match rest[i].as_str() {
-                "record" | "check" if command.is_empty() => command = rest[i].clone(),
-                "--app" => app = value(&mut i),
-                "--require-hits" => require_hits = true,
-                other => return Err(format!("unknown argument {other}")),
-            }
-            i += 1;
-        }
-        if command.is_empty() || app.is_empty() {
-            usage();
-        }
-        Ok(())
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage();
-    });
-    let mut spec = sa.spec;
-    spec.workload = format!("{app}:{}", if sa.scaled { "scaled" } else { "full" });
-    let corpus = sa.corpus.expect("the store has a default directory");
-    Cli {
-        command,
-        app,
-        scaled: sa.scaled,
-        corpus,
-        require_hits,
-        spec,
-    }
-}
-
-/// The baseline name: one per `(app, scale, runs, seed)` campaign
-/// shape, so differently-shaped campaigns never compare against each
-/// other's baselines.
-fn baseline_name(cli: &Cli) -> String {
-    format!(
-        "{}-{}-r{}-s{}",
-        cli.app,
-        if cli.scaled { "scaled" } else { "full" },
-        cli.spec.runs,
-        cli.spec.base_seed
-    )
+    let mut parsed = cli::parse(&args, READS, &[])?;
+    let command = match parsed.opts.rest.first() {
+        Some(c) if c == "record" || c == "check" => parsed.opts.rest.remove(0),
+        Some(other) => return Err(format!("unknown argument {other}")),
+        None => return Err("expected a subcommand: record, check or dump".to_owned()),
+    };
+    let parsed = parsed.no_rest()?;
+    let app = match parsed.opts.value("--app") {
+        Some(app) if !app.is_empty() => app.to_owned(),
+        _ => return Err(format!("--app: {command} needs an app")),
+    };
+    let mut opts = parsed.open()?;
+    opts.spec.workload = opts.workload_id(&app);
+    Ok(Cli { command, app, opts })
 }
 
 fn campaign(cli: &Cli, app: &AppSpec) -> (Vec<instantcheck::RunHashes>, CheckReport) {
-    let cfg = CheckerConfig::from_spec(&cli.spec)
-        .with_run_cache(Arc::clone(&cli.corpus) as _, &cli.spec.workload);
+    let cfg = cli.opts.with_corpus(cli.opts.template(), &cli.app);
     let build = Arc::clone(&app.build);
     let runs = Checker::new(cfg)
         .unwrap_or_else(|e| {
@@ -146,7 +118,10 @@ fn campaign(cli: &Cli, app: &AppSpec) -> (Vec<instantcheck::RunHashes>, CheckRep
 fn dump(args: &[String]) -> ExitCode {
     let dir = match args {
         [flag, dir] if flag == "--corpus-dir" => Path::new(dir),
-        _ => usage(),
+        _ => {
+            eprintln!("{}", usage());
+            return ExitCode::from(2);
+        }
     };
     if !dir.join("format").is_file() {
         eprintln!("no corpus at {}", dir.display());
@@ -231,14 +206,32 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("dump") {
         return dump(&args[1..]);
     }
-    let cli = parse_cli();
-    let Some(app) = instantcheck_workloads::by_name(&cli.app, cli.scaled) else {
+    let cli = match parse_cli(&args) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("{e}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    let Some(app) = instantcheck_workloads::by_name(&cli.app, cli.opts.scaled) else {
         eprintln!("unknown app {:?} at this scale", cli.app);
         return ExitCode::from(2);
     };
-    let store = &cli.corpus;
+    let store = cli
+        .opts
+        .corpus
+        .as_ref()
+        .expect("the store has a default directory");
     let baselines = store.baselines_dir();
-    let name = baseline_name(&cli);
+    // One baseline per `(app, scale, runs, seed)` campaign shape, so
+    // differently-shaped campaigns never compare against each other's.
+    let spec = &cli.opts.spec;
+    let name = format!(
+        "{}-r{}-s{}",
+        spec.workload.replace(':', "-"),
+        spec.runs,
+        spec.base_seed
+    );
     let (runs, report) = campaign(&cli, &app);
     eprintln!(
         "{}: {} runs, corpus {} hits / {} misses / {} stores / {} quarantined",
@@ -253,9 +246,9 @@ fn main() -> ExitCode {
     if cli.command == "record" {
         let baseline = CampaignBaseline::capture(
             &name,
-            &cli.spec.workload,
-            cli.spec.scheme,
-            cli.spec.base_seed,
+            &spec.workload,
+            spec.scheme,
+            spec.base_seed,
             &runs[0],
             &report,
         );
@@ -304,10 +297,10 @@ fn main() -> ExitCode {
                 let build = Arc::clone(&app.build);
                 match instantcheck::localize(
                     move || build(),
-                    cli.spec.base_seed,
-                    cli.spec.base_seed + (ndet_run as u64 - 1),
+                    spec.base_seed,
+                    spec.base_seed + (ndet_run as u64 - 1),
                     seq,
-                    cli.spec.lib_seed,
+                    spec.lib_seed,
                     None,
                 ) {
                     Ok(loc) => {
@@ -321,7 +314,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if cli.require_hits && (store.misses() > 0 || store.quarantined() > 0) {
+    if cli.opts.switch("--require-hits") && (store.misses() > 0 || store.quarantined() > 0) {
         eprintln!(
             "{name}: --require-hits set but {} run(s) missed the corpus and {} record(s) were quarantined",
             store.misses(),

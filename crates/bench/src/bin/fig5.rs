@@ -7,7 +7,7 @@ use instantcheck_bench::{cli, distributions, render_distributions, HarnessOpts, 
 const APPS: [&str; 3] = ["canneal", "fluidanimate", "sphinx3"];
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[cli::SPEC_FLAGS, cli::STORAGE_FLAGS]);
+    let opts = HarnessOpts::from_args(cli::CAMPAIGN_READS);
     let r = Reporter::new("fig5");
     let mut reports = Vec::new();
     // (a) an inherently nondeterministic app; (b) an FP-precision app

@@ -6,7 +6,7 @@ use adhash::FpRound;
 use instantcheck_bench::{cli, distributions, render_distributions, HarnessOpts, Reporter};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[cli::SPEC_FLAGS, cli::STORAGE_FLAGS]);
+    let opts = HarnessOpts::from_args(cli::CAMPAIGN_READS);
     let r = Reporter::new("fig8");
     let mut reports = Vec::new();
     for app in opts.seeded() {

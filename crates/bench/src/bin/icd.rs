@@ -7,14 +7,17 @@
 //! DESIGN.md §12–13).
 //!
 //! ```text
-//! icd [--width N] [--queue-cap N] [--budget N] [--trace]
-//!     [--tenant-quota N] [--idle-timeout-ms N] [--max-bad-lines N]
-//!     [--corpus-dir DIR] [--corpus-segment-bytes N]
-//!     [--corpus-max-bytes N] [--corpus-cache-slots N]
-//!     [--out DIR] [--batch FILE|-] [--socket PATH]
-//!     [--http ADDR] [--heartbeat-ms N]
+//! icd [--width N] [--queue-cap N] [--budget N] [--tenant-quota N]
+//!     [--idle-timeout-ms N] [--max-bad-lines N] [--out DIR] [--socket PATH]
+//!     [--http ADDR] [--heartbeat-ms N] [--batch FILE|-] [--corpus-dir DIR]
+//!     [--corpus-segment-bytes N] [--corpus-max-bytes N]
+//!     [--corpus-cache-slots N] [--trace]
 //! icd --connect PATH [--batch FILE|-]        # client mode
 //! ```
+//!
+//! Both lines go through the shared parser (`bench::cli::parse`): a
+//! client reads only `--connect` and `--batch`, so a daemon flag there
+//! is refused by name, as is a malformed or missing value.
 //!
 //! Submissions are read, in order, from `--batch FILE` (`-` for
 //! stdin), then served from `--socket PATH` until a `drain` line or
@@ -44,7 +47,8 @@
 //! Exit status: 0 when every submission completed, 1 when any
 //! campaign failed, was invalid, was shed, or a submission line did
 //! not parse, 2 on usage or I/O errors (including refusing to clobber
-//! a live daemon's socket).
+//! a live daemon's socket). A usage error creates neither `--out` nor
+//! the corpus.
 
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::os::unix::net::UnixStream;
@@ -53,106 +57,50 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use corpus::Corpus;
 use instantcheck_bench::cli;
+use instantcheck_bench::HarnessOpts;
 use obs::Heartbeat;
 use sched::{
     CampaignStatus, HttpOptions, HttpServer, Orchestrator, OrchestratorConfig, ProgramSource,
     Resolver, Service, SocketOptions,
 };
 
-struct IcdCli {
-    config: OrchestratorConfig,
-    /// The shared run corpus the storage flags opened.
-    corpus: Option<Arc<Corpus>>,
-    out: String,
-    batch: Option<String>,
-    socket: Option<String>,
-    connect: Option<String>,
-    daemon: SocketOptions,
-    /// Address of the read-only HTTP telemetry plane, when enabled.
-    http: Option<String>,
-    /// Heartbeat snapshot interval, when enabled.
-    heartbeat: Option<Duration>,
+/// The daemon's own flags, beside `--batch`, the storage flags and
+/// `--trace`.
+const DAEMON: &[&str] = &[
+    "--width N",
+    "--queue-cap N",
+    "--budget N",
+    "--tenant-quota N",
+    "--idle-timeout-ms N",
+    "--max-bad-lines N",
+    "--out DIR",
+    "--socket PATH",
+    "--http ADDR",
+    "--heartbeat-ms N",
+];
+const BATCH: &str = "--batch FILE|-";
+const CONNECT: &str = "--connect PATH";
+const DAEMON_READS: &[&[&str]] = &[DAEMON, &[BATCH], cli::STORAGE_FLAGS, &[cli::TRACE]];
+/// A client opens no corpus and runs no campaign: it reads only these.
+const CLIENT_READS: &[&[&str]] = &[&[CONNECT, BATCH]];
+
+fn usage() -> String {
+    format!(
+        "usage: icd {}\n       icd {CONNECT} [{BATCH}]",
+        cli::synopsis(DAEMON_READS)
+    )
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: icd [--width N] [--queue-cap N] [--budget N] [--trace] \
-         [--tenant-quota N] [--idle-timeout-ms N] [--max-bad-lines N] \
-         [--corpus-dir DIR] [--corpus-segment-bytes N] [--corpus-max-bytes N] \
-         [--corpus-cache-slots N] [--out DIR] [--batch FILE|-] [--socket PATH] \
-         [--http ADDR] [--heartbeat-ms N]\n\
-         \x20      icd --connect PATH [--batch FILE|-]"
-    );
-    std::process::exit(2);
-}
-
-/// Parses the command line. `--trace` and the storage flags go through
-/// the harness parser (`cli::parse`), which opens the corpus once every
-/// other flag has been vetted; the daemon's own flags are the rest.
-fn parse_cli() -> IcdCli {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cli = IcdCli {
-        config: OrchestratorConfig::default(),
-        corpus: None,
-        out: "results/icd".to_owned(),
-        batch: None,
-        socket: None,
-        connect: None,
-        daemon: SocketOptions::default(),
-        http: None,
-        heartbeat: None,
+/// Parses the command line: a client's read-set when `--connect` is
+/// given, else the daemon's. The corpus opens once every flag has been
+/// vetted.
+fn parse_cli(args: &[String]) -> Result<HarnessOpts, String> {
+    let (reads, unread) = match args.iter().any(|a| a == "--connect") {
+        true => (CLIENT_READS, DAEMON_READS),
+        false => (DAEMON_READS, &[][..]),
     };
-    let own_flags = |rest: &[String]| {
-        let mut i = 0;
-        while i < rest.len() {
-            let value = |i: &mut usize| -> String {
-                *i += 1;
-                rest.get(*i).cloned().unwrap_or_else(|| usage())
-            };
-            let num = |i: &mut usize| -> u64 { value(i).parse().unwrap_or_else(|_| usage()) };
-            match rest[i].as_str() {
-                "--width" => cli.config.width = num(&mut i) as usize,
-                "--queue-cap" => cli.config.queue_capacity = num(&mut i) as usize,
-                "--budget" => cli.config.job_budget = num(&mut i) as usize,
-                "--tenant-quota" => cli.config.tenant_quota = Some(num(&mut i)),
-                "--idle-timeout-ms" => {
-                    cli.daemon.idle_timeout = Duration::from_millis(num(&mut i).max(1));
-                }
-                "--max-bad-lines" => cli.daemon.max_bad_lines = num(&mut i) as usize,
-                "--out" => cli.out = value(&mut i),
-                "--batch" => cli.batch = Some(value(&mut i)),
-                "--socket" => cli.socket = Some(value(&mut i)),
-                "--connect" => cli.connect = Some(value(&mut i)),
-                "--http" => cli.http = Some(value(&mut i)),
-                "--heartbeat-ms" => {
-                    cli.heartbeat = Some(Duration::from_millis(num(&mut i).max(1)));
-                }
-                other => return Err(format!("unknown argument {other}")),
-            }
-            i += 1;
-        }
-        // Checked before the corpus opens: a client uses none, so a
-        // storage flag there would create a directory for nothing.
-        match args
-            .iter()
-            .find(|a| cli::STORAGE_FLAGS.contains(&a.as_str()))
-        {
-            Some(flag) if cli.connect.is_some() => {
-                Err(format!("{flag}: a --connect client opens no corpus"))
-            }
-            _ => Ok(()),
-        }
-    };
-    let sa =
-        cli::parse(&args, &[cli::STORAGE_FLAGS, &["--trace"]], own_flags).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            usage();
-        });
-    cli.config.trace = sa.trace;
-    cli.corpus = sa.corpus;
-    cli
+    cli::parse(args, reads, unread)?.no_rest()?.open()
 }
 
 /// Maps `app:scaled` / `app:full` workload ids onto the registered
@@ -270,10 +218,17 @@ fn file_stem(id: &str) -> String {
 }
 
 fn main() -> ExitCode {
-    let cli = parse_cli();
-    let outcome = match &cli.connect {
-        Some(path) => run_client(path, cli.batch.as_deref()),
-        None => run_daemon(&cli),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match parse_cli(&args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{e}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    let outcome = match opts.value("--connect") {
+        Some(path) => run_client(path, opts.value("--batch")),
+        None => run_daemon(&opts),
     };
     match outcome {
         Ok(true) => ExitCode::SUCCESS,
@@ -287,21 +242,28 @@ fn main() -> ExitCode {
 
 /// Daemon mode: intake, drain, artifacts. `Ok(false)` when any
 /// submission did not complete or a line was malformed.
-fn run_daemon(cli: &IcdCli) -> Result<bool, String> {
-    let out_dir = PathBuf::from(&cli.out);
+fn run_daemon(opts: &HarnessOpts) -> Result<bool, String> {
+    let out_dir = PathBuf::from(opts.value("--out").unwrap_or("results/icd"));
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
+    let defaults = OrchestratorConfig::default();
     let svc = Arc::new(Service::new(Orchestrator::new(
-        cli.config.clone(),
+        OrchestratorConfig {
+            width: size(opts, "--width").unwrap_or(defaults.width),
+            queue_capacity: size(opts, "--queue-cap").unwrap_or(defaults.queue_capacity),
+            job_budget: size(opts, "--budget").unwrap_or(defaults.job_budget),
+            tenant_quota: opts.num("--tenant-quota"),
+            trace: opts.trace,
+        },
         resolver(),
-        cli.corpus.clone(),
+        opts.corpus.clone(),
     )));
 
     // The wall-clock telemetry plane: read-only, so it starts before
     // intake and keeps serving through the drain.
-    let mut http_server = match &cli.http {
+    let mut http_server = match opts.value("--http") {
         Some(addr) => {
-            let server = HttpServer::bind(addr.as_str(), Arc::clone(&svc), HttpOptions::default())
+            let server = HttpServer::bind(addr, Arc::clone(&svc), HttpOptions::default())
                 .map_err(|e| format!("cannot bind http {addr}: {e}"))?;
             eprintln!(
                 "icd: telemetry on http://{} (/status /metrics /profile)",
@@ -311,8 +273,9 @@ fn run_daemon(cli: &IcdCli) -> Result<bool, String> {
         }
         None => None,
     };
-    let mut heartbeat = match cli.heartbeat {
-        Some(interval) => {
+    let mut heartbeat = match opts.num("--heartbeat-ms") {
+        Some(ms) => {
+            let interval = Duration::from_millis(ms.max(1));
             let path = out_dir.join("heartbeat.jsonl");
             let hb = Heartbeat::start(Arc::clone(svc.telemetry()), path.clone(), interval)
                 .map_err(|e| format!("cannot start heartbeat at {}: {e}", path.display()))?;
@@ -320,7 +283,7 @@ fn run_daemon(cli: &IcdCli) -> Result<bool, String> {
         }
         None => None,
     };
-    intake(cli, &svc).map_err(|e| format!("intake failed: {e}"))?;
+    intake(opts, &svc).map_err(|e| format!("intake failed: {e}"))?;
 
     eprintln!("icd: draining {} submission(s)…", svc.submitted());
     let results = svc.drain();
@@ -368,7 +331,7 @@ fn run_daemon(cli: &IcdCli) -> Result<bool, String> {
         results.len(),
         results.iter().filter(|r| r.shed.is_some()).count(),
     );
-    if let Some(corpus) = &cli.corpus {
+    if let Some(corpus) = &opts.corpus {
         eprintln!(
             "icd: corpus {} hits / {} misses / {} stores",
             corpus.hits(),
@@ -388,24 +351,37 @@ fn run_daemon(cli: &IcdCli) -> Result<bool, String> {
 
 /// Reads submissions from `--batch`, then serves `--socket`, then —
 /// when neither was given — reads stdin.
-fn intake(cli: &IcdCli, svc: &Service) -> std::io::Result<()> {
-    if let Some(batch) = &cli.batch {
+fn intake(opts: &HarnessOpts, svc: &Service) -> std::io::Result<()> {
+    let batch = opts.value("--batch");
+    if let Some(batch) = batch {
         if batch == "-" {
             sched::read_submissions(std::io::stdin().lock(), svc)?;
         } else {
             sched::read_submissions(std::fs::File::open(batch)?, svc)?;
         }
     }
-    if let Some(path) = &cli.socket {
+    if let Some(path) = opts.value("--socket") {
         signals::install();
-        sched::serve_socket(path, svc, &cli.daemon, &signals::requested)?;
+        let defaults = SocketOptions::default();
+        let daemon = SocketOptions {
+            idle_timeout: opts
+                .num("--idle-timeout-ms")
+                .map_or(defaults.idle_timeout, |ms| Duration::from_millis(ms.max(1))),
+            max_bad_lines: size(opts, "--max-bad-lines").unwrap_or(defaults.max_bad_lines),
+        };
+        sched::serve_socket(path, svc, &daemon, &signals::requested)?;
         if signals::requested() {
             eprintln!("icd: shutdown signal received, draining");
         }
-    } else if cli.batch.is_none() {
+    } else if batch.is_none() {
         sched::read_submissions(std::io::stdin().lock(), svc)?;
     }
     Ok(())
+}
+
+/// A count flag's value.
+fn size(opts: &HarnessOpts, flag: &str) -> Option<usize> {
+    opts.num(flag).map(|n| n as usize)
 }
 
 /// Writes one artifact atomically (tmp + rename in the target

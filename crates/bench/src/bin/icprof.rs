@@ -14,16 +14,18 @@
 //! simulated-step tracks and the wall-clock worker timeline land in
 //! one Perfetto view.
 //!
-//! Usage:
-//!
 //! ```text
-//! icprof results/fig5-canneal.trace.jsonl [--chrome out.json]
-//! icprof [trace.jsonl] --profile results/icd/profile.json [--chrome out.json]
+//! icprof [trace.jsonl] [--profile FILE] [--chrome FILE] [--help] [-h]
 //! ```
+//!
+//! It needs a trace or `--profile`; the flags go through the shared
+//! parser (`bench::cli::parse`). A usage error exits 2, an unreadable
+//! or malformed file 1.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use instantcheck_bench::cli;
 use obs::telemetry::TelemetrySnapshot;
 
 fn seconds(ns: u64) -> String {
@@ -31,12 +33,9 @@ fn seconds(ns: u64) -> String {
 }
 
 /// Renders the wall-clock profile: histogram quantiles, gauges,
-/// counters, and the contention table.
-fn render_profile(v: &obs::json::Value) -> Result<String, String> {
-    // Accept both the `/profile` body ({"telemetry":…,"cache":…})
-    // and a bare telemetry snapshot (a heartbeat line).
-    let telemetry_value = v.get("telemetry").unwrap_or(v);
-    let snap = TelemetrySnapshot::from_json(telemetry_value)?;
+/// counters, and the contention table of `cache` (the `/profile`
+/// body's shared-cache object).
+fn render_profile(snap: &TelemetrySnapshot, cache: Option<&obs::json::Value>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== wall-clock telemetry ==");
     let _ = writeln!(out, "uptime: {}", seconds(snap.uptime_ns));
@@ -75,7 +74,7 @@ fn render_profile(v: &obs::json::Value) -> Result<String, String> {
     // The shared-cache contention table: the evidence base for deciding
     // whether the lock-free run cache scales — long probes, CAS-retry
     // storms, or heavy in-flight waiting all show up here.
-    if let Some(cache @ obs::json::Value::Obj(_)) = v.get("cache") {
+    if let Some(cache @ obs::json::Value::Obj(_)) = cache {
         let field =
             |k: &str| -> u64 { cache.get(k).and_then(obs::json::Value::as_u64).unwrap_or(0) };
         let (probes, steps) = (field("probes"), field("probe_steps"));
@@ -119,62 +118,43 @@ fn render_profile(v: &obs::json::Value) -> Result<String, String> {
             snap.dropped_lanes
         );
     }
-    Ok(out)
+    out
 }
 
-fn usage() -> ExitCode {
-    eprintln!("usage: icprof [trace.jsonl] [--profile profile.json] [--chrome out.json]");
-    ExitCode::FAILURE
+const FLAGS: &[&str] = &["--profile FILE", "--chrome FILE", "--help", "-h"];
+
+fn usage() -> String {
+    format!("usage: icprof [trace.jsonl] {}", cli::synopsis(&[FLAGS]))
+}
+
+/// A usage error: the error, the usage text, exit status 2.
+fn refuse(error: &str) -> ExitCode {
+    eprintln!("{error}\n{}", usage());
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let mut trace_path: Option<String> = None;
-    let mut chrome_out: Option<String> = None;
-    let mut profile_path: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--chrome" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => chrome_out = Some(p.clone()),
-                    None => {
-                        eprintln!("--chrome requires an output path");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--profile" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => profile_path = Some(p.clone()),
-                    None => {
-                        eprintln!("--profile requires a profile.json path");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other if trace_path.is_none() && !other.starts_with('-') => {
-                trace_path = Some(other.to_owned());
-            }
-            other => {
-                eprintln!("unexpected argument {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match cli::parse(&args, &[FLAGS], &[]) {
+        Ok(parsed) => parsed.opts,
+        Err(e) => return refuse(&e),
+    };
+    // One positional at most: the trace path.
+    let trace_path = opts.rest.first().filter(|path| !path.starts_with('-'));
+    if let Some(other) = opts.rest.get(usize::from(trace_path.is_some())) {
+        return refuse(&format!("unknown argument {other}"));
     }
+    if opts.switch("--help") || opts.switch("-h") {
+        eprintln!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let profile_path = opts.value("--profile");
     if trace_path.is_none() && profile_path.is_none() {
-        return usage();
+        return refuse("icprof needs a trace or --profile");
     }
 
     let mut events = Vec::new();
-    if let Some(path) = &trace_path {
+    if let Some(path) = trace_path {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -194,18 +174,21 @@ fn main() -> ExitCode {
     }
 
     let mut lanes = Vec::new();
-    if let Some(path) = &profile_path {
-        let rendered = std::fs::read_to_string(path)
+    if let Some(path) = profile_path {
+        // Accept both the `/profile` body ({"telemetry":…,"cache":…})
+        // and a bare telemetry snapshot (a heartbeat line).
+        let parsed = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|text| obs::json::parse(&text))
             .and_then(|v| {
-                let telemetry_value = v.get("telemetry").cloned().unwrap_or_else(|| v.clone());
-                let snap = TelemetrySnapshot::from_json(&telemetry_value)?;
-                lanes = snap.lanes.clone();
-                render_profile(&v)
+                let snap = TelemetrySnapshot::from_json(v.get("telemetry").unwrap_or(&v))?;
+                Ok((snap, v))
             });
-        match rendered {
-            Ok(text) => print!("{text}"),
+        match parsed {
+            Ok((snap, v)) => {
+                print!("{}", render_profile(&snap, v.get("cache")));
+                lanes = snap.lanes;
+            }
             Err(e) => {
                 eprintln!("could not read profile {path}: {e}");
                 return ExitCode::FAILURE;
@@ -213,8 +196,8 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(out) = chrome_out {
-        if let Err(e) = std::fs::write(&out, obs::chrome_lanes(&events, &lanes)) {
+    if let Some(out) = opts.value("--chrome") {
+        if let Err(e) = std::fs::write(out, obs::chrome_lanes(&events, &lanes)) {
             eprintln!("could not write {out}: {e}");
             return ExitCode::FAILURE;
         }

@@ -82,7 +82,7 @@ fn show(r: &Reporter, name: &str, report: &RaceReport) {
 type Case = (&'static str, fn() -> Program);
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[&["--runs", "--seed"]]);
+    let opts = HarnessOpts::from_args(&[&["--runs N", "--seed N"]]);
     let r = Reporter::new("race_filter");
     let runs = opts.spec.runs.max(20);
     r.line(format!(

@@ -28,7 +28,7 @@ fn program() -> Program {
 }
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[&["--seed"]]);
+    let opts = HarnessOpts::from_args(&[&["--seed N"]]);
     let r = Reporter::new("replay_assist");
     r.line(format!(
         "{:>12} {:>10} {:>12} {:>14}",

@@ -4,7 +4,7 @@
 use instantcheck_bench::{cli, render_table1, table1_row, HarnessOpts, Reporter};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[cli::SPEC_FLAGS, cli::STORAGE_FLAGS]);
+    let opts = HarnessOpts::from_args(cli::CAMPAIGN_READS);
     let r = Reporter::new("table1");
     r.progress(&format!(
         "Table 1: {} runs per campaign, {} workloads…",

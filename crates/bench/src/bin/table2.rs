@@ -3,7 +3,7 @@
 use instantcheck_bench::{cli, render_table2, table2_row, HarnessOpts, Reporter};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[cli::SPEC_FLAGS, cli::STORAGE_FLAGS]);
+    let opts = HarnessOpts::from_args(cli::CAMPAIGN_READS);
     let r = Reporter::new("table2");
     r.progress(&format!("Table 2: {} runs per campaign…", opts.spec.runs));
     let mut rows = Vec::new();

@@ -1,15 +1,13 @@
-//! Spec-driven command-line parsing shared by the harness binaries.
+//! The one command-line parser of the harness binaries.
 //!
-//! Every harness binary parses its command line with [`parse`] into
-//! one [`HarnessOpts`]: a [`CampaignSpec`] plus the harness-only
-//! switches and the opened corpus. Each spec flag (`--runs`, `--seed`,
-//! `--switch`, …) sets one spec field, and `--spec FILE` loads a full
-//! serialized spec — the same JSON the `icd` orchestrator accepts —
-//! which individual flags may then override. Binaries build their
-//! checker configs from that spec with `CheckerConfig::from_spec`, so
-//! no flag is parsed and then dropped. The storage flags
-//! (`--corpus-*`) are a deployment setting, not part of the spec: they
-//! only say which corpus [`parse`] opens.
+//! Every binary of this crate parses its command line with [`parse`],
+//! given its read-set: the flag sets it declares, its own among them.
+//! A flag is declared as usage text shows it ([`synopsis`]): `--scaled`
+//! is a switch, `--spec FILE` takes a value, and `--runs N` takes a
+//! non-negative integer. The shared sets are the spec flags
+//! ([`SPEC_FLAGS`]), the storage flags ([`STORAGE_FLAGS`], a deployment
+//! setting that only names the corpus [`Parsed::open`] opens) and the
+//! harness switches [`SCALED`] and [`TRACE`].
 
 use std::sync::Arc;
 
@@ -18,217 +16,237 @@ use instantcheck::{parse_rounding, parse_switch, CampaignSpec, FailurePolicy, Sc
 
 use crate::HarnessOpts;
 
-/// Every spec flag [`parse`] recognizes: `--spec FILE`, `--workload ID`,
-/// `--scheme S` (lenient: `hw-inc`, `SwTr`, …), `--scaled`, `--trace`,
-/// `--cache-model`, `--runs N`, `--seed N`, `--lib-seed N`,
-/// `--switch TOKEN`, `--rounding TOKEN`, `--policy P`
-/// (`abort`/`skip`/`retry`), `--max-steps N` and `--jobs N`. The
-/// read-set of a binary that only describes a campaign (`make_spec`).
+/// `--scaled`: use miniature workloads.
+pub const SCALED: &str = "--scaled";
+/// `--trace`: record per-campaign event traces.
+pub const TRACE: &str = "--trace";
+
+/// Every spec flag; each sets one [`CampaignSpec`] field, over the
+/// spec `--spec FILE` loads (the JSON `icd` accepts). The read-set of a
+/// binary that only describes a campaign (`make_spec`).
 pub const SPEC_FLAGS: &[&str] = &[
-    "--spec",
-    "--workload",
-    "--scheme",
-    "--scaled",
-    "--trace",
+    "--workload ID",
+    "--spec FILE",
+    "--scheme S",
     "--cache-model",
-    "--runs",
-    "--seed",
-    "--lib-seed",
-    "--switch",
-    "--rounding",
-    "--policy",
-    "--max-steps",
-    "--jobs",
+    "--runs N",
+    "--seed N",
+    "--lib-seed N",
+    "--switch TOKEN",
+    "--rounding TOKEN",
+    "--policy P",
+    "--max-steps N",
+    "--jobs N",
 ];
 
-/// The storage flags [`parse`] recognizes: `--corpus-dir DIR` names the
-/// corpus [`parse`] opens (or creates), and `--corpus-segment-bytes N`,
-/// `--corpus-max-bytes N` and `--corpus-cache-slots N` size it. A
-/// campaign binary reads these and [`SPEC_FLAGS`]; `icd` reads these
-/// and `--trace`.
+/// The spec flags of a binary that keys its runs per app (`table1`,
+/// `table2`, `fig5`, `fig8`, `corpus`): all but `--workload`.
+pub const PER_APP_FLAGS: &[&str] = SPEC_FLAGS.split_at(1).1;
+
+/// The storage flags: `--corpus-dir DIR` names the corpus to open (or
+/// create), and the others size it.
 pub const STORAGE_FLAGS: &[&str] = &[
-    "--corpus-dir",
-    "--corpus-segment-bytes",
-    "--corpus-max-bytes",
-    "--corpus-cache-slots",
+    "--corpus-dir DIR",
+    "--corpus-segment-bytes N",
+    "--corpus-max-bytes N",
+    "--corpus-cache-slots N",
 ];
 
-/// Parses the spec flags out of `args` (exclusive of `argv[0]`).
+/// The read-set of `table1`, `table2`, `fig5` and `fig8`.
+pub const CAMPAIGN_READS: &[&[&str]] = &[PER_APP_FLAGS, STORAGE_FLAGS, &[SCALED, TRACE]];
+
+/// The flags this module gives a meaning: outside a binary's read-set,
+/// each is refused by name rather than passed on.
+const SHARED: &[&[&str]] = &[SPEC_FLAGS, STORAGE_FLAGS, &[SCALED, TRACE]];
+
+/// A declared flag's name: its usage text up to the value.
+fn name(flag: &str) -> &str {
+    flag.split_once(' ').map_or(flag, |(name, _)| name)
+}
+
+/// A command line [`parse`] has vetted, before its store is opened: a
+/// binary checks its positionals here, so a usage error creates no
+/// corpus.
+#[derive(Debug)]
+pub struct Parsed {
+    /// The command line; its `corpus` is `None` until [`open`](Self::open).
+    pub opts: HarnessOpts,
+    store: Option<CorpusOptions>,
+}
+
+impl Parsed {
+    /// Refuses any argument left in [`HarnessOpts::rest`], for a binary
+    /// that takes no positionals.
+    ///
+    /// # Errors
+    ///
+    /// `unknown argument X` for the first one.
+    pub fn no_rest(self) -> Result<Self, String> {
+        match self.opts.rest.first() {
+            Some(other) => Err(format!("unknown argument {other}")),
+            None => Ok(self),
+        }
+    }
+
+    /// Opens (or creates) the corpus `--corpus-dir` names.
+    ///
+    /// # Errors
+    ///
+    /// The store's refusal of its directory or sizes.
+    pub fn open(self) -> Result<HarnessOpts, String> {
+        let Parsed { mut opts, store } = self;
+        if let Some(options) = store {
+            opts.corpus = Some(Arc::new(options.open().map_err(|e| e.to_string())?));
+        }
+        Ok(opts)
+    }
+}
+
+/// Parses `args` (exclusive of `argv[0]`) against a binary's read-set.
 ///
-/// `reads` is the binary's read-set, given as a list of flag sets: a
-/// flag of [`SPEC_FLAGS`] or [`STORAGE_FLAGS`] outside it is an error
-/// naming it, not a setting that silently changes nothing. Anything
-/// else lands in [`HarnessOpts::rest`], in order, and `check_rest`
-/// vets it. Both checks run before the corpus at `--corpus-dir` is
-/// opened, so a usage error leaves no store behind.
-/// (`--workload` matters for spec authoring; the table/figure binaries
-/// key their corpus entries per app.)
+/// `reads` lists the flag sets the binary reads. A shared flag, or one
+/// of `unread` (the binary's own flags that this mode of it does not
+/// read), outside `reads` is an error naming it, not a setting that
+/// silently changes nothing. Every flag read lands in
+/// [`HarnessOpts::flags`] with its value; any other argument lands in
+/// [`HarnessOpts::rest`], in order, for the binary to take as a
+/// positional or refuse. Nothing is opened yet: see [`Parsed::open`].
 ///
-/// Flag order is immaterial: the skip policy's failure budget is
-/// resolved against the *final* run count, so `--policy skip --runs 8`
-/// and `--runs 8 --policy skip` agree.
+/// Flag order is immaterial, and a repeated flag's last value wins: the
+/// skip policy's failure budget is resolved against the *final* run
+/// count, so `--policy skip --runs 8` and `--runs 8 --policy skip`
+/// agree.
 ///
 /// # Errors
 ///
-/// A usage message naming the offending flag (missing value, malformed
-/// number, unknown token, a flag outside `reads`, unreadable spec file
-/// or corpus directory), or `check_rest`'s.
+/// A usage message that starts with the offending flag: a missing or
+/// malformed value, a flag outside `reads`, an unreadable spec file,
+/// or a corpus size without a corpus.
 pub fn parse(
     args: &[String],
-    reads: &[&[&str]],
-    check_rest: impl FnOnce(&[String]) -> Result<(), String>,
-) -> Result<HarnessOpts, String> {
-    let mut spec_file: Option<String> = None;
-    let mut workload: Option<String> = None;
-    let mut scheme: Option<Scheme> = None;
-    let mut runs: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut lib_seed: Option<u64> = None;
-    let mut switch: Option<String> = None;
-    let mut rounding: Option<String> = None;
-    let mut policy: Option<String> = None;
-    let mut max_steps: Option<u64> = None;
-    let mut jobs: Option<usize> = None;
-    let mut cache_model = false;
-    let mut scaled = false;
-    let mut trace = false;
-    let mut corpus_dir: Option<String> = None;
-    let mut corpus_segment_bytes: Option<u64> = None;
-    let mut corpus_max_bytes: Option<u64> = None;
-    let mut corpus_cache_slots: Option<usize> = None;
+    reads: &[&[&'static str]],
+    unread: &[&[&'static str]],
+) -> Result<Parsed, String> {
+    let find = |sets: &[&[&'static str]], arg: &str| {
+        sets.iter()
+            .flat_map(|set| set.iter())
+            .copied()
+            .find(|&flag| name(flag) == arg)
+    };
+    let mut flags = Vec::new();
     let mut rest = Vec::new();
-
     let mut i = 0;
     while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = || -> Result<String, String> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag {
-            "--spec" => spec_file = Some(value()?),
-            "--workload" => workload = Some(value()?),
-            "--scheme" => {
-                let v = value()?;
-                scheme = Some(Scheme::parse(&v).ok_or_else(|| format!("unknown scheme {v:?}"))?);
-            }
-            "--scaled" => scaled = true,
-            "--trace" => trace = true,
-            "--cache-model" => cache_model = true,
-            "--runs" => runs = Some(parse_num(flag, &value()?)?),
-            "--seed" => seed = Some(parse_num(flag, &value()?)?),
-            "--lib-seed" => lib_seed = Some(parse_num(flag, &value()?)?),
-            "--switch" => switch = Some(value()?),
-            "--rounding" => rounding = Some(value()?),
-            "--policy" => policy = Some(value()?),
-            "--max-steps" => max_steps = Some(parse_num(flag, &value()?)?),
-            "--jobs" => jobs = Some(parse_num(flag, &value()?)?),
-            "--corpus-dir" => corpus_dir = Some(value()?),
-            "--corpus-segment-bytes" => corpus_segment_bytes = Some(parse_num(flag, &value()?)?),
-            "--corpus-max-bytes" => corpus_max_bytes = Some(parse_num(flag, &value()?)?),
-            "--corpus-cache-slots" => corpus_cache_slots = Some(parse_num(flag, &value()?)?),
-            other => {
-                rest.push(other.to_owned());
-                i += 1;
-                continue;
-            }
-        }
-        if !reads.iter().any(|set| set.contains(&flag)) {
-            let read = match reads.concat() {
-                read if read.is_empty() => "no spec flag".to_owned(),
-                read => read.join(", "),
-            };
-            return Err(format!(
-                "{flag}: this binary does not read it (it reads {read})"
-            ));
-        }
+        let arg = args[i].as_str();
         i += 1;
+        let Some(flag) = find(reads, arg) else {
+            if find(SHARED, arg).or(find(unread, arg)).is_some() {
+                let read: Vec<&str> = reads
+                    .iter()
+                    .flat_map(|set| set.iter().map(|f| name(f)))
+                    .collect();
+                let read = if read.is_empty() {
+                    "no spec flag".to_owned()
+                } else {
+                    read.join(", ")
+                };
+                return Err(format!(
+                    "{arg}: this binary does not read it (it reads {read})"
+                ));
+            }
+            rest.push(arg.to_owned());
+            continue;
+        };
+        let value = match flag.split_once(' ') {
+            None => String::new(),
+            Some((_, meta)) => {
+                let value = args.get(i).ok_or_else(|| format!("{arg} needs a value"))?;
+                i += 1;
+                if meta == "N" && value.parse::<u64>().is_err() {
+                    return Err(format!("{arg}: not a number: {value:?}"));
+                }
+                value.clone()
+            }
+        };
+        flags.push((name(flag), value));
     }
 
-    let mut spec = match &spec_file {
+    let mut opts = HarnessOpts {
+        spec: CampaignSpec::new("", Scheme::HwInc),
+        scaled: false,
+        trace: false,
+        corpus: None,
+        flags,
+        rest,
+    };
+    let mut spec = match opts.value("--spec") {
         Some(path) => {
             let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read spec file {path}: {e}"))?;
+                .map_err(|e| format!("--spec: cannot read spec file {path}: {e}"))?;
             CampaignSpec::from_json(text.trim())
-                .map_err(|e| format!("invalid spec file {path}: {e}"))?
+                .map_err(|e| format!("--spec: invalid spec file {path}: {e}"))?
         }
-        None => CampaignSpec::new("", scheme.unwrap_or(Scheme::HwInc)),
+        None => CampaignSpec::new("", Scheme::HwInc),
     };
-    if spec_file.is_some() {
-        if let Some(s) = scheme {
-            spec.scheme = s;
-        }
+    if let Some(v) = opts.value("--scheme") {
+        spec.scheme = Scheme::parse(v).ok_or_else(|| format!("--scheme: unknown scheme {v:?}"))?;
     }
-    if let Some(w) = workload {
-        spec.workload = w;
-    }
-    if let Some(n) = runs {
-        spec.runs = n;
-    }
-    if let Some(s) = seed {
-        spec.base_seed = s;
-    }
-    if let Some(s) = lib_seed {
-        spec.lib_seed = s;
-    }
-    if let Some(tok) = &switch {
+    spec.workload = opts
+        .value("--workload")
+        .map_or(spec.workload, str::to_owned);
+    spec.runs = opts.num("--runs").map_or(spec.runs, |n| n as usize);
+    spec.base_seed = opts.num("--seed").unwrap_or(spec.base_seed);
+    spec.lib_seed = opts.num("--lib-seed").unwrap_or(spec.lib_seed);
+    if let Some(tok) = opts.value("--switch") {
         spec.switch = parse_switch(tok).map_err(|e| format!("--switch: {e}"))?;
     }
-    if let Some(tok) = &rounding {
+    if let Some(tok) = opts.value("--rounding") {
         spec.rounding = parse_rounding(tok).map_err(|e| format!("--rounding: {e}"))?;
     }
-    if let Some(n) = max_steps {
-        spec.max_steps = n;
-    }
-    if let Some(n) = jobs {
-        spec.jobs = Some(n);
-    }
-    if cache_model {
-        spec.cache_model = true;
-    }
-    if let Some(name) = &policy {
-        spec.policy = resolve_policy(name, spec.runs)?;
+    spec.max_steps = opts.num("--max-steps").unwrap_or(spec.max_steps);
+    spec.jobs = opts.num("--jobs").map(|n| n as usize).or(spec.jobs);
+    spec.cache_model |= opts.switch("--cache-model");
+    if let Some(name) = opts.value("--policy") {
+        spec.policy = resolve_policy(name, spec.runs).map_err(|e| format!("--policy: {e}"))?;
     }
 
-    // Every usage error is reported before the store is created.
-    check_rest(&rest)?;
-    let corpus = match corpus_dir {
+    let store = match opts.value("--corpus-dir") {
         Some(dir) => {
             let mut options = CorpusOptions::at(dir);
-            if let Some(n) = corpus_segment_bytes {
+            if let Some(n) = opts.num("--corpus-segment-bytes") {
                 options = options.segment_bytes(n);
             }
-            if let Some(n) = corpus_max_bytes {
+            if let Some(n) = opts.num("--corpus-max-bytes") {
                 options = options.max_bytes(n);
             }
-            if let Some(n) = corpus_cache_slots {
-                options = options.cache_slots(n);
+            if let Some(n) = opts.num("--corpus-cache-slots") {
+                options = options.cache_slots(n as usize);
             }
-            Some(Arc::new(options.open().map_err(|e| e.to_string())?))
+            Some(options)
         }
-        None => {
-            // A size for no store would be parsed and then dropped.
-            let sizing = [
-                ("--corpus-segment-bytes", corpus_segment_bytes.is_some()),
-                ("--corpus-max-bytes", corpus_max_bytes.is_some()),
-                ("--corpus-cache-slots", corpus_cache_slots.is_some()),
-            ];
-            if let Some((flag, _)) = sizing.iter().find(|(_, set)| *set) {
-                return Err(format!("{flag}: sizes a corpus, so it needs --corpus-dir"));
-            }
-            None
-        }
+        // A size for no store would be parsed and then dropped.
+        None => match STORAGE_FLAGS[1..]
+            .iter()
+            .map(|f| name(f))
+            .find(|f| opts.switch(f))
+        {
+            Some(flag) => return Err(format!("{flag}: sizes a corpus, so it needs --corpus-dir")),
+            None => None,
+        },
     };
+    opts.spec = spec;
+    opts.scaled = opts.switch(SCALED);
+    opts.trace = opts.switch(TRACE);
+    Ok(Parsed { opts, store })
+}
 
-    Ok(HarnessOpts {
-        spec,
-        scaled,
-        trace,
-        corpus,
-        rest,
-    })
+/// A read-set's usage text: each flag bracketed, `[--runs N] [--scaled] …`.
+pub fn synopsis(reads: &[&[&str]]) -> String {
+    let flags: Vec<String> = reads
+        .iter()
+        .flat_map(|set| set.iter().map(|f| format!("[{f}]")))
+        .collect();
+    flags.join(" ")
 }
 
 /// Resolves a `--policy` name against the campaign's final run count
@@ -251,11 +269,6 @@ pub fn resolve_policy(name: &str, runs: usize) -> Result<FailurePolicy, String> 
     }
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
-    text.parse()
-        .map_err(|_| format!("{flag}: not a number: {text:?}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,7 +276,9 @@ mod tests {
 
     fn parse(args: &[&str]) -> HarnessOpts {
         let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        super::parse(&args, &[SPEC_FLAGS, STORAGE_FLAGS], |_| Ok(())).unwrap()
+        super::parse(&args, &[SPEC_FLAGS, STORAGE_FLAGS, &[SCALED, TRACE]], &[])
+            .and_then(Parsed::open)
+            .unwrap()
     }
 
     #[test]
@@ -382,16 +397,63 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let err = super::parse(&args, &[SPEC_FLAGS], |_| Ok(())).unwrap_err();
+        let err = super::parse(&args, &[SPEC_FLAGS], &[]).unwrap_err();
         assert!(err.starts_with("--corpus-dir:"), "{err}");
         assert!(!dir.exists(), "{err}");
     }
 
     #[test]
+    fn make_specs_read_set_refuses_the_harness_switches() {
+        for flag in [SCALED, TRACE] {
+            let err = super::parse(&[flag.to_owned()], &[SPEC_FLAGS], &[]).unwrap_err();
+            assert!(err.starts_with(&format!("{flag}:")), "{err}");
+        }
+    }
+
+    #[test]
+    fn own_flags_are_vetted_and_read_back_apart_from_positionals() {
+        const OWN: &[&str] = &["--width N", "--out DIR", "--x"];
+        let args =
+            |args: &[&str]| -> Vec<String> { args.iter().map(|s| (*s).to_owned()).collect() };
+        let sa = super::parse(
+            &args(&[
+                "check", "--width", "2", "--x", "--out", "a", "--width", "4", "more",
+            ]),
+            &[OWN, &[SCALED]],
+            &[],
+        )
+        .unwrap()
+        .opts;
+        assert_eq!(sa.num("--width"), Some(4), "the last value wins");
+        assert_eq!(sa.value("--out"), Some("a"));
+        assert!(sa.switch("--x") && !sa.scaled);
+        assert_eq!(sa.rest, ["check", "more"]);
+
+        let err = |argv: &[&str], unread: &[&[&'static str]]| {
+            super::parse(&args(argv), &[OWN], unread).unwrap_err()
+        };
+        assert!(err(&["--width", "x"], &[]).starts_with("--width: not a number"));
+        assert!(err(&["--out"], &[]).starts_with("--out needs a value"));
+        // A flag of another mode of the binary is refused by name; one
+        // nobody declares passes on to the binary as `rest`.
+        let e = err(&["--socket", "s"], &[&["--socket PATH"]]);
+        assert!(
+            e.starts_with("--socket:") && e.contains("--width, --out, --x"),
+            "{e}"
+        );
+        let sa = super::parse(&args(&["--socket", "s"]), &[OWN], &[]).unwrap();
+        assert_eq!(sa.opts.rest, ["--socket", "s"]);
+        assert!(sa
+            .no_rest()
+            .unwrap_err()
+            .starts_with("unknown argument --socket"));
+    }
+
+    #[test]
     fn a_corpus_size_without_a_corpus_is_refused_by_name() {
-        for flag in &STORAGE_FLAGS[1..] {
-            let args = [flag.to_string(), "4096".to_owned()];
-            let err = super::parse(&args, &[STORAGE_FLAGS], |_| Ok(())).unwrap_err();
+        for flag in STORAGE_FLAGS[1..].iter().map(|f| name(f)) {
+            let args = [flag.to_owned(), "4096".to_owned()];
+            let err = super::parse(&args, &[STORAGE_FLAGS], &[]).unwrap_err();
             assert!(
                 err.starts_with(flag) && err.contains("--corpus-dir"),
                 "{flag}: {err}"
@@ -403,7 +465,12 @@ mod tests {
     fn a_flag_the_binary_does_not_read_is_refused_by_name() {
         let reading = |args: &[&str], reads: &[&str]| {
             let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-            super::parse(&args, &[reads], |_| Ok(()))
+            let reads: Vec<&str> = SPEC_FLAGS
+                .iter()
+                .filter(|f| reads.contains(&name(f)))
+                .copied()
+                .collect();
+            super::parse(&args, &[&reads], &[]).and_then(Parsed::open)
         };
         let sa = reading(&["--seed", "4", "--extra"], &["--runs", "--seed"]).unwrap();
         assert_eq!(sa.spec.base_seed, 4);
@@ -429,8 +496,8 @@ mod tests {
 
     #[test]
     fn every_declared_spec_flag_is_parsed() {
-        for flag in [SPEC_FLAGS, STORAGE_FLAGS].concat() {
-            let err = super::parse(&[flag.to_owned()], &[], |_| Ok(())).unwrap_err();
+        for flag in [SPEC_FLAGS, STORAGE_FLAGS].concat().iter().map(|f| name(f)) {
+            let err = super::parse(&[flag.to_owned()], &[], &[]).unwrap_err();
             assert!(err.starts_with(flag), "{flag}: {err}");
         }
     }
@@ -439,7 +506,7 @@ mod tests {
     fn malformed_input_names_the_flag() {
         let err = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-            super::parse(&args, &[SPEC_FLAGS, STORAGE_FLAGS], |_| Ok(())).unwrap_err()
+            super::parse(&args, &[SPEC_FLAGS, STORAGE_FLAGS], &[]).unwrap_err()
         };
         assert!(err(&["--runs", "many"]).contains("--runs"));
         assert!(err(&["--runs"]).contains("needs a value"));

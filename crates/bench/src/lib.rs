@@ -1,20 +1,25 @@
 //! Shared machinery for the experiment harness binaries.
 //!
-//! One binary per paper table/figure (see `src/bin/`): `table1`,
-//! `table2`, `fig5`, `fig6`, `fig8`, `race_filter`, `pruning`,
-//! `replay_assist`, plus the `icprof` trace profiler. Each prints a
-//! human-readable table to stdout and writes a JSON artifact under
-//! `results/`. The campaign binaries (`table1`, `table2`, `fig5`,
-//! `fig8`) accept every spec and storage flag, among them `--scaled`
-//! (miniature workloads for a quick pass) and `--runs N`; the others
-//! refuse the flags they do not read (see [`HarnessOpts::from_args`]). With
-//! `--trace`, campaign binaries also write a deterministic event trace
-//! (`results/<app>.trace.jsonl`) that `icprof` can profile or convert
-//! for `chrome://tracing`; with `--cache-model`, L1/MHM hit rates are
-//! measured and included in the JSON artifacts; with `--corpus-dir DIR`, completed runs are recorded
-//! to (and replayed from) a persistent content-addressed store — see
-//! the `corpus` crate and the `corpus` binary, which records and
-//! drift-checks campaign baselines against that store.
+//! One binary per paper table/figure (see `src/bin/`), plus the `icd`
+//! daemon, the `corpus` baseline tool and the `icprof` trace profiler.
+//! Each table or figure binary prints a table to stdout and writes a
+//! JSON artifact under `results/`. Every binary parses its command line
+//! with [`cli::parse`] and refuses, with exit status 2, a flag it does
+//! not read:
+//!
+//! ```text
+//! table1|table2|fig5|fig8 [spec flags but --workload] [storage flags] [--scaled] [--trace]
+//! fig6 [--seed N] [--scaled]
+//! race_filter [--runs N] [--seed N]
+//! replay_assist [--seed N]
+//! pruning
+//! ```
+//!
+//! `--trace` writes deterministic event traces
+//! (`results/<tool>-<app>.trace.jsonl`) for `icprof`; `--cache-model`
+//! adds L1/MHM hit rates to the JSON artifacts; `--corpus-dir DIR`
+//! records runs to, and replays them from, a persistent
+//! content-addressed store (the `corpus` crate and binary).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,13 +39,13 @@ use obs::json::{self, Layout, ToJson};
 pub mod cli;
 
 /// The parsed command line of a harness binary (see
-/// [`cli::parse`]): the campaign spec plus the harness-only
-/// switches.
+/// [`cli::parse`]): the campaign spec, the harness-only switches, the
+/// opened corpus, and the binary's own flags and positionals.
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
     /// The campaign template. Its `workload` is empty unless `--spec`
-    /// supplied one — the table/figure binaries key each app's corpus
-    /// entries by [`workload_id`](Self::workload_id).
+    /// or `--workload` supplied one — the table/figure binaries key each
+    /// app's corpus entries by [`workload_id`](Self::workload_id).
     pub spec: CampaignSpec,
     /// `--scaled`: use miniature workloads.
     pub scaled: bool,
@@ -54,27 +59,50 @@ pub struct HarnessOpts {
     /// campaigns produce byte-identical reports, so tables and figures
     /// are unaffected.
     pub corpus: Option<std::sync::Arc<corpus::Corpus>>,
-    /// Arguments the parser did not recognize, in order — binaries
-    /// with extra flags (subcommands, `--app`, …) consume these.
+    /// Every flag read, in order, with its value (empty for a switch).
+    /// A binary reads its own flags through [`value`](Self::value),
+    /// [`switch`](Self::switch) and [`num`](Self::num).
+    pub flags: Vec<(&'static str, String)>,
+    /// The arguments that are no flag read nor a flag's value, in order:
+    /// the binary's positionals (`corpus`'s subcommand, `icprof`'s trace
+    /// path), or unknown arguments it refuses.
     pub rest: Vec<String>,
 }
 
 impl HarnessOpts {
     /// Parses `std::env::args` with [`cli::parse`] for a binary that
-    /// reads the flag sets in `reads` (`[cli::SPEC_FLAGS,
-    /// cli::STORAGE_FLAGS]` for a campaign binary) and takes no
-    /// arguments of its own. A usage error, a flag outside `reads` or
-    /// any other argument exits with status 2.
-    pub fn from_args(reads: &[&[&str]]) -> Self {
+    /// reads the flag sets in `reads` ([`cli::CAMPAIGN_READS`] for a
+    /// table or figure campaign) and takes no positionals, then opens
+    /// its corpus. A usage error, a flag outside `reads` or any other
+    /// argument exits with status 2 before the corpus is opened.
+    pub fn from_args(reads: &[&[&'static str]]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let no_rest = |rest: &[String]| match rest.first() {
-            None => Ok(()),
-            Some(other) => Err(format!("unknown argument {other}")),
-        };
-        cli::parse(&args, reads, no_rest).unwrap_or_else(|error| {
-            eprintln!("{error}");
-            std::process::exit(2);
-        })
+        cli::parse(&args, reads, &[])
+            .and_then(cli::Parsed::no_rest)
+            .and_then(cli::Parsed::open)
+            .unwrap_or_else(|error| {
+                eprintln!("{error}");
+                std::process::exit(2);
+            })
+    }
+
+    /// The value the last `name` on the command line gave.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(flag, _)| *flag == name)
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// Whether the command line gave `name`.
+    pub fn switch(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    /// The number the last `name` gave ([`cli::parse`] vetted it).
+    pub fn num(&self, name: &str) -> Option<u64> {
+        self.value(name).and_then(|v| v.parse().ok())
     }
 
     /// The workload registry for the chosen scale.
@@ -720,7 +748,17 @@ mod tests {
 
     fn opts(args: &[&str]) -> HarnessOpts {
         let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        cli::parse(&args, &[cli::SPEC_FLAGS, cli::STORAGE_FLAGS], |_| Ok(())).unwrap()
+        cli::parse(
+            &args,
+            &[
+                cli::SPEC_FLAGS,
+                cli::STORAGE_FLAGS,
+                &[cli::SCALED, cli::TRACE],
+            ],
+            &[],
+        )
+        .and_then(cli::Parsed::open)
+        .unwrap()
     }
 
     fn quick_opts() -> HarnessOpts {

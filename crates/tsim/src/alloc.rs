@@ -558,7 +558,13 @@ mod tests {
             assert_eq!(log.entries(), want);
             for (&(tid, seq), &base) in &model {
                 assert_eq!(log.lookup(tid, seq), Some(Addr(base)));
-                for (t, s) in [(tid, seq + 1), (tid + 1, seq), (tid, u64::MAX)] {
+                // A neighbour past `usize::MAX` or `u64::MAX` does not exist.
+                let neighbours = [
+                    seq.checked_add(1).map(|s| (tid, s)),
+                    tid.checked_add(1).map(|t| (t, seq)),
+                    Some((tid, u64::MAX)),
+                ];
+                for (t, s) in neighbours.into_iter().flatten() {
                     assert_eq!(log.lookup(t, s), model.get(&(t, s)).map(|&b| Addr(b)));
                 }
             }
