@@ -589,3 +589,53 @@ fn a_memo_arena_past_the_maximum_is_refused_before_the_store_exists() {
         assert!(!dir.exists(), "a refused open created {}", dir.display());
     }
 }
+
+/// A traced `Retry` campaign whose slot 3 runs under a fault plan that
+/// deadlocks its first attempt (dropped wakeups) and lets the reseeded
+/// retry complete. The failed attempt's captured simulator events reach
+/// the trace through the slot's buffer on the parallel path; warm, the
+/// failed attempt recomputes (a failure is never stored) while every
+/// completed attempt replays.
+fn retry_campaign(dir: &PathBuf, jobs: usize) -> (CheckReport, String, obs::Snapshot) {
+    let plan = FaultPlan::new(5).with(FaultKind::WakeDrop, Trigger::Rate { num: 1, denom: 3 });
+    let sink = Arc::new(MemorySink::new());
+    let reg = Arc::new(Registry::new());
+    let cfg = config(&open(dir), jobs)
+        .with_runs(8)
+        .with_policy(FailurePolicy::Retry { max_retries: 4 })
+        .with_fault_in_run(3, plan)
+        .with_sink(sink.clone())
+        .with_registry(reg.clone());
+    let report = Checker::new(cfg)
+        .expect("valid config")
+        .check(commuting_sum)
+        .expect("the retries recover slot 3");
+    (report, sink.to_jsonl(), reg.snapshot())
+}
+
+#[test]
+fn a_traced_retry_campaign_is_identical_cold_and_warm_at_any_worker_count() {
+    let mut seen = Vec::new();
+    for jobs in [1usize, 4] {
+        let dir = tempdir(&format!("retry-{jobs}"));
+        let cold = retry_campaign(&dir, jobs);
+        let warm = retry_campaign(&dir, jobs);
+        seen.push((format!("jobs={jobs} cold"), cold));
+        seen.push((format!("jobs={jobs} warm"), warm));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+    let (_, first) = &seen[0];
+    let failures = &first.0.failures;
+    assert_eq!(failures.len(), 1, "slot 3's first attempt fails");
+    assert_eq!((failures[0].run_index, failures[0].attempt), (3, 0));
+    assert!(failures[0].recovered, "a retry completes slot 3");
+    assert!(
+        first.1.contains(r#""error":"Deadlock""#),
+        "the failed attempt's run span is traced"
+    );
+    for (what, other) in &seen[1..] {
+        assert_eq!(first.0, other.0, "{what}: report");
+        assert_eq!(first.1, other.1, "{what}: trace bytes");
+        assert_eq!(first.2, other.2, "{what}: campaign metrics");
+    }
+}
