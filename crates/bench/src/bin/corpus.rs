@@ -25,14 +25,15 @@
 //! checkpoints, alloc-log and trace lengths — the human view of the
 //! binary on-disk records; it never creates a corpus.
 //!
-//! `record` and `check` parse their command line with the shared parser
+//! Every subcommand parses its command line with the shared parser
 //! (`bench::cli::parse`), so `--runs`/`--seed`/`--jobs`/`--scheme`/
 //! `--spec FILE` and the storage flags mean exactly what they mean to
 //! every other binary. `--app` and `--scaled` name the workload, so
 //! `--workload` is refused, as is `--trace` (no trace is written).
 //! Without `--corpus-dir`, the store lives at `results/corpus`; it is
 //! opened only once the command line is vetted, so a usage error
-//! (exit status 2) creates none.
+//! (exit status 2) creates none. `dump` reads only `--corpus-dir`, which
+//! it requires, and refuses every other argument by name.
 
 use std::io::Write;
 use std::path::Path;
@@ -112,17 +113,35 @@ fn campaign(cli: &Cli, app: &AppSpec) -> (Vec<instantcheck::RunHashes>, CheckRep
     (runs, report)
 }
 
+/// Parses `dump`'s command line, which reads only `--corpus-dir DIR`.
+/// The store stays unopened in the [`cli::Parsed`], so a usage error
+/// creates nothing.
+fn dump_dir(args: &[String]) -> Result<String, String> {
+    let parsed = cli::parse(args, &[&cli::STORAGE_FLAGS[..1]], &[])?;
+    if let Some(other) = parsed.opts.rest.first() {
+        return Err(format!(
+            "{other}: unknown argument (dump reads only --corpus-dir)"
+        ));
+    }
+    parsed
+        .opts
+        .value("--corpus-dir")
+        .map(str::to_owned)
+        .ok_or_else(|| "--corpus-dir: dump needs the corpus directory".to_owned())
+}
+
 /// `corpus dump --corpus-dir DIR`: prints every live record of the
 /// corpus at `DIR` as one readable block. Refuses a directory that
 /// holds no corpus rather than creating one.
 fn dump(args: &[String]) -> ExitCode {
-    let dir = match args {
-        [flag, dir] if flag == "--corpus-dir" => Path::new(dir),
-        _ => {
-            eprintln!("{}", usage());
+    let dir = match dump_dir(args) {
+        Ok(dir) => dir,
+        Err(e) => {
+            eprintln!("{e}\n{}", usage());
             return ExitCode::from(2);
         }
     };
+    let dir = Path::new(&dir);
     if !dir.join("format").is_file() {
         eprintln!("no corpus at {}", dir.display());
         return ExitCode::from(2);

@@ -9,7 +9,7 @@
 //! ```text
 //! icd [--width N] [--queue-cap N] [--budget N] [--tenant-quota N]
 //!     [--idle-timeout-ms N] [--max-bad-lines N] [--out DIR] [--socket PATH]
-//!     [--http ADDR] [--heartbeat-ms N] [--batch FILE|-] [--corpus-dir DIR]
+//!     [--http ADDR] [--batch FILE|-] [--corpus-dir DIR]
 //!     [--corpus-segment-bytes N] [--corpus-max-bytes N]
 //!     [--corpus-cache-slots N] [--trace]
 //! icd --connect PATH [--batch FILE|-]        # client mode
@@ -24,9 +24,9 @@
 //! SIGTERM/SIGINT, then — when neither was given — from stdin.
 //! `--corpus-dir` opens (or creates) the shared run corpus, sized by
 //! the other `--corpus-*` flags. `--http ADDR` binds the read-only
-//! telemetry plane (`/status`, `/metrics`, `/profile`), and
-//! `--heartbeat-ms N` appends a telemetry snapshot line per interval to
-//! `<out>/heartbeat.jsonl`.
+//! telemetry plane (`/status`, `/metrics`, `/profile`): the wall-clock
+//! snapshot is pulled from it, and written once, as `profile.json`, at
+//! drain.
 //!
 //! With `--connect`, `icd` is the matching client: it forwards each
 //! input line to the daemon, prints one reply line per request, and —
@@ -59,7 +59,6 @@ use std::time::Duration;
 
 use instantcheck_bench::cli;
 use instantcheck_bench::HarnessOpts;
-use obs::Heartbeat;
 use sched::{
     CampaignStatus, HttpOptions, HttpServer, Orchestrator, OrchestratorConfig, ProgramSource,
     Resolver, Service, SocketOptions,
@@ -77,7 +76,6 @@ const DAEMON: &[&str] = &[
     "--out DIR",
     "--socket PATH",
     "--http ADDR",
-    "--heartbeat-ms N",
 ];
 const BATCH: &str = "--batch FILE|-";
 const CONNECT: &str = "--connect PATH";
@@ -273,16 +271,6 @@ fn run_daemon(opts: &HarnessOpts) -> Result<bool, String> {
         }
         None => None,
     };
-    let mut heartbeat = match opts.num("--heartbeat-ms") {
-        Some(ms) => {
-            let interval = Duration::from_millis(ms.max(1));
-            let path = out_dir.join("heartbeat.jsonl");
-            let hb = Heartbeat::start(Arc::clone(svc.telemetry()), path.clone(), interval)
-                .map_err(|e| format!("cannot start heartbeat at {}: {e}", path.display()))?;
-            Some(hb)
-        }
-        None => None,
-    };
     intake(opts, &svc).map_err(|e| format!("intake failed: {e}"))?;
 
     eprintln!("icd: draining {} submission(s)…", svc.submitted());
@@ -315,9 +303,6 @@ fn run_daemon(opts: &HarnessOpts) -> Result<bool, String> {
     // same body `/profile` serves. Written before the HTTP listener
     // stops so a final scrape and the artifact agree on schema.
     write_artifact(&out_dir.join("profile.json"), &svc.profile_json());
-    if let Some(hb) = &mut heartbeat {
-        hb.stop();
-    }
     if let Some(server) = &mut http_server {
         server.shutdown();
     }

@@ -176,7 +176,7 @@ fn main() -> ExitCode {
     let mut lanes = Vec::new();
     if let Some(path) = profile_path {
         // Accept both the `/profile` body ({"telemetry":…,"cache":…})
-        // and a bare telemetry snapshot (a heartbeat line).
+        // and a bare telemetry snapshot (`TelemetrySnapshot::to_json`).
         let parsed = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|text| obs::json::parse(&text))

@@ -420,8 +420,10 @@ fn idle_clients_are_disconnected_at_the_deadline() {
 }
 
 /// Runs are bounded by steps alone, so `icd` has no run deadline or
-/// campaign retry loop to tune and the harness no deadline flag: each
-/// such flag is a usage error naming it, not a silently ignored one.
+/// campaign retry loop to tune and the harness no deadline flag, and
+/// `icd` pushes no telemetry file (the snapshot is pulled over HTTP):
+/// each such flag is a usage error naming it, not a silently ignored
+/// one.
 #[test]
 fn deadline_and_retry_flags_are_unknown_arguments() {
     let dir = tempdir("flags");
@@ -429,6 +431,7 @@ fn deadline_and_retry_flags_are_unknown_arguments() {
         (env!("CARGO_BIN_EXE_icd"), "--deadline-ms"),
         (env!("CARGO_BIN_EXE_icd"), "--retries"),
         (env!("CARGO_BIN_EXE_icd"), "--backoff-ms"),
+        (env!("CARGO_BIN_EXE_icd"), "--heartbeat-ms"),
         (env!("CARGO_BIN_EXE_table2"), "--deadline-ms"),
     ] {
         let out = Command::new(bin)

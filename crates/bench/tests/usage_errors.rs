@@ -26,6 +26,9 @@ fn refused_flags_are_named_first_and_create_nothing() {
             "--workload",
         ),
         (table2, &["--workload", "x"], "--workload"),
+        (corpus, &["dump"], "--corpus-dir"),
+        (corpus, &["dump", "--corpus-dir"], "--corpus-dir"),
+        (corpus, &["dump", "--x", "D"], "--x"),
     ];
     for (i, (bin, args, flag)) in cases.iter().enumerate() {
         // A fresh working directory per case: the default `results/`

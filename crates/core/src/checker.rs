@@ -6,7 +6,7 @@ use std::thread;
 
 use adhash::FpRound;
 use mhm::CacheStats;
-use obs::{BufferSink, Event, EventSink, MemorySink, Registry, Telemetry, CONTROL_TRACK};
+use obs::{Event, EventSink, MemorySink, Registry, Telemetry, CONTROL_TRACK};
 use tsim::{AllocLog, FaultPlan, Monitor, Program, RunConfig, SetupImage, SimError, SwitchPolicy};
 
 use crate::cache::{CacheLease, CachedRun, RunCache, RunKey};
@@ -562,7 +562,7 @@ impl CampaignState<'_> {
 
 /// A fanned-out slot's result cell: the slot run plus the events it
 /// buffered, filled in by whichever worker drew the slot.
-type SlotCell = Mutex<Option<(SlotRun, Option<Arc<BufferSink>>)>>;
+type SlotCell = Mutex<Option<(SlotRun, Option<Arc<MemorySink>>)>>;
 
 /// The determinism checker: runs a program many times under different
 /// schedules (controlling the other nondeterminism sources) and compares
@@ -749,7 +749,7 @@ impl Checker {
     /// for it. Control-track events (run spans, the divergence
     /// instant against `reference`) and simulator events go to `sink` —
     /// the campaign's own sink on the serial path, a per-slot
-    /// [`BufferSink`] on the parallel one. The campaign's first computed
+    /// [`MemorySink`] on the parallel one. The campaign's first computed
     /// attempt fills `image` with its program's setup image, and every
     /// computed attempt starts from it when it fits.
     #[allow(clippy::too_many_arguments)]
@@ -885,7 +885,7 @@ impl Checker {
                     slot_alloc_log = Some(out.alloc_log.clone());
                     let hashes = out.monitor.into_hashes();
                     let sim_trace = capture.map(|c| {
-                        let events = c.events();
+                        let events = c.take();
                         if let Some(sink) = sink {
                             for ev in &events {
                                 sink.record(ev.clone());
@@ -936,7 +936,7 @@ impl Checker {
                 }
                 Err(error) => {
                     if let (Some(c), Some(sink)) = (&capture, sink) {
-                        for ev in c.events() {
+                        for ev in c.take() {
                             sink.record(ev);
                         }
                     }
@@ -1150,7 +1150,7 @@ impl Checker {
                     break;
                 }
                 let start = telemetry.map(|t| t.now_ns());
-                let buffer = sink.map(|_| Arc::new(BufferSink::new()));
+                let buffer = sink.map(|_| Arc::new(MemorySink::new()));
                 let slot_sink = buffer.clone().map(|b| b as Arc<dyn EventSink>);
                 let slot_run = self.run_slot(
                     source,
@@ -1198,7 +1198,9 @@ impl Checker {
                 break;
             }
             if let (Some(buffer), Some(sink)) = (&buffer, sink) {
-                buffer.flush_into(&**sink);
+                for ev in buffer.take() {
+                    sink.record(ev);
+                }
             }
             match state.absorb(slot_run) {
                 SlotVerdict::Continue => {}

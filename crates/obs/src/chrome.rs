@@ -120,9 +120,6 @@ fn write_events(items: &mut Array<'_>, events: &[Event]) {
                 for (k, v) in &ev.args {
                     args.field(k, v);
                 }
-                if let Some(ns) = ev.wall_ns {
-                    args.field("wall_ns", &ns);
-                }
             });
         });
     }

@@ -8,9 +8,8 @@
 //! * **Event traces** ([`EventSink`]): spans and instant events keyed
 //!   by *simulated step count*, not wall clock, so a trace is a pure
 //!   function of (workload, scheduler seed) and two identical campaigns
-//!   serialize to byte-identical files. Wall-clock stamps are opt-in
-//!   ([`MemorySink::with_wall_clock`]) and excluded from the
-//!   determinism contract.
+//!   serialize to byte-identical files. An [`Event`] has no wall-clock
+//!   field.
 //!
 //! On top of the trace format sit [`profile::CampaignProfile`] (the
 //! analysis behind `icprof`) and [`chrome::chrome_trace`]
@@ -18,8 +17,9 @@
 //!
 //! A third facility, [`telemetry`], is the deliberate opposite of the
 //! first two: a **wall-clock side-channel** (lock-wait histograms,
-//! gauges, worker lane spans, heartbeat JSONL) that never enters the
-//! deterministic artifacts.
+//! gauges, worker lane spans) that never enters the deterministic
+//! artifacts. A [`TelemetrySnapshot`] is pulled (`icd`'s `GET /profile`
+//! and `/metrics`, and `profile.json` at drain), never pushed.
 //!
 //! The default sink is [`NoopSink`]; emitters check
 //! [`EventSink::enabled`] before building events, so observability off
@@ -38,8 +38,8 @@ pub mod trace;
 pub use chrome::{chrome_lanes, chrome_trace};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use profile::{CacheCounters, CampaignProfile, Divergence, RunProfile};
-pub use telemetry::{prometheus_text, Gauge, Heartbeat, LaneSpan, Telemetry, TelemetrySnapshot};
+pub use telemetry::{prometheus_text, Gauge, LaneSpan, Telemetry, TelemetrySnapshot};
 pub use trace::{
-    events_to_jsonl, parse_jsonl, ArgValue, BufferSink, Event, EventSink, MemorySink, Name,
-    NoopSink, Phase, CONTROL_TRACK,
+    events_to_jsonl, parse_jsonl, ArgValue, Event, EventSink, MemorySink, Name, NoopSink, Phase,
+    CONTROL_TRACK,
 };

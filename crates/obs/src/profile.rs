@@ -93,8 +93,6 @@ pub struct RunProfile {
     pub faults: Vec<(u64, String)>,
     /// Modeled cache counters, when the cache model was enabled.
     pub cache: Option<CacheCounters>,
-    /// Wall-clock duration (ns), when the sink stamped wall time.
-    pub wall_ns: Option<u64>,
 }
 
 impl RunProfile {
@@ -155,7 +153,6 @@ impl CampaignProfile {
                         seed: ev.arg_u64("seed").unwrap_or(0),
                         attempt: ev.arg_u64("attempt").unwrap_or(0),
                         scheme: ev.arg_str("scheme").unwrap_or("?").to_string(),
-                        wall_ns: ev.wall_ns,
                         ..RunProfile::default()
                     });
                 }
@@ -177,11 +174,6 @@ impl CampaignProfile {
                                 mhm_reads: reads,
                                 mhm_read_misses: ev.arg_u64("mhm_read_misses").unwrap_or(0),
                             });
-                        }
-                        if let (Some(end), Some(begin)) = (ev.wall_ns, run.wall_ns) {
-                            run.wall_ns = Some(end.saturating_sub(begin));
-                        } else {
-                            run.wall_ns = None;
                         }
                         profile.runs.push(run);
                     }
@@ -371,20 +363,6 @@ impl CampaignProfile {
                 };
             }
         }
-        if let Some(total) = self
-            .runs
-            .iter()
-            .map(|r| r.wall_ns)
-            .try_fold(0u64, |acc, w| w.map(|w| acc + w))
-        {
-            if !self.runs.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "\nWall clock (opt-in, non-deterministic): {:.3} ms total across runs",
-                    total as f64 / 1e6
-                );
-            }
-        }
         out
     }
 }
@@ -487,15 +465,5 @@ mod tests {
         let p = CampaignProfile::from_events(&[]);
         assert!(p.runs.is_empty());
         assert!(p.render().contains("0 run(s)"));
-    }
-
-    #[test]
-    fn wall_clock_duration_is_span_delta() {
-        let mut begin = Event::begin(0, CONTROL_TRACK, "run").with_arg("run", 0u64);
-        begin.wall_ns = Some(1_000);
-        let mut end = Event::end(9, CONTROL_TRACK, "run").with_arg("ok", true);
-        end.wall_ns = Some(5_000);
-        let p = CampaignProfile::from_events(&[begin, end]);
-        assert_eq!(p.runs[0].wall_ns, Some(4_000));
     }
 }

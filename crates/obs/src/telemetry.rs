@@ -17,25 +17,19 @@
 //!   monotonic [`Counter`]s, and a bounded [`LaneSpan`] log attributing
 //!   busy/idle time to named worker lanes.
 //! * [`TelemetrySnapshot`] — a frozen copy with deterministic-schema
-//!   JSON (the `/profile` endpoint body and the `telemetry.json`
+//!   JSON (the `/profile` endpoint body and the `profile.json`
 //!   artifact).
-//! * [`Heartbeat`] — a background thread appending one snapshot line
-//!   per tick to a JSONL file, so a post-mortem can replay how waits
-//!   and depths evolved up to a crash.
 //! * [`prometheus_text`] — Prometheus text exposition (v0.0.4) of a
 //!   telemetry snapshot plus, optionally, the deterministic registry's
 //!   counters and histograms.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::json::{self, Layout, Object, ToJson, Value};
+use crate::json::{self, Layout, ToJson, Value};
 use crate::metrics::{Counter, Histogram, HistogramSnapshot, Snapshot};
 
 /// A set-or-add instantaneous value (queue depth, in-flight count,
@@ -320,56 +314,40 @@ pub struct TelemetrySnapshot {
     pub dropped_lanes: u64,
 }
 
-/// The heartbeat members with a `seq` of 0, then the lane log.
+/// Uptime, counters, gauges and histograms, then the lane log.
 impl ToJson for TelemetrySnapshot {
     fn write_json(&self, out: &mut String, layout: Layout) {
         json::object(out, layout, |o| {
-            self.heartbeat_fields(o, 0);
-            o.field("dropped_lanes", &self.dropped_lanes)
+            o.field("uptime_ns", &self.uptime_ns)
+                .field("counters", &self.counters)
+                .field("gauges", &self.gauges)
+                .object("histograms", |hs| {
+                    for (k, h) in &self.histograms {
+                        hs.object(k, |o| {
+                            o.field("count", &h.count)
+                                .field("sum", &h.sum)
+                                .field("p50", &h.p50())
+                                .field("p95", &h.p95())
+                                .field("p99", &h.p99())
+                                .field("buckets", &h.buckets);
+                        });
+                    }
+                })
+                .field("dropped_lanes", &self.dropped_lanes)
                 .field("lanes", &self.lanes);
         });
     }
 }
 
 impl TelemetrySnapshot {
-    /// The heartbeat record's members: everything but the lane log.
-    /// `seq` is the heartbeat sequence number (0 for ad-hoc snapshots).
-    fn heartbeat_fields(&self, o: &mut Object<'_>, seq: u64) {
-        o.field("seq", &seq)
-            .field("uptime_ns", &self.uptime_ns)
-            .field("counters", &self.counters)
-            .field("gauges", &self.gauges)
-            .object("histograms", |hs| {
-                for (k, h) in &self.histograms {
-                    hs.object(k, |o| {
-                        o.field("count", &h.count)
-                            .field("sum", &h.sum)
-                            .field("p50", &h.p50())
-                            .field("p95", &h.p95())
-                            .field("p99", &h.p99())
-                            .field("buckets", &h.buckets);
-                    });
-                }
-            });
-    }
-
-    /// Serializes the snapshot (without the lane log) as one line of
-    /// deterministic-schema JSON — the heartbeat record shape.
-    pub(crate) fn to_heartbeat_json(&self, seq: u64) -> String {
-        let mut out = String::new();
-        json::object(&mut out, Layout::Compact, |o| self.heartbeat_fields(o, seq));
-        out
-    }
-
-    /// Serializes the full snapshot — heartbeat fields plus the lane
-    /// log — as deterministic-schema JSON (the `/profile` body shape's
-    /// telemetry section).
+    /// Serializes the full snapshot as deterministic-schema JSON (the
+    /// `/profile` body shape's telemetry section).
     pub fn to_json(&self) -> String {
         json::to_string(self, Layout::Compact)
     }
 
-    /// Parses a snapshot back from [`to_json`](Self::to_json) (or
-    /// heartbeat) output — the `icprof --profile` reader.
+    /// Parses a snapshot back from [`to_json`](Self::to_json) output —
+    /// the `icprof --profile` reader.
     pub fn from_json(v: &Value) -> Result<TelemetrySnapshot, String> {
         let mut snap = TelemetrySnapshot {
             uptime_ns: v.get("uptime_ns").and_then(Value::as_u64).unwrap_or(0),
@@ -524,75 +502,6 @@ pub fn prometheus_text(registry: Option<&Snapshot>, telemetry: &TelemetrySnapsho
     out
 }
 
-/// A periodic telemetry snapshot writer: one JSONL line per tick
-/// (plus one final line at stop), appended to a file. The thread wakes
-/// in short slices so `stop` (and drop) return promptly.
-#[derive(Debug)]
-pub struct Heartbeat {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Heartbeat {
-    /// Starts a heartbeat appending to `path` every `interval`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error when the file cannot be created.
-    pub fn start(
-        telemetry: Arc<Telemetry>,
-        path: PathBuf,
-        interval: Duration,
-    ) -> std::io::Result<Heartbeat> {
-        let mut file = std::fs::File::create(&path)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let interval = interval.max(Duration::from_millis(1));
-        let handle = std::thread::spawn(move || {
-            let slice = interval.min(Duration::from_millis(50));
-            let mut seq = 0u64;
-            let mut next = Instant::now() + interval;
-            loop {
-                if flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                if Instant::now() >= next {
-                    next += interval;
-                    let line = telemetry.snapshot().to_heartbeat_json(seq);
-                    seq += 1;
-                    if writeln!(file, "{line}").is_err() {
-                        break;
-                    }
-                } else {
-                    std::thread::sleep(slice);
-                }
-            }
-            // One last record so the post-mortem sees the final state.
-            let line = telemetry.snapshot().to_heartbeat_json(seq);
-            let _ = writeln!(file, "{line}");
-            let _ = file.flush();
-        });
-        Ok(Heartbeat {
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// Stops the heartbeat thread, flushing one final record.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,26 +546,6 @@ mod tests {
         assert_eq!(parsed.lanes, snap.lanes);
         // Serialization is deterministic for a frozen snapshot.
         assert_eq!(text, snap.to_json());
-    }
-
-    #[test]
-    fn heartbeat_writes_parseable_lines() {
-        let t = Arc::new(Telemetry::new());
-        t.record_wait("icd.queue.dwell", Duration::from_micros(10));
-        let path = std::env::temp_dir().join(format!("obs-hb-{}.jsonl", std::process::id()));
-        let mut hb =
-            Heartbeat::start(Arc::clone(&t), path.clone(), Duration::from_millis(5)).unwrap();
-        std::thread::sleep(Duration::from_millis(40));
-        hb.stop();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(!lines.is_empty(), "at least the final record is written");
-        for (i, line) in lines.iter().enumerate() {
-            let v = json::parse(line).expect("heartbeat line parses");
-            assert_eq!(v.get("seq").and_then(Value::as_u64), Some(i as u64));
-            assert!(v.get("histograms").is_some());
-        }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

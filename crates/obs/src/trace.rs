@@ -3,15 +3,13 @@
 //! Determinism contract: an [`Event`]'s `step`, `track`, `phase`,
 //! `name`, and `args` are all functions of the simulated execution, so
 //! for a fixed workload + scheduler seed the serialized trace is
-//! byte-identical across host machines and reruns. Wall-clock time is
-//! only available through the opt-in `wall_ns` field
-//! ([`MemorySink::with_wall_clock`]) and must never be used in a
-//! determinism comparison.
+//! byte-identical across host machines and reruns. An event has no
+//! wall-clock field: time is measured on the telemetry plane
+//! ([`Telemetry`](crate::Telemetry)), which never enters a trace.
 
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::json::{self, Layout, ToJson, Value};
 
@@ -125,9 +123,6 @@ pub struct Event {
     pub name: Name,
     /// Deterministic key/value payload.
     pub args: Vec<(Name, ArgValue)>,
-    /// Opt-in wall-clock timestamp (ns since sink creation). Never part
-    /// of the determinism contract; `None` unless the sink stamps it.
-    pub wall_ns: Option<u64>,
 }
 
 impl Event {
@@ -153,7 +148,6 @@ impl Event {
             phase,
             name: name.into(),
             args: Vec::new(),
-            wall_ns: None,
         }
     }
 
@@ -182,9 +176,8 @@ impl Event {
 
     /// Serializes the event as one JSON line (no trailing newline).
     ///
-    /// Field order is fixed (`step`, `track`, `ph`, `name`, `args`,
-    /// then `wall_ns` if present) so that equal events serialize to
-    /// identical bytes.
+    /// Field order is fixed (`step`, `track`, `ph`, `name`, `args`) so
+    /// that equal events serialize to identical bytes.
     pub fn write_json_line(&self, out: &mut String) {
         json::object(out, Layout::Compact, |o| {
             o.field("step", &self.step)
@@ -196,9 +189,6 @@ impl Event {
                         args.field(k, v);
                     }
                 });
-            if let Some(ns) = self.wall_ns {
-                o.field("wall_ns", &ns);
-            }
         });
     }
 
@@ -236,14 +226,12 @@ impl Event {
                 args.push((Cow::Owned(k.clone()), value));
             }
         }
-        let wall_ns = v.get("wall_ns").and_then(Value::as_u64);
         Ok(Event {
             step,
             track,
             phase,
             name: Cow::Owned(name),
             args,
-            wall_ns,
         })
     }
 }
@@ -279,33 +267,22 @@ impl EventSink for NoopSink {
 
 /// An in-memory sink collecting events in arrival order.
 ///
-/// By default wall-clock stamping is off, so the captured trace is a
-/// pure function of the simulated execution. [`MemorySink::with_wall_clock`]
-/// opts in to stamping each event with nanoseconds since sink creation;
-/// such traces are *not* comparable byte-for-byte across runs.
+/// It is also the building block of deterministic trace *merging*: a
+/// parallel campaign hands each run slot its own `MemorySink`, lets the
+/// slots execute concurrently (their events land in per-slot sinks,
+/// never interleaving), and afterwards [`take`](MemorySink::take)s each
+/// slot's events in slot order into the campaign's real sink. The merged
+/// stream is then byte-identical to what a serial execution of the same
+/// slots would have recorded, regardless of how many workers ran them.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<Event>>,
-    epoch: Option<Instant>,
 }
 
 impl MemorySink {
-    /// A deterministic sink (no wall clock).
+    /// An empty sink.
     pub fn new() -> MemorySink {
-        MemorySink {
-            events: Mutex::new(Vec::new()),
-            epoch: None,
-        }
-    }
-
-    /// A sink that stamps each event with wall-clock nanoseconds since
-    /// creation. For local profiling only; breaks byte-identical
-    /// comparison.
-    pub fn with_wall_clock() -> MemorySink {
-        MemorySink {
-            events: Mutex::new(Vec::new()),
-            epoch: Some(Instant::now()),
-        }
+        MemorySink::default()
     }
 
     /// Number of recorded events.
@@ -323,6 +300,12 @@ impl MemorySink {
         self.events.lock().unwrap().clone()
     }
 
+    /// Takes the recorded events out, in recorded order, leaving the
+    /// sink empty.
+    pub fn take(&self) -> Vec<Event> {
+        std::mem::take(&mut *self.events.lock().unwrap())
+    }
+
     /// Serializes all recorded events as JSON lines.
     pub fn to_jsonl(&self) -> String {
         events_to_jsonl(&self.events.lock().unwrap())
@@ -330,65 +313,6 @@ impl MemorySink {
 }
 
 impl EventSink for MemorySink {
-    fn record(&self, mut event: Event) {
-        if let Some(epoch) = self.epoch {
-            event.wall_ns = Some(epoch.elapsed().as_nanos() as u64);
-        }
-        self.events.lock().unwrap().push(event);
-    }
-}
-
-/// A bounded-scope buffer sink: collects events exactly like
-/// [`MemorySink`], then replays them *in recorded order* into another
-/// sink via [`flush_into`](BufferSink::flush_into).
-///
-/// This is the building block of deterministic trace *merging*: a
-/// parallel campaign hands each run slot its own `BufferSink`, lets the
-/// slots execute concurrently (their events land in per-slot buffers,
-/// never interleaving), and afterwards flushes the buffers in slot
-/// order into the campaign's real sink. The merged stream is then
-/// byte-identical to what a serial execution of the same slots would
-/// have recorded, regardless of how many workers ran them.
-///
-/// Wall-clock stamping is intentionally unsupported here: buffered
-/// events are stamped (if at all) by the *destination* sink at flush
-/// time, which keeps the deterministic fields authoritative.
-#[derive(Debug, Default)]
-pub struct BufferSink {
-    events: Mutex<Vec<Event>>,
-}
-
-impl BufferSink {
-    /// An empty buffer.
-    pub fn new() -> BufferSink {
-        BufferSink::default()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
-    }
-
-    /// Whether no events have been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drains the buffer into `sink`, preserving recorded order.
-    pub fn flush_into(&self, sink: &dyn EventSink) {
-        for event in self.events.lock().unwrap().drain(..) {
-            sink.record(event);
-        }
-    }
-
-    /// Discards the buffered events without forwarding them (a slot the
-    /// campaign decided not to keep, e.g. past a `stop_early` cut).
-    pub fn discard(&self) {
-        self.events.lock().unwrap().clear();
-    }
-}
-
-impl EventSink for BufferSink {
     fn record(&self, event: Event) {
         self.events.lock().unwrap().push(event);
     }
@@ -453,7 +377,6 @@ mod tests {
         let a = events_to_jsonl(&sample());
         let b = events_to_jsonl(&sample());
         assert_eq!(a, b);
-        assert!(!a.contains("wall_ns"));
     }
 
     #[test]
@@ -465,16 +388,9 @@ mod tests {
         assert_eq!(sink.len(), 4);
         assert!(!sink.is_empty());
         assert_eq!(sink.events(), sample());
-        assert!(sink.events().iter().all(|e| e.wall_ns.is_none()));
-    }
-
-    #[test]
-    fn wall_clock_is_opt_in() {
-        let sink = MemorySink::with_wall_clock();
-        sink.record(Event::instant(0, 0, "x"));
-        let events = sink.events();
-        assert!(events[0].wall_ns.is_some());
-        assert!(sink.to_jsonl().contains("wall_ns"));
+        assert_eq!(sink.take(), sample(), "take keeps recorded order");
+        assert!(sink.is_empty(), "take drains the sink");
+        assert!(sink.take().is_empty());
     }
 
     #[test]
@@ -487,24 +403,10 @@ mod tests {
     }
 
     #[test]
-    fn buffer_sink_flushes_in_recorded_order() {
-        let buffer = BufferSink::new();
-        assert!(buffer.is_empty());
-        for ev in sample() {
-            buffer.record(ev);
-        }
-        assert_eq!(buffer.len(), 4);
-        let dest = MemorySink::new();
-        buffer.flush_into(&dest);
-        assert!(buffer.is_empty(), "flush drains the buffer");
-        assert_eq!(dest.events(), sample());
-    }
-
-    #[test]
     fn per_slot_buffers_merge_to_the_serial_order() {
-        // Two "slots" record concurrently into separate buffers; the
-        // coordinator flushes them in slot order, reproducing exactly
-        // the stream a serial execution would have produced.
+        // Two "slots" record concurrently into separate sinks; the
+        // coordinator takes them in slot order, reproducing exactly the
+        // stream a serial execution would have produced.
         let serial = MemorySink::new();
         let merged = MemorySink::new();
         let slots: Vec<Vec<Event>> = vec![
@@ -523,10 +425,10 @@ mod tests {
                 serial.record(ev.clone());
             }
         }
-        let buffers: Vec<BufferSink> = slots
+        let buffers: Vec<MemorySink> = slots
             .iter()
             .map(|events| {
-                let b = BufferSink::new();
+                let b = MemorySink::new();
                 // Reverse-order slot completion must not matter.
                 for ev in events {
                     b.record(ev.clone());
@@ -535,20 +437,11 @@ mod tests {
             })
             .collect();
         for b in &buffers {
-            b.flush_into(&merged);
+            for ev in b.take() {
+                merged.record(ev);
+            }
         }
         assert_eq!(events_to_jsonl(&merged.events()), serial.to_jsonl());
-    }
-
-    #[test]
-    fn buffer_sink_discard_drops_everything() {
-        let buffer = BufferSink::new();
-        buffer.record(Event::instant(0, 0, "x"));
-        buffer.discard();
-        assert!(buffer.is_empty());
-        let dest = MemorySink::new();
-        buffer.flush_into(&dest);
-        assert!(dest.is_empty());
     }
 
     #[test]

@@ -172,7 +172,7 @@ fn histogram(values: &[u64]) -> obs::HistogramSnapshot {
 fn telemetry_snapshot_bytes() {
     assert_eq!(
         TelemetrySnapshot::default().to_json(),
-        r#"{"seq":0,"uptime_ns":0,"counters":{},"gauges":{},"histograms":{},"dropped_lanes":0,"lanes":[]}"#
+        r#"{"uptime_ns":0,"counters":{},"gauges":{},"histograms":{},"dropped_lanes":0,"lanes":[]}"#
     );
     let snap = TelemetrySnapshot {
         uptime_ns: 5_000,
@@ -202,15 +202,11 @@ fn telemetry_snapshot_bytes() {
     };
     assert_eq!(
         snap.to_json(),
-        r#"{"seq":0,"uptime_ns":5000,"counters":{"c\n2":2,"c1":1},"gauges":{"depth":3},"histograms":{"empty":{"count":0,"sum":0,"p50":0,"p95":0,"p99":0,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},"wait":{"count":3,"sum":72010,"p50":2047,"p95":131071,"p99":131071,"buckets":[0,0,0,0,1,0,0,0,0,0,0,1,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}},"dropped_lanes":4,"lanes":[{"lane":"icd.w0","name":"campaign","start_ns":1000,"end_ns":9000,"detail":2},{"lane":"icd.\"w1\"","name":"idle","start_ns":0,"end_ns":0,"detail":0}]}"#
+        r#"{"uptime_ns":5000,"counters":{"c\n2":2,"c1":1},"gauges":{"depth":3},"histograms":{"empty":{"count":0,"sum":0,"p50":0,"p95":0,"p99":0,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},"wait":{"count":3,"sum":72010,"p50":2047,"p95":131071,"p99":131071,"buckets":[0,0,0,0,1,0,0,0,0,0,0,1,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}},"dropped_lanes":4,"lanes":[{"lane":"icd.w0","name":"campaign","start_ns":1000,"end_ns":9000,"detail":2},{"lane":"icd.\"w1\"","name":"idle","start_ns":0,"end_ns":0,"detail":0}]}"#
     );
 }
 
 fn events() -> Vec<Event> {
-    let mut stamped = Event::instant(7, 1, "fault").with_arg("kind", "bit-flip");
-    stamped.wall_ns = Some(123);
-    let mut wall_only = Event::end(8, 1, "fault");
-    wall_only.wall_ns = Some(0);
     vec![
         Event::begin(0, CONTROL_TRACK, "run")
             .with_arg("run", 2u64)
@@ -219,11 +215,11 @@ fn events() -> Vec<Event> {
         Event::instant(3, 0, "checkpoint")
             .with_arg("note", String::from("a\"b\\c\nd\te\u{1}"))
             .with_arg("n", 4u64),
-        stamped,
+        Event::instant(7, 1, "fault").with_arg("kind", "bit-flip"),
         Event::end(5, 0, "sched"),
         Event::end(0, CONTROL_TRACK, "run"),
         Event::instant(9, CONTROL_TRACK, "bare").with_arg("x", 0u64),
-        wall_only,
+        Event::end(8, 1, "fault"),
     ]
 }
 
@@ -234,20 +230,12 @@ fn trace_line_bytes() {
         r#"{"step":0,"track":4294967295,"ph":"B","name":"run","args":{"run":2,"seed":18446744073709551615}}
 {"step":1,"track":0,"ph":"B","name":"sched","args":{}}
 {"step":3,"track":0,"ph":"I","name":"checkpoint","args":{"note":"a\"b\\c\nd\te\u0001","n":4}}
-{"step":7,"track":1,"ph":"I","name":"fault","args":{"kind":"bit-flip"},"wall_ns":123}
+{"step":7,"track":1,"ph":"I","name":"fault","args":{"kind":"bit-flip"}}
 {"step":5,"track":0,"ph":"E","name":"sched","args":{}}
 {"step":0,"track":4294967295,"ph":"E","name":"run","args":{}}
 {"step":9,"track":4294967295,"ph":"I","name":"bare","args":{"x":0}}
-{"step":8,"track":1,"ph":"E","name":"fault","args":{},"wall_ns":0}
+{"step":8,"track":1,"ph":"E","name":"fault","args":{}}
 "#
-    );
-    let mut wall_only = Event::end(2, 3, "w");
-    wall_only.wall_ns = Some(0);
-    let mut line = String::new();
-    wall_only.write_json_line(&mut line);
-    assert_eq!(
-        line,
-        r#"{"step":2,"track":3,"ph":"E","name":"w","args":{},"wall_ns":0}"#
     );
 }
 
@@ -255,7 +243,7 @@ fn trace_line_bytes() {
 fn chrome_bytes() {
     assert_eq!(
         chrome_trace(&events()),
-        r#"{"traceEvents":[{"name":"run","ph":"B","ts":0,"pid":2,"tid":0,"args":{"run":2,"seed":18446744073709551615}},{"name":"sched","ph":"B","ts":1,"pid":2,"tid":1,"args":{}},{"name":"checkpoint","ph":"i","ts":3,"pid":2,"tid":1,"s":"t","args":{"note":"a\"b\\c\nd\te\u0001","n":4}},{"name":"fault","ph":"i","ts":7,"pid":2,"tid":2,"s":"t","args":{"kind":"bit-flip","wall_ns":123}},{"name":"sched","ph":"E","ts":7,"pid":2,"tid":1,"args":{}},{"name":"run","ph":"E","ts":7,"pid":2,"tid":0,"args":{}},{"name":"bare","ph":"i","ts":9,"pid":2,"tid":0,"s":"t","args":{"x":0}},{"name":"fault","ph":"E","ts":9,"pid":2,"tid":2,"args":{"wall_ns":0}}],"displayTimeUnit":"ms"}"#
+        r#"{"traceEvents":[{"name":"run","ph":"B","ts":0,"pid":2,"tid":0,"args":{"run":2,"seed":18446744073709551615}},{"name":"sched","ph":"B","ts":1,"pid":2,"tid":1,"args":{}},{"name":"checkpoint","ph":"i","ts":3,"pid":2,"tid":1,"s":"t","args":{"note":"a\"b\\c\nd\te\u0001","n":4}},{"name":"fault","ph":"i","ts":7,"pid":2,"tid":2,"s":"t","args":{"kind":"bit-flip"}},{"name":"sched","ph":"E","ts":7,"pid":2,"tid":1,"args":{}},{"name":"run","ph":"E","ts":7,"pid":2,"tid":0,"args":{}},{"name":"bare","ph":"i","ts":9,"pid":2,"tid":0,"s":"t","args":{"x":0}},{"name":"fault","ph":"E","ts":9,"pid":2,"tid":2,"args":{}}],"displayTimeUnit":"ms"}"#
     );
     assert_eq!(
         chrome_trace(&[]),
@@ -286,7 +274,7 @@ fn chrome_bytes() {
     ];
     assert_eq!(
         chrome_lanes(&events(), &lanes),
-        r#"{"traceEvents":[{"name":"run","ph":"B","ts":0,"pid":2,"tid":0,"args":{"run":2,"seed":18446744073709551615}},{"name":"sched","ph":"B","ts":1,"pid":2,"tid":1,"args":{}},{"name":"checkpoint","ph":"i","ts":3,"pid":2,"tid":1,"s":"t","args":{"note":"a\"b\\c\nd\te\u0001","n":4}},{"name":"fault","ph":"i","ts":7,"pid":2,"tid":2,"s":"t","args":{"kind":"bit-flip","wall_ns":123}},{"name":"sched","ph":"E","ts":7,"pid":2,"tid":1,"args":{}},{"name":"run","ph":"E","ts":7,"pid":2,"tid":0,"args":{}},{"name":"bare","ph":"i","ts":9,"pid":2,"tid":0,"s":"t","args":{"x":0}},{"name":"fault","ph":"E","ts":9,"pid":2,"tid":2,"args":{"wall_ns":0}},{"name":"thread_name","ph":"M","pid":1000000,"tid":1,"args":{"name":"w\"0"}},{"name":"thread_name","ph":"M","pid":1000000,"tid":0,"args":{"name":"w1"}},{"name":"slot","ph":"X","ts":2,"dur":1,"pid":1000000,"tid":0,"args":{"detail":7}},{"name":"campaign","ph":"X","ts":1,"dur":8,"pid":1000000,"tid":1,"args":{"detail":1}},{"name":"idle","ph":"X","ts":10,"dur":10,"pid":1000000,"tid":0,"args":{"detail":0}}],"displayTimeUnit":"ms"}"#
+        r#"{"traceEvents":[{"name":"run","ph":"B","ts":0,"pid":2,"tid":0,"args":{"run":2,"seed":18446744073709551615}},{"name":"sched","ph":"B","ts":1,"pid":2,"tid":1,"args":{}},{"name":"checkpoint","ph":"i","ts":3,"pid":2,"tid":1,"s":"t","args":{"note":"a\"b\\c\nd\te\u0001","n":4}},{"name":"fault","ph":"i","ts":7,"pid":2,"tid":2,"s":"t","args":{"kind":"bit-flip"}},{"name":"sched","ph":"E","ts":7,"pid":2,"tid":1,"args":{}},{"name":"run","ph":"E","ts":7,"pid":2,"tid":0,"args":{}},{"name":"bare","ph":"i","ts":9,"pid":2,"tid":0,"s":"t","args":{"x":0}},{"name":"fault","ph":"E","ts":9,"pid":2,"tid":2,"args":{}},{"name":"thread_name","ph":"M","pid":1000000,"tid":1,"args":{"name":"w\"0"}},{"name":"thread_name","ph":"M","pid":1000000,"tid":0,"args":{"name":"w1"}},{"name":"slot","ph":"X","ts":2,"dur":1,"pid":1000000,"tid":0,"args":{"detail":7}},{"name":"campaign","ph":"X","ts":1,"dur":8,"pid":1000000,"tid":1,"args":{"detail":1}},{"name":"idle","ph":"X","ts":10,"dur":10,"pid":1000000,"tid":0,"args":{"detail":0}}],"displayTimeUnit":"ms"}"#
     );
     assert_eq!(
         chrome_lanes(&[], &lanes),
@@ -361,7 +349,6 @@ fn profile_key_order() {
     assert_eq!(
         keys(v.get("telemetry").unwrap()),
         [
-            "seq",
             "uptime_ns",
             "counters",
             "gauges",
