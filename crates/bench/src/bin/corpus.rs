@@ -26,14 +26,15 @@
 //! binary on-disk records; it never creates a corpus.
 //!
 //! Every subcommand parses its command line with the shared parser
-//! (`bench::cli::parse`), so `--runs`/`--seed`/`--jobs`/`--scheme`/
-//! `--spec FILE` and the storage flags mean exactly what they mean to
-//! every other binary. `--app` and `--scaled` name the workload, so
-//! `--workload` is refused, as is `--trace` (no trace is written).
-//! Without `--corpus-dir`, the store lives at `results/corpus`; it is
-//! opened only once the command line is vetted, so a usage error
-//! (exit status 2) creates none. `dump` reads only `--corpus-dir`, which
-//! it requires, and refuses every other argument by name.
+//! (`bench::cli::parse`), so in `record` and `check`
+//! `--runs`/`--seed`/`--jobs`/`--scheme`/`--spec FILE` and the storage
+//! flags mean exactly what they mean to every other binary. `--app` and
+//! `--scaled` name the workload, so `--workload` is refused, as is
+//! `--trace` (no trace is written). Without `--corpus-dir`, the store
+//! lives at `results/corpus`; it is opened only once the command line
+//! is vetted, so a usage error (exit status 2) creates none. `dump`
+//! reads only `--corpus-dir`, which it requires, and refuses every
+//! other argument by name.
 
 use std::io::Write;
 use std::path::Path;
