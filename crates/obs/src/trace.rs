@@ -388,9 +388,33 @@ mod tests {
         assert_eq!(sink.len(), 4);
         assert!(!sink.is_empty());
         assert_eq!(sink.events(), sample());
-        assert_eq!(sink.take(), sample(), "take keeps recorded order");
-        assert!(sink.is_empty(), "take drains the sink");
-        assert!(sink.take().is_empty());
+    }
+
+    #[test]
+    fn buffer_sink_flushes_in_recorded_order() {
+        // A per-slot buffer is a MemorySink drained with take().
+        let buffer = MemorySink::new();
+        assert!(buffer.is_empty());
+        for ev in sample() {
+            buffer.record(ev);
+        }
+        assert_eq!(buffer.len(), 4);
+        let dest = MemorySink::new();
+        for ev in buffer.take() {
+            dest.record(ev);
+        }
+        assert!(buffer.is_empty(), "take drains the buffer");
+        assert_eq!(dest.events(), sample());
+    }
+
+    #[test]
+    fn buffer_sink_discard_drops_everything() {
+        // Discarding a slot's buffer is dropping what take() returns.
+        let buffer = MemorySink::new();
+        buffer.record(Event::instant(0, 0, "x"));
+        drop(buffer.take());
+        assert!(buffer.is_empty());
+        assert!(buffer.take().is_empty());
     }
 
     #[test]
